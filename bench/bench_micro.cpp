@@ -19,7 +19,6 @@
 #include "io/packed_sequence_set.hpp"
 #include "mpisim/communicator.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -180,9 +179,7 @@ void BM_MapSegment(benchmark::State& state) {
 }
 BENCHMARK(BM_MapSegment);
 
-// Whole-set mapping: the deprecated ThreadPool entry point vs the engine's
-// batched pool backend on the same input. The engine's dynamic batch
-// scheduling should match or beat the old static block partitioning.
+// Whole-set mapping through the engine's batched pool backend.
 struct EngineBenchData {
   io::SequenceSet subjects;
   io::SequenceSet reads;
@@ -207,28 +204,6 @@ const EngineBenchData& engine_bench_data() {
   }();
   return data;
 }
-
-void BM_MapReadsParallel(benchmark::State& state) {
-  const EngineBenchData& data = engine_bench_data();
-  core::MapParams params;
-  params.seed = 23;
-  const core::JemMapper mapper(data.subjects, params);
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  std::int64_t mapped = 0;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  for (auto _ : state) {
-    const auto mappings = mapper.map_reads_parallel(data.reads, pool);
-    mapped = static_cast<std::int64_t>(mappings.size());
-    benchmark::DoNotOptimize(mapped);
-  }
-#pragma GCC diagnostic pop
-  state.SetItemsProcessed(state.iterations() * mapped);
-}
-BENCHMARK(BM_MapReadsParallel)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 void BM_EngineMapReads(benchmark::State& state) {
   const EngineBenchData& data = engine_bench_data();

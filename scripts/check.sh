@@ -8,14 +8,6 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
 
-# Deprecation guard: the deprecated map_reads_* entry points must not be
-# used inside src/ (the -Werror build catches direct use; this catches
-# anyone silencing the warning instead of migrating to MappingEngine).
-if grep -rn "deprecated-declarations" src/; then
-  echo "error: deprecation-warning suppression found in src/" >&2
-  exit 1
-fi
-
 # Engine + chaos + serve concurrency tests under ThreadSanitizer: the
 # bounded queue, the streaming pipeline and the mpisim fault paths are the
 # lock-based concurrency in the library, the chaos suite drives them

@@ -127,20 +127,4 @@ std::vector<core::SegmentMapping> MashmapLikeMapper::map_reads(
   return map_reads(reads, 0, static_cast<io::SeqId>(reads.size()));
 }
 
-std::vector<core::SegmentMapping> MashmapLikeMapper::map_reads_parallel(
-    const io::SequenceSet& reads, util::ThreadPool& pool) const {
-  std::vector<std::vector<core::SegmentMapping>> partials(pool.size());
-  util::parallel_for_blocks(
-      pool, 0, reads.size(), pool.size(),
-      [&](std::size_t block, std::size_t begin, std::size_t end) {
-        partials[block] = map_reads(reads, static_cast<io::SeqId>(begin),
-                                    static_cast<io::SeqId>(end));
-      });
-  std::vector<core::SegmentMapping> mappings;
-  for (auto& partial : partials) {
-    mappings.insert(mappings.end(), partial.begin(), partial.end());
-  }
-  return mappings;
-}
-
 }  // namespace jem::baseline

@@ -29,7 +29,6 @@
 #include "core/mapper.hpp"
 #include "core/minimizer.hpp"
 #include "io/sequence_set.hpp"
-#include "util/thread_pool.hpp"
 
 namespace jem::baseline {
 
@@ -90,8 +89,6 @@ class MashmapLikeMapper {
       const io::SequenceSet& reads, io::SeqId begin, io::SeqId end) const;
   [[nodiscard]] std::vector<core::SegmentMapping> map_reads(
       const io::SequenceSet& reads) const;
-  [[nodiscard]] std::vector<core::SegmentMapping> map_reads_parallel(
-      const io::SequenceSet& reads, util::ThreadPool& pool) const;
 
  private:
   const io::SequenceSet& subjects_;

@@ -195,20 +195,4 @@ std::vector<io::PafRecord> MinimapLikeMapper::map_reads_paf(
   return records;
 }
 
-std::vector<core::SegmentMapping> MinimapLikeMapper::map_reads_parallel(
-    const io::SequenceSet& reads, util::ThreadPool& pool) const {
-  std::vector<std::vector<core::SegmentMapping>> partials(pool.size());
-  util::parallel_for_blocks(
-      pool, 0, reads.size(), pool.size(),
-      [&](std::size_t block, std::size_t begin, std::size_t end) {
-        partials[block] = map_reads(reads, static_cast<io::SeqId>(begin),
-                                    static_cast<io::SeqId>(end));
-      });
-  std::vector<core::SegmentMapping> mappings;
-  for (auto& partial : partials) {
-    mappings.insert(mappings.end(), partial.begin(), partial.end());
-  }
-  return mappings;
-}
-
 }  // namespace jem::baseline

@@ -24,7 +24,6 @@
 #include "core/mapper.hpp"
 #include "io/paf.hpp"
 #include "io/sequence_set.hpp"
-#include "util/thread_pool.hpp"
 
 namespace jem::baseline {
 
@@ -71,8 +70,6 @@ class MinimapLikeMapper {
       const io::SequenceSet& reads, io::SeqId begin, io::SeqId end) const;
   [[nodiscard]] std::vector<core::SegmentMapping> map_reads(
       const io::SequenceSet& reads) const;
-  [[nodiscard]] std::vector<core::SegmentMapping> map_reads_parallel(
-      const io::SequenceSet& reads, util::ThreadPool& pool) const;
 
   /// Maps end segments of all reads and emits one PAF record per mapped
   /// segment (coordinates from the best chain; matches approximated by

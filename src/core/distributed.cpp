@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace jem::core {

@@ -1,9 +1,5 @@
 #include "core/engine.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -21,6 +17,7 @@
 #include "io/checkpoint.hpp"
 #include "io/fasta.hpp"
 #include "util/bounded_queue.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace jem::core {
@@ -220,8 +217,8 @@ void resolve_failure(const std::exception_ptr& error, EngineFailure* out) {
   }
 }
 
-/// Recycles MapScratch instances across pool tasks so the kPool backend
-/// allocates one scratch per worker, not one per batch.
+/// Recycles MapScratch instances across batches so an in-memory run
+/// allocates one scratch per concurrent worker, not one per batch.
 class ScratchPool {
  public:
   explicit ScratchPool(std::size_t num_subjects)
@@ -244,8 +241,8 @@ class ScratchPool {
     free_.push_back(std::move(scratch));
   }
 
-  /// Visits every pooled scratch (all are back in the free list once the
-  /// batch futures have completed) — the hotpath-counter publish point.
+  /// Visits every pooled scratch (all are back in the free list once every
+  /// batch has completed) — the hotpath-counter publish point.
   template <typename F>
   void for_each(F&& visit) {
     std::lock_guard lock(mutex_);
@@ -260,13 +257,18 @@ class ScratchPool {
 
 }  // namespace
 
-namespace detail {
+MappingEngine::MappingEngine(const io::SequenceSet& subjects, MapParams params,
+                             SketchScheme scheme)
+    : mapper_(subjects, params, scheme) {}
 
-MapReport run_request(const JemMapper& mapper, const io::SequenceSet& reads,
-                      const MapRequest& request,
-                      util::ThreadPool* external_pool) {
+MappingEngine::MappingEngine(const io::SequenceSet& subjects, MapParams params,
+                             SketchScheme scheme, SketchTable table)
+    : mapper_(subjects, params, scheme, std::move(table)) {}
+
+MapReport MappingEngine::run(const io::SequenceSet& reads,
+                             const MapRequest& request) const {
   request.validate();
-  check_min_votes(request, mapper.params());
+  check_min_votes(request, mapper_.params());
 
   const obs::ObsHooks& obs = request.obs;
   const EngineMetrics metrics(obs.metrics);
@@ -276,81 +278,43 @@ MapReport run_request(const JemMapper& mapper, const io::SequenceSet& reads,
   MapReport report;
 
   const std::size_t n = reads.size();
-  std::size_t threads = external_pool ? external_pool->size()
-                                      : default_threads(request.threads);
-#ifdef _OPENMP
-  if (request.backend == MapBackend::kOpenMP && request.threads == 0) {
-    threads = static_cast<std::size_t>(omp_get_max_threads());
-  }
-#endif
+  const std::size_t threads = default_threads(request.threads);
   const std::size_t batch = effective_batch_size(request, n, threads);
   const std::size_t num_batches = n == 0 ? 0 : (n + batch - 1) / batch;
 
   std::vector<BatchOutput> outputs(num_batches);
   std::atomic<std::uint64_t> map_ns{0};
+  ScratchPool scratches(mapper_.subjects().size());
 
-  const auto run_batch = [&](std::size_t b, MapScratch& scratch) {
+  const auto run_batch = [&](std::size_t b) {
+    std::unique_ptr<MapScratch> scratch = scratches.acquire();
     if (obs.metrics != nullptr) {
-      scratch.hotpath().sample_every = request.hotpath_sample_every;
+      scratch->hotpath().sample_every = request.hotpath_sample_every;
     }
     obs::StageSpan span(obs, "map.batch", &map_ns);
     const auto begin = static_cast<io::SeqId>(b * batch);
     const auto end = static_cast<io::SeqId>(std::min(n, (b + 1) * batch));
-    outputs[b] = map_range(mapper, reads, begin, end, request, scratch);
+    outputs[b] = map_range(mapper_, reads, begin, end, request, *scratch);
     metrics.record_batch(end - begin, span.finish());
+    scratches.release(std::move(scratch));
   };
 
-  const auto publish_hotpath = [&](MapScratch& scratch) {
-    if (obs.metrics != nullptr) scratch.hotpath().publish(*obs.metrics);
-  };
-
-  switch (request.backend) {
-    case MapBackend::kSerial: {
-      MapScratch scratch(mapper.subjects().size());
-      for (std::size_t b = 0; b < num_batches; ++b) run_batch(b, scratch);
-      publish_hotpath(scratch);
-      break;
+  // The one batch loop: kSerial runs it on the caller's thread, kPool
+  // hands each batch to a pool worker.
+  if (request.backend == MapBackend::kPool) {
+    util::ThreadPool pool(threads);
+    std::vector<std::future<void>> futures;
+    futures.reserve(num_batches);
+    for (std::size_t b = 0; b < num_batches; ++b) {
+      futures.push_back(pool.submit([&, b] { run_batch(b); }));
     }
-    case MapBackend::kPool: {
-      std::optional<util::ThreadPool> owned;
-      util::ThreadPool* pool = external_pool;
-      if (pool == nullptr) {
-        owned.emplace(threads);
-        pool = &*owned;
-      }
-      ScratchPool scratches(mapper.subjects().size());
-      std::vector<std::future<void>> futures;
-      futures.reserve(num_batches);
-      for (std::size_t b = 0; b < num_batches; ++b) {
-        futures.push_back(pool->submit([&, b] {
-          std::unique_ptr<MapScratch> scratch = scratches.acquire();
-          run_batch(b, *scratch);
-          scratches.release(std::move(scratch));
-        }));
-      }
-      for (std::future<void>& future : futures) future.get();
-      scratches.for_each(publish_hotpath);
-      break;
-    }
-    case MapBackend::kOpenMP: {
-#ifdef _OPENMP
-      const auto batches = static_cast<std::int64_t>(num_batches);
-#pragma omp parallel
-      {
-        MapScratch scratch(mapper.subjects().size());
-#pragma omp for schedule(dynamic)
-        for (std::int64_t b = 0; b < batches; ++b) {
-          run_batch(static_cast<std::size_t>(b), scratch);
-        }
-        publish_hotpath(scratch);  // registry updates are thread-safe
-      }
-#else
-      MapScratch scratch(mapper.subjects().size());
-      for (std::size_t b = 0; b < num_batches; ++b) run_batch(b, scratch);
-      publish_hotpath(scratch);
-#endif
-      break;
-    }
+    for (std::future<void>& future : futures) future.get();
+  } else {
+    for (std::size_t b = 0; b < num_batches; ++b) run_batch(b);
+  }
+  if (obs.metrics != nullptr) {
+    scratches.for_each(
+        [&](MapScratch& scratch) { scratch.hotpath().publish(*obs.metrics); });
   }
 
   // In-order concatenation restores the sequential output exactly.
@@ -372,21 +336,6 @@ MapReport run_request(const JemMapper& mapper, const io::SequenceSet& reads,
   stats.wall_s = wall.elapsed_s();
   if (obs.metrics != nullptr) stats.publish(*obs.metrics);
   return report;
-}
-
-}  // namespace detail
-
-MappingEngine::MappingEngine(const io::SequenceSet& subjects, MapParams params,
-                             SketchScheme scheme)
-    : mapper_(subjects, params, scheme) {}
-
-MappingEngine::MappingEngine(const io::SequenceSet& subjects, MapParams params,
-                             SketchScheme scheme, SketchTable table)
-    : mapper_(subjects, params, scheme, std::move(table)) {}
-
-MapReport MappingEngine::run(const io::SequenceSet& reads,
-                             const MapRequest& request) const {
-  return detail::run_request(mapper_, reads, request);
 }
 
 EngineStats MappingEngine::run_stream(io::BatchStream& stream,
@@ -437,115 +386,13 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
     return decision;
   };
 
-  const auto map_batch = [&](io::ReadBatch&& batch, MapScratch& scratch) {
-    BatchResult result;
-    result.batch = std::move(batch);
-    const auto n = static_cast<io::SeqId>(result.batch.reads.size());
-    BatchOutput out =
-        map_range(mapper_, result.batch.reads, 0, n, request, scratch);
-    result.mappings = std::move(out.mappings);
-    result.topx = std::move(out.topx);
-    return result;
-  };
-
-  if (request.backend != MapBackend::kPool) {
-    // Single-threaded pipeline (kOpenMP parallelizes inside each batch).
-    MapScratch scratch(mapper_.subjects().size());
-    if (obs.metrics != nullptr) {
-      scratch.hotpath().sample_every = request.hotpath_sample_every;
-    }
-    std::atomic<std::uint64_t> read_ns{0};
-    std::atomic<std::uint64_t> map_ns{0};
-    std::atomic<std::uint64_t> emit_ns{0};
-    std::exception_ptr error;
-    try {
-      io::ReadBatch batch;
-      while (true) {
-        obs::StageSpan read_span(obs, "read", &read_ns);
-        const bool more = stream.next(batch);
-        read_span.finish();
-        if (!more) break;
-        const util::FaultDecision map_fault = batch_fault("map", batch.index);
-        if (map_fault.action == util::FaultAction::kAbort) {
-          throw util::FaultAbort(0, "map");
-        }
-        if (map_fault.action == util::FaultAction::kDrop) {
-          ++stats.batches_dropped;
-          continue;
-        }
-        if (map_fault.action == util::FaultAction::kDelay) {
-          std::this_thread::sleep_for(map_fault.delay);
-        }
-        obs::StageSpan map_span(obs, "map.batch", &map_ns);
-        BatchResult result;
-        if (request.backend == MapBackend::kOpenMP) {
-          result.batch = std::move(batch);
-          MapRequest sub = request;
-          sub.batch_size = 0;  // auto-chunk the batch across OpenMP threads
-          sub.fault_plan = {};  // faults are this pipeline's, not the kernel's
-          // The kernel must not publish engine.* on top of this pipeline's
-          // own publish (the tracer nests fine, so it stays attached).
-          sub.obs.metrics = nullptr;
-          MapReport sub_report =
-              detail::run_request(mapper_, result.batch.reads, sub);
-          result.mappings = std::move(sub_report.mappings);
-          result.topx = std::move(sub_report.topx);
-        } else {
-          result = map_batch(std::move(batch), scratch);
-        }
-        metrics.record_batch(result.batch.reads.size(), map_span.finish());
-        stats.batches += 1;
-        stats.reads += result.batch.reads.size();
-        stats.segments += result.mappings.size() + result.topx.size();
-        const util::FaultDecision sink_fault =
-            batch_fault("sink", result.batch.index);
-        if (sink_fault.action == util::FaultAction::kAbort) {
-          throw util::FaultAbort(0, "sink");
-        }
-        if (sink_fault.action == util::FaultAction::kDrop) {
-          ++stats.batches_dropped;
-          continue;
-        }
-        if (sink_fault.action == util::FaultAction::kDelay) {
-          std::this_thread::sleep_for(sink_fault.delay);
-        }
-        obs::StageSpan emit_span(obs, "emit", &emit_ns);
-        sink(result);
-        emit_span.finish();
-        if (request.checkpoint != nullptr) {
-          // The sink has the batch's output: journal it. records_done is
-          // cumulative via first_record so fault-dropped batches never
-          // shrink it.
-          request.checkpoint->append_batch(
-              result.batch.index,
-              result.batch.first_record + result.batch.reads.size());
-          ++stats.journal_appends;
-        }
-      }
-    } catch (...) {
-      error = std::current_exception();
-    }
-    stats.read_s = static_cast<double>(read_ns.load()) * 1e-9;
-    stats.map_s = static_cast<double>(map_ns.load()) * 1e-9;
-    stats.emit_s = static_cast<double>(emit_ns.load()) * 1e-9;
-    stats.faults_injected =
-        faults_fired.load() + io_injector.faults_injected();
-    stats.batches_dropped += io_injector.drops_injected();
-    stats.batches_skipped = stream.batches_skipped();
-    run_span.finish();
-    stats.wall_s = wall.elapsed_s();
-    if (obs.metrics != nullptr) {
-      scratch.hotpath().publish(*obs.metrics);
-      stats.publish(*obs.metrics);
-    }
-    resolve_failure(error, failure_out);
-    return stats;
-  }
-
-  // Three-stage pipeline: this thread parses and pushes ReadBatches into a
-  // bounded queue (backpressure), pool workers map them, and whichever
-  // worker completes the next in-order batch flushes it to the sink.
-  const std::size_t workers = default_threads(request.threads);
+  // Three-stage pipeline for every backend: this thread parses and pushes
+  // ReadBatches into a bounded queue (backpressure), pool workers map them,
+  // and whichever worker completes the next in-order batch flushes it to
+  // the sink. kSerial is the same pipeline with one mapping worker.
+  const std::size_t workers = request.backend == MapBackend::kPool
+                                  ? default_threads(request.threads)
+                                  : 1;
   util::BoundedQueue<io::ReadBatch> queue(request.queue_depth);
 
   std::atomic<std::uint64_t> map_ns{0};
@@ -668,8 +515,14 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
         }
 
         obs::StageSpan map_span(obs, "map.batch", &map_ns);
-        BatchResult result = map_batch(std::move(raw), scratch);
+        BatchResult result;
+        result.batch = std::move(raw);
         const std::size_t batch_reads = result.batch.reads.size();
+        BatchOutput out =
+            map_range(mapper_, result.batch.reads, 0,
+                      static_cast<io::SeqId>(batch_reads), request, scratch);
+        result.mappings = std::move(out.mappings);
+        result.topx = std::move(out.topx);
         metrics.record_batch(batch_reads, map_span.finish());
         reads_mapped += batch_reads;
         segments += result.mappings.size() + result.topx.size();

@@ -1,21 +1,22 @@
 // MappingEngine — the unified batched/streaming execution layer over
 // JemMapper (Algorithm 2). One MapRequest selects what to map (end
 // segments, whole-read tiling, or top-x candidate lists) and how to run it
-// (serial, thread pool, OpenMP; batch size; thread count), replacing the
-// near-duplicate map_reads_* entrypoints, which remain as thin deprecated
-// wrappers for one release.
+// (serial or thread pool; batch size; thread count).
 //
-// Two execution shapes share the same per-batch kernels:
+// Each execution shape has exactly one executor, shared by both backends
+// and built on the same per-batch kernel:
 //  * run()        — in-memory: the query set is already loaded; batches are
-//    index ranges over it, mapped in parallel and concatenated in order.
-//    Output is bit-identical to sequential JemMapper::map_reads for every
-//    (mode, backend, batch size) combination (golden-tested).
+//    index ranges over it, mapped on the caller's thread (kSerial) or by
+//    pool workers (kPool) and concatenated in order. Output is
+//    bit-identical to sequential JemMapper::map_reads for every (mode,
+//    backend, batch size) combination (golden-tested).
 //  * run_stream() — streaming: a three-stage pipeline in the shape minimap2
 //    uses for heavy traffic. The caller's thread parses ReadBatches and
 //    pushes them into a BoundedQueue (backpressure: parsing stalls when the
-//    mappers fall behind), pool workers map batches with a reused per-thread
-//    MapScratch, and an in-order emitter hands results to the sink in batch
-//    order. Memory is O(queue_depth · batch) in the query set.
+//    mappers fall behind), pool workers (one for kSerial) map batches with
+//    a reused per-thread MapScratch, and an in-order emitter hands results
+//    to the sink in batch order. Memory is O(queue_depth · batch) in the
+//    query set.
 //
 // Every run fills an EngineStats observability block (batches, segments/s,
 // queue-wait, per-stage times) that examples/jem_map prints and bench/
@@ -35,7 +36,6 @@
 #include "io/batch_stream.hpp"
 #include "obs/obs.hpp"
 #include "util/fault_plan.hpp"
-#include "util/thread_pool.hpp"
 
 namespace jem::io {
 class CheckpointWriter;  // io/checkpoint.hpp
@@ -52,13 +52,12 @@ enum class MapMode {
 
 /// Where the map stage runs.
 enum class MapBackend {
-  kSerial,  // caller's thread
+  kSerial,  // caller's thread (run) / one pipeline worker (run_stream)
   kPool,    // util::ThreadPool workers
-  kOpenMP,  // OpenMP parallel-for (falls back to serial without OpenMP)
 };
 
 /// One mapping job description — the single configuration point for every
-/// execution mode the deprecated map_reads_* family used to cover.
+/// execution mode.
 struct MapRequest {
   MapMode mode = MapMode::kEnds;
   MapBackend backend = MapBackend::kSerial;
@@ -67,9 +66,8 @@ struct MapRequest {
   /// worker otherwise (in-memory), and the BatchStream's size (streaming).
   std::size_t batch_size = 0;
 
-  /// Worker count for kPool (and the streaming pipeline). 0 = hardware
-  /// concurrency. Ignored by kSerial; kOpenMP uses the OpenMP runtime's
-  /// thread count.
+  /// Worker count for kPool, in memory and streaming. 0 = hardware
+  /// concurrency. Ignored by kSerial, which maps on one thread.
   std::size_t threads = 0;
 
   /// Candidates per segment in kTopX mode.
@@ -212,18 +210,6 @@ struct MapReport {
   [[nodiscard]] bool ok() const noexcept { return !failure.has_value(); }
 };
 
-class MappingEngine;
-
-namespace detail {
-/// The shared in-memory executor behind MappingEngine::run and the
-/// deprecated JemMapper::map_reads_* wrappers. `external_pool` (may be
-/// null) overrides request.threads for the kPool backend.
-[[nodiscard]] MapReport run_request(const JemMapper& mapper,
-                                    const io::SequenceSet& reads,
-                                    const MapRequest& request,
-                                    util::ThreadPool* external_pool = nullptr);
-}  // namespace detail
-
 class MappingEngine {
  public:
   /// Sketches all subjects into an owned JemMapper (sequential S2).
@@ -255,11 +241,11 @@ class MappingEngine {
   using BatchSink = std::function<void(const BatchResult&)>;
 
   /// Streaming pipelined run: reader (caller's thread) -> bounded queue ->
-  /// map workers -> in-order emitter. The sink is invoked in batch order,
-  /// one batch at a time, never concurrently. request.batch_size is ignored
-  /// here (the stream's own batch size applies). Exceptions from parsing,
-  /// mapping, or the sink propagate to the caller after the pipeline shuts
-  /// down.
+  /// map workers (one for kSerial) -> in-order emitter. The sink is invoked
+  /// in batch order, one batch at a time, never concurrently.
+  /// request.batch_size is ignored here (the stream's own batch size
+  /// applies). Exceptions from parsing, mapping, or the sink propagate to
+  /// the caller after the pipeline shuts down.
   EngineStats run_stream(io::BatchStream& stream, const MapRequest& request,
                          const BatchSink& sink) const;
 

@@ -1,9 +1,7 @@
 #include "core/mapper.hpp"
 
 #include <algorithm>
-#include <mutex>
 
-#include "core/engine.hpp"
 #include "obs/metrics.hpp"
 
 namespace jem::core {
@@ -269,14 +267,6 @@ std::vector<SegmentTopX> JemMapper::map_reads_topx(const io::SequenceSet& reads,
   return map_reads_topx(reads, x, begin, end, scratch);
 }
 
-std::vector<SegmentTopX> JemMapper::map_reads_topx(const io::SequenceSet& reads,
-                                                   std::size_t x) const {
-  MapRequest request;
-  request.mode = MapMode::kTopX;
-  request.top_x = x;
-  return detail::run_request(*this, reads, request).topx;
-}
-
 std::vector<SegmentMapping> JemMapper::map_reads(const io::SequenceSet& reads,
                                                  io::SeqId begin, io::SeqId end,
                                                  MapScratch& scratch) const {
@@ -333,27 +323,6 @@ std::vector<SegmentMapping> JemMapper::map_reads_tiled(
     const io::SequenceSet& reads, io::SeqId begin, io::SeqId end) const {
   MapScratch scratch(subjects_.size());
   return map_reads_tiled(reads, begin, end, scratch);
-}
-
-std::vector<SegmentMapping> JemMapper::map_reads_tiled(
-    const io::SequenceSet& reads) const {
-  MapRequest request;
-  request.mode = MapMode::kTiled;
-  return detail::run_request(*this, reads, request).mappings;
-}
-
-std::vector<SegmentMapping> JemMapper::map_reads_openmp(
-    const io::SequenceSet& reads) const {
-  MapRequest request;
-  request.backend = MapBackend::kOpenMP;
-  return detail::run_request(*this, reads, request).mappings;
-}
-
-std::vector<SegmentMapping> JemMapper::map_reads_parallel(
-    const io::SequenceSet& reads, util::ThreadPool& pool) const {
-  MapRequest request;
-  request.backend = MapBackend::kPool;
-  return detail::run_request(*this, reads, request, &pool).mappings;
 }
 
 std::vector<io::MappingLine> JemMapper::to_mapping_lines(

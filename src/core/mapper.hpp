@@ -19,7 +19,6 @@
 #include "core/sketch_table.hpp"
 #include "io/mapping_writer.hpp"
 #include "io/sequence_set.hpp"
-#include "util/thread_pool.hpp"
 
 namespace jem::obs {
 class Registry;  // obs/metrics.hpp
@@ -215,13 +214,6 @@ class JemMapper {
       const io::SequenceSet& reads, std::size_t x, io::SeqId begin,
       io::SeqId end) const;
 
-  /// Deprecated: route whole-set batch runs through core::MappingEngine
-  /// (MapRequest{.mode = MapMode::kTopX}); see docs/engine.md.
-  [[deprecated(
-      "use MappingEngine::run with MapMode::kTopX (docs/engine.md)")]]
-  [[nodiscard]] std::vector<SegmentTopX> map_reads_topx(
-      const io::SequenceSet& reads, std::size_t x) const;
-
   /// Maps the end segments of reads [begin, end) sequentially, reusing the
   /// caller's scratch.
   [[nodiscard]] std::vector<SegmentMapping> map_reads(
@@ -236,13 +228,6 @@ class JemMapper {
   [[nodiscard]] std::vector<SegmentMapping> map_reads(
       const io::SequenceSet& reads) const;
 
-  /// Deprecated: route threaded runs through core::MappingEngine
-  /// (MapRequest{.backend = MapBackend::kPool}); see docs/engine.md.
-  [[deprecated(
-      "use MappingEngine::run with MapBackend::kPool (docs/engine.md)")]]
-  [[nodiscard]] std::vector<SegmentMapping> map_reads_parallel(
-      const io::SequenceSet& reads, util::ThreadPool& pool) const;
-
   /// Containment mode (paper §III-B1's noted extension): tiles reads
   /// [begin, end) with ℓ-length segments and maps every tile, so contigs
   /// contained in read interiors are found too. Reuses the caller's scratch.
@@ -253,20 +238,6 @@ class JemMapper {
   /// Containment mode over reads [begin, end).
   [[nodiscard]] std::vector<SegmentMapping> map_reads_tiled(
       const io::SequenceSet& reads, io::SeqId begin, io::SeqId end) const;
-
-  /// Deprecated: route whole-set containment runs through
-  /// core::MappingEngine (MapRequest{.mode = MapMode::kTiled}).
-  [[deprecated(
-      "use MappingEngine::run with MapMode::kTiled (docs/engine.md)")]]
-  [[nodiscard]] std::vector<SegmentMapping> map_reads_tiled(
-      const io::SequenceSet& reads) const;
-
-  /// Deprecated: route OpenMP runs through core::MappingEngine
-  /// (MapRequest{.backend = MapBackend::kOpenMP}); see docs/engine.md.
-  [[deprecated(
-      "use MappingEngine::run with MapBackend::kOpenMP (docs/engine.md)")]]
-  [[nodiscard]] std::vector<SegmentMapping> map_reads_openmp(
-      const io::SequenceSet& reads) const;
 
   /// Renders mappings as output lines (query/subject names resolved).
   [[nodiscard]] std::vector<io::MappingLine> to_mapping_lines(

@@ -159,39 +159,37 @@ MapServiceRequest::Builder& MapServiceRequest::Builder::deadline(
   return *this;
 }
 
-MapServiceRequest MapServiceRequest::Builder::build() const {
-  if (request_.sequence.empty()) {
+namespace {
+
+/// The request-shape checks build() and validate() share.
+void check_request_shape(const MapServiceRequest& request) {
+  if (request.sequence.empty()) {
     throw ServiceError(ServiceErrorCode::kInvalidArgument, "sequence",
                        "query sequence must not be empty");
   }
-  if (request_.top_x < 1) {
+  if (request.top_x < 1) {
     throw ServiceError(ServiceErrorCode::kInvalidArgument, "top_x",
                        "top_x must be >= 1");
   }
+  if (request.deadline.count() < 0) {
+    throw ServiceError(ServiceErrorCode::kInvalidArgument, "deadline_ms",
+                       "deadline must be >= 0");
+  }
+}
+
+}  // namespace
+
+MapServiceRequest MapServiceRequest::Builder::build() const {
+  check_request_shape(request_);
   if (request_.min_votes && *request_.min_votes < 1) {
     throw ServiceError(ServiceErrorCode::kInvalidArgument, "min_votes",
                        "min_votes must be >= 1");
-  }
-  if (request_.deadline.count() < 0) {
-    throw ServiceError(ServiceErrorCode::kInvalidArgument, "deadline_ms",
-                       "deadline must be >= 0");
   }
   return request_;
 }
 
 void MapServiceRequest::validate(const MapParams& params) const {
-  if (sequence.empty()) {
-    throw ServiceError(ServiceErrorCode::kInvalidArgument, "sequence",
-                       "query sequence must not be empty");
-  }
-  if (top_x < 1) {
-    throw ServiceError(ServiceErrorCode::kInvalidArgument, "top_x",
-                       "top_x must be >= 1");
-  }
-  if (deadline.count() < 0) {
-    throw ServiceError(ServiceErrorCode::kInvalidArgument, "deadline_ms",
-                       "deadline must be >= 0");
-  }
+  check_request_shape(*this);
   // Same contract as MapRequest::min_votes: the sketch table cannot recover
   // hits below the threshold it was built to report.
   if (min_votes && *min_votes < params.min_votes) {

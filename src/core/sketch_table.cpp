@@ -264,43 +264,4 @@ SketchTable SketchTable::from_frozen(int trials,
   return table;
 }
 
-namespace {
-constexpr std::uint64_t kTableMagic = 0x4a454d5f54424c31ULL;  // "JEM_TBL1"
-}  // namespace
-
-void SketchTable::save(std::ostream& out) const {
-  const std::vector<SketchEntry> entries = to_entries();
-  const std::uint64_t magic = kTableMagic;
-  const auto trial_count = static_cast<std::uint64_t>(trials_);
-  const auto entry_count = static_cast<std::uint64_t>(entries.size());
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&trial_count), sizeof(trial_count));
-  out.write(reinterpret_cast<const char*>(&entry_count), sizeof(entry_count));
-  out.write(reinterpret_cast<const char*>(entries.data()),
-            static_cast<std::streamsize>(entries.size() *
-                                         sizeof(SketchEntry)));
-  if (!out) throw std::runtime_error("SketchTable::save: write failed");
-}
-
-SketchTable SketchTable::load(std::istream& in) {
-  std::uint64_t magic = 0;
-  std::uint64_t trial_count = 0;
-  std::uint64_t entry_count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&trial_count), sizeof(trial_count));
-  in.read(reinterpret_cast<char*>(&entry_count), sizeof(entry_count));
-  if (!in || magic != kTableMagic) {
-    throw std::runtime_error("SketchTable::load: bad header (not a JEM "
-                             "sketch table)");
-  }
-  if (trial_count == 0 || trial_count > 1'000'000) {
-    throw std::runtime_error("SketchTable::load: implausible trial count");
-  }
-  std::vector<SketchEntry> entries(entry_count);
-  in.read(reinterpret_cast<char*>(entries.data()),
-          static_cast<std::streamsize>(entry_count * sizeof(SketchEntry)));
-  if (!in) throw std::runtime_error("SketchTable::load: truncated file");
-  return from_entries(static_cast<int>(trial_count), entries);
-}
-
 }  // namespace jem::core

@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -96,14 +94,6 @@ class SketchTable {
   /// Duplicate triples across ranks are collapsed.
   [[nodiscard]] static SketchTable from_entries(
       int trials, std::span<const SketchEntry> entries);
-
-  /// Legacy index persistence: a versioned binary dump (magic + trials +
-  /// entry list), retained for wire-format compatibility. New code should
-  /// use the checksummed artifact format in core/index_serde (save_index /
-  /// load_index), which also persists the frozen CSR + flat-index forms so
-  /// loading skips the freeze entirely. load() returns a frozen table.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static SketchTable load(std::istream& in);
 
   /// One trial's frozen CSR arrays (throws std::logic_error unless frozen).
   [[nodiscard]] const FrozenTrial& frozen_trial(int trial) const;

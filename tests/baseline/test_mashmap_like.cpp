@@ -135,23 +135,6 @@ TEST_F(MashmapLikeTest, MapReadsMatchesJemOutputShape) {
   EXPECT_EQ(mappings[2].end, core::ReadEnd::kPrefix);
 }
 
-TEST_F(MashmapLikeTest, ParallelMatchesSequential) {
-  const MashmapLikeMapper mapper(subjects_, params_);
-  io::SequenceSet reads;
-  util::Xoshiro256ss rng(2718);
-  for (int i = 0; i < 12; ++i) {
-    const std::size_t pos = rng.bounded(50'000);
-    reads.add("read_" + std::to_string(i), genome_.substr(pos, 5000));
-  }
-  const auto sequential = mapper.map_reads(reads);
-  util::ThreadPool pool(3);
-  const auto parallel = mapper.map_reads_parallel(reads, pool);
-  ASSERT_EQ(sequential.size(), parallel.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i].result.subject, parallel[i].result.subject);
-  }
-}
-
 TEST_F(MashmapLikeTest, SegmentSpanningTwoContigsPicksBetterHalf) {
   const MashmapLikeMapper mapper(subjects_, params_);
   // Segment straddling the contig 0/1 boundary: 700 bp in contig 0,

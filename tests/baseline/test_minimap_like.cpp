@@ -127,23 +127,6 @@ TEST_F(MinimapLikeTest, MapReadsSharesOutputShape) {
   EXPECT_TRUE(mappings[1].result.mapped());
 }
 
-TEST_F(MinimapLikeTest, ParallelMatchesSequential) {
-  const MinimapLikeMapper mapper(subjects_, params_);
-  io::SequenceSet reads;
-  util::Xoshiro256ss rng(1618);
-  for (int i = 0; i < 10; ++i) {
-    const std::size_t pos = rng.bounded(50'000);
-    reads.add("read_" + std::to_string(i), genome_.substr(pos, 5000));
-  }
-  const auto sequential = mapper.map_reads(reads);
-  util::ThreadPool pool(3);
-  const auto parallel = mapper.map_reads_parallel(reads, pool);
-  ASSERT_EQ(sequential.size(), parallel.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i].result.subject, parallel[i].result.subject);
-  }
-}
-
 TEST_F(MinimapLikeTest, PafRecordsCarryChainCoordinates) {
   const MinimapLikeMapper mapper(subjects_, params_);
   io::SequenceSet reads;

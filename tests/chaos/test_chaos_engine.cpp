@@ -237,21 +237,24 @@ TEST_F(ChaosEngineTest, SinkExceptionIsContainedNotRethrown) {
 
 TEST_F(ChaosEngineTest, StalledSinkTimesOutInsteadOfDeadlocking) {
   const MappingEngine engine(subjects_, params_);
-  MapRequest request;
-  request.backend = MapBackend::kPool;
-  request.threads = 2;
-  request.queue_depth = 1;
-  request.stage_timeout = milliseconds(10);
-  request.max_retries = 1;
+  for (const MapBackend backend : {MapBackend::kSerial, MapBackend::kPool}) {
+    SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)));
+    MapRequest request;
+    request.backend = backend;
+    request.threads = 2;
+    request.queue_depth = 1;
+    request.stage_timeout = milliseconds(10);
+    request.max_retries = 1;
 
-  // The sink sleeps far past the producer's total wait budget (10 + 20 ms),
-  // so with a depth-1 queue the push must time out — a bounded failure, not
-  // a stuck pipeline.
-  const MapReport report = run_guarded(engine, request, 1, nullptr,
-                                       /*sink_stall=*/milliseconds(200));
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.failure->site, "queue.push");
-  EXPECT_GE(report.stats.timeouts, 1u);
+    // The sink sleeps far past the producer's total wait budget (10 + 20
+    // ms), so with a depth-1 queue the push must time out — a bounded
+    // failure, not a stuck pipeline.
+    const MapReport report = run_guarded(engine, request, 1, nullptr,
+                                         /*sink_stall=*/milliseconds(200));
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.failure->site, "queue.push");
+    EXPECT_GE(report.stats.timeouts, 1u);
+  }
 }
 
 TEST_F(ChaosEngineTest, RequestValidatesRobustnessKnobs) {

@@ -76,7 +76,7 @@ TEST(PropertyEngine, EveryBackendAndBatchSizeMatchesSequential) {
     const auto golden = engine.mapper().map_reads(input.reads);
 
     for (const MapBackend backend :
-         {MapBackend::kSerial, MapBackend::kPool, MapBackend::kOpenMP}) {
+         {MapBackend::kSerial, MapBackend::kPool}) {
       for (const std::size_t batch_size :
            {std::size_t{1}, std::size_t{3}, std::size_t{17}, std::size_t{0}}) {
         SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)) +
@@ -132,31 +132,34 @@ TEST(PropertyEngine, RandomDelayPlansNeverChangeStreamOutput) {
   std::ostringstream fasta;
   io::write_fasta(fasta, input.reads);
 
-  for (const std::uint64_t plan_seed : {1u, 2u, 3u}) {
-    SCOPED_TRACE("plan_seed=" + std::to_string(plan_seed));
-    util::RandomFaultRates rates;
-    rates.delay = 0.3;
-    rates.max_delay = milliseconds(2);
+  for (const MapBackend backend : {MapBackend::kSerial, MapBackend::kPool}) {
+    for (const std::uint64_t plan_seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)) +
+                   " plan_seed=" + std::to_string(plan_seed));
+      util::RandomFaultRates rates;
+      rates.delay = 0.3;
+      rates.max_delay = milliseconds(2);
 
-    MapRequest request;
-    request.backend = MapBackend::kPool;
-    request.threads = 3;
-    request.fault_plan = util::FaultPlan::random(plan_seed, rates);
+      MapRequest request;
+      request.backend = backend;
+      request.threads = 3;
+      request.fault_plan = util::FaultPlan::random(plan_seed, rates);
 
-    std::istringstream in(fasta.str());
-    io::BatchStream stream(in, 4);
-    std::vector<SegmentMapping> streamed;
-    const MapReport report = engine.run_stream_guarded(
-        stream, request, [&](const MappingEngine::BatchResult& result) {
-          for (SegmentMapping mapping : result.mappings) {
-            mapping.read = static_cast<io::SeqId>(mapping.read +
-                                                  result.batch.first_record);
-            streamed.push_back(mapping);
-          }
-        });
-    EXPECT_TRUE(report.ok());
-    EXPECT_EQ(streamed, golden);
-    EXPECT_EQ(report.stats.batches_dropped, 0u);
+      std::istringstream in(fasta.str());
+      io::BatchStream stream(in, 4);
+      std::vector<SegmentMapping> streamed;
+      const MapReport report = engine.run_stream_guarded(
+          stream, request, [&](const MappingEngine::BatchResult& result) {
+            for (SegmentMapping mapping : result.mappings) {
+              mapping.read = static_cast<io::SeqId>(mapping.read +
+                                                    result.batch.first_record);
+              streamed.push_back(mapping);
+            }
+          });
+      EXPECT_TRUE(report.ok());
+      EXPECT_EQ(streamed, golden);
+      EXPECT_EQ(report.stats.batches_dropped, 0u);
+    }
   }
 }
 

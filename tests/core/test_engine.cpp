@@ -27,7 +27,6 @@ const char* backend_name(MapBackend backend) {
   switch (backend) {
     case MapBackend::kSerial: return "serial";
     case MapBackend::kPool: return "pool";
-    case MapBackend::kOpenMP: return "openmp";
   }
   return "?";
 }
@@ -77,7 +76,7 @@ TEST_F(EngineGoldenTest, BitIdenticalToSequentialAcrossAllCombinations) {
       engine.mapper().map_reads_topx(reads_, 3, 0, num_reads());
 
   for (const MapBackend backend :
-       {MapBackend::kSerial, MapBackend::kPool, MapBackend::kOpenMP}) {
+       {MapBackend::kSerial, MapBackend::kPool}) {
     for (const std::size_t batch_size : {std::size_t{1}, std::size_t{7},
                                          std::size_t{64}, std::size_t{0}}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -115,37 +114,40 @@ TEST_F(EngineGoldenTest, StreamingPipelineMatchesSequential) {
   std::ostringstream fasta;
   io::write_fasta(fasta, reads_);
 
-  for (const std::size_t batch_size :
-       {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE("batch=" + std::to_string(batch_size) +
-                   " threads=" + std::to_string(threads));
-      std::istringstream in(fasta.str());
-      io::BatchStream stream(in, batch_size);
-      MapRequest request;
-      request.backend = MapBackend::kPool;
-      request.threads = threads;
-      request.queue_depth = 2;
+  for (const MapBackend backend : {MapBackend::kSerial, MapBackend::kPool}) {
+    for (const std::size_t batch_size :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(std::string("backend=") + backend_name(backend) +
+                     " batch=" + std::to_string(batch_size) +
+                     " threads=" + std::to_string(threads));
+        std::istringstream in(fasta.str());
+        io::BatchStream stream(in, batch_size);
+        MapRequest request;
+        request.backend = backend;
+        request.threads = threads;
+        request.queue_depth = 2;
 
-      std::vector<SegmentMapping> collected;
-      std::uint64_t expected_index = 0;
-      const EngineStats stats = engine.run_stream(
-          stream, request, [&](const MappingEngine::BatchResult& result) {
-            // In-order, exactly-once delivery.
-            EXPECT_EQ(result.batch.index, expected_index++);
-            for (SegmentMapping mapping : result.mappings) {
-              mapping.read +=
-                  static_cast<io::SeqId>(result.batch.first_record);
-              collected.push_back(mapping);
-            }
-          });
+        std::vector<SegmentMapping> collected;
+        std::uint64_t expected_index = 0;
+        const EngineStats stats = engine.run_stream(
+            stream, request, [&](const MappingEngine::BatchResult& result) {
+              // In-order, exactly-once delivery.
+              EXPECT_EQ(result.batch.index, expected_index++);
+              for (SegmentMapping mapping : result.mappings) {
+                mapping.read +=
+                    static_cast<io::SeqId>(result.batch.first_record);
+                collected.push_back(mapping);
+              }
+            });
 
-      EXPECT_EQ(collected, expected);
-      EXPECT_EQ(stats.reads, reads_.size());
-      EXPECT_EQ(stats.segments, expected.size());
-      EXPECT_EQ(stats.batches,
-                (reads_.size() + batch_size - 1) / batch_size);
-      EXPECT_GT(stats.wall_s, 0.0);
+        EXPECT_EQ(collected, expected);
+        EXPECT_EQ(stats.reads, reads_.size());
+        EXPECT_EQ(stats.segments, expected.size());
+        EXPECT_EQ(stats.batches,
+                  (reads_.size() + batch_size - 1) / batch_size);
+        EXPECT_GT(stats.wall_s, 0.0);
+      }
     }
   }
 }
@@ -231,7 +233,7 @@ TEST_F(EngineGoldenTest, EmptyReadSetYieldsEmptyReport) {
   const MappingEngine engine(subjects_, params_);
   const io::SequenceSet empty;
   for (const MapBackend backend :
-       {MapBackend::kSerial, MapBackend::kPool, MapBackend::kOpenMP}) {
+       {MapBackend::kSerial, MapBackend::kPool}) {
     MapRequest request;
     request.backend = backend;
     const MapReport report = engine.run(empty, request);

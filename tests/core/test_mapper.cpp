@@ -7,12 +7,6 @@
 #include "core/dna.hpp"
 #include "util/prng.hpp"
 
-// Deprecation-window coverage: the legacy map_reads_* entrypoints must stay
-// bit-identical to the sequential mapper until they are removed, so these
-// tests keep calling them on purpose. New code routes through
-// core::MappingEngine (docs/engine.md).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace jem::core {
 namespace {
 
@@ -119,27 +113,6 @@ TEST_F(MapperTest, MapReadsEmitsPrefixAndSuffixSegments) {
   ASSERT_TRUE(mappings[1].result.mapped());
   EXPECT_EQ(mappings[0].result.subject, 1u);  // 7000 / 6000
   EXPECT_EQ(mappings[1].result.subject, 2u);  // 15000 / 6000
-}
-
-TEST_F(MapperTest, ParallelMatchesSequential) {
-  const JemMapper mapper(subjects_, params_);
-  io::SequenceSet reads;
-  util::Xoshiro256ss rng(555);
-  for (int i = 0; i < 20; ++i) {
-    const std::size_t pos = rng.bounded(50'000);
-    reads.add("read_" + std::to_string(i), genome_.substr(pos, 5000));
-  }
-  const auto sequential = mapper.map_reads(reads);
-  util::ThreadPool pool(4);
-  auto parallel = mapper.map_reads_parallel(reads, pool);
-
-  ASSERT_EQ(sequential.size(), parallel.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i].read, parallel[i].read);
-    EXPECT_EQ(sequential[i].end, parallel[i].end);
-    EXPECT_EQ(sequential[i].result.subject, parallel[i].result.subject);
-    EXPECT_EQ(sequential[i].result.votes, parallel[i].result.votes);
-  }
 }
 
 TEST_F(MapperTest, ClassicMinhashSchemeAlsoMapsExactSegments) {
@@ -260,7 +233,7 @@ TEST_F(MapperTest, MapReadsTopXCoversAllSegments) {
   io::SequenceSet reads;
   reads.add("r0", genome_.substr(3'000, 8'000));
   reads.add("r1", genome_.substr(30'000, 900));
-  const auto topx = mapper.map_reads_topx(reads, 3);
+  const auto topx = mapper.map_reads_topx(reads, 3, 0, 2);
   ASSERT_EQ(topx.size(), 3u);  // two ends + one short-read prefix
   EXPECT_EQ(topx[0].end, ReadEnd::kPrefix);
   EXPECT_EQ(topx[1].end, ReadEnd::kSuffix);
@@ -283,30 +256,11 @@ TEST_F(MapperTest, TopXTwinsBothReported) {
   EXPECT_EQ(topx[0].votes, topx[1].votes);
 }
 
-TEST_F(MapperTest, OpenmpMatchesSequential) {
-  const JemMapper mapper(subjects_, params_);
-  io::SequenceSet reads;
-  util::Xoshiro256ss rng(556);
-  for (int i = 0; i < 15; ++i) {
-    const std::size_t pos = rng.bounded(50'000);
-    reads.add("read_" + std::to_string(i), genome_.substr(pos, 5000));
-  }
-  const auto sequential = mapper.map_reads(reads);
-  const auto parallel = mapper.map_reads_openmp(reads);
-  ASSERT_EQ(sequential.size(), parallel.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i].read, parallel[i].read);
-    EXPECT_EQ(sequential[i].end, parallel[i].end);
-    EXPECT_EQ(sequential[i].result.subject, parallel[i].result.subject);
-    EXPECT_EQ(sequential[i].result.votes, parallel[i].result.votes);
-  }
-}
-
 TEST_F(MapperTest, TiledMappingCoversInteriorSegments) {
   const JemMapper mapper(subjects_, params_);
   io::SequenceSet reads;
   reads.add("long_read", genome_.substr(2'000, 10'000));  // 10 tiles
-  const auto tiled = mapper.map_reads_tiled(reads);
+  const auto tiled = mapper.map_reads_tiled(reads, 0, 1);
   ASSERT_EQ(tiled.size(), 10u);
   EXPECT_EQ(tiled.front().end, ReadEnd::kPrefix);
   EXPECT_EQ(tiled.back().end, ReadEnd::kSuffix);

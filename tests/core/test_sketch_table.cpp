@@ -199,49 +199,6 @@ TEST(SketchTableFrozen, ToEntriesRoundTripsThroughFrozenForm) {
   EXPECT_EQ(rebuilt.lookup(1, 200).size(), 1u);
 }
 
-TEST(SketchTablePersistence, SaveLoadRoundTrips) {
-  SketchTable table(3);
-  table.insert(0, 100, 1);
-  table.insert(0, 100, 2);
-  table.insert(1, 200, 3);
-  table.insert(2, 300, 1);
-
-  std::stringstream buffer;
-  table.save(buffer);
-  const SketchTable loaded = SketchTable::load(buffer);
-  EXPECT_TRUE(loaded.frozen());
-  EXPECT_EQ(loaded.trials(), 3);
-  EXPECT_EQ(loaded.size(), table.size());
-  EXPECT_EQ(loaded.lookup(0, 100).size(), 2u);
-  EXPECT_EQ(loaded.lookup(1, 200).size(), 1u);
-  EXPECT_EQ(loaded.lookup(2, 300).size(), 1u);
-}
-
-TEST(SketchTablePersistence, SaveLoadEmptyTable) {
-  SketchTable table(5);
-  std::stringstream buffer;
-  table.save(buffer);
-  const SketchTable loaded = SketchTable::load(buffer);
-  EXPECT_EQ(loaded.trials(), 5);
-  EXPECT_EQ(loaded.size(), 0u);
-}
-
-TEST(SketchTablePersistence, LoadRejectsGarbage) {
-  std::stringstream buffer("this is not a sketch table at all............");
-  EXPECT_THROW((void)SketchTable::load(buffer), std::runtime_error);
-}
-
-TEST(SketchTablePersistence, LoadRejectsTruncation) {
-  SketchTable table(2);
-  table.insert(0, 1, 0);
-  table.insert(1, 2, 1);
-  std::stringstream buffer;
-  table.save(buffer);
-  const std::string full = buffer.str();
-  std::stringstream truncated(full.substr(0, full.size() - 8));
-  EXPECT_THROW((void)SketchTable::load(truncated), std::runtime_error);
-}
-
 TEST(SketchEntry, WireSizeIsStable) {
   // The allgatherv volume accounting assumes 16-byte entries.
   EXPECT_EQ(sizeof(SketchEntry), 16u);
