@@ -12,14 +12,17 @@ ctest --test-dir build --output-on-failure
 # bounded queue, the streaming pipeline and the mpisim fault paths are the
 # lock-based concurrency in the library, the chaos suite drives them
 # through aborts/timeouts (docs/robustness.md), and the serve suite runs a
-# live MappingServer with concurrent clients (docs/serve.md).
+# live MappingServer with concurrent clients (docs/serve.md). The io
+# suites ride along: gzip_decompress inflates members on parallel threads,
+# and the readers above it parse what those threads wrote.
 cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   -DJEM_BUILD_BENCH=OFF -DJEM_BUILD_EXAMPLES=OFF
-cmake --build build-tsan --target test_engine test_chaos test_obs test_serve
+cmake --build build-tsan --target test_engine test_chaos test_obs test_serve \
+  test_io
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker'
+  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|Gzip|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness'
 
 # The same suites under AddressSanitizer + UndefinedBehaviorSanitizer: the
 # fault-injection shutdown paths (worker aborts, queue closes, partial
@@ -27,6 +30,7 @@ ctest --test-dir build-tsan --output-on-failure \
 # along (docs/persistence.md): every artifact corruption case — truncation,
 # bit rot, torn journal records, stale resume state — must be detected as a
 # structured error without tripping ASan/UBSan while parsing hostile bytes.
+# So must the parsers: the gzip decoder and the buffered FASTA/FASTQ reader.
 cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
@@ -34,7 +38,7 @@ cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan --target test_engine test_chaos test_io test_core \
   test_obs test_serve jem obs_check
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker'
+  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness'
 
 # Hot-path bench smoke (the default build type is Release): a short run of
 # the BM_Hotpath* family catches wiring regressions in the flat-index /

@@ -80,7 +80,9 @@ int run_map(std::span<const char* const> args, std::string_view program) {
   options.add_flag("partitioned", partitioned,
                    "with --ranks: shard the sketch table by k-mer instead "
                    "of replicating it (less memory, more communication)");
-  options.add_uint("threads", threads, "run threaded with this many threads");
+  options.add_uint("threads", threads,
+                   "map with this many threads (multi-member .gz input is "
+                   "inflated on up to one thread per member regardless)");
   options.add_flag("demo", demo, "simulate inputs instead of reading files");
   options.add_flag("tiled", tiled,
                    "containment mode: tile whole reads with l-length "

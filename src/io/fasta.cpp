@@ -1,151 +1,73 @@
 #include "io/fasta.hpp"
 
-#include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "io/gzip.hpp"
-#include "util/string_util.hpp"
+#include "io/stream_reader.hpp"
 
 namespace jem::io {
 
 namespace {
 
-/// getline that also strips a trailing '\r' (CRLF input).
-bool get_logical_line(std::istream& in, std::string& line) {
-  if (!std::getline(in, line)) return false;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return true;
+std::vector<SequenceRecord> read_all(SequenceStreamReader& reader) {
+  std::vector<SequenceRecord> records;
+  SequenceRecord record;
+  while (reader.next(record)) records.push_back(std::move(record));
+  return records;
 }
 
-void split_header(std::string_view header, SequenceRecord& rec) {
-  const std::size_t ws = header.find_first_of(" \t");
-  if (ws == std::string_view::npos) {
-    rec.name = std::string(header);
-  } else {
-    rec.name = std::string(header.substr(0, ws));
-    rec.comment = std::string(util::trim(header.substr(ws + 1)));
-  }
-}
-
-void append_bases(std::string& dst, std::string_view line) {
-  for (char c : line) {
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) continue;
-    dst.push_back(
-        static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
+/// The file's bytes, inflated when gzip-compressed (.fa.gz / .fastq.gz).
+std::string read_sequence_file(const std::string& path) {
+  try {
+    return read_file_auto(path);
+  } catch (const std::exception& error) {
+    throw ParseError(error.what());
   }
 }
 
 }  // namespace
 
 std::vector<SequenceRecord> read_fasta(std::istream& in) {
-  std::vector<SequenceRecord> records;
-  std::string line;
-  SequenceRecord current;
-  bool in_record = false;
-
-  while (get_logical_line(in, line)) {
-    if (line.empty()) continue;
-    if (line.front() == '>') {
-      if (in_record) {
-        if (current.bases.empty()) {
-          throw ParseError("FASTA record '" + current.name +
-                           "' has no sequence");
-        }
-        records.push_back(std::move(current));
-        current = {};
-      }
-      split_header(std::string_view(line).substr(1), current);
-      if (current.name.empty()) {
-        throw ParseError("FASTA header with empty sequence name");
-      }
-      in_record = true;
-    } else {
-      if (!in_record) {
-        throw ParseError("FASTA input does not start with '>'");
-      }
-      append_bases(current.bases, line);
-    }
+  SequenceStreamReader reader(in);
+  if (reader.format() == SequenceStreamReader::Format::kFastq) {
+    throw ParseError("FASTA input does not start with '>'");
   }
-  if (in_record) {
-    if (current.bases.empty()) {
-      throw ParseError("FASTA record '" + current.name + "' has no sequence");
-    }
-    records.push_back(std::move(current));
-  }
-  return records;
+  return read_all(reader);
 }
 
 std::vector<SequenceRecord> read_fastq(std::istream& in) {
-  std::vector<SequenceRecord> records;
-  std::string line;
-  while (true) {
-    // Skip blank separator lines between records.
-    bool got = false;
-    while ((got = get_logical_line(in, line)) && line.empty()) {
-    }
-    if (!got) break;
-
-    if (line.front() != '@') {
-      throw ParseError("FASTQ record does not start with '@': " + line);
-    }
-    SequenceRecord rec;
-    split_header(std::string_view(line).substr(1), rec);
-    if (rec.name.empty()) {
-      throw ParseError("FASTQ header with empty sequence name");
-    }
-
-    if (!get_logical_line(in, line)) {
-      throw ParseError("FASTQ record '" + rec.name + "' truncated (no bases)");
-    }
-    append_bases(rec.bases, line);
-
-    if (!get_logical_line(in, line) || line.empty() || line.front() != '+') {
-      throw ParseError("FASTQ record '" + rec.name + "' missing '+' line");
-    }
-    if (!get_logical_line(in, line)) {
-      throw ParseError("FASTQ record '" + rec.name +
-                       "' truncated (no quality)");
-    }
-    rec.quality = line;
-    if (rec.quality.size() != rec.bases.size()) {
-      throw ParseError("FASTQ record '" + rec.name +
-                       "': quality length != sequence length");
-    }
-    records.push_back(std::move(rec));
+  SequenceStreamReader reader(in);
+  if (reader.format() == SequenceStreamReader::Format::kFasta) {
+    throw ParseError("FASTQ record does not start with '@'");
   }
-  return records;
+  return read_all(reader);
 }
 
 std::vector<SequenceRecord> read_sequences(std::istream& in) {
-  // Peek past leading whitespace to find the format marker.
-  int c = in.peek();
-  while (c != std::char_traits<char>::eof() &&
-         std::isspace(static_cast<unsigned char>(c)) != 0) {
-    in.get();
-    c = in.peek();
-  }
-  if (c == std::char_traits<char>::eof()) return {};
-  if (c == '>') return read_fasta(in);
-  if (c == '@') return read_fastq(in);
-  throw ParseError("input is neither FASTA ('>') nor FASTQ ('@')");
+  SequenceStreamReader reader(in);
+  return read_all(reader);
 }
 
 std::vector<SequenceRecord> read_sequences_file(const std::string& path) {
-  // Transparently accepts gzip-compressed files (.fa.gz / .fastq.gz).
-  std::string content;
-  try {
-    content = read_file_auto(path);
-  } catch (const std::exception& error) {
-    throw ParseError(error.what());
-  }
-  std::istringstream in(std::move(content));
+  std::istringstream in(read_sequence_file(path));
   return read_sequences(in);
 }
 
 void load_into(const std::string& path, SequenceSet& out) {
-  const auto records = read_sequences_file(path);
-  for (const SequenceRecord& rec : records) out.add(rec.name, rec.bases);
+  std::string text = read_sequence_file(path);
+  const std::size_t text_bytes = text.size();
+  std::istringstream in(std::move(text));
+  SequenceStreamReader reader(in);
+  // The text bounds the bases (a FASTQ record holds as many quality bytes
+  // as bases), so the arena is allocated once: no doubling copy holds the
+  // bases twice while the whole text is still in memory.
+  const std::size_t max_bases =
+      reader.format() == SequenceStreamReader::Format::kFastq ? text_bytes / 2
+                                                              : text_bytes;
+  out.reserve(0, out.total_bases() + max_bases);
+  (void)reader.append_batch(out, std::numeric_limits<std::size_t>::max());
 }
 
 namespace {

@@ -9,6 +9,12 @@
 // went wrong, never as silently short or wrong output. Multi-member files
 // (concatenated .gz, as produced by `cat a.gz b.gz` and bgzip-like tools)
 // decode to the concatenation of their members, matching gzip(1).
+//
+// Members are inflated in parallel, each into its own buffer; an in-order
+// pass then walks the member chain, appends each member's bytes and decodes
+// again, serially, any member the parallel pass could not verify. Output
+// and GzipReason are those of a serial decode, and no buffer is ever sized
+// from a trailer's claim.
 #pragma once
 
 #include <stdexcept>
@@ -47,8 +53,10 @@ class GzipError : public std::runtime_error {
 /// True if the buffer starts with the gzip magic bytes (0x1f 0x8b).
 [[nodiscard]] bool is_gzip(std::string_view data) noexcept;
 
-/// Inflates a whole gzip stream (all members of a multi-member file).
-/// Throws GzipError on any defect; see the file header for the taxonomy.
+/// Inflates a whole gzip stream (all members of a multi-member file), on up
+/// to one thread per member and hardware thread whatever thread count the
+/// caller maps with. Throws GzipError on any defect; see the file header
+/// for the taxonomy.
 [[nodiscard]] std::string gzip_decompress(std::string_view data);
 
 /// Deflates to a gzip stream (used by tests and the demo writers).

@@ -1,6 +1,9 @@
 #include "io/stream_reader.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstring>
 
 #include "util/string_util.hpp"
 
@@ -8,63 +11,134 @@ namespace jem::io {
 
 namespace {
 
-void split_header(std::string_view header, SequenceRecord& rec) {
-  const std::size_t ws = header.find_first_of(" \t");
-  if (ws == std::string_view::npos) {
-    rec.name = std::string(header);
-    rec.comment.clear();
-  } else {
-    rec.name = std::string(header.substr(0, ws));
-    rec.comment = std::string(util::trim(header.substr(ws + 1)));
+constexpr bool is_space(unsigned char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// What a sequence-line byte is stored as: its uppercase form, or -1 for
+/// whitespace, which is dropped.
+constexpr std::array<std::int16_t, 256> kBaseMap = [] {
+  std::array<std::int16_t, 256> map{};
+  for (int c = 0; c < 256; ++c) {
+    map[c] = is_space(static_cast<unsigned char>(c)) ? -1
+             : c >= 'a' && c <= 'z'                  ? c - 'a' + 'A'
+                                                     : c;
   }
-  if (rec.name.empty()) {
-    throw ParseError("sequence header with empty name");
+  return map;
+}();
+
+/// True when no byte of `line` is lowercase or whitespace, i.e. kBaseMap
+/// leaves the line as it is.
+bool is_clean(std::string_view line) noexcept {
+  unsigned dirty = 0;
+  for (const char ch : line) {
+    const auto c = static_cast<unsigned char>(ch);
+    dirty |= static_cast<unsigned>(static_cast<unsigned>(c - 'a') < 26u) |
+             static_cast<unsigned>(static_cast<unsigned>(c - '\t') < 5u) |
+             static_cast<unsigned>(c == ' ');
   }
+  return dirty == 0;
 }
 
 void append_bases(std::string& dst, std::string_view line) {
-  for (char c : line) {
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) continue;
-    dst.push_back(
-        static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
+  if (is_clean(line)) {
+    dst.append(line);
+    return;
+  }
+  for (const char c : line) {
+    const std::int16_t mapped = kBaseMap[static_cast<unsigned char>(c)];
+    if (mapped >= 0) dst.push_back(static_cast<char>(mapped));
+  }
+}
+
+void split_header(std::string_view header, std::string& name,
+                  std::string& comment) {
+  const std::size_t ws = header.find_first_of(" \t");
+  if (ws == std::string_view::npos) {
+    name.assign(header);
+    comment.clear();
+  } else {
+    name.assign(header.substr(0, ws));
+    comment.assign(util::trim(header.substr(ws + 1)));
+  }
+  if (name.empty()) {
+    throw ParseError("sequence header with empty name");
   }
 }
 
 }  // namespace
 
-SequenceStreamReader::SequenceStreamReader(std::istream& in) : in_(in) {
-  detect_format();
-}
-
-bool SequenceStreamReader::get_line(std::string& line) {
-  if (!std::getline(in_, line)) return false;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return true;
-}
-
-void SequenceStreamReader::detect_format() {
-  int c = in_.peek();
-  while (c != std::char_traits<char>::eof() &&
-         std::isspace(static_cast<unsigned char>(c)) != 0) {
-    in_.get();
-    c = in_.peek();
+SequenceStreamReader::SequenceStreamReader(std::istream& in)
+    : in_(in.rdbuf()) {
+  // The format is the first non-blank byte; leading blanks are consumed.
+  for (;;) {
+    while (pos_ < end_ &&
+           is_space(static_cast<unsigned char>(buffer_[pos_]))) {
+      ++pos_;
+    }
+    if (pos_ < end_ || !fill()) break;
   }
-  if (c == std::char_traits<char>::eof()) {
+  if (pos_ == end_) {
     format_ = Format::kEmpty;
-  } else if (c == '>') {
+  } else if (buffer_[pos_] == '>') {
     format_ = Format::kFasta;
-  } else if (c == '@') {
+  } else if (buffer_[pos_] == '@') {
     format_ = Format::kFastq;
   } else {
     throw ParseError("input is neither FASTA ('>') nor FASTQ ('@')");
   }
 }
 
-bool SequenceStreamReader::next(SequenceRecord& record) {
-  record = {};
-  if (format_ == Format::kEmpty) return false;
+bool SequenceStreamReader::fill() {
+  if (eof_ || in_ == nullptr) return false;
+  const std::size_t from = std::min(pos_, keep_);
+  if (from > 0) {
+    std::memmove(buffer_.data(), buffer_.data() + from, end_ - from);
+    pos_ -= from;
+    end_ -= from;
+    if (keep_ != kNoKeep) keep_ -= from;
+  }
+  if (buffer_.size() < end_ + kChunkBytes) {
+    buffer_.resize(std::max(2 * buffer_.size(), end_ + kChunkBytes));
+  }
+  const std::streamsize got = in_->sgetn(
+      buffer_.data() + end_, static_cast<std::streamsize>(kChunkBytes));
+  if (got <= 0) {
+    eof_ = true;
+    return false;
+  }
+  end_ += static_cast<std::size_t>(got);
+  return true;
+}
 
-  std::string line;
+bool SequenceStreamReader::get_line(std::string_view& line) {
+  std::size_t searched = 0;  // bytes past pos_ known to hold no '\n'
+  for (;;) {
+    const char* begin = buffer_.data() + pos_;
+    const void* newline =
+        std::memchr(begin + searched, '\n', end_ - pos_ - searched);
+    if (newline != nullptr) {
+      const auto length =
+          static_cast<std::size_t>(static_cast<const char*>(newline) - begin);
+      line = std::string_view(begin, length);
+      pos_ += length + 1;
+      break;
+    }
+    searched = end_ - pos_;
+    if (!fill()) {  // end of input: what is left is the last line
+      if (pos_ == end_) return false;
+      line = std::string_view(buffer_.data() + pos_, end_ - pos_);
+      pos_ = end_;
+      break;
+    }
+  }
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return true;
+}
+
+template <typename OnRecord>
+bool SequenceStreamReader::parse(const OnRecord& on_record) {
+  std::string_view line;
   if (format_ == Format::kFastq) {
     // Skip blank separator lines.
     bool got = false;
@@ -72,68 +146,99 @@ bool SequenceStreamReader::next(SequenceRecord& record) {
     }
     if (!got) return false;
     if (line.front() != '@') {
-      throw ParseError("FASTQ record does not start with '@': " + line);
+      throw ParseError("FASTQ record does not start with '@': " +
+                       std::string(line));
     }
-    split_header(std::string_view(line).substr(1), record);
+    split_header(line.substr(1), name_, comment_);
     if (!get_line(line)) {
-      throw ParseError("FASTQ record '" + record.name + "' truncated");
+      throw ParseError("FASTQ record '" + name_ + "' truncated");
     }
-    append_bases(record.bases, line);
+    // Keep the bases line in the buffer while the '+' and quality lines
+    // are read after it.
+    keep_ = static_cast<std::size_t>(line.data() - buffer_.data());
+    const std::size_t raw_size = line.size();
     if (!get_line(line) || line.empty() || line.front() != '+') {
-      throw ParseError("FASTQ record '" + record.name + "' missing '+'");
+      keep_ = kNoKeep;
+      throw ParseError("FASTQ record '" + name_ + "' missing '+'");
     }
     if (!get_line(line)) {
-      throw ParseError("FASTQ record '" + record.name + "' has no quality");
+      keep_ = kNoKeep;
+      throw ParseError("FASTQ record '" + name_ + "' has no quality");
     }
-    record.quality = line;
-    if (record.quality.size() != record.bases.size()) {
-      throw ParseError("FASTQ record '" + record.name +
+    std::string_view bases(buffer_.data() + keep_, raw_size);
+    keep_ = kNoKeep;
+    if (!is_clean(bases)) {
+      bases_.clear();
+      append_bases(bases_, bases);
+      bases = bases_;
+    }
+    if (line.size() != bases.size()) {
+      throw ParseError("FASTQ record '" + name_ +
                        "': quality length != sequence length");
     }
+    on_record(bases, line);
     ++records_read_;
     return true;
   }
+  if (format_ == Format::kEmpty) return false;
 
   // FASTA: consume the pending header (or find the first one).
   if (!has_pending_header_) {
     bool got = false;
-    while ((got = get_line(pending_header_)) && pending_header_.empty()) {
+    while ((got = get_line(line)) && line.empty()) {
     }
-    if (!got) {
-      format_ = Format::kEmpty;
-      return false;
-    }
-    if (pending_header_.front() != '>') {
+    if (!got) return false;
+    if (line.front() != '>') {
       throw ParseError("FASTA input does not start with '>'");
     }
-    has_pending_header_ = true;
+    pending_header_.assign(line);
   }
-  split_header(std::string_view(pending_header_).substr(1), record);
+  split_header(std::string_view(pending_header_).substr(1), name_, comment_);
   has_pending_header_ = false;
 
+  bases_.clear();
   while (get_line(line)) {
     if (line.empty()) continue;
     if (line.front() == '>') {
-      pending_header_ = line;
+      pending_header_.assign(line);
       has_pending_header_ = true;
       break;
     }
-    append_bases(record.bases, line);
+    append_bases(bases_, line);
   }
-  if (record.bases.empty()) {
-    throw ParseError("FASTA record '" + record.name + "' has no sequence");
+  if (bases_.empty()) {
+    throw ParseError("FASTA record '" + name_ + "' has no sequence");
   }
+  on_record(std::string_view(bases_), std::string_view());
   ++records_read_;
   return true;
 }
 
+bool SequenceStreamReader::next(SequenceRecord& record) {
+  record = {};
+  return parse([&](std::string_view bases, std::string_view quality) {
+    record.name = name_;
+    record.comment = comment_;
+    record.bases = bases;
+    record.quality = quality;
+  });
+}
+
+std::size_t SequenceStreamReader::append_batch(SequenceSet& out,
+                                               std::size_t max_records) {
+  std::size_t appended = 0;
+  while (appended < max_records &&
+         parse([&](std::string_view bases, std::string_view) {
+           out.add(name_, bases);
+         })) {
+    ++appended;
+  }
+  return appended;
+}
+
 SequenceSet SequenceStreamReader::next_batch(std::size_t max_records) {
   SequenceSet batch;
-  SequenceRecord record;
-  for (std::size_t i = 0; i < max_records; ++i) {
-    if (!next(record)) break;
-    batch.add(record.name, record.bases);
-  }
+  (void)append_batch(batch, max_records);
   return batch;
 }
 

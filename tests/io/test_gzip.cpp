@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "io/fasta.hpp"
 #include "util/prng.hpp"
@@ -157,6 +161,210 @@ TEST(Gzip, ReasonNamesAreStable) {
   EXPECT_EQ(gzip_reason_name(GzipReason::kTruncated), "truncated");
   EXPECT_EQ(gzip_reason_name(GzipReason::kTrailingGarbage),
             "trailing-garbage");
+}
+
+// --- Multi-member inputs (members are inflated in parallel) -----------------
+//
+// Every expected reason below was recorded from the serial one-member-at-a-
+// time decoder; the parallel decoder must keep each of them.
+
+/// Text of `length` bytes that compresses but is not a run of one byte.
+std::string payload_text(std::size_t length, std::uint64_t seed) {
+  util::Xoshiro256ss rng(seed);
+  std::string text(length, '\0');
+  for (char& c : text) c = "ACGT\n"[rng.bounded(5)];
+  return text;
+}
+
+/// Members whose payloads are `payloads`, concatenated like `cat a.gz b.gz`.
+std::string members_of(const std::vector<std::string>& payloads,
+                       int level = 6) {
+  std::string out;
+  for (const std::string& payload : payloads) {
+    out += gzip_compress(payload, level);
+  }
+  return out;
+}
+
+std::string concat(const std::vector<std::string>& payloads) {
+  std::string out;
+  for (const std::string& payload : payloads) out += payload;
+  return out;
+}
+
+TEST(GzipMembers, FalseHeaderCandidateInsideStoredMembers) {
+  // Level 0 stores payloads verbatim, so each member carries a byte run that
+  // looks like a gzip member header, preceded by four bytes that would read
+  // as a 2 GiB ISIZE if that run started a member.
+  const std::string fake = std::string("\xff\xff\xff\x7f") +
+                           std::string("\x1f\x8b\x08\x00", 4) + "tail";
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 4; ++i) {
+    payloads.push_back(payload_text(1000 + 700 * i, i) + fake +
+                       payload_text(300, 10 + i));
+  }
+  const std::string stored = members_of(payloads, 0);
+  ASSERT_NE(stored.find(std::string("\x1f\x8b\x08\x00", 4), 1),
+            std::string::npos);
+  EXPECT_EQ(gzip_decompress(stored), concat(payloads));
+  // Mixed with compressed members, and as a lone member.
+  const std::string mixed = stored + members_of({payload_text(5000, 20)});
+  EXPECT_EQ(gzip_decompress(mixed), concat(payloads) + payload_text(5000, 20));
+  EXPECT_EQ(gzip_decompress(gzip_compress(payloads[0], 0)), payloads[0]);
+}
+
+TEST(GzipMembers, WholeMemberStoredInsideAMember) {
+  // A valid member stored verbatim inside a level-0 member decodes cleanly
+  // from its offset, but is not on the member chain. The four bytes before
+  // it would read as an ISIZE of 4096 or 16.
+  const std::string inner = gzip_compress(payload_text(300, 7));
+  for (const std::string& isize : {std::string("\x00\x10\x00\x00", 4),
+                                  std::string("\x10\x00\x00\x00", 4)}) {
+    const std::vector<std::string> payloads = {
+        payload_text(3000, 1),
+        payload_text(200, 8) + isize + inner + payload_text(100, 9),
+        payload_text(3000, 2), payload_text(3000, 3)};
+    const std::string data =
+        gzip_compress(payloads[0]) + gzip_compress(payloads[1], 0) +
+        gzip_compress(payloads[2]) + gzip_compress(payloads[3]);
+    EXPECT_EQ(gzip_decompress(data), concat(payloads));
+  }
+}
+
+TEST(GzipMembers, TwoToNineMembersIncludingEmptyOnes) {
+  // More members than threads, members larger than the 64 KiB inflate step,
+  // and empty members anywhere in the chain.
+  for (std::size_t count = 2; count <= 9; ++count) {
+    std::vector<std::string> payloads;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t length = i % 3 == 1 ? 0 : 1 + 20'000 * i;
+      payloads.push_back(payload_text(length, 100 * count + i));
+    }
+    EXPECT_EQ(gzip_decompress(members_of(payloads)), concat(payloads))
+        << count << " members";
+  }
+  EXPECT_EQ(gzip_decompress(members_of({"", ""})), "");
+}
+
+TEST(GzipMembers, ManySmallMembersLikeBgzip) {
+  std::vector<std::string> payloads;
+  for (std::size_t i = 0; i < 64; ++i) {
+    payloads.push_back(payload_text(100 + 97 * i, 500 + i));
+  }
+  EXPECT_EQ(gzip_decompress(members_of(payloads)), concat(payloads));
+}
+
+/// Five members of distinct payloads; `member` is member i of them.
+std::vector<std::string> five_members() {
+  std::vector<std::string> members;
+  for (std::size_t i = 0; i < 5; ++i) {
+    members.push_back(gzip_compress(payload_text(20'000 + 3'000 * i, i)));
+  }
+  return members;
+}
+
+TEST(GzipMembers, CorruptBlockInMemberThreeOfFiveIsBadData) {
+  std::vector<std::string> members = five_members();
+  // First deflate byte after the 10-byte header: BFINAL=1, BTYPE=11 (a
+  // reserved block type).
+  members[2][10] = '\x07';
+  EXPECT_EQ(gzip_reason_of(concat(members)), GzipReason::kBadData);
+}
+
+TEST(GzipMembers, FlippedCrcInMemberTwoIsBadCrc) {
+  std::vector<std::string> members = five_members();
+  members[1][members[1].size() - 8] ^= char(0x01);
+  EXPECT_EQ(gzip_reason_of(concat(members)), GzipReason::kBadCrc);
+}
+
+TEST(GzipMembers, FlippedIsizeInLastMemberIsBadLength) {
+  std::vector<std::string> members = five_members();
+  members[4][members[4].size() - 1] ^= char(0x01);
+  EXPECT_EQ(gzip_reason_of(concat(members)), GzipReason::kBadLength);
+}
+
+TEST(GzipMembers, FirstErrorInMemberOrderWins) {
+  // A bad CRC in member 2 and a bad block in member 4: member 2 reports.
+  std::vector<std::string> members = five_members();
+  members[1][members[1].size() - 8] ^= char(0x01);
+  members[3][10] = '\x07';
+  EXPECT_EQ(gzip_reason_of(concat(members)), GzipReason::kBadCrc);
+}
+
+TEST(GzipMembers, ForgedIsizeIsBadLength) {
+  // Every member's ISIZE claims 2 GiB.
+  std::vector<std::string> members = five_members();
+  for (std::string& member : members) {
+    member.replace(member.size() - 4, 4, "\xff\xff\xff\x7f");
+  }
+  EXPECT_EQ(gzip_reason_of(concat(members)), GzipReason::kBadLength);
+}
+
+/// Peak resident set of this process so far, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+#ifdef __APPLE__
+  return usage.ru_maxrss / 1024;  // bytes there
+#else
+  return usage.ru_maxrss;
+#endif
+}
+
+TEST(GzipMembers, CorruptIsizeNeverSizesAnAllocation) {
+  // Over 4.2 MB of incompressible member: deflate's 1032x ratio allows
+  // 4 GiB of output, so a trailer claiming 4 GiB is not implausible on its
+  // face. It must still fail as kBadLength without that allocation, alone
+  // and as one member of four.
+  util::Xoshiro256ss rng(42);
+  std::string noise(4'500'000, '\0');
+  for (char& c : noise) c = static_cast<char>(rng.bounded(256));
+  std::string single = gzip_compress(noise, 1);
+  ASSERT_GT(single.size(), std::size_t{4'200'000});
+  single.replace(single.size() - 4, 4, "\xff\xff\xff\xff");
+  std::string members = gzip_compress(payload_text(1000, 1)) + single +
+                        gzip_compress(payload_text(1000, 2)) +
+                        gzip_compress(payload_text(1000, 3));
+  const long before = peak_rss_kib();
+  EXPECT_EQ(gzip_reason_of(single), GzipReason::kBadLength);
+  EXPECT_EQ(gzip_reason_of(members), GzipReason::kBadLength);
+  EXPECT_LT(peak_rss_kib() - before, 512L * 1024);
+}
+
+TEST(GzipMembers, TruncationInsideLastMemberIsTruncated) {
+  const std::vector<std::string> members = five_members();
+  const std::string head = concat({members[0], members[1], members[2],
+                                   members[3]});
+  const std::string& last = members[4];
+  for (const std::size_t keep : {std::size_t{2}, std::size_t{5},
+                                 std::size_t{10}, last.size() / 2,
+                                 last.size() - 8, last.size() - 1}) {
+    EXPECT_EQ(gzip_reason_of(head + last.substr(0, keep)),
+              GzipReason::kTruncated)
+        << "kept " << keep << " of " << last.size();
+  }
+  // One byte of the last member is not even gzip magic.
+  EXPECT_EQ(gzip_reason_of(head + last.substr(0, 1)),
+            GzipReason::kTrailingGarbage);
+}
+
+TEST(GzipMembers, NonGzipBytesAfterTheLastMemberAreTrailingGarbage) {
+  const std::string all = concat(five_members());
+  EXPECT_EQ(gzip_reason_of(all + "not gzip"), GzipReason::kTrailingGarbage);
+  EXPECT_EQ(gzip_reason_of(all + std::string(1, '\0')),
+            GzipReason::kTrailingGarbage);
+}
+
+TEST(GzipMembers, GzipMagicThenGarbageKeepsItsReason) {
+  const std::string all = concat(five_members());
+  // Magic, then a compression method that is not deflate.
+  EXPECT_EQ(gzip_reason_of(all + "\x1f\x8bgarbage!"), GzipReason::kBadData);
+  // A whole header candidate, then a reserved deflate block type ('n').
+  EXPECT_EQ(gzip_reason_of(all + std::string("\x1f\x8b\x08\x00", 4) +
+                           "junkjunkjunkjunk"),
+            GzipReason::kBadData);
+  // A header cut short.
+  EXPECT_EQ(gzip_reason_of(all + "\x1f\x8b\x08"), GzipReason::kTruncated);
 }
 
 TEST(Gzip, FastqReaderAcceptsGzippedFiles) {

@@ -2,6 +2,7 @@
 // hang on arbitrary input — every byte stream either parses or throws the
 // module's error type.
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include <fstream>
 #include <sstream>
@@ -85,6 +86,122 @@ TEST(ParserRobustness, GzipDecompressorNeverCrashesOnGarbage) {
     if (is_gzip(data)) {
       EXPECT_THROW((void)gzip_decompress(data), std::runtime_error);
     }
+  }
+  // Multi-member: valid members with garbage between, inside or after them.
+  for (int trial = 0; trial < 100; ++trial) {
+    std::string data;
+    const std::size_t members = 2 + rng.bounded(6);
+    for (std::size_t m = 0; m < members; ++m) {
+      std::string member = gzip_compress(random_bytes(rng, rng.bounded(500)));
+      if (rng.bounded(members) == 0) {
+        member = member.substr(0, rng.bounded(member.size())) +
+                 random_bytes(rng, 1 + rng.bounded(30));
+      }
+      data += member;
+    }
+    try {
+      (void)gzip_decompress(data);
+    } catch (const std::runtime_error&) {
+    }
+  }
+}
+
+/// The serial decoder gzip_decompress replaced, kept as the oracle: one
+/// zlib stream walks the members in order through a 64 KiB bounce buffer.
+/// Returns the output, or "!<reason>" for the GzipError it would throw.
+std::string gunzip_reference(const std::string& data) {
+  z_stream stream{};
+  if (inflateInit2(&stream, 15 + 16) != Z_OK) return "!init-failed";
+  std::string out;
+  std::string buffer(1 << 16, '\0');
+  stream.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(data.data()));
+  stream.avail_in = static_cast<uInt>(data.size());
+  std::string result;
+  for (;;) {
+    int rc = Z_OK;
+    do {
+      stream.next_out = reinterpret_cast<Bytef*>(buffer.data());
+      stream.avail_out = static_cast<uInt>(buffer.size());
+      rc = inflate(&stream, Z_NO_FLUSH);
+      if (rc == Z_DATA_ERROR) {
+        const std::string msg = stream.msg == nullptr ? "" : stream.msg;
+        result = msg == "incorrect data check"     ? "!bad-crc"
+                 : msg == "incorrect length check" ? "!bad-length"
+                                                   : "!bad-data";
+      } else if (rc != Z_OK && rc != Z_STREAM_END && rc != Z_BUF_ERROR) {
+        result = "!bad-data";
+      } else {
+        out.append(buffer.data(), buffer.size() - stream.avail_out);
+        if (rc != Z_STREAM_END && stream.avail_in == 0) result = "!truncated";
+      }
+      if (!result.empty()) {
+        inflateEnd(&stream);
+        return result;
+      }
+    } while (rc != Z_STREAM_END);
+    if (stream.avail_in == 0) break;
+    if (!is_gzip(std::string_view(reinterpret_cast<const char*>(stream.next_in),
+                                  stream.avail_in))) {
+      inflateEnd(&stream);
+      return "!trailing-garbage";
+    }
+    inflateReset(&stream);
+  }
+  inflateEnd(&stream);
+  return out;
+}
+
+std::string gunzip_outcome(const std::string& data) {
+  try {
+    return gzip_decompress(data);
+  } catch (const GzipError& error) {
+    return "!" + std::string(gzip_reason_name(error.reason()));
+  }
+}
+
+TEST(ParserRobustness, MultiMemberGzipMatchesSerialDecoderUnderCorruption) {
+  // Random multi-member files — stored and compressed members, empty ones,
+  // payloads carrying fake member headers or whole members — hit by byte
+  // flips, cuts and appended bytes. Output or reason must equal the serial oracle's.
+  util::Xoshiro256ss rng(6);
+  const std::string fake = std::string("\x1f\x8b\x08\x00", 4);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string data;
+    const std::size_t members = 1 + rng.bounded(7);
+    for (std::size_t m = 0; m < members; ++m) {
+      std::string payload = random_printable(rng, rng.bounded(3000));
+      if (rng.bounded(3) == 0 && !payload.empty()) {
+        // A fake member header, or a whole member, inside the payload.
+        payload.insert(rng.bounded(payload.size()),
+                       rng.bounded(2) == 0
+                           ? fake
+                           : gzip_compress(random_printable(rng, 50)));
+      }
+      data += gzip_compress(payload, static_cast<int>(rng.bounded(10)));
+    }
+    switch (trial % 4) {
+      case 0:  // clean
+        break;
+      case 1:  // flipped bytes
+        for (int flips = 0; flips < 1 + static_cast<int>(rng.bounded(3));
+             ++flips) {
+          data[rng.bounded(data.size())] ^=
+              static_cast<char>(1 + rng.bounded(255));
+        }
+        break;
+      case 2:  // cut anywhere
+        data.resize(1 + rng.bounded(data.size()));
+        break;
+      default:  // appended bytes, sometimes led by gzip magic
+        data += (rng.bounded(2) == 0 ? std::string("\x1f\x8b") : "") +
+                random_bytes(rng, rng.bounded(40));
+        break;
+    }
+    const std::string expected = gunzip_reference(data);
+    const std::string actual = gunzip_outcome(data);
+    EXPECT_TRUE(actual == expected)
+        << "trial " << trial << ": expected "
+        << expected.substr(0, 40) << ", got " << actual.substr(0, 40);
   }
 }
 

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "io/batch_stream.hpp"
+#include "io/fasta.hpp"
+#include "sim/genome.hpp"
+#include "sim/hifi_reads.hpp"
 
 namespace jem::io {
 namespace {
@@ -107,6 +116,245 @@ TEST(StreamReader, HandlesCrlf) {
   SequenceRecord rec;
   ASSERT_TRUE(reader.next(rec));
   EXPECT_EQ(rec.bases, "ACGT");
+}
+
+// --- Chunk boundaries ------------------------------------------------------
+//
+// The reader takes kChunkBytes from the stream at a time, so stream offsets
+// that are multiples of kChunkBytes are where a line may be split.
+
+constexpr std::size_t kChunk = SequenceStreamReader::kChunkBytes;
+
+/// `text` padded with newlines (blank lines, which both formats skip) up to
+/// byte offset `at`.
+std::string pad_to(std::string text, std::size_t at) {
+  EXPECT_LE(text.size(), at);
+  text.resize(at, '\n');
+  return text;
+}
+
+std::vector<SequenceRecord> read_all_records(const std::string& data) {
+  std::istringstream in(data);
+  SequenceStreamReader reader(in);
+  std::vector<SequenceRecord> records;
+  SequenceRecord rec;
+  while (reader.next(rec)) records.push_back(rec);
+  return records;
+}
+
+TEST(StreamReaderChunks, RecordStraddlingTheBoundaryParses) {
+  // Every line of the second record — header, bases, '+', quality — lands
+  // on the boundary for one of these shifts.
+  const std::string first = "@a\nACGT\n+\nIIII\n";
+  const std::string second = "@second\nACGTACGTAC\n+\nIIIIIIIIII\n";
+  for (std::size_t back = 1; back <= second.size(); ++back) {
+    const std::string data = pad_to(first, kChunk - back) + second;
+    const auto records = read_all_records(data);
+    ASSERT_EQ(records.size(), 2u) << "back " << back;
+    EXPECT_EQ(records[1].name, "second");
+    EXPECT_EQ(records[1].bases, "ACGTACGTAC");
+    EXPECT_EQ(records[1].quality, "IIIIIIIIII");
+  }
+  const std::string fasta_second = ">second x\nACGTA\ncgtac\n";
+  for (std::size_t back = 1; back <= fasta_second.size(); ++back) {
+    const auto records = read_all_records(
+        pad_to(">a\nACGT\n", kChunk - back) + fasta_second + ">c\nGG\n");
+    ASSERT_EQ(records.size(), 3u) << "back " << back;
+    EXPECT_EQ(records[1].name, "second");
+    EXPECT_EQ(records[1].comment, "x");
+    EXPECT_EQ(records[1].bases, "ACGTACGTAC");
+  }
+}
+
+TEST(StreamReaderChunks, CrEndsOneChunkAndLfStartsTheNext) {
+  // FASTQ bases and quality lines, then a FASTA line, each ending in a
+  // '\r' that is the chunk's last byte.
+  for (const std::string& tail : {std::string("@r\nACGT\r\n+\r\nIIII\r\n"),
+                                 std::string("@r\nACGT\n+\nIIII\r\n")}) {
+    const std::size_t cr = tail.find('\r');
+    const std::string data =
+        pad_to("@a\nA\n+\nI\n", kChunk - 1 - cr) + tail;
+    ASSERT_EQ(data[kChunk - 1], '\r');
+    const auto records = read_all_records(data);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[1].bases, "ACGT");
+    EXPECT_EQ(records[1].quality, "IIII");
+  }
+  const std::string fasta_tail = ">r\nAC\r\nGT\r\n";
+  const std::string data =
+      pad_to(">a\nA\n", kChunk - 1 - fasta_tail.find('\r')) + fasta_tail;
+  ASSERT_EQ(data[kChunk - 1], '\r');
+  const auto records = read_all_records(data);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].bases, "ACGT");
+}
+
+TEST(StreamReaderChunks, LastLineWithoutNewline) {
+  for (const std::size_t at : {std::size_t{0}, kChunk - 3, kChunk + 5}) {
+    const std::string lead = at == 0 ? "" : pad_to("@a\nA\n+\nI\n", at);
+    const auto fastq = read_all_records(lead + "@r\nACGT\n+\nIIII");
+    ASSERT_FALSE(fastq.empty());
+    EXPECT_EQ(fastq.back().quality, "IIII");
+    const std::string fasta_lead = at == 0 ? "" : pad_to(">a\nA\n", at);
+    const auto fasta = read_all_records(fasta_lead + ">r\nAC\nGT");
+    ASSERT_FALSE(fasta.empty());
+    EXPECT_EQ(fasta.back().bases, "ACGT");
+  }
+}
+
+TEST(StreamReaderChunks, LowercaseAndWhitespaceLinesBesideCleanOnes) {
+  const auto fasta = read_all_records(
+      ">s\nACGT\nac gt\nTT\tAA\r\nAC GT\n>t\nacgtn\n");
+  ASSERT_EQ(fasta.size(), 2u);
+  EXPECT_EQ(fasta[0].bases, "ACGTACGTTTAAACGT");
+  EXPECT_EQ(fasta[1].bases, "ACGTN");
+
+  // The quality must match the normalised bases, whitespace dropped.
+  const std::string fastq =
+      "@q\nac gT\n+\nIIII\n@r\nACGT\n+\nJJJJ\n@s\nAC GT\n+\nKKKK\n";
+  const auto records = read_all_records(fastq);
+  ASSERT_EQ(records.size(), 3u);
+  for (const SequenceRecord& rec : records) EXPECT_EQ(rec.bases, "ACGT");
+  std::istringstream in(fastq);
+  SequenceStreamReader reader(in);
+  const SequenceSet batch = reader.next_batch(10);
+  ASSERT_EQ(batch.size(), 3u);
+  for (SeqId id = 0; id < batch.size(); ++id) {
+    EXPECT_EQ(batch.bases(id), "ACGT");
+  }
+  EXPECT_EQ(batch.name(1), "r");
+
+  std::istringstream bad("@q\nac gT\n+\nIIIII\n");
+  SequenceStreamReader bad_reader(bad);
+  EXPECT_THROW((void)bad_reader.next_batch(10), ParseError);
+}
+
+TEST(StreamReaderChunks, LinesLongerThanAChunk) {
+  const std::string bases(3 * kChunk + 5, 'C');
+  const auto fastq = read_all_records("@a\nA\n+\nI\n@long\n" + bases +
+                                      "\n+\n" + std::string(bases.size(), 'I') +
+                                      "\n@z\nG\n+\nI\n");
+  ASSERT_EQ(fastq.size(), 3u);
+  EXPECT_EQ(fastq[1].bases, bases);
+  EXPECT_EQ(fastq[2].bases, "G");
+  const auto fasta = read_all_records(">long\n" + bases + "\n" + bases);
+  ASSERT_EQ(fasta.size(), 1u);
+  EXPECT_EQ(fasta[0].bases, bases + bases);
+}
+
+TEST(StreamReaderChunks, QualityMismatchAcrossTheBoundaryThrows) {
+  const std::string data =
+      pad_to("@a\nA\n+\nI\n", kChunk - 12) + "@r\nACGTACGT\n+\nIIIIIII\n";
+  std::istringstream in(data);
+  SequenceStreamReader reader(in);
+  EXPECT_THROW((void)reader.next_batch(10), ParseError);
+}
+
+/// Simulated HiFi reads and their FASTQ text, several chunks long.
+struct SimFastq {
+  SequenceSet reads;
+  std::string text;
+};
+
+const SimFastq& sim_fastq() {
+  static const SimFastq fastq = [] {
+    sim::GenomeParams genome_params;
+    genome_params.length = 120'000;
+    genome_params.seed = 11;
+    const std::string genome = sim::simulate_genome(genome_params);
+    sim::HiFiParams read_params;
+    read_params.coverage = 12.0;
+    read_params.mean_length = 4000.0;
+    read_params.sd_length = 1500.0;
+    SimFastq out{sim::simulate_hifi_reads(genome, read_params).reads, ""};
+    for (SeqId id = 0; id < out.reads.size(); ++id) {
+      out.text += "@" + std::string(out.reads.name(id)) + "\n" +
+                  std::string(out.reads.bases(id)) + "\n+\n" +
+                  std::string(out.reads.length(id), 'I') + "\n";
+    }
+    return out;
+  }();
+  return fastq;
+}
+
+void expect_read(const SequenceSet& expected, SeqId id, std::string_view name,
+                 std::string_view bases) {
+  ASSERT_LT(id, expected.size());
+  EXPECT_EQ(name, expected.name(id));
+  EXPECT_TRUE(bases == expected.bases(id)) << "read " << id;
+}
+
+TEST(StreamReaderChunks, SimulatedFastqSeveralChunksLong) {
+  const SimFastq& fastq = sim_fastq();
+  ASSERT_GT(fastq.text.size(), 4 * kChunk);
+
+  std::istringstream batched(fastq.text);
+  SequenceStreamReader batch_reader(batched);
+  SeqId id = 0;
+  for (SequenceSet batch = batch_reader.next_batch(29); !batch.empty();
+       batch = batch_reader.next_batch(29)) {
+    for (SeqId b = 0; b < batch.size(); ++b, ++id) {
+      expect_read(fastq.reads, id, batch.name(b), batch.bases(b));
+    }
+  }
+  EXPECT_EQ(id, fastq.reads.size());
+
+  std::istringstream single(fastq.text);
+  SequenceStreamReader reader(single);
+  SequenceRecord rec;
+  id = 0;
+  while (reader.next(rec)) {
+    EXPECT_EQ(rec.quality, std::string(rec.bases.size(), 'I'));
+    expect_read(fastq.reads, id++, rec.name, rec.bases);
+  }
+  EXPECT_EQ(id, fastq.reads.size());
+
+  std::istringstream whole(fastq.text);
+  const auto records = read_sequences(whole);
+  ASSERT_EQ(records.size(), fastq.reads.size());
+  for (SeqId r = 0; r < records.size(); ++r) {
+    expect_read(fastq.reads, r, records[r].name, records[r].bases);
+  }
+}
+
+TEST(BatchStream, SkipAcrossAChunkBoundary) {
+  const SimFastq& fastq = sim_fastq();
+  constexpr std::size_t kBatch = 37;
+  // Enough batches that the skipped prefix ends past the first chunk.
+  const auto records_in_first_chunk = static_cast<std::size_t>(
+      std::count(fastq.text.begin(), fastq.text.begin() + kChunk, '\n') / 4);
+  const std::size_t skip = records_in_first_chunk / kBatch + 1;
+  ASSERT_GT(fastq.reads.size(), (skip + 1) * kBatch);
+  std::istringstream in(fastq.text);
+  BatchStream stream(in, kBatch);
+  EXPECT_EQ(stream.skip(skip), skip * kBatch);
+  ReadBatch batch;
+  ASSERT_TRUE(stream.next(batch));
+  EXPECT_EQ(batch.index, skip);
+  EXPECT_EQ(batch.first_record, skip * kBatch);
+  ASSERT_EQ(batch.reads.size(), kBatch);
+  for (SeqId b = 0; b < batch.reads.size(); ++b) {
+    expect_read(fastq.reads, static_cast<SeqId>(skip * kBatch + b),
+                batch.reads.name(b), batch.reads.bases(b));
+  }
+}
+
+TEST(LoadInto, AppendsFastqAfterExistingSequences) {
+  const std::string path = ::testing::TempDir() + "/jem_io_test_append.fq";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "@r1 c\r\nacgtNN\r\n+\r\nIIIIII\r\n@r2\nA C G\n+\nIII\n";
+  }
+  SequenceSet set;
+  set.add("first", "TTTT");
+  load_into(path, set);
+  ASSERT_EQ(set.size(), 3u);
+  EXPECT_EQ(set.bases(0), "TTTT");
+  EXPECT_EQ(set.name(1), "r1");
+  EXPECT_EQ(set.bases(1), "ACGTNN");
+  EXPECT_EQ(set.name(2), "r2");
+  EXPECT_EQ(set.bases(2), "ACG");
+  EXPECT_EQ(set.total_bases(), 13u);
 }
 
 }  // namespace
