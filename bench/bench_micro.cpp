@@ -18,6 +18,8 @@
 #include "io/gzip.hpp"
 #include "io/packed_sequence_set.hpp"
 #include "mpisim/communicator.hpp"
+#include "sim/genome.hpp"
+#include "sim/hifi_reads.hpp"
 #include "util/prng.hpp"
 
 namespace {
@@ -384,6 +386,98 @@ void BM_HotpathSketchScratch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HotpathSketchScratch);
+
+// ---- Kernel layers: minimizer scan and suffix-minima sketch ----------
+// Each iteration handles one 1 kbp tile. The tiles are distinct: a bench
+// that cycles a few segments lets the branch predictor learn them and
+// under-reports the cost of a data-dependent kernel.
+
+const std::vector<std::string>& scan_tiles() {
+  static const std::vector<std::string> tiles = [] {
+    sim::GenomeParams genome;
+    genome.length = 600'000;
+    genome.repeat_fraction = 0.28;
+    genome.seed = 44;
+    sim::HiFiParams hifi;
+    hifi.coverage = 4.0;
+    hifi.seed = 45;
+    const io::SequenceSet reads =
+        sim::simulate_hifi_reads(sim::simulate_genome(genome), hifi).reads;
+    std::vector<std::string> out;
+    for (io::SeqId id = 0; id < reads.size(); ++id) {
+      for (const core::EndSegment& tile :
+           core::extract_tiled_segments(id, reads.bases(id), 1000)) {
+        out.emplace_back(tile.bases);
+      }
+    }
+    return out;
+  }();
+  return tiles;
+}
+
+void BM_HotpathMinimizerScan(benchmark::State& state) {
+  const std::vector<std::string>& tiles = scan_tiles();
+  const core::MapParams params = hotpath_data().params;
+  const core::MinimizerParams mp{params.k, params.w, params.ordering};
+  core::MinimizerScratch scratch;
+  std::vector<core::Minimizer> out;
+  std::size_t i = 0;
+  std::int64_t bases = 0;
+  for (auto _ : state) {
+    core::minimizer_scan(tiles[i], mp, scratch, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    bases += static_cast<std::int64_t>(tiles[i].size());
+    i = (i + 1) % tiles.size();
+  }
+  state.SetBytesProcessed(bases);
+  state.SetLabel(std::to_string(tiles.size()) + " distinct tiles");
+}
+BENCHMARK(BM_HotpathMinimizerScan);
+
+// The linear-time guard: every window of a tandem repeat holds tied minima,
+// the input on which a rescan-on-evict window degrades to O(|s|·w).
+void BM_HotpathMinimizerScanRepeat(benchmark::State& state) {
+  const core::MapParams params = hotpath_data().params;
+  const core::MinimizerParams mp{params.k, params.w, params.ordering};
+  std::string ac;
+  for (int i = 0; i < 500; ++i) ac += "AC";
+  const std::string repeats[] = {std::string(1000, 'A'), ac};
+  core::MinimizerScratch scratch;
+  std::vector<core::Minimizer> out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    core::minimizer_scan(repeats[i], mp, scratch, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    i ^= 1;
+  }
+  state.SetBytesProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_HotpathMinimizerScanRepeat);
+
+void BM_HotpathSuffixSketch(benchmark::State& state) {
+  const std::vector<std::string>& tiles = scan_tiles();
+  const core::MapParams params = hotpath_data().params;
+  const core::HashFamily hashes(params.trials, params.seed);
+  std::vector<std::vector<core::Minimizer>> lists;
+  for (const std::string& tile : tiles) {
+    lists.push_back(
+        core::minimizer_scan(tile, {params.k, params.w, params.ordering}));
+  }
+  core::SketchScratch scratch;
+  core::FlatSketch sketch;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    core::sketch_by_jem(lists[i], params.segment_length, hashes, scratch,
+                        sketch);
+    benchmark::DoNotOptimize(sketch.kmers.data());
+    benchmark::ClobberMemory();
+    i = (i + 1) % lists.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HotpathSuffixSketch);
 
 // The end-to-end pair the BENCH_hotpath.json speedup criterion reads: one
 // query segment mapped start to finish, pre-overhaul path vs hot path.

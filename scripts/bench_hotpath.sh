@@ -5,7 +5,9 @@
 # Runs the BM_Hotpath* family of bench_micro in the Release build with
 # repetitions, keeps the median of each series, and writes a summary JSON
 # (default: BENCH_hotpath.json at the repo root) with the derived speedups.
-# Exits non-zero if the end-to-end map_segment speedup drops below 1.5x.
+# Exits non-zero if the end-to-end map_segment speedup drops below 1.5x, or
+# if the minimizer scan costs over 1.5x more per base on tandem repeats
+# than on distinct tiles (the linear-worst-case guard).
 #
 # Usage: scripts/bench_hotpath.sh [output.json]
 #   JEM_BENCH_REPS     repetitions per benchmark (default 5)
@@ -52,8 +54,9 @@ for bench in raw["benchmarks"]:
         "cpu_time_ns": bench["cpu_time"],
         "real_time_ns": bench["real_time"],
     }
-    if "items_per_second" in bench:
-        medians[name]["items_per_second"] = bench["items_per_second"]
+    for rate in ("items_per_second", "bytes_per_second"):
+        if rate in bench:
+            medians[name][rate] = bench[rate]
 
 def speedup(baseline, fast):
     return medians[baseline]["cpu_time_ns"] / medians[fast]["cpu_time_ns"]
@@ -73,6 +76,12 @@ speedups = {
         speedup("BM_HotpathMapSegmentReference", "BM_HotpathMapSegment"),
 }
 
+# Scan cost per base on 1 kbp of poly-A / (AC)n over that on distinct
+# tiles: tied minima in every window must not make the scan superlinear.
+scan_repeat_vs_distinct = (
+    medians["BM_HotpathMinimizerScan"]["bytes_per_second"] /
+    medians["BM_HotpathMinimizerScanRepeat"]["bytes_per_second"])
+
 summary = {
     "generated_by": "scripts/bench_hotpath.sh",
     "benchmark_binary": "build/bench/bench_micro",
@@ -85,9 +94,12 @@ summary = {
     # Demo-run metrics snapshot (docs/observability.md): the hot-path
     # counters that explain a throughput shift (hit rate, probe lengths).
     "metrics": metrics["metrics"],
+    "scan_repeat_vs_distinct_per_base": round(scan_repeat_vs_distinct, 3),
     "acceptance": {
         "criterion": "map_segment_hot_vs_reference >= 1.5",
         "pass": speedups["map_segment_hot_vs_reference"] >= 1.5,
+        "linear_scan_criterion": "scan_repeat_vs_distinct_per_base <= 1.5",
+        "linear_scan_pass": scan_repeat_vs_distinct <= 1.5,
     },
 }
 
@@ -96,7 +108,10 @@ with open(out_path, "w") as f:
     f.write("\n")
 
 print(json.dumps(summary["speedups"], indent=2))
-ok = summary["acceptance"]["pass"]
+print("scan_repeat_vs_distinct_per_base:",
+      summary["scan_repeat_vs_distinct_per_base"])
+ok = (summary["acceptance"]["pass"] and
+      summary["acceptance"]["linear_scan_pass"])
 print("hot-path acceptance:", "PASS" if ok else "FAIL")
 sys.exit(0 if ok else 1)
 PY

@@ -31,6 +31,9 @@ ctest --test-dir build-tsan --output-on-failure \
 # bit rot, torn journal records, stale resume state — must be detected as a
 # structured error without tripping ASan/UBSan while parsing hostile bytes.
 # So must the parsers: the gzip decoder and the buffered FASTA/FASTQ reader.
+# The query kernels ride along too: the minimizer scan indexes raw window
+# blocks, the suffix sketch writes through a raw column pointer, and the
+# mapper prefetches and probes raw slot arrays.
 cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
@@ -38,7 +41,7 @@ cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan --target test_engine test_chaos test_io test_core \
   test_obs test_serve jem obs_check
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness'
+  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|MapperTest|FlatSketchIndex'
 
 # Hot-path bench smoke (the default build type is Release): a short run of
 # the BM_Hotpath* family catches wiring regressions in the flat-index /

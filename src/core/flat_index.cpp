@@ -3,6 +3,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/sketch.hpp"
 #include "util/prng.hpp"
 
 namespace jem::core {
@@ -116,6 +117,17 @@ FlatSketchIndex FlatSketchIndex::from_parts(std::vector<Slot> slots,
   index.subjects_ = std::move(subjects);
   index.keys_ = keys;
   return index;
+}
+
+void FlatSketchIndex::prefetch(const FlatSketch& sketch) const noexcept {
+  for (int t = 0; t < sketch.trials(); ++t) {
+    const std::size_t trial = static_cast<std::size_t>(t);
+    const Slot* const region = slots_.data() + base_[trial];
+    const std::size_t mask = mask_[trial];
+    for (const KmerCode kmer : sketch.trial(t)) {
+      __builtin_prefetch(region + (hash(kmer) & mask), 0 /* read */, 1);
+    }
+  }
 }
 
 std::uint64_t FlatSketchIndex::lookup_many(

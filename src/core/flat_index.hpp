@@ -13,7 +13,10 @@
 // lookup_many resolves a whole segment-sketch's k-mer list for one trial and
 // software-prefetches each k-mer's home slot a fixed distance ahead, hiding
 // the (random) slot miss latency behind the probe of the current key — the
-// batched form the mapper's vote loop uses.
+// batched form the mapper's vote loop uses. A trial of a segment sketch
+// holds only ~4 k-mers, so that look-ahead rarely fires; prefetch() instead
+// issues the home-slot loads of every (trial, k-mer) of a sketch at once,
+// before the vote loop, so all ~T·4 misses overlap.
 //
 // The index is built once, from the same frozen CSR arrays the wire format
 // (SketchEntry lists) reconstructs, and is immutable afterwards.
@@ -27,6 +30,8 @@
 #include "io/sequence.hpp"
 
 namespace jem::core {
+
+struct FlatSketch;  // core/sketch.hpp
 
 class FlatSketchIndex {
  public:
@@ -99,6 +104,11 @@ class FlatSketchIndex {
   /// distribution at zero extra memory traffic).
   std::uint64_t lookup_many(int trial, std::span<const KmerCode> kmers,
                             std::span<std::span<const io::SeqId>> out) const;
+
+  /// Prefetches the home slot of every (trial, k-mer) of `sketch` (one
+  /// trial per index trial). A hint only: lookups return the same spans
+  /// with or without it.
+  void prefetch(const FlatSketch& sketch) const noexcept;
 
   /// Raw-part access for the index artifact: the slot array, per-trial
   /// region geometry and postings pool exactly as built.

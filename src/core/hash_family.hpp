@@ -34,6 +34,22 @@ struct LcgHash {
 
   [[nodiscard]] std::uint64_t operator()(KmerCode x) const noexcept {
     const auto wide = static_cast<__uint128_t>(a) * x + b;
+    const auto high = static_cast<std::uint64_t>(wide >> 64);
+#if defined(__GNUC__) && defined(__x86_64__)
+    // With a, b < p (every HashFamily member), a·x + b < p·2^64, so the
+    // high word is below p and one 128-by-64 divq cannot overflow. That
+    // skips the generic __umodti3 call the `%` below compiles to.
+    if (high < p) [[likely]] {
+      std::uint64_t quotient;
+      std::uint64_t remainder;
+      asm("divq %[p]"
+          : "=a"(quotient), "=d"(remainder)
+          : "a"(static_cast<std::uint64_t>(wide)), "d"(high), [p] "r"(p)
+          : "cc");
+      return remainder;
+    }
+#endif
+    (void)high;
     return static_cast<std::uint64_t>(wide % p);
   }
 };

@@ -98,6 +98,7 @@ MapResult JemMapper::map_segment(std::string_view segment,
   make_sketch(segment, params_, scheme_, hashes_, scratch.sketch_scratch(),
               sketch);
   const FlatSketchIndex& index = table_.flat();
+  index.prefetch(sketch);
   auto& postings = scratch.postings();
   HotpathCounters& hotpath = scratch.hotpath();
   const bool sampled = hotpath.tick_sample();
@@ -186,6 +187,7 @@ std::vector<MapResult> JemMapper::map_segment_topx(std::string_view segment,
   make_sketch(segment, params_, scheme_, hashes_, scratch.sketch_scratch(),
               sketch);
   const FlatSketchIndex& index = table_.flat();
+  index.prefetch(sketch);
   auto& postings = scratch.postings();
 
   // Same vote counting as map_segment, but remember every subject touched

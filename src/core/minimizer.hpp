@@ -8,9 +8,15 @@
 // when it changes or the current one slides out of scope, yielding the
 // position-sorted list of distinct minimizer occurrences.
 //
-// The scan is O(|s|) using a monotone deque; k-mers containing non-ACGT
-// bases break the sequence into independent runs (no window spans an
-// ambiguous base).
+// The scan is one pass over the bases and O(|s|) on every input, tandem
+// repeats included. Window minima use the two-block van Herk / Gil-Werman
+// scheme: the k-mers of a run are cut into blocks of w; the filling (back)
+// block keeps a running prefix minimum, a full block is turned into
+// suffix minima (leftmost on ties) by one right-to-left pass and becomes the
+// front block, and every window minimum is one compare-and-select between
+// the front's suffix minimum and the back's prefix minimum. Ties go to the
+// leftmost occurrence. k-mers containing non-ACGT bases break the sequence
+// into independent runs (no window spans an ambiguous base).
 #pragma once
 
 #include <cstdint>
@@ -18,7 +24,6 @@
 #include <vector>
 
 #include "core/kmer.hpp"
-#include "util/ring_buffer.hpp"
 
 namespace jem::core {
 
@@ -46,23 +51,15 @@ struct MinimizerParams {
   MinimizerOrdering ordering = MinimizerOrdering::kLexicographic;
 };
 
-namespace detail {
-/// One monotone-window entry of the scan: the ordering key (lexicographic
-/// code or mixed hash), the canonical k-mer, and its absolute position.
-struct MinimizerWindowEntry {
-  std::uint64_t key;
-  KmerCode canon;
-  std::uint32_t pos;
-};
-}  // namespace detail
-
-/// Reusable state of the scan: the monotone window buffer. A scratch that
-/// survives across calls makes the scan allocation-free at steady state —
-/// the buffer's capacity converges to the largest window seen (<= w entries)
-/// and is reused, where the previous implementation paid std::deque's
-/// chunked allocations on every call.
+/// Reusable state of the scan: the window blocks, w slots each. A scratch
+/// that survives across calls makes the scan allocation-free at steady
+/// state (the blocks only grow, to the largest w seen).
 struct MinimizerScratch {
-  util::RingDeque<detail::MinimizerWindowEntry> window;
+  std::vector<std::uint64_t> keys;         // back block: ordering keys
+  std::vector<std::uint64_t> suffix_keys;  // front block: suffix minima
+  std::vector<std::uint32_t> suffix_pos;   // position of each suffix minimum
+  std::vector<KmerCode> canons;  // kRandomHash: canonical codes, a ring
+                                 // indexed by position
 };
 
 /// Computes M_o(s, w): the position-sorted list of distinct minimizer
@@ -74,13 +71,13 @@ struct MinimizerScratch {
                                                     const MinimizerParams& p);
 
 /// Scratch-reusing form of the scan: clears and fills `out`, reusing the
-/// scratch's window buffer. ACGT runs are iterated lazily (no per-call run
-/// vector). Produces exactly the same list as the allocating overload.
+/// scratch's window blocks. Produces exactly the same list as the
+/// allocating overload.
 void minimizer_scan(std::string_view seq, const MinimizerParams& p,
                     MinimizerScratch& scratch, std::vector<Minimizer>& out);
 
 /// Reference O(n·w) implementation used by property tests to validate the
-/// deque-based scan.
+/// two-block scan.
 [[nodiscard]] std::vector<Minimizer> minimizer_scan_naive(
     std::string_view seq, const MinimizerParams& p);
 

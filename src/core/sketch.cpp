@@ -35,35 +35,50 @@ namespace {
 /// interval [p_i, p_i + ℓ] reaches the end of the list, so the interval
 /// minimum of position i is simply the suffix minimum over [i, n). One
 /// backward scan per trial replaces the sliding-window rings entirely.
+///
+/// The k-mers are copied to a flat array once, each trial's LcgHash is
+/// hoisted into locals, and each trial writes its emitted minima straight
+/// into its column of out.kmers (sized T·|M| up front, trimmed at the end).
 void sketch_by_jem_suffix(std::span<const Minimizer> minimizers,
                           const HashFamily& hashes, SketchScratch& scratch,
                           FlatSketch& out) {
   const auto trials = static_cast<std::size_t>(hashes.trials());
   const std::size_t count = minimizers.size();
-  out.offsets.reserve(trials + 1);
-  out.offsets.push_back(0);
+  std::vector<KmerCode>& kmers = scratch.kmers;
+  kmers.resize(count);
+  for (std::size_t i = 0; i < count; ++i) kmers[i] = minimizers[i].kmer;
+
+  out.kmers.resize(trials * count);
+  out.offsets.resize(trials + 1);
+  out.offsets[0] = 0;
+  std::size_t written = 0;
   for (std::size_t t = 0; t < trials; ++t) {
-    auto& emitted = scratch.trial_tmp;
-    emitted.clear();
-    std::uint64_t best_hash = 0;
-    KmerCode best_kmer = 0;
-    for (std::size_t i = count; i-- > 0;) {
-      const KmerCode kmer = minimizers[i].kmer;
-      const std::uint64_t hash = hashes.hash(static_cast<int>(t), kmer);
-      // The running minimum only ever improves strictly walking backward,
-      // so each emitted (hash, kmer) is strictly smaller than the last —
-      // the emitted k-mers are already distinct, no dedup pass needed.
-      if (i + 1 == count || hash < best_hash ||
-          (hash == best_hash && kmer < best_kmer)) {
-        best_hash = hash;
-        best_kmer = kmer;
-        emitted.push_back(best_kmer);
-      }
+    const LcgHash hash = hashes[static_cast<int>(t)];
+    KmerCode* const column = out.kmers.data() + written;
+    std::uint64_t best_hash = hash(kmers[count - 1]);
+    KmerCode best_kmer = kmers[count - 1];
+    column[0] = best_kmer;
+    std::size_t emitted = 1;
+    // The running minimum only ever improves strictly walking backward, so
+    // each emitted (hash, kmer) is strictly smaller than the last — the
+    // emitted k-mers are already distinct, no dedup pass needed. Every
+    // candidate is written at column[emitted] and kept only if it improved
+    // (emitted < count, so the write stays inside this trial's T·|M| share).
+    for (std::size_t i = count - 1; i-- > 0;) {
+      const KmerCode kmer = kmers[i];
+      const std::uint64_t h = hash(kmer);
+      const bool better =
+          h < best_hash || (h == best_hash && kmer < best_kmer);
+      best_hash = better ? h : best_hash;
+      best_kmer = better ? kmer : best_kmer;
+      column[emitted] = kmer;
+      emitted += better;
     }
-    std::sort(emitted.begin(), emitted.end());
-    out.kmers.insert(out.kmers.end(), emitted.begin(), emitted.end());
-    out.offsets.push_back(static_cast<std::uint32_t>(out.kmers.size()));
+    std::sort(column, column + emitted);
+    written += emitted;
+    out.offsets[t + 1] = static_cast<std::uint32_t>(written);
   }
+  out.kmers.resize(written);
 }
 
 }  // namespace

@@ -93,11 +93,12 @@ struct JemWindowEntry {
 
 /// Reusable state of the sketch kernels. Hold one per thread (MapScratch
 /// embeds one) and every buffer converges to its high-water capacity: the
-/// minimizer list, the scan window, the T interval-minimum rings (replacing
-/// T std::deques per call), and the flat emission buffers.
+/// minimizer list, the scan's window blocks, the T interval-minimum rings
+/// (replacing T std::deques per call), and the flat emission buffers.
 struct SketchScratch {
-  MinimizerScratch scan;                  // minimizer_scan window
+  MinimizerScratch scan;                  // minimizer_scan window blocks
   std::vector<Minimizer> minimizers;      // M_o(s, w) of the segment
+  std::vector<KmerCode> kmers;            // minimizer k-mers (suffix path)
   std::vector<util::RingDeque<detail::JemWindowEntry>> windows;  // T rings
   std::vector<KmerCode> emitted;  // interval minima, minimizer-major (|M|*T)
   std::vector<KmerCode> trial_tmp;        // one trial's column, for sort

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "util/prng.hpp"
+
 namespace jem::core {
 namespace {
 
@@ -65,6 +67,30 @@ TEST(LcgHash, IsAffine) {
   EXPECT_EQ(h(0), 13u);
   EXPECT_EQ(h(1), 20u);
   EXPECT_EQ(h(2), 27u);
+}
+
+TEST(LcgHash, MatchesWideModuloOnEveryInput) {
+  // The x86-64 fast path divides with one divq when the high word of
+  // a·x + b is below p (always, for a, b < p); other constants take the
+  // generic 128-bit modulo. Both must equal it bit for bit.
+  const auto reference = [](const LcgHash& h, KmerCode x) {
+    return static_cast<std::uint64_t>(
+        (static_cast<__uint128_t>(h.a) * x + h.b) % h.p);
+  };
+  const HashFamily family(30, 5);
+  util::Xoshiro256ss rng(6);
+  for (int t = 0; t < family.trials(); ++t) {
+    for (const KmerCode x : std::initializer_list<KmerCode>{
+             0, 1, 0xffffffffULL, ~KmerCode{0}, rng(), rng() >> 32}) {
+      EXPECT_EQ(family.hash(t, x), reference(family[t], x)) << "x=" << x;
+    }
+  }
+  // a >= p: the high word can reach p, where divq would overflow.
+  const LcgHash wide{0xffffffffffffffffULL, 0xfffffffffffffff0ULL, 101};
+  for (const KmerCode x :
+       std::initializer_list<KmerCode>{0, 1, ~KmerCode{0}, rng()}) {
+    EXPECT_EQ(wide(x), reference(wide, x)) << "x=" << x;
+  }
 }
 
 TEST(HashFamily, RejectsNonPositiveTrials) {

@@ -5,6 +5,9 @@
 #include <string>
 
 #include "core/dna.hpp"
+#include "sim/contigs.hpp"
+#include "sim/genome.hpp"
+#include "sim/hifi_reads.hpp"
 #include "util/prng.hpp"
 
 namespace jem::core {
@@ -309,6 +312,93 @@ TEST_F(MapperTest, HotPathMatchesReferencePathExactly) {
     const MapResult reference = mapper.map_segment_reference(segment, scratch);
     ASSERT_EQ(fast, reference) << "round " << round;
   }
+}
+
+TEST_F(MapperTest, PaperParametersHotPathMatchesReferenceOnSimReads) {
+  // The fixture's w = 20 and T = 16 never reach the paper's window or trial
+  // count, and map_segment_reference shares minimizer_scan with the hot
+  // path. At k = 16, w = 100, T = 30, l = 1000, over every tile and end
+  // segment of simulated HiFi reads against simulated contigs: the scratch
+  // sketch equals the frozen deque kernel run on the naive scan, and
+  // map_segment and map_segment_topx agree with the reference path.
+  sim::GenomeParams genome_params;
+  genome_params.length = 120'000;
+  genome_params.repeat_fraction = 0.28;
+  genome_params.seed = 21;
+  const std::string genome = sim::simulate_genome(genome_params);
+  sim::ContigSimParams contig_params;
+  contig_params.seed = 22;
+  const sim::SimulatedContigs contigs =
+      sim::simulate_contigs(genome, contig_params);
+  sim::HiFiParams read_params;
+  read_params.coverage = 1.5;
+  read_params.seed = 23;
+  const io::SequenceSet reads =
+      sim::simulate_hifi_reads(genome, read_params).reads;
+
+  const MapParams params = MapParams::make().seed(24).build();
+  ASSERT_EQ(params.w, 100);
+  ASSERT_EQ(params.trials, 30);
+  const JemMapper mapper(contigs.contigs, params);
+  MapScratch scratch(contigs.contigs.size());
+  SketchScratch sketch_scratch;
+  FlatSketch sketch;
+
+  std::vector<std::string> segments;
+  for (io::SeqId read = 0; read < reads.size(); ++read) {
+    for (const EndSegment& segment : extract_tiled_segments(
+             read, reads.bases(read), params.segment_length)) {
+      segments.emplace_back(segment.bases);
+    }
+    for (const EndSegment& segment : extract_end_segments(
+             read, reads.bases(read), params.segment_length)) {
+      segments.emplace_back(segment.bases);
+    }
+  }
+  ASSERT_GT(segments.size(), 100u);
+  // No k-mer at all; one k-mer; one (truncated) window; k-mers only
+  // between Ns.
+  segments.emplace_back(std::string(1000, 'N'));
+  segments.push_back(genome.substr(5000, 16));
+  segments.push_back(genome.substr(9000, 80));
+  segments.push_back(std::string(400, 'N') + genome.substr(12'000, 60) +
+                     std::string(400, 'N'));
+
+  const MinimizerParams scan{params.k, params.w, params.ordering};
+  std::size_t mapped = 0;
+  std::size_t tiny = 0;
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const std::string& segment = segments[i];
+    const std::vector<Minimizer> minimizers =
+        minimizer_scan_naive(segment, scan);
+    if (minimizers.size() <= 1) ++tiny;
+    const Sketch reference = sketch_by_jem_reference(
+        minimizers, params.segment_length, mapper.hashes());
+    make_sketch(segment, params, SketchScheme::kJem, mapper.hashes(),
+                sketch_scratch, sketch);
+    ASSERT_EQ(sketch.trials(), params.trials);
+    for (int t = 0; t < params.trials; ++t) {
+      const std::span<const KmerCode> trial = sketch.trial(t);
+      ASSERT_EQ(std::vector<KmerCode>(trial.begin(), trial.end()),
+                reference.per_trial[static_cast<std::size_t>(t)])
+          << "segment " << i << " trial " << t;
+    }
+
+    const MapResult fast = mapper.map_segment(segment, scratch);
+    ASSERT_EQ(fast, mapper.map_segment_reference(segment, scratch))
+        << "segment " << i;
+    const std::vector<MapResult> top = mapper.map_segment_topx(segment, 3,
+                                                               scratch);
+    if (fast.mapped()) {
+      ++mapped;
+      ASSERT_FALSE(top.empty()) << "segment " << i;
+      ASSERT_EQ(top.front(), fast) << "segment " << i;
+    } else {
+      ASSERT_TRUE(top.empty()) << "segment " << i;
+    }
+  }
+  EXPECT_GE(tiny, 4u);
+  EXPECT_GT(mapped, segments.size() / 2);
 }
 
 TEST_F(MapperTest, HotPathMatchesReferenceUnderClassicMinhash) {

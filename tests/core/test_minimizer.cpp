@@ -5,6 +5,9 @@
 #include <string>
 
 #include "core/dna.hpp"
+#include "io/artifact.hpp"
+#include "sim/genome.hpp"
+#include "sim/hifi_reads.hpp"
 #include "util/prng.hpp"
 
 namespace jem::core {
@@ -16,6 +19,167 @@ std::string random_dna(util::Xoshiro256ss& rng, std::size_t length) {
     c = code_base(static_cast<std::uint8_t>(rng.bounded(4)));
   }
   return seq;
+}
+
+/// A fixed simulated HiFi read set: ~80 reads of ~10 kbp from a 200 kbp
+/// repeat-rich genome, the input of the pinned-digest test below.
+const io::SequenceSet& fixed_reads() {
+  static const io::SequenceSet reads = [] {
+    sim::GenomeParams genome;
+    genome.length = 200'000;
+    genome.repeat_fraction = 0.28;
+    genome.seed = 15;
+    sim::HiFiParams hifi;
+    hifi.coverage = 4.0;
+    hifi.seed = 16;
+    return sim::simulate_hifi_reads(sim::simulate_genome(genome), hifi).reads;
+  }();
+  return reads;
+}
+
+/// XXH64 over every read's minimizer list: a little-endian u32 count, then
+/// each (u64 k-mer, u32 position).
+std::uint64_t minimizer_digest(const io::SequenceSet& reads,
+                               const MinimizerParams& params) {
+  std::string bytes;
+  const auto put = [&](std::uint64_t value, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
+    }
+  };
+  MinimizerScratch scratch;
+  std::vector<Minimizer> out;
+  for (io::SeqId id = 0; id < reads.size(); ++id) {
+    minimizer_scan(reads.bases(id), params, scratch, out);
+    put(out.size(), 4);
+    for (const Minimizer& m : out) {
+      put(m.kmer, 8);
+      put(m.position, 4);
+    }
+  }
+  return io::xxh64(bytes);
+}
+
+/// Concatenates `count` copies of `unit`.
+std::string repeat(std::string_view unit, std::size_t count) {
+  std::string seq;
+  for (std::size_t i = 0; i < count; ++i) seq += unit;
+  return seq;
+}
+
+constexpr MinimizerOrdering kOrderings[] = {MinimizerOrdering::kLexicographic,
+                                            MinimizerOrdering::kRandomHash};
+
+TEST(MinimizerScan, PaperParameterDigestIsPinned) {
+  // Recorded from the monotone-deque scan this kernel replaced; any change
+  // to a k-mer, a position, a tie-break or a dedup decision moves it.
+  const io::SequenceSet& reads = fixed_reads();
+  ASSERT_GT(reads.total_bases(), 500'000u);
+  EXPECT_EQ(minimizer_digest(reads, {16, 100}), 0x3a2386e07e18d866ULL);
+  EXPECT_EQ(
+      minimizer_digest(reads, {16, 100, MinimizerOrdering::kRandomHash}),
+      0x27fc9ace94db3c8aULL);
+}
+
+TEST(MinimizerScan, MatchesNaiveAcrossKAndWCorners) {
+  // k = 32 fills the 64-bit code; w spans the block sizes around the
+  // paper's w = 100. The input mixes lowercase, IUPAC codes and N runs.
+  util::Xoshiro256ss rng(60);
+  std::string seq = random_dna(rng, 1500);
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    const std::uint64_t roll = rng.bounded(200);
+    if (roll < 40) seq[i] = static_cast<char>(seq[i] - 'A' + 'a');
+    if (roll == 40) seq[i] = "RYKMSWN"[rng.bounded(7)];
+  }
+  seq.replace(700, 12, std::string(12, 'N'));
+  for (int k : {1, 16, 31, 32}) {
+    for (int w : {1, 2, 99, 100, 101, 250}) {
+      for (MinimizerOrdering ordering : kOrderings) {
+        const MinimizerParams params{k, w, ordering};
+        ASSERT_EQ(minimizer_scan(seq, params),
+                  minimizer_scan_naive(seq, params))
+            << "k=" << k << " w=" << w;
+      }
+    }
+  }
+}
+
+TEST(MinimizerScan, MatchesNaiveAtBlockBoundaryRunLengths) {
+  // Runs of k-1 .. k+w bases, and runs of m*w k-mers +-1, each alone and
+  // between N separators, so a run ends just before, at and just after a
+  // window block fills.
+  util::Xoshiro256ss rng(61);
+  constexpr int k = 16;
+  for (int w : {1, 2, 3, 7, 100}) {
+    const auto kk = static_cast<std::size_t>(k);
+    const auto ww = static_cast<std::size_t>(w);
+    std::vector<std::size_t> lengths{kk - 1, kk, kk + ww - 2, kk + ww - 1,
+                                     kk + ww};
+    for (std::size_t blocks = 1; blocks <= 3; ++blocks) {
+      for (std::size_t n : {blocks * ww - 1, blocks * ww, blocks * ww + 1}) {
+        if (n > 0) lengths.push_back(n + kk - 1);
+      }
+    }
+    std::string joined;
+    for (const std::size_t length : lengths) {
+      const std::string run = random_dna(rng, length);
+      joined += run + "N";
+      for (MinimizerOrdering ordering : kOrderings) {
+        const MinimizerParams params{k, w, ordering};
+        ASSERT_EQ(minimizer_scan(run, params),
+                  minimizer_scan_naive(run, params))
+            << "w=" << w << " run=" << length;
+      }
+    }
+    for (MinimizerOrdering ordering : kOrderings) {
+      const MinimizerParams params{k, w, ordering};
+      ASSERT_EQ(minimizer_scan(joined, params),
+                minimizer_scan_naive(joined, params))
+          << "w=" << w;
+    }
+  }
+}
+
+TEST(MinimizerScan, MatchesNaiveOnTandemRepeats) {
+  // Every window of these inputs holds tied minima: the leftmost must win.
+  for (const std::string& seq :
+       {repeat("A", 1000), repeat("AC", 500), repeat("AAC", 334),
+        repeat("A", 300) + repeat("AC", 200) + repeat("AAC", 100)}) {
+    for (int w : {1, 2, 99, 100, 101}) {
+      for (MinimizerOrdering ordering : kOrderings) {
+        const MinimizerParams params{16, w, ordering};
+        ASSERT_EQ(minimizer_scan(seq, params),
+                  minimizer_scan_naive(seq, params))
+            << "w=" << w << " len=" << seq.size();
+      }
+    }
+  }
+}
+
+TEST(MinimizerScan, ScratchReusedAcrossShrinkingAndGrowingWindows) {
+  util::Xoshiro256ss rng(62);
+  MinimizerScratch scratch;
+  std::vector<Minimizer> out;
+  for (int w : {250, 1, 100, 250, 2}) {
+    for (MinimizerOrdering ordering : kOrderings) {
+      const std::string seq = random_dna(rng, 600 + rng.bounded(600));
+      const MinimizerParams params{16, w, ordering};
+      minimizer_scan(seq, params, scratch, out);
+      ASSERT_EQ(out, minimizer_scan_naive(seq, params)) << "w=" << w;
+    }
+  }
+}
+
+TEST(MinimizerScan, WindowBeyondTheSequenceIsOneTruncatedWindow) {
+  // The window blocks are sized by min(w, |s|), not by w.
+  util::Xoshiro256ss rng(63);
+  const std::string seq = random_dna(rng, 500) + "N" + random_dna(rng, 300);
+  for (MinimizerOrdering ordering : kOrderings) {
+    const MinimizerParams params{16, 1'000'000'000, ordering};
+    const std::vector<Minimizer> minimizers = minimizer_scan(seq, params);
+    EXPECT_EQ(minimizers.size(), 2u);
+    EXPECT_EQ(minimizers, minimizer_scan_naive(seq, params));
+  }
 }
 
 TEST(MinimizerScan, RejectsBadParams) {
