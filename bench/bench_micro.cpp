@@ -127,35 +127,18 @@ void BM_ClassicMinhash(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassicMinhash);
 
-void BM_SketchTableInsert(benchmark::State& state) {
-  util::Xoshiro256ss rng(10);
-  std::vector<core::KmerCode> kmers(10'000);
-  for (auto& kmer : kmers) kmer = rng();
-  for (auto _ : state) {
-    core::SketchTable table(30);
-    for (std::size_t i = 0; i < kmers.size(); ++i) {
-      table.insert(static_cast<int>(i % 30), kmers[i],
-                   static_cast<io::SeqId>(i % 97));
-    }
-    benchmark::DoNotOptimize(table.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_SketchTableInsert);
-
 void BM_SketchTableLookup(benchmark::State& state) {
   util::Xoshiro256ss rng(11);
-  std::vector<core::KmerCode> kmers(10'000);
-  core::SketchTable table(30);
-  for (std::size_t i = 0; i < kmers.size(); ++i) {
-    kmers[i] = rng();
-    table.insert(static_cast<int>(i % 30), kmers[i],
-                 static_cast<io::SeqId>(i % 97));
+  std::vector<core::SketchEntry> entries(10'000);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    entries[i] = {rng(), static_cast<std::uint32_t>(i % 30),
+                  static_cast<io::SeqId>(i % 97)};
   }
+  const core::SketchTable table = core::SketchTable::from_entries(30, entries);
   for (auto _ : state) {
-    for (std::size_t i = 0; i < kmers.size(); ++i) {
-      benchmark::DoNotOptimize(table.lookup(static_cast<int>(i % 30),
-                                            kmers[i]));
+    for (const core::SketchEntry& entry : entries) {
+      benchmark::DoNotOptimize(
+          table.lookup(static_cast<int>(entry.trial), entry.kmer));
     }
   }
   state.SetItemsProcessed(state.iterations() * 10'000);
@@ -280,12 +263,13 @@ struct HotpathIndexData {
   HotpathIndexData() {
     util::Xoshiro256ss rng(43);
     std::vector<core::KmerCode> keys(200'000);
+    std::vector<core::SketchEntry> entries(keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
       keys[i] = rng();
-      table.insert(static_cast<int>(i % 30), keys[i],
-                   static_cast<io::SeqId>(rng.bounded(500)));
+      entries[i] = {keys[i], static_cast<std::uint32_t>(i % 30),
+                    static_cast<io::SeqId>(rng.bounded(500))};
     }
-    table.freeze();
+    table = core::SketchTable::from_entries(30, entries);
     for (int i = 0; i < 10'000; ++i) {
       queries.push_back(rng.bounded(3) == 0 ? rng()
                                             : keys[rng.bounded(keys.size())]);
@@ -623,15 +607,57 @@ const IndexLoadFixture& index_load_fixture() {
   return fixture;
 }
 
+std::vector<core::SketchEntry> fixture_entries(const IndexLoadFixture& fx,
+                                               std::size_t threads) {
+  const core::HashFamily hashes(fx.params.trials, fx.params.seed);
+  return core::sketch_subjects(
+      fx.subjects, 0, static_cast<io::SeqId>(fx.subjects.size()), fx.params,
+      core::SketchScheme::kJem, hashes, threads);
+}
+
+// The whole build on state.range(0) threads (the JemMapper constructor uses
+// every hardware thread), then its two layers: S2 (sketch_subjects) and the
+// sort + CSR + flat build (SketchTable::from_entries). Pool-based: timed on
+// the wall clock.
 void BM_IndexLoadBuildFromFasta(benchmark::State& state) {
   const IndexLoadFixture& fx = index_load_fixture();
+  const auto threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    const core::JemMapper mapper(fx.subjects, fx.params);
+    const core::JemMapper mapper(
+        fx.subjects, fx.params, core::SketchScheme::kJem,
+        core::SketchTable::from_entries(fx.params.trials,
+                                        fixture_entries(fx, threads),
+                                        threads));
     benchmark::DoNotOptimize(mapper.table().size());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IndexLoadBuildFromFasta);
+BENCHMARK(BM_IndexLoadBuildFromFasta)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+void BM_IndexSketchSubjects(benchmark::State& state) {
+  const IndexLoadFixture& fx = index_load_fixture();
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixture_entries(fx, threads).size());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fx.subjects.total_bases()));
+}
+BENCHMARK(BM_IndexSketchSubjects)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+void BM_IndexFromEntries(benchmark::State& state) {
+  const IndexLoadFixture& fx = index_load_fixture();
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  const std::vector<core::SketchEntry> entries = fixture_entries(fx, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::SketchTable::from_entries(fx.params.trials, entries, threads)
+            .size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(entries.size()));
+}
+BENCHMARK(BM_IndexFromEntries)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_IndexLoadSerialize(benchmark::State& state) {
   const IndexLoadFixture& fx = index_load_fixture();

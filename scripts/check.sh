@@ -14,15 +14,18 @@ ctest --test-dir build --output-on-failure
 # through aborts/timeouts (docs/robustness.md), and the serve suite runs a
 # live MappingServer with concurrent clients (docs/serve.md). The io
 # suites ride along: gzip_decompress inflates members on parallel threads,
-# and the readers above it parse what those threads wrote.
+# and the readers above it parse what those threads wrote. So do the index
+# build suites: sketch_subjects sketches subject ranges on a pool, and
+# SketchTable::from_entries / FlatSketchIndex::build fill per-trial arrays
+# from pool tasks — in every JemMapper and in each distributed rank.
 cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   -DJEM_BUILD_BENCH=OFF -DJEM_BUILD_EXAMPLES=OFF
 cmake --build build-tsan --target test_engine test_chaos test_obs test_serve \
-  test_io
+  test_io test_core
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|Gzip|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness'
+  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|Gzip|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|SketchTable|IndexBuild|FlatSketchIndex|Distributed'
 
 # The same suites under AddressSanitizer + UndefinedBehaviorSanitizer: the
 # fault-injection shutdown paths (worker aborts, queue closes, partial
@@ -33,7 +36,8 @@ ctest --test-dir build-tsan --output-on-failure \
 # So must the parsers: the gzip decoder and the buffered FASTA/FASTQ reader.
 # The query kernels ride along too: the minimizer scan indexes raw window
 # blocks, the suffix sketch writes through a raw column pointer, and the
-# mapper prefetches and probes raw slot arrays.
+# mapper prefetches and probes raw slot arrays. The index build fills the
+# slot array and postings pool through raw per-trial region pointers.
 cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
@@ -41,7 +45,7 @@ cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan --target test_engine test_chaos test_io test_core \
   test_obs test_serve jem obs_check
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|MapperTest|FlatSketchIndex'
+  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|MapperTest|FlatSketchIndex|SketchTable|IndexBuild'
 
 # Hot-path bench smoke (the default build type is Release): a short run of
 # the BM_Hotpath* family catches wiring regressions in the flat-index /

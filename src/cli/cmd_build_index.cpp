@@ -1,6 +1,6 @@
 // `jem build-index` — sketch a subject FASTA once and write the frozen
 // JEMIDX1 artifact (core/index_serde), so `jem map --load-index` and
-// `jem serve --load-index` skip the sketch+freeze phase at startup.
+// `jem serve --load-index` skip the index build at startup.
 //
 //   jem build-index --subjects contigs.fa --output contigs.jemidx
 //                   [--k 16] [--w 100] [--trials 30] [--segment 1000]
@@ -93,8 +93,9 @@ int run_build_index(std::span<const char* const> args,
 
   util::WallTimer timer;
   try {
-    // Building the service sketches + freezes the table; save_index writes
-    // the checksummed artifact bound to these params and subjects.
+    // Building the service sketches the subjects and builds the table;
+    // save_index writes the checksummed artifact bound to these params and
+    // subjects.
     const core::MappingService service(std::move(subjects), config);
     core::save_index(output_path, service.engine().mapper().table(),
                      config.params, config.scheme, service.subjects());

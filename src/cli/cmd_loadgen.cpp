@@ -24,7 +24,7 @@
 // reset must count as exactly that, not be papered over by retries.
 // Output is one JSON document ({"benchmark":"serve_load","points":[...]}),
 // each point carrying offered/achieved rps, p50/p99/p999 ms and shed/error
-// counts; scripts/bench_serve.sh merges it into BENCH_serve.json.
+// counts.
 #include <algorithm>
 #include <atomic>
 #include <charconv>

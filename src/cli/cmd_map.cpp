@@ -278,7 +278,7 @@ int run_map(std::span<const char* const> args, std::string_view program) {
                                         subjects));
         loaded_index = true;
         util::log_info() << "loaded sketch index from " << load_index_path
-                         << " (freeze skipped)";
+                         << " (build skipped)";
       } catch (const io::ArtifactError& error) {
         // A bad artifact is never fatal: report why and rebuild from FASTA.
         util::log_info() << "index " << load_index_path << " rejected ("

@@ -62,33 +62,6 @@ void DistributedStepReport::publish(obs::Registry& registry) const {
   // the run's CommStats (mpisim.*) when a registry is attached.
 }
 
-std::vector<std::pair<io::SeqId, io::SeqId>> partition_by_bases(
-    const io::SequenceSet& set, int ranks) {
-  if (ranks < 1) {
-    throw std::invalid_argument("partition_by_bases: ranks must be >= 1");
-  }
-  const auto p = static_cast<std::size_t>(ranks);
-  std::vector<std::pair<io::SeqId, io::SeqId>> ranges(p);
-
-  const double total = static_cast<double>(set.total_bases());
-  io::SeqId cursor = 0;
-  std::uint64_t consumed = 0;
-  for (std::size_t r = 0; r < p; ++r) {
-    const io::SeqId begin = cursor;
-    // Advance until this rank's cumulative share reaches (r+1)/p of the
-    // total bases; the last rank absorbs any floating-point remainder.
-    const double target =
-        total * static_cast<double>(r + 1) / static_cast<double>(p);
-    while (cursor < set.size() && static_cast<double>(consumed) < target) {
-      consumed += set.length(cursor);
-      ++cursor;
-    }
-    ranges[r] = {begin, cursor};
-  }
-  ranges.back().second = static_cast<io::SeqId>(set.size());
-  return ranges;
-}
-
 MappingWire to_wire(const SegmentMapping& mapping) noexcept {
   return {mapping.read,   static_cast<std::uint32_t>(mapping.end),
           mapping.offset, mapping.segment_length,
@@ -220,12 +193,13 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
         // or stale cache can never change the output.
         comm.fault_point("S2:sketch");
         obs::StageSpan sketch_span(obs, "S2:sketch");
-        SketchTable local(params.trials);
+        std::vector<SketchEntry> local_entries;
         bool shard_loaded = false;
         if (index_cache.enabled() && index_cache.load) {
           try {
-            local = load_index(index_cache.shard_path(rank, ranks), params,
-                               scheme, subjects);
+            local_entries = load_index(index_cache.shard_path(rank, ranks),
+                                       params, scheme, subjects)
+                                .to_entries();
             shard_loaded = true;
             shards_loaded.fetch_add(1, std::memory_order_relaxed);
           } catch (const io::ArtifactError& error) {
@@ -236,17 +210,18 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
             }
           }
         }
+        const auto threads = static_cast<std::size_t>(threads_per_rank);
         if (!shard_loaded) {
-          local =
-              sketch_subjects(subjects, s_begin, s_end, params, scheme, hashes);
+          local_entries = sketch_subjects(subjects, s_begin, s_end, params,
+                                          scheme, hashes, threads);
           if (index_cache.enabled() && index_cache.save) {
-            local.freeze();  // the artifact persists the frozen forms
-            save_index(index_cache.shard_path(rank, ranks), local, params,
-                       scheme, subjects);
+            save_index(index_cache.shard_path(rank, ranks),
+                       SketchTable::from_entries(params.trials,
+                                                 local_entries, threads),
+                       params, scheme, subjects);
             shards_saved.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        const std::vector<SketchEntry> local_entries = local.to_entries();
         const double sketch_s =
             static_cast<double>(sketch_span.finish()) * 1e-9;
 
@@ -260,7 +235,7 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
 
         obs::StageSpan build_span(obs, "S3:build");
         SketchTable global =
-            SketchTable::from_entries(params.trials, global_entries);
+            SketchTable::from_entries(params.trials, global_entries, threads);
         const double build_s = static_cast<double>(build_span.finish()) * 1e-9;
 
         // S4: map local queries — sequentially, or with a rank-private
@@ -428,13 +403,13 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
     // owner rank (one all-to-all replaces the allgather union).
     comm.fault_point("P:route");
     obs::StageSpan sketch_span(obs, "P:sketch");
-    const SketchTable local =
+    const std::vector<SketchEntry> local =
         sketch_subjects(subjects, s_begin, s_end, params, scheme, hashes);
     const double sketch_s = static_cast<double>(sketch_span.finish()) * 1e-9;
     obs::StageSpan route_span(obs, "P:route");
     std::vector<std::vector<SketchEntry>> outgoing(
         static_cast<std::size_t>(p));
-    for (const SketchEntry& entry : local.to_entries()) {
+    for (const SketchEntry& entry : local) {
       outgoing[static_cast<std::size_t>(kmer_owner(entry.kmer, p))]
           .push_back(entry);
     }
@@ -633,8 +608,7 @@ DistributedResult run_staged(const io::SequenceSet& subjects,
   executor.compute_step("S2:sketch-subjects", [&](int rank) {
     const auto [begin, end] = subject_ranges[static_cast<std::size_t>(rank)];
     per_rank_entries[static_cast<std::size_t>(rank)] =
-        sketch_subjects(subjects, begin, end, params, scheme, hashes)
-            .to_entries();
+        sketch_subjects(subjects, begin, end, params, scheme, hashes);
   });
 
   // S3: allgatherv of the union volume, then each rank rebuilds the global

@@ -31,11 +31,6 @@
 
 namespace jem::core {
 
-/// Contiguous [begin, end) sequence ranges balancing total bases across p
-/// ranks (the S1 partitioning rule).
-[[nodiscard]] std::vector<std::pair<io::SeqId, io::SeqId>> partition_by_bases(
-    const io::SequenceSet& set, int ranks);
-
 /// Wire format for one mapped segment in the result gather.
 struct MappingWire {
   io::SeqId read = 0;
@@ -171,8 +166,9 @@ struct DistributedResult {
 
 /// Real SPMD execution on `ranks` mpisim threads. `threads_per_rank` > 1
 /// enables the hybrid MPI+threads mode (the paper's platform supported
-/// OpenMPI and OpenMP side by side): each rank maps its local queries with a
-/// rank-private thread pool. Results are identical for any configuration.
+/// OpenMPI and OpenMP side by side): each rank sketches its subjects (S2),
+/// builds S_global (S3) and maps its local queries with that many threads.
+/// Results are identical for any configuration.
 ///
 /// With `robust` set, ranks that abort (injected faults, timeouts) are
 /// tolerated: the survivors complete, the driver re-maps every failed

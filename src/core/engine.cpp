@@ -84,12 +84,6 @@ struct EngineMetrics {
   }
 };
 
-std::size_t default_threads(std::size_t requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 std::size_t effective_batch_size(const MapRequest& request, std::size_t n,
                                  std::size_t threads) {
   if (request.batch_size > 0) return request.batch_size;
@@ -278,7 +272,7 @@ MapReport MappingEngine::run(const io::SequenceSet& reads,
   MapReport report;
 
   const std::size_t n = reads.size();
-  const std::size_t threads = default_threads(request.threads);
+  const std::size_t threads = util::default_threads(request.threads);
   const std::size_t batch = effective_batch_size(request, n, threads);
   const std::size_t num_batches = n == 0 ? 0 : (n + batch - 1) / batch;
 
@@ -391,7 +385,7 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
   // and whichever worker completes the next in-order batch flushes it to
   // the sink. kSerial is the same pipeline with one mapping worker.
   const std::size_t workers = request.backend == MapBackend::kPool
-                                  ? default_threads(request.threads)
+                                  ? util::default_threads(request.threads)
                                   : 1;
   util::BoundedQueue<io::ReadBatch> queue(request.queue_depth);
 

@@ -212,7 +212,8 @@ struct MapReport {
 
 class MappingEngine {
  public:
-  /// Sketches all subjects into an owned JemMapper (sequential S2).
+  /// Builds an owned JemMapper over all subjects: parallel S2 plus the
+  /// sort-based table build, on util::default_threads(0) workers.
   MappingEngine(const io::SequenceSet& subjects, MapParams params,
                 SketchScheme scheme = SketchScheme::kJem);
 

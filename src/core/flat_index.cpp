@@ -1,10 +1,12 @@
 #include "core/flat_index.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
 #include "core/sketch.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace jem::core {
 
@@ -24,49 +26,53 @@ std::uint64_t FlatSketchIndex::hash(KmerCode kmer) noexcept {
   return util::mix64(kmer);
 }
 
-FlatSketchIndex FlatSketchIndex::build(std::span<const TrialView> trials) {
+FlatSketchIndex FlatSketchIndex::build(std::span<const TrialView> trials,
+                                       util::ThreadPool* pool) {
   FlatSketchIndex index;
-  index.base_.reserve(trials.size());
-  index.mask_.reserve(trials.size());
+  const std::size_t n = trials.size();
+  index.base_.resize(n);
+  index.mask_.resize(n);
 
+  // Lay out every trial's slot region and postings slice up front.
+  std::vector<std::size_t> postings_base(n);
   std::size_t total_slots = 0;
   std::size_t total_postings = 0;
-  for (const TrialView& trial : trials) {
-    total_slots += region_capacity(trial.keys.size());
+  for (std::size_t t = 0; t < n; ++t) {
+    const TrialView& trial = trials[t];
+    const std::size_t capacity = region_capacity(trial.keys.size());
+    index.base_[t] = total_slots;
+    index.mask_[t] = capacity - 1;
+    postings_base[t] = total_postings;
+    total_slots += capacity;
     total_postings += trial.subjects.size();
+    index.keys_ += trial.keys.size();
+  }
+  if (total_postings > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        "FlatSketchIndex: postings exceed uint32 offset range");
   }
   index.slots_.resize(total_slots);
-  index.subjects_.reserve(total_postings);
+  index.subjects_.resize(total_postings);
 
-  std::size_t base = 0;
-  for (const TrialView& trial : trials) {
-    const std::size_t capacity = region_capacity(trial.keys.size());
-    const std::size_t mask = capacity - 1;
-    index.base_.push_back(base);
-    index.mask_.push_back(mask);
+  util::parallel_for_each(pool, n, [&](std::size_t t) {
+    const TrialView& trial = trials[t];
+    std::copy(trial.subjects.begin(), trial.subjects.end(),
+              index.subjects_.begin() +
+                  static_cast<std::ptrdiff_t>(postings_base[t]));
 
+    Slot* const region = index.slots_.data() + index.base_[t];
+    const std::size_t mask = index.mask_[t];
     for (std::size_t k = 0; k < trial.keys.size(); ++k) {
       const KmerCode kmer = trial.keys[k];
       const std::uint32_t begin = trial.offsets[k];
       const std::uint32_t end = trial.offsets[k + 1];
-      if (index.subjects_.size() + (end - begin) >
-          std::numeric_limits<std::uint32_t>::max()) {
-        throw std::length_error(
-            "FlatSketchIndex: postings exceed uint32 offset range");
-      }
       const auto offset =
-          static_cast<std::uint32_t>(index.subjects_.size());
-      for (std::uint32_t j = begin; j < end; ++j) {
-        index.subjects_.push_back(trial.subjects[j]);
-      }
-
+          static_cast<std::uint32_t>(postings_base[t] + begin);
       std::size_t i = hash(kmer) & mask;
-      while (index.slots_[base + i].count != 0) i = (i + 1) & mask;
-      index.slots_[base + i] = Slot{kmer, offset, end - begin};
-      ++index.keys_;
+      while (region[i].count != 0) i = (i + 1) & mask;
+      region[i] = Slot{kmer, offset, end - begin};
     }
-    base += capacity;
-  }
+  });
   return index;
 }
 

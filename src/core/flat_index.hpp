@@ -19,7 +19,10 @@
 // before the vote loop, so all ~T·4 misses overlap.
 //
 // The index is built once, from the same frozen CSR arrays the wire format
-// (SketchEntry lists) reconstructs, and is immutable afterwards.
+// (SketchEntry lists) reconstructs, and is immutable afterwards. Every
+// trial's slot region and postings slice sit at offsets known before the
+// build (prefix sums of region capacities and posting counts), so the
+// trials fill in parallel and the bytes do not depend on the thread count.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +32,10 @@
 #include "core/kmer.hpp"
 #include "io/sequence.hpp"
 
+namespace jem::util {
+class ThreadPool;  // util/thread_pool.hpp
+}  // namespace jem::util
+
 namespace jem::core {
 
 struct FlatSketch;  // core/sketch.hpp
@@ -36,8 +43,8 @@ struct FlatSketch;  // core/sketch.hpp
 class FlatSketchIndex {
  public:
   /// One trial's frozen CSR arrays (the build input). `offsets` has
-  /// keys.size() + 1 entries; subjects[offsets[i], offsets[i+1]) are the
-  /// postings of keys[i].
+  /// keys.size() + 1 entries, from 0 to subjects.size();
+  /// subjects[offsets[i], offsets[i+1]) are the postings of keys[i].
   struct TrialView {
     std::span<const KmerCode> keys;
     std::span<const std::uint32_t> offsets;
@@ -60,12 +67,12 @@ class FlatSketchIndex {
   /// build().
   FlatSketchIndex() = default;
 
-  /// Builds the index from per-trial CSR views. Keys within a trial must be
-  /// distinct (they are: CSR keys are sorted-unique). Throws
-  /// std::length_error if any trial's postings exceed the uint32 offset
-  /// range.
+  /// Builds the index from per-trial CSR views, one pool task per trial
+  /// (inline without a pool). Keys within a trial must be distinct (they
+  /// are: CSR keys are sorted-unique). Throws std::length_error if the
+  /// postings exceed the uint32 offset range.
   [[nodiscard]] static FlatSketchIndex build(
-      std::span<const TrialView> trials);
+      std::span<const TrialView> trials, util::ThreadPool* pool = nullptr);
 
   [[nodiscard]] int trials() const noexcept {
     return static_cast<int>(base_.size());

@@ -148,10 +148,6 @@ std::uint64_t subjects_digest(const io::SequenceSet& subjects) {
 std::string serialize_index(const SketchTable& table, const MapParams& params,
                             SketchScheme scheme,
                             const io::SequenceSet& subjects) {
-  if (!table.frozen()) {
-    throw std::logic_error("serialize_index: table must be frozen");
-  }
-
   io::ArtifactWriter writer(kIndexArtifactMagic, kIndexArtifactVersion);
 
   const PackedParams packed = pack_params(params, scheme);

@@ -54,8 +54,7 @@ inline constexpr std::uint32_t kIndexArtifactVersion = 1;
 /// artifact to the exact contig set whose dense ids its postings reference.
 [[nodiscard]] std::uint64_t subjects_digest(const io::SequenceSet& subjects);
 
-/// Serializes a frozen table (throws std::logic_error on an unfrozen one)
-/// into the artifact byte string.
+/// Serializes a table into the artifact byte string.
 [[nodiscard]] std::string serialize_index(const SketchTable& table,
                                           const MapParams& params,
                                           SketchScheme scheme,

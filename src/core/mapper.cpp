@@ -1,8 +1,11 @@
 #include "core/mapper.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace jem::core {
 
@@ -55,15 +58,103 @@ void make_sketch(std::string_view seq, const MapParams& params,
   }
 }
 
-SketchTable sketch_subjects(const io::SequenceSet& subjects, io::SeqId begin,
-                            io::SeqId end, const MapParams& params,
-                            SketchScheme scheme, const HashFamily& hashes) {
-  SketchTable table(params.trials);
-  for (io::SeqId id = begin; id < end; ++id) {
-    table.insert(make_sketch(subjects.bases(id), params, scheme, hashes), id);
-  }
-  return table;
+std::vector<std::pair<io::SeqId, io::SeqId>> partition_by_bases(
+    const io::SequenceSet& set, int parts) {
+  return partition_by_bases(set, parts, 0,
+                            static_cast<io::SeqId>(set.size()));
 }
+
+std::vector<std::pair<io::SeqId, io::SeqId>> partition_by_bases(
+    const io::SequenceSet& set, int parts, io::SeqId first, io::SeqId last) {
+  if (parts < 1) {
+    throw std::invalid_argument("partition_by_bases: ranks must be >= 1");
+  }
+  const auto p = static_cast<std::size_t>(parts);
+  std::vector<std::pair<io::SeqId, io::SeqId>> ranges(p);
+
+  std::uint64_t bases = 0;
+  for (io::SeqId id = first; id < last; ++id) bases += set.length(id);
+  const double total = static_cast<double>(bases);
+  io::SeqId cursor = first;
+  std::uint64_t consumed = 0;
+  for (std::size_t r = 0; r < p; ++r) {
+    const io::SeqId begin = cursor;
+    // Advance until this part's cumulative share reaches (r+1)/p of the
+    // total bases; the last part absorbs any floating-point remainder.
+    const double target =
+        total * static_cast<double>(r + 1) / static_cast<double>(p);
+    while (cursor < last && static_cast<double>(consumed) < target) {
+      consumed += set.length(cursor);
+      ++cursor;
+    }
+    ranges[r] = {begin, cursor};
+  }
+  ranges.back().second = last;
+  return ranges;
+}
+
+std::vector<SketchEntry> sketch_subjects(const io::SequenceSet& subjects,
+                                         io::SeqId begin, io::SeqId end,
+                                         const MapParams& params,
+                                         SketchScheme scheme,
+                                         const HashFamily& hashes,
+                                         std::size_t threads) {
+  if (hashes.trials() != params.trials) {
+    throw std::invalid_argument("sketch_subjects: trial count mismatch");
+  }
+  // One part per worker, never more parts than subjects; each part reuses
+  // one scratch and one flat sketch for all of its subjects.
+  const std::size_t parts = std::max<std::size_t>(
+      1, std::min<std::size_t>(threads, end > begin ? end - begin : 0));
+  const auto ranges =
+      partition_by_bases(subjects, static_cast<int>(parts), begin, end);
+  std::vector<std::vector<SketchEntry>> lists(parts);
+  std::optional<util::ThreadPool> pool;
+  if (parts > 1) pool.emplace(parts);
+  util::parallel_for_each(pool ? &*pool : nullptr, parts, [&](std::size_t r) {
+    SketchScratch scratch;
+    FlatSketch sketch;
+    std::vector<SketchEntry>& list = lists[r];
+    for (io::SeqId id = ranges[r].first; id < ranges[r].second; ++id) {
+      make_sketch(subjects.bases(id), params, scheme, hashes, scratch,
+                  sketch);
+      for (int t = 0; t < sketch.trials(); ++t) {
+        for (const KmerCode kmer : sketch.trial(t)) {
+          list.push_back({kmer, static_cast<std::uint32_t>(t), id});
+        }
+      }
+    }
+  });
+  if (parts == 1) return std::move(lists.front());
+
+  std::size_t total = 0;
+  for (const auto& list : lists) total += list.size();
+  std::vector<SketchEntry> entries;
+  entries.reserve(total);
+  for (auto& list : lists) {
+    entries.insert(entries.end(), list.begin(), list.end());
+    std::vector<SketchEntry>().swap(list);
+  }
+  return entries;
+}
+
+namespace {
+
+/// The constructor's index build: S2 then the sort-based table build, both
+/// on every hardware thread.
+SketchTable build_table(const io::SequenceSet& subjects,
+                        const MapParams& params, SketchScheme scheme,
+                        const HashFamily& hashes) {
+  params.validate();
+  const std::size_t threads = util::default_threads(0);
+  return SketchTable::from_entries(
+      params.trials,
+      sketch_subjects(subjects, 0, static_cast<io::SeqId>(subjects.size()),
+                      params, scheme, hashes, threads),
+      threads);
+}
+
+}  // namespace
 
 JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
                      SketchScheme scheme)
@@ -71,12 +162,7 @@ JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
       params_(params),
       scheme_(scheme),
       hashes_(params.trials, params.seed),
-      table_(sketch_subjects(subjects, 0,
-                             static_cast<io::SeqId>(subjects.size()), params_,
-                             scheme, hashes_)) {
-  params_.validate();
-  table_.freeze();  // CSR form: faster, cache-friendly query lookups
-}
+      table_(build_table(subjects, params_, scheme, hashes_)) {}
 
 JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
                      SketchScheme scheme, SketchTable table)
@@ -89,7 +175,6 @@ JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
   if (table_.trials() != params_.trials) {
     throw std::invalid_argument("JemMapper: table trial count mismatch");
   }
-  table_.freeze();  // idempotent; the query path needs the flat index
 }
 
 MapResult JemMapper::map_segment(std::string_view segment,

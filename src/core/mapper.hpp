@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/end_segments.hpp"
@@ -153,18 +154,30 @@ void make_sketch(std::string_view seq, const MapParams& params,
                  SketchScheme scheme, const HashFamily& hashes,
                  SketchScratch& scratch, FlatSketch& out);
 
-/// Sketches subjects [begin, end) of `subjects` into a fresh table (the
-/// local S2 step of the distributed algorithm; the sequential driver calls
-/// it with the full range).
-[[nodiscard]] SketchTable sketch_subjects(const io::SequenceSet& subjects,
-                                          io::SeqId begin, io::SeqId end,
-                                          const MapParams& params,
-                                          SketchScheme scheme,
-                                          const HashFamily& hashes);
+/// Contiguous [begin, end) sequence ranges balancing total bases across
+/// `parts` parts (the S1 partitioning rule). The second form splits only
+/// sequences [first, last).
+[[nodiscard]] std::vector<std::pair<io::SeqId, io::SeqId>> partition_by_bases(
+    const io::SequenceSet& set, int parts);
+[[nodiscard]] std::vector<std::pair<io::SeqId, io::SeqId>> partition_by_bases(
+    const io::SequenceSet& set, int parts, io::SeqId first, io::SeqId last);
+
+/// S2: sketches subjects [begin, end) of `subjects` into the wire entry list
+/// SketchTable::from_entries builds the table from — every (trial, kmer) of
+/// each subject's sketch, subjects in id order, trials in order within a
+/// subject. `threads` workers sketch base-balanced subject ranges in
+/// parallel; the list is the same at every thread count. Throws
+/// std::invalid_argument if `hashes` does not have params.trials trials.
+[[nodiscard]] std::vector<SketchEntry> sketch_subjects(
+    const io::SequenceSet& subjects, io::SeqId begin, io::SeqId end,
+    const MapParams& params, SketchScheme scheme, const HashFamily& hashes,
+    std::size_t threads = 1);
 
 class JemMapper {
  public:
-  /// Builds the table over all subjects (sequential S2).
+  /// Builds the table over all subjects: parallel S2 (sketch_subjects) and
+  /// the sort-based SketchTable::from_entries, on util::default_threads(0)
+  /// workers.
   JemMapper(const io::SequenceSet& subjects, MapParams params,
             SketchScheme scheme = SketchScheme::kJem);
 

@@ -199,7 +199,8 @@ class MappingService {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Builds the sketch index from `subjects` (sequential S2). The service
+  /// Builds the sketch index from `subjects` (parallel S2, sort-based
+  /// table build; JemMapper's constructor). The service
   /// owns the subject set — callers hand it over by value and query through
   /// the service from then on.
   MappingService(io::SequenceSet subjects, ServiceConfig config);

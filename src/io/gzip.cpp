@@ -7,7 +7,6 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -160,8 +159,7 @@ std::string gzip_decompress(std::string_view data) {
   std::vector<Member> speculative(n);
   std::vector<std::string> pieces(n);
   if (n > 1) {
-    util::ThreadPool pool(std::min<std::size_t>(
-        n, std::max(1u, std::thread::hardware_concurrency())));
+    util::ThreadPool pool(std::min(n, util::default_threads(0)));
     util::parallel_for_blocks(
         pool, 0, n, n, [&](std::size_t, std::size_t j, std::size_t) {
           // A member left undone here (say, out of memory) is decoded

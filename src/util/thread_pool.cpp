@@ -1,8 +1,14 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace jem::util {
+
+std::size_t default_threads(std::size_t requested) noexcept {
+  if (requested > 0) return requested;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t count = std::max<std::size_t>(1, num_threads);
@@ -57,6 +63,24 @@ void ThreadPool::worker_loop() {
   }
 }
 
+namespace {
+
+/// Waits for every future, then rethrows the first failure. Tasks refer to
+/// the caller's stack, so none may still run when the caller unwinds.
+void wait_all(std::vector<std::future<void>>& futures) {
+  std::exception_ptr failure;
+  for (auto& future : futures) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
+}
+
+}  // namespace
+
 void parallel_for_blocks(
     ThreadPool& pool, std::size_t begin, std::size_t end,
     std::size_t num_blocks,
@@ -72,7 +96,21 @@ void parallel_for_blocks(
       fn(b, begin + range.begin, begin + range.end);
     }));
   }
-  for (auto& future : futures) future.get();
+  wait_all(futures);
+}
+
+void parallel_for_each(ThreadPool* pool, std::size_t n,
+                       const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::vector<std::future<void>> futures;
+  futures.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    futures.push_back(pool->submit([&fn, i] { fn(i); }));
+  }
+  wait_all(futures);
 }
 
 }  // namespace jem::util

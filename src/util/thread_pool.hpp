@@ -15,6 +15,10 @@
 
 namespace jem::util {
 
+/// Worker count for a request of `requested` threads: the request itself,
+/// or the hardware concurrency (at least 1) when it is 0.
+[[nodiscard]] std::size_t default_threads(std::size_t requested) noexcept;
+
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -51,6 +55,12 @@ void parallel_for_blocks(
     ThreadPool& pool, std::size_t begin, std::size_t end,
     std::size_t num_blocks,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
+
+/// Runs fn(i) for every i in [0, n), one pool task per index, and blocks
+/// until all finish. Without a pool (or for n <= 1) the calls run inline on
+/// this thread, in index order.
+void parallel_for_each(ThreadPool* pool, std::size_t n,
+                       const std::function<void(std::size_t)>& fn);
 
 /// The half-open sub-range assigned to block `b` of `p` when dividing
 /// [0, n) as evenly as possible (first n%p blocks get one extra element).

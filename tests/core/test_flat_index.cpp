@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -11,30 +12,22 @@
 namespace jem::core {
 namespace {
 
-/// Builds a random mutable table with `entries` (trial, kmer, subject)
-/// inserts, keys drawn from a pool of `distinct_keys` so postings lists get
-/// multiple subjects.
-SketchTable random_table(util::Xoshiro256ss& rng, int trials,
-                         std::size_t entries, std::size_t distinct_keys,
-                         std::size_t subjects) {
+/// `entries` random (trial, kmer, subject) triples, keys drawn from a pool
+/// of `distinct_keys` so postings lists get multiple subjects.
+std::vector<SketchEntry> random_entries(util::Xoshiro256ss& rng, int trials,
+                                        std::size_t entries,
+                                        std::size_t distinct_keys,
+                                        std::size_t subjects) {
   std::vector<KmerCode> pool(distinct_keys);
   for (auto& kmer : pool) kmer = rng();
-  SketchTable table(trials);
-  for (std::size_t i = 0; i < entries; ++i) {
-    table.insert(static_cast<int>(rng.bounded(
-                     static_cast<std::uint64_t>(trials))),
-                 pool[rng.bounded(pool.size())],
-                 static_cast<io::SeqId>(rng.bounded(subjects)));
+  std::vector<SketchEntry> out(entries);
+  for (SketchEntry& entry : out) {
+    entry.trial = static_cast<std::uint32_t>(
+        rng.bounded(static_cast<std::uint64_t>(trials)));
+    entry.kmer = pool[rng.bounded(pool.size())];
+    entry.subject = static_cast<io::SeqId>(rng.bounded(subjects));
   }
-  return table;
-}
-
-TEST(FlatSketchIndex, FlatThrowsBeforeFreeze) {
-  SketchTable table(3);
-  table.insert(0, 42, 1);
-  EXPECT_THROW((void)table.flat(), std::logic_error);
-  table.freeze();
-  EXPECT_NO_THROW((void)table.flat());
+  return out;
 }
 
 TEST(FlatSketchIndex, MatchesCsrLookupOnRandomTables) {
@@ -42,13 +35,9 @@ TEST(FlatSketchIndex, MatchesCsrLookupOnRandomTables) {
   for (int round = 0; round < 20; ++round) {
     const int trials = 1 + static_cast<int>(rng.bounded(8));
     const std::size_t keys = 1 + rng.bounded(300);
-    SketchTable table =
-        random_table(rng, trials, 10 + rng.bounded(2000), keys,
-                     1 + rng.bounded(50));
-
-    // Collect the key set before freezing (lookup on the mutable form).
-    std::vector<SketchEntry> entries = table.to_entries();
-    table.freeze();
+    const std::vector<SketchEntry> entries = random_entries(
+        rng, trials, 10 + rng.bounded(2000), keys, 1 + rng.bounded(50));
+    const SketchTable table = SketchTable::from_entries(trials, entries);
     const FlatSketchIndex& index = table.flat();
     EXPECT_EQ(index.key_count(), table.key_count());
     EXPECT_GE(index.capacity(), 2 * index.key_count());
@@ -78,8 +67,8 @@ TEST(FlatSketchIndex, MatchesCsrLookupOnRandomTables) {
 
 TEST(FlatSketchIndex, LookupManyMatchesSingleLookups) {
   util::Xoshiro256ss rng(12);
-  SketchTable table = random_table(rng, 4, 3000, 400, 64);
-  table.freeze();
+  const SketchTable table =
+      SketchTable::from_entries(4, random_entries(rng, 4, 3000, 400, 64));
   const FlatSketchIndex& index = table.flat();
 
   for (int t = 0; t < 4; ++t) {
@@ -101,9 +90,9 @@ TEST(FlatSketchIndex, LookupManyMatchesSingleLookups) {
 }
 
 TEST(FlatSketchIndex, EmptyTrialsLookupCleanly) {
-  SketchTable table(5);
-  table.insert(2, 77, 9);  // trials 0,1,3,4 stay empty
-  table.freeze();
+  const std::vector<SketchEntry> entries{{77, 2, 9}};
+  // Trials 0, 1, 3 and 4 stay empty.
+  const SketchTable table = SketchTable::from_entries(5, entries);
   const FlatSketchIndex& index = table.flat();
   EXPECT_EQ(index.trials(), 5);
   for (int t = 0; t < 5; ++t) {
@@ -118,23 +107,23 @@ TEST(FlatSketchIndex, EmptyTrialsLookupCleanly) {
 }
 
 TEST(FlatSketchIndex, FromEntriesBuildsSameIndexAsFreeze) {
+  // The index does not depend on the entry order or on how many threads
+  // build it: the slot array, region geometry and postings pool are equal
+  // part for part.
   util::Xoshiro256ss rng(13);
-  SketchTable table = random_table(rng, 3, 1500, 200, 32);
-  const std::vector<SketchEntry> entries = table.to_entries();
-  table.freeze();
-
-  const SketchTable rebuilt = SketchTable::from_entries(3, entries);
-  const FlatSketchIndex& a = table.flat();
-  const FlatSketchIndex& b = rebuilt.flat();
-  EXPECT_EQ(a.key_count(), b.key_count());
-  for (const SketchEntry& entry : entries) {
-    const auto trial = static_cast<int>(entry.trial);
-    const auto from_freeze = a.lookup(trial, entry.kmer);
-    const auto from_entries = b.lookup(trial, entry.kmer);
-    ASSERT_EQ(from_freeze.size(), from_entries.size());
-    for (std::size_t i = 0; i < from_freeze.size(); ++i) {
-      ASSERT_EQ(from_freeze[i], from_entries[i]);
-    }
+  std::vector<SketchEntry> entries = random_entries(rng, 3, 1500, 200, 32);
+  const SketchTable serial = SketchTable::from_entries(3, entries);
+  std::reverse(entries.begin(), entries.end());
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const SketchTable rebuilt =
+        SketchTable::from_entries(3, entries, threads);
+    const FlatSketchIndex& a = serial.flat();
+    const FlatSketchIndex& b = rebuilt.flat();
+    EXPECT_EQ(a.key_count(), b.key_count());
+    EXPECT_TRUE(std::ranges::equal(a.slots(), b.slots()));
+    EXPECT_TRUE(std::ranges::equal(a.bases(), b.bases()));
+    EXPECT_TRUE(std::ranges::equal(a.masks(), b.masks()));
+    EXPECT_TRUE(std::ranges::equal(a.subjects(), b.subjects()));
   }
 }
 
@@ -142,11 +131,11 @@ TEST(FlatSketchIndex, AdversarialKeysCollidingInLowBits) {
   // Keys equal modulo a small power of two all hash to nearby home slots
   // only if mix64 fails to spread them; either way linear probing must
   // resolve every key.
-  SketchTable table(1);
+  std::vector<SketchEntry> entries;
   for (std::uint64_t i = 0; i < 256; ++i) {
-    table.insert(0, i << 32, static_cast<io::SeqId>(i));
+    entries.push_back({i << 32, 0, static_cast<io::SeqId>(i)});
   }
-  table.freeze();
+  const SketchTable table = SketchTable::from_entries(1, entries);
   const FlatSketchIndex& index = table.flat();
   for (std::uint64_t i = 0; i < 256; ++i) {
     const auto postings = index.lookup(0, i << 32);

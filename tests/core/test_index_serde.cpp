@@ -108,7 +108,8 @@ TEST_F(IndexSerdeTest, SaveLoadProducesBitIdenticalMappings) {
 
   SketchTable loaded =
       deserialize_index(bytes, params_, SketchScheme::kJem, subjects_);
-  EXPECT_TRUE(loaded.frozen());  // query-ready without freeze()
+  // Query-ready as loaded: the flat index came from the artifact.
+  EXPECT_EQ(loaded.flat().key_count(), loaded.key_count());
 
   const JemMapper reloaded(subjects_, params_, SketchScheme::kJem,
                            std::move(loaded));
@@ -139,15 +140,6 @@ TEST_F(IndexSerdeTest, SaveThenLoadFromDiskRoundTrips) {
                            std::move(loaded));
   EXPECT_EQ(reloaded.map_reads(reads_), fresh.map_reads(reads_));
   std::remove(path.c_str());
-}
-
-TEST_F(IndexSerdeTest, UnfrozenTableRefusesToSerialize) {
-  const HashFamily hashes(params_.trials, params_.seed);
-  SketchTable unfrozen = sketch_subjects(subjects_, 0, subjects_.size(),
-                                         params_, SketchScheme::kJem, hashes);
-  EXPECT_THROW((void)serialize_index(unfrozen, params_, SketchScheme::kJem,
-                                     subjects_),
-               std::logic_error);
 }
 
 TEST_F(IndexSerdeTest, MissingFileIsOpenFailed) {

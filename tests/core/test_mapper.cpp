@@ -149,9 +149,10 @@ TEST_F(MapperTest, ToMappingLinesResolvesNames) {
 
 TEST_F(MapperTest, AdoptedTableMatchesBuiltTable) {
   const HashFamily hashes(params_.trials, params_.seed);
-  SketchTable table = sketch_subjects(
-      subjects_, 0, static_cast<io::SeqId>(subjects_.size()), params_,
-      SketchScheme::kJem, hashes);
+  SketchTable table = SketchTable::from_entries(
+      params_.trials,
+      sketch_subjects(subjects_, 0, static_cast<io::SeqId>(subjects_.size()),
+                      params_, SketchScheme::kJem, hashes));
   const JemMapper adopted(subjects_, params_, SketchScheme::kJem,
                           std::move(table));
   const JemMapper built(subjects_, params_);
@@ -437,16 +438,18 @@ TEST_F(MapperTest, TopXReusesScratchAcrossCalls) {
 }
 
 TEST_F(MapperTest, AdoptedTableIsFrozenForTheHotPath) {
-  // The table-adopting constructor must freeze a mutable table so the
-  // flat index exists; results agree with the self-sketching constructor.
+  // A table built on several threads is adopted as is: its flat index is
+  // already there, and results agree with the self-sketching constructor.
   const HashFamily hashes(params_.trials, params_.seed);
-  SketchTable table = sketch_subjects(
-      subjects_, 0, static_cast<io::SeqId>(subjects_.size()), params_,
-      SketchScheme::kJem, hashes);
-  EXPECT_FALSE(table.frozen());
+  SketchTable table = SketchTable::from_entries(
+      params_.trials,
+      sketch_subjects(subjects_, 0, static_cast<io::SeqId>(subjects_.size()),
+                      params_, SketchScheme::kJem, hashes, 3),
+      3);
   const JemMapper adopted(subjects_, params_, SketchScheme::kJem,
                           std::move(table));
-  EXPECT_TRUE(adopted.table().frozen());
+  EXPECT_GT(adopted.table().flat().key_count(), 0u);
+  EXPECT_EQ(adopted.table().flat().key_count(), adopted.table().key_count());
   const JemMapper fresh(subjects_, params_);
   const std::string segment = genome_.substr(20'500, 1000);
   EXPECT_EQ(adopted.map_segment(segment), fresh.map_segment(segment));

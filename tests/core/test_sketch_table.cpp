@@ -3,12 +3,66 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "core/mapper.hpp"
+#include "util/prng.hpp"
 
 namespace jem::core {
 namespace {
 
+/// The reference S: an ordered map from (trial, kmer) to the subject set.
+using Oracle = std::map<std::pair<int, KmerCode>, std::set<io::SeqId>>;
+
+Oracle oracle_of(std::span<const SketchEntry> entries) {
+  Oracle oracle;
+  for (const SketchEntry& entry : entries) {
+    oracle[{static_cast<int>(entry.trial), entry.kmer}].insert(entry.subject);
+  }
+  return oracle;
+}
+
+/// Asserts that `table` holds exactly the oracle's contents, through both
+/// the CSR lookup and the flat index.
+void expect_matches_oracle(const SketchTable& table, const Oracle& oracle) {
+  std::size_t entries = 0;
+  for (const auto& [key, subjects] : oracle) {
+    const auto [trial, kmer] = key;
+    const std::vector<io::SeqId> want(subjects.begin(), subjects.end());
+    const auto csr = table.lookup(trial, kmer);
+    const auto flat = table.flat().lookup(trial, kmer);
+    EXPECT_EQ(std::vector<io::SeqId>(csr.begin(), csr.end()), want)
+        << "trial " << trial << " kmer " << kmer;
+    EXPECT_EQ(std::vector<io::SeqId>(flat.begin(), flat.end()), want)
+        << "trial " << trial << " kmer " << kmer;
+    entries += subjects.size();
+  }
+  EXPECT_EQ(table.size(), entries);
+  EXPECT_EQ(table.key_count(), oracle.size());
+  EXPECT_EQ(table.flat().key_count(), oracle.size());
+}
+
+/// `count` random entries over small key/subject pools (so postings and
+/// duplicate triples occur), in random order.
+std::vector<SketchEntry> random_entries(std::uint64_t seed, int trials,
+                                        std::size_t count) {
+  util::Xoshiro256ss rng(seed);
+  std::vector<SketchEntry> entries(count);
+  for (SketchEntry& entry : entries) {
+    entry = {rng.bounded(97),
+             static_cast<std::uint32_t>(
+                 rng.bounded(static_cast<std::uint64_t>(trials))),
+             static_cast<io::SeqId>(rng.bounded(23))};
+  }
+  return entries;
+}
+
 TEST(SketchTable, RejectsNonPositiveTrials) {
   EXPECT_THROW(SketchTable(0), std::invalid_argument);
+  EXPECT_THROW((void)SketchTable::from_entries(0, {}), std::invalid_argument);
 }
 
 TEST(SketchTable, StartsEmpty) {
@@ -17,84 +71,102 @@ TEST(SketchTable, StartsEmpty) {
   EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.key_count(), 0u);
   EXPECT_TRUE(table.lookup(0, 123).empty());
+  EXPECT_TRUE(table.flat().lookup(4, 123).empty());
 }
 
 TEST(SketchTable, InsertAndLookupSingleEntry) {
-  SketchTable table(3);
-  table.insert(1, 0xdeadu, 7);
+  const std::vector<SketchEntry> entries{{0xdeadu, 1, 7}};
+  const SketchTable table = SketchTable::from_entries(3, entries);
   const auto subjects = table.lookup(1, 0xdeadu);
   ASSERT_EQ(subjects.size(), 1u);
   EXPECT_EQ(subjects[0], 7u);
   EXPECT_TRUE(table.lookup(0, 0xdeadu).empty());  // other trials unaffected
   EXPECT_TRUE(table.lookup(2, 0xdeadu).empty());
+  expect_matches_oracle(table, oracle_of(entries));
 }
 
 TEST(SketchTable, CollapsesDuplicateTriples) {
-  SketchTable table(2);
-  table.insert(0, 42, 1);
-  table.insert(0, 42, 1);
-  table.insert(0, 42, 1);
+  const std::vector<SketchEntry> entries{{42, 0, 1}, {42, 0, 1}, {42, 0, 1}};
+  const SketchTable table = SketchTable::from_entries(2, entries);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.lookup(0, 42).size(), 1u);
+  expect_matches_oracle(table, oracle_of(entries));
 }
 
 TEST(SketchTable, CollapsesOutOfOrderDuplicates) {
-  SketchTable table(1);
-  table.insert(0, 42, 1);
-  table.insert(0, 42, 5);
-  table.insert(0, 42, 1);  // out-of-order duplicate
+  const std::vector<SketchEntry> entries{
+      {42, 0, 1}, {42, 0, 5}, {42, 0, 1}};  // out-of-order duplicate
+  const SketchTable table = SketchTable::from_entries(1, entries);
   EXPECT_EQ(table.size(), 2u);
+  expect_matches_oracle(table, oracle_of(entries));
 }
 
 TEST(SketchTable, KeepsDistinctSubjectsPerKey) {
-  SketchTable table(1);
-  table.insert(0, 42, 1);
-  table.insert(0, 42, 2);
-  table.insert(0, 42, 3);
+  const std::vector<SketchEntry> entries{{42, 0, 3}, {42, 0, 1}, {42, 0, 2}};
+  const SketchTable table = SketchTable::from_entries(1, entries);
   const auto subjects = table.lookup(0, 42);
   ASSERT_EQ(subjects.size(), 3u);
-  EXPECT_EQ(subjects[0], 1u);
+  EXPECT_EQ(subjects[0], 1u);  // postings come out sorted by subject
   EXPECT_EQ(subjects[2], 3u);
 }
 
 TEST(SketchTable, InsertSketchInsertsAllTrials) {
-  Sketch sketch;
-  sketch.per_trial = {{10, 20}, {30}};
-  SketchTable table(2);
-  table.insert(sketch, 9);
-  EXPECT_EQ(table.size(), 3u);
-  EXPECT_EQ(table.lookup(0, 10).size(), 1u);
-  EXPECT_EQ(table.lookup(0, 20).size(), 1u);
-  EXPECT_EQ(table.lookup(1, 30).size(), 1u);
+  // sketch_subjects emits every (trial, kmer) of each subject's sketch, and
+  // the table built from the list finds each of them.
+  util::Xoshiro256ss rng(4);
+  std::string bases(3000, 'A');
+  for (char& c : bases) c = "ACGT"[rng.bounded(4)];
+  io::SequenceSet subjects;
+  subjects.add("s", bases);
+  const MapParams params =
+      MapParams::make().k(15).window(10).trials(4).segment_length(500).build();
+  const HashFamily hashes(params.trials, params.seed);
+  const Sketch sketch =
+      make_sketch(bases, params, SketchScheme::kJem, hashes);
+
+  const std::vector<SketchEntry> entries = sketch_subjects(
+      subjects, 0, 1, params, SketchScheme::kJem, hashes);
+  EXPECT_EQ(entries.size(), sketch.total_entries());
+  const SketchTable table = SketchTable::from_entries(params.trials, entries);
+  EXPECT_EQ(table.size(), sketch.total_entries());
+  for (int t = 0; t < params.trials; ++t) {
+    ASSERT_FALSE(sketch.per_trial[static_cast<std::size_t>(t)].empty());
+    for (const KmerCode kmer : sketch.per_trial[static_cast<std::size_t>(t)]) {
+      ASSERT_EQ(table.lookup(t, kmer).size(), 1u);
+      EXPECT_EQ(table.lookup(t, kmer)[0], 0u);
+    }
+  }
 }
 
 TEST(SketchTable, InsertSketchRejectsTrialMismatch) {
-  Sketch sketch;
-  sketch.per_trial = {{1}};
-  SketchTable table(2);
-  EXPECT_THROW(table.insert(sketch, 0), std::invalid_argument);
+  io::SequenceSet subjects;
+  subjects.add("s", "ACGTACGTACGTACGTACGTACGT");
+  const MapParams params = MapParams::make().trials(2).build();
+  const HashFamily hashes(1, params.seed);
+  EXPECT_THROW((void)sketch_subjects(subjects, 0, 1, params,
+                                     SketchScheme::kJem, hashes),
+               std::invalid_argument);
 }
 
 TEST(SketchTable, EntriesRoundTrip) {
-  SketchTable table(3);
-  table.insert(0, 100, 1);
-  table.insert(0, 100, 2);
-  table.insert(1, 200, 3);
-  table.insert(2, 300, 1);
+  const std::vector<SketchEntry> entries{
+      {100, 0, 1}, {100, 0, 2}, {200, 1, 3}, {300, 2, 1}};
+  const SketchTable table = SketchTable::from_entries(3, entries);
+  EXPECT_EQ(table.to_entries().size(), 4u);
 
-  const auto entries = table.to_entries();
-  EXPECT_EQ(entries.size(), 4u);
-
-  const SketchTable rebuilt = SketchTable::from_entries(3, entries);
+  const SketchTable rebuilt = SketchTable::from_entries(3, table.to_entries());
   EXPECT_EQ(rebuilt.size(), table.size());
   EXPECT_EQ(rebuilt.lookup(0, 100).size(), 2u);
   EXPECT_EQ(rebuilt.lookup(1, 200).size(), 1u);
   EXPECT_EQ(rebuilt.lookup(2, 300).size(), 1u);
+  expect_matches_oracle(rebuilt, oracle_of(entries));
 }
 
 TEST(SketchTable, FromEntriesRejectsBadTrial) {
   const std::vector<SketchEntry> entries{{1, 5, 0}};
   EXPECT_THROW((void)SketchTable::from_entries(3, entries),
+               std::invalid_argument);
+  EXPECT_THROW((void)SketchTable::from_entries(3, entries, 4),
                std::invalid_argument);
 }
 
@@ -112,42 +184,61 @@ TEST(SketchTable, FromEntriesMergesMultipleRanksDeduplicated) {
 }
 
 TEST(SketchTable, KeyCountCountsDistinctKeys) {
-  SketchTable table(2);
-  table.insert(0, 1, 0);
-  table.insert(0, 1, 1);  // same key
-  table.insert(0, 2, 0);
-  table.insert(1, 1, 0);  // same kmer, other trial -> distinct key
+  const std::vector<SketchEntry> entries{
+      {1, 0, 0},
+      {1, 0, 1},  // same key
+      {2, 0, 0},
+      {1, 1, 0}};  // same kmer, other trial -> distinct key
+  const SketchTable table = SketchTable::from_entries(2, entries);
   EXPECT_EQ(table.key_count(), 3u);
 }
 
-TEST(SketchTableFrozen, FreezeIsIdempotentAndPreservesLookups) {
-  SketchTable table(2);
-  table.insert(0, 10, 1);
-  table.insert(0, 10, 2);
-  table.insert(1, 20, 3);
-  table.freeze();
-  EXPECT_TRUE(table.frozen());
-  table.freeze();  // idempotent
-  EXPECT_EQ(table.lookup(0, 10).size(), 2u);
-  EXPECT_EQ(table.lookup(1, 20).size(), 1u);
-  EXPECT_TRUE(table.lookup(0, 99).empty());
-  EXPECT_EQ(table.size(), 3u);
-  EXPECT_EQ(table.key_count(), 2u);
-  EXPECT_EQ(table.trials(), 2);
+TEST(SketchTable, FromEntriesMatchesMapOracleAtEveryThreadCount) {
+  const std::vector<SketchEntry> entries = random_entries(5, 6, 4000);
+  const Oracle oracle = oracle_of(entries);
+  const SketchTable serial = SketchTable::from_entries(6, entries);
+  expect_matches_oracle(serial, oracle);
+  for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
+    const SketchTable table = SketchTable::from_entries(6, entries, threads);
+    expect_matches_oracle(table, oracle);
+    for (int t = 0; t < 6; ++t) {
+      EXPECT_EQ(table.frozen_trial(t).keys, serial.frozen_trial(t).keys);
+      EXPECT_EQ(table.frozen_trial(t).offsets,
+                serial.frozen_trial(t).offsets);
+      EXPECT_EQ(table.frozen_trial(t).subjects,
+                serial.frozen_trial(t).subjects);
+    }
+  }
 }
 
-TEST(SketchTableFrozen, InsertThrowsAfterFreeze) {
-  SketchTable table(1);
-  table.freeze();
-  EXPECT_THROW(table.insert(0, 1, 0), std::logic_error);
+TEST(SketchTableFrozen, FreezeIsIdempotentAndPreservesLookups) {
+  // Building again from a built table's own entries — the old "freeze an
+  // already-frozen table" — reproduces it array for array.
+  const std::vector<SketchEntry> entries{{10, 0, 1}, {10, 0, 2}, {20, 1, 3}};
+  const SketchTable table = SketchTable::from_entries(2, entries);
+  const SketchTable again = SketchTable::from_entries(2, table.to_entries());
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_EQ(again.frozen_trial(t).keys, table.frozen_trial(t).keys);
+    EXPECT_EQ(again.frozen_trial(t).offsets, table.frozen_trial(t).offsets);
+    EXPECT_EQ(again.frozen_trial(t).subjects, table.frozen_trial(t).subjects);
+  }
+  EXPECT_TRUE(std::ranges::equal(again.flat().slots(), table.flat().slots()));
+  EXPECT_EQ(again.lookup(0, 10).size(), 2u);
+  EXPECT_EQ(again.lookup(1, 20).size(), 1u);
+  EXPECT_TRUE(again.lookup(0, 99).empty());
+  EXPECT_EQ(again.size(), 3u);
+  EXPECT_EQ(again.key_count(), 2u);
+  EXPECT_EQ(again.trials(), 2);
 }
 
 TEST(SketchTableFrozen, FromEntriesProducesFrozenTable) {
+  // Already query-ready: the flat index exists and agrees with the CSR.
   const std::vector<SketchEntry> entries{{5, 0, 1}, {5, 0, 2}, {7, 0, 0}};
   const SketchTable table = SketchTable::from_entries(1, entries);
-  EXPECT_TRUE(table.frozen());
+  EXPECT_EQ(table.flat().trials(), 1);
   EXPECT_EQ(table.lookup(0, 5).size(), 2u);
   EXPECT_EQ(table.lookup(0, 7).size(), 1u);
+  expect_matches_oracle(table, oracle_of(entries));
 }
 
 TEST(SketchTableFrozen, FromEntriesCollapsesDuplicateTriples) {
@@ -158,43 +249,28 @@ TEST(SketchTableFrozen, FromEntriesCollapsesDuplicateTriples) {
 }
 
 TEST(SketchTableFrozen, FrozenAndHashFormsAgreeOnRandomData) {
-  // Property: lookups through the hash form and the frozen form of the
-  // same contents must be identical sets.
-  std::uint64_t state = 7;
-  const auto next = [&state] {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return state >> 16;
-  };
-  SketchTable hash_form(4);
-  std::vector<SketchEntry> entries;
-  for (int i = 0; i < 2000; ++i) {
-    const SketchEntry entry{next() % 97, static_cast<std::uint32_t>(next() % 4),
-                            static_cast<io::SeqId>(next() % 23)};
-    hash_form.insert(static_cast<int>(entry.trial), entry.kmer, entry.subject);
-    entries.push_back(entry);
-  }
-  const SketchTable frozen_form = SketchTable::from_entries(4, entries);
-  for (std::uint64_t kmer = 0; kmer < 97; ++kmer) {
+  // Property: the CSR form, the flat hash form and the map oracle hold the
+  // same sets, and absent keys miss everywhere.
+  const std::vector<SketchEntry> entries = random_entries(7, 4, 2000);
+  const Oracle oracle = oracle_of(entries);
+  const SketchTable table = SketchTable::from_entries(4, entries);
+  expect_matches_oracle(table, oracle);
+  for (std::uint64_t kmer = 0; kmer < 120; ++kmer) {
     for (int t = 0; t < 4; ++t) {
-      auto a = hash_form.lookup(t, kmer);
-      auto b = frozen_form.lookup(t, kmer);
-      std::vector<io::SeqId> va(a.begin(), a.end());
-      std::vector<io::SeqId> vb(b.begin(), b.end());
-      std::sort(va.begin(), va.end());
-      std::sort(vb.begin(), vb.end());
-      EXPECT_EQ(va, vb) << "kmer " << kmer << " trial " << t;
+      const bool present = oracle.contains({t, kmer});
+      EXPECT_EQ(!table.lookup(t, kmer).empty(), present);
+      EXPECT_EQ(!table.flat().lookup(t, kmer).empty(), present);
     }
   }
 }
 
 TEST(SketchTableFrozen, ToEntriesRoundTripsThroughFrozenForm) {
-  SketchTable table(2);
-  table.insert(0, 100, 1);
-  table.insert(1, 200, 2);
-  table.freeze();
-  const auto entries = table.to_entries();
-  EXPECT_EQ(entries.size(), 2u);
-  const SketchTable rebuilt = SketchTable::from_entries(2, entries);
+  const std::vector<SketchEntry> entries{{200, 1, 2}, {100, 0, 1}};
+  const SketchTable table = SketchTable::from_entries(2, entries);
+  const auto round = table.to_entries();
+  ASSERT_EQ(round.size(), 2u);
+  EXPECT_EQ(round[0], (SketchEntry{100, 0, 1}));  // (trial, kmer) order
+  const SketchTable rebuilt = SketchTable::from_entries(2, round);
   EXPECT_EQ(rebuilt.lookup(0, 100).size(), 1u);
   EXPECT_EQ(rebuilt.lookup(1, 200).size(), 1u);
 }

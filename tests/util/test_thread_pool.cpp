@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace jem::util {
@@ -108,6 +110,37 @@ TEST(ParallelForBlocks, EmptyRangeIsANoop) {
   parallel_for_blocks(pool, 5, 5, 4,
                       [&](std::size_t, std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ParallelForEach, RunsEveryIndexOnceWithOrWithoutAPool) {
+  ThreadPool pool(3);
+  for (ThreadPool* workers : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    std::vector<std::atomic<int>> hits(17);
+    parallel_for_each(workers, hits.size(),
+                      [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+  }
+}
+
+TEST(ParallelForEach, WaitsForEveryTaskBeforeRethrowing) {
+  // Tasks use the caller's stack: a failure must not unwind it while
+  // other tasks still run.
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for_each(&pool, 8,
+                                 [&](std::size_t i) {
+                                   if (i == 0) throw std::runtime_error("x");
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(20));
+                                   finished.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 7);
+}
+
+TEST(DefaultThreads, ZeroMeansEveryHardwareThread) {
+  EXPECT_EQ(default_threads(3), 3u);
+  EXPECT_GE(default_threads(0), 1u);
 }
 
 }  // namespace
