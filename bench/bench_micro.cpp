@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -558,6 +560,91 @@ void BM_GzipRoundTrip(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_GzipRoundTrip);
+
+// BM_GzipDecompress / BM_ReadFileAuto: the query input path (docs/perf.md
+// "Input path") on ~40 MB of synthetic FASTQ deflated at level 6, as one
+// member (gzip, make_dataset) or as four (perfbench's generator, bgzip-like
+// writers). Members inflate on a pool: timed on the wall clock.
+struct GzipFixture {
+  std::string text;
+  std::string one_member;
+  std::string four_members;
+  std::filesystem::path one_member_file;
+  std::filesystem::path four_members_file;
+
+  GzipFixture() {
+    util::Xoshiro256ss rng(29);
+    for (std::size_t read = 0; text.size() < 40'000'000; ++read) {
+      const std::size_t length = 2'000 + rng.bounded(16'000);
+      text += "@read" + std::to_string(read) + "\n" +
+              random_dna(rng(), length) + "\n+\n" +
+              std::string(length, 'I') + "\n";
+    }
+    one_member = io::gzip_compress(text, 6);
+    const std::size_t quarter = text.size() / 4;
+    for (std::size_t part = 0; part < 4; ++part) {
+      four_members += io::gzip_compress(
+          std::string_view(text).substr(part * quarter,
+                                        part == 3 ? std::string::npos
+                                                  : quarter),
+          6);
+    }
+    const std::filesystem::path dir = std::filesystem::temp_directory_path();
+    one_member_file = dir / "jem_bench_reads_1.fq.gz";
+    four_members_file = dir / "jem_bench_reads_4.fq.gz";
+    std::ofstream(one_member_file, std::ios::binary) << one_member;
+    std::ofstream(four_members_file, std::ios::binary) << four_members;
+  }
+  GzipFixture(const GzipFixture&) = delete;
+  GzipFixture& operator=(const GzipFixture&) = delete;
+  ~GzipFixture() {
+    std::error_code ignored;
+    std::filesystem::remove(one_member_file, ignored);
+    std::filesystem::remove(four_members_file, ignored);
+  }
+};
+
+const GzipFixture& gzip_fixture() {
+  static const GzipFixture fixture;
+  return fixture;
+}
+
+void BM_GzipDecompress(benchmark::State& state) {
+  const GzipFixture& fx = gzip_fixture();
+  const std::string& data =
+      state.range(0) == 1 ? fx.one_member : fx.four_members;
+  for (auto _ : state) {
+    const std::string text = io::gzip_decompress(data);
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fx.text.size()));
+}
+BENCHMARK(BM_GzipDecompress)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_ReadFileAuto(benchmark::State& state) {
+  const GzipFixture& fx = gzip_fixture();
+  const std::string path = (state.range(0) == 1 ? fx.one_member_file
+                                                : fx.four_members_file)
+                               .string();
+  for (auto _ : state) {
+    const std::string text = io::read_file_auto(path);
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fx.text.size()));
+}
+BENCHMARK(BM_ReadFileAuto)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_Allgatherv(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));

@@ -3,13 +3,17 @@
 #include <zlib.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
+#include <system_error>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/huge_pages.hpp"
 #include "util/thread_pool.hpp"
 
 namespace jem::io {
@@ -47,13 +51,26 @@ GzipReason classify_data_error(const char* msg) noexcept {
 // the step size is part of which GzipReason an input gets: it stays the
 // 64 KiB the decoder has always used.
 constexpr std::size_t kStep = std::size_t{1} << 16;
-// Output reserved for a member decoded into its own buffer, per input byte
-// up to the candidate start after the next one (the next may be a false
-// candidate inside the member). It is above the usual gzip ratio, so the
-// buffer is allocated once instead of grown through a chain of copies that
-// would raise the peak memory; it is bounded by the input, never by a
-// trailer's claim, and pages that are never written are never touched.
-constexpr std::size_t kReserveRatio = 8;
+// A trailer sizes an output slot only if its ISIZE claims at most this many
+// output bytes per compressed byte since the previous accepted boundary.
+// FASTQ members inflate ~4-7x; a member compressed past the cap is decoded
+// by the stitch instead. The slots then add up to at most 16x the input,
+// whatever the trailers claim.
+constexpr std::size_t kIsizeCap = 16;
+// Its 10-byte header and 8-byte trailer: no member is shorter.
+constexpr std::size_t kMinMember = 18;
+// Read size for a file whose size is unknown (a pipe).
+constexpr std::size_t kReadChunk = std::size_t{1} << 20;
+
+/// Where one member goes, as the trailers lay the output out: the input
+/// [in_begin, in_end) inflates to the output [out_begin, out_begin + size).
+struct Slot {
+  std::size_t in_begin = 0;
+  std::size_t in_end = 0;
+  std::size_t out_begin = 0;
+  std::size_t size = 0;
+  bool placed = false;  // inflated exactly into its place
+};
 
 /// How inflating one member ended.
 struct Member {
@@ -81,7 +98,29 @@ class Inflater {
   Inflater& operator=(const Inflater&) = delete;
   ~Inflater() { inflateEnd(&stream_); }
 
-  /// The one member-decode routine: inflates the member at `data[in]` and
+  /// Inflates the member at `data[slot.in_begin]` into the slot's `size`
+  /// bytes at `out`, reading no input past `slot.in_end`. True when zlib
+  /// ended the member (so its CRC32 and ISIZE matched), the output filled
+  /// the slot exactly and the member ended exactly at `slot.in_end`.
+  bool place(std::string_view data, const Slot& slot, char* out) {
+    if (inflateReset(&stream_) != Z_OK) return false;
+    stream_.next_out = reinterpret_cast<Bytef*>(out);
+    stream_.avail_out = static_cast<uInt>(slot.size);  // an ISIZE: fits
+    std::size_t in = slot.in_begin;
+    int rc = Z_OK;
+    while (rc == Z_OK && in < slot.in_end) {
+      const std::size_t slice = std::min<std::size_t>(
+          slot.in_end - in, std::numeric_limits<uInt>::max());
+      stream_.next_in =
+          reinterpret_cast<Bytef*>(const_cast<char*>(data.data() + in));
+      stream_.avail_in = static_cast<uInt>(slice);
+      rc = inflate(&stream_, Z_NO_FLUSH);
+      in += slice - stream_.avail_in;
+    }
+    return rc == Z_STREAM_END && stream_.avail_out == 0 && in == slot.in_end;
+  }
+
+  /// The stitch's member decoder: inflates the member at `data[in]` and
   /// appends its bytes to `out`, which grows as the member does. Input is
   /// fed in slices zlib's 32-bit counters can hold.
   Member decode(std::string_view data, std::size_t in, std::string& out) {
@@ -148,57 +187,70 @@ std::vector<std::size_t> header_candidates(std::string_view data) {
   return starts;
 }
 
-}  // namespace
-
-std::string gzip_decompress(std::string_view data) {
-  // Speculate: decode from every candidate member start in parallel, each
-  // into its own buffer. A candidate that is really a byte run inside some
-  // member only costs a wasted decode; one input never spawns a thread.
-  const std::vector<std::size_t> starts = header_candidates(data);
-  const std::size_t n = starts.size();
-  std::vector<Member> speculative(n);
-  std::vector<std::string> pieces(n);
-  if (n > 1) {
-    util::ThreadPool pool(std::min(n, util::default_threads(0)));
-    util::parallel_for_blocks(
-        pool, 0, n, n, [&](std::size_t, std::size_t j, std::size_t) {
-          // A member left undone here (say, out of memory) is decoded
-          // again by the stitch, which reports any failure that persists.
-          try {
-            const std::size_t end = j + 2 < n ? starts[j + 2] : data.size();
-            pieces[j].reserve(kReserveRatio * (end - starts[j]));
-            Inflater inflater;
-            speculative[j] = inflater.decode(data, starts[j], pieces[j]);
-          } catch (...) {
-            speculative[j] = Member{};
-          }
-          if (!speculative[j].ended) std::string().swap(pieces[j]);
-        });
+/// The little-endian 32-bit ISIZE that ends at `data[end]`.
+std::size_t isize_before(std::string_view data, std::size_t end) noexcept {
+  std::size_t isize = 0;
+  for (std::size_t i = 1; i <= 4; ++i) {
+    isize = isize << 8 | static_cast<unsigned char>(data[end - i]);
   }
+  return isize;
+}
 
-  // Stitch: walk the real member chain from offset 0. A member whose
-  // speculative decode ended cleanly is appended as it is; any other member
-  // is decoded again here, in order, so output and errors are those of a
-  // serial decode.
+/// Lays the output out from the member trailers. Walking the candidates
+/// left to right, one becomes a boundary only if the four bytes before it
+/// are a plausible ISIZE for a member ending there; the last member's
+/// ISIZE is the input's last four bytes. A member the rule cannot size
+/// gets no slot, and the slots then end before the input does.
+std::vector<Slot> layout(std::string_view data) {
+  std::vector<Slot> slots;
+  const std::vector<std::size_t> starts = header_candidates(data);
+  if (starts.empty() || starts.front() != 0) return slots;
+  std::size_t begin = 0;
+  std::size_t out = 0;
+  const auto close = [&](std::size_t end) {
+    if (end - begin < kMinMember) return;
+    const std::size_t size = isize_before(data, end);
+    if (size > kIsizeCap * (end - begin)) return;
+    slots.push_back({begin, end, out, size});
+    begin = end;
+    out += size;
+  };
+  for (std::size_t k = 1; k < starts.size(); ++k) close(starts[k]);
+  close(data.size());
+  return slots;
+}
+
+/// Walks the real member chain from offset 0, as a serial decode does. A
+/// member whose slot was placed is copied from `laid`; any other member is
+/// decoded again here, in order, so output and errors are those of the
+/// serial decoder.
+std::string stitch(std::string_view data, const std::vector<Slot>& slots,
+                   std::string_view laid) {
+  obs::Registry& registry = obs::default_registry();
+  obs::Counter& serial_members = registry.counter("io.gzip.serial_members");
+  obs::Counter& copied_bytes =
+      registry.counter("io.gzip.copied_bytes", obs::Unit::kBytes);
   std::string out;
-  std::size_t decoded = 0;
-  for (const std::string& piece : pieces) decoded += piece.size();
-  out.reserve(decoded);
+  std::size_t placed = 0;
+  for (const Slot& slot : slots) placed += slot.placed ? slot.size : 0;
+  out.reserve(placed);
   Inflater inflater;
   std::size_t in = 0;
-  std::size_t next = 0;  // first candidate at or past `in`
+  std::size_t next = 0;  // first slot at or past `in`
   for (;;) {
-    while (next < n && starts[next] < in) std::string().swap(pieces[next++]);
-    Member member;
-    if (next < n && starts[next] == in && speculative[next].ended) {
-      member = std::move(speculative[next]);
-      out += pieces[next];
-      std::string().swap(pieces[next]);
+    while (next < slots.size() && slots[next].in_begin < in) ++next;
+    if (next < slots.size() && slots[next].in_begin == in &&
+        slots[next].placed) {
+      const Slot& slot = slots[next];
+      out.append(laid.substr(slot.out_begin, slot.size));
+      copied_bytes.add(slot.size);
+      in = slot.in_end;
     } else {
-      member = inflater.decode(data, in, out);
+      serial_members.add(1);
+      const Member member = inflater.decode(data, in, out);
       if (!member.ended) throw GzipError(member.reason, member.detail);
+      in = member.in_end;
     }
-    in = member.in_end;
     if (in == data.size()) break;  // clean end of the last member
     if (!is_gzip(data.substr(in))) {
       throw GzipError(GzipReason::kTrailingGarbage,
@@ -206,8 +258,57 @@ std::string gzip_decompress(std::string_view data) {
                           " bytes after the final gzip member");
     }
   }
+  return out;
+}
 
+}  // namespace
+
+std::string gzip_decompress(std::string_view data) {
   obs::Registry& registry = obs::default_registry();
+  // The stitch's counters, listed at 0 when every member lands in its slot.
+  registry.counter("io.gzip.serial_members").add(0);
+  registry.counter("io.gzip.copied_bytes", obs::Unit::kBytes).add(0);
+
+  // One output buffer, laid out from the trailers, each member inflated
+  // straight into its slot: one pool task per slot, or the calling thread
+  // for a single member. The buffer is zero-filled on one thread, on huge
+  // pages where the kernel grants them.
+  std::vector<Slot> slots = layout(data);
+  const std::size_t total =
+      slots.empty() ? 0 : slots.back().out_begin + slots.back().size;
+  std::string out;
+  out.reserve(total);
+  util::hint_huge_pages(out.data(), total);
+  out.resize(total);
+  {
+    std::optional<util::ThreadPool> pool;
+    if (slots.size() > 1) {
+      pool.emplace(std::min(slots.size(), util::default_threads(0)));
+    }
+    util::parallel_for_each(
+        pool ? &*pool : nullptr, slots.size(), [&](std::size_t j) {
+          // A slot left unplaced here (say, zlib could not allocate) is
+          // decoded again by the stitch, which reports any failure that
+          // persists.
+          try {
+            Inflater inflater;
+            slots[j].placed =
+                inflater.place(data, slots[j], out.data() + slots[j].out_begin);
+          } catch (...) {
+          }
+        });
+  }
+
+  // Every slot placed, up to the input's end: the members chain through
+  // the slots, and the buffer is the output. Otherwise the stitch rebuilds
+  // it: a false boundary, a member compressed past the cap, an ISIZE that
+  // wrapped at 4 GiB, or corrupt data.
+  const bool laid_out =
+      !slots.empty() && slots.back().in_end == data.size() &&
+      std::all_of(slots.begin(), slots.end(),
+                  [](const Slot& slot) { return slot.placed; });
+  if (!laid_out) out = stitch(data, slots, out);
+
   registry.counter("io.gzip.streams").add(1);
   registry.counter("io.gzip.in_bytes", obs::Unit::kBytes).add(data.size());
   registry.counter("io.gzip.out_bytes", obs::Unit::kBytes).add(out.size());
@@ -256,9 +357,23 @@ std::string gzip_compress(std::string_view data, int level) {
 std::string read_file_auto(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open file: " + path);
-  std::ostringstream raw;
-  raw << in.rdbuf();
-  std::string data = std::move(raw).str();
+  // A file of known size is one read, which asks for a byte more than the
+  // size so that it meets the end of the file. A pipe (process substitution
+  // such as `<(zcat reads.fq.gz)`) has no size and streams in chunks.
+  std::error_code no_size;
+  const std::uintmax_t size = std::filesystem::file_size(path, no_size);
+  std::size_t want =
+      no_size ? kReadChunk : static_cast<std::size_t>(size) + 1;
+  std::string data;
+  for (;;) {
+    const std::size_t at = data.size();
+    data.resize(at + want);
+    in.read(data.data() + at, static_cast<std::streamsize>(want));
+    data.resize(at + static_cast<std::size_t>(in.gcount()));
+    if (!in) break;
+    want = kReadChunk;
+  }
+  if (in.bad()) throw std::runtime_error("cannot read file: " + path);
   obs::Registry& registry = obs::default_registry();
   registry.counter("io.file.reads").add(1);
   registry.counter("io.file.bytes", obs::Unit::kBytes).add(data.size());

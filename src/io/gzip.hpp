@@ -10,11 +10,15 @@
 // (concatenated .gz, as produced by `cat a.gz b.gz` and bgzip-like tools)
 // decode to the concatenation of their members, matching gzip(1).
 //
-// Members are inflated in parallel, each into its own buffer; an in-order
-// pass then walks the member chain, appends each member's bytes and decodes
-// again, serially, any member the parallel pass could not verify. Output
-// and GzipReason are those of a serial decode, and no buffer is ever sized
-// from a trailer's claim.
+// Members are inflated in parallel straight into one output buffer, laid
+// out from their ISIZE trailers: a header candidate becomes a member
+// boundary only if the four bytes before it claim at most 16 output bytes
+// per compressed byte since the previous boundary, so the buffer never
+// exceeds 16x the input whatever a trailer says. When every member fills
+// its slot exactly and ends at the next boundary, that buffer is the
+// output. Otherwise an in-order pass walks the real member chain, copies
+// each member that landed in its slot and decodes every other one again,
+// serially. Either way output and GzipReason are those of a serial decode.
 #pragma once
 
 #include <stdexcept>
@@ -63,7 +67,8 @@ class GzipError : public std::runtime_error {
 [[nodiscard]] std::string gzip_compress(std::string_view data,
                                         int level = 6);
 
-/// Reads a whole file; transparently decompresses when gzip-compressed.
+/// Reads a whole file, in one read when its size is known; transparently
+/// decompresses when gzip-compressed.
 /// Throws std::runtime_error when the file cannot be opened and GzipError
 /// when it is gzip but corrupt.
 [[nodiscard]] std::string read_file_auto(const std::string& path);

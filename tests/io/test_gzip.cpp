@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/fasta.hpp"
+#include "obs/metrics.hpp"
 #include "util/prng.hpp"
 
 namespace jem::io {
@@ -213,22 +218,113 @@ TEST(GzipMembers, FalseHeaderCandidateInsideStoredMembers) {
   EXPECT_EQ(gzip_decompress(gzip_compress(payloads[0], 0)), payloads[0]);
 }
 
+/// What the stitch did in gzip_decompress calls since construction: members
+/// it decoded serially and bytes it copied out of their slots.
+class StitchCounts {
+ public:
+  [[nodiscard]] std::uint64_t serial_members() const {
+    return serial_.value() - serial_at_start_;
+  }
+  [[nodiscard]] std::uint64_t copied_bytes() const {
+    return copied_.value() - copied_at_start_;
+  }
+
+ private:
+  obs::Counter& serial_ =
+      obs::default_registry().counter("io.gzip.serial_members");
+  obs::Counter& copied_ = obs::default_registry().counter(
+      "io.gzip.copied_bytes", obs::Unit::kBytes);
+  std::uint64_t serial_at_start_ = serial_.value();
+  std::uint64_t copied_at_start_ = copied_.value();
+};
+
+TEST(GzipMembers, CleanMembersLandInTheirSlots) {
+  // Members inflate straight into the buffer laid out from their trailers:
+  // the stitch neither decodes nor copies anything.
+  for (const std::size_t count : {std::size_t{1}, std::size_t{4}}) {
+    std::vector<std::string> payloads;
+    for (std::size_t i = 0; i < count; ++i) {
+      payloads.push_back(payload_text(200'000 + 1'000 * i, 40 + i));
+    }
+    const StitchCounts counts;
+    EXPECT_EQ(gzip_decompress(members_of(payloads)), concat(payloads));
+    EXPECT_EQ(counts.serial_members(), 0u) << count << " members";
+    EXPECT_EQ(counts.copied_bytes(), 0u) << count << " members";
+  }
+}
+
+/// `value` as the four little-endian bytes of an ISIZE trailer.
+std::string le32(std::uint32_t value) {
+  std::string bytes(4, '\0');
+  for (char& byte : bytes) {
+    byte = static_cast<char>(value & 0xff);
+    value >>= 8;
+  }
+  return bytes;
+}
+
 TEST(GzipMembers, WholeMemberStoredInsideAMember) {
   // A valid member stored verbatim inside a level-0 member decodes cleanly
   // from its offset, but is not on the member chain. The four bytes before
-  // it would read as an ISIZE of 4096 or 16.
+  // it read as an ISIZE of 4096, more than 16x the ~220 bytes of the outer
+  // member before it, so it is no boundary. Or they read as 16 or 204,
+  // plausible there: the outer member then splits into two slots. With 204
+  // it fills the first one exactly, and its input ends exactly at the
+  // inner member, but zlib has not ended it. Either way the stitch decodes
+  // it. The stored member is each of members 1-4 in turn.
   const std::string inner = gzip_compress(payload_text(300, 7));
-  for (const std::string& isize : {std::string("\x00\x10\x00\x00", 4),
-                                  std::string("\x10\x00\x00\x00", 4)}) {
-    const std::vector<std::string> payloads = {
-        payload_text(3000, 1),
-        payload_text(200, 8) + isize + inner + payload_text(100, 9),
-        payload_text(3000, 2), payload_text(3000, 3)};
-    const std::string data =
-        gzip_compress(payloads[0]) + gzip_compress(payloads[1], 0) +
-        gzip_compress(payloads[2]) + gzip_compress(payloads[3]);
-    EXPECT_EQ(gzip_decompress(data), concat(payloads));
+  for (const auto& [isize, plausible] :
+       {std::pair{4096u, false}, std::pair{16u, true}, std::pair{204u, true}}) {
+    for (std::size_t stored = 0; stored < 4; ++stored) {
+      std::vector<std::string> payloads = {
+          payload_text(3000, 1), payload_text(3000, 2), payload_text(3000, 3)};
+      payloads.insert(
+          payloads.begin() + static_cast<std::ptrdiff_t>(stored),
+          payload_text(200, 8) + le32(isize) + inner + payload_text(100, 9));
+      std::string data;
+      for (std::size_t i = 0; i < 4; ++i) {
+        data += gzip_compress(payloads[i], i == stored ? 0 : 6);
+      }
+      const StitchCounts counts;
+      EXPECT_EQ(gzip_decompress(data), concat(payloads))
+          << "ISIZE " << isize << ", stored member " << stored + 1;
+      EXPECT_EQ(counts.copied_bytes() > 0, plausible)
+          << "ISIZE " << isize << ", stored member " << stored + 1;
+      EXPECT_EQ(counts.serial_members() > 0, plausible)
+          << "ISIZE " << isize << ", stored member " << stored + 1;
+    }
   }
+}
+
+TEST(GzipMembers, MemberCompressedPastTheCap) {
+  // 1 MB of one repeated FASTQ record deflates ~1000x, past the 16x a
+  // trailer may claim: its end is no boundary, and the stitch decodes it.
+  // The member after it inflates to the same length, so the slot that
+  // spans both is exactly filled by the first, which ends short of it.
+  std::string repeated;
+  while (repeated.size() < 1'000'000) repeated += "@r\nACGTACGT\n+\nIIIIIIII\n";
+  const std::vector<std::string> payloads = {
+      payload_text(30'000, 1), repeated,
+      payload_text(repeated.size(), 2), payload_text(30'000, 3)};
+  const std::string data = members_of(payloads);
+  ASSERT_GT(repeated.size(), 16 * gzip_compress(repeated).size());
+  const StitchCounts counts;
+  EXPECT_EQ(gzip_decompress(data), concat(payloads));
+  EXPECT_GT(counts.serial_members(), 0u);
+  // Alone, it gets no slot at all.
+  EXPECT_EQ(gzip_decompress(gzip_compress(repeated)), repeated);
+}
+
+/// `member` with its ISIZE trailer moved by `delta`.
+std::string shift_isize(std::string member, int delta) {
+  std::uint32_t isize = 0;
+  for (std::size_t i = 1; i <= 4; ++i) {
+    isize = isize << 8 |
+            static_cast<unsigned char>(member[member.size() - i]);
+  }
+  isize += static_cast<std::uint32_t>(delta);
+  member.replace(member.size() - 4, 4, le32(isize));
+  return member;
 }
 
 TEST(GzipMembers, TwoToNineMembersIncludingEmptyOnes) {
@@ -300,6 +396,23 @@ TEST(GzipMembers, ForgedIsizeIsBadLength) {
   EXPECT_EQ(gzip_reason_of(concat(members)), GzipReason::kBadLength);
 }
 
+TEST(GzipMembers, IsizeOffByOneWithinTheCapIsBadLength) {
+  // A slot one byte long or short: zlib's length check fails, or the slot
+  // fills before the member ends. Either way the stitch reports kBadLength.
+  for (const int delta : {-1, 1}) {
+    std::vector<std::string> members = five_members();
+    for (const std::size_t shifted : {std::size_t{1}, std::size_t{4}}) {
+      std::vector<std::string> bad = members;
+      bad[shifted] = shift_isize(bad[shifted], delta);
+      EXPECT_EQ(gzip_reason_of(concat(bad)), GzipReason::kBadLength)
+          << "member " << shifted + 1 << ", ISIZE " << delta;
+    }
+    EXPECT_EQ(gzip_reason_of(shift_isize(members[2], delta)),
+              GzipReason::kBadLength)
+        << "single member, ISIZE " << delta;
+  }
+}
+
 /// Peak resident set of this process so far, in KiB.
 long peak_rss_kib() {
   rusage usage{};
@@ -365,6 +478,44 @@ TEST(GzipMembers, GzipMagicThenGarbageKeepsItsReason) {
             GzipReason::kBadData);
   // A header cut short.
   EXPECT_EQ(gzip_reason_of(all + "\x1f\x8b\x08"), GzipReason::kTruncated);
+}
+
+TEST(Gzip, ReadFileAutoReadsAnEmptyFile) {
+  const std::string path = ::testing::TempDir() + "/jem_empty.txt";
+  { std::ofstream out(path, std::ios::binary); }
+  EXPECT_EQ(read_file_auto(path), "");
+}
+
+/// read_file_auto on a FIFO (no file size) while a thread writes `content`.
+std::string read_through_fifo(const std::string& content) {
+  const std::string path = ::testing::TempDir() + "/jem_fifo";
+  ::unlink(path.c_str());
+  EXPECT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  });
+  std::string read;
+  try {
+    read = read_file_auto(path);
+  } catch (...) {
+    writer.join();
+    throw;
+  }
+  writer.join();
+  ::unlink(path.c_str());
+  return read;
+}
+
+TEST(Gzip, ReadFileAutoStreamsAFifo) {
+  // Plain text over two 1 MiB reads, then three gzip members.
+  const std::string plain = payload_text(1'500'000, 60);
+  EXPECT_EQ(read_through_fifo(plain), plain);
+  const std::vector<std::string> payloads = {payload_text(50'000, 61),
+                                             payload_text(90'000, 62),
+                                             payload_text(20'000, 63)};
+  EXPECT_EQ(read_through_fifo(members_of(payloads)), concat(payloads));
+  EXPECT_EQ(read_through_fifo(""), "");
 }
 
 TEST(Gzip, FastqReaderAcceptsGzippedFiles) {

@@ -159,6 +159,38 @@ std::string gunzip_outcome(const std::string& data) {
   }
 }
 
+/// Hits a gzip input the way trial `trial` of the corruption tests does:
+/// left clean, bytes flipped, cut anywhere, or bytes appended.
+void corrupt_like_trial(std::string& data, int trial,
+                        util::Xoshiro256ss& rng) {
+  switch (trial % 4) {
+    case 0:  // clean
+      break;
+    case 1:  // flipped bytes
+      for (int flips = 0; flips < 1 + static_cast<int>(rng.bounded(3));
+           ++flips) {
+        data[rng.bounded(data.size())] ^=
+            static_cast<char>(1 + rng.bounded(255));
+      }
+      break;
+    case 2:  // cut anywhere
+      data.resize(1 + rng.bounded(data.size()));
+      break;
+    default:  // appended bytes, sometimes led by gzip magic
+      data += (rng.bounded(2) == 0 ? std::string("\x1f\x8b") : "") +
+              random_bytes(rng, rng.bounded(40));
+      break;
+  }
+}
+
+void expect_serial_outcome(const std::string& data, int trial) {
+  const std::string expected = gunzip_reference(data);
+  const std::string actual = gunzip_outcome(data);
+  EXPECT_TRUE(actual == expected)
+      << "trial " << trial << ": expected " << expected.substr(0, 40)
+      << ", got " << actual.substr(0, 40);
+}
+
 TEST(ParserRobustness, MultiMemberGzipMatchesSerialDecoderUnderCorruption) {
   // Random multi-member files — stored and compressed members, empty ones,
   // payloads carrying fake member headers or whole members — hit by byte
@@ -179,29 +211,48 @@ TEST(ParserRobustness, MultiMemberGzipMatchesSerialDecoderUnderCorruption) {
       }
       data += gzip_compress(payload, static_cast<int>(rng.bounded(10)));
     }
-    switch (trial % 4) {
-      case 0:  // clean
-        break;
-      case 1:  // flipped bytes
-        for (int flips = 0; flips < 1 + static_cast<int>(rng.bounded(3));
-             ++flips) {
-          data[rng.bounded(data.size())] ^=
-              static_cast<char>(1 + rng.bounded(255));
+    corrupt_like_trial(data, trial, rng);
+    expect_serial_outcome(data, trial);
+  }
+  // The shapes the trailer-sized layout must see through: a member that
+  // deflates past the 16x an ISIZE may claim, and a fake header or whole
+  // member led by four bytes that read as a plausible ISIZE.
+  util::Xoshiro256ss shapes(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string data;
+    const std::size_t members = 1 + shapes.bounded(6);
+    for (std::size_t m = 0; m < members; ++m) {
+      std::string payload = random_printable(shapes, shapes.bounded(3000));
+      int level = static_cast<int>(shapes.bounded(10));
+      switch (shapes.bounded(3)) {
+        case 0: {  // one record repeated: deflates ~100-1000x
+          const std::string record =
+              "@r" + std::to_string(m) + "\nACGT\n+\nIIII\n";
+          payload.clear();
+          const std::size_t copies = 100 + shapes.bounded(4000);
+          for (std::size_t i = 0; i < copies; ++i) payload += record;
+          level = 1 + static_cast<int>(shapes.bounded(9));
+          break;
         }
-        break;
-      case 2:  // cut anywhere
-        data.resize(1 + rng.bounded(data.size()));
-        break;
-      default:  // appended bytes, sometimes led by gzip magic
-        data += (rng.bounded(2) == 0 ? std::string("\x1f\x8b") : "") +
-                random_bytes(rng, rng.bounded(40));
-        break;
+        case 1: {  // plausible ISIZE, then a fake header or a whole member
+          std::string isize(4, '\0');
+          isize[0] = static_cast<char>(shapes.bounded(256));
+          isize[1] = static_cast<char>(shapes.bounded(2));
+          payload.insert(shapes.bounded(payload.size() + 1),
+                         isize + (shapes.bounded(2) == 0
+                                      ? fake
+                                      : gzip_compress(random_printable(
+                                            shapes, shapes.bounded(200)))));
+          level = shapes.bounded(2) == 0 ? 0 : level;
+          break;
+        }
+        default:
+          break;
+      }
+      data += gzip_compress(payload, level);
     }
-    const std::string expected = gunzip_reference(data);
-    const std::string actual = gunzip_outcome(data);
-    EXPECT_TRUE(actual == expected)
-        << "trial " << trial << ": expected "
-        << expected.substr(0, 40) << ", got " << actual.substr(0, 40);
+    corrupt_like_trial(data, trial, shapes);
+    expect_serial_outcome(data, 300 + trial);
   }
 }
 
