@@ -129,24 +129,6 @@ void BM_ClassicMinhash(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassicMinhash);
 
-void BM_SketchTableLookup(benchmark::State& state) {
-  util::Xoshiro256ss rng(11);
-  std::vector<core::SketchEntry> entries(10'000);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    entries[i] = {rng(), static_cast<std::uint32_t>(i % 30),
-                  static_cast<io::SeqId>(i % 97)};
-  }
-  const core::SketchTable table = core::SketchTable::from_entries(30, entries);
-  for (auto _ : state) {
-    for (const core::SketchEntry& entry : entries) {
-      benchmark::DoNotOptimize(
-          table.lookup(static_cast<int>(entry.trial), entry.kmer));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_SketchTableLookup);
-
 void BM_MapSegment(benchmark::State& state) {
   const std::string genome = random_dna(12, 200'000);
   io::SequenceSet subjects;
@@ -213,9 +195,10 @@ BENCHMARK(BM_EngineMapReads)
     ->UseRealTime();
 
 // ---- Query hot-path benches -------------------------------------------
-// The BM_Hotpath* family quantifies the flat-index + scratch-reuse query
-// path against the pre-overhaul CSR + allocating path at the paper's
-// parameters (k=16, w=100, T=30, l=1000). scripts/bench_hotpath.sh runs
+// The BM_Hotpath* family quantifies the scratch-reuse, batched-probe query
+// path against the pre-overhaul allocating path (deque sketch kernel,
+// single-key lookups) at the paper's parameters (k=16, w=100, T=30,
+// l=1000). scripts/bench_hotpath.sh runs
 // exactly this family and records the speedups in BENCH_hotpath.json.
 
 struct HotpathData {
@@ -283,19 +266,6 @@ const HotpathIndexData& hotpath_index_data() {
   static const HotpathIndexData data;
   return data;
 }
-
-void BM_HotpathCsrLookup(benchmark::State& state) {
-  const HotpathIndexData& data = hotpath_index_data();
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < data.queries.size(); ++i) {
-      benchmark::DoNotOptimize(
-          data.table.lookup(static_cast<int>(i % 30), data.queries[i]));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.queries.size()));
-}
-BENCHMARK(BM_HotpathCsrLookup);
 
 void BM_HotpathFlatIndexLookup(benchmark::State& state) {
   const HotpathIndexData& data = hotpath_index_data();
@@ -704,7 +674,7 @@ std::vector<core::SketchEntry> fixture_entries(const IndexLoadFixture& fx,
 
 // The whole build on state.range(0) threads (the JemMapper constructor uses
 // every hardware thread), then its two layers: S2 (sketch_subjects) and the
-// sort + CSR + flat build (SketchTable::from_entries). Pool-based: timed on
+// per-trial sort + flat build (SketchTable::from_entries). Pool-based: timed on
 // the wall clock.
 void BM_IndexLoadBuildFromFasta(benchmark::State& state) {
   const IndexLoadFixture& fx = index_load_fixture();

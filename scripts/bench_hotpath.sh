@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Quantifies the allocation-free query hot path (flat hash sketch index +
-# reusable sketch scratch) against the pre-overhaul CSR + allocating path.
+# Quantifies the allocation-free query hot path (reusable sketch scratch +
+# batched, prefetched flat-index probes) against the pre-overhaul
+# allocating path (deque sketch kernel, one single-key lookup per k-mer).
 #
 # Runs the BM_Hotpath* family of bench_micro in the Release build with
 # repetitions, keeps the median of each series, and writes a summary JSON
@@ -62,16 +63,13 @@ def speedup(baseline, fast):
     return medians[baseline]["cpu_time_ns"] / medians[fast]["cpu_time_ns"]
 
 speedups = {
-    # Single-key probe: frozen-CSR binary search vs flat hash index.
-    "lookup_flat_vs_csr":
-        speedup("BM_HotpathCsrLookup", "BM_HotpathFlatIndexLookup"),
     # Segment sketching: pre-overhaul deque kernel vs reusable scratch.
     "sketch_scratch_vs_reference":
         speedup("BM_HotpathSketchReference", "BM_HotpathSketchScratch"),
     # Segment sketching: current allocating API vs reusable scratch.
     "sketch_scratch_vs_alloc":
         speedup("BM_HotpathSketchAlloc", "BM_HotpathSketchScratch"),
-    # End-to-end query mapping: pre-overhaul CSR+alloc path vs hot path.
+    # End-to-end query mapping: pre-overhaul alloc path vs hot path.
     "map_segment_hot_vs_reference":
         speedup("BM_HotpathMapSegmentReference", "BM_HotpathMapSegment"),
 }

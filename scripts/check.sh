@@ -186,6 +186,19 @@ echo "serve chaos smoke: ok"
 cmp /tmp/jem_check_shim.tsv /tmp/jem_check_sub.tsv
 echo "shim golden: byte-identical"
 
+# Index save/load round trip (docs/persistence.md): a demo run that saves
+# the index and one that loads it must write byte-identical mappings, and
+# the second run must say it loaded the artifact — a loader that rejected
+# every artifact would fall back to a rebuild and still match.
+./build/examples/jem_map --demo --save-index /tmp/jem_check.jemidx \
+  --output /tmp/jem_check_save.tsv
+./build/examples/jem_map --demo --load-index /tmp/jem_check.jemidx \
+  --output /tmp/jem_check_load.tsv 2> /tmp/jem_check_load.log
+cmp /tmp/jem_check_save.tsv /tmp/jem_check_load.tsv
+grep -q 'loaded sketch index' /tmp/jem_check_load.log
+rm -f /tmp/jem_check.jemidx
+echo "index round trip: byte-identical, artifact loaded"
+
 # Kill-and-resume smoke (docs/persistence.md): SIGKILL a checkpointed
 # streaming run mid-flight, resume it, and require the published output to
 # be byte-identical to an uninterrupted run. If the kill happens to land

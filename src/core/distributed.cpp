@@ -461,7 +461,8 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
       for (const QueryProbe& probe :
            incoming_probes[static_cast<std::size_t>(src)]) {
         for (io::SeqId subject :
-             shard.lookup(static_cast<int>(probe.trial), probe.kmer)) {
+             shard.flat().lookup(static_cast<int>(probe.trial),
+                                 probe.kmer)) {
           replies[static_cast<std::size_t>(src)].push_back(
               {probe.segment, probe.trial, subject});
         }

@@ -26,7 +26,7 @@ std::uint64_t FlatSketchIndex::hash(KmerCode kmer) noexcept {
   return util::mix64(kmer);
 }
 
-FlatSketchIndex FlatSketchIndex::build(std::span<const TrialView> trials,
+FlatSketchIndex FlatSketchIndex::build(std::span<const SortedTrial> trials,
                                        util::ThreadPool* pool) {
   FlatSketchIndex index;
   const std::size_t n = trials.size();
@@ -38,14 +38,13 @@ FlatSketchIndex FlatSketchIndex::build(std::span<const TrialView> trials,
   std::size_t total_slots = 0;
   std::size_t total_postings = 0;
   for (std::size_t t = 0; t < n; ++t) {
-    const TrialView& trial = trials[t];
-    const std::size_t capacity = region_capacity(trial.keys.size());
+    const std::size_t capacity = region_capacity(trials[t].keys);
     index.base_[t] = total_slots;
     index.mask_[t] = capacity - 1;
     postings_base[t] = total_postings;
     total_slots += capacity;
-    total_postings += trial.subjects.size();
-    index.keys_ += trial.keys.size();
+    total_postings += trials[t].postings.size();
+    index.keys_ += trials[t].keys;
   }
   if (total_postings > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error(
@@ -54,23 +53,25 @@ FlatSketchIndex FlatSketchIndex::build(std::span<const TrialView> trials,
   index.slots_.resize(total_slots);
   index.subjects_.resize(total_postings);
 
+  // Each run of equal k-mers is one key: its subjects are copied to the
+  // pool in order, and its slot goes in in ascending k-mer order.
   util::parallel_for_each(pool, n, [&](std::size_t t) {
-    const TrialView& trial = trials[t];
-    std::copy(trial.subjects.begin(), trial.subjects.end(),
-              index.subjects_.begin() +
-                  static_cast<std::ptrdiff_t>(postings_base[t]));
-
+    const std::span<const Posting> postings = trials[t].postings;
+    io::SeqId* const pool_slice = index.subjects_.data() + postings_base[t];
     Slot* const region = index.slots_.data() + index.base_[t];
     const std::size_t mask = index.mask_[t];
-    for (std::size_t k = 0; k < trial.keys.size(); ++k) {
-      const KmerCode kmer = trial.keys[k];
-      const std::uint32_t begin = trial.offsets[k];
-      const std::uint32_t end = trial.offsets[k + 1];
-      const auto offset =
-          static_cast<std::uint32_t>(postings_base[t] + begin);
+    for (std::size_t first = 0; first < postings.size();) {
+      const KmerCode kmer = postings[first].first;
+      std::size_t end = first;
+      for (; end < postings.size() && postings[end].first == kmer; ++end) {
+        pool_slice[end] = postings[end].second;
+      }
       std::size_t i = hash(kmer) & mask;
       while (region[i].count != 0) i = (i + 1) & mask;
-      region[i] = Slot{kmer, offset, end - begin};
+      region[i] =
+          Slot{kmer, static_cast<std::uint32_t>(postings_base[t] + first),
+               static_cast<std::uint32_t>(end - first)};
+      first = end;
     }
   });
   return index;

@@ -1,14 +1,14 @@
-// FlatSketchIndex — the frozen query-side form of the sketch table S: one
-// open-addressing (linear-probe, power-of-two) hash table per trial mapping
-// a minhash k-mer to its postings span.
+// FlatSketchIndex — the frozen sketch table S: one open-addressing
+// (linear-probe, power-of-two) hash table per trial mapping a minhash k-mer
+// to its postings span, over one shared postings pool. It is the table's
+// only frozen form: the paper's "T lists" of S_global (Fig 2) are the T
+// slot regions, each trial's postings a contiguous slice of the pool.
 //
-// The CSR form answers lookup(t, kmer) with a binary search: O(log K) keys
-// touched, each a dependent cache miss. The flat index answers it with a
-// mixed-hash probe into a half-loaded slot array: ~1.1 slots touched on
-// average, each slot carrying the postings offset and count inline, so a hit
-// costs one cache line for the slot plus the postings themselves. This is
-// the minimap2 indexing strategy (Li 2018) adapted to the per-trial key
-// spaces of the JEM sketch.
+// lookup(t, kmer) is a mixed-hash probe into a half-loaded slot array:
+// ~1.1 slots touched on average, each slot carrying the postings offset and
+// count inline, so a hit costs one cache line for the slot plus the
+// postings themselves. This is the minimap2 indexing strategy (Li 2018)
+// adapted to the per-trial key spaces of the JEM sketch.
 //
 // lookup_many resolves a whole segment-sketch's k-mer list for one trial and
 // software-prefetches each k-mer's home slot a fixed distance ahead, hiding
@@ -18,15 +18,17 @@
 // issues the home-slot loads of every (trial, k-mer) of a sketch at once,
 // before the vote loop, so all ~T·4 misses overlap.
 //
-// The index is built once, from the same frozen CSR arrays the wire format
-// (SketchEntry lists) reconstructs, and is immutable afterwards. Every
-// trial's slot region and postings slice sit at offsets known before the
-// build (prefix sums of region capacities and posting counts), so the
-// trials fill in parallel and the bytes do not depend on the thread count.
+// The index is built once, from each trial's sorted (kmer, subject) pairs,
+// and is immutable afterwards. Every trial's slot region and postings slice
+// sit at offsets known before the fill (prefix sums of region capacities
+// and posting counts), so the trials fill in parallel. Each trial inserts
+// its keys in ascending k-mer order, so the bytes do not depend on the
+// thread count.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/kmer.hpp"
@@ -42,13 +44,13 @@ struct FlatSketch;  // core/sketch.hpp
 
 class FlatSketchIndex {
  public:
-  /// One trial's frozen CSR arrays (the build input). `offsets` has
-  /// keys.size() + 1 entries, from 0 to subjects.size();
-  /// subjects[offsets[i], offsets[i+1]) are the postings of keys[i].
-  struct TrialView {
-    std::span<const KmerCode> keys;
-    std::span<const std::uint32_t> offsets;
-    std::span<const io::SeqId> subjects;
+  using Posting = std::pair<KmerCode, io::SeqId>;
+
+  /// One trial's build input: its postings sorted by (kmer, subject) with
+  /// no duplicates, and the number of distinct k-mers among them.
+  struct SortedTrial {
+    std::span<const Posting> postings;
+    std::size_t keys = 0;
   };
 
   /// One probe slot; count == 0 marks an empty slot (every stored key has
@@ -67,12 +69,11 @@ class FlatSketchIndex {
   /// build().
   FlatSketchIndex() = default;
 
-  /// Builds the index from per-trial CSR views, one pool task per trial
-  /// (inline without a pool). Keys within a trial must be distinct (they
-  /// are: CSR keys are sorted-unique). Throws std::length_error if the
+  /// Builds the index from per-trial sorted postings, one pool task per
+  /// trial (inline without a pool). Throws std::length_error if the
   /// postings exceed the uint32 offset range.
   [[nodiscard]] static FlatSketchIndex build(
-      std::span<const TrialView> trials, util::ThreadPool* pool = nullptr);
+      std::span<const SortedTrial> trials, util::ThreadPool* pool = nullptr);
 
   [[nodiscard]] int trials() const noexcept {
     return static_cast<int>(base_.size());

@@ -1,9 +1,7 @@
 #include "core/index_serde.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -158,26 +156,11 @@ std::string serialize_index(const SketchTable& table, const MapParams& params,
   subj.digest = subjects_digest(subjects);
   writer.add_section("SUBJSET", as_bytes(subj));
 
-  // SHAPE: totals, then per-trial (key count, posting count).
+  // SHAPE: the entry and key totals the flat sections must agree with.
   std::string shape;
   append_u64(shape, table.size());
   append_u64(shape, table.key_count());
-  std::string keys;
-  std::string offsets;
-  std::string postings;
-  for (int t = 0; t < table.trials(); ++t) {
-    const SketchTable::FrozenTrial& trial = table.frozen_trial(t);
-    append_u64(shape, trial.keys.size());
-    append_u64(shape, trial.subjects.size());
-    keys.append(span_bytes(std::span<const KmerCode>(trial.keys)));
-    offsets.append(
-        span_bytes(std::span<const std::uint32_t>(trial.offsets)));
-    postings.append(span_bytes(std::span<const io::SeqId>(trial.subjects)));
-  }
   writer.add_section("SHAPE", shape);
-  writer.add_section("KEYS", keys);
-  writer.add_section("OFFSETS", offsets);
-  writer.add_section("SUBJECTS", postings);
 
   // The frozen flat index, raw: region geometry interleaved (base, mask)
   // per trial, then the slot array and its postings pool.
@@ -203,12 +186,13 @@ void save_index(const std::string& path, const SketchTable& table,
   obs::default_registry().counter("io.index_cache.saves").add(1);
 }
 
-SketchTable deserialize_index(std::string bytes, const MapParams& params,
-                              SketchScheme scheme,
-                              const io::SequenceSet& subjects) {
-  const io::ArtifactReader reader(std::move(bytes), kIndexArtifactMagic,
-                                  kIndexArtifactVersion);
+namespace {
 
+/// The one validation body behind deserialize_index and load_index: an
+/// integrity-checked container in, a query-ready table out.
+SketchTable table_from(const io::ArtifactReader& reader,
+                       const MapParams& params, SketchScheme scheme,
+                       const io::SequenceSet& subjects) {
   PackedParams stored;
   std::memcpy(&stored, reader.section("PARAMS", sizeof(PackedParams)).data(),
               sizeof(PackedParams));
@@ -225,64 +209,12 @@ SketchTable deserialize_index(std::string bytes, const MapParams& params,
         "dense ids; refusing to map against mismatched contigs)");
   }
 
-  const std::string_view shape = reader.section("SHAPE");
-  const std::size_t trials = static_cast<std::size_t>(params.trials);
-  if (shape.size() != (2 + 2 * trials) * sizeof(std::uint64_t)) {
-    throw ArtifactError(ArtifactReason::kBadSection,
-                        "SHAPE section size disagrees with the trial count");
-  }
+  const std::string_view shape =
+      reader.section("SHAPE", 2 * sizeof(std::uint64_t));
   const std::uint64_t total_entries = read_u64_at(shape, 0);
   const std::uint64_t total_keys = read_u64_at(shape, 1);
 
-  std::vector<KmerCode> keys =
-      decode_array<KmerCode>(reader.section("KEYS"), "KEYS");
-  std::vector<std::uint32_t> offsets =
-      decode_array<std::uint32_t>(reader.section("OFFSETS"), "OFFSETS");
-  std::vector<io::SeqId> postings =
-      decode_array<io::SeqId>(reader.section("SUBJECTS"), "SUBJECTS");
-
-  std::vector<SketchTable::FrozenTrial> frozen(trials);
-  std::size_t key_cursor = 0;
-  std::size_t offset_cursor = 0;
-  std::size_t posting_cursor = 0;
-  std::uint64_t shape_entries = 0;
-  std::uint64_t shape_keys = 0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    const std::uint64_t trial_keys = read_u64_at(shape, 2 + 2 * t);
-    const std::uint64_t trial_postings = read_u64_at(shape, 3 + 2 * t);
-    shape_keys += trial_keys;
-    shape_entries += trial_postings;
-    if (key_cursor + trial_keys > keys.size() ||
-        offset_cursor + trial_keys + 1 > offsets.size() ||
-        posting_cursor + trial_postings > postings.size()) {
-      throw ArtifactError(ArtifactReason::kBadSection,
-                          "SHAPE counts overrun the CSR sections");
-    }
-    frozen[t].keys.assign(
-        keys.begin() + static_cast<std::ptrdiff_t>(key_cursor),
-        keys.begin() + static_cast<std::ptrdiff_t>(key_cursor + trial_keys));
-    frozen[t].offsets.assign(
-        offsets.begin() + static_cast<std::ptrdiff_t>(offset_cursor),
-        offsets.begin() +
-            static_cast<std::ptrdiff_t>(offset_cursor + trial_keys + 1));
-    frozen[t].subjects.assign(
-        postings.begin() + static_cast<std::ptrdiff_t>(posting_cursor),
-        postings.begin() +
-            static_cast<std::ptrdiff_t>(posting_cursor + trial_postings));
-    key_cursor += trial_keys;
-    offset_cursor += trial_keys + 1;
-    posting_cursor += trial_postings;
-  }
-  if (key_cursor != keys.size() || offset_cursor != offsets.size() ||
-      posting_cursor != postings.size()) {
-    throw ArtifactError(ArtifactReason::kBadSection,
-                        "CSR sections have trailing data beyond SHAPE");
-  }
-  if (shape_keys != total_keys || shape_entries != total_entries) {
-    throw ArtifactError(ArtifactReason::kBadSection,
-                        "SHAPE totals disagree with its per-trial counts");
-  }
-
+  const std::size_t trials = static_cast<std::size_t>(params.trials);
   std::vector<std::uint64_t> geometry = decode_array<std::uint64_t>(
       reader.section("FLATGEO", 2 * trials * sizeof(std::uint64_t)),
       "FLATGEO");
@@ -297,32 +229,39 @@ SketchTable deserialize_index(std::string bytes, const MapParams& params,
                                           "FLATSLOT");
   std::vector<io::SeqId> flat_subjects =
       decode_array<io::SeqId>(reader.section("FLATSUB"), "FLATSUB");
+  if (flat_subjects.size() != total_entries) {
+    throw ArtifactError(ArtifactReason::kBadSection,
+                        "SHAPE entry total disagrees with FLATSUB");
+  }
 
   try {
-    FlatSketchIndex flat = FlatSketchIndex::from_parts(
+    return SketchTable(FlatSketchIndex::from_parts(
         std::move(slots), std::move(bases), std::move(masks),
-        std::move(flat_subjects), static_cast<std::size_t>(total_keys));
-    return SketchTable::from_frozen(params.trials, std::move(frozen),
-                                    std::move(flat));
+        std::move(flat_subjects), static_cast<std::size_t>(total_keys)));
   } catch (const std::invalid_argument& error) {
-    // Structural validation failures in the reconstructors mean the
-    // artifact's (checksummed) sections are mutually inconsistent — treat
-    // as a malformed artifact, not a programming error.
+    // A geometry violation (or a key total that disagrees with the occupied
+    // slots) means the artifact's checksummed sections are mutually
+    // inconsistent — a malformed artifact, not a programming error.
     throw ArtifactError(ArtifactReason::kBadSection, error.what());
   }
 }
 
+}  // namespace
+
+SketchTable deserialize_index(std::string bytes, const MapParams& params,
+                              SketchScheme scheme,
+                              const io::SequenceSet& subjects) {
+  return table_from(io::ArtifactReader(std::move(bytes), kIndexArtifactMagic,
+                                       kIndexArtifactVersion),
+                    params, scheme, subjects);
+}
+
 SketchTable load_index(const std::string& path, const MapParams& params,
                        SketchScheme scheme, const io::SequenceSet& subjects) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw ArtifactError(ArtifactReason::kOpenFailed,
-                        "cannot open index artifact: " + path);
-  }
-  std::ostringstream raw;
-  raw << in.rdbuf();
-  SketchTable table =
-      deserialize_index(std::move(raw).str(), params, scheme, subjects);
+  SketchTable table = table_from(
+      io::ArtifactReader::open(path, kIndexArtifactMagic,
+                               kIndexArtifactVersion),
+      params, scheme, subjects);
   // Only counted once the artifact fully verified — a rejected or corrupt
   // file is not a cache hit.
   obs::default_registry().counter("io.index_cache.hits").add(1);

@@ -3,13 +3,13 @@
 // global sketch table is built from FASTA once and reloaded on every later
 // run — the .mmi lesson from minimap2 applied to the JEM sketch.
 //
-// The artifact persists both frozen forms the query path needs:
-//   * the per-trial CSR arrays (keys / offsets / postings), and
-//   * the FlatSketchIndex raw parts (slot array + region geometry),
-// so load_index skips sketching, sorting AND the flat-index build: the
-// loaded table is query-ready as-is.
+// The artifact persists the table's one frozen form, the FlatSketchIndex
+// raw parts (region geometry, slot array, postings pool), so load_index
+// skips sketching, sorting AND the flat-index build: the loaded table is
+// query-ready as-is.
 //
-// Sections ("JEMIDX1\0" container, io/artifact.hpp framing):
+// Sections ("JEMIDX1\0" container, format version 2, io/artifact.hpp
+// framing):
 //   PARAMS   packed mapping-parameter fingerprint (k/w/ordering/T/ℓ/seed/
 //            min_votes/scheme) — compared field-by-field on load; any
 //            disagreement is ArtifactError(kParamsMismatch) naming the
@@ -20,13 +20,17 @@
 //            and base — postings reference subjects by dense id, so an
 //            index is only valid with the exact contig set it was built
 //            from.
-//   SHAPE    entry/key totals and per-trial key/posting counts.
-//   KEYS / OFFSETS / SUBJECTS    concatenated per-trial CSR arrays.
-//   FLATGEO / FLATSLOT / FLATSUB FlatSketchIndex raw parts.
+//   SHAPE    entry and key totals: load requires entries == the FLATSUB
+//            length and keys == the occupied FLATSLOT slots.
+//   FLATGEO  per-trial (first slot, region capacity - 1) pairs.
+//   FLATSLOT the slot array, 16 bytes per slot.
+//   FLATSUB  the postings pool the slots point into.
 //
-// Every load failure — truncation, bit rot, foreign file, parameter or
-// subject-set mismatch — surfaces as a structured ArtifactError; callers
-// fall back to rebuild-from-FASTA (jem_map logs the reason and rebuilds).
+// Every load failure — truncation, bit rot, foreign file, an older format
+// version, parameter or subject-set mismatch, sections that disagree —
+// surfaces as a structured ArtifactError; callers fall back to
+// rebuild-from-FASTA (jem_map logs the reason and rebuilds). A version-1
+// artifact, which also carried per-trial CSR arrays, is kBadVersion.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +47,7 @@ enum class SketchScheme;  // defined in core/mapper.hpp
 
 inline constexpr std::uint64_t kIndexArtifactMagic =
     0x00315844494d454aULL;  // "JEMIDX1\0"
-inline constexpr std::uint32_t kIndexArtifactVersion = 1;
+inline constexpr std::uint32_t kIndexArtifactVersion = 2;
 
 /// XXH64 digest of the packed parameter fingerprint — the params word of
 /// the run-journal fingerprint (io/checkpoint.hpp).

@@ -229,8 +229,9 @@ MapResult JemMapper::map_segment(std::string_view segment,
 MapResult JemMapper::map_segment_reference(std::string_view segment,
                                            MapScratch& scratch) const {
   // Frozen pre-overhaul kernel for the JEM scheme (per-trial std::deque
-  // windows, allocated per call); CSR binary-search lookups below. This is
-  // the baseline BENCH_hotpath.json measures the hot path against.
+  // windows, allocated per call); one single-key flat-index probe per
+  // (trial, k-mer) below, with no prefetch and no lookup_many. This is the
+  // baseline BENCH_hotpath.json measures the hot path against.
   const Sketch sketch =
       scheme_ == SketchScheme::kJem
           ? sketch_by_jem_reference(
@@ -244,7 +245,7 @@ MapResult JemMapper::map_segment_reference(std::string_view segment,
   for (int t = 0; t < params_.trials; ++t) {
     scratch.seen().new_round();
     for (KmerCode kmer : sketch.per_trial[static_cast<std::size_t>(t)]) {
-      for (io::SeqId subject : table_.lookup(t, kmer)) {
+      for (io::SeqId subject : table_.flat().lookup(t, kmer)) {
         if (!scratch.seen().first_time(subject)) continue;
         const std::uint32_t count = scratch.votes().increment(subject);
         if (count > best.votes ||

@@ -202,11 +202,13 @@ class JemMapper {
   /// Convenience overload allocating its own scratch (tests, examples).
   [[nodiscard]] MapResult map_segment(std::string_view segment) const;
 
-  /// The pre-overhaul query path: allocates a fresh Sketch and resolves
-  /// every (trial, k-mer) with the CSR binary search. Kept as the oracle
-  /// for the golden-equivalence tests and as the baseline bench_micro's
-  /// hot-path benchmark measures the flat+scratch path against. Returns
-  /// exactly what map_segment returns.
+  /// The pre-overhaul query path: allocates a fresh Sketch with the frozen
+  /// deque kernel (sketch_by_jem_reference) and resolves every (trial,
+  /// k-mer) with one single-key flat().lookup — no prefetch, no
+  /// lookup_many. Kept as the oracle for the golden-equivalence tests and
+  /// as the baseline bench_micro's hot-path benchmark measures the
+  /// scratch + batched-probe path against. Returns exactly what
+  /// map_segment returns.
   [[nodiscard]] MapResult map_segment_reference(std::string_view segment,
                                                 MapScratch& scratch) const;
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/flat_index.hpp"
@@ -31,49 +32,39 @@ static_assert(sizeof(SketchEntry) == 16);
 // parallel into one entry list, and from_entries turns it — or the
 // allgathered union of every rank's list — into the frozen table with a
 // sort per trial, no hash-map inserts (minimap2's index build, Li 2018).
-// The table has two representations, both built by from_entries with the
-// trials spread over a thread pool:
-//  * a CSR form — per trial, a sorted key array with a postings array —
-//    matching the paper's description of S_global as "T lists" (Fig 2);
-//    lookup() answers from it with a binary search; and
-//  * a FlatSketchIndex over the same postings — the open-addressing form
-//    the query hot path probes (O(1) per lookup, with batched
-//    prefetching). flat() exposes it; lookup() stays on the CSR arrays so
-//    the two forms can be validated against each other.
-// The bytes of both forms do not depend on the entry order or the thread
-// count. Building throws std::length_error if any trial's postings exceed
-// the std::uint32_t offset range of the CSR layout (2^32 - 1 entries per
-// trial) rather than silently truncating.
+// The frozen table has one form, a FlatSketchIndex: per trial, an
+// open-addressing slot region over that trial's slice of one postings pool
+// — the paper's S_global as "T lists" (Fig 2), probed in O(1) per lookup
+// with batched prefetching. flat() exposes it. Its bytes do not depend on
+// the entry order or the thread count. Building throws std::length_error
+// if the postings exceed the std::uint32_t offset range of a slot
+// (2^32 - 1 entries) rather than silently truncating.
 class SketchTable {
  public:
-  /// One trial's CSR arrays: postings sorted by (kmer, subject); keys/
-  /// offsets index the distinct k-mers. Public for the index artifact
-  /// (core/index_serde), which persists the arrays verbatim.
-  struct FrozenTrial {
-    std::vector<KmerCode> keys;              // sorted distinct k-mers
-    std::vector<std::uint32_t> offsets;      // keys.size() + 1 entries
-    std::vector<io::SeqId> subjects;         // concatenated postings
-  };
-
   /// Creates an empty table with `trials` trials (throws
   /// std::invalid_argument unless trials >= 1).
   explicit SketchTable(int trials);
 
-  [[nodiscard]] int trials() const noexcept { return trials_; }
+  /// Wraps a frozen index — the artifact load path (core/index_serde),
+  /// which reconstructs the index from its persisted parts.
+  explicit SketchTable(FlatSketchIndex flat) noexcept
+      : flat_(std::move(flat)) {}
 
-  /// Subjects that produced `kmer` in trial `t` (empty span if none): the
-  /// CSR binary search. The hot path uses flat() instead.
-  [[nodiscard]] std::span<const io::SeqId> lookup(int trial,
-                                                  KmerCode kmer) const;
+  [[nodiscard]] int trials() const noexcept { return flat_.trials(); }
 
-  /// The open-addressing query index. Lookups agree exactly with lookup().
+  /// The frozen index every lookup probes: flat().lookup(t, kmer) gives the
+  /// subjects that produced `kmer` in trial `t`, sorted by id.
   [[nodiscard]] const FlatSketchIndex& flat() const noexcept { return flat_; }
 
   /// Number of stored (trial, kmer, subject) entries.
-  [[nodiscard]] std::size_t size() const noexcept { return entries_; }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return flat_.subjects().size();
+  }
 
   /// Number of distinct (trial, kmer) keys.
-  [[nodiscard]] std::size_t key_count() const noexcept;
+  [[nodiscard]] std::size_t key_count() const noexcept {
+    return flat_.key_count();
+  }
 
   /// Flattens to the wire format, ordered by (trial, kmer, subject).
   [[nodiscard]] std::vector<SketchEntry> to_entries() const;
@@ -87,26 +78,8 @@ class SketchTable {
       int trials, std::span<const SketchEntry> entries,
       std::size_t threads = 1);
 
-  /// One trial's CSR arrays.
-  [[nodiscard]] const FrozenTrial& frozen_trial(int trial) const;
-
-  /// Reconstructs a table directly from persisted per-trial CSR arrays and
-  /// a pre-built flat index — the artifact load path: no re-sort, no
-  /// re-hash. Validates CSR shape consistency (offset array sizes, postings
-  /// totals, sortedness of keys) and that the flat index agrees on trial
-  /// and key counts; throws std::invalid_argument on any violation so a
-  /// corrupted artifact cannot produce a malformed table.
-  [[nodiscard]] static SketchTable from_frozen(
-      int trials, std::vector<FrozenTrial> frozen_trials,
-      FlatSketchIndex flat);
-
  private:
-  SketchTable() = default;
-
-  int trials_ = 0;
-  std::vector<FrozenTrial> frozen_trials_;
   FlatSketchIndex flat_;
-  std::size_t entries_ = 0;
 };
 
 }  // namespace jem::core

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/sketch_table.hpp"
@@ -31,6 +34,8 @@ std::vector<SketchEntry> random_entries(util::Xoshiro256ss& rng, int trials,
 }
 
 TEST(FlatSketchIndex, MatchesCsrLookupOnRandomTables) {
+  // Judged against an ordered-map oracle of the input entries: the
+  // (trial, kmer) -> subject-set lists of S_global, in CSR order.
   util::Xoshiro256ss rng(11);
   for (int round = 0; round < 20; ++round) {
     const int trials = 1 + static_cast<int>(rng.bounded(8));
@@ -39,28 +44,35 @@ TEST(FlatSketchIndex, MatchesCsrLookupOnRandomTables) {
         rng, trials, 10 + rng.bounded(2000), keys, 1 + rng.bounded(50));
     const SketchTable table = SketchTable::from_entries(trials, entries);
     const FlatSketchIndex& index = table.flat();
-    EXPECT_EQ(index.key_count(), table.key_count());
+    std::map<std::pair<int, KmerCode>, std::set<io::SeqId>> oracle;
+    for (const SketchEntry& entry : entries) {
+      oracle[{static_cast<int>(entry.trial), entry.kmer}].insert(
+          entry.subject);
+    }
+    EXPECT_EQ(index.key_count(), oracle.size());
     EXPECT_GE(index.capacity(), 2 * index.key_count());
 
-    // Every stored key: flat postings == CSR postings (same order too —
-    // both are sorted by subject id).
+    // Every k-mer of the input, in every trial: the postings are the
+    // oracle's subject set sorted by id, or empty where the trial lacks it.
     for (const SketchEntry& entry : entries) {
-      const auto trial = static_cast<int>(entry.trial);
-      const auto csr = table.lookup(trial, entry.kmer);
-      const auto flat = index.lookup(trial, entry.kmer);
-      ASSERT_EQ(csr.size(), flat.size());
-      for (std::size_t i = 0; i < csr.size(); ++i) {
-        ASSERT_EQ(csr[i], flat[i]);
+      for (int trial = 0; trial < trials; ++trial) {
+        const auto it = oracle.find({trial, entry.kmer});
+        const std::vector<io::SeqId> want =
+            it == oracle.end() ? std::vector<io::SeqId>{}
+                               : std::vector<io::SeqId>(it->second.begin(),
+                                                        it->second.end());
+        const auto flat = index.lookup(trial, entry.kmer);
+        ASSERT_EQ(std::vector<io::SeqId>(flat.begin(), flat.end()), want);
       }
     }
 
-    // Random absent keys miss in both forms.
+    // Random k-mers outside the key pool miss in every trial.
     for (int probe = 0; probe < 200; ++probe) {
       const KmerCode kmer = rng();
-      const int trial = static_cast<int>(
-          rng.bounded(static_cast<std::uint64_t>(trials)));
-      EXPECT_EQ(table.lookup(trial, kmer).empty(),
-                index.lookup(trial, kmer).empty());
+      for (int trial = 0; trial < trials; ++trial) {
+        EXPECT_EQ(index.lookup(trial, kmer).empty(),
+                  !oracle.contains({trial, kmer}));
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 // checked against an oracle table built from the allocating make_sketch.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 #include <string>
@@ -108,15 +109,15 @@ std::string random_dna(util::Xoshiro256ss& rng, std::size_t length) {
 }
 
 TEST(IndexBuild, GoldenArtifactAtEveryThreadCount) {
-  // Digests of the JEMIDX1 bytes the serial insert-and-freeze build wrote
-  // for this subject set under the default (paper) parameters.
+  // Digests of the artifact bytes (format version 2) the serial build
+  // writes for this subject set under the default (paper) parameters.
   const io::SequenceSet subjects = golden_subjects();
   ASSERT_EQ(subjects.size(), 90u);
   const MapParams params;
   for (const std::size_t threads : kThreadCounts) {
     EXPECT_EQ(io::xxh64(artifact(subjects, params, SketchScheme::kJem,
                                  threads)),
-              0x66e53d041896c0feull)
+              0x0bec474b26ce1b2bull)
         << "threads " << threads;
   }
 }
@@ -127,8 +128,45 @@ TEST(IndexBuild, GoldenArtifactAtEveryThreadCountClassicMinhash) {
   for (const std::size_t threads : kThreadCounts) {
     EXPECT_EQ(io::xxh64(artifact(subjects, params,
                                  SketchScheme::kClassicMinhash, threads)),
-              0x5ef8ab33b7e0ccd5ull)
+              0x7c9879f8d3a2292aull)
         << "threads " << threads;
+  }
+}
+
+/// xxh64 of the FLATGEO, FLATSLOT and FLATSUB payloads of an artifact.
+std::array<std::uint64_t, 3> flat_digests(std::string bytes) {
+  const io::ArtifactReader reader(std::move(bytes), kIndexArtifactMagic,
+                                  kIndexArtifactVersion);
+  return {io::xxh64(reader.section("FLATGEO")),
+          io::xxh64(reader.section("FLATSLOT")),
+          io::xxh64(reader.section("FLATSUB"))};
+}
+
+TEST(IndexBuild, GoldenFlatSectionsAtEveryThreadCount) {
+  // The flat index's own bytes, apart from the container around them:
+  // these are the digests the version-1 format (which also stored per-trial
+  // CSR arrays) wrote for the same three sections, so building the index
+  // straight from the sorted trials changed none of its bytes.
+  const io::SequenceSet subjects = golden_subjects();
+  const MapParams params;
+  struct Golden {
+    SketchScheme scheme;
+    std::array<std::uint64_t, 3> digests;
+  };
+  for (const Golden& golden :
+       {Golden{SketchScheme::kJem,
+               {0x8cdefb5e232887dcull, 0xf08ee28d115d4112ull,
+                0x87f326c3d19c2fc2ull}},
+        Golden{SketchScheme::kClassicMinhash,
+               {0xeed929497a869beaull, 0x61b940baa3ed661bull,
+                0xfd2b4407649ec880ull}}}) {
+    for (const std::size_t threads : kThreadCounts) {
+      EXPECT_EQ(flat_digests(artifact(subjects, params, golden.scheme,
+                                      threads)),
+                golden.digests)
+          << "scheme " << static_cast<int>(golden.scheme) << " threads "
+          << threads;
+    }
   }
 }
 

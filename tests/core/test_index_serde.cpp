@@ -226,7 +226,7 @@ TEST_F(IndexSerdeTest, BitRotInEverySectionIsAChecksumMismatch) {
       serialize_index(mapper.table(), params_, SketchScheme::kJem, subjects_);
 
   const std::vector<SectionLoc> sections = locate_sections(bytes);
-  EXPECT_EQ(sections.size(), 9u);  // PARAMS..FLATSUB, the documented layout
+  EXPECT_EQ(sections.size(), 6u);  // PARAMS..FLATSUB, the documented layout
   for (const SectionLoc& loc : sections) {
     if (loc.size == 0) continue;
     std::string corrupt = bytes;
@@ -253,55 +253,91 @@ TEST_F(IndexSerdeTest, ChecksummedButInconsistentSectionsAreBadSections) {
     throw std::logic_error("section not found");
   };
 
-  {
-    // SHAPE totals no longer match its per-trial counts.
+  const auto expect_bad_section = [&](const std::string& tampered,
+                                      const char* what) {
+    EXPECT_EQ(reason_of([&] {
+                (void)deserialize_index(tampered, params_, SketchScheme::kJem,
+                                        subjects_);
+              }),
+              io::ArtifactReason::kBadSection)
+        << what;
+  };
+  // Adds `delta` to the u64 at `index` of SHAPE (0: entries, 1: keys).
+  const auto bump_shape = [&](std::size_t index, std::int64_t delta) {
     std::string tampered = bytes;
     const SectionLoc& shape = find("SHAPE");
+    const std::size_t at = shape.payload + index * sizeof(std::uint64_t);
     std::uint64_t total = 0;
-    std::memcpy(&total, tampered.data() + shape.payload, sizeof(total));
-    ++total;
-    std::memcpy(tampered.data() + shape.payload, &total, sizeof(total));
+    std::memcpy(&total, tampered.data() + at, sizeof(total));
+    total += static_cast<std::uint64_t>(delta);
+    std::memcpy(tampered.data() + at, &total, sizeof(total));
     fix_checksum(tampered, shape);
-    EXPECT_EQ(reason_of([&] {
-                (void)deserialize_index(tampered, params_, SketchScheme::kJem,
-                                        subjects_);
-              }),
-              io::ArtifactReason::kBadSection);
-  }
+    return tampered;
+  };
+
+  // SHAPE totals disagree with the flat sections: one entry or one key
+  // more or fewer than FLATSUB holds and FLATSLOT occupies.
+  expect_bad_section(bump_shape(0, 1), "SHAPE entries + 1");
+  expect_bad_section(bump_shape(0, -1), "SHAPE entries - 1");
+  expect_bad_section(bump_shape(1, 1), "SHAPE keys + 1");
+  expect_bad_section(bump_shape(1, -1), "SHAPE keys - 1");
   {
-    // KEYS sorted order violated (valid framing, invalid CSR content).
+    // FLATSLOT payload not a multiple of the 16-byte slot.
     std::string tampered = bytes;
-    const SectionLoc& keys = find("KEYS");
-    ASSERT_GE(keys.size, 16u);
-    char tmp[8];
-    std::memcpy(tmp, tampered.data() + keys.payload, 8);
-    std::memcpy(tampered.data() + keys.payload,
-                tampered.data() + keys.payload + 8, 8);
-    std::memcpy(tampered.data() + keys.payload + 8, tmp, 8);
-    fix_checksum(tampered, keys);
-    EXPECT_EQ(reason_of([&] {
-                (void)deserialize_index(tampered, params_, SketchScheme::kJem,
-                                        subjects_);
-              }),
-              io::ArtifactReason::kBadSection);
-  }
-  {
-    // KEYS payload not a multiple of the element size.
-    std::string tampered = bytes;
-    const SectionLoc& keys = find("KEYS");
-    tampered.erase(keys.payload, 3);
-    std::uint64_t new_size = keys.size - 3;
-    std::memcpy(tampered.data() + keys.header + 8, &new_size,
+    const SectionLoc& slots = find("FLATSLOT");
+    tampered.erase(slots.payload, 3);
+    std::uint64_t new_size = slots.size - 3;
+    std::memcpy(tampered.data() + slots.header + 8, &new_size,
                 sizeof(new_size));
-    SectionLoc shrunk = keys;
+    SectionLoc shrunk = slots;
     shrunk.size = static_cast<std::size_t>(new_size);
     fix_checksum(tampered, shrunk);
-    EXPECT_EQ(reason_of([&] {
-                (void)deserialize_index(tampered, params_, SketchScheme::kJem,
-                                        subjects_);
-              }),
-              io::ArtifactReason::kBadSection);
+    expect_bad_section(tampered, "FLATSLOT size % 16 != 0");
   }
+  {
+    // An occupied slot whose postings span runs past the end of FLATSUB.
+    std::string tampered = bytes;
+    const SectionLoc& slots = find("FLATSLOT");
+    const std::size_t flatsub_size = find("FLATSUB").size / sizeof(io::SeqId);
+    bool overran = false;
+    for (std::size_t at = slots.payload; at < slots.payload + slots.size;
+         at += sizeof(FlatSketchIndex::Slot)) {
+      FlatSketchIndex::Slot slot;
+      std::memcpy(&slot, tampered.data() + at, sizeof(slot));
+      if (slot.count == 0) continue;
+      slot.offset = static_cast<std::uint32_t>(flatsub_size - slot.count + 1);
+      std::memcpy(tampered.data() + at, &slot, sizeof(slot));
+      overran = true;
+      break;
+    }
+    ASSERT_TRUE(overran);
+    fix_checksum(tampered, slots);
+    expect_bad_section(tampered, "slot postings overrun FLATSUB");
+  }
+}
+
+TEST_F(IndexSerdeTest, VersionOneArtifactIsBadVersion) {
+  // An artifact in the earlier format (version field 1, which also carried
+  // the CSR sections) is refused by its version before any section is
+  // read; every caller treats that as "rebuild from FASTA".
+  const JemMapper mapper(subjects_, params_, SketchScheme::kJem);
+  std::string bytes =
+      serialize_index(mapper.table(), params_, SketchScheme::kJem, subjects_);
+  const std::uint32_t version = 1;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  EXPECT_EQ(reason_of([&] {
+              (void)deserialize_index(bytes, params_, SketchScheme::kJem,
+                                      subjects_);
+            }),
+            io::ArtifactReason::kBadVersion);
+
+  const std::string path = ::testing::TempDir() + "/jem_index_v1.jemidx";
+  io::atomic_write_file(path, bytes);
+  EXPECT_EQ(reason_of([&] {
+              (void)load_index(path, params_, SketchScheme::kJem, subjects_);
+            }),
+            io::ArtifactReason::kBadVersion);
+  std::remove(path.c_str());
 }
 
 // --- Distributed shard cache (IndexCacheOptions) ---------------------------

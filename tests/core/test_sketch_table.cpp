@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -25,24 +27,41 @@ Oracle oracle_of(std::span<const SketchEntry> entries) {
   return oracle;
 }
 
-/// Asserts that `table` holds exactly the oracle's contents, through both
-/// the CSR lookup and the flat index.
+/// Asserts that `table` holds exactly the oracle's contents: every key
+/// answers its subject set, and in every trial every k-mer of the oracle
+/// that is absent there, and k-mers outside the oracle's range, miss.
 void expect_matches_oracle(const SketchTable& table, const Oracle& oracle) {
+  std::set<KmerCode> kmers{0, ~KmerCode{0}};
   std::size_t entries = 0;
   for (const auto& [key, subjects] : oracle) {
-    const auto [trial, kmer] = key;
-    const std::vector<io::SeqId> want(subjects.begin(), subjects.end());
-    const auto csr = table.lookup(trial, kmer);
-    const auto flat = table.flat().lookup(trial, kmer);
-    EXPECT_EQ(std::vector<io::SeqId>(csr.begin(), csr.end()), want)
-        << "trial " << trial << " kmer " << kmer;
-    EXPECT_EQ(std::vector<io::SeqId>(flat.begin(), flat.end()), want)
-        << "trial " << trial << " kmer " << kmer;
+    kmers.insert(key.second);
     entries += subjects.size();
+  }
+  const KmerCode beyond = *std::prev(kmers.end(), 2) + 1;  // max key + 1
+  kmers.insert({beyond, beyond + 1000});
+  for (int trial = 0; trial < table.trials(); ++trial) {
+    for (const KmerCode kmer : kmers) {
+      const auto it = oracle.find({trial, kmer});
+      const std::vector<io::SeqId> want =
+          it == oracle.end()
+              ? std::vector<io::SeqId>{}
+              : std::vector<io::SeqId>(it->second.begin(), it->second.end());
+      const auto flat = table.flat().lookup(trial, kmer);
+      EXPECT_EQ(std::vector<io::SeqId>(flat.begin(), flat.end()), want)
+          << "trial " << trial << " kmer " << kmer;
+    }
   }
   EXPECT_EQ(table.size(), entries);
   EXPECT_EQ(table.key_count(), oracle.size());
   EXPECT_EQ(table.flat().key_count(), oracle.size());
+}
+
+/// The frozen index of `a` and `b` is equal part for part.
+void expect_same_index(const SketchTable& a, const SketchTable& b) {
+  EXPECT_TRUE(std::ranges::equal(a.flat().slots(), b.flat().slots()));
+  EXPECT_TRUE(std::ranges::equal(a.flat().bases(), b.flat().bases()));
+  EXPECT_TRUE(std::ranges::equal(a.flat().masks(), b.flat().masks()));
+  EXPECT_TRUE(std::ranges::equal(a.flat().subjects(), b.flat().subjects()));
 }
 
 /// `count` random entries over small key/subject pools (so postings and
@@ -70,18 +89,19 @@ TEST(SketchTable, StartsEmpty) {
   EXPECT_EQ(table.trials(), 5);
   EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.key_count(), 0u);
-  EXPECT_TRUE(table.lookup(0, 123).empty());
+  EXPECT_TRUE(table.flat().lookup(0, 123).empty());
   EXPECT_TRUE(table.flat().lookup(4, 123).empty());
 }
 
 TEST(SketchTable, InsertAndLookupSingleEntry) {
   const std::vector<SketchEntry> entries{{0xdeadu, 1, 7}};
   const SketchTable table = SketchTable::from_entries(3, entries);
-  const auto subjects = table.lookup(1, 0xdeadu);
+  const auto subjects = table.flat().lookup(1, 0xdeadu);
   ASSERT_EQ(subjects.size(), 1u);
   EXPECT_EQ(subjects[0], 7u);
-  EXPECT_TRUE(table.lookup(0, 0xdeadu).empty());  // other trials unaffected
-  EXPECT_TRUE(table.lookup(2, 0xdeadu).empty());
+  // Other trials are unaffected.
+  EXPECT_TRUE(table.flat().lookup(0, 0xdeadu).empty());
+  EXPECT_TRUE(table.flat().lookup(2, 0xdeadu).empty());
   expect_matches_oracle(table, oracle_of(entries));
 }
 
@@ -89,7 +109,7 @@ TEST(SketchTable, CollapsesDuplicateTriples) {
   const std::vector<SketchEntry> entries{{42, 0, 1}, {42, 0, 1}, {42, 0, 1}};
   const SketchTable table = SketchTable::from_entries(2, entries);
   EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.lookup(0, 42).size(), 1u);
+  EXPECT_EQ(table.flat().lookup(0, 42).size(), 1u);
   expect_matches_oracle(table, oracle_of(entries));
 }
 
@@ -104,7 +124,7 @@ TEST(SketchTable, CollapsesOutOfOrderDuplicates) {
 TEST(SketchTable, KeepsDistinctSubjectsPerKey) {
   const std::vector<SketchEntry> entries{{42, 0, 3}, {42, 0, 1}, {42, 0, 2}};
   const SketchTable table = SketchTable::from_entries(1, entries);
-  const auto subjects = table.lookup(0, 42);
+  const auto subjects = table.flat().lookup(0, 42);
   ASSERT_EQ(subjects.size(), 3u);
   EXPECT_EQ(subjects[0], 1u);  // postings come out sorted by subject
   EXPECT_EQ(subjects[2], 3u);
@@ -132,8 +152,8 @@ TEST(SketchTable, InsertSketchInsertsAllTrials) {
   for (int t = 0; t < params.trials; ++t) {
     ASSERT_FALSE(sketch.per_trial[static_cast<std::size_t>(t)].empty());
     for (const KmerCode kmer : sketch.per_trial[static_cast<std::size_t>(t)]) {
-      ASSERT_EQ(table.lookup(t, kmer).size(), 1u);
-      EXPECT_EQ(table.lookup(t, kmer)[0], 0u);
+      ASSERT_EQ(table.flat().lookup(t, kmer).size(), 1u);
+      EXPECT_EQ(table.flat().lookup(t, kmer)[0], 0u);
     }
   }
 }
@@ -156,9 +176,9 @@ TEST(SketchTable, EntriesRoundTrip) {
 
   const SketchTable rebuilt = SketchTable::from_entries(3, table.to_entries());
   EXPECT_EQ(rebuilt.size(), table.size());
-  EXPECT_EQ(rebuilt.lookup(0, 100).size(), 2u);
-  EXPECT_EQ(rebuilt.lookup(1, 200).size(), 1u);
-  EXPECT_EQ(rebuilt.lookup(2, 300).size(), 1u);
+  EXPECT_EQ(rebuilt.flat().lookup(0, 100).size(), 2u);
+  EXPECT_EQ(rebuilt.flat().lookup(1, 200).size(), 1u);
+  EXPECT_EQ(rebuilt.flat().lookup(2, 300).size(), 1u);
   expect_matches_oracle(rebuilt, oracle_of(entries));
 }
 
@@ -179,8 +199,8 @@ TEST(SketchTable, FromEntriesMergesMultipleRanksDeduplicated) {
   all.insert(all.end(), rank0.begin(), rank0.end());
   all.insert(all.end(), rank1.begin(), rank1.end());
   const SketchTable merged = SketchTable::from_entries(1, all);
-  EXPECT_EQ(merged.lookup(0, 7).size(), 2u);
-  EXPECT_EQ(merged.lookup(0, 8).size(), 1u);
+  EXPECT_EQ(merged.flat().lookup(0, 7).size(), 2u);
+  EXPECT_EQ(merged.flat().lookup(0, 8).size(), 1u);
 }
 
 TEST(SketchTable, KeyCountCountsDistinctKeys) {
@@ -201,14 +221,22 @@ TEST(SketchTable, FromEntriesMatchesMapOracleAtEveryThreadCount) {
   for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
     const SketchTable table = SketchTable::from_entries(6, entries, threads);
     expect_matches_oracle(table, oracle);
-    for (int t = 0; t < 6; ++t) {
-      EXPECT_EQ(table.frozen_trial(t).keys, serial.frozen_trial(t).keys);
-      EXPECT_EQ(table.frozen_trial(t).offsets,
-                serial.frozen_trial(t).offsets);
-      EXPECT_EQ(table.frozen_trial(t).subjects,
-                serial.frozen_trial(t).subjects);
-    }
+    expect_same_index(table, serial);
   }
+}
+
+TEST(SketchTable, ToEntriesIsSortedByTrialKmerSubject) {
+  // to_entries walks the slot regions, whose keys sit in hash order; the
+  // wire order is still (trial, kmer, subject) with duplicates collapsed.
+  std::vector<SketchEntry> entries = random_entries(9, 5, 3000);
+  const SketchTable table = SketchTable::from_entries(5, entries, 3);
+  std::sort(entries.begin(), entries.end(),
+            [](const SketchEntry& a, const SketchEntry& b) {
+              return std::tie(a.trial, a.kmer, a.subject) <
+                     std::tie(b.trial, b.kmer, b.subject);
+            });
+  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+  EXPECT_EQ(table.to_entries(), entries);
 }
 
 TEST(SketchTableFrozen, FreezeIsIdempotentAndPreservesLookups) {
@@ -217,27 +245,22 @@ TEST(SketchTableFrozen, FreezeIsIdempotentAndPreservesLookups) {
   const std::vector<SketchEntry> entries{{10, 0, 1}, {10, 0, 2}, {20, 1, 3}};
   const SketchTable table = SketchTable::from_entries(2, entries);
   const SketchTable again = SketchTable::from_entries(2, table.to_entries());
-  for (int t = 0; t < 2; ++t) {
-    EXPECT_EQ(again.frozen_trial(t).keys, table.frozen_trial(t).keys);
-    EXPECT_EQ(again.frozen_trial(t).offsets, table.frozen_trial(t).offsets);
-    EXPECT_EQ(again.frozen_trial(t).subjects, table.frozen_trial(t).subjects);
-  }
-  EXPECT_TRUE(std::ranges::equal(again.flat().slots(), table.flat().slots()));
-  EXPECT_EQ(again.lookup(0, 10).size(), 2u);
-  EXPECT_EQ(again.lookup(1, 20).size(), 1u);
-  EXPECT_TRUE(again.lookup(0, 99).empty());
+  expect_same_index(again, table);
+  EXPECT_EQ(again.flat().lookup(0, 10).size(), 2u);
+  EXPECT_EQ(again.flat().lookup(1, 20).size(), 1u);
+  EXPECT_TRUE(again.flat().lookup(0, 99).empty());
   EXPECT_EQ(again.size(), 3u);
   EXPECT_EQ(again.key_count(), 2u);
   EXPECT_EQ(again.trials(), 2);
 }
 
 TEST(SketchTableFrozen, FromEntriesProducesFrozenTable) {
-  // Already query-ready: the flat index exists and agrees with the CSR.
+  // Already query-ready: the flat index exists and agrees with the oracle.
   const std::vector<SketchEntry> entries{{5, 0, 1}, {5, 0, 2}, {7, 0, 0}};
   const SketchTable table = SketchTable::from_entries(1, entries);
   EXPECT_EQ(table.flat().trials(), 1);
-  EXPECT_EQ(table.lookup(0, 5).size(), 2u);
-  EXPECT_EQ(table.lookup(0, 7).size(), 1u);
+  EXPECT_EQ(table.flat().lookup(0, 5).size(), 2u);
+  EXPECT_EQ(table.flat().lookup(0, 7).size(), 1u);
   expect_matches_oracle(table, oracle_of(entries));
 }
 
@@ -245,12 +268,12 @@ TEST(SketchTableFrozen, FromEntriesCollapsesDuplicateTriples) {
   const std::vector<SketchEntry> entries{{5, 0, 1}, {5, 0, 1}, {5, 0, 1}};
   const SketchTable table = SketchTable::from_entries(1, entries);
   EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.lookup(0, 5).size(), 1u);
+  EXPECT_EQ(table.flat().lookup(0, 5).size(), 1u);
 }
 
 TEST(SketchTableFrozen, FrozenAndHashFormsAgreeOnRandomData) {
-  // Property: the CSR form, the flat hash form and the map oracle hold the
-  // same sets, and absent keys miss everywhere.
+  // Property: the flat index and the map oracle hold the same sets, and
+  // absent keys miss.
   const std::vector<SketchEntry> entries = random_entries(7, 4, 2000);
   const Oracle oracle = oracle_of(entries);
   const SketchTable table = SketchTable::from_entries(4, entries);
@@ -258,7 +281,6 @@ TEST(SketchTableFrozen, FrozenAndHashFormsAgreeOnRandomData) {
   for (std::uint64_t kmer = 0; kmer < 120; ++kmer) {
     for (int t = 0; t < 4; ++t) {
       const bool present = oracle.contains({t, kmer});
-      EXPECT_EQ(!table.lookup(t, kmer).empty(), present);
       EXPECT_EQ(!table.flat().lookup(t, kmer).empty(), present);
     }
   }
@@ -271,8 +293,8 @@ TEST(SketchTableFrozen, ToEntriesRoundTripsThroughFrozenForm) {
   ASSERT_EQ(round.size(), 2u);
   EXPECT_EQ(round[0], (SketchEntry{100, 0, 1}));  // (trial, kmer) order
   const SketchTable rebuilt = SketchTable::from_entries(2, round);
-  EXPECT_EQ(rebuilt.lookup(0, 100).size(), 1u);
-  EXPECT_EQ(rebuilt.lookup(1, 200).size(), 1u);
+  EXPECT_EQ(rebuilt.flat().lookup(0, 100).size(), 1u);
+  EXPECT_EQ(rebuilt.flat().lookup(1, 200).size(), 1u);
 }
 
 TEST(SketchEntry, WireSizeIsStable) {
