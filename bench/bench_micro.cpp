@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels of the library:
 // k-mer codec, minimizer scan, hash family, JEM sketch (fast vs the literal
-// Algorithm 1 loop — the interval-sliding ablation), classical MinHash,
+// Algorithm 1 loop — the interval-resolution ablation), classical MinHash,
 // sketch-table operations, single-segment mapping, the mpisim allgatherv,
 // and the alignment kernels.
 #include <benchmark/benchmark.h>
@@ -91,8 +91,9 @@ void BM_LcgHashFamily(benchmark::State& state) {
 }
 BENCHMARK(BM_LcgHashFamily);
 
-// Interval-sliding ablation: the T-deque sliding-window-minimum
-// implementation vs the literal per-interval argmin of Algorithm 1.
+// Interval-resolution ablation on one 50 kbp subject: the block-decomposed
+// interval-minimum kernel vs the literal per-interval argmin of
+// Algorithm 1.
 void BM_SketchByJemFast(benchmark::State& state) {
   const std::string seq = random_dna(6, 50'000);
   const auto minimizers = core::minimizer_scan(seq, {16, 100});
@@ -434,6 +435,65 @@ void BM_HotpathSuffixSketch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HotpathSuffixSketch);
+
+// The subject side of the same kernel: a ~50 kbp contig spans ~50
+// intervals, so every list is many blocks. Each iteration sketches one of
+// 40 distinct contigs (simulated, repeat-rich) at the paper's parameters;
+// the reference is the pre-overhaul std::deque kernel.
+const std::vector<std::vector<core::Minimizer>>& subject_lists() {
+  static const std::vector<std::vector<core::Minimizer>> lists = [] {
+    sim::GenomeParams genome;
+    genome.length = 2'000'000;
+    genome.repeat_fraction = 0.28;
+    genome.seed = 46;
+    const std::string bases = sim::simulate_genome(genome);
+    const core::MapParams params = hotpath_data().params;
+    std::vector<std::vector<core::Minimizer>> out;
+    for (std::size_t start = 0; start + 50'000 <= bases.size();
+         start += 50'000) {
+      out.push_back(core::minimizer_scan(
+          std::string_view(bases).substr(start, 50'000),
+          {params.k, params.w, params.ordering}));
+    }
+    return out;
+  }();
+  return lists;
+}
+
+void BM_HotpathSubjectSketch(benchmark::State& state) {
+  const auto& lists = subject_lists();
+  const core::MapParams params = hotpath_data().params;
+  const core::HashFamily hashes(params.trials, params.seed);
+  core::SketchScratch scratch;
+  core::FlatSketch sketch;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    core::sketch_by_jem(lists[i], params.segment_length, hashes, scratch,
+                        sketch);
+    benchmark::DoNotOptimize(sketch.kmers.data());
+    benchmark::ClobberMemory();
+    i = (i + 1) % lists.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(lists.size()) + " distinct contigs");
+}
+BENCHMARK(BM_HotpathSubjectSketch);
+
+void BM_HotpathSubjectSketchReference(benchmark::State& state) {
+  const auto& lists = subject_lists();
+  const core::MapParams params = hotpath_data().params;
+  const core::HashFamily hashes(params.trials, params.seed);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const core::Sketch sketch = core::sketch_by_jem_reference(
+        lists[i], params.segment_length, hashes);
+    benchmark::DoNotOptimize(sketch.total_entries());
+    i = (i + 1) % lists.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(lists.size()) + " distinct contigs");
+}
+BENCHMARK(BM_HotpathSubjectSketchReference);
 
 // The end-to-end pair the BENCH_hotpath.json speedup criterion reads: one
 // query segment mapped start to finish, pre-overhaul path vs hot path.

@@ -8,7 +8,8 @@
 # (default: BENCH_hotpath.json at the repo root) with the derived speedups.
 # Exits non-zero if the end-to-end map_segment speedup drops below 1.5x, or
 # if the minimizer scan costs over 1.5x more per base on tandem repeats
-# than on distinct tiles (the linear-worst-case guard).
+# than on distinct tiles (the linear-worst-case guard). The subject-sketch
+# speedup over the deque kernel is recorded without a gate.
 #
 # Usage: scripts/bench_hotpath.sh [output.json]
 #   JEM_BENCH_REPS     repetitions per benchmark (default 5)
@@ -72,6 +73,11 @@ speedups = {
     # End-to-end query mapping: pre-overhaul alloc path vs hot path.
     "map_segment_hot_vs_reference":
         speedup("BM_HotpathMapSegmentReference", "BM_HotpathMapSegment"),
+    # Subject sketching (~50 kbp contigs, many blocks): pre-overhaul deque
+    # kernel vs the block kernel. Recorded, not gated.
+    "subject_sketch_vs_reference":
+        speedup("BM_HotpathSubjectSketchReference",
+                "BM_HotpathSubjectSketch"),
 }
 
 # Scan cost per base on 1 kbp of poly-A / (AC)n over that on distinct

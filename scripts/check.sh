@@ -35,9 +35,10 @@ ctest --test-dir build-tsan --output-on-failure \
 # structured error without tripping ASan/UBSan while parsing hostile bytes.
 # So must the parsers: the gzip decoder and the buffered FASTA/FASTQ reader.
 # The query kernels ride along too: the minimizer scan indexes raw window
-# blocks, the suffix sketch writes through a raw column pointer, and the
-# mapper prefetches and probes raw slot arrays. The index build fills the
-# slot array and postings pool through raw per-trial region pointers.
+# blocks, the sketch kernel writes through a raw column pointer and indexes
+# its prefix minima by interval end, and the mapper prefetches and probes
+# raw slot arrays. The index build fills the slot array and postings pool
+# through raw per-trial region pointers.
 cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \

@@ -28,133 +28,133 @@ struct HashedKmer {
 
 }  // namespace
 
-namespace {
-
-/// Fast path for the query side: when the whole minimizer list spans at most
-/// ℓ positions (always true for an end segment of length <= ℓ), every
-/// interval [p_i, p_i + ℓ] reaches the end of the list, so the interval
-/// minimum of position i is simply the suffix minimum over [i, n). One
-/// backward scan per trial replaces the sliding-window rings entirely.
-///
-/// The k-mers are copied to a flat array once, each trial's LcgHash is
-/// hoisted into locals, and each trial writes its emitted minima straight
-/// into its column of out.kmers (sized T·|M| up front, trimmed at the end).
-void sketch_by_jem_suffix(std::span<const Minimizer> minimizers,
-                          const HashFamily& hashes, SketchScratch& scratch,
-                          FlatSketch& out) {
+void sketch_by_jem(std::span<const Minimizer> minimizers,
+                   std::uint32_t interval_length, const HashFamily& hashes,
+                   SketchScratch& scratch, FlatSketch& out) {
   const auto trials = static_cast<std::size_t>(hashes.trials());
   const std::size_t count = minimizers.size();
-  std::vector<KmerCode>& kmers = scratch.kmers;
-  kmers.resize(count);
-  for (std::size_t i = 0; i < count; ++i) kmers[i] = minimizers[i].kmer;
+  out.clear();
+  out.offsets.assign(trials + 1, 0);
+  if (count == 0) return;
 
+  // Interval ends: ends[i] = r(i), one past the last minimizer with
+  // p_j <= p_i + ℓ. r is nondecreasing and r(i) >= i + 1.
+  std::vector<KmerCode>& kmers = scratch.kmers;
+  std::vector<std::uint32_t>& ends = scratch.ends;
+  kmers.resize(count);
+  ends.resize(count);
+  std::size_t right = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    kmers[i] = minimizers[i].kmer;
+    const std::uint64_t limit =
+        static_cast<std::uint64_t>(minimizers[i].position) + interval_length;
+    while (right < count && minimizers[right].position <= limit) ++right;
+    ends[i] = static_cast<std::uint32_t>(right);
+  }
+
+  // Blocks b_0 = 0, b_{k+1} = r(b_k). An interval starting in block k ends
+  // by the end of block k+1, so its minimum is min(suffix minimum of block
+  // k at i, prefix minimum of block k+1 at r(i) - 1).
+  std::vector<std::uint32_t>& blocks = scratch.blocks;
+  blocks.clear();
+  for (std::size_t b = 0; b < count; b = ends[b]) {
+    blocks.push_back(static_cast<std::uint32_t>(b));
+  }
+  blocks.push_back(static_cast<std::uint32_t>(count));
+  const std::size_t last = blocks.size() - 2;  // the last block's index
+
+  std::vector<std::uint64_t>& hashed = scratch.hashed;
+  std::vector<std::uint64_t>& prefix_hash = scratch.prefix_hash;
+  std::vector<KmerCode>& prefix_kmer = scratch.prefix_kmer;
+  hashed.resize(count);
+  prefix_hash.resize(count + 1);
+  prefix_kmer.resize(count + 1);
+  // prefix_*[0] stands for an empty prefix (r(i) == b_{k+1}): it never
+  // compares strictly below a real (hash, kmer), so it never wins.
+  prefix_hash[0] = ~std::uint64_t{0};
+  prefix_kmer[0] = ~KmerCode{0};
+
+  // Each trial writes its minima straight into its column of out.kmers
+  // (sized T·|M| up front, trimmed at the end). A minimizer emits at most
+  // one k-mer, so every write stays inside the trial's |M| share; a
+  // candidate is written at column[emitted] and kept by advancing emitted.
   out.kmers.resize(trials * count);
-  out.offsets.resize(trials + 1);
-  out.offsets[0] = 0;
   std::size_t written = 0;
   for (std::size_t t = 0; t < trials; ++t) {
     const LcgHash hash = hashes[static_cast<int>(t)];
     KmerCode* const column = out.kmers.data() + written;
+
+    // Last block: every interval runs to the end of the list, so the
+    // interval minimum is the suffix minimum. Walking backward it only
+    // ever improves strictly, so its emits are already distinct. A query
+    // list (span <= ℓ) is exactly this one block.
     std::uint64_t best_hash = hash(kmers[count - 1]);
     KmerCode best_kmer = kmers[count - 1];
+    hashed[count - 1] = best_hash;
     column[0] = best_kmer;
     std::size_t emitted = 1;
-    // The running minimum only ever improves strictly walking backward, so
-    // each emitted (hash, kmer) is strictly smaller than the last — the
-    // emitted k-mers are already distinct, no dedup pass needed. Every
-    // candidate is written at column[emitted] and kept only if it improved
-    // (emitted < count, so the write stays inside this trial's T·|M| share).
-    for (std::size_t i = count - 1; i-- > 0;) {
+    for (std::size_t i = count - 1; i-- > blocks[last];) {
       const KmerCode kmer = kmers[i];
       const std::uint64_t h = hash(kmer);
-      const bool better =
-          h < best_hash || (h == best_hash && kmer < best_kmer);
+      hashed[i] = h;
+      const bool better = h < best_hash || (h == best_hash && kmer < best_kmer);
       best_hash = better ? h : best_hash;
       best_kmer = better ? kmer : best_kmer;
       column[emitted] = kmer;
       emitted += better;
     }
+
+    // Earlier blocks, last to first: prefix minima of block k+1 over its
+    // stored hashes, then one backward pass over block k that hashes,
+    // keeps the suffix minimum and merges. Consecutive repeats are dropped
+    // here; the sort + unique below removes the rest.
+    for (std::size_t k = last; k-- > 0;) {
+      const std::size_t begin = blocks[k];
+      const std::size_t mid = blocks[k + 1];
+      const std::size_t stop = blocks[k + 2];
+      std::uint64_t ph = prefix_hash[0];
+      KmerCode pk = prefix_kmer[0];
+      for (std::size_t j = mid; j < stop; ++j) {
+        const KmerCode kmer = kmers[j];
+        const std::uint64_t h = hashed[j];
+        const bool better = h < ph || (h == ph && kmer < pk);
+        ph = better ? h : ph;
+        pk = better ? kmer : pk;
+        prefix_hash[j - mid + 1] = ph;
+        prefix_kmer[j - mid + 1] = pk;
+      }
+
+      KmerCode prev = column[emitted - 1];
+      best_hash = prefix_hash[0];
+      best_kmer = prefix_kmer[0];
+      for (std::size_t i = mid; i-- > begin;) {
+        const KmerCode kmer = kmers[i];
+        const std::uint64_t h = hash(kmer);
+        hashed[i] = h;
+        const bool better =
+            h < best_hash || (h == best_hash && kmer < best_kmer);
+        best_hash = better ? h : best_hash;
+        best_kmer = better ? kmer : best_kmer;
+        const std::size_t e = ends[i] - mid;
+        const bool from_prefix =
+            prefix_hash[e] < best_hash ||
+            (prefix_hash[e] == best_hash && prefix_kmer[e] < best_kmer);
+        const KmerCode minimum = from_prefix ? prefix_kmer[e] : best_kmer;
+        column[emitted] = minimum;
+        emitted += minimum != prev;
+        prev = minimum;
+      }
+    }
+
     std::sort(column, column + emitted);
+    if (last > 0) {
+      emitted = static_cast<std::size_t>(
+          std::unique(column, column + emitted) - column);
+    }
     written += emitted;
     out.offsets[t + 1] = static_cast<std::uint32_t>(written);
   }
   out.kmers.resize(written);
-}
-
-}  // namespace
-
-void sketch_by_jem(std::span<const Minimizer> minimizers,
-                   std::uint32_t interval_length, const HashFamily& hashes,
-                   SketchScratch& scratch, FlatSketch& out) {
-  const auto trials = static_cast<std::size_t>(hashes.trials());
-  out.clear();
-
-  // Suffix-minima shortcut: if the last interval's start already admits the
-  // last minimizer, every interval runs to the end of the list. Identical
-  // output to the general path — equal (hash, kmer) pairs carry equal
-  // k-mers, and each trial is sorted + deduped either way.
-  if (!minimizers.empty() &&
-      minimizers.back().position - minimizers.front().position <=
-          interval_length) {
-    sketch_by_jem_suffix(minimizers, hashes, scratch, out);
-    return;
-  }
-
-  // One sliding-window-minimum ring per trial, advanced in lockstep with
-  // the interval two-pointer. The rings and the emission buffer live in the
-  // scratch, so repeat calls allocate nothing once capacities settle.
-  auto& windows = scratch.windows;
-  if (windows.size() < trials) windows.resize(trials);
-  for (std::size_t t = 0; t < trials; ++t) windows[t].clear();
-  scratch.emitted.clear();
-
-  std::size_t right = 0;  // first minimizer not yet in any window
-  for (std::size_t i = 0; i < minimizers.size(); ++i) {
-    const std::uint64_t limit =
-        static_cast<std::uint64_t>(minimizers[i].position) + interval_length;
-
-    // Extend the interval: admit minimizers with p_j <= p_i + ℓ.
-    while (right < minimizers.size() && minimizers[right].position <= limit) {
-      const KmerCode kmer = minimizers[right].kmer;
-      for (std::size_t t = 0; t < trials; ++t) {
-        auto& window = windows[t];
-        const std::uint64_t hash = hashes.hash(static_cast<int>(t), kmer);
-        // Pop entries >= (hash, kmer): min tie-break toward smaller k-mer.
-        while (!window.empty() &&
-               !(window.back().hash < hash ||
-                 (window.back().hash == hash && window.back().kmer < kmer))) {
-          window.pop_back();
-        }
-        window.push_back({hash, kmer, static_cast<std::uint32_t>(right)});
-      }
-      ++right;
-    }
-
-    // Shrink: evict minimizers that precede the interval start, then emit
-    // every trial's interval minimum (minimizer-major layout).
-    for (std::size_t t = 0; t < trials; ++t) {
-      auto& window = windows[t];
-      while (window.front().index < i) window.pop_front();
-      scratch.emitted.push_back(window.front().kmer);
-    }
-  }
-
-  // Normalize each trial: gather its emission column, sort, dedup, append.
-  // The result is element-for-element equal to Sketch::per_trial[t].
-  out.offsets.reserve(trials + 1);
-  out.offsets.push_back(0);
-  const std::size_t count = minimizers.size();
-  for (std::size_t t = 0; t < trials; ++t) {
-    scratch.trial_tmp.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      scratch.trial_tmp.push_back(scratch.emitted[i * trials + t]);
-    }
-    std::sort(scratch.trial_tmp.begin(), scratch.trial_tmp.end());
-    const auto last =
-        std::unique(scratch.trial_tmp.begin(), scratch.trial_tmp.end());
-    out.kmers.insert(out.kmers.end(), scratch.trial_tmp.begin(), last);
-    out.offsets.push_back(static_cast<std::uint32_t>(out.kmers.size()));
-  }
 }
 
 Sketch sketch_by_jem(std::span<const Minimizer> minimizers,

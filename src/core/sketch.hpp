@@ -11,12 +11,15 @@
 // of the same k-mer collapse: the sketch table keys on the k-mer, and
 // Algorithm 2 counts at most one hit per (trial, subject)).
 //
-// Two implementations are provided:
-//  * sketch_by_jem        — O(|M_o|·T) amortized via T simultaneous
-//                           sliding-window-minimum deques;
-//  * sketch_by_jem_naive  — the literal per-interval argmin loop of
-//                           Algorithm 1 (O(|M_o|·I·T)); used for validation
-//                           and as the ablation baseline.
+// One production kernel and two oracles:
+//  * sketch_by_jem            — O(|M_o|·T): per trial, each interval
+//                               minimum is a block-decomposed suffix/prefix
+//                               minimum (see the flat overload below);
+//  * sketch_by_jem_reference  — the pre-overhaul std::deque sliding-window
+//                               kernel, kept verbatim as the golden oracle;
+//  * sketch_by_jem_naive      — the literal per-interval argmin loop of
+//                               Algorithm 1 (O(|M_o|·I·T)); used for
+//                               validation and as the ablation baseline.
 //
 // Classical MinHash (classic_minhash): per trial, the single argmin of h_t
 // over ALL canonical k-mers of the sequence — no minimizer thinning, no
@@ -31,7 +34,6 @@
 
 #include "core/hash_family.hpp"
 #include "core/minimizer.hpp"
-#include "util/ring_buffer.hpp"
 
 namespace jem::core {
 
@@ -81,27 +83,19 @@ struct FlatSketch {
   }
 };
 
-namespace detail {
-/// One per-trial sliding-window-minimum entry of Algorithm 1's fast path:
-/// the trial hash, the k-mer, and the index of the minimizer it came from.
-struct JemWindowEntry {
-  std::uint64_t hash;
-  KmerCode kmer;
-  std::uint32_t index;
-};
-}  // namespace detail
-
 /// Reusable state of the sketch kernels. Hold one per thread (MapScratch
 /// embeds one) and every buffer converges to its high-water capacity: the
-/// minimizer list, the scan's window blocks, the T interval-minimum rings
-/// (replacing T std::deques per call), and the flat emission buffers.
+/// minimizer list, the scan's window blocks, the interval kernel's
+/// per-minimizer arrays and the classic MinHash running argmin.
 struct SketchScratch {
   MinimizerScratch scan;                  // minimizer_scan window blocks
   std::vector<Minimizer> minimizers;      // M_o(s, w) of the segment
-  std::vector<KmerCode> kmers;            // minimizer k-mers (suffix path)
-  std::vector<util::RingDeque<detail::JemWindowEntry>> windows;  // T rings
-  std::vector<KmerCode> emitted;  // interval minima, minimizer-major (|M|*T)
-  std::vector<KmerCode> trial_tmp;        // one trial's column, for sort
+  std::vector<KmerCode> kmers;            // minimizer k-mers
+  std::vector<std::uint32_t> ends;        // interval ends r(i)
+  std::vector<std::uint32_t> blocks;      // block starts, then |M|
+  std::vector<std::uint64_t> hashed;      // one trial's minimizer hashes
+  std::vector<std::uint64_t> prefix_hash; // next block's prefix minima
+  std::vector<KmerCode> prefix_kmer;
   std::vector<std::uint64_t> best_hash;   // classic MinHash running argmin
   std::vector<KmerCode> best_kmer;
 };
@@ -119,6 +113,15 @@ struct SketchParams {
 /// Allocation-free (at steady state) form of the fast path: fills `out`
 /// reusing `scratch`. trial lists are bit-identical to the allocating
 /// overload's per_trial vectors.
+///
+/// r(i) is one past the last minimizer with p_j <= p_i + ℓ. Blocks start at
+/// b_0 = 0 and b_{k+1} = r(b_k), so an interval starting in block k ends
+/// by the end of block k+1 and its minimum is min(suffix minimum of block
+/// k at i, prefix minimum of block k+1 at r(i) - 1). Per trial the blocks
+/// are walked last to first; each gets one backward pass that hashes,
+/// stores the hashes and keeps the suffix minimum, merged with the next
+/// block's prefix minima from one forward pass. A list that spans at most
+/// ℓ (every end segment) is one block: a plain suffix-minimum scan.
 void sketch_by_jem(std::span<const Minimizer> minimizers,
                    std::uint32_t interval_length, const HashFamily& hashes,
                    SketchScratch& scratch, FlatSketch& out);
@@ -134,7 +137,7 @@ void sketch_by_jem(std::span<const Minimizer> minimizers,
                                          const HashFamily& hashes);
 
 /// The pre-overhaul production kernel, kept verbatim: per-trial
-/// std::deque sliding windows allocated per call, no suffix shortcut.
+/// std::deque sliding windows allocated per call.
 /// Serves as the golden-equivalence oracle for the scratch kernel and as
 /// the baseline the BM_Hotpath* benches (and BENCH_hotpath.json) compare
 /// against. Do not optimize this function.

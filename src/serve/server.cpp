@@ -1182,11 +1182,10 @@ void MappingServer::batcher_loop() {
     // warm-scratch engine batch.
     const auto window_end = Clock::now() + config_.batch_window;
     while (batch.size() < config_.max_batch) {
-      const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-          window_end - Clock::now());
+      const std::chrono::nanoseconds remaining = window_end - Clock::now();
       PendingMap next;
       const util::QueueOpResult more = work_queue_->pop_wait_for(
-          next, std::max(remaining, std::chrono::milliseconds(0)));
+          next, std::max(remaining, std::chrono::nanoseconds(0)));
       if (more != util::QueueOpResult::kSuccess) break;
       batch.push_back(std::move(next));
       if (Clock::now() >= window_end) break;

@@ -75,7 +75,7 @@ class BoundedQueue {
   /// kTimeout (the bounded-retry-with-backoff loops in the streaming engine
   /// depend on this).
   [[nodiscard]] QueueOpResult push_wait_for(T& value,
-                                            std::chrono::milliseconds timeout) {
+                                            std::chrono::nanoseconds timeout) {
     std::unique_lock lock(mutex_);
     const bool ready = not_full_.wait_for(lock, timeout, [&] {
       return items_.size() < capacity_ || closed_;
@@ -91,7 +91,7 @@ class BoundedQueue {
   /// Timed pop: waits at most `timeout` for an item. kClosed is terminal
   /// (closed and drained); kTimeout means the queue is still live but empty.
   [[nodiscard]] QueueOpResult pop_wait_for(T& out,
-                                           std::chrono::milliseconds timeout) {
+                                           std::chrono::nanoseconds timeout) {
     std::unique_lock lock(mutex_);
     const bool ready = not_empty_.wait_for(
         lock, timeout, [&] { return !items_.empty() || closed_; });

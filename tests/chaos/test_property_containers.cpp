@@ -1,118 +1,22 @@
-// Property tests for the concurrency/containers substrate the streaming
-// pipeline stands on: RingDeque is differential-tested against std::deque
-// under seeded random operation sequences (wraparound and growth-while-
-// wrapped are the interesting states), and BoundedQueue's close/timeout
-// semantics are pinned down — close wakes every waiter, accepted items are
-// never lost, and a timed-out push does not steal the caller's value.
+// Property tests for the concurrency substrate the streaming pipeline
+// stands on: BoundedQueue's close/timeout semantics are pinned down — close
+// wakes every waiter, accepted items are never lost, and a timed-out push
+// does not steal the caller's value.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "util/bounded_queue.hpp"
-#include "util/prng.hpp"
-#include "util/ring_buffer.hpp"
 
 namespace jem::util {
 namespace {
 
 using std::chrono::milliseconds;
-
-void expect_matches_model(const RingDeque<std::uint32_t>& ring,
-                          const std::deque<std::uint32_t>& model) {
-  ASSERT_EQ(ring.size(), model.size());
-  ASSERT_EQ(ring.empty(), model.empty());
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    ASSERT_EQ(ring[i], model[i]) << "at index " << i;
-  }
-  if (!model.empty()) {
-    ASSERT_EQ(ring.front(), model.front());
-    ASSERT_EQ(ring.back(), model.back());
-  }
-}
-
-TEST(PropertyContainers, RingDequeWrapsAroundAtCapacityWithoutGrowing) {
-  RingDeque<std::uint32_t> ring;
-  std::deque<std::uint32_t> model;
-  // Fill the initial 16-slot ring, then slide the window so the head
-  // crosses the end of the backing storage while size stays at capacity.
-  for (std::uint32_t i = 0; i < 16; ++i) {
-    ring.push_back(i);
-    model.push_back(i);
-  }
-  const std::size_t capacity = ring.capacity();
-  ASSERT_EQ(capacity, 16u);
-  for (std::uint32_t i = 16; i < 64; ++i) {
-    ring.pop_front();
-    model.pop_front();
-    ring.push_back(i);
-    model.push_back(i);
-    expect_matches_model(ring, model);
-  }
-  EXPECT_EQ(ring.capacity(), capacity) << "sliding at capacity must not grow";
-}
-
-TEST(PropertyContainers, RingDequeGrowsCorrectlyWhileWrapped) {
-  RingDeque<std::uint32_t> ring;
-  std::deque<std::uint32_t> model;
-  // Wrap the live range: 12 in, 8 out, 12 in leaves head near the end of
-  // the 16-slot storage with the contents split across the seam...
-  for (std::uint32_t i = 0; i < 12; ++i) {
-    ring.push_back(i);
-    model.push_back(i);
-  }
-  for (int i = 0; i < 8; ++i) {
-    ring.pop_front();
-    model.pop_front();
-  }
-  for (std::uint32_t i = 100; i < 112; ++i) {
-    ring.push_back(i);
-    model.push_back(i);
-  }
-  expect_matches_model(ring, model);
-  // ...then grow past capacity: the unroll must stitch the two spans back
-  // together in order.
-  for (std::uint32_t i = 200; i < 240; ++i) {
-    ring.push_back(i);
-    model.push_back(i);
-  }
-  expect_matches_model(ring, model);
-  EXPECT_GT(ring.capacity(), 16u);
-}
-
-TEST(PropertyContainers, RingDequeMatchesDequeUnderRandomOps) {
-  for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Xoshiro256ss rng(seed);
-    RingDeque<std::uint32_t> ring;
-    std::deque<std::uint32_t> model;
-    for (int step = 0; step < 4000; ++step) {
-      const std::uint64_t op = rng.bounded(100);
-      if (op < 55 || model.empty()) {
-        const auto value = static_cast<std::uint32_t>(rng());
-        ring.push_back(value);
-        model.push_back(value);
-      } else if (op < 75) {
-        ring.pop_front();
-        model.pop_front();
-      } else if (op < 95) {
-        ring.pop_back();
-        model.pop_back();
-      } else {
-        ring.clear();
-        model.clear();
-      }
-      if (step % 61 == 0) expect_matches_model(ring, model);
-    }
-    expect_matches_model(ring, model);
-  }
-}
 
 TEST(PropertyContainers, BoundedQueuePopAfterCloseDrainsEverything) {
   BoundedQueue<int> queue(8);

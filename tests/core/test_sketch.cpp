@@ -63,23 +63,30 @@ TEST(SketchByJem, FastMatchesNaiveOnRandomInputs) {
 }
 
 TEST(SketchByJem, FlatKernelMatchesNaiveWithReusedScratch) {
-  // The ring-buffer kernel writing into a reused FlatSketch must stay
+  // The block kernel writing into a reused FlatSketch must stay
   // bit-identical to the literal Algorithm 1 loop across random minimizer
   // lists and interval-length corners, with one scratch shared by all.
+  // Every third round draws k-mers from a 2-4 value alphabet so equal
+  // k-mers recur inside intervals (the (hash, kmer) tie-break and the
+  // dedup), and every fourth uses ℓ ∈ {0, 1}: each interval is one or two
+  // minimizers and nearly every minimizer is its own block.
   util::Xoshiro256ss rng(77);
   SketchScratch scratch;
   FlatSketch flat;
-  for (int round = 0; round < 30; ++round) {
+  for (int round = 0; round < 60; ++round) {
+    const std::uint64_t alphabet = round % 3 == 0 ? 2 + rng.bounded(3) : 0;
     std::vector<Minimizer> minimizers;
     std::uint32_t pos = 0;
     const std::size_t count = rng.bounded(120);  // sometimes empty
     for (std::size_t i = 0; i < count; ++i) {
       pos += 1 + static_cast<std::uint32_t>(rng.bounded(150));
-      minimizers.push_back({rng() & 0xffffffffu, pos});
+      const KmerCode kmer =
+          alphabet != 0 ? rng.bounded(alphabet) : rng() & 0xffffffffu;
+      minimizers.push_back({kmer, pos});
     }
     const HashFamily hashes(1 + static_cast<int>(rng.bounded(10)), rng());
-    const auto interval =
-        static_cast<std::uint32_t>(1 + rng.bounded(3000));
+    const auto interval = static_cast<std::uint32_t>(
+        round % 4 == 1 ? rng.bounded(2) : 1 + rng.bounded(3000));
     sketch_by_jem(minimizers, interval, hashes, scratch, flat);
     const Sketch naive = sketch_by_jem_naive(minimizers, interval, hashes);
     ASSERT_EQ(flat.trials(), naive.trials());
@@ -310,27 +317,47 @@ TEST(ClassicMinhash, SkipsAmbiguousKmers) {
 }
 
 TEST(SketchByJem, FlatKernelMatchesFrozenReferenceKernel) {
-  // The pre-overhaul deque kernel is the golden oracle: the scratch kernel
-  // must reproduce it exactly through both of its branches — the suffix
-  // shortcut (minimizer span <= interval) and the general sliding windows
-  // (span > interval).
+  // The pre-overhaul deque kernel is the golden oracle. One scratch
+  // alternates between one-block lists (span <= ℓ, the query shape: every
+  // interval runs to the end) and many-block lists (wide spacing, ℓ down
+  // to 0), so each call starts from the other shape's leftover buffers.
+  // Every third round draws k-mers from a 2-4 value alphabet.
   util::Xoshiro256ss rng(78);
   SketchScratch scratch;
   FlatSketch flat;
-  for (int round = 0; round < 40; ++round) {
+  for (int round = 0; round < 80; ++round) {
+    const bool one_block = round % 2 == 0;
+    const std::uint64_t alphabet = round % 3 == 0 ? 2 + rng.bounded(3) : 0;
     std::vector<Minimizer> minimizers;
     std::uint32_t pos = 0;
     const std::size_t count = rng.bounded(150);
-    // Half the rounds use tight spacing so the whole list fits one interval
-    // (suffix branch); half use wide spacing (sliding branch).
-    const std::uint32_t gap = round % 2 == 0 ? 5 : 400;
+    const std::uint32_t gap = one_block ? 5 : 400;
     for (std::size_t i = 0; i < count; ++i) {
       pos += 1 + static_cast<std::uint32_t>(rng.bounded(gap));
-      minimizers.push_back({rng() & 0xffffffffu, pos});
+      const KmerCode kmer =
+          alphabet != 0 ? rng.bounded(alphabet) : rng() & 0xffffffffu;
+      minimizers.push_back({kmer, pos});
     }
     const HashFamily hashes(1 + static_cast<int>(rng.bounded(8)), rng());
-    const auto interval = static_cast<std::uint32_t>(1 + rng.bounded(1500));
+    std::uint32_t interval = 0;
+    if (one_block) {
+      // Half of these sit exactly at span == ℓ, the one-block boundary.
+      const std::uint32_t span =
+          count == 0 ? 0 : minimizers.back().position -
+                               minimizers.front().position;
+      interval = span + static_cast<std::uint32_t>(
+                            round % 4 == 0 ? 0 : rng.bounded(500));
+    } else {
+      interval = static_cast<std::uint32_t>(
+          round % 4 == 1 ? rng.bounded(2) : 1 + rng.bounded(1500));
+    }
     sketch_by_jem(minimizers, interval, hashes, scratch, flat);
+    if (count > 0 && one_block) {
+      EXPECT_EQ(scratch.blocks.size(), 2u) << "round " << round;
+    }
+    if (count > 0 && interval == 0) {
+      EXPECT_EQ(scratch.blocks.size(), count + 1) << "round " << round;
+    }
     const Sketch reference =
         sketch_by_jem_reference(minimizers, interval, hashes);
     ASSERT_EQ(flat.trials(), reference.trials());

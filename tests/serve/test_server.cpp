@@ -153,6 +153,26 @@ TEST_F(MappingServerTest, MicroBatchedResponsesAreBitIdentical) {
   EXPECT_GE(batches->value, 1u);
 }
 
+TEST_F(MappingServerTest, LoneRequestWaitsOutASubMillisecondBatchWindow) {
+  // The batcher waits the whole window for company, so a lone request's
+  // queue wait (admission -> batch formed) covers it, also when the
+  // window is under a millisecond.
+  ServerConfig config;
+  config.batch_window = std::chrono::microseconds(900);
+  start_server(config);
+  ASSERT_EQ(post_map(queries_[0]).status, 200);
+
+  const HttpResponse flight =
+      http_get("127.0.0.1", server_->port(), "/debug/requests?limit=1");
+  ASSERT_EQ(flight.status, 200);
+  const std::string key = "\"queue_wait_ns\":";
+  const std::size_t at = flight.body.find(key);
+  ASSERT_NE(at, std::string::npos) << flight.body;
+  const std::uint64_t queue_wait_ns =
+      std::stoull(flight.body.substr(at + key.size()));
+  EXPECT_GE(queue_wait_ns, 900'000u) << flight.body;
+}
+
 TEST_F(MappingServerTest, RoutingErrorsAreStructured) {
   start_server();
   const HttpResponse missing =

@@ -42,6 +42,16 @@ TEST(BoundedQueueTest, CapacityZeroClampsToOne) {
   EXPECT_EQ(queue.pop(), 7);
 }
 
+TEST(BoundedQueueTest, SubMillisecondPopWaitForWaitsTheWholeTimeout) {
+  // The serve batcher passes its remaining micro-batch window, often a few
+  // hundred microseconds; it must not be truncated to whole milliseconds.
+  BoundedQueue<int> queue(4);
+  int out = 0;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(queue.pop_wait_for(out, 300us), QueueOpResult::kTimeout);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 300us);
+}
+
 TEST(BoundedQueueTest, ProducerBlocksWhenFullAndResumesAfterPop) {
   BoundedQueue<int> queue(2);
   std::atomic<int> pushed{0};
