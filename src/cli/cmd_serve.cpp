@@ -3,8 +3,7 @@
 // mapping requests until SIGTERM/SIGINT, then drain gracefully.
 //
 //   jem serve --subjects contigs.fa [--load-index idx] [--port 8765]
-//             [--workers 4] [--max-batch 16] [--batch-window-us 200]
-//             [--queue 64] [--work-queue 256] [--cache 1024]
+//             [--workers 4] [--queue 64] [--cache 1024]
 //             [--deadline-ms 0] [--port-file run.port]
 //             [--slow-ms 0] [--flight-recorder-size 256]
 //             [--slo-frame-ms 1000] [--log-format human|json]
@@ -12,6 +11,7 @@
 //             [--ordering lex|hash] [--scheme jem|minhash]
 //   jem serve --demo --port 0 --port-file run.port   (simulated subjects)
 //
+// Each worker maps its own requests (docs/serve.md "Map on the worker").
 // --port 0 binds an ephemeral port; --port-file publishes whichever port was
 // bound (written atomically) so scripts can wait for it and connect.
 //
@@ -24,8 +24,8 @@
 //
 // Chaos (docs/robustness.md): --chaos-seed plus --chaos-{delay,drop,abort}
 // rates arm the serve.* fault sites with a seeded, reproducible plan;
-// --chaos-abort-at site:invocation injects one deterministic thread abort
-// (e.g. serve.batch:4 kills the batcher on its 4th micro-batch).
+// --chaos-abort-at site:invocation injects one deterministic worker abort
+// (e.g. serve.write:4 kills the worker writing the 4th response).
 #include <atomic>
 #include <charconv>
 #include <csignal>
@@ -58,7 +58,7 @@ void handle_reload_signal(int) { g_reload_requested.store(true); }
 void handle_dump_signal(int) { g_dump_requested.store(true); }
 
 /// Parses a comma-separated list of "site:invocation" abort events
-/// ("serve.batch:4,serve.read:10") into `plan`. Returns false on garbage.
+/// ("serve.write:4,serve.read:10") into `plan`. Returns false on garbage.
 bool parse_abort_events(const std::string& text, util::FaultPlan& plan) {
   std::string_view rest = text;
   while (!rest.empty()) {
@@ -99,10 +99,7 @@ int run_serve(std::span<const char* const> args, std::string_view program) {
   std::uint64_t seed = 20230517;
   std::uint64_t port = 8765;
   std::uint64_t workers = 4;
-  std::uint64_t max_batch = 16;
-  std::uint64_t batch_window_us = 200;
   std::uint64_t queue = 64;
-  std::uint64_t work_queue = 256;
   std::uint64_t cache = 1024;
   std::uint64_t deadline_ms = 0;
   bool demo = false;
@@ -135,15 +132,9 @@ int run_serve(std::span<const char* const> args, std::string_view program) {
   options.add_uint("seed", seed, "experiment seed");
   options.add_uint("port", port, "listen port (0 = ephemeral, default 8765)");
   options.add_uint("workers", workers, "connection worker threads (default 4)");
-  options.add_uint("max-batch", max_batch,
-                   "micro-batch size cap (default 16)");
-  options.add_uint("batch-window-us", batch_window_us,
-                   "micro-batch coalescing window in µs (default 200)");
   options.add_uint("queue", queue,
                    "admission queue capacity; overflow sheds 503 "
                    "(default 64)");
-  options.add_uint("work-queue", work_queue,
-                   "/map work queue capacity (default 256)");
   options.add_uint("cache", cache,
                    "LRU response cache entries, 0 disables (default 1024)");
   options.add_uint("deadline-ms", deadline_ms,
@@ -164,7 +155,7 @@ int run_serve(std::span<const char* const> args, std::string_view program) {
                    "injected delays are in [1, this] ms (default 5)");
   options.add_string("chaos-abort-at", chaos_abort_at,
                      "deterministic aborts, 'site:invocation[,...]' "
-                     "(e.g. serve.batch:4)");
+                     "(e.g. serve.write:4)");
   options.add_uint("slow-ms", slow_ms,
                    "warn-log a span breakdown for requests slower than this "
                    "(0 = off)");
@@ -195,6 +186,13 @@ int run_serve(std::span<const char* const> args, std::string_view program) {
   } else if (log_format != "human") {
     std::cerr << "error: --log-format must be 'human' or 'json', got '"
               << log_format << "'\n";
+    return kExitUsage;
+  }
+  if (deadline_ms >
+      static_cast<std::uint64_t>(serve::MappingServer::kMaxDeadline.count())) {
+    std::cerr << "error: --deadline-ms must be at most "
+              << serve::MappingServer::kMaxDeadline.count() << ", got "
+              << deadline_ms << '\n';
     return kExitUsage;
   }
   if (slo_frame_ms == 0) {
@@ -280,9 +278,6 @@ int run_serve(std::span<const char* const> args, std::string_view program) {
     server_config.port = static_cast<std::uint16_t>(port);
     server_config.workers = workers;
     server_config.queue_capacity = queue;
-    server_config.work_capacity = work_queue;
-    server_config.max_batch = max_batch;
-    server_config.batch_window = std::chrono::microseconds(batch_window_us);
     server_config.default_deadline = std::chrono::milliseconds(deadline_ms);
     server_config.cache_capacity = cache;
     server_config.slow_threshold = std::chrono::milliseconds(slow_ms);
@@ -309,7 +304,7 @@ int run_serve(std::span<const char* const> args, std::string_view program) {
     }
     util::log_info() << "serving " << service.subjects().size()
                      << " subjects on 127.0.0.1:" << server.port() << " ("
-                     << workers << " workers, max batch " << max_batch << ")";
+                     << workers << " workers)";
     std::cout << "listening on 127.0.0.1:" << server.port() << std::endl;
 
     std::signal(SIGINT, handle_stop_signal);

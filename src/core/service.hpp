@@ -17,22 +17,18 @@
 //    as an expired deadline, so a server can keep serving.
 //  * MappingService — owns the subject set and the MappingEngine, loads a
 //    frozen JEMIDX1 index when one is offered (core::index_serde, with the
-//    same reject-and-rebuild fallback jem_map uses), and maps single
-//    requests or coalesced micro-batches. Batch results are bit-identical
-//    to single-shot JemMapper::map_segment output (golden-tested) — the
-//    micro-batcher in src/serve/ depends on that.
+//    same reject-and-rebuild fallback jem_map uses), and maps one request
+//    per call, bit-identical to JemMapper::map_segment (golden-tested).
 //
 // Thread model: map() is const and thread-safe given a per-thread
-// MapScratch, exactly like JemMapper::map_segment. map_batch() reuses one
-// warm scratch across the batch — the same amortization the engine's batch
-// kernels perform.
+// MapScratch, exactly like JemMapper::map_segment. The serve layer's
+// workers each keep one scratch and call map() directly.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -133,8 +129,8 @@ struct MapServiceRequest {
   /// contract as MapRequest::min_votes: must be >= the configured value).
   std::optional<std::uint32_t> min_votes;
 
-  /// Per-request deadline budget measured from map() entry (or from
-  /// admission in the serve layer). zero = no deadline.
+  /// Per-request deadline budget measured from map() entry (the serve
+  /// layer measures from handle() entry instead). zero = no deadline.
   std::chrono::milliseconds deadline{0};
 
   class Builder;
@@ -252,7 +248,7 @@ class MappingService {
   [[nodiscard]] MapServiceResponse map(const MapServiceRequest& request) const;
 
   /// Hot path: maps one request reusing `scratch`. `deadline` is the
-  /// absolute expiry (admission time + budget in the serve layer); nullopt
+  /// absolute expiry (handle() entry + budget in the serve layer); nullopt
   /// derives it from request.deadline at entry. An expired deadline returns
   /// a response with failure = kDeadlineExceeded instead of mapping — the
   /// same contained-failure shape run_stream_guarded gives EngineTimeout.
@@ -260,20 +256,7 @@ class MappingService {
       const MapServiceRequest& request, MapScratch& scratch,
       std::optional<Clock::time_point> deadline = std::nullopt) const;
 
-  /// Maps a coalesced micro-batch with one warm scratch (the serve layer's
-  /// batcher calls this with every request in flight). `deadlines` is
-  /// either empty (none) or exactly requests.size() absolute expiries;
-  /// expired entries get a kDeadlineExceeded response, and every other
-  /// response is bit-identical to a single-shot map() of that request.
-  [[nodiscard]] std::vector<MapServiceResponse> map_batch(
-      std::span<const MapServiceRequest> requests,
-      std::span<const Clock::time_point> deadlines = {}) const;
-
  private:
-  MapServiceResponse map_impl(const MapServiceRequest& request,
-                              MapScratch& scratch,
-                              std::optional<Clock::time_point> deadline) const;
-
   std::unique_ptr<io::SequenceSet> subjects_;  // stable across moves
   ServiceConfig config_;
   std::unique_ptr<MappingEngine> engine_;  // set in every constructor

@@ -27,12 +27,14 @@ struct FlightRecord {
   std::string endpoint;         ///< Request path, e.g. "/map".
   int status = 0;               ///< HTTP status served.
   bool cache_hit = false;       ///< /map answered from the LRU.
-  std::uint64_t batch = 0;      ///< Micro-batch id (0 = not batched).
-  std::uint64_t queue_wait_ns = 0;  ///< Admission -> batcher pop.
-  std::uint64_t map_ns = 0;         ///< map_batch wall time of its batch.
+  /// Always 0 for /map: nothing queues between a worker's parse and its
+  /// map. Kept because perfbench's serve probe and `obs_check --flight`
+  /// require the field.
+  std::uint64_t queue_wait_ns = 0;
+  std::uint64_t map_ns = 0;         ///< MappingService::map wall time.
   std::uint64_t serialize_ns = 0;   ///< Response-body construction.
   std::uint64_t total_ns = 0;       ///< handle() entry to exit.
-  std::string annotation;  ///< Shed/fault/deadline note; empty = clean.
+  std::string annotation;  ///< Failure code name; empty = clean.
 };
 
 /// Selection predicate for dump()/to_json().

@@ -2,49 +2,49 @@
 // long-lived process that loads the frozen index once (via MappingService)
 // and serves mapping requests over a local HTTP/1.1 socket.
 //
-// Pipeline, in the same shape as the streaming engine (reader -> bounded
-// queue -> workers -> in-order emit), but request-oriented:
+// Pipeline: one acceptor hands connections to N workers through a bounded
+// admission queue; each worker parses, routes and answers its connection.
 //
 //   acceptor thread ──try-push──► admission queue ──► worker threads
 //        │ (full? shed: 503 + Retry-After)               │ parse + route
 //        ▼                                               ▼
-//   connections never stall the listener         /map: bounded work queue
-//                                                        │
-//                                                micro-batcher thread
-//                                                (coalesce ≤ max_batch or
-//                                                 batch_window, then one
-//                                                 MappingService::map_batch
-//                                                 with a warm scratch)
+//   connections never stall the listener         /map: cache probe, then
+//                                                MappingService::map on
+//                                                the worker's own scratch
+//
+// Map on the worker: the query phase maps each segment on its own with
+// per-thread counters (the paper's S4), so a worker calls MappingService::map
+// directly with a core::MapScratch it made once at thread start and reuses
+// across requests and reloads (a reload keeps the subject set, so the
+// scratch size never changes). Nothing queues between parse and map.
 //
 // Admission control: the accept queue is a util::BoundedQueue; a full queue
 // sheds the connection immediately with `503 Service Unavailable` and a
 // `Retry-After` header — overload degrades to fast rejections, never to an
-// unbounded backlog or a stalled accept loop. The /map work queue is
-// likewise bounded; a full work queue sheds with 503 at the worker.
+// unbounded backlog or a stalled accept loop.
 //
 // Deadlines: every /map request carries an absolute expiry (its
-// `deadline_ms` or the server default), measured from admission. Expiry is
-// checked before the (uninterruptible) map kernel runs, riding the same
-// timed-queue-op machinery as the engine's stage_timeout, and surfaces as a
-// structured `504` JSON body — the HTTP projection of kDeadlineExceeded.
+// `deadline_ms` or the server default), measured from handle() entry.
+// Expiry is checked before the (uninterruptible) map kernel runs and
+// surfaces as a structured `504` JSON body — the HTTP projection of
+// kDeadlineExceeded. A budget above kMaxDeadline is a 400.
 //
 // Caching: responses for repeated (sequence, top_x, min_votes) keys come
 // from an LruCache keyed by the full composite key (digest picks the
 // bucket, byte-compare confirms — collision-safe).
 //
 // Fault injection (docs/robustness.md): when ServerConfig::fault_plan is
-// set, the pipeline queries a util::FaultInjector at five named sites —
-// serve.accept, serve.read, serve.write, serve.batch, serve.cache — mapping
-// the plan's delay/drop/abort taxonomy onto network failure modes:
-// injected latency, connection resets, truncated responses, dropped
-// batches, and worker/batcher thread aborts. Every decision is keyed by
-// (site, invocation) so the same seed replays the same schedule.
+// set, the pipeline queries a util::FaultInjector at four named sites —
+// serve.accept, serve.read, serve.write, serve.cache — mapping the plan's
+// delay/drop/abort taxonomy onto network failure modes: injected latency,
+// connection resets, truncated responses, cache bypasses and worker
+// aborts. Every decision is keyed by (site, invocation) so the same seed
+// replays the same schedule.
 //
-// Supervision: worker and batcher threads run under a supervisor. A thread
-// that dies (injected abort or a genuine bug) has its in-flight requests
-// failed with structured 500s — never hung futures — is joined, and is
-// respawned while the server keeps serving; /healthz reports the restart
-// counts.
+// Supervision: worker threads run under a supervisor. A worker that dies
+// (injected abort or a genuine bug) answers its in-flight request with a
+// structured 500, is joined, and is respawned while the server keeps
+// serving; /healthz reports the restart count.
 //
 // Hot swap: reload_index() (HTTP: POST /admin/reload; CLI: SIGHUP) loads a
 // new JEMIDX1 artifact in the background, validates it against the running
@@ -66,19 +66,18 @@
 //
 // Observability (docs/observability.md): per-endpoint latency histograms,
 // queue-depth and cache gauges, shed/deadline/reject counters, chaos
-// tallies, supervisor restart counts and the index epoch in the registry;
-// per-request trace propagation (W3C `traceparent` in, `x-jem-request-id`
-// out, ids stamped on every log line, error body and tracer span); a
-// flight-recorder ring of per-request timing records; and sliding-window
-// latency/error/shed SLOs behind /healthz and the OpenMetrics exposition.
+// tallies, the supervisor restart count and the index epoch in the
+// registry; per-request trace propagation (W3C `traceparent` in,
+// `x-jem-request-id` out, ids stamped on every log line, error body and
+// tracer span); a flight-recorder ring of per-request timing records; and
+// sliding-window latency/error/shed SLOs behind /healthz and the
+// OpenMetrics exposition.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -113,15 +112,9 @@ struct ServerConfig {
 
   std::size_t workers = 4;           // connection-handling threads
   std::size_t queue_capacity = 64;   // admission (accepted-connection) queue
-  std::size_t work_capacity = 256;   // /map work queue feeding the batcher
 
-  /// Micro-batching: the batcher takes the first in-flight request, then
-  /// coalesces up to `max_batch` total, waiting at most `batch_window` for
-  /// stragglers, and maps them in one warm-scratch MappingService batch.
-  std::size_t max_batch = 16;
-  std::chrono::microseconds batch_window{200};
-
-  /// Applied to /map requests that carry no deadline_ms. zero = none.
+  /// Applied to /map requests that carry no deadline_ms. zero = none; at
+  /// most MappingServer::kMaxDeadline.
   std::chrono::milliseconds default_deadline{0};
 
   /// Socket receive/send timeout — a stalled client cannot pin a worker.
@@ -134,9 +127,9 @@ struct ServerConfig {
   /// the server owns a private registry.
   obs::Registry* metrics = nullptr;
 
-  /// Span tracer for per-request span trees (client/request/queue-wait/
-  /// batch/map/serialize, all tagged with the request's trace id). Null =
-  /// no tracing; the request path then skips every span allocation.
+  /// Span tracer for per-request span trees (client/request/map/serialize,
+  /// all tagged with the request's trace id). Null = no tracing; the
+  /// request path then skips every span allocation.
   obs::Tracer* tracer = nullptr;
 
   /// Flight-recorder ring capacity (per-request records behind
@@ -144,7 +137,7 @@ struct ServerConfig {
   std::size_t flight_recorder_size = 256;
 
   /// Requests slower than this are logged as slow-request exemplars with
-  /// their full span breakdown (queue-wait/map/serialize). 0 = disabled.
+  /// their full span breakdown (map/serialize). 0 = disabled.
   /// Microsecond granularity so tests can arm it below real map latency.
   std::chrono::microseconds slow_threshold{0};
 
@@ -161,15 +154,18 @@ struct ServerConfig {
   /// Default artifact path for /admin/reload without ?path= and for the
   /// CLI's SIGHUP handler. Empty = reload requires an explicit path.
   std::string reload_index_path;
-
-  /// Test-only gate invoked by the batcher before mapping each micro-batch
-  /// (lets tests hold the pipeline to force queue-full and deadline paths).
-  std::function<void()> batch_hook;
 };
 
 class MappingServer {
  public:
   using Clock = core::MappingService::Clock;
+
+  /// Largest /map deadline budget (`deadline_ms`, --deadline-ms): half the
+  /// clock's range, so admission time + budget cannot overflow. Larger
+  /// values are rejected, never wrapped.
+  static constexpr std::chrono::milliseconds kMaxDeadline =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          Clock::duration::max() / 2);
 
   /// Non-owning: the service must outlive the server. Hot-swap is still
   /// available — the original service simply remains owned by the caller
@@ -185,13 +181,13 @@ class MappingServer {
   MappingServer(const MappingServer&) = delete;
   MappingServer& operator=(const MappingServer&) = delete;
 
-  /// Binds, listens and starts the acceptor/worker/batcher/supervisor
+  /// Binds, listens and starts the acceptor/worker/supervisor
   /// threads. Throws ServeError on bind/listen failure. Idempotent once
   /// running.
   void start();
 
-  /// Graceful drain: stop accepting, serve every admitted connection and
-  /// queued request, join all threads. Idempotent; also run by ~MappingServer.
+  /// Graceful drain: stop accepting, serve every admitted connection, join
+  /// all threads. Idempotent; also run by ~MappingServer.
   void stop();
 
   [[nodiscard]] bool running() const noexcept {
@@ -205,8 +201,8 @@ class MappingServer {
   [[nodiscard]] obs::Registry& registry() noexcept { return *registry_; }
 
   /// The routing core, socket-free: exactly what a worker runs after
-  /// parsing a request. /map routes through the live micro-batcher, so the
-  /// server must be start()ed. Exposed for in-process callers and tests.
+  /// parsing a request, on a scratch made for this call. Needs no start().
+  /// Exposed for in-process callers and tests.
   [[nodiscard]] HttpResponse handle(const HttpRequest& request);
 
   /// Result of one hot-swap attempt.
@@ -230,12 +226,9 @@ class MappingServer {
     return epoch_.load(std::memory_order_acquire);
   }
 
-  /// Supervisor tallies (threads respawned after an abort).
+  /// Supervisor tally (workers respawned after an abort).
   [[nodiscard]] std::uint64_t worker_restarts() const noexcept {
     return worker_restarts_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t batcher_restarts() const noexcept {
-    return batcher_restarts_.load(std::memory_order_relaxed);
   }
 
   /// The flight-recorder ring (never null when flight_recorder_size > 0;
@@ -249,24 +242,6 @@ class MappingServer {
   [[nodiscard]] std::string flight_recorder_text(std::size_t limit = 64) const;
 
  private:
-  /// What the batcher hands back per request, alongside the response:
-  /// the timings and batch id the flight record and spans need.
-  struct BatchedResult {
-    core::MapServiceResponse response;
-    std::uint64_t queue_wait_ns = 0;
-    std::uint64_t map_ns = 0;
-    std::uint64_t batch_id = 0;
-  };
-
-  struct PendingMap {
-    core::MapServiceRequest request;
-    Clock::time_point deadline = Clock::time_point::max();
-    Clock::time_point enqueued{};
-    std::string trace_id;           ///< For batcher-side span naming.
-    std::uint64_t enqueue_trace_ns = 0;  ///< Tracer clock at enqueue (0 = off).
-    std::promise<BatchedResult> promise;
-  };
-
   /// Per-request observability state threaded through handle().
   struct RequestContext {
     obs::TraceContext trace;  ///< Server ids: trace_id + fresh request span id.
@@ -274,24 +249,23 @@ class MappingServer {
     FlightRecord record;
   };
 
-  /// Supervisor slot id of the batcher (workers use their vector index).
-  static constexpr std::size_t kBatcherSlot = ~static_cast<std::size_t>(0);
-
   void acceptor_loop();
   void worker_main(std::size_t slot);
   void worker_loop();
-  void batcher_main();
-  void batcher_loop();
   void supervisor_loop();
-  void note_death(std::size_t slot);
-  void serve_connection(int fd);
+  void serve_connection(int fd, core::MapScratch& scratch);
+
+  /// handle() on the caller's scratch: what a worker runs per request.
+  [[nodiscard]] HttpResponse route(const HttpRequest& request,
+                                   core::MapScratch& scratch);
 
   /// Current serving epoch (never null once constructed).
   [[nodiscard]] std::shared_ptr<const core::MappingService> current_service()
       const;
 
   [[nodiscard]] HttpResponse handle_map(const HttpRequest& request,
-                                        RequestContext& ctx);
+                                        RequestContext& ctx,
+                                        core::MapScratch& scratch);
   [[nodiscard]] HttpResponse handle_healthz();
   [[nodiscard]] HttpResponse handle_metrics(const HttpRequest& request);
   [[nodiscard]] HttpResponse handle_debug_requests(const HttpRequest& request);
@@ -301,10 +275,6 @@ class MappingServer {
   /// OpenMetrics exposition via slo_openmetrics().
   [[nodiscard]] std::string slo_json();
   [[nodiscard]] std::string slo_openmetrics();
-
-  /// Fails every promise of `batch` with a structured internal failure.
-  static void fail_batch(std::vector<PendingMap>& batch,
-                         std::string_view message);
 
   ServerConfig config_;
 
@@ -328,7 +298,6 @@ class MappingServer {
   obs::Counter* cache_hits_ = nullptr;
   obs::Counter* cache_misses_ = nullptr;
   obs::Counter* cache_evictions_ = nullptr;
-  obs::Counter* batches_total_ = nullptr;
   obs::Counter* rejected_head_ = nullptr;
   obs::Counter* rejected_body_ = nullptr;
   obs::Counter* rejected_malformed_ = nullptr;
@@ -337,18 +306,17 @@ class MappingServer {
   obs::Counter* chaos_partial_ = nullptr;
   obs::Counter* chaos_abort_ = nullptr;
   obs::Counter* chaos_cache_bypass_ = nullptr;
-  obs::Counter* chaos_batch_drop_ = nullptr;
   obs::Counter* reload_success_ = nullptr;
   obs::Counter* reload_rejected_ = nullptr;
   obs::Counter* restarts_worker_ = nullptr;
-  obs::Counter* restarts_batcher_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
-  obs::Gauge* work_depth_ = nullptr;
   obs::Gauge* cache_size_ = nullptr;
   obs::Gauge* epoch_gauge_ = nullptr;
   obs::Histogram* map_latency_ns_ = nullptr;
   obs::Histogram* healthz_latency_ns_ = nullptr;
   obs::Histogram* metrics_latency_ns_ = nullptr;
+  /// `serve.batch.size`: 1 per map call, since every map is a batch of
+  /// one. Kept because perfbench's serve probe reads it.
   obs::Histogram* batch_size_ = nullptr;
 
   util::FaultInjector injector_;
@@ -358,15 +326,8 @@ class MappingServer {
   obs::WindowedHistogram win_latency_;   // /map total latency per request
   obs::WindowedCounter win_requests_;    // /map requests
   obs::WindowedCounter win_errors_;      // /map 5xx (excluding sheds)
-  obs::WindowedCounter win_shed_;        // 503 sheds (worker + acceptor)
-  std::atomic<std::uint64_t> next_batch_id_{0};
+  obs::WindowedCounter win_shed_;        // 503 sheds (acceptor)
   util::LogRateLimiter worker_died_limit_;
-  util::LogRateLimiter batcher_died_limit_;
-
-  /// Synthetic tracer track carrying per-request queue-wait/batch/map spans
-  /// recorded with explicit times (the batcher thread owns the wall time
-  /// but the spans belong to requests, not to it).
-  static constexpr std::uint32_t kRequestTrack = 0xFFFF0000u;
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
@@ -374,14 +335,12 @@ class MappingServer {
   std::atomic<bool> accepting_{false};
 
   std::unique_ptr<util::BoundedQueue<int>> conn_queue_;
-  std::unique_ptr<util::BoundedQueue<PendingMap>> work_queue_;
 
   std::mutex cache_mutex_;
   std::unique_ptr<LruCache<std::string, core::MapServiceResponse>> cache_;
 
   std::thread acceptor_;
   std::vector<std::thread> workers_;
-  std::thread batcher_;
 
   // Supervisor state: dead slots awaiting join/respawn, plus the drain
   // bookkeeping stop() waits on. All guarded by lifecycle_mutex_.
@@ -395,7 +354,6 @@ class MappingServer {
   std::size_t respawn_in_flight_ = 0;
   std::thread supervisor_;
   std::atomic<std::uint64_t> worker_restarts_{0};
-  std::atomic<std::uint64_t> batcher_restarts_{0};
 
   Clock::time_point started_at_{};
 };

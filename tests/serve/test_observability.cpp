@@ -151,8 +151,7 @@ TEST_F(ServeObservabilityTest, ChromeTraceExportShowsOneConnectedSpanTree) {
 
   const obs::TraceSnapshot snapshot = tracer.snapshot();
   // Every hop of the request shows up, tied together by the trace id in the
-  // span names: client -> server request -> queue wait -> batch -> map ->
-  // serialize.
+  // span names: client -> server request -> map -> serialize.
   std::map<std::string, int> seen;
   for (const auto& thread : snapshot.threads) {
     for (const auto& event : thread.events) {
@@ -161,7 +160,6 @@ TEST_F(ServeObservabilityTest, ChromeTraceExportShowsOneConnectedSpanTree) {
   }
   for (const std::string& name :
        {"client.request[" + id + "]", "serve.request[" + id + "]",
-        "serve.queue.wait[" + id + "]", "serve.batch[" + id + "]",
         "serve.map[" + id + "]", "serve.serialize[" + id + "]"}) {
     EXPECT_EQ(seen.count(name), 1u) << "missing span " << name;
   }
@@ -395,7 +393,7 @@ TEST_F(ServeObservabilityTest, ConcurrentTraceExportUnderLoad) {
   EXPECT_EQ(failures.load(), 0);
 
   // The final export is parseable with matched B/E pairs per track, and
-  // per-request span trees share one trace id across tracks.
+  // each request's span tree shares one trace id.
   const obs::json::Value doc = obs::json::parse(last_export);
   const obs::json::Value* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -418,10 +416,10 @@ TEST_F(ServeObservabilityTest, ConcurrentTraceExportUnderLoad) {
   }
   for (const auto& [tid, open] : depth) EXPECT_EQ(open, 0) << "tid " << tid;
   // Every completed request leaves its whole tree under one id: request,
-  // queue wait, batch, map, serialize (client spans not in play here).
+  // map, serialize (client spans not in play here).
   int full_trees = 0;
   for (const auto& [id, spans] : by_trace) {
-    if (spans >= 5) ++full_trees;
+    if (spans >= 3) ++full_trees;
   }
   EXPECT_GT(full_trees, 0) << last_export.substr(0, 2000);
 }

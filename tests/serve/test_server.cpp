@@ -1,11 +1,13 @@
 #include "serve/server.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "core/dna.hpp"
 #include "core/service.hpp"
 #include "serve/client.hpp"
+#include "util/fault_plan.hpp"
 #include "util/prng.hpp"
 
 namespace jem::serve {
@@ -20,6 +23,21 @@ namespace {
 
 using core::MapServiceRequest;
 using core::MapServiceResponse;
+
+/// Blocking loopback connect that sends nothing; returns -1 on failure.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
 
 std::string random_dna(util::Xoshiro256ss& rng, std::size_t length) {
   std::string seq(length, 'A');
@@ -72,6 +90,7 @@ class MappingServerTest : public ::testing::Test {
   std::string genome_;
   core::ServiceConfig config_;
   std::optional<core::MappingService> service_;
+  util::FaultPlan plan_;  // outlives server_, which points at it
   std::optional<MappingServer> server_;
   std::vector<std::string> queries_;
 };
@@ -118,61 +137,6 @@ TEST_F(MappingServerTest, MapResponseMatchesSingleShotService) {
   }
 }
 
-TEST_F(MappingServerTest, MicroBatchedResponsesAreBitIdentical) {
-  ServerConfig config;
-  config.max_batch = 8;
-  config.batch_window = std::chrono::microseconds(2000);
-  start_server(config);
-
-  // Fire every query concurrently so the batcher actually coalesces, then
-  // check each response against the single-shot service answer.
-  std::vector<HttpResponse> responses(queries_.size());
-  std::vector<std::thread> clients;
-  clients.reserve(queries_.size());
-  for (std::size_t i = 0; i < queries_.size(); ++i) {
-    clients.emplace_back(
-        [&, i] { responses[i] = post_map(queries_[i]); });
-  }
-  for (std::thread& client : clients) client.join();
-
-  for (std::size_t i = 0; i < queries_.size(); ++i) {
-    ASSERT_EQ(responses[i].status, 200) << responses[i].body;
-    const MapServiceResponse expected = service_->map(
-        MapServiceRequest::make().sequence(queries_[i]).build());
-    if (expected.mapped()) {
-      const std::string fragment =
-          "{\"subject\":\"" + expected.hits[0].subject_name +
-          "\",\"votes\":" + std::to_string(expected.hits[0].votes) + "}";
-      EXPECT_NE(responses[i].body.find(fragment), std::string::npos)
-          << responses[i].body;
-    }
-  }
-  const auto snapshot = server_->registry().snapshot();
-  const auto* batches = snapshot.find("serve.batches");
-  ASSERT_NE(batches, nullptr);
-  EXPECT_GE(batches->value, 1u);
-}
-
-TEST_F(MappingServerTest, LoneRequestWaitsOutASubMillisecondBatchWindow) {
-  // The batcher waits the whole window for company, so a lone request's
-  // queue wait (admission -> batch formed) covers it, also when the
-  // window is under a millisecond.
-  ServerConfig config;
-  config.batch_window = std::chrono::microseconds(900);
-  start_server(config);
-  ASSERT_EQ(post_map(queries_[0]).status, 200);
-
-  const HttpResponse flight =
-      http_get("127.0.0.1", server_->port(), "/debug/requests?limit=1");
-  ASSERT_EQ(flight.status, 200);
-  const std::string key = "\"queue_wait_ns\":";
-  const std::size_t at = flight.body.find(key);
-  ASSERT_NE(at, std::string::npos) << flight.body;
-  const std::uint64_t queue_wait_ns =
-      std::stoull(flight.body.substr(at + key.size()));
-  EXPECT_GE(queue_wait_ns, 900'000u) << flight.body;
-}
-
 TEST_F(MappingServerTest, RoutingErrorsAreStructured) {
   start_server();
   const HttpResponse missing =
@@ -192,30 +156,34 @@ TEST_F(MappingServerTest, RoutingErrorsAreStructured) {
   const HttpResponse bad_param = post_map(queries_[0], "?top_x=banana");
   EXPECT_EQ(bad_param.status, 400);
   EXPECT_NE(bad_param.body.find("\"field\":\"top_x\""), std::string::npos);
+
+  // Out-of-range values are rejected, never truncated or wrapped: 2^32 + 1
+  // votes would cast to 1, and these budgets overflow admission + budget
+  // (2^63 and up would wrap negative and silently mean "no deadline").
+  for (const std::string& params :
+       {std::string("?min_votes=4294967297"),
+        std::string("?deadline_ms=10000000000000"),
+        std::string("?deadline_ms=9223372036854775808")}) {
+    const HttpResponse out_of_range = post_map(queries_[0], params);
+    EXPECT_EQ(out_of_range.status, 400) << params;
+    const std::string field = params.substr(1, params.find('=') - 1);
+    EXPECT_NE(out_of_range.body.find("\"field\":\"" + field + "\""),
+              std::string::npos)
+        << out_of_range.body;
+  }
 }
 
 TEST_F(MappingServerTest, ExpiredDeadlineIsGatewayTimeout) {
-  // Gate the batcher so the deadline lapses while the request is queued.
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
+  // A 100 ms stall at the cache probe outlasts the 1 ms budget, which
+  // counts from handle() entry; the expiry is caught before the kernel.
+  plan_.delay_at(util::FaultPlan::kAnyRank, "serve.cache", 1,
+                 std::chrono::milliseconds(100));
   ServerConfig config;
-  config.batch_hook = [&] {
-    std::unique_lock lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return gate_open; });
-  };
+  config.fault_plan = &plan_;
   start_server(config);
 
-  std::thread opener([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    {
-      std::lock_guard lock(gate_mutex);
-      gate_open = true;
-    }
-    gate_cv.notify_all();
-  });
-  const HttpResponse response = post_map(queries_[0], "?deadline_ms=1");
-  opener.join();
+  ASSERT_EQ(post_map(queries_[0]).status, 200);  // cache probe 0: no fault
+  const HttpResponse response = post_map(queries_[1], "?deadline_ms=1");
   EXPECT_EQ(response.status, 504);
   EXPECT_NE(response.body.find("\"error\":\"deadline-exceeded\""),
             std::string::npos);
@@ -226,43 +194,46 @@ TEST_F(MappingServerTest, ExpiredDeadlineIsGatewayTimeout) {
   EXPECT_GE(expired->value, 1u);
 }
 
-TEST_F(MappingServerTest, FullWorkQueueShedsWith503RetryAfter) {
-  // max_batch 1 + gated batcher: request A blocks inside the hook, request
-  // B fills the capacity-1 work queue, request C must shed.
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  std::atomic<int> in_hook{0};
+TEST_F(MappingServerTest, FullAdmissionQueueShedsWith503RetryAfter) {
+  // One worker held by a silent connection, one queued connection filling
+  // the capacity-1 admission queue: the acceptor must shed the third. A
+  // delay on the first read makes the hold observable (the delay counter
+  // ticks once the worker has taken the silent connection).
+  plan_.delay_at(util::FaultPlan::kAnyRank, "serve.read", 0,
+                 std::chrono::milliseconds(500));
   ServerConfig config;
-  config.max_batch = 1;
-  config.work_capacity = 1;
+  config.workers = 1;
+  config.queue_capacity = 1;
+  config.io_timeout = std::chrono::milliseconds(200);
   config.retry_after_s = 7;
-  config.batch_hook = [&] {
-    in_hook.fetch_add(1);
-    std::unique_lock lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return gate_open; });
-  };
+  config.fault_plan = &plan_;
   start_server(config);
 
-  std::thread first([&] { (void)post_map(queries_[0]); });
-  // Wait until A is inside the hook, so B deterministically lands in the
-  // work queue instead of being popped by the batcher.
-  while (in_hook.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::thread second([&] { (void)post_map(queries_[1]); });
-  // B's enqueue is visible as the work-depth gauge going to 1.
-  const auto depth_is_one = [&] {
+  const auto counter = [&](const char* name) {
     const auto snapshot = server_->registry().snapshot();
-    const auto* depth = snapshot.find("serve.work.depth");
-    return depth != nullptr && depth->level >= 1;
+    const auto* metric = snapshot.find(name);
+    return metric == nullptr ? std::uint64_t{0} : metric->value;
   };
-  for (int i = 0; i < 2000 && !depth_is_one(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(depth_is_one());
+  const auto queue_depth = [&] {
+    const auto snapshot = server_->registry().snapshot();
+    const auto* metric = snapshot.find("serve.queue.depth");
+    return metric == nullptr ? std::int64_t{0} : metric->level;
+  };
+  const auto eventually = [](const auto& condition) {
+    for (int i = 0; i < 2000 && !condition(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return condition();
+  };
+  const int holder = connect_raw(server_->port());
+  ASSERT_GE(holder, 0);
+  ASSERT_TRUE(
+      eventually([&] { return counter("serve.chaos.injected.delay") >= 1; }));
+  const int queued = connect_raw(server_->port());
+  ASSERT_GE(queued, 0);
+  ASSERT_TRUE(eventually([&] { return queue_depth() == 1; }));
 
-  const HttpResponse shed = post_map(queries_[2]);
+  const HttpResponse shed = post_map(queries_[0]);
   EXPECT_EQ(shed.status, 503);
   EXPECT_NE(shed.body.find("\"error\":\"overloaded\""), std::string::npos);
   bool has_retry_after = false;
@@ -273,19 +244,9 @@ TEST_F(MappingServerTest, FullWorkQueueShedsWith503RetryAfter) {
     }
   }
   EXPECT_TRUE(has_retry_after);
-
-  {
-    std::lock_guard lock(gate_mutex);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-  first.join();
-  second.join();
-
-  const auto snapshot = server_->registry().snapshot();
-  const auto* sheds = snapshot.find("serve.http.shed");
-  ASSERT_NE(sheds, nullptr);
-  EXPECT_GE(sheds->value, 1u);
+  EXPECT_GE(counter("serve.http.shed"), 1u);
+  ::close(holder);
+  ::close(queued);
 }
 
 TEST_F(MappingServerTest, CacheHitsEvictionsAndCollisionKeying) {
@@ -331,13 +292,24 @@ TEST_F(MappingServerTest, CacheHitsEvictionsAndCollisionKeying) {
   EXPECT_GE(evictions->value, 1u);
 }
 
-/// Many clients, mixed endpoints, while the server micro-batches — the test
-/// the TSan configuration leans on for the serve layer's thread safety.
+/// Many clients, mixed endpoints, four workers mapping concurrently — the
+/// test the TSan configuration leans on for the serve layer's thread
+/// safety. Every /map body must match the single-shot service answer.
 TEST_F(MappingServerTest, ConcurrentClientsAllSucceed) {
   ServerConfig config;
   config.workers = 4;
-  config.max_batch = 4;
   start_server(config);
+
+  std::vector<std::string> expected;
+  for (const std::string& query : queries_) {
+    const MapServiceResponse answer =
+        service_->map(MapServiceRequest::make().sequence(query).build());
+    expected.push_back(answer.mapped()
+                           ? "{\"subject\":\"" + answer.hits[0].subject_name +
+                                 "\",\"votes\":" +
+                                 std::to_string(answer.hits[0].votes) + "}"
+                           : std::string("\"mapped\":false"));
+  }
 
   constexpr int kThreads = 8;
   constexpr int kRequestsPerThread = 6;
@@ -353,9 +325,13 @@ TEST_F(MappingServerTest, ConcurrentClientsAllSucceed) {
                 http_get("127.0.0.1", server_->port(), "/healthz");
             if (response.status != 200) failures.fetch_add(1);
           } else {
-            const HttpResponse response = post_map(
-                queries_[static_cast<std::size_t>(t + i) % queries_.size()]);
-            if (response.status != 200) failures.fetch_add(1);
+            const std::size_t q =
+                static_cast<std::size_t>(t + i) % queries_.size();
+            const HttpResponse response = post_map(queries_[q]);
+            if (response.status != 200 ||
+                response.body.find(expected[q]) == std::string::npos) {
+              failures.fetch_add(1);
+            }
           }
         } catch (const ClientError&) {
           failures.fetch_add(1);

@@ -146,20 +146,6 @@ TEST_F(MappingServiceTest, MapMatchesMapSegmentBitIdentically) {
   }
 }
 
-TEST_F(MappingServiceTest, BatchIsBitIdenticalToSingleShot) {
-  std::vector<MapServiceRequest> requests;
-  for (const std::string& query : queries_) {
-    requests.push_back(MapServiceRequest::make().sequence(query).build());
-  }
-  const std::vector<MapServiceResponse> batched =
-      service_->map_batch(requests);
-  ASSERT_EQ(batched.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const MapServiceResponse single = service_->map(requests[i]);
-    EXPECT_EQ(batched[i], single) << "request " << i;
-  }
-}
-
 TEST_F(MappingServiceTest, TopXRespectsMinVotesOverride) {
   const JemMapper& mapper = service_->engine().mapper();
   MapScratch scratch = service_->make_scratch();
@@ -219,16 +205,12 @@ TEST_F(MappingServiceTest, ExpiredDeadlineIsAContainedFailure) {
   EXPECT_EQ(response.failure->code, ServiceErrorCode::kDeadlineExceeded);
   EXPECT_TRUE(response.hits.empty());
 
-  // Per-entry deadlines in a batch: only the expired entry fails.
-  std::vector<MapServiceRequest> requests(2, request);
-  const std::vector<MappingService::Clock::time_point> deadlines = {
-      MappingService::Clock::now() - std::chrono::milliseconds(1),
-      MappingService::Clock::time_point::max()};
-  const auto responses = service_->map_batch(requests, deadlines);
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_FALSE(responses[0].ok());
-  EXPECT_EQ(responses[0].failure->code, ServiceErrorCode::kDeadlineExceeded);
-  EXPECT_TRUE(responses[1].ok());
+  // The failure is contained: the same scratch, with a live deadline,
+  // answers exactly like a fresh single-shot map.
+  const MapServiceResponse later = service_->map(
+      request, scratch, MappingService::Clock::time_point::max());
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later, service_->map(request));
 }
 
 TEST_F(MappingServiceTest, FromIndexLoadsAndFallsBackGracefully) {

@@ -43,8 +43,8 @@ TEST(BoundedQueueTest, CapacityZeroClampsToOne) {
 }
 
 TEST(BoundedQueueTest, SubMillisecondPopWaitForWaitsTheWholeTimeout) {
-  // The serve batcher passes its remaining micro-batch window, often a few
-  // hundred microseconds; it must not be truncated to whole milliseconds.
+  // A timeout of a few hundred microseconds must not be truncated to whole
+  // milliseconds (and so to a zero wait).
   BoundedQueue<int> queue(4);
   int out = 0;
   const auto start = std::chrono::steady_clock::now();
