@@ -16,9 +16,9 @@
 #include "baseline/minimap_like.hpp"
 #include "core/index_serde.hpp"
 #include "core/jem.hpp"
+#include "core/minimizer_lanes.hpp"
 #include "io/artifact.hpp"
 #include "io/gzip.hpp"
-#include "io/packed_sequence_set.hpp"
 #include "mpisim/communicator.hpp"
 #include "sim/genome.hpp"
 #include "sim/hifi_reads.hpp"
@@ -372,7 +372,8 @@ const std::vector<std::string>& scan_tiles() {
   return tiles;
 }
 
-void BM_HotpathMinimizerScan(benchmark::State& state) {
+/// Scans the tiles in turn on the kernel of `lanes`.
+void scan_tiles_on(benchmark::State& state, int lanes) {
   const std::vector<std::string>& tiles = scan_tiles();
   const core::MapParams params = hotpath_data().params;
   const core::MinimizerParams mp{params.k, params.w, params.ordering};
@@ -381,16 +382,28 @@ void BM_HotpathMinimizerScan(benchmark::State& state) {
   std::size_t i = 0;
   std::int64_t bases = 0;
   for (auto _ : state) {
-    core::minimizer_scan(tiles[i], mp, scratch, out);
+    core::detail::minimizer_scan_with(lanes, tiles[i], mp, scratch, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
     bases += static_cast<std::int64_t>(tiles[i].size());
     i = (i + 1) % tiles.size();
   }
   state.SetBytesProcessed(bases);
-  state.SetLabel(std::to_string(tiles.size()) + " distinct tiles");
+  state.SetLabel(std::to_string(tiles.size()) + " distinct tiles, " +
+                 std::to_string(lanes) + " lanes");
+}
+
+// The kernel minimizer_scan dispatches to on this host.
+void BM_HotpathMinimizerScan(benchmark::State& state) {
+  scan_tiles_on(state, core::minimizer_scan_lanes());
 }
 BENCHMARK(BM_HotpathMinimizerScan);
+
+// The scalar loop on the same tiles: the lane kernels' baseline.
+void BM_HotpathMinimizerScanScalar(benchmark::State& state) {
+  scan_tiles_on(state, 1);
+}
+BENCHMARK(BM_HotpathMinimizerScanScalar);
 
 // The linear-time guard: every window of a tandem repeat holds tied minima,
 // the input on which a rescan-on-evict window degrades to O(|s|·w).
@@ -570,16 +583,6 @@ void BM_MinimapChainSegment(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MinimapChainSegment);
-
-void BM_PackedDecode(benchmark::State& state) {
-  io::PackedSequenceSet packed;
-  packed.add("s", random_dna(19, 100'000));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(packed.decode(0, 40'000, 10'000));
-  }
-  state.SetBytesProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_PackedDecode);
 
 void BM_GzipRoundTrip(benchmark::State& state) {
   const std::string data = random_dna(20, 100'000);

@@ -9,7 +9,9 @@
 # Exits non-zero if the end-to-end map_segment speedup drops below 1.5x, or
 # if the minimizer scan costs over 1.5x more per base on tandem repeats
 # than on distinct tiles (the linear-worst-case guard). The subject-sketch
-# speedup over the deque kernel is recorded without a gate.
+# speedup over the deque kernel and the minimizer scan's speedup over its
+# scalar loop (the lane kernel this host dispatches to) are recorded
+# without a gate.
 #
 # Usage: scripts/bench_hotpath.sh [output.json]
 #   JEM_BENCH_REPS     repetitions per benchmark (default 5)
@@ -78,6 +80,11 @@ speedups = {
     "subject_sketch_vs_reference":
         speedup("BM_HotpathSubjectSketchReference",
                 "BM_HotpathSubjectSketch"),
+    # Minimizer scan on the same tiles: the scalar loop vs the kernel this
+    # host dispatches to (metrics' core.minimizer.lanes). Recorded, not
+    # gated.
+    "minimizer_scan_lanes_vs_scalar":
+        speedup("BM_HotpathMinimizerScanScalar", "BM_HotpathMinimizerScan"),
 }
 
 # Scan cost per base on 1 kbp of poly-A / (AC)n over that on distinct

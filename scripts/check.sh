@@ -81,6 +81,7 @@ done
 ./build/examples/obs_check --metrics /tmp/jem_check_m4.json \
   --trace /tmp/jem_check_t4.json
 grep -q 'distributed.rank3.map_ns' /tmp/jem_check_m4.json
+grep -q 'core.minimizer.lanes' /tmp/jem_check_m.json
 grep -q 'mpisim.allgatherv.rank0.sent_bytes' /tmp/jem_check_m4.json
 echo "metrics smoke: ok"
 
@@ -118,6 +119,7 @@ serve_smoke() {
   grep -q '"status":"ok"' "$dir/healthz.json"
   grep -q '"slo"' "$dir/healthz.json"
   grep -q 'serve.http.requests' "$dir/metrics.json"
+  grep -q 'core.minimizer.lanes' "$dir/metrics.json"
   grep -q 'jem_serve_http_requests_total' "$dir/metrics.om"
   grep -q 'jem_serve_slo_latency_ns' "$dir/metrics.om"
   kill -TERM "$serve_pid"

@@ -88,8 +88,9 @@ int run_map(std::span<const char* const> args, std::string_view program) {
                    "containment mode: tile whole reads with l-length "
                    "segments (finds contigs inside read interiors)");
   options.add_uint("batch", batch,
-                   "stream queries in batches of N reads (constant memory; "
-                   "combine with --threads for the pipelined pool)");
+                   "map queries in batches of N reads as they are parsed "
+                   "(the inflated query file is still held whole; combine "
+                   "with --threads for the pipelined pool)");
   options.add_string("save-index", save_index_path,
                      "write the subject sketch index (checksummed artifact) "
                      "to this file");
@@ -378,10 +379,12 @@ int run_map(std::span<const char* const> args, std::string_view program) {
                          << stats.batches_skipped << " batches resumed past, "
                          << stats.journal_appends << " journal records)";
       } else if (batch > 0 && !demo) {
-        // Streaming mode: constant memory in the query set. The engine
-        // reads batches on this thread and maps them on the pool behind a
-        // bounded queue, emitting results in input order. Parsing happens
-        // lazily here, so parse errors surface from run_stream.
+        // Streaming mode: batches are parsed as they are mapped, but the
+        // whole inflated query file is held in memory (read_file_auto), so
+        // memory still grows with the query set. The engine reads batches
+        // on this thread and maps them on the pool behind a bounded queue,
+        // emitting results in input order. Parsing happens lazily here, so
+        // parse errors surface from run_stream.
         std::istringstream stream(io::read_file_auto(queries_path));
         io::BatchStream batches(stream, batch);
         const core::JemMapper& mapper = engine->mapper();

@@ -18,6 +18,7 @@ void HotpathCounters::publish(obs::Registry& registry) const {
   registry.counter("core.hotpath.sketch_misses").add(sketch_misses);
   registry.counter("core.hotpath.probe_slots").add(probe_slots);
   registry.counter("core.hotpath.candidates").add(candidates);
+  registry.gauge("core.minimizer.lanes").set(minimizer_scan_lanes());
   if (segments_sampled > 0) {
     // Per-sampled-segment distributions (log2 buckets).
     registry.histogram("core.hotpath.probe_slots_per_segment")

@@ -98,7 +98,8 @@ struct HotpathCounters {
     return true;
   }
 
-  /// Adds the totals to the `core.hotpath.*` counters of `registry`.
+  /// Adds the totals to the `core.hotpath.*` counters of `registry`, and
+  /// sets the gauge `core.minimizer.lanes` to the scan kernel's lanes.
   void publish(obs::Registry& registry) const;
 };
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 
+#include "core/minimizer_lanes.hpp"
 #include "util/prng.hpp"
 
 namespace jem::core {
@@ -93,16 +95,18 @@ void take_min(std::uint64_t& key, P& pos, std::uint64_t k, P p) {
 #endif
 }
 
-/// The one scan loop, for both orderings. Per k-mer: roll the two strands,
-/// write the ordering key into back-block slot s, fold it into the back's
-/// prefix minimum, and select the window minimum between the front's suffix
-/// minimum at slot s and that prefix minimum — each a compare and a select
-/// on (key, position), never a branch on the data. Under kLexicographic the
-/// key is the canonical code itself; kRandomHash also keeps each k-mer's
-/// code in a ring indexed by position. The output is written one slot
-/// ahead of `count`, which advances only when the window minimum moved.
+/// The scalar scan loop, for both orderings. Appends the minimizers of
+/// `seq` to `out`, their positions shifted by `offset`. Per k-mer: roll the
+/// two strands, write the ordering key into back-block slot s, fold it into
+/// the back's prefix minimum, and select the window minimum between the
+/// front's suffix minimum at slot s and that prefix minimum — each a
+/// compare and a select on (key, position), never a branch on the data.
+/// Under kLexicographic the key is the canonical code itself; kRandomHash
+/// also keeps each k-mer's code in a ring indexed by position. The output
+/// is written one slot ahead of `count`, which advances only when the
+/// window minimum moved.
 template <MinimizerOrdering kOrdering>
-void scan(std::string_view seq, const MinimizerParams& p,
+void scan(std::string_view seq, std::size_t offset, const MinimizerParams& p,
           MinimizerScratch& scratch, std::vector<Minimizer>& out) {
   constexpr bool kHashed = kOrdering == MinimizerOrdering::kRandomHash;
   constexpr std::uint64_t kNone = ~std::uint64_t{0};
@@ -125,11 +129,10 @@ void scan(std::string_view seq, const MinimizerParams& p,
   // ~2/(w+1) minimizers per k-mer on random input. A block emits at most w
   // (tandem repeats emit one per k-mer), so room for w + 1 more is ensured
   // once per block rather than once per write.
-  out.clear();
-  out.resize(seq.size() * 2 / (w + 1) + 16);
+  std::size_t count = out.size();
+  out.resize(count + seq.size() * 2 / (w + 1) + 16);
   Minimizer* dst = out.data();
   std::size_t capacity = out.size();
-  std::size_t count = 0;
   std::uint64_t last = kNone;  // position of out[count - 1]
   const auto reserve = [&](std::size_t more) {
     if (count + more > capacity) [[unlikely]] {
@@ -140,7 +143,7 @@ void scan(std::string_view seq, const MinimizerParams& p,
   };
   const auto emit = [&](std::uint64_t key, std::uint64_t pos) {
     const KmerCode canon = kHashed ? canons[pos & ring_mask] : key;
-    dst[count] = {canon, static_cast<std::uint32_t>(pos)};
+    dst[count] = {canon, static_cast<std::uint32_t>(offset + pos)};
     count += pos != last;
     last = pos;
   };
@@ -227,16 +230,56 @@ void scan(std::string_view seq, const MinimizerParams& p,
   out.resize(count);
 }
 
+/// The kernel of this process: the widest one the CPU runs.
+int detect_lanes() noexcept {
+  for (const int lanes : {8, 4}) {
+    if (detail::minimizer_lanes_supported(lanes)) return lanes;
+  }
+  return 1;
+}
+
 }  // namespace
+
+namespace detail {
+
+void minimizer_scan_scalar(std::string_view seq, std::size_t offset,
+                           const MinimizerParams& p, MinimizerScratch& scratch,
+                           std::vector<Minimizer>& out) {
+  if (p.ordering == MinimizerOrdering::kLexicographic) {
+    scan<MinimizerOrdering::kLexicographic>(seq, offset, p, scratch, out);
+  } else {
+    scan<MinimizerOrdering::kRandomHash>(seq, offset, p, scratch, out);
+  }
+}
+
+void minimizer_scan_with(int lanes, std::string_view seq,
+                         const MinimizerParams& p, MinimizerScratch& scratch,
+                         std::vector<Minimizer>& out) {
+  validate(p);
+  out.clear();
+  // Lane keys pack the canonical code above a 32-bit position: k <= 16
+  // and positions below 2^32. kRandomHash's 64-bit keys leave no room for
+  // the position, so it always runs the scalar loop.
+  const bool packable = p.ordering == MinimizerOrdering::kLexicographic &&
+                        p.k <= kMaxLaneK &&
+                        seq.size() <= std::numeric_limits<std::uint32_t>::max();
+  if (lanes > 1 && packable) {
+    lane_scan(lanes, seq, p, scratch, out);
+  } else {
+    minimizer_scan_scalar(seq, 0, p, scratch, out);
+  }
+}
+
+}  // namespace detail
+
+int minimizer_scan_lanes() noexcept {
+  static const int lanes = detect_lanes();
+  return lanes;
+}
 
 void minimizer_scan(std::string_view seq, const MinimizerParams& p,
                     MinimizerScratch& scratch, std::vector<Minimizer>& out) {
-  validate(p);
-  if (p.ordering == MinimizerOrdering::kLexicographic) {
-    scan<MinimizerOrdering::kLexicographic>(seq, p, scratch, out);
-  } else {
-    scan<MinimizerOrdering::kRandomHash>(seq, p, scratch, out);
-  }
+  detail::minimizer_scan_with(minimizer_scan_lanes(), seq, p, scratch, out);
 }
 
 std::vector<Minimizer> minimizer_scan(std::string_view seq,

@@ -17,8 +17,20 @@
 // the front's suffix minimum and the back's prefix minimum. Ties go to the
 // leftmost occurrence. k-mers containing non-ACGT bases break the sequence
 // into independent runs (no window spans an ambiguous base).
+//
+// On x86-64 the lexicographic scan with k <= 16 runs that window on 8 lanes
+// (AVX-512BW) or 4 (AVX2) at once: a run's windows are split into one
+// contiguous range per lane, each k-mer is keyed `canon << 32 | position`
+// so one vector minimum picks the smallest code and the leftmost on ties,
+// and the lanes' lists are concatenated with the repeat at each seam
+// dropped (src/core/minimizer_lanes.cpp). The kernel is chosen once per
+// process from the CPU (minimizer_scan_lanes). The scalar loop runs
+// everywhere else: k > 16, kRandomHash (its 64-bit hash keys cannot be
+// packed with a position), runs too short to fill the lanes, and non-x86
+// hosts. Every kernel returns the same list, bit for bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -51,15 +63,19 @@ struct MinimizerParams {
   MinimizerOrdering ordering = MinimizerOrdering::kLexicographic;
 };
 
-/// Reusable state of the scan: the window blocks, w slots each. A scratch
-/// that survives across calls makes the scan allocation-free at steady
-/// state (the blocks only grow, to the largest w seen).
+/// Reusable state of the scan: the window blocks, w slots each (w rows of
+/// one key per lane on the lane kernels). A scratch that survives across
+/// calls makes the scan allocation-free at steady state (the blocks only
+/// grow, to the largest w seen).
 struct MinimizerScratch {
   std::vector<std::uint64_t> keys;         // back block: ordering keys
   std::vector<std::uint64_t> suffix_keys;  // front block: suffix minima
   std::vector<std::uint32_t> suffix_pos;   // position of each suffix minimum
   std::vector<KmerCode> canons;  // kRandomHash: canonical codes, a ring
                                  // indexed by position
+  // Lane kernels: each lane's distinct window minima as packed keys,
+  // merged in lane order at the end of a run.
+  std::array<std::vector<std::uint64_t>, 8> lane_minima;
 };
 
 /// Computes M_o(s, w): the position-sorted list of distinct minimizer
@@ -75,6 +91,11 @@ struct MinimizerScratch {
 /// allocating overload.
 void minimizer_scan(std::string_view seq, const MinimizerParams& p,
                     MinimizerScratch& scratch, std::vector<Minimizer>& out);
+
+/// Windows per step of the scan kernel this process runs: 8 (AVX-512BW),
+/// 4 (AVX2) or 1 (the scalar loop). Chosen from the CPU on the first call;
+/// the engine publishes it as the gauge core.minimizer.lanes.
+[[nodiscard]] int minimizer_scan_lanes() noexcept;
 
 /// Reference O(n·w) implementation used by property tests to validate the
 /// two-block scan.

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/dna.hpp"
+#include "core/minimizer_lanes.hpp"
 #include "io/artifact.hpp"
 #include "sim/genome.hpp"
 #include "sim/hifi_reads.hpp"
@@ -37,10 +38,11 @@ const io::SequenceSet& fixed_reads() {
   return reads;
 }
 
-/// XXH64 over every read's minimizer list: a little-endian u32 count, then
-/// each (u64 k-mer, u32 position).
+/// XXH64 over every read's minimizer list, scanned by the kernel of
+/// `lanes`: a little-endian u32 count, then each (u64 k-mer, u32 position).
 std::uint64_t minimizer_digest(const io::SequenceSet& reads,
-                               const MinimizerParams& params) {
+                               const MinimizerParams& params,
+                               int lanes = minimizer_scan_lanes()) {
   std::string bytes;
   const auto put = [&](std::uint64_t value, int width) {
     for (int i = 0; i < width; ++i) {
@@ -50,7 +52,7 @@ std::uint64_t minimizer_digest(const io::SequenceSet& reads,
   MinimizerScratch scratch;
   std::vector<Minimizer> out;
   for (io::SeqId id = 0; id < reads.size(); ++id) {
-    minimizer_scan(reads.bases(id), params, scratch, out);
+    detail::minimizer_scan_with(lanes, reads.bases(id), params, scratch, out);
     put(out.size(), 4);
     for (const Minimizer& m : out) {
       put(m.kmer, 8);
@@ -70,15 +72,18 @@ std::string repeat(std::string_view unit, std::size_t count) {
 constexpr MinimizerOrdering kOrderings[] = {MinimizerOrdering::kLexicographic,
                                             MinimizerOrdering::kRandomHash};
 
+// Recorded from the monotone-deque scan the scalar loop replaced; any change
+// to a k-mer, a position, a tie-break or a dedup decision moves them.
+constexpr std::uint64_t kPaperLexDigest = 0x3a2386e07e18d866ULL;
+constexpr std::uint64_t kPaperHashDigest = 0x27fc9ace94db3c8aULL;
+
 TEST(MinimizerScan, PaperParameterDigestIsPinned) {
-  // Recorded from the monotone-deque scan this kernel replaced; any change
-  // to a k-mer, a position, a tie-break or a dedup decision moves it.
   const io::SequenceSet& reads = fixed_reads();
   ASSERT_GT(reads.total_bases(), 500'000u);
-  EXPECT_EQ(minimizer_digest(reads, {16, 100}), 0x3a2386e07e18d866ULL);
+  EXPECT_EQ(minimizer_digest(reads, {16, 100}), kPaperLexDigest);
   EXPECT_EQ(
       minimizer_digest(reads, {16, 100, MinimizerOrdering::kRandomHash}),
-      0x27fc9ace94db3c8aULL);
+      kPaperHashDigest);
 }
 
 TEST(MinimizerScan, MatchesNaiveAcrossKAndWCorners) {
@@ -429,6 +434,176 @@ TEST(MinimizerScan, ShortRunBetweenNsUsesTruncatedWindow) {
   const auto minimizers = minimizer_scan(seq, {4, 10});
   EXPECT_EQ(minimizers.size(), 1u);
 }
+
+// ---- Every scan kernel against the scalar loop and the naive oracle ------
+// Each kernel this host supports runs through the internal entry point;
+// the others skip. The scalar loop (1 lane) is the oracle of the lane
+// kernels and runs everywhere.
+
+class MinimizerScanLanes : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (!detail::minimizer_lanes_supported(GetParam())) {
+      GTEST_SKIP() << GetParam() << "-lane kernel not supported here";
+    }
+  }
+
+  /// Scans `seq` on the kernel under test and on the scalar loop, and
+  /// returns the kernel's list after checking the two agree.
+  std::vector<Minimizer> scan(std::string_view seq, const MinimizerParams& p) {
+    std::vector<Minimizer> out;
+    detail::minimizer_scan_with(GetParam(), seq, p, scratch_, out);
+    std::vector<Minimizer> scalar;
+    detail::minimizer_scan_with(1, seq, p, scalar_scratch_, scalar);
+    EXPECT_EQ(out, scalar) << "k=" << p.k << " w=" << p.w
+                           << " len=" << seq.size();
+    return out;
+  }
+
+  /// The kernel under test against the naive oracle (and the scalar loop).
+  void expect_matches_naive(std::string_view seq, const MinimizerParams& p) {
+    EXPECT_EQ(scan(seq, p), minimizer_scan_naive(seq, p))
+        << "k=" << p.k << " w=" << p.w << " len=" << seq.size();
+  }
+
+  MinimizerScratch scratch_;
+  MinimizerScratch scalar_scratch_;
+};
+
+TEST_P(MinimizerScanLanes, PaperParameterDigestIsPinned) {
+  const io::SequenceSet& reads = fixed_reads();
+  EXPECT_EQ(minimizer_digest(reads, {16, 100}, GetParam()), kPaperLexDigest);
+  EXPECT_EQ(minimizer_digest(reads, {16, 100, MinimizerOrdering::kRandomHash},
+                             GetParam()),
+            kPaperHashDigest);
+}
+
+TEST_P(MinimizerScanLanes, AmbiguousBaseAtEveryOffset) {
+  // One N at every offset of a run that fills the lanes: it lands before,
+  // on and after every lane seam of both lane counts.
+  util::Xoshiro256ss rng(70);
+  const std::string clean = random_dna(rng, 240);
+  for (const auto& [k, w] : {std::pair{5, 7}, std::pair{1, 3}}) {
+    for (std::size_t at = 0; at < clean.size(); ++at) {
+      std::string seq = clean;
+      seq[at] = 'N';
+      expect_matches_naive(seq, {k, w});
+    }
+  }
+}
+
+TEST_P(MinimizerScanLanes, AmbiguousBaseAtPaperParameterLaneSeams) {
+  // k = 16, w = 100 on a 1 kbp tile: an N on each side of and on every
+  // lane's first base and last base, for 4 and 8 lanes.
+  constexpr int k = 16;
+  constexpr int w = 100;
+  util::Xoshiro256ss rng(71);
+  const std::string clean = random_dna(rng, 1000);
+  const std::size_t windows = clean.size() - k - w + 2;
+  for (const std::size_t lanes : {4u, 8u}) {
+    const std::size_t per_lane = (windows + lanes - 1) / lanes;
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const std::size_t first = std::min(j * per_lane, windows - per_lane);
+      const std::size_t last = first + per_lane + w + k - 3;
+      for (const std::size_t seam : {first, last}) {
+        for (std::size_t at = seam == 0 ? 0 : seam - 1;
+             at <= std::min(seam + 1, clean.size() - 1); ++at) {
+          std::string seq = clean;
+          seq[at] = 'N';
+          expect_matches_naive(seq, {k, w});
+        }
+      }
+    }
+  }
+}
+
+TEST_P(MinimizerScanLanes, MatchesNaiveAtLaneBoundaryRunLengths) {
+  // Runs of k+w-2 bases (one truncated window), k+w-1 (one window),
+  // lanes*w-1 .. lanes*w+1, and one base either side of the shortest run
+  // the lanes take, alone and joined by N separators.
+  util::Xoshiro256ss rng(72);
+  for (int k = 1; k <= 16; ++k) {
+    for (int w : {1, 2, 3, 5, 8, 13, 31, 64, 99, 100, 101, 150, 255, 300}) {
+      const auto kk = static_cast<std::size_t>(k);
+      const auto ww = static_cast<std::size_t>(w);
+      std::vector<std::size_t> lengths{kk + ww - 1};
+      if (kk + ww >= 3) lengths.push_back(kk + ww - 2);
+      for (const std::size_t lanes : {4u, 8u}) {
+        const std::size_t shortest =
+            kk + ww - 2 + lanes * detail::kMinLaneWindows;
+        for (const std::size_t n :
+             {lanes * ww - 1, lanes * ww, lanes * ww + 1, shortest - 1,
+              shortest, shortest + 1}) {
+          if (n > 0) lengths.push_back(n);
+        }
+      }
+      std::string joined;
+      for (const std::size_t length : lengths) {
+        const std::string run = random_dna(rng, length);
+        joined += run + "N";
+        const MinimizerParams params{k, w};
+        if (w <= 101) {
+          expect_matches_naive(run, params);
+        } else {
+          (void)scan(run, params);
+        }
+      }
+      (void)scan(joined, {k, w});
+    }
+  }
+}
+
+TEST_P(MinimizerScanLanes, MatchesNaiveAcrossKAndW) {
+  // Every k the lane kernels take, on inputs that mix lowercase, IUPAC
+  // codes and N runs; k > 16 and kRandomHash take the scalar loop.
+  util::Xoshiro256ss rng(73);
+  std::string seq = random_dna(rng, 3000);
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    const std::uint64_t roll = rng.bounded(400);
+    if (roll < 80) seq[i] = static_cast<char>(seq[i] - 'A' + 'a');
+    if (roll == 80) seq[i] = "RYKMSWN"[rng.bounded(7)];
+  }
+  seq.replace(1700, 12, std::string(12, 'N'));
+  for (int k = 1; k <= 17; ++k) {
+    for (int w : {1, 4, 16, 100, 300}) {
+      for (MinimizerOrdering ordering : kOrderings) {
+        expect_matches_naive(seq, {k, w, ordering});
+      }
+    }
+  }
+  expect_matches_naive(seq, {32, 50});
+}
+
+TEST_P(MinimizerScanLanes, MatchesNaiveOnTandemRepeats) {
+  // Every window holds tied minima, across lane seams too: the leftmost
+  // wins and a minimum shared by two lanes is emitted once.
+  for (const std::string& seq :
+       {repeat("A", 2000), repeat("AC", 1000), repeat("AAC", 667),
+        repeat("ACGT", 500),
+        repeat("A", 600) + repeat("AC", 400) + repeat("AAC", 200)}) {
+    for (int k : {1, 8, 15, 16}) {
+      for (int w : {1, 2, 99, 100, 101}) {
+        expect_matches_naive(seq, {k, w});
+      }
+    }
+  }
+}
+
+TEST_P(MinimizerScanLanes, LongSubjectMatchesScalar) {
+  // A contig-sized run: each lane spans thousands of blocks. The scratch
+  // is reused from the shorter scans before it.
+  util::Xoshiro256ss rng(74);
+  for (const int w : {100, 20}) {
+    (void)scan(random_dna(rng, 1500), {16, w});
+    (void)scan(random_dna(rng, 200'000), {16, w});
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, MinimizerScanLanes,
+                         ::testing::Values(1, 4, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param) + "Lanes";
+                         });
 
 }  // namespace
 }  // namespace jem::core
