@@ -36,9 +36,10 @@ int main(int argc, const char** argv) {
   {
     core::MapParams params;
     params.seed = seed;
-    const core::JemMapper mapper(dataset.contigs.contigs, params);
+    const core::MappingEngine engine(dataset.contigs.contigs, params);
     util::WallTimer timer;
-    const auto mappings = mapper.map_reads(dataset.reads.reads);
+    const auto mappings =
+        engine.run(dataset.reads.reads, core::MapRequest{}).mappings;
     const double map_s = timer.elapsed_s();
     const eval::TruthSet truth(dataset.contigs.truth, dataset.reads.truth,
                                params.segment_length,
@@ -56,9 +57,10 @@ int main(int argc, const char** argv) {
     core::MapParams params;
     params.seed = seed;
     params.segment_length = 40'000;
-    const core::JemMapper mapper(dataset.contigs.contigs, params);
+    const core::MappingEngine engine(dataset.contigs.contigs, params);
     util::WallTimer timer;
-    const auto mappings = mapper.map_reads(dataset.reads.reads);
+    const auto mappings =
+        engine.run(dataset.reads.reads, core::MapRequest{}).mappings;
     const double map_s = timer.elapsed_s();
     const eval::TruthSet truth(dataset.contigs.truth, dataset.reads.truth,
                                params.segment_length,

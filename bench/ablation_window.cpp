@@ -36,11 +36,12 @@ int main(int argc, const char** argv) {
     params.seed = seed;
 
     util::WallTimer build_timer;
-    const core::JemMapper mapper(dataset.contigs.contigs, params);
+    const core::MappingEngine engine(dataset.contigs.contigs, params);
     const double build_s = build_timer.elapsed_s();
 
     util::WallTimer map_timer;
-    const auto mappings = mapper.map_reads(dataset.reads.reads);
+    const auto mappings =
+        engine.run(dataset.reads.reads, core::MapRequest{}).mappings;
     const double map_s = map_timer.elapsed_s();
 
     const eval::TruthSet truth(dataset.contigs.truth, dataset.reads.truth,
@@ -49,7 +50,7 @@ int main(int argc, const char** argv) {
     const auto counts = eval::evaluate(mappings, truth);
     table.add_row({std::to_string(w), bench::pct(counts.precision()),
                    bench::pct(counts.recall()),
-                   util::with_commas(mapper.table().size()),
+                   util::with_commas(engine.mapper().table().size()),
                    util::fixed(build_s, 2), util::fixed(map_s, 2)});
   }
   std::cout << table.to_string() << '\n';

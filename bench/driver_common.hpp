@@ -38,17 +38,19 @@ struct QualityResult {
   double map_s = 0.0;
 };
 
-/// Runs JemMapper (any scheme) over a dataset and scores it.
+/// Maps a dataset with JEM-mapper (any scheme) through MappingEngine and
+/// scores it.
 inline QualityResult run_jem_quality(const sim::Dataset& dataset,
                                      const core::MapParams& params,
                                      core::SketchScheme scheme) {
   QualityResult result;
   util::WallTimer build_timer;
-  const core::JemMapper mapper(dataset.contigs.contigs, params, scheme);
+  const core::MappingEngine engine(dataset.contigs.contigs, params, scheme);
   result.build_s = build_timer.elapsed_s();
 
   util::WallTimer map_timer;
-  const auto mappings = mapper.map_reads(dataset.reads.reads);
+  const auto mappings =
+      engine.run(dataset.reads.reads, core::MapRequest{}).mappings;
   result.map_s = map_timer.elapsed_s();
 
   const eval::TruthSet truth(dataset.contigs.truth, dataset.reads.truth,

@@ -4,7 +4,7 @@
 // the approach will be needed.")
 //
 // This driver implements that extension (whole-read tiling with ℓ-length
-// segments, JemMapper::map_reads_tiled) and quantifies what it recovers:
+// segments, MapMode::kTiled) and quantifies what it recovers:
 // the fraction of true <read, contig> pairs found, overall and restricted
 // to *interior-contained* contigs that end segments cannot reach by design.
 #include <iostream>
@@ -55,7 +55,7 @@ int main(int argc, const char** argv) {
 
   core::MapParams params;
   params.seed = seed;
-  const core::JemMapper mapper(contigs.contigs, params);
+  const core::MappingEngine engine(contigs.contigs, params);
   const eval::TruthSet truth(contigs.truth, reads.truth,
                              params.segment_length,
                              static_cast<std::uint32_t>(params.k));
@@ -104,11 +104,9 @@ int main(int argc, const char** argv) {
                          "contained recall %", "segments", "map s"});
   for (const bool tiled : {false, true}) {
     util::WallTimer timer;
-    const auto mappings =
-        tiled ? mapper.map_reads_tiled(
-                    reads.reads, 0,
-                    static_cast<io::SeqId>(reads.reads.size()))
-              : mapper.map_reads(reads.reads);
+    core::MapRequest request;
+    request.mode = tiled ? core::MapMode::kTiled : core::MapMode::kEnds;
+    const auto mappings = engine.run(reads.reads, request).mappings;
     const double map_s = timer.elapsed_s();
     const auto found = recovered_pairs(mappings);
     const std::uint64_t in_bench = count_in(found, all_pairs);

@@ -34,14 +34,15 @@ int main(int argc, const char** argv) {
   for (const char* name : {"Human chr 7", "Human chr 8", "C. elegans"}) {
     const sim::Dataset dataset =
         bench::make_scaled(sim::preset_by_name(name), cap_bp, seed);
-    const core::JemMapper mapper(dataset.contigs.contigs, params);
+    const core::MappingEngine engine(dataset.contigs.contigs, params);
     const eval::TruthSet truth(dataset.contigs.truth, dataset.reads.truth,
                                params.segment_length,
                                static_cast<std::uint32_t>(params.k));
 
-    const auto topx = mapper.map_reads_topx(
-        dataset.reads.reads, 5, 0,
-        static_cast<io::SeqId>(dataset.reads.reads.size()));
+    core::MapRequest request;
+    request.mode = core::MapMode::kTopX;
+    request.top_x = 5;
+    const auto topx = engine.run(dataset.reads.reads, request).topx;
     std::vector<std::string> row{name};
     for (std::size_t x : {1u, 2u, 3u, 5u}) {
       // Truncate the candidate lists to x and evaluate.

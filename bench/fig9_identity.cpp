@@ -39,8 +39,9 @@ int main(int argc, const char** argv) {
 
   core::MapParams params;
   params.seed = seed;
-  const core::JemMapper mapper(dataset.contigs.contigs, params);
-  const auto mappings = mapper.map_reads(dataset.reads.reads);
+  const core::MappingEngine engine(dataset.contigs.contigs, params);
+  const auto mappings =
+      engine.run(dataset.reads.reads, core::MapRequest{}).mappings;
 
   align::IdentityParams id_params;
   id_params.minimizer = {params.k, params.w};

@@ -38,7 +38,7 @@ int main(int argc, const char** argv) {
 
   core::MapParams params;
   params.seed = seed;
-  const core::JemMapper mapper(contigs.contigs, params);
+  const core::MappingEngine engine(contigs.contigs, params);
 
   eval::TextTable table({"Error %", "Technology class", "Precision %",
                          "Recall %", "Mapped %"});
@@ -60,7 +60,7 @@ int main(int argc, const char** argv) {
     const sim::SimulatedReads reads =
         sim::simulate_hifi_reads(genome, read_params);
 
-    const auto mappings = mapper.map_reads(reads.reads);
+    const auto mappings = engine.run(reads.reads, core::MapRequest{}).mappings;
     const eval::TruthSet truth(contigs.truth, reads.truth,
                                params.segment_length,
                                static_cast<std::uint32_t>(params.k));

@@ -47,7 +47,7 @@ int main(int argc, const char** argv) {
 
   core::MapParams params;
   params.seed = seed;
-  const core::JemMapper mapper(contigs.contigs, params);
+  const core::MappingEngine engine(contigs.contigs, params);
 
   align::IdentityParams id_params;
   id_params.minimizer = {params.k, params.w};
@@ -71,7 +71,7 @@ int main(int argc, const char** argv) {
     const sim::SimulatedReads reads =
         sim::simulate_hifi_reads(donor_genome, read_params);
 
-    const auto mappings = mapper.map_reads(reads.reads);
+    const auto mappings = engine.run(reads.reads, core::MapRequest{}).mappings;
     std::uint64_t mapped = 0;
     std::uint64_t verified = 0;
     std::uint64_t aligned = 0;

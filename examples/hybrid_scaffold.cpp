@@ -64,11 +64,11 @@ int main(int argc, const char** argv) {
   std::cout << "contigs: " << contigs.contigs.size()
             << ", reads: " << reads.reads.size() << "\n";
 
-  // Map all end segments.
+  // Map all end segments (a default MapRequest: end segments, one batch).
   core::MapParams params;
   params.seed = seed;
-  const core::JemMapper mapper(contigs.contigs, params);
-  const auto mappings = mapper.map_reads(reads.reads);
+  const core::MappingEngine engine(contigs.contigs, params);
+  const auto mappings = engine.run(reads.reads, core::MapRequest{}).mappings;
 
   // A read whose prefix and suffix map to different contigs links them.
   const scaffold::LinkGraph graph = scaffold::LinkGraph::from_mappings(mappings);

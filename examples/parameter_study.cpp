@@ -53,9 +53,11 @@ void run_sweep(const Inputs& inputs, const std::string& title,
     const eval::TruthSet truth(inputs.contigs.truth, inputs.reads.truth,
                                params.segment_length,
                                static_cast<std::uint32_t>(params.k));
-    const core::JemMapper mapper(inputs.contigs.contigs, params);
+    const core::MappingEngine engine(inputs.contigs.contigs, params);
+    // A default MapRequest: end segments, on this thread, in one batch.
     util::WallTimer timer;
-    const auto mappings = mapper.map_reads(inputs.reads.reads);
+    const auto mappings =
+        engine.run(inputs.reads.reads, core::MapRequest{}).mappings;
     const double map_s = timer.elapsed_s();
     const eval::QualityCounts counts = eval::evaluate(mappings, truth);
     table.add_row({labels[i], util::fixed(100.0 * counts.precision(), 2),

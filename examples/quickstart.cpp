@@ -2,9 +2,11 @@
 //
 // 1. Simulate a tiny genome, a contig set (the "prior partial assembly"),
 //    and HiFi long reads.
-// 2. Build a JemMapper over the contigs (Algorithm 2's subject phase).
-// 3. Map every read's end segments and print the first few mappings plus
-//    precision/recall against the simulator's ground truth.
+// 2. Build a MappingEngine over the contigs (Algorithm 2's subject phase).
+// 3. Map every read's end segments with engine.run (a default MapRequest:
+//    the paper's end segments, on this thread, in one batch) and print the
+//    first few mappings plus precision/recall against the simulator's
+//    ground truth.
 //
 // Run:  ./quickstart [--genome-bp N] [--coverage C] [--seed S]
 #include <cstdint>
@@ -59,14 +61,15 @@ int main(int argc, const char** argv) {
             << "reads    : " << reads.reads.size() << " ("
             << util::human_bp(reads.reads.total_bases()) << ")\n\n";
 
-  // --- 2. Build the mapper (paper defaults: k=16, w=100, T=30, l=1000) --
+  // --- 2. Build the engine (paper defaults: k=16, w=100, T=30, l=1000) --
   const core::MapParams params = core::MapParams::make().seed(seed).build();
-  const core::JemMapper mapper(contigs.contigs, params);
-  std::cout << "sketch table: " << mapper.table().size() << " entries across "
+  const core::MappingEngine engine(contigs.contigs, params);
+  std::cout << "sketch table: " << engine.mapper().table().size()
+            << " entries across "
             << params.trials << " trials\n\n";
 
   // --- 3. Map all end segments ------------------------------------------
-  const auto mappings = mapper.map_reads(reads.reads);
+  const auto mappings = engine.run(reads.reads, core::MapRequest{}).mappings;
 
   std::cout << "first mappings (query  end  ->  contig  votes/trials):\n";
   for (std::size_t i = 0; i < mappings.size() && i < 8; ++i) {

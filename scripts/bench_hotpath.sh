@@ -24,8 +24,8 @@ MIN_TIME="${JEM_BENCH_MIN_TIME:-0.5}"
 OUT="${1:-BENCH_hotpath.json}"
 RAW="build/bench_hotpath_raw.json"
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
-cmake --build build --target bench_micro jem_map
+cmake -B build -DCMAKE_BUILD_TYPE=Release
+cmake --build build --parallel "$(nproc)" --target bench_micro jem_map
 
 # Metrics snapshot of a demo run (docs/observability.md): embedded in the
 # summary so a regression report carries its own hot-path counters

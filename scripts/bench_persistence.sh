@@ -20,8 +20,8 @@ MIN_TIME="${JEM_BENCH_MIN_TIME:-0.5}"
 OUT="${1:-BENCH_persistence.json}"
 RAW="build/bench_persistence_raw.json"
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
-cmake --build build --target bench_micro jem_map
+cmake -B build -DCMAKE_BUILD_TYPE=Release
+cmake --build build --parallel "$(nproc)" --target bench_micro jem_map
 
 # Metrics snapshot of a save+load round trip (docs/observability.md):
 # embedded in the summary so the io.index_cache.* counters of the

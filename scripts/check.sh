@@ -4,8 +4,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build
+cmake --build build --parallel "$(nproc)"
 ctest --test-dir build --output-on-failure
 
 # Engine + chaos + serve concurrency tests under ThreadSanitizer: the
@@ -18,12 +18,12 @@ ctest --test-dir build --output-on-failure
 # build suites: sketch_subjects sketches subject ranges on a pool, and
 # SketchTable::from_entries / FlatSketchIndex::build fill per-trial arrays
 # from pool tasks — in every JemMapper and in each distributed rank.
-cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+cmake -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   -DJEM_BUILD_BENCH=OFF -DJEM_BUILD_EXAMPLES=OFF
-cmake --build build-tsan --target test_engine test_chaos test_obs test_serve \
-  test_io test_core
+cmake --build build-tsan --parallel "$(nproc)" --target test_engine \
+  test_chaos test_obs test_serve test_io test_core
 ctest --test-dir build-tsan --output-on-failure \
   -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|Gzip|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|SketchTable|IndexBuild|FlatSketchIndex|Distributed'
 
@@ -39,12 +39,12 @@ ctest --test-dir build-tsan --output-on-failure \
 # its prefix minima by interval end, and the mapper prefetches and probes
 # raw slot arrays. The index build fills the slot array and postings pool
 # through raw per-trial region pointers.
-cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
   -DJEM_BUILD_BENCH=OFF -DJEM_BUILD_EXAMPLES=ON
-cmake --build build-asan --target test_engine test_chaos test_io test_core \
-  test_obs test_serve jem obs_check
+cmake --build build-asan --parallel "$(nproc)" --target test_engine \
+  test_chaos test_io test_core test_obs test_serve jem obs_check
 ctest --test-dir build-asan --output-on-failure \
   -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|MapperTest|FlatSketchIndex|SketchTable|IndexBuild'
 
@@ -81,6 +81,7 @@ done
 ./build/examples/obs_check --metrics /tmp/jem_check_m4.json \
   --trace /tmp/jem_check_t4.json
 grep -q 'distributed.rank3.map_ns' /tmp/jem_check_m4.json
+grep -q 'core.hotpath.segments_seen' /tmp/jem_check_m4.json
 grep -q 'core.minimizer.lanes' /tmp/jem_check_m.json
 grep -q 'mpisim.allgatherv.rank0.sent_bytes' /tmp/jem_check_m4.json
 echo "metrics smoke: ok"

@@ -5,11 +5,11 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "core/engine.hpp"
 #include "core/index_serde.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace jem::core {
@@ -102,6 +102,15 @@ mpisim::SpmdOptions spmd_options_for(const RobustnessOptions& robust,
   return options;
 }
 
+/// The engine request every distributed map step runs: one serial batch
+/// that publishes into the run's metrics registry. The tracer stays off so
+/// a distributed trace keeps only its S2-S4 spans.
+MapRequest map_request_for(const obs::ObsHooks& obs) {
+  MapRequest request;
+  request.obs.metrics = obs.metrics;
+  return request;
+}
+
 /// The driver-side recovery path shared by both SPMD strategies: assembles
 /// the output from each rank's deposited local results and re-maps every
 /// un-deposited (failed) rank's query partition against a freshly built
@@ -112,9 +121,10 @@ std::vector<SegmentMapping> recover_lost_partitions(
     const MapParams& params, SketchScheme scheme,
     const std::vector<std::pair<io::SeqId, io::SeqId>>& read_ranges,
     const std::vector<std::vector<SegmentMapping>>& deposits,
-    const std::vector<char>& deposited, std::uint64_t& queries_recovered) {
+    const std::vector<char>& deposited, const MapRequest& request,
+    std::uint64_t& queries_recovered) {
   std::vector<SegmentMapping> assembled;
-  const JemMapper recovery_mapper(subjects, params, scheme);
+  const MappingEngine recovery_engine(subjects, params, scheme);
   for (std::size_t r = 0; r < deposits.size(); ++r) {
     if (deposited[r] != 0) {
       assembled.insert(assembled.end(), deposits[r].begin(),
@@ -123,7 +133,7 @@ std::vector<SegmentMapping> recover_lost_partitions(
     }
     const auto [q_begin, q_end] = read_ranges[r];
     const std::vector<SegmentMapping> recovered =
-        recovery_mapper.map_reads(reads, q_begin, q_end);
+        recovery_engine.run(reads, q_begin, q_end, request).mappings;
     queries_recovered += recovered.size();
     assembled.insert(assembled.end(), recovered.begin(), recovered.end());
   }
@@ -140,9 +150,16 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
                                   const IndexCacheOptions& index_cache,
                                   const obs::ObsHooks& obs) {
   params.validate();
+  // Checked here: MapRequest::threads == 0 would mean every hardware
+  // thread, not an error.
   if (threads_per_rank < 1) {
     throw std::invalid_argument(
         "run_distributed: threads_per_rank must be >= 1");
+  }
+  MapRequest rank_request = map_request_for(obs);
+  if (threads_per_rank > 1) {
+    rank_request.backend = MapBackend::kPool;
+    rank_request.threads = static_cast<std::size_t>(threads_per_rank);
   }
   DistributedResult result;
   result.report.ranks = ranks;
@@ -238,29 +255,14 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
             SketchTable::from_entries(params.trials, global_entries, threads);
         const double build_s = static_cast<double>(build_span.finish()) * 1e-9;
 
-        // S4: map local queries — sequentially, or with a rank-private
-        // thread pool in hybrid mode.
+        // S4: map local queries — on this rank's thread, or on a
+        // rank-private engine pool in hybrid mode.
         comm.fault_point("S4:map");
         obs::StageSpan map_span(obs, "S4:map");
-        const JemMapper mapper(subjects, params, scheme, std::move(global));
-        std::vector<SegmentMapping> local_mappings;
-        if (threads_per_rank == 1) {
-          local_mappings = mapper.map_reads(reads, q_begin, q_end);
-        } else {
-          util::ThreadPool pool(static_cast<std::size_t>(threads_per_rank));
-          std::vector<std::vector<SegmentMapping>> partials(pool.size());
-          util::parallel_for_blocks(
-              pool, q_begin, q_end, pool.size(),
-              [&](std::size_t block, std::size_t begin, std::size_t end) {
-                partials[block] = mapper.map_reads(
-                    reads, static_cast<io::SeqId>(begin),
-                    static_cast<io::SeqId>(end));
-              });
-          for (auto& partial : partials) {
-            local_mappings.insert(local_mappings.end(), partial.begin(),
-                                  partial.end());
-          }
-        }
+        const MappingEngine engine(subjects, params, scheme,
+                                   std::move(global));
+        const std::vector<SegmentMapping> local_mappings =
+            engine.run(reads, q_begin, q_end, rank_request).mappings;
         const double map_s = static_cast<double>(map_span.finish()) * 1e-9;
 
         deposits[r] = local_mappings;
@@ -280,9 +282,9 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
         max_map_s = std::max(max_map_s, map_s);
         allgather_s = std::max(allgather_s, gather_s);
         build_global_s = std::max(build_global_s, build_s);
-        table_entries_max =
-            std::max(table_entries_max,
-                     static_cast<std::uint64_t>(mapper.table().size()));
+        table_entries_max = std::max(
+            table_entries_max,
+            static_cast<std::uint64_t>(engine.mapper().table().size()));
         queries_mapped += local_mappings.size();
         if (rank == 0) {
           sketch_bytes = global_entries.size() * sizeof(SketchEntry);
@@ -301,6 +303,7 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
     util::WallTimer recover_timer;
     gathered = recover_lost_partitions(subjects, reads, params, scheme,
                                        read_ranges, deposits, deposited,
+                                       map_request_for(obs),
                                        queries_recovered);
     recover_s = recover_timer.elapsed_s();
     queries_mapped += queries_recovered;
@@ -544,6 +547,7 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
     util::WallTimer recover_timer;
     gathered = recover_lost_partitions(subjects, reads, params, scheme,
                                        read_ranges, deposits, deposited,
+                                       map_request_for(obs),
                                        queries_recovered);
     recover_s = recover_timer.elapsed_s();
     queries_mapped += queries_recovered;
@@ -630,15 +634,16 @@ DistributedResult run_staged(const io::SequenceSet& subjects,
   const double build_s = util::time_void([&] {
     global = SketchTable::from_entries(params.trials, global_entries);
   });
-  const JemMapper mapper(subjects, params, scheme, std::move(global));
+  const MappingEngine engine(subjects, params, scheme, std::move(global));
 
   // S4: map local queries per rank.
+  const MapRequest rank_request = map_request_for(obs);
   std::vector<std::vector<SegmentMapping>> per_rank_mappings(
       static_cast<std::size_t>(ranks));
   executor.compute_step("S4:map-queries", [&](int rank) {
     const auto [begin, end] = read_ranges[static_cast<std::size_t>(rank)];
     per_rank_mappings[static_cast<std::size_t>(rank)] =
-        mapper.map_reads(reads, begin, end);
+        engine.run(reads, begin, end, rank_request).mappings;
   });
 
   for (auto& partial : per_rank_mappings) {

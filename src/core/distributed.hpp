@@ -168,7 +168,10 @@ struct DistributedResult {
 /// enables the hybrid MPI+threads mode (the paper's platform supported
 /// OpenMPI and OpenMP side by side): each rank sketches its subjects (S2),
 /// builds S_global (S3) and maps its local queries with that many threads.
-/// Results are identical for any configuration.
+/// Results are identical for any configuration. Each rank maps its query
+/// range with MappingEngine::run; with a metrics registry in `obs`, those
+/// runs add their engine.* and core.hotpath.* metrics to it, summed over
+/// ranks.
 ///
 /// With `robust` set, ranks that abort (injected faults, timeouts) are
 /// tolerated: the survivors complete, the driver re-maps every failed

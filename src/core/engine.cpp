@@ -127,23 +127,34 @@ struct BatchOutput {
   std::vector<SegmentTopX> topx;
 };
 
-/// The per-batch kernel every backend shares: sequential mapping of reads
-/// [begin, end) in the requested mode, min_votes override applied.
+/// The per-batch kernel every backend shares, and the only loop in the
+/// library that maps a range of reads: reads [begin, end) segment by
+/// segment on the caller's scratch, in the requested mode, min_votes
+/// override applied.
 BatchOutput map_range(const JemMapper& mapper, const io::SequenceSet& reads,
                       io::SeqId begin, io::SeqId end,
                       const MapRequest& request, MapScratch& scratch) {
   BatchOutput out;
-  switch (request.mode) {
-    case MapMode::kEnds:
-      out.mappings = mapper.map_reads(reads, begin, end, scratch);
-      break;
-    case MapMode::kTiled:
-      out.mappings = mapper.map_reads_tiled(reads, begin, end, scratch);
-      break;
-    case MapMode::kTopX:
-      out.topx =
-          mapper.map_reads_topx(reads, request.top_x, begin, end, scratch);
-      break;
+  const std::uint32_t length = mapper.params().segment_length;
+  for (io::SeqId read = begin; read < end; ++read) {
+    const std::string_view bases = reads.bases(read);
+    const std::vector<EndSegment> segments =
+        request.mode == MapMode::kTiled
+            ? extract_tiled_segments(read, bases, length)
+            : extract_end_segments(read, bases, length);
+    for (const EndSegment& segment : segments) {
+      const auto segment_length =
+          static_cast<std::uint32_t>(segment.bases.size());
+      if (request.mode == MapMode::kTopX) {
+        out.topx.push_back(
+            {read, segment.end, segment_length,
+             mapper.map_segment_topx(segment.bases, request.top_x, scratch)});
+      } else {
+        out.mappings.push_back({read, segment.end, segment.offset,
+                                segment_length,
+                                mapper.map_segment(segment.bases, scratch)});
+      }
+    }
   }
   if (request.min_votes) {
     apply_min_votes(*request.min_votes, out.mappings);
@@ -261,6 +272,17 @@ MappingEngine::MappingEngine(const io::SequenceSet& subjects, MapParams params,
 
 MapReport MappingEngine::run(const io::SequenceSet& reads,
                              const MapRequest& request) const {
+  return run(reads, 0, static_cast<io::SeqId>(reads.size()), request);
+}
+
+MapReport MappingEngine::run(const io::SequenceSet& reads, io::SeqId begin,
+                             io::SeqId end, const MapRequest& request) const {
+  if (begin > end || end > reads.size()) {
+    throw std::invalid_argument("MappingEngine::run: read range [" +
+                                std::to_string(begin) + ", " +
+                                std::to_string(end) + ") outside [0, " +
+                                std::to_string(reads.size()) + ")");
+  }
   request.validate();
   check_min_votes(request, mapper_.params());
 
@@ -271,7 +293,7 @@ MapReport MappingEngine::run(const io::SequenceSet& reads,
   const util::WallTimer wall;
   MapReport report;
 
-  const std::size_t n = reads.size();
+  const std::size_t n = end - begin;
   const std::size_t threads = util::default_threads(request.threads);
   const std::size_t batch = effective_batch_size(request, n, threads);
   const std::size_t num_batches = n == 0 ? 0 : (n + batch - 1) / batch;
@@ -286,10 +308,11 @@ MapReport MappingEngine::run(const io::SequenceSet& reads,
       scratch->hotpath().sample_every = request.hotpath_sample_every;
     }
     obs::StageSpan span(obs, "map.batch", &map_ns);
-    const auto begin = static_cast<io::SeqId>(b * batch);
-    const auto end = static_cast<io::SeqId>(std::min(n, (b + 1) * batch));
-    outputs[b] = map_range(mapper_, reads, begin, end, request, *scratch);
-    metrics.record_batch(end - begin, span.finish());
+    const auto first = static_cast<io::SeqId>(begin + b * batch);
+    const auto last =
+        static_cast<io::SeqId>(begin + std::min(n, (b + 1) * batch));
+    outputs[b] = map_range(mapper_, reads, first, last, request, *scratch);
+    metrics.record_batch(last - first, span.finish());
     scratches.release(std::move(scratch));
   };
 

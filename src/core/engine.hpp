@@ -5,11 +5,12 @@
 //
 // Each execution shape has exactly one executor, shared by both backends
 // and built on the same per-batch kernel:
-//  * run()        — in-memory: the query set is already loaded; batches are
-//    index ranges over it, mapped on the caller's thread (kSerial) or by
-//    pool workers (kPool) and concatenated in order. Output is
-//    bit-identical to sequential JemMapper::map_reads for every (mode,
-//    backend, batch size) combination (golden-tested).
+//  * run()        — in-memory: the query set (or a [begin, end) range of
+//    it) is already loaded; batches are index ranges over it, mapped on the
+//    caller's thread (kSerial) or by pool workers (kPool) and concatenated
+//    in order. Output is bit-identical to mapping the reads' segments one
+//    by one with JemMapper::map_segment, for every (mode, backend, batch
+//    size) combination (golden-tested against a sequential test oracle).
 //  * run_stream() — streaming: a three-stage pipeline in the shape minimap2
 //    uses for heavy traffic. The caller's thread parses ReadBatches and
 //    pushes them into a BoundedQueue (backpressure: parsing stalls when the
@@ -230,6 +231,12 @@ class MappingEngine {
   /// the report are global (indices into `reads`).
   [[nodiscard]] MapReport run(const io::SequenceSet& reads,
                               const MapRequest& request) const;
+
+  /// The same run over reads [begin, end) only (one rank's partition, for
+  /// example). Read ids stay global. Throws std::invalid_argument when
+  /// begin > end or end > reads.size().
+  [[nodiscard]] MapReport run(const io::SequenceSet& reads, io::SeqId begin,
+                              io::SeqId end, const MapRequest& request) const;
 
   /// One mapped batch handed to the streaming sink. Read ids inside
   /// `mappings` / `topx` are local to `batch.reads`; add

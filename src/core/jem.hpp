@@ -4,8 +4,8 @@
 // Quick tour:
 //   io::SequenceSet      — load contigs/reads (io/fasta.hpp)
 //   core::MapParams      — k, w, T, ℓ, seed (MapParams::make() builder)
-//   core::JemMapper      — sequential Algorithm 2 kernels
-//   core::MappingEngine  — batched/streaming execution (MapRequest)
+//   core::JemMapper      — Algorithm 2 on one segment (map_segment)
+//   core::MappingEngine  — maps read sets: run / run_stream (MapRequest)
 //   core::run_distributed / run_staged — the parallel drivers (S1-S4)
 //   core::SketchScheme   — JEM sketch vs classical MinHash
 //   core::save_index / load_index — durable sketch-index artifacts

@@ -178,23 +178,32 @@ JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
   }
 }
 
-MapResult JemMapper::map_segment(std::string_view segment,
-                                 MapScratch& scratch) const {
+namespace {
+
+/// Steps 4-7 of Algorithm 2, shared by map_segment and map_segment_topx:
+/// sketches `segment` into the scratch's buffers, resolves each trial's
+/// k-mers with one batched, prefetching lookup_many, and calls
+/// on_vote(subject, count) once per subject per trial that hits it, with
+/// `count` the subject's running vote total. Hits_r[t] is a *set* of
+/// subjects: a subject colliding via several sketch k-mers within one
+/// trial still earns a single vote, enforced by the per-trial `seen`
+/// round. Sampled segments also fill the scratch's hot-path counters; a
+/// subject's first vote counts it as a candidate.
+template <typename OnVote>
+void vote_segment(std::string_view segment, const MapParams& params,
+                  SketchScheme scheme, const HashFamily& hashes,
+                  const FlatSketchIndex& index, MapScratch& scratch,
+                  OnVote&& on_vote) {
   FlatSketch& sketch = scratch.sketch();
-  make_sketch(segment, params_, scheme_, hashes_, scratch.sketch_scratch(),
+  make_sketch(segment, params, scheme, hashes, scratch.sketch_scratch(),
               sketch);
-  const FlatSketchIndex& index = table_.flat();
   index.prefetch(sketch);
   auto& postings = scratch.postings();
   HotpathCounters& hotpath = scratch.hotpath();
   const bool sampled = hotpath.tick_sample();
 
-  MapResult best;
   scratch.votes().new_round();
-  for (int t = 0; t < params_.trials; ++t) {
-    // Hits_r[t] is a *set* of subjects: a subject colliding via several
-    // sketch k-mers within one trial still earns a single vote, enforced by
-    // the per-trial `seen` round.
+  for (int t = 0; t < params.trials; ++t) {
     scratch.seen().new_round();
     const std::span<const KmerCode> kmers = sketch.trial(t);
     postings.resize(kmers.size());
@@ -211,18 +220,28 @@ MapResult JemMapper::map_segment(std::string_view segment,
         if (!scratch.seen().first_time(subject)) continue;
         const std::uint32_t count = scratch.votes().increment(subject);
         if (sampled && count == 1) ++hotpath.candidates;
-        // Final winner = max votes, ties to the smallest subject id; the
-        // online update below realizes exactly that order without a final
-        // scan over all subjects.
-        if (count > best.votes ||
-            (count == best.votes && subject < best.subject)) {
-          best.votes = count;
-          best.subject = subject;
-        }
+        on_vote(subject, count);
       }
     }
   }
+}
 
+}  // namespace
+
+MapResult JemMapper::map_segment(std::string_view segment,
+                                 MapScratch& scratch) const {
+  MapResult best;
+  vote_segment(segment, params_, scheme_, hashes_, table_.flat(), scratch,
+               [&](io::SeqId subject, std::uint32_t count) {
+                 // Final winner = max votes, ties to the smallest subject
+                 // id; the online update realizes exactly that order
+                 // without a final scan over all subjects.
+                 if (count > best.votes ||
+                     (count == best.votes && subject < best.subject)) {
+                   best.votes = count;
+                   best.subject = subject;
+                 }
+               });
   if (best.votes < params_.min_votes) return {};
   return best;
 }
@@ -270,43 +289,15 @@ MapResult JemMapper::map_segment(std::string_view segment) const {
 std::vector<MapResult> JemMapper::map_segment_topx(std::string_view segment,
                                                    std::size_t x,
                                                    MapScratch& scratch) const {
-  FlatSketch& sketch = scratch.sketch();
-  make_sketch(segment, params_, scheme_, hashes_, scratch.sketch_scratch(),
-              sketch);
-  const FlatSketchIndex& index = table_.flat();
-  index.prefetch(sketch);
-  auto& postings = scratch.postings();
-
   // Same vote counting as map_segment, but remember every subject touched
   // this round so the full ranking can be materialized afterwards. The
   // touched list lives in the scratch so repeat calls reuse its capacity.
   std::vector<io::SeqId>& touched = scratch.touched();
   touched.clear();
-  HotpathCounters& hotpath = scratch.hotpath();
-  const bool sampled = hotpath.tick_sample();
-  scratch.votes().new_round();
-  for (int t = 0; t < params_.trials; ++t) {
-    scratch.seen().new_round();
-    const std::span<const KmerCode> kmers = sketch.trial(t);
-    postings.resize(kmers.size());
-    const std::uint64_t probed = index.lookup_many(t, kmers, postings);
-    if (sampled) {
-      hotpath.probe_slots += probed;
-      hotpath.kmer_lookups += kmers.size();
-      for (const std::span<const io::SeqId> subjects : postings) {
-        subjects.empty() ? ++hotpath.sketch_misses : ++hotpath.sketch_hits;
-      }
-    }
-    for (const std::span<const io::SeqId> subjects : postings) {
-      for (io::SeqId subject : subjects) {
-        if (!scratch.seen().first_time(subject)) continue;
-        if (scratch.votes().increment(subject) == 1) {
-          touched.push_back(subject);
-        }
-      }
-    }
-  }
-  if (sampled) hotpath.candidates += touched.size();
+  vote_segment(segment, params_, scheme_, hashes_, table_.flat(), scratch,
+               [&](io::SeqId subject, std::uint32_t count) {
+                 if (count == 1) touched.push_back(subject);
+               });
 
   std::sort(touched.begin(), touched.end(),
             [&](io::SeqId a, io::SeqId b) {
@@ -325,93 +316,6 @@ std::vector<MapResult> JemMapper::map_segment_topx(std::string_view segment,
     hits.push_back({subject, votes});
   }
   return hits;
-}
-
-std::vector<SegmentTopX> JemMapper::map_reads_topx(const io::SequenceSet& reads,
-                                                   std::size_t x,
-                                                   io::SeqId begin,
-                                                   io::SeqId end,
-                                                   MapScratch& scratch) const {
-  std::vector<SegmentTopX> mappings;
-  for (io::SeqId read = begin; read < end; ++read) {
-    for (const EndSegment& segment : extract_end_segments(
-             read, reads.bases(read), params_.segment_length)) {
-      SegmentTopX mapping;
-      mapping.read = read;
-      mapping.end = segment.end;
-      mapping.segment_length =
-          static_cast<std::uint32_t>(segment.bases.size());
-      mapping.hits = map_segment_topx(segment.bases, x, scratch);
-      mappings.push_back(std::move(mapping));
-    }
-  }
-  return mappings;
-}
-
-std::vector<SegmentTopX> JemMapper::map_reads_topx(const io::SequenceSet& reads,
-                                                   std::size_t x,
-                                                   io::SeqId begin,
-                                                   io::SeqId end) const {
-  MapScratch scratch(subjects_.size());
-  return map_reads_topx(reads, x, begin, end, scratch);
-}
-
-std::vector<SegmentMapping> JemMapper::map_reads(const io::SequenceSet& reads,
-                                                 io::SeqId begin, io::SeqId end,
-                                                 MapScratch& scratch) const {
-  std::vector<SegmentMapping> mappings;
-  for (io::SeqId read = begin; read < end; ++read) {
-    for (const EndSegment& segment : extract_end_segments(
-             read, reads.bases(read), params_.segment_length)) {
-      SegmentMapping mapping;
-      mapping.read = read;
-      mapping.end = segment.end;
-      mapping.offset = segment.offset;
-      mapping.segment_length =
-          static_cast<std::uint32_t>(segment.bases.size());
-      mapping.result = map_segment(segment.bases, scratch);
-      mappings.push_back(mapping);
-    }
-  }
-  return mappings;
-}
-
-std::vector<SegmentMapping> JemMapper::map_reads(const io::SequenceSet& reads,
-                                                 io::SeqId begin,
-                                                 io::SeqId end) const {
-  MapScratch scratch(subjects_.size());
-  return map_reads(reads, begin, end, scratch);
-}
-
-std::vector<SegmentMapping> JemMapper::map_reads(
-    const io::SequenceSet& reads) const {
-  return map_reads(reads, 0, static_cast<io::SeqId>(reads.size()));
-}
-
-std::vector<SegmentMapping> JemMapper::map_reads_tiled(
-    const io::SequenceSet& reads, io::SeqId begin, io::SeqId end,
-    MapScratch& scratch) const {
-  std::vector<SegmentMapping> mappings;
-  for (io::SeqId read = begin; read < end; ++read) {
-    for (const EndSegment& segment : extract_tiled_segments(
-             read, reads.bases(read), params_.segment_length)) {
-      SegmentMapping mapping;
-      mapping.read = read;
-      mapping.end = segment.end;
-      mapping.offset = segment.offset;
-      mapping.segment_length =
-          static_cast<std::uint32_t>(segment.bases.size());
-      mapping.result = map_segment(segment.bases, scratch);
-      mappings.push_back(mapping);
-    }
-  }
-  return mappings;
-}
-
-std::vector<SegmentMapping> JemMapper::map_reads_tiled(
-    const io::SequenceSet& reads, io::SeqId begin, io::SeqId end) const {
-  MapScratch scratch(subjects_.size());
-  return map_reads_tiled(reads, begin, end, scratch);
 }
 
 std::vector<io::MappingLine> JemMapper::to_mapping_lines(

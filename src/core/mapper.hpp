@@ -1,9 +1,11 @@
 // JemMapper — Algorithm 2 (L2C mapping): build the sketch table over the
 // subjects, then map every long-read end segment to its best-hit contig.
 //
-// The class is immutable after construction; map_segment is const and
-// thread-safe given a per-thread MapScratch, which is how the threaded and
-// distributed drivers parallelize the query phase.
+// The class maps one segment at a time. It is immutable after
+// construction; map_segment is const and thread-safe given a per-thread
+// MapScratch. Mapping a set of reads — in memory, streamed, threaded or
+// one rank's partition — is MappingEngine's job (core/engine.hpp), whose
+// batch body calls map_segment / map_segment_topx per segment.
 #pragma once
 
 #include <cstdint>
@@ -218,42 +220,6 @@ class JemMapper {
   /// not reported; the front element equals map_segment's result.
   [[nodiscard]] std::vector<MapResult> map_segment_topx(
       std::string_view segment, std::size_t x, MapScratch& scratch) const;
-
-  /// Maps the end segments of reads [begin, end) in top-x mode, reusing the
-  /// caller's scratch (per-thread reuse in the engine's pipeline).
-  [[nodiscard]] std::vector<SegmentTopX> map_reads_topx(
-      const io::SequenceSet& reads, std::size_t x, io::SeqId begin,
-      io::SeqId end, MapScratch& scratch) const;
-
-  /// Maps the end segments of reads [begin, end) in top-x mode.
-  [[nodiscard]] std::vector<SegmentTopX> map_reads_topx(
-      const io::SequenceSet& reads, std::size_t x, io::SeqId begin,
-      io::SeqId end) const;
-
-  /// Maps the end segments of reads [begin, end) sequentially, reusing the
-  /// caller's scratch.
-  [[nodiscard]] std::vector<SegmentMapping> map_reads(
-      const io::SequenceSet& reads, io::SeqId begin, io::SeqId end,
-      MapScratch& scratch) const;
-
-  /// Maps the end segments of reads [begin, end) sequentially.
-  [[nodiscard]] std::vector<SegmentMapping> map_reads(
-      const io::SequenceSet& reads, io::SeqId begin, io::SeqId end) const;
-
-  /// Maps all reads sequentially.
-  [[nodiscard]] std::vector<SegmentMapping> map_reads(
-      const io::SequenceSet& reads) const;
-
-  /// Containment mode (paper §III-B1's noted extension): tiles reads
-  /// [begin, end) with ℓ-length segments and maps every tile, so contigs
-  /// contained in read interiors are found too. Reuses the caller's scratch.
-  [[nodiscard]] std::vector<SegmentMapping> map_reads_tiled(
-      const io::SequenceSet& reads, io::SeqId begin, io::SeqId end,
-      MapScratch& scratch) const;
-
-  /// Containment mode over reads [begin, end).
-  [[nodiscard]] std::vector<SegmentMapping> map_reads_tiled(
-      const io::SequenceSet& reads, io::SeqId begin, io::SeqId end) const;
 
   /// Renders mappings as output lines (query/subject names resolved).
   [[nodiscard]] std::vector<io::MappingLine> to_mapping_lines(

@@ -81,24 +81,6 @@ void wait_all(std::vector<std::future<void>>& futures) {
 
 }  // namespace
 
-void parallel_for_blocks(
-    ThreadPool& pool, std::size_t begin, std::size_t end,
-    std::size_t num_blocks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  const std::size_t n = end - begin;
-  const std::size_t blocks = std::max<std::size_t>(1, num_blocks);
-  std::vector<std::future<void>> futures;
-  futures.reserve(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const BlockRange range = block_range(n, blocks, b);
-    if (range.begin == range.end) continue;
-    futures.push_back(pool.submit([&fn, b, range, begin] {
-      fn(b, begin + range.begin, begin + range.end);
-    }));
-  }
-  wait_all(futures);
-}
-
 void parallel_for_each(ThreadPool* pool, std::size_t n,
                        const std::function<void(std::size_t)>& fn) {
   if (pool == nullptr || n <= 1) {

@@ -16,6 +16,7 @@
 #include "core/dna.hpp"
 #include "io/batch_stream.hpp"
 #include "io/fasta.hpp"
+#include "oracle/sequential_mapper.hpp"
 #include "util/fault_plan.hpp"
 #include "util/prng.hpp"
 
@@ -87,7 +88,7 @@ class ChaosEngineTest : public ::testing::Test {
 
 TEST_F(ChaosEngineTest, GuardedRunWithoutFaultsMatchesSequential) {
   const MappingEngine engine(subjects_, params_);
-  const auto expected = engine.mapper().map_reads(reads_);
+  const auto expected = oracle::map_reads(engine.mapper(), reads_);
 
   MapRequest request;
   request.backend = MapBackend::kPool;
@@ -103,7 +104,7 @@ TEST_F(ChaosEngineTest, GuardedRunWithoutFaultsMatchesSequential) {
 
 TEST_F(ChaosEngineTest, DelayOnlyPlanKeepsStreamOutputBitIdentical) {
   const MappingEngine engine(subjects_, params_);
-  const auto expected = engine.mapper().map_reads(reads_);
+  const auto expected = oracle::map_reads(engine.mapper(), reads_);
 
   MapRequest request;
   request.backend = MapBackend::kPool;
@@ -162,7 +163,7 @@ TEST_F(ChaosEngineTest, DroppedReaderBatchIsCountedAndRestStayOrdered) {
   EXPECT_EQ(report.stats.reads, reads_.size() - batch_size);
 
   // Everything except the dropped reads [4, 8) arrives, in read order.
-  const auto expected = engine.mapper().map_reads(reads_);
+  const auto expected = oracle::map_reads(engine.mapper(), reads_);
   std::vector<SegmentMapping> survivors;
   for (const SegmentMapping& mapping : expected) {
     if (mapping.read >= batch_size && mapping.read < 2 * batch_size) continue;
@@ -197,7 +198,7 @@ TEST_F(ChaosEngineTest, DroppedMapBatchLeavesNoEmitterHole) {
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.stats.batches_dropped, 1u);
 
-  const auto expected = engine.mapper().map_reads(reads_);
+  const auto expected = oracle::map_reads(engine.mapper(), reads_);
   std::vector<SegmentMapping> survivors;
   for (const SegmentMapping& mapping : expected) {
     if (mapping.read >= batch_size && mapping.read < 2 * batch_size) continue;

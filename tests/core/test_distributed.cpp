@@ -5,6 +5,8 @@
 #include <string>
 
 #include "core/dna.hpp"
+#include "obs/metrics.hpp"
+#include "oracle/sequential_mapper.hpp"
 #include "util/prng.hpp"
 
 namespace jem::core {
@@ -134,7 +136,7 @@ class DistributedTest : public ::testing::Test {
 
 TEST_F(DistributedTest, SingleRankMatchesSequential) {
   const JemMapper mapper(subjects_, params_);
-  const auto sequential = mapper.map_reads(reads_);
+  const auto sequential = oracle::map_reads(mapper, reads_);
   const DistributedResult distributed =
       run_distributed(subjects_, reads_, params_, 1);
   expect_same_mappings(sequential, distributed.mappings);
@@ -142,7 +144,7 @@ TEST_F(DistributedTest, SingleRankMatchesSequential) {
 
 TEST_F(DistributedTest, MultiRankMatchesSequential) {
   const JemMapper mapper(subjects_, params_);
-  const auto sequential = mapper.map_reads(reads_);
+  const auto sequential = oracle::map_reads(mapper, reads_);
   for (int ranks : {2, 3, 4, 8}) {
     const DistributedResult distributed =
         run_distributed(subjects_, reads_, params_, ranks);
@@ -152,7 +154,7 @@ TEST_F(DistributedTest, MultiRankMatchesSequential) {
 
 TEST_F(DistributedTest, HybridRanksTimesThreadsMatchesSequential) {
   const JemMapper mapper(subjects_, params_);
-  const auto sequential = mapper.map_reads(reads_);
+  const auto sequential = oracle::map_reads(mapper, reads_);
   const DistributedResult hybrid = run_distributed(
       subjects_, reads_, params_, /*ranks=*/2, SketchScheme::kJem,
       /*threads_per_rank=*/3);
@@ -165,9 +167,26 @@ TEST_F(DistributedTest, HybridRejectsZeroThreads) {
                std::invalid_argument);
 }
 
+TEST_F(DistributedTest, RankMapStepsPublishHotpathMetrics) {
+  obs::Registry registry;
+  obs::ObsHooks hooks;
+  hooks.metrics = &registry;
+  const DistributedResult result =
+      run_distributed(subjects_, reads_, params_, /*ranks=*/4,
+                      SketchScheme::kJem, /*threads_per_rank=*/1, {}, {},
+                      hooks);
+  const obs::MetricsSnapshot snapshot = registry.snapshot();
+  const obs::MetricValue* seen = snapshot.find("core.hotpath.segments_seen");
+  ASSERT_NE(seen, nullptr);
+  EXPECT_EQ(seen->value, result.mappings.size());
+  const obs::MetricValue* lanes = snapshot.find("core.minimizer.lanes");
+  ASSERT_NE(lanes, nullptr);
+  EXPECT_GE(lanes->level, 1);
+}
+
 TEST_F(DistributedTest, PartitionedTableMatchesSequential) {
   const JemMapper mapper(subjects_, params_);
-  const auto sequential = mapper.map_reads(reads_);
+  const auto sequential = oracle::map_reads(mapper, reads_);
   for (int ranks : {1, 2, 4, 8}) {
     const DistributedResult partitioned =
         run_distributed_partitioned(subjects_, reads_, params_, ranks);
@@ -246,7 +265,7 @@ TEST(AllToAllv, RejectsWrongLaneCount) {
 
 TEST_F(DistributedTest, StagedMatchesSequential) {
   const JemMapper mapper(subjects_, params_);
-  const auto sequential = mapper.map_reads(reads_);
+  const auto sequential = oracle::map_reads(mapper, reads_);
   for (int ranks : {1, 4, 8}) {
     const DistributedResult staged =
         run_staged(subjects_, reads_, params_, ranks);

@@ -5,11 +5,13 @@
 #include <cstddef>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dna.hpp"
 #include "io/batch_stream.hpp"
 #include "io/fasta.hpp"
+#include "oracle/sequential_mapper.hpp"
 #include "util/prng.hpp"
 
 namespace jem::core {
@@ -69,11 +71,11 @@ class EngineGoldenTest : public ::testing::Test {
 
 TEST_F(EngineGoldenTest, BitIdenticalToSequentialAcrossAllCombinations) {
   const MappingEngine engine(subjects_, params_);
-  const auto expected_ends = engine.mapper().map_reads(reads_);
+  const auto expected_ends = oracle::map_reads(engine.mapper(), reads_);
   const auto expected_tiled =
-      engine.mapper().map_reads_tiled(reads_, 0, num_reads());
+      oracle::map_reads_tiled(engine.mapper(), reads_, 0, num_reads());
   const auto expected_topx =
-      engine.mapper().map_reads_topx(reads_, 3, 0, num_reads());
+      oracle::map_reads_topx(engine.mapper(), reads_, 3, 0, num_reads());
 
   for (const MapBackend backend :
        {MapBackend::kSerial, MapBackend::kPool}) {
@@ -108,9 +110,57 @@ TEST_F(EngineGoldenTest, BitIdenticalToSequentialAcrossAllCombinations) {
   }
 }
 
+TEST_F(EngineGoldenTest, RangeRunMatchesSequentialWithGlobalReadIds) {
+  const MappingEngine engine(subjects_, params_);
+  const JemMapper& mapper = engine.mapper();
+  const io::SeqId n = num_reads();
+  const std::vector<std::pair<io::SeqId, io::SeqId>> ranges = {
+      {0, n}, {3, 17}, {11, 12}, {9, 9}, {n, n}, {n - 5, n}};
+
+  for (const MapBackend backend :
+       {MapBackend::kSerial, MapBackend::kPool}) {
+    for (const std::size_t batch_size :
+         {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+      for (const auto& [begin, end] : ranges) {
+        SCOPED_TRACE(std::string("backend=") + backend_name(backend) +
+                     " batch=" + std::to_string(batch_size) + " range=[" +
+                     std::to_string(begin) + ", " + std::to_string(end) +
+                     ")");
+        MapRequest request;
+        request.backend = backend;
+        request.batch_size = batch_size;
+        request.threads = 3;
+
+        request.mode = MapMode::kEnds;
+        const MapReport ends = engine.run(reads_, begin, end, request);
+        EXPECT_EQ(ends.mappings,
+                  oracle::map_reads(mapper, reads_, begin, end));
+        EXPECT_EQ(ends.stats.reads, end - begin);
+
+        request.mode = MapMode::kTiled;
+        EXPECT_EQ(engine.run(reads_, begin, end, request).mappings,
+                  oracle::map_reads_tiled(mapper, reads_, begin, end));
+
+        request.mode = MapMode::kTopX;
+        request.top_x = 3;
+        EXPECT_EQ(engine.run(reads_, begin, end, request).topx,
+                  oracle::map_reads_topx(mapper, reads_, 3, begin, end));
+      }
+    }
+  }
+
+  const MapRequest request;
+  EXPECT_THROW((void)engine.run(reads_, 5, 4, request),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.run(reads_, 0, n + 1, request),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.run(reads_, n + 1, n + 1, request),
+               std::invalid_argument);
+}
+
 TEST_F(EngineGoldenTest, StreamingPipelineMatchesSequential) {
   const MappingEngine engine(subjects_, params_);
-  const auto expected = engine.mapper().map_reads(reads_);
+  const auto expected = oracle::map_reads(engine.mapper(), reads_);
   std::ostringstream fasta;
   io::write_fasta(fasta, reads_);
 
@@ -155,9 +205,9 @@ TEST_F(EngineGoldenTest, StreamingPipelineMatchesSequential) {
 TEST_F(EngineGoldenTest, StreamingTiledAndTopXModesMatchSequential) {
   const MappingEngine engine(subjects_, params_);
   const auto expected_tiled =
-      engine.mapper().map_reads_tiled(reads_, 0, num_reads());
+      oracle::map_reads_tiled(engine.mapper(), reads_, 0, num_reads());
   const auto expected_topx =
-      engine.mapper().map_reads_topx(reads_, 2, 0, num_reads());
+      oracle::map_reads_topx(engine.mapper(), reads_, 2, 0, num_reads());
   std::ostringstream fasta;
   io::write_fasta(fasta, reads_);
 
@@ -205,12 +255,12 @@ TEST_F(EngineGoldenTest, MinVotesOverrideMatchesStricterMapper) {
   MapRequest request;
   request.min_votes = 8;
   EXPECT_EQ(engine.run(reads_, request).mappings,
-            strict_mapper.map_reads(reads_));
+            oracle::map_reads(strict_mapper, reads_));
 
   request.mode = MapMode::kTopX;
   request.top_x = 3;
   EXPECT_EQ(engine.run(reads_, request).topx,
-            strict_mapper.map_reads_topx(reads_, 3, 0, num_reads()));
+            oracle::map_reads_topx(strict_mapper, reads_, 3, 0, num_reads()));
 }
 
 TEST_F(EngineGoldenTest, MinVotesBelowMapperFloorThrows) {

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/dna.hpp"
+#include "oracle/sequential_mapper.hpp"
 #include "sim/contigs.hpp"
 #include "sim/genome.hpp"
 #include "sim/hifi_reads.hpp"
@@ -108,7 +109,7 @@ TEST_F(MapperTest, MapReadsEmitsPrefixAndSuffixSegments) {
   io::SequenceSet reads;
   // Read spanning contigs 1..2: prefix in contig 1, suffix in contig 2.
   reads.add("read_0", genome_.substr(7'000, 9'000));
-  const auto mappings = mapper.map_reads(reads);
+  const auto mappings = oracle::map_reads(mapper, reads);
   ASSERT_EQ(mappings.size(), 2u);
   EXPECT_EQ(mappings[0].end, ReadEnd::kPrefix);
   EXPECT_EQ(mappings[1].end, ReadEnd::kSuffix);
@@ -134,7 +135,7 @@ TEST_F(MapperTest, ToMappingLinesResolvesNames) {
   const JemMapper mapper(subjects_, params_);
   io::SequenceSet reads;
   reads.add("my_read", genome_.substr(2'000, 3'000));
-  const auto mappings = mapper.map_reads(reads);
+  const auto mappings = oracle::map_reads(mapper, reads);
   const auto lines = mapper.to_mapping_lines(reads, mappings);
   ASSERT_EQ(lines.size(), mappings.size());
   EXPECT_EQ(lines[0].query, "my_read");
@@ -237,7 +238,7 @@ TEST_F(MapperTest, MapReadsTopXCoversAllSegments) {
   io::SequenceSet reads;
   reads.add("r0", genome_.substr(3'000, 8'000));
   reads.add("r1", genome_.substr(30'000, 900));
-  const auto topx = mapper.map_reads_topx(reads, 3, 0, 2);
+  const auto topx = oracle::map_reads_topx(mapper, reads, 3, 0, 2);
   ASSERT_EQ(topx.size(), 3u);  // two ends + one short-read prefix
   EXPECT_EQ(topx[0].end, ReadEnd::kPrefix);
   EXPECT_EQ(topx[1].end, ReadEnd::kSuffix);
@@ -264,7 +265,7 @@ TEST_F(MapperTest, TiledMappingCoversInteriorSegments) {
   const JemMapper mapper(subjects_, params_);
   io::SequenceSet reads;
   reads.add("long_read", genome_.substr(2'000, 10'000));  // 10 tiles
-  const auto tiled = mapper.map_reads_tiled(reads, 0, 1);
+  const auto tiled = oracle::map_reads_tiled(mapper, reads, 0, 1);
   ASSERT_EQ(tiled.size(), 10u);
   EXPECT_EQ(tiled.front().end, ReadEnd::kPrefix);
   EXPECT_EQ(tiled.back().end, ReadEnd::kSuffix);

@@ -6,11 +6,12 @@
 #include <tuple>
 
 #include "align/banded.hpp"
-#include "core/end_segments.hpp"
 #include "core/distributed.hpp"
+#include "core/end_segments.hpp"
 #include "core/kmer.hpp"
 #include "core/minimizer.hpp"
 #include "core/sketch.hpp"
+#include "oracle/sequential_mapper.hpp"
 #include "util/prng.hpp"
 
 namespace jem {
@@ -228,7 +229,7 @@ TEST_P(StrategySweep, AllStrategiesMatchSequential) {
   params.seed = 777;
 
   const core::JemMapper mapper(*subjects_, params, scheme);
-  const auto sequential = mapper.map_reads(*reads_);
+  const auto sequential = oracle::map_reads(mapper, *reads_);
 
   const auto check = [&](const core::DistributedResult& result,
                          const char* label) {

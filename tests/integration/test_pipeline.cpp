@@ -12,6 +12,7 @@
 #include "core/jem.hpp"
 #include "eval/metrics.hpp"
 #include "eval/truth.hpp"
+#include "oracle/sequential_mapper.hpp"
 #include "sim/presets.hpp"
 
 namespace jem {
@@ -77,7 +78,7 @@ eval::TruthSet* PipelineTest::truth_ = nullptr;
 
 TEST_F(PipelineTest, JemMapperAchievesHighPrecisionAndRecall) {
   const core::JemMapper mapper(contigs_->contigs, params_);
-  const auto mappings = mapper.map_reads(reads_->reads);
+  const auto mappings = oracle::map_reads(mapper, reads_->reads);
   const eval::QualityCounts counts = eval::evaluate(mappings, *truth_);
   EXPECT_GT(counts.precision(), 0.93) << "tp=" << counts.tp
                                       << " fp=" << counts.fp;
@@ -100,16 +101,16 @@ TEST_F(PipelineTest, JemBeatsClassicMinhashAtEqualTrials) {
   const core::JemMapper classic(contigs_->contigs, params_,
                                 core::SketchScheme::kClassicMinhash);
   const auto jem_counts =
-      eval::evaluate(jem.map_reads(reads_->reads), *truth_);
+      eval::evaluate(oracle::map_reads(jem, reads_->reads), *truth_);
   const auto classic_counts =
-      eval::evaluate(classic.map_reads(reads_->reads), *truth_);
+      eval::evaluate(oracle::map_reads(classic, reads_->reads), *truth_);
   // Fig 6 of the paper: at T=30, JEM is far ahead of classical MinHash.
   EXPECT_GT(jem_counts.recall(), classic_counts.recall() + 0.05);
 }
 
 TEST_F(PipelineTest, DistributedRunMatchesSequentialQuality) {
   const core::JemMapper mapper(contigs_->contigs, params_);
-  const auto sequential = mapper.map_reads(reads_->reads);
+  const auto sequential = oracle::map_reads(mapper, reads_->reads);
   const core::DistributedResult distributed =
       core::run_distributed(contigs_->contigs, reads_->reads, params_, 4);
   ASSERT_EQ(sequential.size(), distributed.mappings.size());
@@ -127,7 +128,7 @@ TEST_F(PipelineTest, MappedPairsHaveHighPercentIdentity) {
   for (io::SeqId id = 0; id < 15 && id < reads_->reads.size(); ++id) {
     sample_reads.add(reads_->reads.name(id), reads_->reads.bases(id));
   }
-  const auto mappings = mapper.map_reads(sample_reads);
+  const auto mappings = oracle::map_reads(mapper, sample_reads);
 
   int verified = 0;
   int high_identity = 0;
@@ -162,7 +163,7 @@ TEST_F(PipelineTest, MappingLinesRoundTripThroughWriter) {
   for (io::SeqId id = 0; id < 5; ++id) {
     sample_reads.add(reads_->reads.name(id), reads_->reads.bases(id));
   }
-  const auto mappings = mapper.map_reads(sample_reads);
+  const auto mappings = oracle::map_reads(mapper, sample_reads);
   const auto lines = mapper.to_mapping_lines(sample_reads, mappings);
 
   std::ostringstream out;

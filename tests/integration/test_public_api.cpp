@@ -18,13 +18,13 @@ TEST(PublicApi, UmbrellaHeaderCoversTheQuickstartFlow) {
   core::MapParams params;
   params.w = 10;
   params.trials = 4;
-  const core::JemMapper mapper(contigs, params);
+  const core::MappingEngine engine(contigs, params);
 
   io::SequenceSet reads;
   reads.add("r0", std::string(2500, 'A'));
-  const auto mappings = mapper.map_reads(reads);
+  const auto mappings = engine.run(reads, core::MapRequest{}).mappings;
   ASSERT_EQ(mappings.size(), 2u);
-  const auto lines = mapper.to_mapping_lines(reads, mappings);
+  const auto lines = engine.mapper().to_mapping_lines(reads, mappings);
   EXPECT_EQ(lines.size(), 2u);
 
   const core::DistributedResult distributed =

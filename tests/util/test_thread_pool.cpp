@@ -46,72 +46,6 @@ TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
-TEST(BlockRange, CoversExactlyOnce) {
-  for (std::size_t n : {0u, 1u, 7u, 64u, 100u}) {
-    for (std::size_t p : {1u, 2u, 3u, 8u, 13u}) {
-      std::size_t covered = 0;
-      std::size_t prev_end = 0;
-      for (std::size_t b = 0; b < p; ++b) {
-        const BlockRange range = block_range(n, p, b);
-        EXPECT_EQ(range.begin, prev_end);
-        EXPECT_LE(range.begin, range.end);
-        covered += range.end - range.begin;
-        prev_end = range.end;
-      }
-      EXPECT_EQ(covered, n);
-      EXPECT_EQ(prev_end, n);
-    }
-  }
-}
-
-TEST(BlockRange, SizesDifferByAtMostOne) {
-  const std::size_t n = 103;
-  const std::size_t p = 8;
-  std::size_t min_size = n;
-  std::size_t max_size = 0;
-  for (std::size_t b = 0; b < p; ++b) {
-    const BlockRange range = block_range(n, p, b);
-    const std::size_t size = range.end - range.begin;
-    min_size = std::min(min_size, size);
-    max_size = std::max(max_size, size);
-  }
-  EXPECT_LE(max_size - min_size, 1u);
-}
-
-TEST(ParallelForBlocks, VisitsEveryIndexOnce) {
-  ThreadPool pool(4);
-  const std::size_t n = 1000;
-  std::vector<std::atomic<int>> visits(n);
-  parallel_for_blocks(pool, 0, n, 8,
-                      [&](std::size_t, std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          ++visits[i];
-                        }
-                      });
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelForBlocks, HandlesOffsetRanges) {
-  ThreadPool pool(2);
-  std::atomic<std::size_t> sum{0};
-  parallel_for_blocks(pool, 10, 20, 3,
-                      [&](std::size_t, std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) sum += i;
-                      });
-  // 10 + 11 + ... + 19 = 145.
-  EXPECT_EQ(sum.load(), 145u);
-}
-
-TEST(ParallelForBlocks, EmptyRangeIsANoop) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  parallel_for_blocks(pool, 5, 5, 4,
-                      [&](std::size_t, std::size_t, std::size_t) { ++calls; });
-  EXPECT_EQ(calls.load(), 0);
-}
-
 TEST(ParallelForEach, RunsEveryIndexOnceWithOrWithoutAPool) {
   ThreadPool pool(3);
   for (ThreadPool* workers : {&pool, static_cast<ThreadPool*>(nullptr)}) {
