@@ -17,6 +17,7 @@
 #include "core/index_serde.hpp"
 #include "core/jem.hpp"
 #include "core/minimizer_lanes.hpp"
+#include "core/sketch_lanes.hpp"
 #include "io/artifact.hpp"
 #include "io/gzip.hpp"
 #include "mpisim/communicator.hpp"
@@ -426,28 +427,52 @@ void BM_HotpathMinimizerScanRepeat(benchmark::State& state) {
 }
 BENCHMARK(BM_HotpathMinimizerScanRepeat);
 
-void BM_HotpathSuffixSketch(benchmark::State& state) {
-  const std::vector<std::string>& tiles = scan_tiles();
+/// The minimizer lists of the scan tiles: one block each (span <= ℓ).
+const std::vector<std::vector<core::Minimizer>>& tile_lists() {
+  static const std::vector<std::vector<core::Minimizer>> lists = [] {
+    const core::MapParams params = hotpath_data().params;
+    std::vector<std::vector<core::Minimizer>> out;
+    for (const std::string& tile : scan_tiles()) {
+      out.push_back(
+          core::minimizer_scan(tile, {params.k, params.w, params.ordering}));
+    }
+    return out;
+  }();
+  return lists;
+}
+
+/// Sketches the lists in turn on the sketch kernel of `lanes`.
+void sketch_lists_on(benchmark::State& state,
+                     const std::vector<std::vector<core::Minimizer>>& lists,
+                     int lanes) {
   const core::MapParams params = hotpath_data().params;
   const core::HashFamily hashes(params.trials, params.seed);
-  std::vector<std::vector<core::Minimizer>> lists;
-  for (const std::string& tile : tiles) {
-    lists.push_back(
-        core::minimizer_scan(tile, {params.k, params.w, params.ordering}));
-  }
   core::SketchScratch scratch;
   core::FlatSketch sketch;
   std::size_t i = 0;
   for (auto _ : state) {
-    core::sketch_by_jem(lists[i], params.segment_length, hashes, scratch,
-                        sketch);
+    core::detail::sketch_by_jem_with(lanes, lists[i], params.segment_length,
+                                     hashes, scratch, sketch);
     benchmark::DoNotOptimize(sketch.kmers.data());
     benchmark::ClobberMemory();
     i = (i + 1) % lists.size();
   }
   state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(lists.size()) + " distinct lists, " +
+                 std::to_string(lanes) + " lanes");
+}
+
+// The kernel sketch_by_jem dispatches to on this host, on query tiles.
+void BM_HotpathSuffixSketch(benchmark::State& state) {
+  sketch_lists_on(state, tile_lists(), core::sketch_lanes());
 }
 BENCHMARK(BM_HotpathSuffixSketch);
+
+// The per-trial scalar loop on the same tiles: the lane kernels' baseline.
+void BM_HotpathSuffixSketchScalar(benchmark::State& state) {
+  sketch_lists_on(state, tile_lists(), 1);
+}
+BENCHMARK(BM_HotpathSuffixSketchScalar);
 
 // The subject side of the same kernel: a ~50 kbp contig spans ~50
 // intervals, so every list is many blocks. Each iteration sketches one of
@@ -474,23 +499,14 @@ const std::vector<std::vector<core::Minimizer>>& subject_lists() {
 }
 
 void BM_HotpathSubjectSketch(benchmark::State& state) {
-  const auto& lists = subject_lists();
-  const core::MapParams params = hotpath_data().params;
-  const core::HashFamily hashes(params.trials, params.seed);
-  core::SketchScratch scratch;
-  core::FlatSketch sketch;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    core::sketch_by_jem(lists[i], params.segment_length, hashes, scratch,
-                        sketch);
-    benchmark::DoNotOptimize(sketch.kmers.data());
-    benchmark::ClobberMemory();
-    i = (i + 1) % lists.size();
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(std::to_string(lists.size()) + " distinct contigs");
+  sketch_lists_on(state, subject_lists(), core::sketch_lanes());
 }
 BENCHMARK(BM_HotpathSubjectSketch);
+
+void BM_HotpathSubjectSketchScalar(benchmark::State& state) {
+  sketch_lists_on(state, subject_lists(), 1);
+}
+BENCHMARK(BM_HotpathSubjectSketchScalar);
 
 void BM_HotpathSubjectSketchReference(benchmark::State& state) {
   const auto& lists = subject_lists();

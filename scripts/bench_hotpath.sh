@@ -9,9 +9,9 @@
 # Exits non-zero if the end-to-end map_segment speedup drops below 1.5x, or
 # if the minimizer scan costs over 1.5x more per base on tandem repeats
 # than on distinct tiles (the linear-worst-case guard). The subject-sketch
-# speedup over the deque kernel and the minimizer scan's speedup over its
-# scalar loop (the lane kernel this host dispatches to) are recorded
-# without a gate.
+# speedup over the deque kernel, and the minimizer scan's and both sketch
+# shapes' speedups over their scalar loops (the lane kernels this host
+# dispatches to) are recorded without a gate.
 #
 # Usage: scripts/bench_hotpath.sh [output.json]
 #   JEM_BENCH_REPS     repetitions per benchmark (default 5)
@@ -85,6 +85,14 @@ speedups = {
     # gated.
     "minimizer_scan_lanes_vs_scalar":
         speedup("BM_HotpathMinimizerScanScalar", "BM_HotpathMinimizerScan"),
+    # The JEM sketch of query tiles (one block) and of subject contigs
+    # (many blocks): the per-trial scalar loop vs the trial-parallel kernel
+    # this host dispatches to (metrics' core.sketch.lanes). Recorded, not
+    # gated.
+    "sketch_lanes_vs_scalar":
+        speedup("BM_HotpathSuffixSketchScalar", "BM_HotpathSuffixSketch"),
+    "subject_sketch_lanes_vs_scalar":
+        speedup("BM_HotpathSubjectSketchScalar", "BM_HotpathSubjectSketch"),
 }
 
 # Scan cost per base on 1 kbp of poly-A / (AC)n over that on distinct

@@ -25,7 +25,7 @@ cmake -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-tsan --parallel "$(nproc)" --target test_engine \
   test_chaos test_obs test_serve test_io test_core
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|Gzip|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|SketchTable|IndexBuild|FlatSketchIndex|Distributed'
+  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|Gzip|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|SketchTable|IndexBuild|FlatSketchIndex|Distributed|SketchLanes|LaneModulo'
 
 # The same suites under AddressSanitizer + UndefinedBehaviorSanitizer: the
 # fault-injection shutdown paths (worker aborts, queue closes, partial
@@ -35,8 +35,9 @@ ctest --test-dir build-tsan --output-on-failure \
 # structured error without tripping ASan/UBSan while parsing hostile bytes.
 # So must the parsers: the gzip decoder and the buffered FASTA/FASTQ reader.
 # The query kernels ride along too: the minimizer scan indexes raw window
-# blocks, the sketch kernel writes through a raw column pointer and indexes
-# its prefix minima by interval end, and the mapper prefetches and probes
+# blocks, the sketch kernels (scalar and lanes) write through a raw column
+# pointer and index their prefix minima by interval end and their emitted
+# rows by mask bit, and the mapper prefetches and probes
 # raw slot arrays. The index build fills the slot array and postings pool
 # through raw per-trial region pointers.
 cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -46,7 +47,7 @@ cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan --parallel "$(nproc)" --target test_engine \
   test_chaos test_io test_core test_obs test_serve jem obs_check
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|MapperTest|FlatSketchIndex|SketchTable|IndexBuild'
+  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|SketchLanes|LaneModulo|ClassicMinhash|MapperTest|FlatSketchIndex|SketchTable|IndexBuild'
 
 # Hot-path bench smoke (the default build type is Release): a short run of
 # the BM_Hotpath* family catches wiring regressions in the flat-index /
@@ -83,6 +84,7 @@ done
 grep -q 'distributed.rank3.map_ns' /tmp/jem_check_m4.json
 grep -q 'core.hotpath.segments_seen' /tmp/jem_check_m4.json
 grep -q 'core.minimizer.lanes' /tmp/jem_check_m.json
+grep -q 'core.sketch.lanes' /tmp/jem_check_m.json
 grep -q 'mpisim.allgatherv.rank0.sent_bytes' /tmp/jem_check_m4.json
 echo "metrics smoke: ok"
 
@@ -121,6 +123,7 @@ serve_smoke() {
   grep -q '"slo"' "$dir/healthz.json"
   grep -q 'serve.http.requests' "$dir/metrics.json"
   grep -q 'core.minimizer.lanes' "$dir/metrics.json"
+  grep -q 'core.sketch.lanes' "$dir/metrics.json"
   grep -q 'jem_serve_http_requests_total' "$dir/metrics.om"
   grep -q 'jem_serve_slo_latency_ns' "$dir/metrics.om"
   kill -TERM "$serve_pid"

@@ -582,7 +582,10 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
       result.report.degraded = true;  // its shard stopped answering probes
     }
   }
-  if (obs.metrics != nullptr) result.report.publish(*obs.metrics);
+  if (obs.metrics != nullptr) {
+    result.report.publish(*obs.metrics);
+    publish_kernel_lanes(*obs.metrics);
+  }
   return result;
 }
 

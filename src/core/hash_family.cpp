@@ -2,6 +2,7 @@
 
 #include <array>
 #include <stdexcept>
+#include <utility>
 
 #include "util/prng.hpp"
 
@@ -70,11 +71,15 @@ std::uint64_t next_prime_u64(std::uint64_t n) noexcept {
   return n;
 }
 
-HashFamily::HashFamily(int trials, std::uint64_t seed) {
+namespace {
+
+/// The `trials` members drawn from `seed`.
+std::vector<LcgHash> draw_family(int trials, std::uint64_t seed) {
   if (trials < 1) {
     throw std::invalid_argument("HashFamily: trials must be >= 1");
   }
-  hashes_.reserve(static_cast<std::size_t>(trials));
+  std::vector<LcgHash> hashes;
+  hashes.reserve(static_cast<std::size_t>(trials));
   util::Xoshiro256ss rng(util::mix64(seed ^ 0x4a454d5f48415348ULL));
   for (int t = 0; t < trials; ++t) {
     // Random ~61-bit prime modulus, distinct constants per trial. The
@@ -86,7 +91,41 @@ HashFamily::HashFamily(int trials, std::uint64_t seed) {
     h.p = next_prime_u64(start);
     h.a = 1 + rng.bounded(h.p - 1);  // [1, p)
     h.b = rng.bounded(h.p);          // [0, p)
-    hashes_.push_back(h);
+    hashes.push_back(h);
+  }
+  return hashes;
+}
+
+}  // namespace
+
+HashFamily::HashFamily(int trials, std::uint64_t seed)
+    : HashFamily(draw_family(trials, seed)) {}
+
+HashFamily::HashFamily(std::vector<LcgHash> hashes)
+    : hashes_(std::move(hashes)) {
+  if (hashes_.empty()) {
+    throw std::invalid_argument("HashFamily: trials must be >= 1");
+  }
+  constexpr auto kLanes = static_cast<std::size_t>(TrialConstants::kTrialLanes);
+  const std::size_t padded = (hashes_.size() + kLanes - 1) / kLanes * kLanes;
+  lanes_.a.assign(padded, 0);
+  lanes_.b.assign(padded, 0);
+  lanes_.p.assign(padded, 1);
+  lanes_.a_over_p.assign(padded, 0.0);
+  lanes_.b_over_p.assign(padded, 0.0);
+  for (std::size_t t = 0; t < hashes_.size(); ++t) {
+    const LcgHash& h = hashes_[t];
+    if (h.p >= (std::uint64_t{1} << 62) || h.a >= h.p || h.b >= h.p) {
+      throw std::invalid_argument(
+          "HashFamily: each member needs a < p, b < p and p < 2^62");
+    }
+    lanes_.a[t] = h.a;
+    lanes_.b[t] = h.b;
+    lanes_.p[t] = h.p;
+    lanes_.a_over_p[t] =
+        static_cast<double>(h.a) / static_cast<double>(h.p);
+    lanes_.b_over_p[t] =
+        static_cast<double>(h.b) / static_cast<double>(h.p);
   }
 }
 

@@ -10,6 +10,14 @@
 //
 // Primality is checked with a deterministic Miller-Rabin test valid for all
 // 64-bit inputs.
+//
+// The sketch kernels that hash one k-mer under many trials at once (src/
+// core/sketch_lanes.cpp) read the constants as lane-padded arrays
+// (HashFamily::lanes) and take the modulo without a divide: for x < 2^32
+// and a, b < p < 2^62, q̂ = round(x·(a/p) + b/p), with a/p and b/p held as
+// doubles, is ⌊(a·x + b)/p⌋ or one more (the double's error is below
+// 2^-18), so r = a·x + b − q̂·p taken modulo 2^64 and read as signed lies in
+// [−p, p), and one conditional add of p gives the exact remainder.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +62,20 @@ struct LcgHash {
   }
 };
 
+/// The family's constants as struct-of-arrays: entry t of each array is
+/// trial t's. The arrays run on to a multiple of kTrialLanes with padding
+/// members {a = 0, b = 0, p = 1}, so a kernel loads whole vectors of trials.
+struct TrialConstants {
+  /// The widest trial group a kernel hashes at once (AVX-512: 8 lanes).
+  static constexpr int kTrialLanes = 8;
+
+  std::vector<std::uint64_t> a;
+  std::vector<std::uint64_t> b;
+  std::vector<std::uint64_t> p;
+  std::vector<double> a_over_p;  // a/p and b/p rounded to double
+  std::vector<double> b_over_p;
+};
+
 /// The T-member family. Constants are generated from `seed`; the same seed
 /// always yields the same family, which is what makes subject and query
 /// sketches comparable across processes (every rank derives the family from
@@ -61,6 +83,11 @@ struct LcgHash {
 class HashFamily {
  public:
   HashFamily(int trials, std::uint64_t seed);
+
+  /// The family of `hashes`, in trial order. Throws std::invalid_argument
+  /// unless there is at least one and each has a < p, b < p and p < 2^62,
+  /// the range the divide-free lane modulo is exact on.
+  explicit HashFamily(std::vector<LcgHash> hashes);
 
   [[nodiscard]] int trials() const noexcept {
     return static_cast<int>(hashes_.size());
@@ -74,8 +101,12 @@ class HashFamily {
     return hashes_[static_cast<std::size_t>(t)](x);
   }
 
+  /// The constants, lane-padded, precomputed once here.
+  [[nodiscard]] const TrialConstants& lanes() const noexcept { return lanes_; }
+
  private:
   std::vector<LcgHash> hashes_;
+  TrialConstants lanes_;
 };
 
 }  // namespace jem::core

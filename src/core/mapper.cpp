@@ -18,7 +18,7 @@ void HotpathCounters::publish(obs::Registry& registry) const {
   registry.counter("core.hotpath.sketch_misses").add(sketch_misses);
   registry.counter("core.hotpath.probe_slots").add(probe_slots);
   registry.counter("core.hotpath.candidates").add(candidates);
-  registry.gauge("core.minimizer.lanes").set(minimizer_scan_lanes());
+  publish_kernel_lanes(registry);
   if (segments_sampled > 0) {
     // Per-sampled-segment distributions (log2 buckets).
     registry.histogram("core.hotpath.probe_slots_per_segment")
@@ -26,6 +26,11 @@ void HotpathCounters::publish(obs::Registry& registry) const {
     registry.histogram("core.hotpath.candidates_per_segment")
         .record(candidates / segments_sampled);
   }
+}
+
+void publish_kernel_lanes(obs::Registry& registry) {
+  registry.gauge("core.minimizer.lanes").set(minimizer_scan_lanes());
+  registry.gauge("core.sketch.lanes").set(sketch_lanes());
 }
 
 Sketch make_sketch(std::string_view seq, const MapParams& params,

@@ -101,9 +101,14 @@ struct HotpathCounters {
   }
 
   /// Adds the totals to the `core.hotpath.*` counters of `registry`, and
-  /// sets the gauge `core.minimizer.lanes` to the scan kernel's lanes.
+  /// sets the kernel gauges (publish_kernel_lanes).
   void publish(obs::Registry& registry) const;
 };
+
+/// Sets the gauges `core.minimizer.lanes` and `core.sketch.lanes` of
+/// `registry` to the lanes of the scan and sketch kernels this process
+/// runs, so map timings can be read against their kernels.
+void publish_kernel_lanes(obs::Registry& registry);
 
 /// Per-thread mutable state for the query phase: the lazy counters of the
 /// paper's S4 implementation notes plus every buffer the sketch kernels and

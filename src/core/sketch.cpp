@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <deque>
 
+#include "core/minimizer_lanes.hpp"
+#include "core/sketch_lanes.hpp"
+
 namespace jem::core {
 
 namespace {
@@ -26,11 +29,36 @@ struct HashedKmer {
   }
 };
 
+/// The kernel of this process: the widest one the CPU runs.
+int detect_lanes() noexcept {
+  for (const int lanes : {8, 4}) {
+    if (detail::sketch_lanes_supported(lanes)) return lanes;
+  }
+  return 1;
+}
+
+/// The lane kernels' modulo is exact for k-mers of up to 2·kMaxLaneK bits.
+constexpr int kLaneKmerBits = 2 * detail::kMaxLaneK;
+
 }  // namespace
+
+int sketch_lanes() noexcept {
+  static const int lanes = detect_lanes();
+  return lanes;
+}
 
 void sketch_by_jem(std::span<const Minimizer> minimizers,
                    std::uint32_t interval_length, const HashFamily& hashes,
                    SketchScratch& scratch, FlatSketch& out) {
+  detail::sketch_by_jem_with(sketch_lanes(), minimizers, interval_length,
+                             hashes, scratch, out);
+}
+
+void detail::sketch_by_jem_with(int lanes,
+                                std::span<const Minimizer> minimizers,
+                                std::uint32_t interval_length,
+                                const HashFamily& hashes,
+                                SketchScratch& scratch, FlatSketch& out) {
   const auto trials = static_cast<std::size_t>(hashes.trials());
   const std::size_t count = minimizers.size();
   out.clear();
@@ -44,8 +72,10 @@ void sketch_by_jem(std::span<const Minimizer> minimizers,
   kmers.resize(count);
   ends.resize(count);
   std::size_t right = 0;
+  KmerCode bits = 0;  // every k-mer or-ed: its width decides the kernel
   for (std::size_t i = 0; i < count; ++i) {
     kmers[i] = minimizers[i].kmer;
+    bits |= kmers[i];
     const std::uint64_t limit =
         static_cast<std::uint64_t>(minimizers[i].position) + interval_length;
     while (right < count && minimizers[right].position <= limit) ++right;
@@ -62,7 +92,12 @@ void sketch_by_jem(std::span<const Minimizer> minimizers,
   }
   blocks.push_back(static_cast<std::uint32_t>(count));
   const std::size_t last = blocks.size() - 2;  // the last block's index
+  if (lanes > 1 && bits >> kLaneKmerBits == 0) {
+    jem_lanes(lanes, count, hashes, scratch, out);
+    return;
+  }
 
+  // The scalar loop: one trial at a time.
   std::vector<std::uint64_t>& hashed = scratch.hashed;
   std::vector<std::uint64_t>& prefix_hash = scratch.prefix_hash;
   std::vector<KmerCode>& prefix_kmer = scratch.prefix_kmer;
@@ -260,17 +295,19 @@ Sketch sketch_by_jem_naive(std::span<const Minimizer> minimizers,
 
 void classic_minhash(std::string_view seq, int k, const HashFamily& hashes,
                      SketchScratch& scratch, FlatSketch& out) {
+  detail::classic_minhash_with(sketch_lanes(), seq, k, hashes, scratch, out);
+}
+
+void detail::classic_minhash_with(int lanes, std::string_view seq, int k,
+                                  const HashFamily& hashes,
+                                  SketchScratch& scratch, FlatSketch& out) {
   const auto trials = static_cast<std::size_t>(hashes.trials());
   out.clear();
   const KmerCodec codec(k);
 
-  auto& best_hash = scratch.best_hash;
-  auto& best_kmer = scratch.best_kmer;
-  best_hash.assign(trials, 0);
-  best_kmer.assign(trials, 0);
-  bool any = false;
-
   // Rolling scan over all k-mers, restarting after ambiguous bases.
+  std::vector<KmerCode>& kmers = scratch.kmers;
+  kmers.clear();
   KmerCode fwd = 0;
   KmerCode rc = 0;
   int valid = 0;  // valid bases accumulated toward the next full k-mer
@@ -284,23 +321,26 @@ void classic_minhash(std::string_view seq, int k, const HashFamily& hashes,
     rc = codec.roll_rc(rc, code);
     if (++valid < k) continue;
     valid = k;  // saturate so the counter cannot overflow on long runs
-
-    const KmerCode canon = fwd < rc ? fwd : rc;
-    for (std::size_t t = 0; t < trials; ++t) {
-      const std::uint64_t hash = hashes.hash(static_cast<int>(t), canon);
-      if (!any || hash < best_hash[t] ||
-          (hash == best_hash[t] && canon < best_kmer[t])) {
-        best_hash[t] = hash;
-        best_kmer[t] = canon;
-      }
-    }
-    any = true;
+    kmers.push_back(fwd < rc ? fwd : rc);
   }
 
   out.offsets.reserve(trials + 1);
   out.offsets.push_back(0);
+  if (lanes > 1 && k <= kMaxLaneK) {
+    minhash_lanes(lanes, kmers, hashes, out);
+    return;
+  }
+  // The scalar loop: per trial, the argmin by (hash, k-mer).
   for (std::size_t t = 0; t < trials; ++t) {
-    if (any) out.kmers.push_back(best_kmer[t]);
+    if (!kmers.empty()) {
+      const LcgHash& hash = hashes[static_cast<int>(t)];
+      HashedKmer best{hash(kmers[0]), kmers[0]};
+      for (std::size_t i = 1; i < kmers.size(); ++i) {
+        const HashedKmer candidate{hash(kmers[i]), kmers[i]};
+        if (candidate.less_than(best)) best = candidate;
+      }
+      out.kmers.push_back(best.kmer);
+    }
     out.offsets.push_back(static_cast<std::uint32_t>(out.kmers.size()));
   }
 }

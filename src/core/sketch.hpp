@@ -14,7 +14,10 @@
 // One production kernel and two oracles:
 //  * sketch_by_jem            — O(|M_o|·T): per trial, each interval
 //                               minimum is a block-decomposed suffix/prefix
-//                               minimum (see the flat overload below);
+//                               minimum (see the flat overload below),
+//                               with the trials run 8 or 4 to a vector
+//                               where the CPU allows (src/core/
+//                               sketch_lanes.cpp, sketch_lanes());
 //  * sketch_by_jem_reference  — the pre-overhaul std::deque sliding-window
 //                               kernel, kept verbatim as the golden oracle;
 //  * sketch_by_jem_naive      — the literal per-interval argmin loop of
@@ -85,25 +88,32 @@ struct FlatSketch {
 
 /// Reusable state of the sketch kernels. Hold one per thread (MapScratch
 /// embeds one) and every buffer converges to its high-water capacity: the
-/// minimizer list, the scan's window blocks, the interval kernel's
-/// per-minimizer arrays and the classic MinHash running argmin.
+/// minimizer list, the scan's window blocks and the interval kernel's
+/// per-minimizer arrays. The lane kernels keep one row of lanes (trials of
+/// a group) per minimizer in the hashed, prefix and minima arrays.
 struct SketchScratch {
   MinimizerScratch scan;                  // minimizer_scan window blocks
   std::vector<Minimizer> minimizers;      // M_o(s, w) of the segment
-  std::vector<KmerCode> kmers;            // minimizer k-mers
+  std::vector<KmerCode> kmers;            // minimizer (or MinHash) k-mers
   std::vector<std::uint32_t> ends;        // interval ends r(i)
   std::vector<std::uint32_t> blocks;      // block starts, then |M|
-  std::vector<std::uint64_t> hashed;      // one trial's minimizer hashes
+  std::vector<std::uint64_t> hashed;      // the trials' minimizer hashes
   std::vector<std::uint64_t> prefix_hash; // next block's prefix minima
   std::vector<KmerCode> prefix_kmer;
-  std::vector<std::uint64_t> best_hash;   // classic MinHash running argmin
-  std::vector<KmerCode> best_kmer;
+  std::vector<KmerCode> minima;           // lane kernel: interval minima
+  std::vector<std::uint64_t> emits;       // lane kernel: emit masks
 };
 
 struct SketchParams {
   MinimizerParams minimizer;          // k and w
   std::uint32_t interval_length = 1000;  // ℓ, in bp
 };
+
+/// Trials per vector of the sketch kernels this process runs: 8
+/// (AVX-512F+DQ), 4 (AVX2) or 1 (the per-trial scalar loop), chosen once
+/// from the CPU. k-mers wider than 32 bits (k > 16) always take the scalar
+/// loop. The engine publishes it as the gauge core.sketch.lanes.
+[[nodiscard]] int sketch_lanes() noexcept;
 
 /// Algorithm 1 over a precomputed minimizer list (fast path).
 [[nodiscard]] Sketch sketch_by_jem(std::span<const Minimizer> minimizers,
@@ -121,7 +131,8 @@ struct SketchParams {
 /// are walked last to first; each gets one backward pass that hashes,
 /// stores the hashes and keeps the suffix minimum, merged with the next
 /// block's prefix minima from one forward pass. A list that spans at most
-/// ℓ (every end segment) is one block: a plain suffix-minimum scan.
+/// ℓ (every end segment) is one block: a plain suffix-minimum scan. The
+/// lane kernels run this walk once per group of 8 or 4 trials.
 void sketch_by_jem(std::span<const Minimizer> minimizers,
                    std::uint32_t interval_length, const HashFamily& hashes,
                    SketchScratch& scratch, FlatSketch& out);

@@ -17,7 +17,7 @@
 #include <utility>
 
 #include "core/index_serde.hpp"
-#include "core/minimizer.hpp"
+#include "core/mapper.hpp"
 #include "io/artifact.hpp"
 #include "obs/json.hpp"
 #include "obs/openmetrics.hpp"
@@ -195,8 +195,8 @@ MappingServer::MappingServer(
   queue_depth_ = &registry_->gauge("serve.queue.depth");
   cache_size_ = &registry_->gauge("serve.cache.size");
   epoch_gauge_ = &registry_->gauge("serve.index.epoch");
-  // Which scan kernel produced the map timings this server reports.
-  registry_->gauge("core.minimizer.lanes").set(core::minimizer_scan_lanes());
+  // Which scan and sketch kernels produced the map timings it reports.
+  core::publish_kernel_lanes(*registry_);
   map_latency_ns_ =
       &registry_->histogram("serve.endpoint.map.latency_ns", obs::Unit::kNanos);
   healthz_latency_ns_ = &registry_->histogram("serve.endpoint.healthz.latency_ns",

@@ -182,6 +182,26 @@ TEST_F(DistributedTest, RankMapStepsPublishHotpathMetrics) {
   const obs::MetricValue* lanes = snapshot.find("core.minimizer.lanes");
   ASSERT_NE(lanes, nullptr);
   EXPECT_GE(lanes->level, 1);
+  const obs::MetricValue* sketch = snapshot.find("core.sketch.lanes");
+  ASSERT_NE(sketch, nullptr);
+  EXPECT_EQ(sketch->level, sketch_lanes());
+}
+
+TEST_F(DistributedTest, PartitionedRunPublishesKernelLanes) {
+  // The partitioned strategy maps by its own probe exchange, not through
+  // the engine, but its map timings still come from these kernels.
+  obs::Registry registry;
+  obs::ObsHooks hooks;
+  hooks.metrics = &registry;
+  (void)run_distributed_partitioned(subjects_, reads_, params_, /*ranks=*/4,
+                                    SketchScheme::kJem, {}, hooks);
+  const obs::MetricsSnapshot snapshot = registry.snapshot();
+  const obs::MetricValue* scan = snapshot.find("core.minimizer.lanes");
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(scan->level, minimizer_scan_lanes());
+  const obs::MetricValue* sketch = snapshot.find("core.sketch.lanes");
+  ASSERT_NE(sketch, nullptr);
+  EXPECT_EQ(sketch->level, sketch_lanes());
 }
 
 TEST_F(DistributedTest, PartitionedTableMatchesSequential) {

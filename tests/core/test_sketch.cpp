@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/dna.hpp"
+#include "core/sketch_lanes.hpp"
 #include "util/prng.hpp"
 
 namespace jem::core {
@@ -376,6 +377,210 @@ TEST(SketchTotalEntries, SumsAcrossTrials) {
   EXPECT_EQ(sketch.total_entries(), 4u);
   EXPECT_EQ(sketch.trials(), 3);
 }
+
+// ---- Every sketch kernel against the scalar loop and both oracles --------
+// Each kernel this host supports runs through the internal entry point; the
+// others skip. The per-trial scalar loop (1 lane) is the lane kernels'
+// oracle and runs everywhere.
+
+class SketchLanes : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (!detail::sketch_lanes_supported(GetParam())) {
+      GTEST_SKIP() << GetParam() << "-lane kernel not supported here";
+    }
+  }
+
+  /// Sketches `minimizers` on the kernel under test and checks it against
+  /// the scalar loop, the naive loop and the deque reference kernel.
+  void expect_matches(const std::vector<Minimizer>& minimizers,
+                      std::uint32_t interval, const HashFamily& hashes,
+                      const std::string& what) {
+    detail::sketch_by_jem_with(GetParam(), minimizers, interval, hashes,
+                               scratch_, flat_);
+    detail::sketch_by_jem_with(1, minimizers, interval, hashes,
+                               scalar_scratch_, scalar_);
+    const Sketch naive = sketch_by_jem_naive(minimizers, interval, hashes);
+    const Sketch reference =
+        sketch_by_jem_reference(minimizers, interval, hashes);
+    ASSERT_EQ(flat_.offsets.size(),
+              static_cast<std::size_t>(hashes.trials()) + 1)
+        << what;
+    ASSERT_EQ(flat_.kmers.size(), flat_.offsets.back()) << what;
+    EXPECT_EQ(flat_.kmers, scalar_.kmers) << what;
+    EXPECT_EQ(flat_.offsets, scalar_.offsets) << what;
+    for (int t = 0; t < hashes.trials(); ++t) {
+      const auto kmers = flat_.trial(t);
+      const std::vector<KmerCode> got(kmers.begin(), kmers.end());
+      ASSERT_EQ(got, naive.per_trial[static_cast<std::size_t>(t)])
+          << what << " trial " << t;
+      ASSERT_EQ(got, reference.per_trial[static_cast<std::size_t>(t)])
+          << what << " trial " << t;
+    }
+  }
+
+  /// A position-sorted minimizer list of `count` entries with gaps in
+  /// [1, gap]; k-mers below `alphabet` when it is nonzero (ties), else
+  /// random `bits`-bit codes.
+  static std::vector<Minimizer> random_list(util::Xoshiro256ss& rng,
+                                            std::size_t count,
+                                            std::uint32_t gap,
+                                            std::uint64_t alphabet,
+                                            int bits = 32) {
+    std::vector<Minimizer> minimizers;
+    std::uint32_t pos = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      pos += 1 + static_cast<std::uint32_t>(rng.bounded(gap));
+      const KmerCode kmer = alphabet != 0
+                                ? rng.bounded(alphabet)
+                                : rng() & ((KmerCode{1} << bits) - 1);
+      minimizers.push_back({kmer, pos});
+    }
+    return minimizers;
+  }
+
+  SketchScratch scratch_;  // reused by every call of a test
+  SketchScratch scalar_scratch_;
+  FlatSketch flat_;
+  FlatSketch scalar_;
+};
+
+TEST_P(SketchLanes, EveryTrialCountAndIntervalLength) {
+  // T around the lane widths (partial groups leave padding lanes that must
+  // never emit) and ℓ from 0 (every minimizer its own block) to wider than
+  // the list (one block). One scratch serves every call.
+  util::Xoshiro256ss rng(91);
+  for (const int trials : {1, 7, 8, 9, 30, 33, 64}) {
+    const HashFamily hashes(trials, rng());
+    for (const std::uint32_t interval : {0u, 1u, 500u, 1000u, 5000u}) {
+      for (const std::size_t count : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{21}, std::size_t{140}}) {
+        const auto minimizers = random_list(rng, count, 120, 0);
+        expect_matches(minimizers, interval, hashes,
+                       "T=" + std::to_string(trials) +
+                           " l=" + std::to_string(interval) +
+                           " n=" + std::to_string(count));
+      }
+    }
+  }
+}
+
+TEST_P(SketchLanes, RepeatedKmersAndAlternatingShapes) {
+  // One scratch alternates between one-block lists (span <= ℓ, the query
+  // shape) and many-block lists (the subject shape), with k-mers from a 1-4
+  // value alphabet every other round so (hash, k-mer) ties and repeated
+  // minima recur, and lists longer than one 64-row emit mask.
+  util::Xoshiro256ss rng(92);
+  for (int round = 0; round < 60; ++round) {
+    const bool one_block = round % 2 == 0;
+    const std::uint64_t alphabet = round % 4 < 2 ? 1 + rng.bounded(4) : 0;
+    const std::size_t count = rng.bounded(round % 3 == 0 ? 300 : 70);
+    const auto minimizers =
+        random_list(rng, count, one_block ? 4 : 300, alphabet);
+    const std::uint32_t span =
+        count == 0 ? 0
+                   : minimizers.back().position - minimizers.front().position;
+    const std::uint32_t interval =
+        one_block ? span + static_cast<std::uint32_t>(rng.bounded(3))
+                  : static_cast<std::uint32_t>(rng.bounded(1200));
+    const HashFamily hashes(1 + static_cast<int>(rng.bounded(40)), rng());
+    expect_matches(minimizers, interval, hashes,
+                   "round " + std::to_string(round));
+    if (count > 0 && one_block) {
+      EXPECT_EQ(scratch_.blocks.size(), 2u);
+    }
+  }
+}
+
+TEST_P(SketchLanes, TinyModuliForceHashTies) {
+  // With p of 2 to 13 distinct k-mers collide in nearly every interval,
+  // so the (hash, k-mer) tie-break decides the minimum in every lane.
+  util::Xoshiro256ss rng(96);
+  std::vector<LcgHash> members;
+  for (const std::uint64_t p : {2, 3, 5, 7, 11, 13, 2, 3, 5, 7, 11}) {
+    members.push_back({rng.bounded(p), rng.bounded(p), p});
+  }
+  const HashFamily hashes(members);
+  for (int round = 0; round < 20; ++round) {
+    const auto minimizers =
+        random_list(rng, rng.bounded(90), round % 2 == 0 ? 8 : 200, 0);
+    const auto interval = static_cast<std::uint32_t>(1 + rng.bounded(900));
+    expect_matches(minimizers, interval, hashes,
+                   "round " + std::to_string(round));
+    const std::string seq = random_dna(rng, 300);
+    SketchScratch scalar_scratch;
+    FlatSketch scalar;
+    detail::classic_minhash_with(GetParam(), seq, 8, hashes, scratch_, flat_);
+    detail::classic_minhash_with(1, seq, 8, hashes, scalar_scratch, scalar);
+    EXPECT_EQ(flat_.kmers, scalar.kmers) << "round " << round;
+  }
+}
+
+TEST_P(SketchLanes, WideKmersTakeTheScalarLoop) {
+  // k-mers of more than 32 bits (k > 16) are outside the lane modulo's
+  // range; the dispatch must fall back and stay exact.
+  util::Xoshiro256ss rng(93);
+  const HashFamily hashes(30, 5);
+  for (const int bits : {33, 40, 60}) {
+    const auto minimizers = random_list(rng, 90, 50, 0, bits);
+    expect_matches(minimizers, 1000, hashes,
+                   "bits=" + std::to_string(bits));
+  }
+}
+
+TEST_P(SketchLanes, PaperParametersOnRandomSequences) {
+  // Real minimizer lists at k = 16, w = 100: 1 kbp tiles (one block) and a
+  // 50 kbp contig (many blocks) at ℓ = 1000, T = 30.
+  util::Xoshiro256ss rng(94);
+  const HashFamily hashes(30, 7);
+  for (const std::size_t length : {1000, 1000, 50'000}) {
+    const auto minimizers =
+        minimizer_scan(random_dna(rng, length), MinimizerParams{16, 100});
+    expect_matches(minimizers, 1000, hashes,
+                   "len=" + std::to_string(length));
+  }
+}
+
+TEST_P(SketchLanes, ClassicMinhashMatchesTheScalarLoop) {
+  // Every trial's global argmin, for k inside the lane range and beyond
+  // it, on sequences with ambiguous bases, too short or empty.
+  util::Xoshiro256ss rng(95);
+  SketchScratch scalar_scratch;
+  FlatSketch scalar;
+  for (const int trials : {1, 7, 9, 30, 33}) {
+    const HashFamily hashes(trials, rng());
+    for (const int k : {1, 5, 16, 17, 31}) {
+      for (const std::size_t length : {0, 3, 40, 700}) {
+        std::string seq = random_dna(rng, length);
+        for (char& c : seq) {
+          if (rng.bounded(25) == 0) c = 'N';
+        }
+        detail::classic_minhash_with(GetParam(), seq, k, hashes, scratch_,
+                                     flat_);
+        detail::classic_minhash_with(1, seq, k, hashes, scalar_scratch,
+                                     scalar);
+        const std::string what = "T=" + std::to_string(trials) +
+                                 " k=" + std::to_string(k) +
+                                 " len=" + std::to_string(length);
+        EXPECT_EQ(flat_.kmers, scalar.kmers) << what;
+        EXPECT_EQ(flat_.offsets, scalar.offsets) << what;
+        const Sketch alloc = classic_minhash(seq, k, hashes);
+        ASSERT_EQ(flat_.trials(), alloc.trials()) << what;
+        for (int t = 0; t < trials; ++t) {
+          const auto kmers = flat_.trial(t);
+          EXPECT_EQ(std::vector<KmerCode>(kmers.begin(), kmers.end()),
+                    alloc.per_trial[static_cast<std::size_t>(t)])
+              << what;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, SketchLanes, ::testing::Values(1, 4, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param) + "Lanes";
+                         });
 
 }  // namespace
 }  // namespace jem::core
