@@ -141,8 +141,9 @@ echo "serve smoke: ok"
 # and injected latency plus two scripted worker aborts (one on write, one
 # on read) — with a hot-swap artifact armed. `jem probe` drives it through
 # the resilient client and fires POST /admin/reload mid-load; every request
-# must still complete, the supervisor must have respawned both aborted
-# workers, the epoch must have advanced, and the drain must stay clean.
+# must still complete, both scripted aborts must have fired and both
+# aborted workers must have restarted in place, the epoch must have
+# advanced, and the drain must stay clean.
 # Runs against Release and again under ASan/UBSan.
 serve_chaos_smoke() {
   local bindir="$1"
@@ -170,6 +171,8 @@ serve_chaos_smoke() {
   "$bindir/examples/obs_check" --metrics "$dir/metrics.json"
   grep -q 'serve.chaos.injected.reset' "$dir/metrics.json"
   grep -q 'serve.supervisor.worker_restarts' "$dir/metrics.json"
+  grep -Eq '"name":"serve.chaos.injected.abort","kind":"counter","unit":"count","value":([2-9]|[1-9][0-9]+)[,}]' \
+    "$dir/metrics.json"
   grep -q 'serve.reload.success' "$dir/metrics.json"
   grep -q '"status":"ok"' "$dir/healthz.json"
   grep -q '"epoch":1' "$dir/healthz.json"

@@ -3,6 +3,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "io/fasta.hpp"
 #include "sim/contigs.hpp"
 #include "sim/genome.hpp"
 #include "sim/hifi_reads.hpp"
@@ -78,6 +79,55 @@ void make_demo_dataset(std::uint64_t seed, io::SequenceSet& subjects,
   for (io::SeqId id = 0; id < simulated.reads.size(); ++id) {
     reads.add(simulated.reads.name(id), simulated.reads.bases(id));
   }
+}
+
+void SketchFlags::add_to(util::Options& options) {
+  options.add_string("scheme", scheme, "sketch scheme: jem | minhash");
+  options.add_string("ordering", ordering, "minimizer ordering: lex | hash");
+  options.add_uint("k", k, "k-mer size (default 16)");
+  options.add_uint("w", w, "minimizer window in k-mers (default 100)");
+  options.add_uint("trials", trials, "number of MinHash trials T (default 30)");
+  options.add_uint("segment", segment, "end-segment length l (default 1000)");
+  options.add_uint("seed", seed, "experiment seed");
+}
+
+std::optional<core::ServiceConfig> SketchFlags::build() const {
+  try {
+    return core::ServiceConfig::make()
+        .k(k)
+        .window(w)
+        .trials(trials)
+        .segment_length(segment)
+        .seed(seed)
+        .ordering(ordering)
+        .scheme(scheme)
+        .build();
+  } catch (const core::ServiceError& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return std::nullopt;
+  }
+}
+
+int load_subjects(bool demo, const std::string& path, std::uint64_t seed,
+                  const util::Options& options, std::string_view program,
+                  io::SequenceSet& subjects) {
+  try {
+    if (demo) {
+      io::SequenceSet unused_reads;
+      make_demo_dataset(seed, subjects, unused_reads);
+    } else {
+      if (path.empty()) {
+        std::cerr << "error: --subjects is required (or use --demo)\n"
+                  << options.usage(program);
+        return kExitUsage;
+      }
+      io::load_into(path, subjects);
+    }
+  } catch (const std::exception& error) {
+    std::cerr << "input error: " << error.what() << '\n';
+    return kExitRuntime;
+  }
+  return kExitOk;
 }
 
 }  // namespace jem::cli

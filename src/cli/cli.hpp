@@ -18,12 +18,15 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/service.hpp"
 #include "io/sequence_set.hpp"
+#include "util/options.hpp"
 
 namespace jem::cli {
 
@@ -62,5 +65,35 @@ int dispatch(int argc, const char* const* argv);
 /// legacy jem_map --demo all see the same bytes.
 void make_demo_dataset(std::uint64_t seed, io::SequenceSet& subjects,
                        io::SequenceSet& reads);
+
+/// The sketch flags `jem map`, `jem serve` and `jem build-index` share,
+/// with the paper's defaults.
+struct SketchFlags {
+  std::string scheme = "jem";
+  std::string ordering = "lex";
+  std::uint64_t k = 16;
+  std::uint64_t w = 100;
+  std::uint64_t trials = 30;
+  std::uint64_t segment = 1000;
+  std::uint64_t seed = 20230517;
+
+  /// Registers --scheme --ordering --k --w --trials --segment --seed.
+  void add_to(util::Options& options);
+
+  /// The validated config (core/service.hpp). An out-of-range value or an
+  /// unknown --ordering/--scheme name prints `error: <what>` naming the
+  /// field and returns nullopt: a usage error.
+  [[nodiscard]] std::optional<core::ServiceConfig> build() const;
+};
+
+/// The subjects of `jem serve` and `jem build-index`: the demo contigs
+/// under --demo, else the --subjects FASTA. Returns kExitOk, or the exit
+/// code after printing why: a missing --subjects is a usage error, an
+/// unreadable file a runtime one.
+[[nodiscard]] int load_subjects(bool demo, const std::string& path,
+                                std::uint64_t seed,
+                                const util::Options& options,
+                                std::string_view program,
+                                io::SequenceSet& subjects);
 
 }  // namespace jem::cli

@@ -14,7 +14,6 @@
 #include "core/sketch_table.hpp"
 #include "io/artifact.hpp"
 #include "io/sequence_set.hpp"
-#include "io/stream_reader.hpp"
 #include "util/log.hpp"
 #include "util/options.hpp"
 #include "util/timer.hpp"
@@ -25,26 +24,13 @@ int run_build_index(std::span<const char* const> args,
                     std::string_view program) {
   std::string subjects_path;
   std::string output_path;
-  std::string scheme_name = "jem";
-  std::string ordering_name = "lex";
-  std::uint64_t k = 16;
-  std::uint64_t w = 100;
-  std::uint64_t trials = 30;
-  std::uint64_t segment = 1000;
-  std::uint64_t seed = 20230517;
+  SketchFlags sketch;
   bool demo = false;
 
   util::Options options;
   options.add_string("subjects", subjects_path, "contigs FASTA path");
   options.add_string("output", output_path, "index artifact output path");
-  options.add_string("scheme", scheme_name, "sketch scheme: jem | minhash");
-  options.add_string("ordering", ordering_name,
-                     "minimizer ordering: lex | hash");
-  options.add_uint("k", k, "k-mer size (default 16)");
-  options.add_uint("w", w, "minimizer window in k-mers (default 100)");
-  options.add_uint("trials", trials, "number of MinHash trials T (default 30)");
-  options.add_uint("segment", segment, "end-segment length l (default 1000)");
-  options.add_uint("seed", seed, "experiment seed");
+  sketch.add_to(options);
   options.add_flag("demo", demo, "simulate subjects instead of reading files");
   try {
     (void)options.parse(args);
@@ -57,38 +43,14 @@ int run_build_index(std::span<const char* const> args,
     return kExitUsage;
   }
 
-  core::ServiceConfig config;
-  try {
-    config = core::ServiceConfig::make()
-                 .k(k)
-                 .window(w)
-                 .trials(trials)
-                 .segment_length(segment)
-                 .seed(seed)
-                 .ordering(ordering_name)
-                 .scheme(scheme_name)
-                 .build();
-  } catch (const core::ServiceError& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return kExitUsage;
-  }
+  const std::optional<core::ServiceConfig> config = sketch.build();
+  if (!config) return kExitUsage;
 
   io::SequenceSet subjects;
-  try {
-    if (demo) {
-      io::SequenceSet unused_reads;
-      make_demo_dataset(seed, subjects, unused_reads);
-    } else {
-      if (subjects_path.empty()) {
-        std::cerr << "error: --subjects is required (or use --demo)\n"
-                  << options.usage(program);
-        return kExitUsage;
-      }
-      io::load_into(subjects_path, subjects);
-    }
-  } catch (const std::exception& error) {
-    std::cerr << "input error: " << error.what() << '\n';
-    return kExitRuntime;
+  if (const int code = load_subjects(demo, subjects_path, sketch.seed,
+                                     options, program, subjects);
+      code != kExitOk) {
+    return code;
   }
 
   util::WallTimer timer;
@@ -96,9 +58,9 @@ int run_build_index(std::span<const char* const> args,
     // Building the service sketches the subjects and builds the table;
     // save_index writes the checksummed artifact bound to these params and
     // subjects.
-    const core::MappingService service(std::move(subjects), config);
+    const core::MappingService service(std::move(subjects), *config);
     core::save_index(output_path, service.engine().mapper().table(),
-                     config.params, config.scheme, service.subjects());
+                     config->params, config->scheme, service.subjects());
     util::log_info() << "indexed " << service.subjects().size()
                      << " subjects in " << timer.elapsed_s() << " s";
   } catch (const std::exception& error) {

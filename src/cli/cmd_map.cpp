@@ -43,12 +43,7 @@ int run_map(std::span<const char* const> args, std::string_view program) {
   std::string subjects_path;
   std::string queries_path;
   std::string output_path = "mappings.tsv";
-  std::string scheme_name = "jem";
-  std::uint64_t k = 16;
-  std::uint64_t w = 100;
-  std::uint64_t trials = 30;
-  std::uint64_t segment = 1000;
-  std::uint64_t seed = 20230517;
+  SketchFlags sketch;
   std::uint64_t ranks = 0;
   std::uint64_t threads = 0;
   bool demo = false;
@@ -66,15 +61,7 @@ int run_map(std::span<const char* const> args, std::string_view program) {
   options.add_string("subjects", subjects_path, "contigs FASTA path");
   options.add_string("queries", queries_path, "long-read FASTA/FASTQ path");
   options.add_string("output", output_path, "output mapping TSV path");
-  options.add_string("scheme", scheme_name, "sketch scheme: jem | minhash");
-  std::string ordering_name = "lex";
-  options.add_string("ordering", ordering_name,
-                     "minimizer ordering: lex | hash");
-  options.add_uint("k", k, "k-mer size (default 16)");
-  options.add_uint("w", w, "minimizer window in k-mers (default 100)");
-  options.add_uint("trials", trials, "number of MinHash trials T (default 30)");
-  options.add_uint("segment", segment, "end-segment length l (default 1000)");
-  options.add_uint("seed", seed, "experiment seed");
+  sketch.add_to(options);
   options.add_uint("ranks", ranks, "run distributed on this many ranks");
   bool partitioned = false;
   options.add_flag("partitioned", partitioned,
@@ -123,7 +110,7 @@ int run_map(std::span<const char* const> args, std::string_view program) {
   io::SequenceSet reads;
   try {
     if (demo) {
-      make_demo_dataset(seed, subjects, reads);
+      make_demo_dataset(sketch.seed, subjects, reads);
     } else {
       if (subjects_path.empty() || queries_path.empty()) {
         std::cerr << "error: --subjects and --queries are required "
@@ -142,27 +129,15 @@ int run_map(std::span<const char* const> args, std::string_view program) {
   // One validated assembly for params + scheme (core/service.hpp): an
   // out-of-range value or unknown --ordering/--scheme name is a structured
   // ServiceError naming the field, and a usage error (exit 2) everywhere.
-  core::ServiceConfig service_config;
-  try {
-    service_config = core::ServiceConfig::make()
-                         .k(k)
-                         .window(w)
-                         .trials(trials)
-                         .segment_length(segment)
-                         .seed(seed)
-                         .ordering(ordering_name)
-                         .scheme(scheme_name)
-                         .build();
-  } catch (const core::ServiceError& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return kExitUsage;
-  }
-  const core::MapParams& params = service_config.params;
-  const core::SketchScheme scheme = service_config.scheme;
+  const std::optional<core::ServiceConfig> service_config = sketch.build();
+  if (!service_config) return kExitUsage;
+  const core::MapParams& params = service_config->params;
+  const core::SketchScheme scheme = service_config->scheme;
 
   util::log_info() << "subjects=" << subjects.size()
-                   << " queries=" << reads.size() << " k=" << k << " w=" << w
-                   << " T=" << trials << " l=" << segment;
+                   << " queries=" << reads.size() << " k=" << sketch.k
+                   << " w=" << sketch.w << " T=" << sketch.trials
+                   << " l=" << sketch.segment;
 
   // Observability sinks: one registry + tracer for the whole invocation.
   // IO-layer counters (io.*) land in the default registry, so it doubles as

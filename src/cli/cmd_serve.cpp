@@ -38,7 +38,6 @@
 #include "core/service.hpp"
 #include "io/artifact.hpp"
 #include "io/sequence_set.hpp"
-#include "io/stream_reader.hpp"
 #include "serve/server.hpp"
 #include "util/fault_plan.hpp"
 #include "util/log.hpp"
@@ -90,13 +89,7 @@ int run_serve(std::span<const char* const> args, std::string_view program) {
   std::string subjects_path;
   std::string load_index_path;
   std::string port_file;
-  std::string scheme_name = "jem";
-  std::string ordering_name = "lex";
-  std::uint64_t k = 16;
-  std::uint64_t w = 100;
-  std::uint64_t trials = 30;
-  std::uint64_t segment = 1000;
-  std::uint64_t seed = 20230517;
+  SketchFlags sketch;
   std::uint64_t port = 8765;
   std::uint64_t workers = 4;
   std::uint64_t queue = 64;
@@ -122,14 +115,7 @@ int run_serve(std::span<const char* const> args, std::string_view program) {
                      "reported and rebuilt from FASTA)");
   options.add_string("port-file", port_file,
                      "write the bound port here once listening");
-  options.add_string("scheme", scheme_name, "sketch scheme: jem | minhash");
-  options.add_string("ordering", ordering_name,
-                     "minimizer ordering: lex | hash");
-  options.add_uint("k", k, "k-mer size (default 16)");
-  options.add_uint("w", w, "minimizer window in k-mers (default 100)");
-  options.add_uint("trials", trials, "number of MinHash trials T (default 30)");
-  options.add_uint("segment", segment, "end-segment length l (default 1000)");
-  options.add_uint("seed", seed, "experiment seed");
+  sketch.add_to(options);
   options.add_uint("port", port, "listen port (0 = ephemeral, default 8765)");
   options.add_uint("workers", workers, "connection worker threads (default 4)");
   options.add_uint("queue", queue,
@@ -224,38 +210,14 @@ int run_serve(std::span<const char* const> args, std::string_view program) {
     chaos_enabled = true;
   }
 
-  core::ServiceConfig config;
-  try {
-    config = core::ServiceConfig::make()
-                 .k(k)
-                 .window(w)
-                 .trials(trials)
-                 .segment_length(segment)
-                 .seed(seed)
-                 .ordering(ordering_name)
-                 .scheme(scheme_name)
-                 .build();
-  } catch (const core::ServiceError& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return kExitUsage;
-  }
+  const std::optional<core::ServiceConfig> config = sketch.build();
+  if (!config) return kExitUsage;
 
   io::SequenceSet subjects;
-  try {
-    if (demo) {
-      io::SequenceSet unused_reads;
-      make_demo_dataset(seed, subjects, unused_reads);
-    } else {
-      if (subjects_path.empty()) {
-        std::cerr << "error: --subjects is required (or use --demo)\n"
-                  << options.usage(program);
-        return kExitUsage;
-      }
-      io::load_into(subjects_path, subjects);
-    }
-  } catch (const std::exception& error) {
-    std::cerr << "input error: " << error.what() << '\n';
-    return kExitRuntime;
+  if (const int code = load_subjects(demo, subjects_path, sketch.seed,
+                                     options, program, subjects);
+      code != kExitOk) {
+    return code;
   }
 
   try {
@@ -263,9 +225,9 @@ int run_serve(std::span<const char* const> args, std::string_view program) {
     // opens — every request after this point hits a warm, frozen table.
     core::MappingService service =
         load_index_path.empty()
-            ? core::MappingService(std::move(subjects), config)
+            ? core::MappingService(std::move(subjects), *config)
             : core::MappingService::from_index(load_index_path,
-                                               std::move(subjects), config);
+                                               std::move(subjects), *config);
     if (!service.load_report().rejection.empty()) {
       util::log_info() << "index " << load_index_path << " rejected ("
                        << service.load_report().rejection

@@ -12,20 +12,13 @@
 #include <optional>
 #include <thread>
 
+#include "serve/socket.hpp"
 #include "util/log.hpp"
 #include "util/prng.hpp"
 
 namespace jem::serve {
 
 namespace {
-
-void set_socket_timeouts(int fd, std::chrono::milliseconds timeout) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-  (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  (void)setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
 
 /// RAII socket so every ClientError throw path closes the fd.
 struct Socket {
@@ -62,15 +55,8 @@ HttpResponse http_request(const std::string& host, std::uint16_t port,
 
   const std::string wire =
       serialize_request(request, host + ":" + std::to_string(port));
-  std::size_t sent = 0;
-  while (sent < wire.size()) {
-    const ssize_t n = ::send(sock.fd, wire.data() + sent, wire.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      throw ClientError(std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
+  if (!send_all(sock.fd, wire)) {
+    throw ClientError(std::string("send: ") + std::strerror(errno));
   }
 
   std::string buffer;

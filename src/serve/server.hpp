@@ -1,4 +1,4 @@
-// MappingServer — the always-on mapping service (ROADMAP item 1): a
+// MappingServer — the always-on mapping service (docs/serve.md): a
 // long-lived process that loads the frozen index once (via MappingService)
 // and serves mapping requests over a local HTTP/1.1 socket.
 //
@@ -14,7 +14,7 @@
 //
 // Map on the worker: the query phase maps each segment on its own with
 // per-thread counters (the paper's S4), so a worker calls MappingService::map
-// directly with a core::MapScratch it made once at thread start and reuses
+// directly with a core::MapScratch it made at thread start and reuses
 // across requests and reloads (a reload keeps the subject set, so the
 // scratch size never changes). Nothing queues between parse and map.
 //
@@ -41,10 +41,11 @@
 // aborts. Every decision is keyed by (site, invocation) so the same seed
 // replays the same schedule.
 //
-// Supervision: worker threads run under a supervisor. A worker that dies
-// (injected abort or a genuine bug) answers its in-flight request with a
-// structured 500, is joined, and is respawned while the server keeps
-// serving; /healthz reports the restart count.
+// Worker restarts: a worker whose request aborts (injected abort or a
+// genuine bug) answers the in-flight request with a structured 500, then
+// restarts in place on a fresh scratch and keeps popping connections, so
+// an abort never strands an admitted connection, not even during stop()'s
+// drain. /healthz reports the restart count.
 //
 // Hot swap: reload_index() (HTTP: POST /admin/reload; CLI: SIGHUP) loads a
 // new JEMIDX1 artifact in the background, validates it against the running
@@ -55,7 +56,7 @@
 // corrupt or mismatched artifact leaves the old index serving and surfaces
 // the ArtifactError text — zero downtime either way.
 //
-// Endpoints:
+// Endpoints (one route table; a known path sent the wrong method is a 405):
 //   POST /map            body = query bases; ?top_x=&min_votes=&deadline_ms=
 //   GET  /healthz        liveness + provenance + windowed SLO percentiles
 //   GET  /metrics        JSON by default; OpenMetrics text under
@@ -66,22 +67,27 @@
 //
 // Observability (docs/observability.md): per-endpoint latency histograms,
 // queue-depth and cache gauges, shed/deadline/reject counters, chaos
-// tallies, the supervisor restart count and the index epoch in the
+// tallies, the worker restart count and the index epoch in the
 // registry; per-request trace propagation (W3C `traceparent` in,
 // `x-jem-request-id` out, ids stamped on every log line, error body and
 // tracer span); a flight-recorder ring of per-request timing records; and
 // sliding-window latency/error/shed SLOs behind /healthz and the
 // OpenMetrics exposition.
+//
+// Sources: server.cpp (transport, lifecycle, fault sites), router.cpp
+// (route table, query parameters, /map), ops.cpp (the other endpoints).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -181,13 +187,13 @@ class MappingServer {
   MappingServer(const MappingServer&) = delete;
   MappingServer& operator=(const MappingServer&) = delete;
 
-  /// Binds, listens and starts the acceptor/worker/supervisor
-  /// threads. Throws ServeError on bind/listen failure. Idempotent once
-  /// running.
+  /// Binds, listens and starts the acceptor and worker threads. Throws
+  /// ServeError on bind/listen failure. Idempotent once running.
   void start();
 
-  /// Graceful drain: stop accepting, serve every admitted connection, join
-  /// all threads. Idempotent; also run by ~MappingServer.
+  /// Graceful drain: stop accepting, serve every admitted connection (a
+  /// worker that aborts mid-drain restarts and keeps draining), join all
+  /// threads. Idempotent; also run by ~MappingServer.
   void stop();
 
   [[nodiscard]] bool running() const noexcept {
@@ -226,7 +232,7 @@ class MappingServer {
     return epoch_.load(std::memory_order_acquire);
   }
 
-  /// Supervisor tally (workers respawned after an abort).
+  /// Workers restarted in place after an abort.
   [[nodiscard]] std::uint64_t worker_restarts() const noexcept {
     return worker_restarts_.load(std::memory_order_relaxed);
   }
@@ -249,27 +255,64 @@ class MappingServer {
     FlightRecord record;
   };
 
-  void acceptor_loop();
-  void worker_main(std::size_t slot);
-  void worker_loop();
-  void supervisor_loop();
-  void serve_connection(int fd, core::MapScratch& scratch);
+  /// One endpoint of the route table: the method it takes, its handler and
+  /// the histogram its latency goes to (null = untimed).
+  using Handler = HttpResponse (MappingServer::*)(const HttpRequest&,
+                                                  RequestContext&,
+                                                  core::MapScratch&);
+  struct Route {
+    std::string_view path;
+    std::string_view method;
+    Handler handler;
+    obs::Histogram* latency_ns;
+  };
 
+  /// The SLO ring holds the deepest /healthz tier: 300 frames (the "5m"
+  /// window at the production 1 s frame width).
+  static constexpr std::size_t kSloFrames = 300;
+
+  // Transport and lifecycle (server.cpp).
+  void acceptor_loop();
+  void worker_main();
+  void worker_loop();
+  void serve_connection(int fd, core::MapScratch& scratch);
+  /// Consults fault site `site`: sleeps out a delay here and returns the
+  /// drop or abort the site must act on (kNone otherwise).
+  [[nodiscard]] util::FaultAction fault_at(std::string_view site);
+  /// Answers an aborted request with the structured 500 and closes `fd`.
+  void answer_aborted(int fd);
+
+  // Routing and /map (router.cpp).
   /// handle() on the caller's scratch: what a worker runs per request.
   [[nodiscard]] HttpResponse route(const HttpRequest& request,
                                    core::MapScratch& scratch);
+  [[nodiscard]] HttpResponse handle_map(const HttpRequest& request,
+                                        RequestContext& ctx,
+                                        core::MapScratch& scratch);
+  /// Structured JSON error response.
+  [[nodiscard]] static HttpResponse error_response(int status,
+                                                   core::ServiceErrorCode code,
+                                                   std::string_view field,
+                                                   std::string_view message);
+  /// The unsigned query parameter `name`, at most `max`; nullopt when
+  /// absent. Garbage or a larger value throws out to route(), which
+  /// answers a structured 400 naming the field.
+  [[nodiscard]] static std::optional<std::uint64_t> uint_param(
+      const HttpRequest& request, std::string_view name, std::uint64_t max);
 
   /// Current serving epoch (never null once constructed).
   [[nodiscard]] std::shared_ptr<const core::MappingService> current_service()
       const;
 
-  [[nodiscard]] HttpResponse handle_map(const HttpRequest& request,
-                                        RequestContext& ctx,
-                                        core::MapScratch& scratch);
-  [[nodiscard]] HttpResponse handle_healthz();
-  [[nodiscard]] HttpResponse handle_metrics(const HttpRequest& request);
-  [[nodiscard]] HttpResponse handle_debug_requests(const HttpRequest& request);
-  [[nodiscard]] HttpResponse handle_reload(const HttpRequest& request);
+  // Operational endpoints (ops.cpp); same signature as handle_map.
+  HttpResponse handle_healthz(const HttpRequest&, RequestContext&,
+                              core::MapScratch&);
+  HttpResponse handle_metrics(const HttpRequest&, RequestContext&,
+                              core::MapScratch&);
+  HttpResponse handle_debug_requests(const HttpRequest&, RequestContext&,
+                                     core::MapScratch&);
+  HttpResponse handle_reload(const HttpRequest&, RequestContext&,
+                             core::MapScratch&);
 
   /// Windowed SLO section of /healthz ("slo":{...}) — shared with the
   /// OpenMetrics exposition via slo_openmetrics().
@@ -312,13 +355,11 @@ class MappingServer {
   obs::Gauge* queue_depth_ = nullptr;
   obs::Gauge* cache_size_ = nullptr;
   obs::Gauge* epoch_gauge_ = nullptr;
-  obs::Histogram* map_latency_ns_ = nullptr;
-  obs::Histogram* healthz_latency_ns_ = nullptr;
-  obs::Histogram* metrics_latency_ns_ = nullptr;
   /// `serve.batch.size`: 1 per map call, since every map is a batch of
   /// one. Kept because perfbench's serve probe reads it.
   obs::Histogram* batch_size_ = nullptr;
 
+  std::array<Route, 5> routes_{};
   util::FaultInjector injector_;
 
   // Request-scoped observability (docs/observability.md).
@@ -342,17 +383,6 @@ class MappingServer {
   std::thread acceptor_;
   std::vector<std::thread> workers_;
 
-  // Supervisor state: dead slots awaiting join/respawn, plus the drain
-  // bookkeeping stop() waits on. All guarded by lifecycle_mutex_.
-  std::mutex lifecycle_mutex_;
-  std::condition_variable death_cv_;    // supervisor wakes on deaths
-  std::condition_variable drained_cv_;  // stop() waits for worker drain
-  std::vector<std::size_t> dead_;
-  bool supervising_ = false;
-  bool respawn_enabled_ = false;
-  std::size_t workers_active_ = 0;
-  std::size_t respawn_in_flight_ = 0;
-  std::thread supervisor_;
   std::atomic<std::uint64_t> worker_restarts_{0};
 
   Clock::time_point started_at_{};

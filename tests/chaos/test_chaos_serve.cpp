@@ -6,7 +6,7 @@
 //  * every request completes with bodies bit-identical to a fault-free run
 //    (faults shift timing and retries, never results);
 //  * the same seed replays the same injection schedule (counter-identical);
-//  * the supervisor respawns aborted workers mid-run;
+//  * aborted workers restart in place mid-run;
 //  * /admin/reload hot-swaps the index under load with zero failed
 //    requests, and a corrupt artifact leaves the old epoch serving.
 #include <gtest/gtest.h>
@@ -87,7 +87,7 @@ class ServeChaosTest : public ::testing::Test {
 
   /// The seeded chaos plan both determinism runs share: random resets,
   /// latency and truncated responses, plus two scripted worker aborts (one
-  /// on read, one on write) so the supervisor provably respawns twice.
+  /// on read, one on write) so workers provably restart twice.
   [[nodiscard]] static util::FaultPlan chaos_plan(std::uint64_t seed) {
     util::RandomFaultRates rates;
     rates.delay = 0.05;
@@ -137,8 +137,8 @@ class ServeChaosTest : public ::testing::Test {
     }
     run.client_retries = client.retries();
 
-    // The scripted aborts killed two workers; wait for the supervisor to
-    // finish the respawns before sampling the tallies.
+    // The scripted aborts hit two workers; wait for both to count their
+    // restarts before sampling the tallies.
     for (int i = 0; i < 5000 && server.worker_restarts() < 2; ++i) {
       std::this_thread::sleep_for(milliseconds(1));
     }
@@ -191,8 +191,7 @@ TEST_F(ServeChaosTest, SeededFaultsCompleteBitIdenticalToFaultFreeRun) {
   }
 
   // The plan demonstrably fired: resets and both scripted aborts landed,
-  // the client actually retried, and the supervisor respawned both
-  // aborted workers.
+  // the client actually retried, and both aborted workers restarted.
   EXPECT_GE(run.injected.at("serve.chaos.injected.reset"), 1u);
   EXPECT_EQ(run.injected.at("serve.chaos.injected.abort"), 2u);
   EXPECT_GE(run.client_retries, 1u);

@@ -254,8 +254,19 @@ TEST_F(ServeObservabilityTest, FlightEndpointIsNewestFirstAndFilters) {
   const HttpResponse slow = get("/debug/requests?min_latency_ms=600000");
   EXPECT_EQ(obs::json::parse(slow.body).find("requests")->array.size(), 0u);
 
-  // Garbage parameters are a structured 400.
-  EXPECT_EQ(get("/debug/requests?limit=banana").status, 400);
+  // Garbage parameters are a structured 400 naming the field. So are
+  // out-of-range ones, which must never wrap: 2^32 + 400 would cast to a
+  // status of 400, and 18446744073710 ms overflows the nanosecond floor.
+  for (const std::string& params :
+       {std::string("limit=banana"), std::string("status=4294967696"),
+        std::string("min_latency_ms=18446744073710")}) {
+    const HttpResponse bad = get("/debug/requests?" + params);
+    EXPECT_EQ(bad.status, 400) << params;
+    const std::string field = params.substr(0, params.find('='));
+    EXPECT_NE(bad.body.find("\"field\":\"" + field + "\""),
+              std::string::npos)
+        << bad.body;
+  }
 }
 
 TEST_F(ServeObservabilityTest, FlightRecorderCanBeDisabled) {

@@ -352,12 +352,12 @@ TEST_F(ServeResilienceTest, ClientRetriesInjected500FromWorkerAbort) {
   obs::Registry client_metrics;
   Client client("127.0.0.1", server_->port(), policy, {}, &client_metrics);
   // First response is replaced by a structured 500 and the worker dies;
-  // the retry lands on a healthy (or respawned) worker.
+  // the retry lands on a healthy (or restarted) worker.
   const HttpResponse response = client.post("/map", query_);
   EXPECT_EQ(response.status, 200);
   EXPECT_GE(client.retries(), 1u);
   EXPECT_GE(client.attempts(), 2u);
-  // The supervisor respawns the aborted worker.
+  // The aborted worker restarts in place.
   for (int i = 0; i < 2000 && server_->worker_restarts() == 0; ++i) {
     std::this_thread::sleep_for(milliseconds(1));
   }

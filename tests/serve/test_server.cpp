@@ -137,6 +137,18 @@ TEST_F(MappingServerTest, MapResponseMatchesSingleShotService) {
   }
 }
 
+/// An error body with its leading `"trace_id":"…","request_id":"…",` pair
+/// removed: what is left is fixed by the request alone.
+std::string without_ids(const std::string& body) {
+  const std::string prefix = "{\"trace_id\":\"";
+  if (body.rfind(prefix, 0) != 0) return body;
+  const std::size_t request_id = body.find("\"request_id\":\"");
+  if (request_id == std::string::npos) return body;
+  const std::size_t end = body.find("\",", request_id + 14);
+  if (end == std::string::npos) return body;
+  return "{" + body.substr(end + 2);
+}
+
 TEST_F(MappingServerTest, RoutingErrorsAreStructured) {
   start_server();
   const HttpResponse missing =
@@ -144,10 +156,39 @@ TEST_F(MappingServerTest, RoutingErrorsAreStructured) {
   EXPECT_EQ(missing.status, 404);
   EXPECT_NE(missing.body.find("\"error\":\"invalid-argument\""),
             std::string::npos);
+  EXPECT_EQ(without_ids(missing.body),
+            "{\"error\":\"invalid-argument\",\"field\":\"path\","
+            "\"message\":\"no such endpoint '/nope'\"}");
 
   const HttpResponse wrong_method =
       http_get("127.0.0.1", server_->port(), "/map");
   EXPECT_EQ(wrong_method.status, 405);
+
+  // Every endpoint answers a method it does not take with the same 405
+  // body shape, whichever wrong method is sent.
+  struct Route {
+    const char* path;
+    const char* method;
+  };
+  for (const Route route : {Route{"/map", "POST"}, Route{"/healthz", "GET"},
+                            Route{"/metrics", "GET"},
+                            Route{"/debug/requests", "GET"},
+                            Route{"/admin/reload", "POST"}}) {
+    for (const char* method : {"GET", "POST", "PUT", "DELETE"}) {
+      if (std::string(method) == route.method) continue;
+      HttpRequest request;
+      request.method = method;
+      request.target = route.path;
+      const HttpResponse response =
+          http_request("127.0.0.1", server_->port(), request);
+      EXPECT_EQ(response.status, 405) << method << ' ' << route.path;
+      EXPECT_EQ(without_ids(response.body),
+                std::string("{\"error\":\"invalid-argument\",\"field\":"
+                            "\"method\",\"message\":\"") +
+                    route.path + " takes " + route.method + "\"}")
+          << method << ' ' << route.path;
+    }
+  }
 
   const HttpResponse empty_body = post_map("");
   EXPECT_EQ(empty_body.status, 400);
@@ -156,6 +197,9 @@ TEST_F(MappingServerTest, RoutingErrorsAreStructured) {
   const HttpResponse bad_param = post_map(queries_[0], "?top_x=banana");
   EXPECT_EQ(bad_param.status, 400);
   EXPECT_NE(bad_param.body.find("\"field\":\"top_x\""), std::string::npos);
+  EXPECT_EQ(without_ids(bad_param.body),
+            "{\"error\":\"invalid-argument\",\"field\":\"top_x\","
+            "\"message\":\"not an unsigned integer: 'banana'\"}");
 
   // Out-of-range values are rejected, never truncated or wrapped: 2^32 + 1
   // votes would cast to 1, and these budgets overflow admission + budget
@@ -171,6 +215,14 @@ TEST_F(MappingServerTest, RoutingErrorsAreStructured) {
               std::string::npos)
         << out_of_range.body;
   }
+  EXPECT_EQ(without_ids(post_map(queries_[0], "?min_votes=4294967297").body),
+            "{\"error\":\"invalid-argument\",\"field\":\"min_votes\","
+            "\"message\":\"out of range: '4294967297' (at most "
+            "4294967295)\"}");
+  EXPECT_EQ(
+      without_ids(post_map(queries_[0], "?deadline_ms=1x").body),
+      "{\"error\":\"invalid-argument\",\"field\":\"deadline_ms\","
+      "\"message\":\"not an unsigned integer: '1x'\"}");
 }
 
 TEST_F(MappingServerTest, ExpiredDeadlineIsGatewayTimeout) {
@@ -357,6 +409,56 @@ TEST_F(MappingServerTest, StopIsGracefulAndIdempotent) {
   server_.reset();
   start_server();
   EXPECT_EQ(post_map(queries_[0]).status, 200);
+}
+
+TEST_F(MappingServerTest, AbortDuringDrainStrandsNoAdmittedConnection) {
+  // One worker, held by a stall on its first read while four more
+  // connections queue behind it. stop() then closes the queue with all
+  // four still admitted, and the third response aborts the worker: the
+  // aborted request is answered 500, the worker restarts, and it serves
+  // the rest of the drain.
+  plan_.delay_at(util::FaultPlan::kAnyRank, "serve.read", 0,
+                 std::chrono::milliseconds(400));
+  plan_.abort_at(util::FaultPlan::kAnyRank, "serve.write", 2);
+  ServerConfig config;
+  config.workers = 1;
+  config.fault_plan = &plan_;
+  start_server(config);
+
+  constexpr std::size_t kClients = 5;
+  std::vector<int> statuses(kClients, 0);
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      try {
+        statuses[i] = post_map(queries_[i % queries_.size()]).status;
+      } catch (const ClientError&) {
+        statuses[i] = -1;
+      }
+    });
+    // Admit in order, so the stalled connection is the first one.
+    if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  const auto depth = [&] {
+    return server_->registry().gauge("serve.queue.depth").value();
+  };
+  for (int i = 0; i < 2000 && depth() < 4; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(depth(), 4) << "the four later connections were not admitted";
+
+  server_->stop();
+  for (std::thread& client : clients) client.join();
+
+  std::size_t ok = 0;
+  std::size_t aborted = 0;
+  for (const int status : statuses) {
+    if (status == 200) ++ok;
+    if (status == 500) ++aborted;
+  }
+  EXPECT_EQ(aborted, 1u);
+  EXPECT_EQ(ok, kClients - 1);
+  EXPECT_GE(server_->worker_restarts(), 1u);
 }
 
 }  // namespace
