@@ -21,6 +21,7 @@
 #include "io/artifact.hpp"
 #include "io/gzip.hpp"
 #include "mpisim/communicator.hpp"
+#include "oracle/kernels.hpp"
 #include "sim/genome.hpp"
 #include "sim/hifi_reads.hpp"
 #include "util/prng.hpp"
@@ -113,7 +114,7 @@ void BM_SketchByJemNaive(benchmark::State& state) {
   const core::HashFamily hashes(30, 7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::sketch_by_jem_naive(minimizers, 1000, hashes));
+        oracle::sketch_by_jem_naive(minimizers, 1000, hashes));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(minimizers.size()));
@@ -305,7 +306,7 @@ void BM_HotpathSketchReference(benchmark::State& state) {
                                  data.params.ordering};
   std::size_t i = 0;
   for (auto _ : state) {
-    const core::Sketch sketch = core::sketch_by_jem_reference(
+    const core::Sketch sketch = oracle::sketch_by_jem_reference(
         core::minimizer_scan(data.segments[i], mp),
         data.params.segment_length, hashes);
     benchmark::DoNotOptimize(sketch.total_entries());
@@ -514,7 +515,7 @@ void BM_HotpathSubjectSketchReference(benchmark::State& state) {
   const core::HashFamily hashes(params.trials, params.seed);
   std::size_t i = 0;
   for (auto _ : state) {
-    const core::Sketch sketch = core::sketch_by_jem_reference(
+    const core::Sketch sketch = oracle::sketch_by_jem_reference(
         lists[i], params.segment_length, hashes);
     benchmark::DoNotOptimize(sketch.total_entries());
     i = (i + 1) % lists.size();
@@ -533,7 +534,7 @@ void BM_HotpathMapSegmentReference(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        mapper.map_segment_reference(data.segments[i], scratch));
+        oracle::map_segment_reference(mapper, data.segments[i], scratch));
     i = (i + 1) % data.segments.size();
   }
   state.SetItemsProcessed(state.iterations());

@@ -251,41 +251,6 @@ MapResult JemMapper::map_segment(std::string_view segment,
   return best;
 }
 
-MapResult JemMapper::map_segment_reference(std::string_view segment,
-                                           MapScratch& scratch) const {
-  // Frozen pre-overhaul kernel for the JEM scheme (per-trial std::deque
-  // windows, allocated per call); one single-key flat-index probe per
-  // (trial, k-mer) below, with no prefetch and no lookup_many. This is the
-  // baseline BENCH_hotpath.json measures the hot path against.
-  const Sketch sketch =
-      scheme_ == SketchScheme::kJem
-          ? sketch_by_jem_reference(
-                minimizer_scan(segment,
-                               {params_.k, params_.w, params_.ordering}),
-                params_.segment_length, hashes_)
-          : make_sketch(segment, params_, scheme_, hashes_);
-
-  MapResult best;
-  scratch.votes().new_round();
-  for (int t = 0; t < params_.trials; ++t) {
-    scratch.seen().new_round();
-    for (KmerCode kmer : sketch.per_trial[static_cast<std::size_t>(t)]) {
-      for (io::SeqId subject : table_.flat().lookup(t, kmer)) {
-        if (!scratch.seen().first_time(subject)) continue;
-        const std::uint32_t count = scratch.votes().increment(subject);
-        if (count > best.votes ||
-            (count == best.votes && subject < best.subject)) {
-          best.votes = count;
-          best.subject = subject;
-        }
-      }
-    }
-  }
-
-  if (best.votes < params_.min_votes) return {};
-  return best;
-}
-
 MapResult JemMapper::map_segment(std::string_view segment) const {
   MapScratch scratch(subjects_.size());
   return map_segment(segment, scratch);

@@ -210,16 +210,6 @@ class JemMapper {
   /// Convenience overload allocating its own scratch (tests, examples).
   [[nodiscard]] MapResult map_segment(std::string_view segment) const;
 
-  /// The pre-overhaul query path: allocates a fresh Sketch with the frozen
-  /// deque kernel (sketch_by_jem_reference) and resolves every (trial,
-  /// k-mer) with one single-key flat().lookup — no prefetch, no
-  /// lookup_many. Kept as the oracle for the golden-equivalence tests and
-  /// as the baseline bench_micro's hot-path benchmark measures the
-  /// scratch + batched-probe path against. Returns exactly what
-  /// map_segment returns.
-  [[nodiscard]] MapResult map_segment_reference(std::string_view segment,
-                                                MapScratch& scratch) const;
-
   /// Maps one segment and returns up to `x` candidate subjects ordered by
   /// votes (descending, ties to smaller id). Subjects below min_votes are
   /// not reported; the front element equals map_segment's result.

@@ -13,37 +13,6 @@ namespace jem::core {
 
 namespace {
 
-/// Ordering key of a canonical k-mer under the configured scheme. Smaller
-/// key = preferred minimizer.
-std::uint64_t ordering_key(KmerCode canon, MinimizerOrdering ordering) {
-  return ordering == MinimizerOrdering::kLexicographic ? canon
-                                                       : util::mix64(canon);
-}
-
-/// A maximal run of ACGT bases: [begin, end) over the original sequence.
-struct Run {
-  std::size_t begin;
-  std::size_t end;
-};
-
-std::vector<Run> acgt_runs(std::string_view seq) {
-  std::vector<Run> runs;
-  std::size_t begin = 0;
-  bool in_run = false;
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    const bool valid = base_code(seq[i]) != kInvalidBase;
-    if (valid && !in_run) {
-      begin = i;
-      in_run = true;
-    } else if (!valid && in_run) {
-      runs.push_back({begin, i});
-      in_run = false;
-    }
-  }
-  if (in_run) runs.push_back({begin, seq.size()});
-  return runs;
-}
-
 void validate(const MinimizerParams& p) {
   if (p.k < 1 || p.k > kMaxK) {
     throw std::invalid_argument("minimizer_scan: k out of range");
@@ -287,41 +256,6 @@ std::vector<Minimizer> minimizer_scan(std::string_view seq,
   MinimizerScratch scratch;
   std::vector<Minimizer> out;
   minimizer_scan(seq, p, scratch, out);
-  return out;
-}
-
-std::vector<Minimizer> minimizer_scan_naive(std::string_view seq,
-                                            const MinimizerParams& p) {
-  validate(p);
-  const KmerCodec codec(p.k);
-  std::vector<Minimizer> out;
-  for (const Run& run : acgt_runs(seq)) {
-    const std::size_t run_len = run.end - run.begin;
-    if (run_len < static_cast<std::size_t>(p.k)) continue;
-    const std::size_t num_kmers = run_len - static_cast<std::size_t>(p.k) + 1;
-    const std::size_t window =
-        std::min<std::size_t>(static_cast<std::size_t>(p.w), num_kmers);
-
-    // Pre-encode every canonical k-mer of the run and its ordering key.
-    std::vector<KmerCode> canon(num_kmers);
-    std::vector<std::uint64_t> keys(num_kmers);
-    for (std::size_t i = 0; i < num_kmers; ++i) {
-      const auto code = codec.encode(
-          seq.substr(run.begin + i, static_cast<std::size_t>(p.k)));
-      canon[i] = codec.canonical(*code);
-      keys[i] = ordering_key(canon[i], p.ordering);
-    }
-
-    for (std::size_t w_begin = 0; w_begin + window <= num_kmers; ++w_begin) {
-      std::size_t best = w_begin;
-      for (std::size_t j = w_begin + 1; j < w_begin + window; ++j) {
-        if (keys[j] < keys[best]) best = j;  // leftmost tie-break via <
-      }
-      const Minimizer m{canon[best],
-                        static_cast<std::uint32_t>(run.begin + best)};
-      if (out.empty() || out.back() != m) out.push_back(m);
-    }
-  }
   return out;
 }
 

@@ -97,11 +97,6 @@ void minimizer_scan(std::string_view seq, const MinimizerParams& p,
 /// the engine publishes it as the gauge core.minimizer.lanes.
 [[nodiscard]] int minimizer_scan_lanes() noexcept;
 
-/// Reference O(n·w) implementation used by property tests to validate the
-/// two-block scan.
-[[nodiscard]] std::vector<Minimizer> minimizer_scan_naive(
-    std::string_view seq, const MinimizerParams& p);
-
 /// Expected density of distinct minimizers: 2/(w+1) per k-mer position.
 [[nodiscard]] constexpr double expected_minimizer_density(int w) noexcept {
   return 2.0 / (static_cast<double>(w) + 1.0);

@@ -25,7 +25,8 @@ ServiceError::ServiceError(ServiceErrorCode code, std::string field,
     : std::runtime_error(std::string(service_error_name(code)) + ": " + field +
                          ": " + detail),
       code_(code),
-      field_(std::move(field)) {}
+      field_(std::move(field)),
+      detail_(std::move(detail)) {}
 
 // --- ServiceConfig::Builder -------------------------------------------------
 

@@ -62,17 +62,21 @@ enum class ServiceErrorCode {
 
 /// Thrown by configuration/request builders on invalid input. `field()`
 /// names the offending field ("k", "ordering", "sequence", ...), so CLI
-/// and HTTP front ends can point at exactly what to fix.
+/// and HTTP front ends can point at exactly what to fix. `what()` is
+/// "<code>: <field>: <detail>"; `detail()` is the bare detail, for front
+/// ends that report the code and field on their own.
 class ServiceError : public std::runtime_error {
  public:
   ServiceError(ServiceErrorCode code, std::string field, std::string detail);
 
   [[nodiscard]] ServiceErrorCode code() const noexcept { return code_; }
   [[nodiscard]] const std::string& field() const noexcept { return field_; }
+  [[nodiscard]] const std::string& detail() const noexcept { return detail_; }
 
  private:
   ServiceErrorCode code_;
   std::string field_;
+  std::string detail_;
 };
 
 /// The validated mapping configuration every entry point shares: MapParams

@@ -1,7 +1,6 @@
 #include "core/sketch.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "core/minimizer_lanes.hpp"
 #include "core/sketch_lanes.hpp"
@@ -9,14 +8,6 @@
 namespace jem::core {
 
 namespace {
-
-/// Sorts and dedups every trial's k-mer list in place.
-void normalize(Sketch& sketch) {
-  for (auto& kmers : sketch.per_trial) {
-    std::sort(kmers.begin(), kmers.end());
-    kmers.erase(std::unique(kmers.begin(), kmers.end()), kmers.end());
-  }
-}
 
 /// argmin by (hash value, k-mer code) — the k-mer tie-break makes the result
 /// independent of scan order.
@@ -213,84 +204,6 @@ Sketch sketch_by_jem(std::string_view seq, const SketchParams& params,
   const std::vector<Minimizer> minimizers =
       minimizer_scan(seq, params.minimizer);
   return sketch_by_jem(minimizers, params.interval_length, hashes);
-}
-
-Sketch sketch_by_jem_reference(std::span<const Minimizer> minimizers,
-                               std::uint32_t interval_length,
-                               const HashFamily& hashes) {
-  const int trials = hashes.trials();
-  Sketch sketch;
-  sketch.per_trial.resize(static_cast<std::size_t>(trials));
-  if (minimizers.empty()) return sketch;
-
-  // One sliding-window-minimum deque per trial, advanced in lockstep with
-  // the interval two-pointer. Entries store (hash, kmer, index-in-list).
-  struct Entry {
-    HashedKmer hk;
-    std::size_t index;
-  };
-  std::vector<std::deque<Entry>> deques(static_cast<std::size_t>(trials));
-
-  std::size_t right = 0;  // first minimizer not yet in any deque
-  for (std::size_t i = 0; i < minimizers.size(); ++i) {
-    const std::uint64_t limit =
-        static_cast<std::uint64_t>(minimizers[i].position) + interval_length;
-
-    // Extend the interval: admit minimizers with p_j <= p_i + ℓ.
-    while (right < minimizers.size() && minimizers[right].position <= limit) {
-      const KmerCode kmer = minimizers[right].kmer;
-      for (int t = 0; t < trials; ++t) {
-        auto& deque = deques[static_cast<std::size_t>(t)];
-        const HashedKmer hk{hashes.hash(t, kmer), kmer};
-        while (!deque.empty() && !deque.back().hk.less_than(hk)) {
-          deque.pop_back();
-        }
-        deque.push_back({hk, right});
-      }
-      ++right;
-    }
-
-    // Shrink: evict minimizers that precede the interval start.
-    for (int t = 0; t < trials; ++t) {
-      auto& deque = deques[static_cast<std::size_t>(t)];
-      while (deque.front().index < i) deque.pop_front();
-      auto& kmers = sketch.per_trial[static_cast<std::size_t>(t)];
-      const KmerCode minhash = deque.front().hk.kmer;
-      if (kmers.empty() || kmers.back() != minhash) kmers.push_back(minhash);
-    }
-  }
-
-  normalize(sketch);
-  return sketch;
-}
-
-Sketch sketch_by_jem_naive(std::span<const Minimizer> minimizers,
-                           std::uint32_t interval_length,
-                           const HashFamily& hashes) {
-  const int trials = hashes.trials();
-  Sketch sketch;
-  sketch.per_trial.resize(static_cast<std::size_t>(trials));
-
-  for (std::size_t i = 0; i < minimizers.size(); ++i) {
-    const std::uint64_t limit =
-        static_cast<std::uint64_t>(minimizers[i].position) + interval_length;
-    std::size_t end = i;
-    while (end < minimizers.size() && minimizers[end].position <= limit) {
-      ++end;
-    }
-    for (int t = 0; t < trials; ++t) {
-      HashedKmer best{hashes.hash(t, minimizers[i].kmer), minimizers[i].kmer};
-      for (std::size_t j = i + 1; j < end; ++j) {
-        const HashedKmer hk{hashes.hash(t, minimizers[j].kmer),
-                            minimizers[j].kmer};
-        if (hk.less_than(best)) best = hk;
-      }
-      sketch.per_trial[static_cast<std::size_t>(t)].push_back(best.kmer);
-    }
-  }
-
-  normalize(sketch);
-  return sketch;
 }
 
 void classic_minhash(std::string_view seq, int k, const HashFamily& hashes,

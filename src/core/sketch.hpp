@@ -11,18 +11,13 @@
 // of the same k-mer collapse: the sketch table keys on the k-mer, and
 // Algorithm 2 counts at most one hit per (trial, subject)).
 //
-// One production kernel and two oracles:
-//  * sketch_by_jem            — O(|M_o|·T): per trial, each interval
-//                               minimum is a block-decomposed suffix/prefix
-//                               minimum (see the flat overload below),
-//                               with the trials run 8 or 4 to a vector
-//                               where the CPU allows (src/core/
-//                               sketch_lanes.cpp, sketch_lanes());
-//  * sketch_by_jem_reference  — the pre-overhaul std::deque sliding-window
-//                               kernel, kept verbatim as the golden oracle;
-//  * sketch_by_jem_naive      — the literal per-interval argmin loop of
-//                               Algorithm 1 (O(|M_o|·I·T)); used for
-//                               validation and as the ablation baseline.
+// One production kernel, sketch_by_jem: O(|M_o|·T). Per trial, each
+// interval minimum is a block-decomposed suffix/prefix minimum (see the
+// flat overload below), with the trials run 8 or 4 to a vector where the
+// CPU allows (src/core/sketch_lanes.cpp, sketch_lanes()). Its oracles,
+// sketch_by_jem_reference (the pre-overhaul std::deque kernel) and
+// sketch_by_jem_naive (the literal per-interval argmin loop), live in
+// tests/oracle/kernels.hpp, which only tests and benchmarks link.
 //
 // Classical MinHash (classic_minhash): per trial, the single argmin of h_t
 // over ALL canonical k-mers of the sequence — no minimizer thinning, no
@@ -141,20 +136,6 @@ void sketch_by_jem(std::span<const Minimizer> minimizers,
 [[nodiscard]] Sketch sketch_by_jem(std::string_view seq,
                                    const SketchParams& params,
                                    const HashFamily& hashes);
-
-/// Literal per-interval reference implementation.
-[[nodiscard]] Sketch sketch_by_jem_naive(std::span<const Minimizer> minimizers,
-                                         std::uint32_t interval_length,
-                                         const HashFamily& hashes);
-
-/// The pre-overhaul production kernel, kept verbatim: per-trial
-/// std::deque sliding windows allocated per call.
-/// Serves as the golden-equivalence oracle for the scratch kernel and as
-/// the baseline the BM_Hotpath* benches (and BENCH_hotpath.json) compare
-/// against. Do not optimize this function.
-[[nodiscard]] Sketch sketch_by_jem_reference(
-    std::span<const Minimizer> minimizers, std::uint32_t interval_length,
-    const HashFamily& hashes);
 
 /// Classical MinHash over all canonical k-mers of `seq`. per_trial[t] has
 /// exactly one k-mer (or zero if the sequence has no valid k-mer).

@@ -271,32 +271,39 @@ std::string gzip_decompress(std::string_view data) {
 
   // One output buffer, laid out from the trailers, each member inflated
   // straight into its slot: one pool task per slot, or the calling thread
-  // for a single member. The buffer is zero-filled on one thread, on huge
-  // pages where the kernel grants them.
+  // for a single member. Nothing writes the buffer before the inflaters do,
+  // so each one first-touches its own slot, on huge pages where the kernel
+  // grants them.
   std::vector<Slot> slots = layout(data);
   const std::size_t total =
       slots.empty() ? 0 : slots.back().out_begin + slots.back().size;
   std::string out;
   out.reserve(total);
   util::hint_huge_pages(out.data(), total);
-  out.resize(total);
   {
     std::optional<util::ThreadPool> pool;
     if (slots.size() > 1) {
       pool.emplace(std::min(slots.size(), util::default_threads(0)));
     }
-    util::parallel_for_each(
-        pool ? &*pool : nullptr, slots.size(), [&](std::size_t j) {
-          // A slot left unplaced here (say, zlib could not allocate) is
-          // decoded again by the stitch, which reports any failure that
-          // persists.
-          try {
-            Inflater inflater;
-            slots[j].placed =
-                inflater.place(data, slots[j], out.data() + slots[j].out_begin);
-          } catch (...) {
-          }
-        });
+    // The operation must not throw. A slot left unplaced (say, zlib or the
+    // pool could not allocate) is decoded again by the stitch, which reports
+    // any failure that persists; the stitch copies only placed slots, so
+    // the bytes of an unplaced one are never read.
+    out.resize_and_overwrite(total, [&](char* buffer, std::size_t size) {
+      try {
+        util::parallel_for_each(
+            pool ? &*pool : nullptr, slots.size(), [&](std::size_t j) {
+              try {
+                Inflater inflater;
+                slots[j].placed =
+                    inflater.place(data, slots[j], buffer + slots[j].out_begin);
+              } catch (...) {
+              }
+            });
+      } catch (...) {
+      }
+      return size;
+    });
   }
 
   // Every slot placed, up to the input's end: the members chain through
@@ -364,12 +371,16 @@ std::string read_file_auto(const std::string& path) {
   const std::uintmax_t size = std::filesystem::file_size(path, no_size);
   std::size_t want =
       no_size ? kReadChunk : static_cast<std::size_t>(size) + 1;
+  // Each chunk is read straight into the string's new tail, which nothing
+  // writes first. The stream throws nothing (its exception mask is empty),
+  // as resize_and_overwrite requires.
   std::string data;
   for (;;) {
     const std::size_t at = data.size();
-    data.resize(at + want);
-    in.read(data.data() + at, static_cast<std::streamsize>(want));
-    data.resize(at + static_cast<std::size_t>(in.gcount()));
+    data.resize_and_overwrite(at + want, [&](char* buffer, std::size_t) {
+      in.read(buffer + at, static_cast<std::streamsize>(want));
+      return at + static_cast<std::size_t>(in.gcount());
+    });
     if (!in) break;
     want = kReadChunk;
   }

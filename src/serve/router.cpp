@@ -265,7 +265,7 @@ HttpResponse MappingServer::handle_map(const HttpRequest& request,
   try {
     service_request.validate(service->config().params);
   } catch (const ServiceError& error) {
-    return error_response(400, error.code(), error.field(), error.what());
+    return error_response(400, error.code(), error.field(), error.detail());
   }
 
   // serve.cache: delay stalls the probe, drop bypasses the cache for this

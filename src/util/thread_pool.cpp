@@ -89,8 +89,15 @@ void parallel_for_each(ThreadPool* pool, std::size_t n,
   }
   std::vector<std::future<void>> futures;
   futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool->submit([&fn, i] { fn(i); }));
+  try {
+    for (std::size_t i = 0; i < n; ++i) {
+      futures.push_back(pool->submit([&fn, i] { fn(i); }));
+    }
+  } catch (...) {
+    // A submit that could not allocate queued nothing; the tasks already
+    // queued refer to `fn` and finish before it unwinds.
+    for (auto& future : futures) future.wait();
+    throw;
   }
   wait_all(futures);
 }

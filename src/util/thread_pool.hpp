@@ -49,7 +49,8 @@ class ThreadPool {
 
 /// Runs fn(i) for every i in [0, n), one pool task per index, and blocks
 /// until all finish. Without a pool (or for n <= 1) the calls run inline on
-/// this thread, in index order.
+/// this thread, in index order. If a task cannot be submitted, the tasks
+/// already submitted finish, the rest never run, and the error propagates.
 void parallel_for_each(ThreadPool* pool, std::size_t n,
                        const std::function<void(std::size_t)>& fn);
 

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/dna.hpp"
+#include "oracle/kernels.hpp"
 #include "oracle/sequential_mapper.hpp"
 #include "sim/contigs.hpp"
 #include "sim/genome.hpp"
@@ -311,7 +312,8 @@ TEST_F(MapperTest, HotPathMatchesReferencePathExactly) {
         break;
     }
     const MapResult fast = mapper.map_segment(segment, scratch);
-    const MapResult reference = mapper.map_segment_reference(segment, scratch);
+    const MapResult reference =
+        oracle::map_segment_reference(mapper, segment, scratch);
     ASSERT_EQ(fast, reference) << "round " << round;
   }
 }
@@ -372,9 +374,9 @@ TEST_F(MapperTest, PaperParametersHotPathMatchesReferenceOnSimReads) {
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const std::string& segment = segments[i];
     const std::vector<Minimizer> minimizers =
-        minimizer_scan_naive(segment, scan);
+        oracle::minimizer_scan_naive(segment, scan);
     if (minimizers.size() <= 1) ++tiny;
-    const Sketch reference = sketch_by_jem_reference(
+    const Sketch reference = oracle::sketch_by_jem_reference(
         minimizers, params.segment_length, mapper.hashes());
     make_sketch(segment, params, SketchScheme::kJem, mapper.hashes(),
                 sketch_scratch, sketch);
@@ -387,7 +389,7 @@ TEST_F(MapperTest, PaperParametersHotPathMatchesReferenceOnSimReads) {
     }
 
     const MapResult fast = mapper.map_segment(segment, scratch);
-    ASSERT_EQ(fast, mapper.map_segment_reference(segment, scratch))
+    ASSERT_EQ(fast, oracle::map_segment_reference(mapper, segment, scratch))
         << "segment " << i;
     const std::vector<MapResult> top = mapper.map_segment_topx(segment, 3,
                                                                scratch);
@@ -411,7 +413,7 @@ TEST_F(MapperTest, HotPathMatchesReferenceUnderClassicMinhash) {
     const std::string segment =
         genome_.substr(rng.bounded(genome_.size() - 1000), 1000);
     ASSERT_EQ(mapper.map_segment(segment, scratch),
-              mapper.map_segment_reference(segment, scratch));
+              oracle::map_segment_reference(mapper, segment, scratch));
   }
 }
 

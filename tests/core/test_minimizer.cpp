@@ -7,6 +7,7 @@
 #include "core/dna.hpp"
 #include "core/minimizer_lanes.hpp"
 #include "io/artifact.hpp"
+#include "oracle/kernels.hpp"
 #include "sim/genome.hpp"
 #include "sim/hifi_reads.hpp"
 #include "util/prng.hpp"
@@ -102,7 +103,7 @@ TEST(MinimizerScan, MatchesNaiveAcrossKAndWCorners) {
       for (MinimizerOrdering ordering : kOrderings) {
         const MinimizerParams params{k, w, ordering};
         ASSERT_EQ(minimizer_scan(seq, params),
-                  minimizer_scan_naive(seq, params))
+                  oracle::minimizer_scan_naive(seq, params))
             << "k=" << k << " w=" << w;
       }
     }
@@ -132,14 +133,14 @@ TEST(MinimizerScan, MatchesNaiveAtBlockBoundaryRunLengths) {
       for (MinimizerOrdering ordering : kOrderings) {
         const MinimizerParams params{k, w, ordering};
         ASSERT_EQ(minimizer_scan(run, params),
-                  minimizer_scan_naive(run, params))
+                  oracle::minimizer_scan_naive(run, params))
             << "w=" << w << " run=" << length;
       }
     }
     for (MinimizerOrdering ordering : kOrderings) {
       const MinimizerParams params{k, w, ordering};
       ASSERT_EQ(minimizer_scan(joined, params),
-                minimizer_scan_naive(joined, params))
+                oracle::minimizer_scan_naive(joined, params))
           << "w=" << w;
     }
   }
@@ -154,7 +155,7 @@ TEST(MinimizerScan, MatchesNaiveOnTandemRepeats) {
       for (MinimizerOrdering ordering : kOrderings) {
         const MinimizerParams params{16, w, ordering};
         ASSERT_EQ(minimizer_scan(seq, params),
-                  minimizer_scan_naive(seq, params))
+                  oracle::minimizer_scan_naive(seq, params))
             << "w=" << w << " len=" << seq.size();
       }
     }
@@ -170,7 +171,7 @@ TEST(MinimizerScan, ScratchReusedAcrossShrinkingAndGrowingWindows) {
       const std::string seq = random_dna(rng, 600 + rng.bounded(600));
       const MinimizerParams params{16, w, ordering};
       minimizer_scan(seq, params, scratch, out);
-      ASSERT_EQ(out, minimizer_scan_naive(seq, params)) << "w=" << w;
+      ASSERT_EQ(out, oracle::minimizer_scan_naive(seq, params)) << "w=" << w;
     }
   }
 }
@@ -183,7 +184,7 @@ TEST(MinimizerScan, WindowBeyondTheSequenceIsOneTruncatedWindow) {
     const MinimizerParams params{16, 1'000'000'000, ordering};
     const std::vector<Minimizer> minimizers = minimizer_scan(seq, params);
     EXPECT_EQ(minimizers.size(), 2u);
-    EXPECT_EQ(minimizers, minimizer_scan_naive(seq, params));
+    EXPECT_EQ(minimizers, oracle::minimizer_scan_naive(seq, params));
   }
 }
 
@@ -236,7 +237,8 @@ TEST(MinimizerScan, MatchesNaiveReference) {
     const int k = 3 + static_cast<int>(rng.bounded(10));
     const int w = 1 + static_cast<int>(rng.bounded(20));
     const MinimizerParams params{k, w};
-    EXPECT_EQ(minimizer_scan(seq, params), minimizer_scan_naive(seq, params))
+    EXPECT_EQ(minimizer_scan(seq, params),
+              oracle::minimizer_scan_naive(seq, params))
         << "len=" << length << " k=" << k << " w=" << w;
   }
 }
@@ -248,7 +250,8 @@ TEST(MinimizerScan, MatchesNaiveOnRepetitiveSequence) {
       "AAAAAAAAAATTTTTTTTTT";
   for (int w : {1, 2, 5, 8}) {
     const MinimizerParams params{4, w};
-    EXPECT_EQ(minimizer_scan(seq, params), minimizer_scan_naive(seq, params))
+    EXPECT_EQ(minimizer_scan(seq, params),
+              oracle::minimizer_scan_naive(seq, params))
         << "w=" << w;
   }
 }
@@ -275,7 +278,7 @@ TEST(MinimizerScan, ScratchOverloadMatchesNaiveWithReusedBuffers) {
                               : MinimizerOrdering::kRandomHash;
     const MinimizerParams params{k, w, ordering};
     minimizer_scan(seq, params, scratch, out);
-    ASSERT_EQ(out, minimizer_scan_naive(seq, params))
+    ASSERT_EQ(out, oracle::minimizer_scan_naive(seq, params))
         << "k=" << k << " w=" << w << " len=" << seq.size();
     ASSERT_EQ(out, minimizer_scan(seq, params));
   }
@@ -364,7 +367,8 @@ TEST(MinimizerScan, RandomHashOrderingMatchesNaive) {
     const MinimizerParams params{5 + static_cast<int>(rng.bounded(8)),
                                  1 + static_cast<int>(rng.bounded(15)),
                                  MinimizerOrdering::kRandomHash};
-    EXPECT_EQ(minimizer_scan(seq, params), minimizer_scan_naive(seq, params));
+    EXPECT_EQ(minimizer_scan(seq, params),
+              oracle::minimizer_scan_naive(seq, params));
   }
 }
 
@@ -462,7 +466,7 @@ class MinimizerScanLanes : public ::testing::TestWithParam<int> {
 
   /// The kernel under test against the naive oracle (and the scalar loop).
   void expect_matches_naive(std::string_view seq, const MinimizerParams& p) {
-    EXPECT_EQ(scan(seq, p), minimizer_scan_naive(seq, p))
+    EXPECT_EQ(scan(seq, p), oracle::minimizer_scan_naive(seq, p))
         << "k=" << p.k << " w=" << p.w << " len=" << seq.size();
   }
 

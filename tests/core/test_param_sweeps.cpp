@@ -11,6 +11,7 @@
 #include "core/kmer.hpp"
 #include "core/minimizer.hpp"
 #include "core/sketch.hpp"
+#include "oracle/kernels.hpp"
 #include "oracle/sequential_mapper.hpp"
 #include "util/prng.hpp"
 
@@ -71,7 +72,7 @@ TEST_P(MinimizerSweep, DequeScanMatchesNaive) {
   for (int i = 0; i < 5; ++i) {
     const std::string seq = random_dna(rng, 200 + rng.bounded(800));
     EXPECT_EQ(core::minimizer_scan(seq, params),
-              core::minimizer_scan_naive(seq, params))
+              oracle::minimizer_scan_naive(seq, params))
         << "k=" << k << " w=" << w;
   }
 }
@@ -113,7 +114,7 @@ TEST_P(SketchTrialSweep, FastMatchesNaive) {
   const core::HashFamily hashes(trials, 99);
   const core::Sketch fast = core::sketch_by_jem(minimizers, 600, hashes);
   const core::Sketch naive =
-      core::sketch_by_jem_naive(minimizers, 600, hashes);
+      oracle::sketch_by_jem_naive(minimizers, 600, hashes);
   ASSERT_EQ(fast.trials(), trials);
   for (int t = 0; t < trials; ++t) {
     EXPECT_EQ(fast.per_trial[static_cast<std::size_t>(t)],

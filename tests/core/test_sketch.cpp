@@ -7,6 +7,7 @@
 
 #include "core/dna.hpp"
 #include "core/sketch_lanes.hpp"
+#include "oracle/kernels.hpp"
 #include "util/prng.hpp"
 
 namespace jem::core {
@@ -53,7 +54,8 @@ TEST(SketchByJem, FastMatchesNaiveOnRandomInputs) {
                             rng());
     const auto interval = static_cast<std::uint32_t>(50 + rng.bounded(2000));
     const Sketch fast = sketch_by_jem(minimizers, interval, hashes);
-    const Sketch naive = sketch_by_jem_naive(minimizers, interval, hashes);
+    const Sketch naive =
+        oracle::sketch_by_jem_naive(minimizers, interval, hashes);
     ASSERT_EQ(fast.trials(), naive.trials());
     for (int t = 0; t < fast.trials(); ++t) {
       EXPECT_EQ(fast.per_trial[static_cast<std::size_t>(t)],
@@ -89,7 +91,8 @@ TEST(SketchByJem, FlatKernelMatchesNaiveWithReusedScratch) {
     const auto interval = static_cast<std::uint32_t>(
         round % 4 == 1 ? rng.bounded(2) : 1 + rng.bounded(3000));
     sketch_by_jem(minimizers, interval, hashes, scratch, flat);
-    const Sketch naive = sketch_by_jem_naive(minimizers, interval, hashes);
+    const Sketch naive =
+        oracle::sketch_by_jem_naive(minimizers, interval, hashes);
     ASSERT_EQ(flat.trials(), naive.trials());
     for (int t = 0; t < naive.trials(); ++t) {
       const auto kmers = flat.trial(t);
@@ -360,7 +363,7 @@ TEST(SketchByJem, FlatKernelMatchesFrozenReferenceKernel) {
       EXPECT_EQ(scratch.blocks.size(), count + 1) << "round " << round;
     }
     const Sketch reference =
-        sketch_by_jem_reference(minimizers, interval, hashes);
+        oracle::sketch_by_jem_reference(minimizers, interval, hashes);
     ASSERT_EQ(flat.trials(), reference.trials());
     for (int t = 0; t < reference.trials(); ++t) {
       const auto kmers = flat.trial(t);
@@ -400,9 +403,10 @@ class SketchLanes : public ::testing::TestWithParam<int> {
                                scratch_, flat_);
     detail::sketch_by_jem_with(1, minimizers, interval, hashes,
                                scalar_scratch_, scalar_);
-    const Sketch naive = sketch_by_jem_naive(minimizers, interval, hashes);
+    const Sketch naive =
+        oracle::sketch_by_jem_naive(minimizers, interval, hashes);
     const Sketch reference =
-        sketch_by_jem_reference(minimizers, interval, hashes);
+        oracle::sketch_by_jem_reference(minimizers, interval, hashes);
     ASSERT_EQ(flat_.offsets.size(),
               static_cast<std::size_t>(hashes.trials()) + 1)
         << what;

@@ -253,6 +253,25 @@ TEST(GzipMembers, CleanMembersLandInTheirSlots) {
   }
 }
 
+TEST(GzipMembers, FullSizeMembersFirstTouchTheirSlots) {
+  // Four members of more than 2 MiB each: the output buffer is large enough
+  // to be hinted onto huge pages, and nothing writes it before the four
+  // inflaters, which each fault in their own slot. The bytes are the
+  // concatenation a serial decode returns, and the stitch does nothing.
+  constexpr std::size_t kMemberBytes = std::size_t{5} << 19;  // 2.5 MiB
+  std::vector<std::string> payloads;
+  for (std::size_t i = 0; i < 4; ++i) {
+    payloads.push_back(payload_text(kMemberBytes + 4'099 * i, 60 + i));
+  }
+  const std::string expected = concat(payloads);
+  const StitchCounts counts;
+  const std::string out = gzip_decompress(members_of(payloads, 1));
+  ASSERT_EQ(out.size(), expected.size());
+  EXPECT_TRUE(out == expected);  // not EXPECT_EQ: no 10 MB diff on failure
+  EXPECT_EQ(counts.serial_members(), 0u);
+  EXPECT_EQ(counts.copied_bytes(), 0u);
+}
+
 /// `value` as the four little-endian bytes of an ISIZE trailer.
 std::string le32(std::uint32_t value) {
   std::string bytes(4, '\0');

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -28,9 +29,11 @@ TEST(StagedExecutor, StepCostIsMaxOverRanks) {
   const auto& steps = executor.steps();
   ASSERT_EQ(steps.size(), 1u);
   ASSERT_EQ(steps[0].per_rank_s.size(), 3u);
-  EXPECT_GE(steps[0].cost_s, steps[0].per_rank_s[0]);
-  EXPECT_GE(steps[0].cost_s, steps[0].per_rank_s[1]);
-  EXPECT_DOUBLE_EQ(steps[0].cost_s, steps[0].per_rank_s[2]);
+  // The cost is the slowest rank's measured time, whichever rank that was:
+  // on a loaded host a short sleep can outlast a longer one.
+  EXPECT_DOUBLE_EQ(steps[0].cost_s,
+                   *std::max_element(steps[0].per_rank_s.begin(),
+                                     steps[0].per_rank_s.end()));
 }
 
 TEST(StagedExecutor, CommStepsUseTheModel) {

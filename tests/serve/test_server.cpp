@@ -201,6 +201,14 @@ TEST_F(MappingServerTest, RoutingErrorsAreStructured) {
             "{\"error\":\"invalid-argument\",\"field\":\"top_x\","
             "\"message\":\"not an unsigned integer: 'banana'\"}");
 
+  // A value the request validation rejects names its code and field once,
+  // in their own members, and gives the bare reason as the message.
+  const HttpResponse zero_top_x = post_map(queries_[0], "?top_x=0");
+  EXPECT_EQ(zero_top_x.status, 400);
+  EXPECT_EQ(without_ids(zero_top_x.body),
+            "{\"error\":\"invalid-argument\",\"field\":\"top_x\","
+            "\"message\":\"top_x must be >= 1\"}");
+
   // Out-of-range values are rejected, never truncated or wrapped: 2^32 + 1
   // votes would cast to 1, and these budgets overflow admission + budget
   // (2^63 and up would wrap negative and silently mean "no deadline").
