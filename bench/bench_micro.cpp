@@ -700,7 +700,7 @@ void BM_Allgatherv(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
   const std::size_t elements = 4096;
   for (auto _ : state) {
-    mpisim::run_spmd(ranks, [&](mpisim::Comm& comm) {
+    mpisim::run_spmd_ft(ranks, [&](mpisim::Comm& comm) {
       std::vector<std::uint64_t> local(elements,
                                        static_cast<std::uint64_t>(comm.rank()));
       benchmark::DoNotOptimize(comm.allgatherv(local));

@@ -9,9 +9,10 @@ cmake --build build --parallel "$(nproc)"
 ctest --test-dir build --output-on-failure
 
 # Engine + chaos + serve concurrency tests under ThreadSanitizer: the
-# bounded queue, the streaming pipeline and the mpisim fault paths are the
-# lock-based concurrency in the library, the chaos suite drives them
-# through aborts/timeouts (docs/robustness.md), and the serve suite runs a
+# bounded queue, the streaming pipeline and the mpisim exchange are the
+# lock-based concurrency in the library (test_mpisim drives the exchange's
+# lock and condition variable directly), the chaos suite drives them
+# through aborts and drops (docs/robustness.md), and the serve suite runs a
 # live MappingServer with concurrent clients (docs/serve.md). The io
 # suites ride along: gzip_decompress inflates members on parallel threads,
 # and the readers above it parse what those threads wrote. So do the index
@@ -23,9 +24,9 @@ cmake -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   -DJEM_BUILD_BENCH=OFF -DJEM_BUILD_EXAMPLES=OFF
 cmake --build build-tsan --parallel "$(nproc)" --target test_engine \
-  test_chaos test_obs test_serve test_io test_core
+  test_chaos test_obs test_serve test_io test_core test_mpisim
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|Gzip|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|SketchTable|IndexBuild|FlatSketchIndex|Distributed|SketchLanes|LaneModulo'
+  -R 'RunSpmd|Allgatherv|Gatherv|AllToAllv|CommStats|StressTest|StagedExecutor|Engine|BoundedQueue|Chaos|FaultPlan|Property|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|Gzip|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|SketchTable|IndexBuild|FlatSketchIndex|Distributed|SketchLanes|LaneModulo'
 
 # The same suites under AddressSanitizer + UndefinedBehaviorSanitizer: the
 # fault-injection shutdown paths (worker aborts, queue closes, partial
@@ -45,9 +46,9 @@ cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
   -DJEM_BUILD_BENCH=OFF -DJEM_BUILD_EXAMPLES=ON
 cmake --build build-asan --parallel "$(nproc)" --target test_engine \
-  test_chaos test_io test_core test_obs test_serve jem obs_check
+  test_chaos test_io test_core test_obs test_serve test_mpisim jem obs_check
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|SketchLanes|LaneModulo|ClassicMinhash|MapperTest|FlatSketchIndex|SketchTable|IndexBuild'
+  -R 'RunSpmd|Allgatherv|Gatherv|AllToAllv|CommStats|StressTest|StagedExecutor|Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|SketchLanes|LaneModulo|ClassicMinhash|MapperTest|FlatSketchIndex|SketchTable|IndexBuild'
 
 # Hot-path bench smoke (the default build type is Release): a short run of
 # the BM_Hotpath* family catches wiring regressions in the flat-index /

@@ -5,10 +5,15 @@
 //
 //   jem map --subjects contigs.fa --queries reads.fq --output out.tsv
 //           [--k 16] [--w 100] [--trials 30] [--segment 1000]
-//           [--ranks 4 | --threads 8] [--scheme jem|minhash]
+//           [--ranks 4 [--partitioned] | --threads 8] [--scheme jem|minhash]
 //           [--save-index idx | --load-index idx]
 //           [--batch N --checkpoint run.ckpt [--resume]]
 //           [--metrics out.json] [--trace out.trace.json] [--progress]
+//
+// --ranks runs the distributed S1-S4 driver on reads held in memory, one
+// thread per rank; the engine-path flags (--tiled, --threads, --batch,
+// --checkpoint, --resume, --save-index, --load-index) are usage errors
+// beside it, as is --partitioned without it.
 //
 // With --demo (no input files) it simulates a small dataset, maps it, and
 // writes the mapping. Parameter assembly goes through the
@@ -23,6 +28,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "cli/cli.hpp"
 #include "core/jem.hpp"
@@ -39,12 +45,20 @@
 
 namespace jem::cli {
 
+namespace {
+
+/// Largest --ranks value: the simulated runtime starts one thread per rank,
+/// and each replicated rank holds its own copy of the sketch table.
+constexpr std::uint64_t kMaxRanks = 256;
+
+}  // namespace
+
 int run_map(std::span<const char* const> args, std::string_view program) {
   std::string subjects_path;
   std::string queries_path;
   std::string output_path = "mappings.tsv";
   SketchFlags sketch;
-  std::uint64_t ranks = 0;
+  std::optional<std::uint64_t> ranks;
   std::uint64_t threads = 0;
   bool demo = false;
   bool tiled = false;
@@ -62,7 +76,10 @@ int run_map(std::span<const char* const> args, std::string_view program) {
   options.add_string("queries", queries_path, "long-read FASTA/FASTQ path");
   options.add_string("output", output_path, "output mapping TSV path");
   sketch.add_to(options);
-  options.add_uint("ranks", ranks, "run distributed on this many ranks");
+  options.add_uint("ranks", ranks,
+                   "run distributed on this many ranks, 1 to " +
+                       std::to_string(kMaxRanks) +
+                       " (one thread per rank)");
   bool partitioned = false;
   options.add_flag("partitioned", partitioned,
                    "with --ranks: shard the sketch table by k-mer instead "
@@ -103,6 +120,29 @@ int run_map(std::span<const char* const> args, std::string_view program) {
     (void)options.parse(args);
   } catch (const util::OptionError& error) {
     std::cerr << error.what() << '\n' << options.usage(program);
+    return kExitUsage;
+  }
+  if (ranks) {
+    if (*ranks < 1 || *ranks > kMaxRanks) {
+      std::cerr << "error: --ranks must be in [1, " << kMaxRanks << "]\n";
+      return kExitUsage;
+    }
+    const std::pair<bool, const char*> engine_only[] = {
+        {tiled, "--tiled"},
+        {threads != 0, "--threads"},
+        {batch != 0, "--batch"},
+        {!checkpoint_path.empty(), "--checkpoint"},
+        {resume, "--resume"},
+        {!save_index_path.empty(), "--save-index"},
+        {!load_index_path.empty(), "--load-index"}};
+    for (const auto& [given, flag] : engine_only) {
+      if (given) {
+        std::cerr << "error: " << flag << " does not apply with --ranks\n";
+        return kExitUsage;
+      }
+    }
+  } else if (partitioned) {
+    std::cerr << "error: --partitioned needs --ranks\n";
     return kExitUsage;
   }
 
@@ -223,19 +263,18 @@ int run_map(std::span<const char* const> args, std::string_view program) {
   util::WallTimer timer;
   std::vector<io::MappingLine> lines;
   bool published = false;  // checkpointed runs write their output themselves
-  if (ranks > 0) {
+  if (ranks) {
+    const int rank_count = static_cast<int>(*ranks);
     const core::DistributedResult result =
         partitioned
             ? core::run_distributed_partitioned(subjects, reads, params,
-                                                static_cast<int>(ranks),
-                                                scheme, {}, obs)
-            : core::run_distributed(subjects, reads, params,
-                                    static_cast<int>(ranks), scheme,
-                                    /*threads_per_rank=*/1, {}, {}, obs);
+                                                rank_count, scheme, {}, obs)
+            : core::run_distributed(subjects, reads, params, rank_count,
+                                    scheme, /*threads_per_rank=*/1, {}, obs);
     const core::JemMapper name_resolver(subjects, params, scheme,
                                         core::SketchTable(params.trials));
     lines = name_resolver.to_mapping_lines(reads, result.mappings);
-    util::log_info() << "distributed (" << ranks << " ranks): total "
+    util::log_info() << "distributed (" << rank_count << " ranks): total "
                      << result.report.total_s() << " s, allgather "
                      << result.report.allgather_s << " s";
     for (const core::RankStageTimes& rank : result.report.per_rank) {

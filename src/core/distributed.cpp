@@ -1,12 +1,10 @@
 #include "core/distributed.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
+#include <functional>
 #include <stdexcept>
 
 #include "core/engine.hpp"
-#include "core/index_serde.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/prng.hpp"
@@ -29,9 +27,6 @@ void DistributedStepReport::publish(obs::Registry& registry) const {
   registry.counter("distributed.queries_recovered").add(queries_recovered);
   registry.counter("distributed.faults_injected").add(faults_injected);
   registry.counter("distributed.rank_failures").add(failed_ranks.size());
-  registry.counter("distributed.shards_loaded").add(shards_loaded);
-  registry.counter("distributed.shards_saved").add(shards_saved);
-  registry.counter("distributed.shard_load_errors").add(shard_load_errors);
   registry.counter("distributed.sketch_bytes", obs::Unit::kBytes)
       .add(sketch_bytes);
   registry.counter("distributed.load_ns", obs::Unit::kNanos)
@@ -89,18 +84,7 @@ void sort_by_read(std::vector<SegmentMapping>& mappings) {
             });
 }
 
-}  // namespace
-
-namespace {
-
-mpisim::SpmdOptions spmd_options_for(const RobustnessOptions& robust,
-                                     const obs::ObsHooks& obs) {
-  mpisim::SpmdOptions options;
-  options.comm = robust.comm;
-  if (!robust.fault_plan.empty()) options.fault_plan = &robust.fault_plan;
-  options.obs = obs;
-  return options;
-}
+double seconds(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
 
 /// The engine request every distributed map step runs: one serial batch
 /// that publishes into the run's metrics registry. The tracer stays off so
@@ -111,33 +95,123 @@ MapRequest map_request_for(const obs::ObsHooks& obs) {
   return request;
 }
 
-/// The driver-side recovery path shared by both SPMD strategies: assembles
-/// the output from each rank's deposited local results and re-maps every
-/// un-deposited (failed) rank's query partition against a freshly built
-/// *full* sketch table — which is identical to the replicated S_global, so
-/// recovered partitions match what the failed rank would have produced.
-std::vector<SegmentMapping> recover_lost_partitions(
+/// One rank's share of an SPMD run: its S1 ranges going in, its results
+/// coming out. Written only by the owning rank's thread; read by the driver
+/// after the join.
+struct RankSlot {
+  std::pair<io::SeqId, io::SeqId> subjects;  // S1: local subject range
+  std::pair<io::SeqId, io::SeqId> queries;   // S1: local read range
+  /// Survivors no longer depend on this rank: its sketch reached the S3
+  /// union (replicated) or its shard answered every probe (partitioned).
+  /// A rank that fails before that degrades the run.
+  bool shared = false;
+  /// `mappings` holds this rank's whole S4 result.
+  bool deposited = false;
+  std::vector<SegmentMapping> mappings;
+  RankStageTimes times;             // zero for a rank that died in S2-S4
+  std::uint64_t table_entries = 0;  // this rank's sketch-table size
+};
+
+/// A strategy's S2-S4 body, run on every rank: it reads the slot's ranges
+/// and fills in `shared`, `mappings`, `times` and `table_entries`.
+using RankStages = std::function<void(mpisim::Comm&, RankSlot&)>;
+
+/// The SPMD skeleton both strategies share. S1 partitions subjects and
+/// reads by bases; every rank runs `stages`, deposits its mappings in its
+/// slot and gathers them at rank 0. If a rank failed, the output is
+/// assembled from the deposits instead (the rank-0 gather may be incomplete,
+/// or rank 0 the casualty), and every failed rank's query partition is
+/// re-mapped against a freshly built *full* sketch table. That table is
+/// identical to the replicated S_global, so a recovered partition matches
+/// what the failed rank would have produced. `sketch_bytes` reads the
+/// report's exchange volume off the run's communication stats.
+DistributedResult run_ranks(
     const io::SequenceSet& subjects, const io::SequenceSet& reads,
-    const MapParams& params, SketchScheme scheme,
-    const std::vector<std::pair<io::SeqId, io::SeqId>>& read_ranges,
-    const std::vector<std::vector<SegmentMapping>>& deposits,
-    const std::vector<char>& deposited, const MapRequest& request,
-    std::uint64_t& queries_recovered) {
-  std::vector<SegmentMapping> assembled;
-  const MappingEngine recovery_engine(subjects, params, scheme);
-  for (std::size_t r = 0; r < deposits.size(); ++r) {
-    if (deposited[r] != 0) {
-      assembled.insert(assembled.end(), deposits[r].begin(),
-                       deposits[r].end());
-      continue;
-    }
-    const auto [q_begin, q_end] = read_ranges[r];
-    const std::vector<SegmentMapping> recovered =
-        recovery_engine.run(reads, q_begin, q_end, request).mappings;
-    queries_recovered += recovered.size();
-    assembled.insert(assembled.end(), recovered.begin(), recovered.end());
+    const MapParams& params, int ranks, SketchScheme scheme,
+    const RobustnessOptions& robust, const obs::ObsHooks& obs,
+    const RankStages& stages,
+    std::uint64_t (*sketch_bytes)(const mpisim::CommStats&)) {
+  util::WallTimer load_timer;
+  const auto subject_ranges = partition_by_bases(subjects, ranks);
+  const auto read_ranges = partition_by_bases(reads, ranks);
+  std::vector<RankSlot> slots(subject_ranges.size());
+  for (std::size_t r = 0; r < slots.size(); ++r) {
+    slots[r].subjects = subject_ranges[r];
+    slots[r].queries = read_ranges[r];
   }
-  return assembled;
+  DistributedResult result;
+  DistributedStepReport& report = result.report;
+  report.ranks = ranks;
+  report.load_s = load_timer.elapsed_s();
+
+  mpisim::SpmdOptions options;
+  if (!robust.fault_plan.empty()) options.fault_plan = &robust.fault_plan;
+  options.obs = obs;
+  const mpisim::SpmdReport spmd = mpisim::run_spmd_ft(
+      ranks,
+      [&](mpisim::Comm& comm) {
+        RankSlot& slot = slots[static_cast<std::size_t>(comm.rank())];
+        stages(comm, slot);
+        slot.deposited = true;
+
+        std::vector<MappingWire> wire;
+        wire.reserve(slot.mappings.size());
+        for (const SegmentMapping& mapping : slot.mappings) {
+          wire.push_back(to_wire(mapping));
+        }
+        // Only rank 0 receives parts, so only its thread writes here.
+        for (const auto& part : comm.gatherv<MappingWire>(wire, /*root=*/0)) {
+          for (const MappingWire& w : part) {
+            result.mappings.push_back(from_wire(w));
+          }
+        }
+      },
+      options);
+
+  if (!spmd.ok()) {
+    util::WallTimer recover_timer;
+    const MappingEngine recovery_engine(subjects, params, scheme);
+    result.mappings.clear();
+    for (RankSlot& slot : slots) {
+      if (!slot.deposited) {
+        slot.mappings = recovery_engine
+                            .run(reads, slot.queries.first,
+                                 slot.queries.second, map_request_for(obs))
+                            .mappings;
+        report.queries_recovered += slot.mappings.size();
+      }
+      result.mappings.insert(result.mappings.end(), slot.mappings.begin(),
+                             slot.mappings.end());
+    }
+    report.recover_s = recover_timer.elapsed_s();
+  }
+  sort_by_read(result.mappings);
+
+  for (std::size_t r = 0; r < slots.size(); ++r) {
+    RankStageTimes& times = slots[r].times;
+    times.rank = static_cast<int>(r);
+    report.sketch_subjects_s = std::max(report.sketch_subjects_s,
+                                        times.sketch_s);
+    report.allgather_s = std::max(report.allgather_s, times.allgather_s);
+    report.build_global_s = std::max(report.build_global_s, times.build_s);
+    report.map_queries_s = std::max(report.map_queries_s, times.map_s);
+    report.table_entries_max =
+        std::max(report.table_entries_max, slots[r].table_entries);
+    report.queries_mapped += slots[r].mappings.size();
+    report.per_rank.push_back(times);
+  }
+  report.failed_ranks = spmd.failed_ranks();
+  for (const int rank : report.failed_ranks) {
+    if (!slots[static_cast<std::size_t>(rank)].shared) report.degraded = true;
+  }
+  report.faults_injected = spmd.faults_injected;
+  report.comm = spmd.stats;
+  report.sketch_bytes = sketch_bytes(spmd.stats);
+  if (obs.metrics != nullptr) {
+    report.publish(*obs.metrics);
+    publish_kernel_lanes(*obs.metrics);
+  }
+  return result;
 }
 
 }  // namespace
@@ -147,7 +221,6 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
                                   const MapParams& params, int ranks,
                                   SketchScheme scheme, int threads_per_rank,
                                   const RobustnessOptions& robust,
-                                  const IndexCacheOptions& index_cache,
                                   const obs::ObsHooks& obs) {
   params.validate();
   // Checked here: MapRequest::threads == 0 would mean every hardware
@@ -156,188 +229,57 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
     throw std::invalid_argument(
         "run_distributed: threads_per_rank must be >= 1");
   }
+  const auto threads = static_cast<std::size_t>(threads_per_rank);
   MapRequest rank_request = map_request_for(obs);
-  if (threads_per_rank > 1) {
+  if (threads > 1) {
     rank_request.backend = MapBackend::kPool;
-    rank_request.threads = static_cast<std::size_t>(threads_per_rank);
-  }
-  DistributedResult result;
-  result.report.ranks = ranks;
-
-  std::vector<SegmentMapping> gathered;
-  std::mutex report_mutex;
-  double max_sketch_s = 0.0;
-  double max_map_s = 0.0;
-  double allgather_s = 0.0;
-  double build_global_s = 0.0;
-  std::uint64_t sketch_bytes = 0;
-  std::uint64_t table_entries_max = 0;
-  std::uint64_t queries_mapped = 0;
-  std::atomic<std::uint64_t> shards_loaded{0};
-  std::atomic<std::uint64_t> shards_saved{0};
-  std::atomic<std::uint64_t> shard_load_errors{0};
-
-  util::WallTimer load_timer;
-  const auto subject_ranges = partition_by_bases(subjects, ranks);
-  const auto read_ranges = partition_by_bases(reads, ranks);
-  const double load_s = load_timer.elapsed_s();
-
-  // Per-rank slots for the recovery path: each rank deposits its local
-  // results before the final gather and flags how far it got (distinct
-  // vector elements, written only by the owning rank — no locking needed).
-  const auto p = static_cast<std::size_t>(ranks);
-  std::vector<std::vector<SegmentMapping>> deposits(p);
-  std::vector<char> deposited(p, 0);
-  std::vector<char> shared_sketch(p, 0);
-  std::vector<RankStageTimes> rank_times(p);
-
-  const mpisim::SpmdReport spmd = mpisim::run_spmd_ft(
-      ranks,
-      [&](mpisim::Comm& comm) {
-        const int rank = comm.rank();
-        const auto r = static_cast<std::size_t>(rank);
-        const auto [s_begin, s_end] = subject_ranges[r];
-        const auto [q_begin, q_end] = read_ranges[r];
-
-        // Every rank derives the shared hash family from the experiment
-        // seed.
-        const HashFamily hashes(params.trials, params.seed);
-
-        // S2: sketch local subjects — or load this rank's cached shard
-        // artifact. The artifact fingerprint binds it to (params, scheme,
-        // subject set) and the filename to (p, rank), which determine the
-        // subject range; any defect falls back to sketching, so a corrupt
-        // or stale cache can never change the output.
-        comm.fault_point("S2:sketch");
-        obs::StageSpan sketch_span(obs, "S2:sketch");
-        std::vector<SketchEntry> local_entries;
-        bool shard_loaded = false;
-        if (index_cache.enabled() && index_cache.load) {
-          try {
-            local_entries = load_index(index_cache.shard_path(rank, ranks),
-                                       params, scheme, subjects)
-                                .to_entries();
-            shard_loaded = true;
-            shards_loaded.fetch_add(1, std::memory_order_relaxed);
-          } catch (const io::ArtifactError& error) {
-            // A missing shard is a plain cache miss (cold cache); anything
-            // else is a rejected artifact worth surfacing in the report.
-            if (error.reason() != io::ArtifactReason::kOpenFailed) {
-              shard_load_errors.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        }
-        const auto threads = static_cast<std::size_t>(threads_per_rank);
-        if (!shard_loaded) {
-          local_entries = sketch_subjects(subjects, s_begin, s_end, params,
-                                          scheme, hashes, threads);
-          if (index_cache.enabled() && index_cache.save) {
-            save_index(index_cache.shard_path(rank, ranks),
-                       SketchTable::from_entries(params.trials,
-                                                 local_entries, threads),
-                       params, scheme, subjects);
-            shards_saved.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        const double sketch_s =
-            static_cast<double>(sketch_span.finish()) * 1e-9;
-
-        // S3: allgatherv the sketch entries; rebuild the replicated table.
-        obs::StageSpan gather_span(obs, "S3:allgather");
-        const std::vector<SketchEntry> global_entries =
-            comm.allgatherv<SketchEntry>(local_entries);
-        const double gather_s =
-            static_cast<double>(gather_span.finish()) * 1e-9;
-        shared_sketch[r] = 1;  // this rank's entries reached the union
-
-        obs::StageSpan build_span(obs, "S3:build");
-        SketchTable global =
-            SketchTable::from_entries(params.trials, global_entries, threads);
-        const double build_s = static_cast<double>(build_span.finish()) * 1e-9;
-
-        // S4: map local queries — on this rank's thread, or on a
-        // rank-private engine pool in hybrid mode.
-        comm.fault_point("S4:map");
-        obs::StageSpan map_span(obs, "S4:map");
-        const MappingEngine engine(subjects, params, scheme,
-                                   std::move(global));
-        const std::vector<SegmentMapping> local_mappings =
-            engine.run(reads, q_begin, q_end, rank_request).mappings;
-        const double map_s = static_cast<double>(map_span.finish()) * 1e-9;
-
-        deposits[r] = local_mappings;
-        deposited[r] = 1;
-        rank_times[r] = {rank, sketch_s, gather_s, build_s, map_s};
-
-        // Gather results at rank 0.
-        std::vector<MappingWire> wire;
-        wire.reserve(local_mappings.size());
-        for (const SegmentMapping& mapping : local_mappings) {
-          wire.push_back(to_wire(mapping));
-        }
-        const auto all_wire = comm.gatherv<MappingWire>(wire, /*root=*/0);
-
-        std::lock_guard lock(report_mutex);
-        max_sketch_s = std::max(max_sketch_s, sketch_s);
-        max_map_s = std::max(max_map_s, map_s);
-        allgather_s = std::max(allgather_s, gather_s);
-        build_global_s = std::max(build_global_s, build_s);
-        table_entries_max = std::max(
-            table_entries_max,
-            static_cast<std::uint64_t>(engine.mapper().table().size()));
-        queries_mapped += local_mappings.size();
-        if (rank == 0) {
-          sketch_bytes = global_entries.size() * sizeof(SketchEntry);
-          for (const auto& part : all_wire) {
-            for (const MappingWire& w : part) gathered.push_back(from_wire(w));
-          }
-        }
-      },
-      spmd_options_for(robust, obs));
-
-  std::uint64_t queries_recovered = 0;
-  double recover_s = 0.0;
-  if (!spmd.ok()) {
-    // Assemble from the per-rank deposits (the rank-0 gather may itself be
-    // incomplete — or rank 0 may be the casualty) and re-map what was lost.
-    util::WallTimer recover_timer;
-    gathered = recover_lost_partitions(subjects, reads, params, scheme,
-                                       read_ranges, deposits, deposited,
-                                       map_request_for(obs),
-                                       queries_recovered);
-    recover_s = recover_timer.elapsed_s();
-    queries_mapped += queries_recovered;
+    rank_request.threads = threads;
   }
 
-  sort_by_read(gathered);
-  result.mappings = std::move(gathered);
-  result.report.load_s = load_s;
-  result.report.sketch_subjects_s = max_sketch_s;
-  result.report.allgather_s = allgather_s;
-  result.report.build_global_s = build_global_s;
-  result.report.map_queries_s = max_map_s;
-  result.report.sketch_bytes = sketch_bytes;
-  result.report.queries_mapped = queries_mapped;
-  result.report.table_entries_max = table_entries_max;
-  result.report.failed_ranks = spmd.failed_ranks();
-  result.report.queries_recovered = queries_recovered;
-  result.report.recover_s = recover_s;
-  result.report.faults_injected = spmd.faults_injected;
-  result.report.shards_loaded = shards_loaded.load();
-  result.report.shards_saved = shards_saved.load();
-  result.report.shard_load_errors = shard_load_errors.load();
-  for (std::size_t r = 0; r < rank_times.size(); ++r) {
-    rank_times[r].rank = static_cast<int>(r);  // a dead rank's slot is zeroed
-  }
-  result.report.per_rank = std::move(rank_times);
-  result.report.comm = spmd.stats;
-  for (const int rank : result.report.failed_ranks) {
-    if (shared_sketch[static_cast<std::size_t>(rank)] == 0) {
-      result.report.degraded = true;  // its sketch never reached survivors
-    }
-  }
-  if (obs.metrics != nullptr) result.report.publish(*obs.metrics);
-  return result;
+  const auto stages = [&](mpisim::Comm& comm, RankSlot& slot) {
+    // Every rank derives the shared hash family from the experiment seed.
+    const HashFamily hashes(params.trials, params.seed);
+
+    // S2: sketch local subjects.
+    comm.fault_point("S2:sketch");
+    obs::StageSpan sketch_span(obs, "S2:sketch");
+    const std::vector<SketchEntry> local_entries =
+        sketch_subjects(subjects, slot.subjects.first, slot.subjects.second,
+                        params, scheme, hashes, threads);
+    const double sketch_s = seconds(sketch_span.finish());
+
+    // S3: allgatherv the sketch entries; rebuild the replicated table.
+    obs::StageSpan gather_span(obs, "S3:allgather");
+    const std::vector<SketchEntry> global_entries =
+        comm.allgatherv<SketchEntry>(local_entries);
+    const double gather_s = seconds(gather_span.finish());
+    slot.shared = true;  // this rank's entries reached the union
+
+    obs::StageSpan build_span(obs, "S3:build");
+    SketchTable global =
+        SketchTable::from_entries(params.trials, global_entries, threads);
+    const double build_s = seconds(build_span.finish());
+
+    // S4: map local queries — on this rank's thread, or on a rank-private
+    // engine pool in hybrid mode.
+    comm.fault_point("S4:map");
+    obs::StageSpan map_span(obs, "S4:map");
+    const MappingEngine engine(subjects, params, scheme, std::move(global));
+    slot.mappings = engine
+                        .run(reads, slot.queries.first, slot.queries.second,
+                             rank_request)
+                        .mappings;
+    slot.times = {comm.rank(), sketch_s, gather_s, build_s,
+                  seconds(map_span.finish())};
+    slot.table_entries = engine.mapper().table().size();
+  };
+  // S3's volume: the union rank 0 received from the allgather.
+  const auto union_bytes = [](const mpisim::CommStats& comm) -> std::uint64_t {
+    const auto site = comm.per_site.find("allgatherv");
+    return site == comm.per_site.end() ? 0 : site->second.recv_bytes[0];
+  };
+  return run_ranks(subjects, reads, params, ranks, scheme, robust, obs,
+                   stages, union_bytes);
 }
 
 namespace {
@@ -372,34 +314,11 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
                                               const RobustnessOptions& robust,
                                               const obs::ObsHooks& obs) {
   params.validate();
-  DistributedResult result;
-  result.report.ranks = ranks;
-
-  const auto subject_ranges = partition_by_bases(subjects, ranks);
-  const auto read_ranges = partition_by_bases(reads, ranks);
-
-  std::vector<SegmentMapping> gathered;
-  std::mutex report_mutex;
-  std::uint64_t table_entries_max = 0;
-  std::uint64_t queries_mapped = 0;
-
-  // Recovery slots, one per rank (written only by the owner; see the
-  // replicated driver). Unlike the replicated strategy, *any* abort before
-  // the replies exchange degrades survivors: the dead rank's table shard
-  // stops answering probes, so surviving queries lose those votes.
-  const auto num_ranks = static_cast<std::size_t>(ranks);
-  std::vector<std::vector<SegmentMapping>> deposits(num_ranks);
-  std::vector<char> deposited(num_ranks, 0);
-  std::vector<char> served(num_ranks, 0);
-  std::vector<RankStageTimes> rank_times(num_ranks);
-
-  const mpisim::SpmdReport spmd =
-      mpisim::run_spmd_ft(ranks, [&](mpisim::Comm& comm) {
-    const int rank = comm.rank();
+  // Unlike the replicated strategy, *any* abort before the replies exchange
+  // degrades survivors: the dead rank's table shard stops answering probes,
+  // so surviving queries lose those votes.
+  const auto stages = [&](mpisim::Comm& comm, RankSlot& slot) {
     const int p = comm.size();
-    const auto [s_begin, s_end] =
-        subject_ranges[static_cast<std::size_t>(rank)];
-    const auto [q_begin, q_end] = read_ranges[static_cast<std::size_t>(rank)];
     const HashFamily hashes(params.trials, params.seed);
 
     // S2: sketch local subjects, then route every entry to its k-mer's
@@ -407,8 +326,9 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
     comm.fault_point("P:route");
     obs::StageSpan sketch_span(obs, "P:sketch");
     const std::vector<SketchEntry> local =
-        sketch_subjects(subjects, s_begin, s_end, params, scheme, hashes);
-    const double sketch_s = static_cast<double>(sketch_span.finish()) * 1e-9;
+        sketch_subjects(subjects, slot.subjects.first, slot.subjects.second,
+                        params, scheme, hashes);
+    const double sketch_s = seconds(sketch_span.finish());
     obs::StageSpan route_span(obs, "P:route");
     std::vector<std::vector<SketchEntry>> outgoing(
         static_cast<std::size_t>(p));
@@ -421,18 +341,19 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
     for (const auto& part : incoming) {
       shard_entries.insert(shard_entries.end(), part.begin(), part.end());
     }
-    const double route_s = static_cast<double>(route_span.finish()) * 1e-9;
+    const double route_s = seconds(route_span.finish());
     obs::StageSpan build_span(obs, "P:build-shard");
     const SketchTable shard =
         SketchTable::from_entries(params.trials, shard_entries);
-    const double build_s = static_cast<double>(build_span.finish()) * 1e-9;
+    const double build_s = seconds(build_span.finish());
 
     // S4a: sketch local query segments and bucket the probes by owner.
     comm.fault_point("P:map");
     obs::StageSpan map_span(obs, "P:map");
     std::vector<SegmentMapping> local_segments;
     std::vector<std::vector<QueryProbe>> probes(static_cast<std::size_t>(p));
-    for (io::SeqId read = q_begin; read < q_end; ++read) {
+    for (io::SeqId read = slot.queries.first; read < slot.queries.second;
+         ++read) {
       for (const EndSegment& segment : extract_end_segments(
                read, reads.bases(read), params.segment_length)) {
         const auto segment_id =
@@ -472,7 +393,7 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
       }
     }
     auto incoming_replies = comm.all_to_allv<HitReply>(replies);
-    served[static_cast<std::size_t>(rank)] = 1;  // shard answered all probes
+    slot.shared = true;  // this rank's shard answered all probes
 
     // S4c: aggregate votes locally. Sorting by (segment, trial, subject)
     // and deduplicating realizes the per-trial hit *sets* of Algorithm 2.
@@ -515,78 +436,18 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
       }
     }
 
-    const double map_s = static_cast<double>(map_span.finish()) * 1e-9;
-    deposits[static_cast<std::size_t>(rank)] = local_segments;
-    deposited[static_cast<std::size_t>(rank)] = 1;
-    rank_times[static_cast<std::size_t>(rank)] = {rank, sketch_s, route_s,
-                                                  build_s, map_s};
-
-    // Gather results at rank 0 (same as the replicated driver).
-    std::vector<MappingWire> wire;
-    wire.reserve(local_segments.size());
-    for (const SegmentMapping& mapping : local_segments) {
-      wire.push_back(to_wire(mapping));
-    }
-    const auto all_wire = comm.gatherv<MappingWire>(wire, /*root=*/0);
-
-    std::lock_guard lock(report_mutex);
-    table_entries_max =
-        std::max(table_entries_max,
-                 static_cast<std::uint64_t>(shard.size()));
-    queries_mapped += local_segments.size();
-    if (rank == 0) {
-      for (const auto& part : all_wire) {
-        for (const MappingWire& w : part) gathered.push_back(from_wire(w));
-      }
-    }
-  }, spmd_options_for(robust, obs));
-
-  std::uint64_t queries_recovered = 0;
-  double recover_s = 0.0;
-  if (!spmd.ok()) {
-    util::WallTimer recover_timer;
-    gathered = recover_lost_partitions(subjects, reads, params, scheme,
-                                       read_ranges, deposits, deposited,
-                                       map_request_for(obs),
-                                       queries_recovered);
-    recover_s = recover_timer.elapsed_s();
-    queries_mapped += queries_recovered;
-  }
-
-  sort_by_read(gathered);
-  result.mappings = std::move(gathered);
-  result.report.queries_mapped = queries_mapped;
-  result.report.table_entries_max = table_entries_max;
+    slot.mappings = std::move(local_segments);
+    slot.times = {comm.rank(), sketch_s, route_s, build_s,
+                  seconds(map_span.finish())};
+    slot.table_entries = shard.size();
+  };
   // For the partitioned strategy the interesting volume is everything the
   // collectives moved (entry routing + probes + replies + result gather).
-  result.report.sketch_bytes = spmd.stats.collective_bytes;
-  result.report.failed_ranks = spmd.failed_ranks();
-  result.report.queries_recovered = queries_recovered;
-  result.report.recover_s = recover_s;
-  result.report.faults_injected = spmd.faults_injected;
-  for (std::size_t r = 0; r < rank_times.size(); ++r) {
-    rank_times[r].rank = static_cast<int>(r);
-    result.report.sketch_subjects_s =
-        std::max(result.report.sketch_subjects_s, rank_times[r].sketch_s);
-    result.report.allgather_s =
-        std::max(result.report.allgather_s, rank_times[r].allgather_s);
-    result.report.build_global_s =
-        std::max(result.report.build_global_s, rank_times[r].build_s);
-    result.report.map_queries_s =
-        std::max(result.report.map_queries_s, rank_times[r].map_s);
-  }
-  result.report.per_rank = std::move(rank_times);
-  result.report.comm = spmd.stats;
-  for (const int rank : result.report.failed_ranks) {
-    if (served[static_cast<std::size_t>(rank)] == 0) {
-      result.report.degraded = true;  // its shard stopped answering probes
-    }
-  }
-  if (obs.metrics != nullptr) {
-    result.report.publish(*obs.metrics);
-    publish_kernel_lanes(*obs.metrics);
-  }
-  return result;
+  const auto all_bytes = [](const mpisim::CommStats& comm) {
+    return comm.collective_bytes;
+  };
+  return run_ranks(subjects, reads, params, ranks, scheme, robust, obs,
+                   stages, all_bytes);
 }
 
 DistributedResult run_staged(const io::SequenceSet& subjects,

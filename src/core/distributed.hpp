@@ -45,42 +45,13 @@ static_assert(sizeof(MappingWire) == 24);
 [[nodiscard]] MappingWire to_wire(const SegmentMapping& mapping) noexcept;
 [[nodiscard]] SegmentMapping from_wire(const MappingWire& wire) noexcept;
 
-/// Fault/timeout configuration for the distributed drivers
-/// (docs/robustness.md). Default-constructed = no faults, infinite waits —
-/// exactly the pre-robustness behavior.
+/// Fault configuration for the distributed drivers (docs/robustness.md).
+/// Default-constructed = no faults.
 struct RobustnessOptions {
   /// Deterministic fault schedule threaded through every mpisim collective
   /// plus the drivers' named sites ("S2:sketch", "S4:map", "P:route",
   /// "P:map"; staged mode uses its step names).
   util::FaultPlan fault_plan;
-
-  /// Timeout/retry policy for blocking communicator waits.
-  mpisim::CommConfig comm;
-};
-
-/// Per-rank sketch-shard caching for run_distributed (replicated strategy).
-/// With a directory set, each rank persists its S2 result as a checksummed
-/// index artifact `shard_p<ranks>_r<rank>.jemidx` (core/index_serde) and
-/// later runs load it instead of re-sketching — S2 becomes file I/O. The
-/// artifact's fingerprint binds it to the exact subject set and mapping
-/// parameters; the filename binds it to the partition (rank count + rank,
-/// which determine the subject range). Any defect — truncation, bit rot, a
-/// parameter or dataset change — fails the load as a structured
-/// ArtifactError and the rank silently falls back to sketching (counted in
-/// DistributedStepReport::shard_load_errors). Output is bit-identical with
-/// caching on, off, or partially hit.
-struct IndexCacheOptions {
-  std::string dir;    // empty = caching disabled
-  bool save = true;   // persist freshly sketched shards
-  bool load = true;   // try loading shards before sketching
-
-  [[nodiscard]] bool enabled() const noexcept { return !dir.empty(); }
-
-  /// The shard artifact path for `rank` of `ranks`.
-  [[nodiscard]] std::string shard_path(int rank, int ranks) const {
-    return dir + "/shard_p" + std::to_string(ranks) + "_r" +
-           std::to_string(rank) + ".jemidx";
-  }
 };
 
 /// One rank's stage wall times within a distributed run — the S1-S4
@@ -89,7 +60,7 @@ struct IndexCacheOptions {
 /// rule (S1) is supposed to minimize.
 struct RankStageTimes {
   int rank = 0;
-  double sketch_s = 0.0;     // S2: sketch local subjects (or load shard)
+  double sketch_s = 0.0;     // S2: sketch local subjects
   double allgather_s = 0.0;  // S3: time inside the collective (incl. wait)
   double build_s = 0.0;      // S3: global table reconstruction
   double map_s = 0.0;        // S4: map local queries
@@ -116,10 +87,6 @@ struct DistributedStepReport {
   double recover_s = 0.0;               // time spent redoing lost work
   std::uint64_t faults_injected = 0;    // fault decisions that fired
 
-  // Shard-cache accounting (IndexCacheOptions; all zero with caching off).
-  std::uint64_t shards_loaded = 0;      // S2 results read from artifacts
-  std::uint64_t shards_saved = 0;       // S2 results persisted this run
-  std::uint64_t shard_load_errors = 0;  // artifacts rejected (rebuilt fresh)
   /// True when a failure cost shared state the survivors depended on (a
   /// rank died before contributing its sketch to S3, or before answering
   /// probes in partitioned mode): every query is still mapped, but
@@ -173,19 +140,17 @@ struct DistributedResult {
 /// runs add their engine.* and core.hotpath.* metrics to it, summed over
 /// ranks.
 ///
-/// With `robust` set, ranks that abort (injected faults, timeouts) are
-/// tolerated: the survivors complete, the driver re-maps every failed
-/// rank's query partition against the full sketch table, and the report
-/// records failed_ranks / queries_recovered / degraded. A rank that dies
+/// With `robust` set, ranks that abort (injected faults) are tolerated: the
+/// survivors complete, the driver re-maps every failed rank's query
+/// partition against the full sketch table, and the report records
+/// failed_ranks / queries_recovered / degraded. A rank that dies
 /// after S3 (e.g. at site "S4:map") costs no shared state, so the output
 /// is bit-identical to the fault-free run.
 [[nodiscard]] DistributedResult run_distributed(
     const io::SequenceSet& subjects, const io::SequenceSet& reads,
     const MapParams& params, int ranks,
     SketchScheme scheme = SketchScheme::kJem, int threads_per_rank = 1,
-    const RobustnessOptions& robust = {},
-    const IndexCacheOptions& index_cache = {},
-    const obs::ObsHooks& obs = {});
+    const RobustnessOptions& robust = {}, const obs::ObsHooks& obs = {});
 
 /// Partitioned-table strategy: instead of replicating S_global at every
 /// rank (the paper's S3, space O(n·m_s·T) *per process* — its §III-C1

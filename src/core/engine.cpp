@@ -38,8 +38,6 @@ void EngineStats::publish(obs::Registry& registry) const {
   registry.counter("engine.wall_ns", Unit::kNanos).add(ns(wall_s));
   registry.counter("engine.faults_injected").add(faults_injected);
   registry.counter("engine.batches_dropped").add(batches_dropped);
-  registry.counter("engine.timeouts").add(timeouts);
-  registry.counter("engine.retries").add(retries);
   registry.counter("engine.batches_skipped").add(batches_skipped);
   registry.counter("engine.journal_appends").add(journal_appends);
 }
@@ -50,12 +48,6 @@ void MapRequest::validate() const {
   }
   if (min_votes && *min_votes < 1) {
     throw std::invalid_argument("MapRequest: min_votes must be >= 1");
-  }
-  if (stage_timeout.count() < 0) {
-    throw std::invalid_argument("MapRequest: stage_timeout must be >= 0");
-  }
-  if (max_retries < 0) {
-    throw std::invalid_argument("MapRequest: max_retries must be >= 0");
   }
 }
 
@@ -213,8 +205,6 @@ void resolve_failure(const std::exception_ptr& error, EngineFailure* out) {
     std::rethrow_exception(error);
   } catch (const util::FaultAbort& abort) {
     *out = {abort.site(), abort.what()};
-  } catch (const EngineTimeout& timeout) {
-    *out = {timeout.site(), timeout.what()};
   } catch (const io::ParseError& parse) {
     *out = {"stream.next", parse.what()};
   } catch (const std::exception& other) {
@@ -417,8 +407,6 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
   std::atomic<std::uint64_t> emit_ns{0};
   std::atomic<std::uint64_t> reads_mapped{0};
   std::atomic<std::uint64_t> segments{0};
-  std::atomic<std::uint64_t> timeouts{0};
-  std::atomic<std::uint64_t> retries{0};
 
   std::mutex emit_mutex;
   std::map<std::uint64_t, BatchResult> pending;  // guarded by emit_mutex
@@ -477,52 +465,25 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
     }
   };
 
-  // Timed pop honoring the retry budget. Returns false once the queue is
-  // closed and drained; throws EngineTimeout when the budget runs out.
-  const auto timed_pop = [&](io::ReadBatch& out) -> bool {
-    if (request.stage_timeout.count() == 0) {
-      std::optional<io::ReadBatch> batch = queue.pop();
-      if (!batch) return false;
-      out = std::move(*batch);
-      return true;
-    }
-    auto allowance = request.stage_timeout;
-    for (int attempt = 0;; ++attempt) {
-      switch (queue.pop_wait_for(out, allowance)) {
-        case util::QueueOpResult::kSuccess:
-          return true;
-        case util::QueueOpResult::kClosed:
-          return false;
-        case util::QueueOpResult::kTimeout:
-          break;
-      }
-      ++timeouts;
-      if (attempt >= request.max_retries) throw EngineTimeout("queue.pop");
-      ++retries;
-      allowance *= 2;
-    }
-  };
-
   const auto worker = [&] {
     MapScratch scratch(mapper_.subjects().size());
     if (obs.metrics != nullptr) {
       scratch.hotpath().sample_every = request.hotpath_sample_every;
     }
     try {
-      io::ReadBatch raw;
       while (true) {
         obs::StageSpan pop_span(obs, "queue.wait", &pop_wait_ns);
-        const bool more = timed_pop(raw);
+        std::optional<io::ReadBatch> raw = queue.pop();
         pop_span.finish();
-        if (!more) break;
+        if (!raw) break;
 
-        const util::FaultDecision fault = batch_fault("map", raw.index);
+        const util::FaultDecision fault = batch_fault("map", raw->index);
         if (fault.action == util::FaultAction::kAbort) {
           throw util::FaultAbort(0, "map");
         }
         if (fault.action == util::FaultAction::kDrop) {
           std::lock_guard lock(emit_mutex);
-          dropped_set.insert(raw.index);
+          dropped_set.insert(raw->index);
           ++dropped_count;
           flush_locked();
           continue;
@@ -533,7 +494,7 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
 
         obs::StageSpan map_span(obs, "map.batch", &map_ns);
         BatchResult result;
-        result.batch = std::move(raw);
+        result.batch = std::move(*raw);
         const std::size_t batch_reads = result.batch.reads.size();
         BatchOutput out =
             map_range(mapper_, result.batch.reads, 0,
@@ -603,27 +564,7 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
       }
 
       obs::StageSpan push_span(obs, "queue.push", &push_wait_ns);
-      bool pushed = false;
-      if (request.stage_timeout.count() == 0) {
-        pushed = queue.push(std::move(batch));
-      } else {
-        auto allowance = request.stage_timeout;
-        for (int attempt = 0;; ++attempt) {
-          const util::QueueOpResult outcome =
-              queue.push_wait_for(batch, allowance);
-          if (outcome == util::QueueOpResult::kSuccess) {
-            pushed = true;
-            break;
-          }
-          if (outcome == util::QueueOpResult::kClosed) break;
-          ++timeouts;
-          if (attempt >= request.max_retries) {
-            throw EngineTimeout("queue.push");
-          }
-          ++retries;
-          allowance *= 2;
-        }
-      }
+      const bool pushed = queue.push(std::move(batch));
       push_span.finish();
       if (pushed && obs.enabled()) {
         // Depth after our own push: 0 means the workers are keeping up,
@@ -656,8 +597,6 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
   stats.batches_dropped = dropped_count + io_injector.drops_injected();
   stats.batches_skipped = stream.batches_skipped();
   stats.journal_appends = journal_appends;
-  stats.timeouts = timeouts.load();
-  stats.retries = retries.load();
   run_span.finish();
   stats.wall_s = wall.elapsed_s();
   if (obs.metrics != nullptr) stats.publish(*obs.metrics);

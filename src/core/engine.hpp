@@ -24,11 +24,9 @@
 // records.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -82,15 +80,6 @@ struct MapRequest {
   /// Streaming only: ReadBatches buffered between reader and mappers.
   /// Bounds memory and provides backpressure.
   std::size_t queue_depth = 4;
-
-  /// Streaming only: upper bound on any single queue wait (producer push,
-  /// worker pop). 0 = wait forever (the pre-robustness semantics). With a
-  /// timeout set, each wait is retried up to `max_retries` times with the
-  /// allowance doubling per attempt; exhaustion throws EngineTimeout, which
-  /// run_stream_guarded converts into a structured MapReport failure
-  /// instead of a deadlocked pipeline.
-  std::chrono::milliseconds stage_timeout{0};
-  int max_retries = 3;
 
   /// Deterministic fault schedule for chaos testing (docs/robustness.md).
   /// Streaming only; decisions are keyed by batch index at sites
@@ -150,11 +139,9 @@ struct EngineStats {
                                 // CPU-seconds summed over all threads
   double wall_s = 0.0;          // whole-run elapsed wall clock
 
-  // Robustness counters (streaming runs with a fault plan / timeouts).
+  // Robustness counters (streaming runs with a fault plan).
   std::uint64_t faults_injected = 0;  // fault decisions that fired
   std::uint64_t batches_dropped = 0;  // batches lost to injected drops
-  std::uint64_t timeouts = 0;         // queue waits that expired
-  std::uint64_t retries = 0;          // expired waits that were retried
 
   // Persistence counters (checkpointed / resumed streaming runs).
   std::uint64_t batches_skipped = 0;  // resume fast-forward past the journal
@@ -172,19 +159,6 @@ struct EngineStats {
   /// the derived throughput as a gauge). This is the single mapping between
   /// the struct view and the registry view.
   void publish(obs::Registry& registry) const;
-};
-
-/// A queue wait in the streaming pipeline exhausted its retry budget.
-class EngineTimeout : public std::runtime_error {
- public:
-  explicit EngineTimeout(std::string site)
-      : std::runtime_error("engine: stage timed out at " + site),
-        site_(std::move(site)) {}
-
-  [[nodiscard]] const std::string& site() const noexcept { return site_; }
-
- private:
-  std::string site_;
 };
 
 /// Structured description of a failed streaming run: the pipeline site that
@@ -257,8 +231,8 @@ class MappingEngine {
   EngineStats run_stream(io::BatchStream& stream, const MapRequest& request,
                          const BatchSink& sink) const;
 
-  /// run_stream with failures contained: injected aborts, stage timeouts,
-  /// parse errors and sink exceptions shut the pipeline down cleanly and
+  /// run_stream with failures contained: injected aborts, parse errors and
+  /// sink exceptions shut the pipeline down cleanly and
   /// come back as report.failure instead of propagating (programming errors
   /// — e.g. an invalid request — still throw). Stats reflect the work done
   /// up to the failure.

@@ -257,9 +257,8 @@ MapServiceResponse MappingService::map(
   MapServiceResponse response;
   response.trials = static_cast<std::uint32_t>(config_.params.trials);
 
-  // Deadline check before the (uninterruptible) map kernel runs — the
-  // service-level twin of the engine's stage_timeout contract: expiry is a
-  // contained, structured failure, never a stall.
+  // Deadline check before the (uninterruptible) map kernel runs: expiry is
+  // a contained, structured failure, never a stall.
   if (deadline && Clock::now() >= *deadline) {
     response.failure = ServiceFailure{
         ServiceErrorCode::kDeadlineExceeded,

@@ -254,8 +254,9 @@ class MappingService {
   /// Hot path: maps one request reusing `scratch`. `deadline` is the
   /// absolute expiry (handle() entry + budget in the serve layer); nullopt
   /// derives it from request.deadline at entry. An expired deadline returns
-  /// a response with failure = kDeadlineExceeded instead of mapping — the
-  /// same contained-failure shape run_stream_guarded gives EngineTimeout.
+  /// a response with failure = kDeadlineExceeded instead of mapping — a
+  /// contained, structured failure, as run_stream_guarded gives a failed
+  /// pipeline stage.
   [[nodiscard]] MapServiceResponse map(
       const MapServiceRequest& request, MapScratch& scratch,
       std::optional<Clock::time_point> deadline = std::nullopt) const;

@@ -1,6 +1,5 @@
 #include "mpisim/communicator.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <optional>
 #include <thread>
@@ -15,11 +14,6 @@ void CommStats::publish(obs::Registry& registry) const {
   registry.counter("mpisim.collective.calls").add(collective_calls);
   registry.counter("mpisim.collective.bytes", obs::Unit::kBytes)
       .add(collective_bytes);
-  registry.counter("mpisim.p2p.messages").add(p2p_messages);
-  registry.counter("mpisim.p2p.bytes", obs::Unit::kBytes).add(p2p_bytes);
-  registry.counter("mpisim.p2p.dropped").add(p2p_dropped);
-  registry.counter("mpisim.wait.timeouts").add(wait_timeouts);
-  registry.counter("mpisim.wait.retries").add(wait_retries);
   for (const auto& [site, volume] : per_site) {
     registry.counter("mpisim." + site + ".calls").add(volume.calls);
     for (std::size_t r = 0; r < volume.sent_bytes.size(); ++r) {
@@ -36,72 +30,25 @@ void CommStats::publish(obs::Registry& registry) const {
 
 namespace detail {
 
-SharedState::SharedState(int size, CommConfig config, obs::ObsHooks obs)
+SharedState::SharedState(int size, obs::ObsHooks obs)
     : size_(size),
-      config_(config),
       obs_(obs),
       slots_(static_cast<std::size_t>(size)),
-      in_round_(static_cast<std::size_t>(size), 0),
-      inactive_(static_cast<std::size_t>(size), 0),
-      failed_(static_cast<std::size_t>(size), 0),
-      active_(size) {
-  config_.validate();
-}
-
-template <typename Predicate>
-bool SharedState::wait_with_policy(std::unique_lock<std::mutex>& lock,
-                                   Predicate done) {
-  if (config_.timeout.count() <= 0) {
-    cv_.wait(lock, done);
-    return true;
-  }
-  auto allowance = config_.timeout;
-  for (int attempt = 0;; ++attempt) {
-    if (cv_.wait_for(lock, allowance, done)) return true;
-    {
-      std::lock_guard stats_lock(stats_mutex_);
-      ++stats_.wait_timeouts;
-    }
-    if (attempt >= config_.max_retries) return false;
-    {
-      std::lock_guard stats_lock(stats_mutex_);
-      ++stats_.wait_retries;
-    }
-    allowance = std::chrono::milliseconds(static_cast<std::int64_t>(
-        static_cast<double>(allowance.count()) * config_.backoff));
-    if (allowance.count() < 1) allowance = std::chrono::milliseconds(1);
-  }
-}
+      active_(size) {}
 
 void SharedState::try_publish_locked() {
   if (active_ <= 0 || arrived_ != active_) return;
-  // Last arriver (or the failure that removed the last straggler) publishes
+  // Last arriver (or the exit that removed the last straggler) publishes
   // the snapshot and resets the exchange area for the next collective.
   // Earlier ranks may already be blocked in the next exchange; the
   // generation counter keeps the rounds separate.
   snapshot_ = std::make_shared<const std::vector<std::vector<std::byte>>>(
       std::move(slots_));
   slots_.assign(static_cast<std::size_t>(size_), {});
-  std::fill(in_round_.begin(), in_round_.end(), 0);
   arrived_ = 0;
   ++generation_;
-  {
-    std::lock_guard stats_lock(stats_mutex_);
-    ++stats_.collective_calls;
-  }
+  ++stats_.collective_calls;
   cv_.notify_all();
-}
-
-SiteCommStats& SharedState::site_stats_locked(std::string_view site) {
-  const auto it = stats_.per_site.find(site);
-  SiteCommStats& volume = it != stats_.per_site.end()
-                              ? it->second
-                              : stats_.per_site[std::string(site)];
-  if (volume.sent_bytes.empty()) {
-    volume.sent_bytes.assign(static_cast<std::size_t>(size_), 0);
-    volume.recv_bytes.assign(static_cast<std::size_t>(size_), 0);
-  }
-  return volume;
 }
 
 SharedState::Snapshot SharedState::exchange(int rank, std::string_view site,
@@ -116,162 +63,54 @@ SharedState::Snapshot SharedState::exchange(int rank, std::string_view site,
   std::unique_lock lock(mutex_);
   const std::uint64_t my_generation = generation_;
   const std::uint64_t sent = bytes.size();
-  {
-    std::lock_guard stats_lock(stats_mutex_);
-    stats_.collective_bytes += sent;
-  }
+  stats_.collective_bytes += sent;
   slots_[static_cast<std::size_t>(rank)] = std::move(bytes);
-  in_round_[static_cast<std::size_t>(rank)] = 1;
   ++arrived_;
-  Snapshot result;
-  if (arrived_ == active_) {
-    try_publish_locked();
-    result = snapshot_;
-  } else if (!wait_with_policy(
-                 lock, [&] { return generation_ != my_generation; })) {
-    // This rank's deposit stays valid — if the stragglers eventually
-    // arrive, the round completes with its data. The caller, however,
-    // gives up; run_spmd_ft will mark it inactive.
-    throw TimeoutError("exchange: collective timed out at rank " +
-                       std::to_string(rank));
-  } else {
-    result = snapshot_;
+  try_publish_locked();
+  // No later round can publish before this rank deposits in it, so the
+  // snapshot seen on waking is this round's.
+  cv_.wait(lock, [&] { return generation_ != my_generation; });
+  Snapshot result = snapshot_;
+
+  auto it = stats_.per_site.find(site);
+  if (it == stats_.per_site.end()) {
+    const std::vector<std::uint64_t> zeros(static_cast<std::size_t>(size_));
+    it = stats_.per_site.emplace(site, SiteCommStats{0, zeros, zeros}).first;
   }
-  // Per-site accounting happens after the round completes so the pre-wait
-  // path stays as cheap as before the obs layer (timeout-sensitive tests
-  // depend on the deposit-to-wait latency).
-  {
-    std::lock_guard stats_lock(stats_mutex_);
-    SiteCommStats& volume = site_stats_locked(site);
-    ++volume.calls;
-    volume.sent_bytes[static_cast<std::size_t>(rank)] += sent;
-    std::uint64_t received = 0;
-    for (const auto& part : *result) received += part.size();
-    volume.recv_bytes[static_cast<std::size_t>(rank)] += received;
+  SiteCommStats& volume = it->second;
+  ++volume.calls;
+  volume.sent_bytes[static_cast<std::size_t>(rank)] += sent;
+  for (const auto& part : *result) {
+    volume.recv_bytes[static_cast<std::size_t>(rank)] += part.size();
   }
   return result;
 }
 
-void SharedState::mark_inactive(int rank, bool failed) {
-  std::unique_lock lock(mutex_);
-  const auto r = static_cast<std::size_t>(rank);
-  if (inactive_[r] != 0) return;
-  inactive_[r] = 1;
-  if (failed) failed_[r] = 1;
+void SharedState::mark_inactive() {
+  std::lock_guard lock(mutex_);
   --active_;
-  if (in_round_[r] != 0) {
-    // The rank deposited this round and then died waiting (timeout). Its
-    // payload remains in the slot; only its attendance is withdrawn so the
-    // publish condition tracks live ranks.
-    in_round_[r] = 0;
-    --arrived_;
-  }
   try_publish_locked();
-  lock.unlock();
-  // Wake receivers blocked on this rank's never-coming messages.
-  cv_.notify_all();
-}
-
-std::vector<int> SharedState::failed_ranks() const {
-  std::vector<int> ranks;
-  // failed_ entries are written before any observer can care (the writer
-  // marks itself); mutex_ still guards for the concurrent case.
-  std::lock_guard lock(const_cast<std::mutex&>(mutex_));
-  for (int r = 0; r < size_; ++r) {
-    if (failed_[static_cast<std::size_t>(r)] != 0) ranks.push_back(r);
-  }
-  return ranks;
-}
-
-void SharedState::send(int from, int to, int tag,
-                       std::vector<std::byte> bytes) {
-  std::unique_lock lock(mutex_);
-  if (inactive_[static_cast<std::size_t>(to)] != 0) {
-    lock.unlock();
-    std::lock_guard stats_lock(stats_mutex_);
-    ++stats_.p2p_dropped;
-    return;
-  }
-  {
-    std::lock_guard stats_lock(stats_mutex_);
-    ++stats_.p2p_messages;
-    stats_.p2p_bytes += bytes.size();
-    SiteCommStats& volume = site_stats_locked("p2p");
-    ++volume.calls;
-    volume.sent_bytes[static_cast<std::size_t>(from)] += bytes.size();
-  }
-  mailboxes_[ChannelKey{from, to, tag}].push_back(std::move(bytes));
-  cv_.notify_all();
-}
-
-std::vector<std::byte> SharedState::recv(int to, int from, int tag) {
-  std::unique_lock lock(mutex_);
-  const ChannelKey key{from, to, tag};
-  const auto ready = [&] {
-    const auto it = mailboxes_.find(key);
-    if (it != mailboxes_.end() && !it->second.empty()) return true;
-    return inactive_[static_cast<std::size_t>(from)] != 0;
-  };
-  if (!wait_with_policy(lock, ready)) {
-    throw TimeoutError("recv: no message from rank " + std::to_string(from) +
-                       " (tag " + std::to_string(tag) + ")");
-  }
-  auto& queue = mailboxes_[key];
-  if (queue.empty()) {
-    // Queued messages drain even from a dead sender; only an empty channel
-    // from a dead peer is hopeless.
-    throw PeerFailedError("recv: rank " + std::to_string(from) +
-                          " left the program with no message queued");
-  }
-  std::vector<std::byte> bytes = std::move(queue.front());
-  queue.pop_front();
-  {
-    std::lock_guard stats_lock(stats_mutex_);
-    site_stats_locked("p2p").recv_bytes[static_cast<std::size_t>(to)] +=
-        bytes.size();
-  }
-  return bytes;
-}
-
-CommStats SharedState::stats() const {
-  std::lock_guard lock(stats_mutex_);
-  return stats_;
 }
 
 }  // namespace detail
 
-namespace {
-
-struct SpmdRun {
-  CommStats stats;
-  std::vector<RankFailure> comm_failures;       // tolerated failures
-  std::vector<std::exception_ptr> hard_errors;  // rethrown by rank order
-  std::uint64_t faults_injected = 0;
-};
-
-/// The shared launcher: one thread per rank, every exit (normal or not)
-/// marks the rank inactive so no surviving collective can deadlock on it.
-/// Comm-layer failures are recorded; anything else is kept for rethrow.
-SpmdRun launch_spmd(int size, const std::function<void(Comm&)>& body,
-                    const SpmdOptions& options) {
+SpmdReport run_spmd_ft(int size, const std::function<void(Comm&)>& body,
+                       const SpmdOptions& options) {
   if (size <= 0) {
-    throw std::invalid_argument("run_spmd: size must be positive");
+    throw std::invalid_argument("run_spmd_ft: size must be positive");
   }
-  options.comm.validate();
-  auto state = std::make_shared<detail::SharedState>(size, options.comm,
-                                                     options.obs);
+  detail::SharedState state(size, options.obs);
 
-  SpmdRun run;
-  run.hard_errors.resize(static_cast<std::size_t>(size));
-  std::vector<RankFailure> failures(static_cast<std::size_t>(size));
-  std::vector<char> failed(static_cast<std::size_t>(size), 0);
-  std::vector<std::uint64_t> fired(static_cast<std::size_t>(size), 0);
+  const auto ranks = static_cast<std::size_t>(size);
+  std::vector<std::optional<RankFailure>> failures(ranks);
+  std::vector<std::exception_ptr> errors(ranks);
+  std::vector<std::uint64_t> fired(ranks, 0);
 
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(size));
+  threads.reserve(ranks);
   for (int rank = 0; rank < size; ++rank) {
-    threads.emplace_back([rank, state, &body, &options, &failures, &failed,
-                          &fired, &run] {
+    threads.emplace_back([rank, &state, &body, &options, &failures, &errors,
+                          &fired] {
       if (options.obs.tracer != nullptr) {
         options.obs.tracer->set_thread_label("rank " +
                                              std::to_string(rank));
@@ -281,69 +120,33 @@ SpmdRun launch_spmd(int size, const std::function<void(Comm&)>& body,
       const auto r = static_cast<std::size_t>(rank);
       try {
         body(comm);
-        state->mark_inactive(rank, /*failed=*/false);
       } catch (const util::FaultAbort& abort) {
-        failures[r] = {rank, abort.site(), abort.what()};
-        failed[r] = 1;
-        state->mark_inactive(rank, /*failed=*/true);
-      } catch (const CommError& error) {
-        failures[r] = {rank, "comm", error.what()};
-        failed[r] = 1;
-        state->mark_inactive(rank, /*failed=*/true);
+        failures[r] = RankFailure{rank, abort.site(), abort.what()};
       } catch (...) {
-        run.hard_errors[r] = std::current_exception();
-        failed[r] = 1;
-        state->mark_inactive(rank, /*failed=*/true);
+        errors[r] = std::current_exception();
       }
+      state.mark_inactive();
       fired[r] = injector.faults_injected();
     });
   }
   for (std::thread& thread : threads) thread.join();
 
-  for (int rank = 0; rank < size; ++rank) {
-    const auto r = static_cast<std::size_t>(rank);
-    run.faults_injected += fired[r];
-    if (failed[r] != 0 && run.hard_errors[r] == nullptr) {
-      run.comm_failures.push_back(std::move(failures[r]));
-    }
-  }
-  run.stats = state->stats();
-  if (options.obs.metrics != nullptr) {
-    run.stats.publish(*options.obs.metrics);
-    options.obs.metrics->counter("mpisim.faults_injected")
-        .add(run.faults_injected);
-    options.obs.metrics->counter("mpisim.rank_failures")
-        .add(run.comm_failures.size());
-  }
-  return run;
-}
-
-}  // namespace
-
-CommStats run_spmd(int size, const std::function<void(Comm&)>& body) {
-  SpmdRun run = launch_spmd(size, body, {});
-  for (const std::exception_ptr& error : run.hard_errors) {
-    if (error) std::rethrow_exception(error);
-  }
-  // Without a fault plan or timeouts no comm failure can arise; if a caller
-  // hand-rolls one anyway (e.g. recv from an exited rank), surface it.
-  if (!run.comm_failures.empty()) {
-    throw CommError("rank " + std::to_string(run.comm_failures.front().rank) +
-                    " failed: " + run.comm_failures.front().message);
-  }
-  return run.stats;
-}
-
-SpmdReport run_spmd_ft(int size, const std::function<void(Comm&)>& body,
-                       const SpmdOptions& options) {
-  SpmdRun run = launch_spmd(size, body, options);
-  for (const std::exception_ptr& error : run.hard_errors) {
-    if (error) std::rethrow_exception(error);
-  }
   SpmdReport report;
-  report.stats = run.stats;
-  report.failures = std::move(run.comm_failures);
-  report.faults_injected = run.faults_injected;
+  report.stats = state.stats();
+  for (std::size_t r = 0; r < ranks; ++r) {
+    report.faults_injected += fired[r];
+    if (failures[r]) report.failures.push_back(std::move(*failures[r]));
+  }
+  if (options.obs.metrics != nullptr) {
+    report.stats.publish(*options.obs.metrics);
+    options.obs.metrics->counter("mpisim.faults_injected")
+        .add(report.faults_injected);
+    options.obs.metrics->counter("mpisim.rank_failures")
+        .add(report.failures.size());
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
   return report;
 }
 

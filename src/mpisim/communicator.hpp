@@ -6,37 +6,31 @@
 // LLNL MPI tutorial describes — ranks with private state, explicit
 // cooperative communication — executed as one thread per rank inside a
 // single process. Each rank's "address space" is its own stack/locals;
-// all data movement goes through the Comm object, mirroring how the real
-// implementation would use MPI_Allgatherv / MPI_Reduce / point-to-point.
+// all data movement goes through the Comm object. It carries exactly the
+// collectives the distributed drivers call: MPI_Allgatherv (S3), a gather
+// of the results at rank 0, and the all-to-all of the partitioned-table
+// strategy.
 //
 // Semantics notes:
 //  * Collectives are blocking and must be called by every rank of the
 //    communicator in the same order (as in MPI).
 //  * Payloads are trivially-copyable element types (the same restriction the
 //    MPI datatype system effectively imposes for contiguous buffers).
-//  * Point-to-point send/recv match on (source, tag) with FIFO order per
-//    (source, dest, tag) channel; send is buffered (never blocks on the
-//    receiver), recv blocks.
 //
 // Robustness layer (docs/robustness.md):
 //  * A rank that leaves the program — normal return, exception, or injected
 //    FaultAbort — is marked inactive; pending and future collectives
 //    complete over the remaining ranks instead of deadlocking, and its slot
 //    in the exchange contributes nothing.
-//  * CommConfig adds opt-in timeouts with bounded retry + exponential
-//    backoff to every blocking wait; exhaustion throws TimeoutError (or
-//    PeerFailedError when the awaited peer is known dead).
-//  * A util::FaultInjector attached to a Comm turns every collective and
-//    p2p call into a fault site keyed by (rank, site, invocation): delays
-//    stall the call, drops void its payload, aborts throw FaultAbort.
+//  * A util::FaultInjector attached to a Comm turns every collective into a
+//    fault site keyed by (rank, site, invocation): delays stall the call,
+//    drops void its payload, aborts throw FaultAbort.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -53,14 +47,12 @@
 
 namespace jem::mpisim {
 
-class Comm;
-
 /// Per-collective-site communication volume, resolved per rank. A "site" is
-/// the collective's name as passed to guard_payload ("allgatherv", "bcast",
-/// ...; point-to-point traffic is accounted under "p2p"). sent_bytes[r] is
-/// what rank r deposited; recv_bytes[r] is what rank r read back out of the
-/// published snapshot. This is the S3-imbalance view the paper's Table II
-/// needs: with skewed partitions the allgatherv rows differ per rank.
+/// the collective's name as passed to guard_payload ("allgatherv",
+/// "gatherv", "all_to_allv"). sent_bytes[r] is what rank r deposited;
+/// recv_bytes[r] is what rank r read back out of the published snapshot.
+/// This is the S3-imbalance view the paper's Table II needs: with skewed
+/// partitions the allgatherv rows differ per rank.
 struct SiteCommStats {
   std::uint64_t calls = 0;                 // deposits: one per rank per op
   std::vector<std::uint64_t> sent_bytes;   // indexed by rank
@@ -72,14 +64,9 @@ struct SiteCommStats {
 struct CommStats {
   std::uint64_t collective_calls = 0;
   std::uint64_t collective_bytes = 0;  // total payload across all ranks
-  std::uint64_t p2p_messages = 0;
-  std::uint64_t p2p_bytes = 0;
-  std::uint64_t p2p_dropped = 0;   // sends voided by faults or dead peers
-  std::uint64_t wait_timeouts = 0;  // individual waits that expired
-  std::uint64_t wait_retries = 0;   // expired waits that were retried
 
   /// Byte volume broken down by collective site and rank
-  /// (docs/observability.md). Aggregate fields above are unchanged.
+  /// (docs/observability.md).
   std::map<std::string, SiteCommStats, std::less<>> per_site;
 
   /// Adds this run's totals to `registry` under `mpisim.*` names: aggregate
@@ -87,120 +74,46 @@ struct CommStats {
   void publish(obs::Registry& registry) const;
 };
 
-/// Blocking-wait policy for collectives and recv. The default (timeout 0)
-/// waits forever — exactly the pre-robustness semantics. With a timeout set,
-/// each wait is retried up to `max_retries` times, the allowance growing by
-/// `backoff` per attempt, before TimeoutError is thrown.
-struct CommConfig {
-  std::chrono::milliseconds timeout{0};  // 0 = wait forever
-  int max_retries = 3;
-  double backoff = 2.0;
-
-  void validate() const {
-    if (timeout.count() < 0) {
-      throw std::invalid_argument("CommConfig: timeout must be >= 0");
-    }
-    if (max_retries < 0) {
-      throw std::invalid_argument("CommConfig: max_retries must be >= 0");
-    }
-    if (backoff < 1.0) {
-      throw std::invalid_argument("CommConfig: backoff must be >= 1");
-    }
-  }
-};
-
-/// Base class of the runtime's communication failures.
-class CommError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// A blocking wait exhausted its timeout budget (stalled peer or wedged
-/// collective). The operation did not complete.
-class TimeoutError : public CommError {
- public:
-  using CommError::CommError;
-};
-
-/// The awaited peer is known to have left the program (aborted or returned)
-/// and can never satisfy the wait.
-class PeerFailedError : public CommError {
- public:
-  using CommError::CommError;
-};
-
 namespace detail {
 
-/// State shared by all ranks of one run: the collective exchange area and
-/// the point-to-point mailboxes.
+/// The collective exchange area shared by all ranks of one run.
 class SharedState {
  public:
-  explicit SharedState(int size, CommConfig config = {},
-                       obs::ObsHooks obs = {});
+  SharedState(int size, obs::ObsHooks obs);
 
   /// All-to-all deposit/exchange: every active rank deposits `bytes`; once
   /// the last active rank arrives, a snapshot of all deposits becomes
   /// visible to every rank (inactive ranks' slots stay empty). This single
-  /// primitive implements barrier (empty payload), allgatherv, gather,
-  /// bcast and reduce. `site` names the collective for per-site byte
-  /// accounting and tracer spans ("allgatherv", "bcast", ...).
+  /// primitive implements allgatherv, gatherv and all_to_allv. `site` names
+  /// the collective for per-site byte accounting and tracer spans.
   using Snapshot = std::shared_ptr<const std::vector<std::vector<std::byte>>>;
   [[nodiscard]] Snapshot exchange(int rank, std::string_view site,
                                   std::vector<std::byte> bytes);
 
-  void send(int from, int to, int tag, std::vector<std::byte> bytes);
-  [[nodiscard]] std::vector<std::byte> recv(int to, int from, int tag);
-
-  /// Removes `rank` from every current and future collective, waking any
-  /// peer whose wait it was blocking. `failed` records the rank in
-  /// failed_ranks() (aborts) vs. a silent retirement (normal return).
-  void mark_inactive(int rank, bool failed);
-
-  [[nodiscard]] std::vector<int> failed_ranks() const;
+  /// Removes a rank that left the program from every current and future
+  /// collective, publishing the round it was the last straggler of.
+  void mark_inactive();
 
   [[nodiscard]] int size() const noexcept { return size_; }
-  [[nodiscard]] const CommConfig& config() const noexcept { return config_; }
-  [[nodiscard]] CommStats stats() const;
+
+  /// The run's totals; call after every rank has left.
+  [[nodiscard]] const CommStats& stats() const noexcept { return stats_; }
 
  private:
-  struct ChannelKey {
-    int from;
-    int to;
-    int tag;
-    auto operator<=>(const ChannelKey&) const = default;
-  };
-
-  /// Waits on cv_ until `done` holds, honoring config_'s timeout/retry
-  /// policy. Returns false when the budget is exhausted (never when
-  /// timeout == 0, which waits forever).
-  template <typename Predicate>
-  bool wait_with_policy(std::unique_lock<std::mutex>& lock, Predicate done);
-
   /// Publishes the current round if every active rank has arrived.
   /// Caller holds mutex_.
   void try_publish_locked();
 
-  /// Per-site accounting helpers; caller holds stats_mutex_.
-  SiteCommStats& site_stats_locked(std::string_view site);
-
   const int size_;
-  const CommConfig config_;
   const obs::ObsHooks obs_;
 
-  std::mutex mutex_;
+  std::mutex mutex_;  // guards everything below
   std::condition_variable cv_;
   std::vector<std::vector<std::byte>> slots_;
-  std::vector<char> in_round_;   // rank deposited in the current round
-  std::vector<char> inactive_;   // rank left the program
-  std::vector<char> failed_;     // subset of inactive_: abnormal exits
   int active_;
   int arrived_ = 0;
   std::uint64_t generation_ = 0;
   Snapshot snapshot_;
-
-  std::map<ChannelKey, std::deque<std::vector<std::byte>>> mailboxes_;
-
-  mutable std::mutex stats_mutex_;
   CommStats stats_;
 };
 
@@ -231,23 +144,14 @@ std::vector<T> from_bytes(std::span<const std::byte> bytes) {
 }  // namespace detail
 
 /// Per-rank handle to the communicator (analogous to MPI_COMM_WORLD plus the
-/// caller's rank). Cheap to copy within the rank's thread; not shared across
-/// ranks.
+/// caller's rank), made by run_spmd_ft for each rank's thread.
 class Comm {
  public:
-  Comm(int rank, std::shared_ptr<detail::SharedState> state,
-       util::FaultInjector* injector = nullptr)
-      : rank_(rank), state_(std::move(state)), injector_(injector) {}
+  Comm(int rank, detail::SharedState& state, util::FaultInjector* injector)
+      : rank_(rank), state_(&state), injector_(injector) {}
 
   [[nodiscard]] int rank() const noexcept { return rank_; }
   [[nodiscard]] int size() const noexcept { return state_->size(); }
-
-  /// Ranks that aborted (threw) so far. Survivor-side degradation
-  /// accounting: a failed rank's collective contributions are empty from
-  /// the round it died in onward.
-  [[nodiscard]] std::vector<int> failed_ranks() const {
-    return state_->failed_ranks();
-  }
 
   /// Named fault site for driver code (e.g. "S4:map" between collectives):
   /// applies the attached injector's next decision for `site` — sleeps on
@@ -255,12 +159,6 @@ class Comm {
   /// an injector this is free.
   void fault_point(std::string_view site) {
     if (injector_ != nullptr) (void)injector_->fire(site);
-  }
-
-  /// MPI_Barrier.
-  void barrier() {
-    (void)guard_payload("barrier", {});
-    (void)state_->exchange(rank_, "barrier", {});
   }
 
   /// MPI_Allgatherv: concatenation of every rank's vector, in rank order,
@@ -302,69 +200,6 @@ class Comm {
       }
     }
     return out;
-  }
-
-  /// MPI_Bcast from `root`. If the root died before this round (or its
-  /// payload was dropped), every rank receives an empty vector.
-  template <typename T>
-  [[nodiscard]] std::vector<T> bcast(std::span<const T> local, int root) {
-    std::vector<std::byte> payload;
-    if (rank_ == root) payload = detail::to_bytes<T>(local);
-    const auto snapshot = state_->exchange(
-        rank_, "bcast", guard_payload("bcast", std::move(payload)));
-    return detail::from_bytes<T>((*snapshot)[static_cast<std::size_t>(root)]);
-  }
-
-  /// MPI_Allreduce with a binary combiner over single values. Empty slots
-  /// (dead ranks, dropped payloads) are skipped; throws CommError if no
-  /// rank contributed.
-  template <typename T, typename Op>
-  [[nodiscard]] T all_reduce(const T& local, Op op) {
-    const auto snapshot = state_->exchange(
-        rank_, "all_reduce",
-        guard_payload("all_reduce", detail::to_bytes<T>(
-                                        std::span<const T>(&local, 1))));
-    bool seeded = false;
-    T acc{};
-    for (const auto& part : *snapshot) {
-      if (part.empty()) continue;
-      const T value = detail::from_bytes<T>(part)[0];
-      acc = seeded ? op(acc, value) : value;
-      seeded = true;
-    }
-    if (!seeded) throw CommError("all_reduce: no surviving contributions");
-    return acc;
-  }
-
-  /// Element-wise all-reduce over equal-length vectors. Empty slots are
-  /// skipped; throws CommError if no rank contributed.
-  template <typename T, typename Op>
-  [[nodiscard]] std::vector<T> all_reduce_vec(std::span<const T> local,
-                                              Op op) {
-    const auto snapshot = state_->exchange(
-        rank_, "all_reduce_vec",
-        guard_payload("all_reduce_vec", detail::to_bytes<T>(local)));
-    std::vector<T> acc;
-    bool seeded = false;
-    for (const auto& part : *snapshot) {
-      if (part.empty()) continue;
-      const auto values = detail::from_bytes<T>(part);
-      if (!seeded) {
-        acc = values;
-        seeded = true;
-        continue;
-      }
-      if (values.size() != acc.size()) {
-        throw std::logic_error("all_reduce_vec: mismatched lengths");
-      }
-      for (std::size_t i = 0; i < acc.size(); ++i) {
-        acc[i] = op(acc[i], values[i]);
-      }
-    }
-    if (!seeded) {
-      throw CommError("all_reduce_vec: no surviving contributions");
-    }
-    return acc;
   }
 
   /// MPI_Alltoallv: `per_dest[d]` is this rank's payload for rank d; the
@@ -424,23 +259,6 @@ class Comm {
     return received;
   }
 
-  /// Buffered MPI_Send. A drop fault voids the message (counted in stats).
-  template <typename T>
-  void send(std::span<const T> data, int dest, int tag = 0) {
-    state_->send(rank_, dest, tag,
-                 guard_payload("send", detail::to_bytes<T>(data)));
-  }
-
-  /// Blocking MPI_Recv; returns the payload. Throws PeerFailedError when
-  /// the source died with nothing queued, TimeoutError on wait exhaustion.
-  template <typename T>
-  [[nodiscard]] std::vector<T> recv(int source, int tag = 0) {
-    fault_point("recv");
-    return detail::from_bytes<T>(state_->recv(rank_, source, tag));
-  }
-
-  [[nodiscard]] CommStats stats() const { return state_->stats(); }
-
  private:
   /// Applies the injector at a payload-carrying site: delay sleeps, abort
   /// throws, drop replaces the payload with an empty one (the rank still
@@ -453,27 +271,18 @@ class Comm {
   }
 
   int rank_;
-  std::shared_ptr<detail::SharedState> state_;
+  detail::SharedState* state_;
   util::FaultInjector* injector_;
 };
-
-/// Launches `size` ranks, each running `body(comm)` on its own thread, and
-/// joins them (analogous to mpirun -np size). Exceptions thrown by any rank
-/// are rethrown (the first one, by rank order) after all ranks finish; a
-/// throwing rank is marked inactive so surviving ranks' collectives
-/// complete (degraded) instead of deadlocking.
-/// Returns the aggregate communication statistics of the run.
-CommStats run_spmd(int size, const std::function<void(Comm&)>& body);
 
 /// One abnormal rank exit in a fault-tolerant run.
 struct RankFailure {
   int rank = -1;
-  std::string site;     // fault site or collective that detected the death
+  std::string site;     // fault site the rank aborted at
   std::string message;  // exception text
 };
 
 struct SpmdOptions {
-  CommConfig comm;
   /// Not owned; may be null (no injected faults). Each rank gets its own
   /// util::FaultInjector over this plan.
   const util::FaultPlan* fault_plan = nullptr;
@@ -498,11 +307,13 @@ struct SpmdReport {
   }
 };
 
-/// Fault-tolerant SPMD execution: ranks that die of injected faults or
-/// communication errors (util::FaultAbort, TimeoutError, PeerFailedError)
-/// are recorded in the report instead of rethrown, and the remaining ranks
-/// run to completion. Any other exception still propagates (after every
-/// rank has finished, so nothing leaks or deadlocks).
+/// Launches `size` ranks, each running `body(comm)` on its own thread, and
+/// joins them (analogous to mpirun -np size). Every exit marks the rank
+/// inactive, so surviving ranks' collectives complete (degraded) instead of
+/// deadlocking. Ranks that die of injected faults (util::FaultAbort) are
+/// recorded in the report and the rest run to completion; any other
+/// exception is rethrown (the first one, by rank order) after every rank has
+/// finished, so nothing leaks or deadlocks.
 SpmdReport run_spmd_ft(int size, const std::function<void(Comm&)>& body,
                        const SpmdOptions& options = {});
 

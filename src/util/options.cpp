@@ -66,6 +66,16 @@ void Options::add_uint(std::string name, std::uint64_t& target,
             }});
 }
 
+void Options::add_uint(std::string name,
+                       std::optional<std::uint64_t>& target,
+                       std::string help) {
+  std::string captured_name = name;
+  add_spec({std::move(name), Kind::kUint, std::move(help),
+            [&target, captured_name](std::string_view v) {
+              target = parse_number<std::uint64_t>(captured_name, v);
+            }});
+}
+
 void Options::add_double(std::string name, double& target, std::string help) {
   std::string captured_name = name;
   add_spec({std::move(name), Kind::kDouble, std::move(help),

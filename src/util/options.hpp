@@ -30,6 +30,9 @@ class Options {
   void add_flag(std::string name, bool& target, std::string help);
   void add_int(std::string name, std::int64_t& target, std::string help);
   void add_uint(std::string name, std::uint64_t& target, std::string help);
+  /// As above, for an option whose absence differs from every value.
+  void add_uint(std::string name, std::optional<std::uint64_t>& target,
+                std::string help);
   void add_double(std::string name, double& target, std::string help);
   void add_string(std::string name, std::string& target, std::string help);
 

@@ -1,6 +1,5 @@
 // Chaos tests for the streaming MappingEngine pipeline: injected reader /
-// map / sink faults and queue timeouts must surface as structured
-// MapReport failures (or counted drops), never as hangs — and delay-only
+// map / sink faults must surface as structured MapReport failures (or counted drops), never as hangs — and delay-only
 // plans must leave the mapped output bit-identical.
 #include "core/engine.hpp"
 
@@ -10,7 +9,6 @@
 #include <cstddef>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/dna.hpp"
@@ -63,13 +61,11 @@ class ChaosEngineTest : public ::testing::Test {
   /// Runs the guarded streaming pipeline and collects globalized mappings.
   MapReport run_guarded(const MappingEngine& engine, MapRequest request,
                         std::size_t batch_size,
-                        std::vector<SegmentMapping>* out,
-                        milliseconds sink_stall = milliseconds(0)) const {
+                        std::vector<SegmentMapping>* out) const {
     std::istringstream in(fasta_);
     io::BatchStream stream(in, batch_size);
     return engine.run_stream_guarded(
         stream, request, [&](const MappingEngine::BatchResult& result) {
-          if (sink_stall.count() > 0) std::this_thread::sleep_for(sink_stall);
           if (out == nullptr) return;
           for (SegmentMapping mapping : result.mappings) {
             mapping.read =
@@ -234,38 +230,6 @@ TEST_F(ChaosEngineTest, SinkExceptionIsContainedNotRethrown) {
       });
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.failure->message.find("sink exploded"), std::string::npos);
-}
-
-TEST_F(ChaosEngineTest, StalledSinkTimesOutInsteadOfDeadlocking) {
-  const MappingEngine engine(subjects_, params_);
-  for (const MapBackend backend : {MapBackend::kSerial, MapBackend::kPool}) {
-    SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)));
-    MapRequest request;
-    request.backend = backend;
-    request.threads = 2;
-    request.queue_depth = 1;
-    request.stage_timeout = milliseconds(10);
-    request.max_retries = 1;
-
-    // The sink sleeps far past the producer's total wait budget (10 + 20
-    // ms), so with a depth-1 queue the push must time out — a bounded
-    // failure, not a stuck pipeline.
-    const MapReport report = run_guarded(engine, request, 1, nullptr,
-                                         /*sink_stall=*/milliseconds(200));
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.failure->site, "queue.push");
-    EXPECT_GE(report.stats.timeouts, 1u);
-  }
-}
-
-TEST_F(ChaosEngineTest, RequestValidatesRobustnessKnobs) {
-  const MappingEngine engine(subjects_, params_);
-  MapRequest bad;
-  bad.stage_timeout = milliseconds(-5);
-  EXPECT_THROW((void)engine.run(reads_, bad), std::invalid_argument);
-  bad = {};
-  bad.max_retries = -1;
-  EXPECT_THROW((void)engine.run(reads_, bad), std::invalid_argument);
 }
 
 }  // namespace

@@ -70,6 +70,29 @@ TEST(CliExitCodes, UsageErrorsAreUniformlyTwo) {
   EXPECT_EQ(run(run_serve, {"--demo", "--port", "70000"}, "jem serve"),
             kExitUsage);
   EXPECT_EQ(run(run_probe, {"--port", "0"}, "jem probe"), kExitUsage);
+  // --ranks outside [1, 256] is refused before any rank thread starts,
+  // including values an int cast would wrap or make negative.
+  for (const char* ranks : {"0", "257", "2147483648", "4294967297"}) {
+    EXPECT_EQ(run(run_map, {"--demo", "--ranks", ranks}, "jem map"),
+              kExitUsage)
+        << "--ranks " << ranks;
+  }
+  // Flags that only the single-process path honours are refused beside
+  // --ranks, and --partitioned is refused without it.
+  const std::vector<std::vector<std::string>> ignored_by_ranks = {
+      {"--tiled"},
+      {"--threads", "2"},
+      {"--batch", "10"},
+      {"--checkpoint", "c.ckpt"},
+      {"--resume"},
+      {"--save-index", "x.idx"},
+      {"--load-index", "x.idx"}};
+  for (const std::vector<std::string>& flag : ignored_by_ranks) {
+    std::vector<std::string> args = {"--demo", "--ranks", "2"};
+    args.insert(args.end(), flag.begin(), flag.end());
+    EXPECT_EQ(run(run_map, args, "jem map"), kExitUsage) << flag[0];
+  }
+  EXPECT_EQ(run(run_map, {"--demo", "--partitioned"}, "jem map"), kExitUsage);
 }
 
 TEST(CliMap, DemoRunWritesMappingsAndShimMatchesSubcommand) {
@@ -86,6 +109,26 @@ TEST(CliMap, DemoRunWritesMappingsAndShimMatchesSubcommand) {
   const std::string shim_bytes = read_file(via_shim);
   ASSERT_FALSE(shim_bytes.empty());
   EXPECT_EQ(shim_bytes, read_file(via_subcommand));
+}
+
+TEST(CliMap, DistributedRunsWriteTheSingleProcessBytes) {
+  const std::string dir = ::testing::TempDir();
+  const std::string single = dir + "/cli_single.tsv";
+  const std::string replicated = dir + "/cli_ranks3.tsv";
+  const std::string partitioned = dir + "/cli_ranks3_partitioned.tsv";
+  ASSERT_EQ(run(run_map, {"--demo", "--output", single}, "jem map"), kExitOk);
+  ASSERT_EQ(run(run_map, {"--demo", "--ranks", "3", "--output", replicated},
+                "jem map"),
+            kExitOk);
+  ASSERT_EQ(run(run_map,
+                {"--demo", "--ranks", "3", "--partitioned", "--output",
+                 partitioned},
+                "jem map"),
+            kExitOk);
+  const std::string expected = read_file(single);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(read_file(replicated), expected);
+  EXPECT_EQ(read_file(partitioned), expected);
 }
 
 TEST(CliBuildIndex, ArtifactLoadsIntoTheService) {

@@ -173,8 +173,7 @@ TEST_F(DistributedTest, RankMapStepsPublishHotpathMetrics) {
   hooks.metrics = &registry;
   const DistributedResult result =
       run_distributed(subjects_, reads_, params_, /*ranks=*/4,
-                      SketchScheme::kJem, /*threads_per_rank=*/1, {}, {},
-                      hooks);
+                      SketchScheme::kJem, /*threads_per_rank=*/1, {}, hooks);
   const obs::MetricsSnapshot snapshot = registry.snapshot();
   const obs::MetricValue* seen = snapshot.find("core.hotpath.segments_seen");
   ASSERT_NE(seen, nullptr);
@@ -238,7 +237,7 @@ TEST_F(DistributedTest, PartitionedRespectMinVotes) {
 }
 
 TEST(AllToAllv, RoutesPayloadsBySourceAndDest) {
-  mpisim::run_spmd(3, [](mpisim::Comm& comm) {
+  mpisim::run_spmd_ft(3, [](mpisim::Comm& comm) {
     // Rank r sends {r*10 + d} to each rank d, with d+1 copies.
     std::vector<std::vector<int>> outgoing(3);
     for (int d = 0; d < 3; ++d) {
@@ -259,7 +258,7 @@ TEST(AllToAllv, RoutesPayloadsBySourceAndDest) {
 }
 
 TEST(AllToAllv, HandlesEmptyLanes) {
-  mpisim::run_spmd(2, [](mpisim::Comm& comm) {
+  mpisim::run_spmd_ft(2, [](mpisim::Comm& comm) {
     std::vector<std::vector<double>> outgoing(2);
     if (comm.rank() == 0) outgoing[1] = {3.14};
     const auto incoming = comm.all_to_allv(outgoing);
@@ -274,7 +273,7 @@ TEST(AllToAllv, HandlesEmptyLanes) {
 }
 
 TEST(AllToAllv, RejectsWrongLaneCount) {
-  mpisim::run_spmd(2, [](mpisim::Comm& comm) {
+  mpisim::run_spmd_ft(2, [](mpisim::Comm& comm) {
     std::vector<std::vector<int>> wrong(3);
     EXPECT_THROW((void)comm.all_to_allv(wrong), std::logic_error);
     // Keep the collective schedule aligned across ranks afterwards.

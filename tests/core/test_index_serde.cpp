@@ -4,13 +4,10 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "core/distributed.hpp"
 #include "core/mapper.hpp"
 #include "oracle/sequential_mapper.hpp"
 #include "util/prng.hpp"
@@ -341,70 +338,6 @@ TEST_F(IndexSerdeTest, VersionOneArtifactIsBadVersion) {
             }),
             io::ArtifactReason::kBadVersion);
   std::remove(path.c_str());
-}
-
-// --- Distributed shard cache (IndexCacheOptions) ---------------------------
-
-TEST_F(IndexSerdeTest, DistributedShardCacheIsBitIdenticalAndSelfHealing) {
-  const std::string dir = ::testing::TempDir() + "/jem_shard_cache";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  constexpr int kRanks = 3;
-
-  const DistributedResult plain =
-      run_distributed(subjects_, reads_, params_, kRanks);
-
-  IndexCacheOptions cache;
-  cache.dir = dir;
-
-  // Cold cache: every rank sketches and persists its shard.
-  const DistributedResult first = run_distributed(
-      subjects_, reads_, params_, kRanks, SketchScheme::kJem, 1, {}, cache);
-  EXPECT_EQ(first.mappings, plain.mappings);
-  EXPECT_EQ(first.report.shards_saved, 3u);
-  EXPECT_EQ(first.report.shards_loaded, 0u);
-  EXPECT_EQ(first.report.shard_load_errors, 0u);
-  for (int r = 0; r < kRanks; ++r) {
-    EXPECT_TRUE(std::filesystem::exists(cache.shard_path(r, kRanks)));
-  }
-
-  // Warm cache: S2 becomes file I/O; output must not change.
-  const DistributedResult second = run_distributed(
-      subjects_, reads_, params_, kRanks, SketchScheme::kJem, 1, {}, cache);
-  EXPECT_EQ(second.mappings, plain.mappings);
-  EXPECT_EQ(second.report.shards_loaded, 3u);
-  EXPECT_EQ(second.report.shards_saved, 0u);
-
-  // Bit rot in one shard: that rank detects it, re-sketches, re-saves — and
-  // the output is still bit-identical.
-  const std::string victim = cache.shard_path(1, kRanks);
-  std::string shard_bytes;
-  {
-    std::ifstream in(victim, std::ios::binary);
-    shard_bytes.assign((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  }
-  shard_bytes[shard_bytes.size() / 2] ^= char(0x01);
-  {
-    std::ofstream out(victim, std::ios::binary | std::ios::trunc);
-    out.write(shard_bytes.data(),
-              static_cast<std::streamsize>(shard_bytes.size()));
-  }
-  const DistributedResult third = run_distributed(
-      subjects_, reads_, params_, kRanks, SketchScheme::kJem, 1, {}, cache);
-  EXPECT_EQ(third.mappings, plain.mappings);
-  EXPECT_EQ(third.report.shard_load_errors, 1u);
-  EXPECT_EQ(third.report.shards_loaded, 2u);
-  EXPECT_EQ(third.report.shards_saved, 1u);
-
-  // The re-saved shard is valid again.
-  const DistributedResult fourth = run_distributed(
-      subjects_, reads_, params_, kRanks, SketchScheme::kJem, 1, {}, cache);
-  EXPECT_EQ(fourth.report.shards_loaded, 3u);
-  EXPECT_EQ(fourth.report.shard_load_errors, 0u);
-  EXPECT_EQ(fourth.mappings, plain.mappings);
-
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

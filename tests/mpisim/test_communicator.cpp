@@ -10,12 +10,14 @@ namespace {
 
 TEST(RunSpmd, RunsEveryRankExactlyOnce) {
   std::atomic<int> mask{0};
-  run_spmd(4, [&](Comm& comm) { mask |= 1 << comm.rank(); });
+  const SpmdReport report =
+      run_spmd_ft(4, [&](Comm& comm) { mask |= 1 << comm.rank(); });
+  EXPECT_TRUE(report.ok());
   EXPECT_EQ(mask.load(), 0b1111);
 }
 
 TEST(RunSpmd, ReportsRankAndSize) {
-  run_spmd(3, [](Comm& comm) {
+  run_spmd_ft(3, [](Comm& comm) {
     EXPECT_EQ(comm.size(), 3);
     EXPECT_GE(comm.rank(), 0);
     EXPECT_LT(comm.rank(), 3);
@@ -23,31 +25,31 @@ TEST(RunSpmd, ReportsRankAndSize) {
 }
 
 TEST(RunSpmd, ThrowsOnNonPositiveSize) {
-  EXPECT_THROW(run_spmd(0, [](Comm&) {}), std::invalid_argument);
+  EXPECT_THROW(run_spmd_ft(0, [](Comm&) {}), std::invalid_argument);
 }
 
 TEST(RunSpmd, PropagatesRankExceptions) {
-  EXPECT_THROW(run_spmd(1,
-                        [](Comm&) {
-                          throw std::runtime_error("rank failure");
-                        }),
+  EXPECT_THROW(run_spmd_ft(1,
+                           [](Comm&) {
+                             throw std::runtime_error("rank failure");
+                           }),
                std::runtime_error);
 }
 
-TEST(Barrier, AllRanksPassTogether) {
+TEST(Allgatherv, NoRankLeavesBeforeAllArrive) {
   std::atomic<int> before{0};
   std::atomic<bool> ok{true};
-  run_spmd(4, [&](Comm& comm) {
+  run_spmd_ft(4, [&](Comm& comm) {
     ++before;
-    comm.barrier();
-    // After the barrier every rank must have incremented.
+    (void)comm.allgatherv(std::vector<int>{});
+    // After the collective every rank must have incremented.
     if (before.load() != 4) ok = false;
   });
   EXPECT_TRUE(ok.load());
 }
 
 TEST(Allgatherv, ConcatenatesInRankOrder) {
-  run_spmd(4, [](Comm& comm) {
+  run_spmd_ft(4, [](Comm& comm) {
     // Rank r contributes r+1 copies of its rank id.
     std::vector<int> local(static_cast<std::size_t>(comm.rank() + 1),
                            comm.rank());
@@ -59,7 +61,7 @@ TEST(Allgatherv, ConcatenatesInRankOrder) {
 }
 
 TEST(Allgatherv, HandlesEmptyContributions) {
-  run_spmd(3, [](Comm& comm) {
+  run_spmd_ft(3, [](Comm& comm) {
     std::vector<double> local;
     if (comm.rank() == 1) local = {2.5};
     const std::vector<double> all = comm.allgatherv(local);
@@ -69,14 +71,14 @@ TEST(Allgatherv, HandlesEmptyContributions) {
 }
 
 TEST(Allgatherv, WorksWithSingleRank) {
-  run_spmd(1, [](Comm& comm) {
+  run_spmd_ft(1, [](Comm& comm) {
     std::vector<int> local{7, 8};
     EXPECT_EQ(comm.allgatherv(local), local);
   });
 }
 
 TEST(Allgatherv, SupportsRepeatedCollectives) {
-  run_spmd(3, [](Comm& comm) {
+  run_spmd_ft(3, [](Comm& comm) {
     for (int round = 0; round < 10; ++round) {
       std::vector<int> local{comm.rank() * 100 + round};
       const auto all = comm.allgatherv(local);
@@ -89,7 +91,7 @@ TEST(Allgatherv, SupportsRepeatedCollectives) {
 }
 
 TEST(Gatherv, OnlyRootReceives) {
-  run_spmd(4, [](Comm& comm) {
+  run_spmd_ft(4, [](Comm& comm) {
     std::vector<int> local{comm.rank()};
     const auto parts = comm.gatherv<int>(local, /*root=*/2);
     if (comm.rank() == 2) {
@@ -104,107 +106,35 @@ TEST(Gatherv, OnlyRootReceives) {
   });
 }
 
-TEST(Bcast, DistributesRootPayload) {
-  run_spmd(4, [](Comm& comm) {
-    std::vector<std::uint64_t> local;
-    if (comm.rank() == 0) local = {11, 22, 33};
-    const auto received = comm.bcast<std::uint64_t>(local, /*root=*/0);
-    const std::vector<std::uint64_t> expected{11, 22, 33};
-    EXPECT_EQ(received, expected);
-  });
-}
-
-TEST(AllReduce, ComputesSumEverywhere) {
-  run_spmd(5, [](Comm& comm) {
-    const int sum =
-        comm.all_reduce(comm.rank() + 1, [](int a, int b) { return a + b; });
-    EXPECT_EQ(sum, 15);  // 1+2+3+4+5
-  });
-}
-
-TEST(AllReduce, ComputesMax) {
-  run_spmd(4, [](Comm& comm) {
-    const int max_rank = comm.all_reduce(
-        comm.rank(), [](int a, int b) { return a > b ? a : b; });
-    EXPECT_EQ(max_rank, 3);
-  });
-}
-
-TEST(AllReduceVec, ElementwiseSum) {
-  run_spmd(3, [](Comm& comm) {
-    std::vector<int> local{comm.rank(), comm.rank() * 10};
-    const auto sums = comm.all_reduce_vec<int>(
-        local, [](int a, int b) { return a + b; });
-    ASSERT_EQ(sums.size(), 2u);
-    EXPECT_EQ(sums[0], 0 + 1 + 2);
-    EXPECT_EQ(sums[1], 0 + 10 + 20);
-  });
-}
-
-TEST(PointToPoint, DeliversInFifoOrderPerChannel) {
-  run_spmd(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      for (int i = 0; i < 5; ++i) {
-        std::vector<int> payload{i};
-        comm.send<int>(payload, /*dest=*/1, /*tag=*/7);
-      }
-    } else {
-      for (int i = 0; i < 5; ++i) {
-        const auto received = comm.recv<int>(/*source=*/0, /*tag=*/7);
-        ASSERT_EQ(received.size(), 1u);
-        EXPECT_EQ(received[0], i);
-      }
-    }
-  });
-}
-
-TEST(PointToPoint, TagsSeparateChannels) {
-  run_spmd(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<int> a{100};
-      std::vector<int> b{200};
-      comm.send<int>(a, 1, /*tag=*/1);
-      comm.send<int>(b, 1, /*tag=*/2);
-    } else {
-      // Receive tag 2 first even though tag 1 was sent first.
-      EXPECT_EQ(comm.recv<int>(0, 2)[0], 200);
-      EXPECT_EQ(comm.recv<int>(0, 1)[0], 100);
-    }
-  });
-}
-
-TEST(PointToPoint, RingExchange) {
-  constexpr int kRanks = 4;
-  run_spmd(kRanks, [](Comm& comm) {
-    const int next = (comm.rank() + 1) % kRanks;
-    const int prev = (comm.rank() + kRanks - 1) % kRanks;
-    std::vector<int> payload{comm.rank()};
-    comm.send<int>(payload, next);
-    const auto received = comm.recv<int>(prev);
-    EXPECT_EQ(received[0], prev);
-  });
-}
-
 TEST(CommStats, CountsCollectiveVolume) {
-  const CommStats stats = run_spmd(2, [](Comm& comm) {
+  const CommStats stats = run_spmd_ft(2, [](Comm& comm) {
     std::vector<std::uint64_t> local{1, 2, 3};
     (void)comm.allgatherv(local);
-  });
+  }).stats;
   EXPECT_EQ(stats.collective_calls, 1u);
   EXPECT_EQ(stats.collective_bytes, 2u * 3u * sizeof(std::uint64_t));
 }
 
-TEST(CommStats, CountsP2pTraffic) {
-  const CommStats stats = run_spmd(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<std::uint32_t> payload{1, 2};
-      comm.send<std::uint32_t>(payload, 1);
-    } else {
-      (void)comm.recv<std::uint32_t>(0);
-    }
-  });
-  EXPECT_EQ(stats.p2p_messages, 1u);
-  EXPECT_EQ(stats.p2p_bytes, 2u * sizeof(std::uint32_t));
+TEST(CommStats, CountsPerSiteTrafficByRank) {
+  const CommStats stats = run_spmd_ft(2, [](Comm& comm) {
+    // Rank r deposits r + 1 elements in the allgather.
+    const std::vector<std::uint32_t> local(
+        static_cast<std::size_t>(comm.rank() + 1), 7);
+    (void)comm.allgatherv(local);
+    // Rank r sends one element to each rank.
+    (void)comm.all_to_allv(std::vector<std::vector<std::uint32_t>>(2, {1}));
+  }).stats;
+  ASSERT_EQ(stats.per_site.size(), 2u);
+  const SiteCommStats& gather = stats.per_site.at("allgatherv");
+  EXPECT_EQ(gather.calls, 2u);
+  EXPECT_EQ(gather.sent_bytes, (std::vector<std::uint64_t>{4, 8}));
+  EXPECT_EQ(gather.recv_bytes, (std::vector<std::uint64_t>{12, 12}));
+  // all_to_allv deposits a u64 count per destination before the payloads.
+  const SiteCommStats& routed = stats.per_site.at("all_to_allv");
+  EXPECT_EQ(routed.calls, 2u);
+  EXPECT_EQ(routed.sent_bytes, (std::vector<std::uint64_t>{24, 24}));
+  EXPECT_EQ(stats.collective_calls, 2u);
+  EXPECT_EQ(stats.collective_bytes, 12u + 48u);
 }
 
 TEST(StressTest, RandomCollectiveScheduleStaysConsistent) {
@@ -212,19 +142,19 @@ TEST(StressTest, RandomCollectiveScheduleStaysConsistent) {
   // every rank derives the same schedule from the round number, as a
   // well-formed SPMD program must. Verifies payload integrity throughout.
   constexpr int kRanks = 5;
-  run_spmd(kRanks, [](Comm& comm) {
+  const SpmdReport report = run_spmd_ft(kRanks, [](Comm& comm) {
     std::uint64_t state = 12345;  // same stream on every rank
     const auto next = [&state] {
       state = state * 6364136223846793005ULL + 1442695040888963407ULL;
       return state >> 33;
     };
+    const auto rank = static_cast<std::uint64_t>(comm.rank());
     for (int round = 0; round < 40; ++round) {
       const std::uint64_t kind = next() % 4;
       const std::size_t size = next() % 200;
       switch (kind) {
         case 0: {
-          std::vector<std::uint64_t> local(
-              size, static_cast<std::uint64_t>(comm.rank()) * 1000 + round);
+          std::vector<std::uint64_t> local(size, rank * 1000 + round);
           const auto all = comm.allgatherv(local);
           ASSERT_EQ(all.size(), size * kRanks);
           for (int r = 0; r < kRanks; ++r) {
@@ -237,26 +167,44 @@ TEST(StressTest, RandomCollectiveScheduleStaysConsistent) {
         }
         case 1: {
           const int root = static_cast<int>(next() % kRanks);
-          std::vector<std::uint32_t> local;
-          if (comm.rank() == root) {
-            local.assign(size, static_cast<std::uint32_t>(round));
+          std::vector<std::uint32_t> local(
+              size, static_cast<std::uint32_t>(rank * 1000 + round));
+          const auto parts = comm.gatherv<std::uint32_t>(local, root);
+          if (comm.rank() != root) {
+            ASSERT_TRUE(parts.empty());
+            break;
           }
-          const auto received = comm.bcast<std::uint32_t>(local, root);
-          ASSERT_EQ(received.size(), size);
+          ASSERT_EQ(parts.size(), static_cast<std::size_t>(kRanks));
+          for (int r = 0; r < kRanks; ++r) {
+            ASSERT_EQ(parts[static_cast<std::size_t>(r)],
+                      std::vector<std::uint32_t>(
+                          size, static_cast<std::uint32_t>(r * 1000 + round)));
+          }
           break;
         }
         case 2: {
-          const int sum = comm.all_reduce(
-              comm.rank(), [](int a, int b) { return a + b; });
-          ASSERT_EQ(sum, kRanks * (kRanks - 1) / 2);
+          // Rank s sends (size + d) copies of s * 100 + d to rank d.
+          std::vector<std::vector<std::uint64_t>> outgoing(kRanks);
+          for (std::size_t d = 0; d < outgoing.size(); ++d) {
+            outgoing[d].assign(size + d, rank * 100 + d);
+          }
+          const auto incoming = comm.all_to_allv(outgoing);
+          ASSERT_EQ(incoming.size(), static_cast<std::size_t>(kRanks));
+          for (std::size_t s = 0; s < incoming.size(); ++s) {
+            ASSERT_EQ(incoming[s],
+                      std::vector<std::uint64_t>(size + rank, s * 100 + rank));
+          }
           break;
         }
         default:
-          comm.barrier();
+          // An empty collective: a pure synchronization point.
+          ASSERT_TRUE(comm.allgatherv(std::vector<int>{}).empty());
           break;
       }
     }
   });
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.stats.collective_calls, 40u);
 }
 
 TEST(Allgatherv, MovesStructuredPayloads) {
@@ -265,7 +213,7 @@ TEST(Allgatherv, MovesStructuredPayloads) {
     std::uint32_t value;
     std::uint32_t pad;
   };
-  run_spmd(2, [](Comm& comm) {
+  run_spmd_ft(2, [](Comm& comm) {
     std::vector<Payload> local{{static_cast<std::uint64_t>(comm.rank()),
                                 static_cast<std::uint32_t>(comm.rank() * 2),
                                 0}};

@@ -37,6 +37,17 @@ TEST(Options, KeepsDefaultWhenAbsent) {
   EXPECT_EQ(k, 16u);
 }
 
+TEST(Options, OptionalUintTellsAbsentFromZero) {
+  Options options;
+  std::optional<std::uint64_t> ranks;
+  options.add_uint("ranks", ranks, "rank count");
+  (void)parse(options, {});
+  EXPECT_FALSE(ranks.has_value());
+  (void)parse(options, {"--ranks", "0"});
+  ASSERT_TRUE(ranks.has_value());
+  EXPECT_EQ(*ranks, 0u);
+}
+
 TEST(Options, ParsesFlagsAndNegatedFlags) {
   Options options;
   bool verbose = false;
