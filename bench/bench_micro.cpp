@@ -530,11 +530,11 @@ BENCHMARK(BM_HotpathSubjectSketchReference);
 void BM_HotpathMapSegmentReference(benchmark::State& state) {
   const core::JemMapper& mapper = hotpath_mapper();
   const HotpathData& data = hotpath_data();
-  core::MapScratch scratch(data.subjects.size());
+  oracle::ReferenceCounters counters(data.subjects.size());
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        oracle::map_segment_reference(mapper, data.segments[i], scratch));
+        oracle::map_segment_reference(mapper, data.segments[i], counters));
     i = (i + 1) % data.segments.size();
   }
   state.SetItemsProcessed(state.iterations());

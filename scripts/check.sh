@@ -38,8 +38,9 @@ ctest --test-dir build-tsan --output-on-failure \
 # The query kernels ride along too: the minimizer scan indexes raw window
 # blocks, the sketch kernels (scalar and lanes) write through a raw column
 # pointer and index their prefix minima by interval end and their emitted
-# rows by mask bit, and the mapper prefetches and probes
-# raw slot arrays. The index build fills the slot array and postings pool
+# rows by mask bit, and the mapper's fused vote pass stores raw home-slot
+# indices, probes the slot regions from them and indexes its vote records
+# by posting. The index build fills the slot array and postings pool
 # through raw per-trial region pointers.
 cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
@@ -48,7 +49,7 @@ cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan --parallel "$(nproc)" --target test_engine \
   test_chaos test_io test_core test_obs test_serve test_mpisim jem obs_check
 ctest --test-dir build-asan --output-on-failure \
-  -R 'RunSpmd|Allgatherv|Gatherv|AllToAllv|CommStats|StressTest|StagedExecutor|Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|SketchLanes|LaneModulo|ClassicMinhash|MapperTest|FlatSketchIndex|SketchTable|IndexBuild'
+  -R 'RunSpmd|Allgatherv|Gatherv|AllToAllv|CommStats|StressTest|StagedExecutor|Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|SketchLanes|LaneModulo|ClassicMinhash|MapperTest|VoteCounter|FlatSketchIndex|SketchTable|IndexBuild'
 
 # Hot-path bench smoke (the default build type is Release): a short run of
 # the BM_Hotpath* family catches wiring regressions in the flat-index /

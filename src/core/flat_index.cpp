@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/sketch.hpp"
-#include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace jem::core {
@@ -21,10 +20,6 @@ std::size_t region_capacity(std::size_t n) noexcept {
 }
 
 }  // namespace
-
-std::uint64_t FlatSketchIndex::hash(KmerCode kmer) noexcept {
-  return util::mix64(kmer);
-}
 
 FlatSketchIndex FlatSketchIndex::build(std::span<const SortedTrial> trials,
                                        util::ThreadPool* pool) {
@@ -126,13 +121,16 @@ FlatSketchIndex FlatSketchIndex::from_parts(std::vector<Slot> slots,
   return index;
 }
 
-void FlatSketchIndex::prefetch(const FlatSketch& sketch) const noexcept {
+void FlatSketchIndex::homes(const FlatSketch& sketch,
+                            std::vector<std::size_t>& out) const {
+  out.resize(sketch.kmers.size());
   for (int t = 0; t < sketch.trials(); ++t) {
     const std::size_t trial = static_cast<std::size_t>(t);
     const Slot* const region = slots_.data() + base_[trial];
-    const std::size_t mask = mask_[trial];
-    for (const KmerCode kmer : sketch.trial(t)) {
-      __builtin_prefetch(region + (hash(kmer) & mask), 0 /* read */, 1);
+    for (std::size_t j = sketch.offsets[trial]; j < sketch.offsets[trial + 1];
+         ++j) {
+      out[j] = home(t, sketch.kmers[j]);
+      __builtin_prefetch(region + out[j], 0 /* read */, 1);
     }
   }
 }
@@ -141,32 +139,15 @@ std::uint64_t FlatSketchIndex::lookup_many(
     int trial, std::span<const KmerCode> kmers,
     std::span<std::span<const io::SeqId>> out) const {
   constexpr std::size_t kPrefetchDistance = 8;
-  const std::size_t t = static_cast<std::size_t>(trial);
-  const std::size_t base = base_[t];
-  const std::size_t mask = mask_[t];
+  const Slot* const region =
+      slots_.data() + base_[static_cast<std::size_t>(trial)];
   std::uint64_t probed = 0;
   for (std::size_t j = 0; j < kmers.size(); ++j) {
     if (j + kPrefetchDistance < kmers.size()) {
-      const std::size_t home = hash(kmers[j + kPrefetchDistance]) & mask;
-      __builtin_prefetch(&slots_[base + home], 0 /* read */, 1);
+      __builtin_prefetch(region + home(trial, kmers[j + kPrefetchDistance]),
+                         0 /* read */, 1);
     }
-    // Open-coded probe (same loop as lookup()) so the slots touched can be
-    // counted without a second pass.
-    const KmerCode kmer = kmers[j];
-    std::size_t i = hash(kmer) & mask;
-    std::span<const io::SeqId> result;
-    while (true) {
-      const Slot& slot = slots_[base + i];
-      ++probed;
-      if (slot.count == 0) break;
-      if (slot.kmer == kmer) {
-        result = std::span<const io::SeqId>(subjects_)
-                     .subspan(slot.offset, slot.count);
-        break;
-      }
-      i = (i + 1) & mask;
-    }
-    out[j] = result;
+    out[j] = probe(trial, home(trial, kmers[j]), kmers[j], probed);
   }
   return probed;
 }

@@ -10,13 +10,11 @@
 // postings themselves. This is the minimap2 indexing strategy (Li 2018)
 // adapted to the per-trial key spaces of the JEM sketch.
 //
-// lookup_many resolves a whole segment-sketch's k-mer list for one trial and
-// software-prefetches each k-mer's home slot a fixed distance ahead, hiding
-// the (random) slot miss latency behind the probe of the current key — the
-// batched form the mapper's vote loop uses. A trial of a segment sketch
-// holds only ~4 k-mers, so that look-ahead rarely fires; prefetch() instead
-// issues the home-slot loads of every (trial, k-mer) of a sketch at once,
-// before the vote loop, so all ~T·4 misses overlap.
+// The mapper resolves a whole segment sketch in one pass: homes() hashes
+// every (trial, k-mer) of the sketch once, stores its home slot and
+// prefetches it, so all ~T·4 slot misses overlap; the vote loop then walks
+// each k-mer's probe from its stored home (probe()). lookup() and the
+// batched lookup_many() are thin loops over the same probe.
 //
 // The index is built once, from each trial's sorted (kmer, subject) pairs,
 // and is immutable afterwards. Every trial's slot region and postings slice
@@ -33,6 +31,7 @@
 
 #include "core/kmer.hpp"
 #include "io/sequence.hpp"
+#include "util/prng.hpp"
 
 namespace jem::util {
 class ThreadPool;  // util/thread_pool.hpp
@@ -90,33 +89,40 @@ class FlatSketchIndex {
   /// Postings of `kmer` in trial `t` (empty span if absent).
   [[nodiscard]] std::span<const io::SeqId> lookup(int trial,
                                                   KmerCode kmer) const {
-    const std::size_t t = static_cast<std::size_t>(trial);
-    const std::size_t base = base_[t];
-    const std::size_t mask = mask_[t];
-    std::size_t i = hash(kmer) & mask;
-    while (true) {
-      const Slot& slot = slots_[base + i];
-      if (slot.count == 0) return {};
-      if (slot.kmer == kmer) {
-        return std::span<const io::SeqId>(subjects_)
-            .subspan(slot.offset, slot.count);
-      }
-      i = (i + 1) & mask;
-    }
+    std::uint64_t probed = 0;
+    return probe(trial, home(trial, kmer), kmer, probed);
   }
 
   /// Batched lookup of kmers[j] in trial `t` into out[j], prefetching home
   /// slots ahead of the probe loop. `out` must have kmers.size() entries.
-  /// Returns the number of slots probed across all keys (>= kmers.size();
-  /// the mapper's sampled hot-path counters turn this into a probe-length
-  /// distribution at zero extra memory traffic).
+  /// Returns the number of slots probed across all keys (>= kmers.size()).
   std::uint64_t lookup_many(int trial, std::span<const KmerCode> kmers,
                             std::span<std::span<const io::SeqId>> out) const;
 
-  /// Prefetches the home slot of every (trial, k-mer) of `sketch` (one
-  /// trial per index trial). A hint only: lookups return the same spans
-  /// with or without it.
-  void prefetch(const FlatSketch& sketch) const noexcept;
+  /// Fills out[j] with the home slot of sketch.kmers[j] (one trial per
+  /// index trial, trial-major as the sketch stores them) and prefetches
+  /// each, so the slot misses of the whole sketch overlap.
+  void homes(const FlatSketch& sketch, std::vector<std::size_t>& out) const;
+
+  /// The probe loop: walks trial `t`'s region from `home` until it finds
+  /// `kmer` (its postings) or an empty slot (an empty span). Adds the
+  /// slots touched to `probed`, which the mapper's sampled hot-path
+  /// counters turn into a probe-length distribution.
+  [[nodiscard]] std::span<const io::SeqId> probe(
+      int trial, std::size_t home, KmerCode kmer,
+      std::uint64_t& probed) const noexcept {
+    const std::size_t t = static_cast<std::size_t>(trial);
+    const Slot* const region = slots_.data() + base_[t];
+    const std::size_t mask = mask_[t];
+    for (std::size_t i = home;; i = (i + 1) & mask) {
+      const Slot& slot = region[i];
+      ++probed;
+      if (slot.count == 0) return {};
+      if (slot.kmer == kmer) {
+        return {subjects_.data() + slot.offset, slot.count};
+      }
+    }
+  }
 
   /// Raw-part access for the index artifact: the slot array, per-trial
   /// region geometry and postings pool exactly as built.
@@ -145,7 +151,14 @@ class FlatSketchIndex {
       std::size_t keys);
 
  private:
-  [[nodiscard]] static std::uint64_t hash(KmerCode kmer) noexcept;
+  [[nodiscard]] static std::uint64_t hash(KmerCode kmer) noexcept {
+    return util::mix64(kmer);
+  }
+
+  /// Home slot of `kmer` in trial `t`, relative to the trial's region.
+  [[nodiscard]] std::size_t home(int trial, KmerCode kmer) const noexcept {
+    return hash(kmer) & mask_[static_cast<std::size_t>(trial)];
+  }
 
   std::vector<Slot> slots_;         // concatenated per-trial pow2 regions
   std::vector<std::size_t> base_;   // trial -> first slot

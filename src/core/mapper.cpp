@@ -186,14 +186,15 @@ JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
 namespace {
 
 /// Steps 4-7 of Algorithm 2, shared by map_segment and map_segment_topx:
-/// sketches `segment` into the scratch's buffers, resolves each trial's
-/// k-mers with one batched, prefetching lookup_many, and calls
-/// on_vote(subject, count) once per subject per trial that hits it, with
-/// `count` the subject's running vote total. Hits_r[t] is a *set* of
-/// subjects: a subject colliding via several sketch k-mers within one
-/// trial still earns a single vote, enforced by the per-trial `seen`
-/// round. Sampled segments also fill the scratch's hot-path counters; a
-/// subject's first vote counts it as a candidate.
+/// sketches `segment` into the scratch's buffers, takes the home slot of
+/// every (trial, k-mer) at once (FlatSketchIndex::homes hashes and
+/// prefetches them), then in one pass over the sketch probes each k-mer
+/// and calls on_vote(subject, count) once per subject per trial that hits
+/// it, with `count` the subject's running vote total. Hits_r[t] is a *set*
+/// of subjects: a subject colliding via several sketch k-mers within one
+/// trial still earns a single vote, which the VoteCounter's last-trial
+/// field enforces. Sampled segments also fill the scratch's hot-path
+/// counters; a subject's first vote counts it as a candidate.
 template <typename OnVote>
 void vote_segment(std::string_view segment, const MapParams& params,
                   SketchScheme scheme, const HashFamily& hashes,
@@ -202,32 +203,37 @@ void vote_segment(std::string_view segment, const MapParams& params,
   FlatSketch& sketch = scratch.sketch();
   make_sketch(segment, params, scheme, hashes, scratch.sketch_scratch(),
               sketch);
-  index.prefetch(sketch);
-  auto& postings = scratch.postings();
-  HotpathCounters& hotpath = scratch.hotpath();
-  const bool sampled = hotpath.tick_sample();
+  std::vector<std::size_t>& homes = scratch.homes();
+  index.homes(sketch, homes);
+  VoteCounter& counter = scratch.counter();
+  counter.new_segment();
 
-  scratch.votes().new_round();
+  std::uint64_t probed = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t candidates = 0;
   for (int t = 0; t < params.trials; ++t) {
-    scratch.seen().new_round();
-    const std::span<const KmerCode> kmers = sketch.trial(t);
-    postings.resize(kmers.size());
-    const std::uint64_t probed = index.lookup_many(t, kmers, postings);
-    if (sampled) {
-      hotpath.probe_slots += probed;
-      hotpath.kmer_lookups += kmers.size();
-      for (const std::span<const io::SeqId> subjects : postings) {
-        subjects.empty() ? ++hotpath.sketch_misses : ++hotpath.sketch_hits;
-      }
-    }
-    for (const std::span<const io::SeqId> subjects : postings) {
-      for (io::SeqId subject : subjects) {
-        if (!scratch.seen().first_time(subject)) continue;
-        const std::uint32_t count = scratch.votes().increment(subject);
-        if (sampled && count == 1) ++hotpath.candidates;
+    const auto trial = static_cast<std::uint32_t>(t);
+    for (std::size_t j = sketch.offsets[trial]; j < sketch.offsets[trial + 1];
+         ++j) {
+      const std::span<const io::SeqId> subjects =
+          index.probe(t, homes[j], sketch.kmers[j], probed);
+      hits += subjects.empty() ? 0 : 1;
+      for (const io::SeqId subject : subjects) {
+        const std::uint32_t count = counter.vote(subject, trial);
+        if (count == 0) continue;
+        candidates += count == 1 ? 1 : 0;
         on_vote(subject, count);
       }
     }
+  }
+
+  HotpathCounters& hotpath = scratch.hotpath();
+  if (hotpath.tick_sample()) {
+    hotpath.kmer_lookups += sketch.kmers.size();
+    hotpath.sketch_hits += hits;
+    hotpath.sketch_misses += sketch.kmers.size() - hits;
+    hotpath.probe_slots += probed;
+    hotpath.candidates += candidates;
   }
 }
 
@@ -271,8 +277,8 @@ std::vector<MapResult> JemMapper::map_segment_topx(std::string_view segment,
 
   std::sort(touched.begin(), touched.end(),
             [&](io::SeqId a, io::SeqId b) {
-              const std::uint32_t va = scratch.votes().count(a);
-              const std::uint32_t vb = scratch.votes().count(b);
+              const std::uint32_t va = scratch.counter().count(a);
+              const std::uint32_t vb = scratch.counter().count(b);
               if (va != vb) return va > vb;
               return a < b;
             });
@@ -281,7 +287,7 @@ std::vector<MapResult> JemMapper::map_segment_topx(std::string_view segment,
   hits.reserve(std::min(x, touched.size()));
   for (io::SeqId subject : touched) {
     if (hits.size() >= x) break;
-    const std::uint32_t votes = scratch.votes().count(subject);
+    const std::uint32_t votes = scratch.counter().count(subject);
     if (votes < params_.min_votes) break;  // sorted: all later are weaker
     hits.push_back({subject, votes});
   }

@@ -110,18 +110,18 @@ struct HotpathCounters {
 /// runs, so map timings can be read against their kernels.
 void publish_kernel_lanes(obs::Registry& registry);
 
-/// Per-thread mutable state for the query phase: the lazy counters of the
-/// paper's S4 implementation notes plus every buffer the sketch kernels and
-/// the vote loop need, so a segment mapped with a warm scratch performs no
-/// heap allocation at all. One scratch per worker thread; the engine's
-/// ScratchPool recycles them across batches.
+/// Per-thread mutable state for the query phase: the vote counter (the
+/// lazy counters of the paper's S4 implementation notes, one record per
+/// subject) plus every buffer the sketch kernels and the vote pass need,
+/// so a segment mapped with a warm scratch performs no heap allocation at
+/// all. One scratch per worker thread; the engine's ScratchPool recycles
+/// them across batches.
 class MapScratch {
  public:
-  explicit MapScratch(std::size_t num_subjects)
-      : votes_(num_subjects), seen_(num_subjects) {}
+  explicit MapScratch(std::size_t num_subjects) : counter_(num_subjects) {}
 
-  LazyHitCounter& votes() noexcept { return votes_; }
-  LazyHitCounter& seen() noexcept { return seen_; }
+  /// Per-subject votes of the current segment.
+  VoteCounter& counter() noexcept { return counter_; }
 
   /// Sketch-kernel buffers (minimizer list, window rings, emission arrays).
   SketchScratch& sketch_scratch() noexcept { return sketch_scratch_; }
@@ -129,10 +129,8 @@ class MapScratch {
   /// The segment's sketch, rebuilt in place per map_segment call.
   FlatSketch& sketch() noexcept { return sketch_; }
 
-  /// Per-trial postings spans resolved by FlatSketchIndex::lookup_many.
-  std::vector<std::span<const io::SeqId>>& postings() noexcept {
-    return postings_;
-  }
+  /// Home slot of each sketch k-mer, from FlatSketchIndex::homes.
+  std::vector<std::size_t>& homes() noexcept { return homes_; }
 
   /// Subjects touched by the current top-x round (reused across calls).
   std::vector<io::SeqId>& touched() noexcept { return touched_; }
@@ -142,11 +140,10 @@ class MapScratch {
   HotpathCounters& hotpath() noexcept { return hotpath_; }
 
  private:
-  LazyHitCounter votes_;
-  LazyHitCounter seen_;
+  VoteCounter counter_;
   SketchScratch sketch_scratch_;
   FlatSketch sketch_;
-  std::vector<std::span<const io::SeqId>> postings_;
+  std::vector<std::size_t> homes_;
   std::vector<io::SeqId> touched_;
   HotpathCounters hotpath_;
 };
@@ -202,8 +199,9 @@ class JemMapper {
   }
 
   /// Maps one segment (steps 4-8 of Algorithm 2). Hot path: sketches into
-  /// the scratch's reusable buffers and votes through the table's
-  /// FlatSketchIndex with batched, prefetching lookups.
+  /// the scratch's reusable buffers, prefetches every sketch k-mer's home
+  /// slot in the table's FlatSketchIndex, then probes and votes in one
+  /// pass.
   [[nodiscard]] MapResult map_segment(std::string_view segment,
                                       MapScratch& scratch) const;
 

@@ -70,20 +70,25 @@ SharedState::Snapshot SharedState::exchange(int rank, std::string_view site,
   // No later round can publish before this rank deposits in it, so the
   // snapshot seen on waking is this round's.
   cv_.wait(lock, [&] { return generation_ != my_generation; });
-  Snapshot result = snapshot_;
+  SiteCommStats& volume = site_locked(site);
+  ++volume.calls;
+  volume.sent_bytes[static_cast<std::size_t>(rank)] += sent;
+  return snapshot_;
+}
 
+void SharedState::received(int rank, std::string_view site,
+                           std::uint64_t bytes) {
+  std::lock_guard lock(mutex_);
+  site_locked(site).recv_bytes[static_cast<std::size_t>(rank)] += bytes;
+}
+
+SiteCommStats& SharedState::site_locked(std::string_view site) {
   auto it = stats_.per_site.find(site);
   if (it == stats_.per_site.end()) {
     const std::vector<std::uint64_t> zeros(static_cast<std::size_t>(size_));
     it = stats_.per_site.emplace(site, SiteCommStats{0, zeros, zeros}).first;
   }
-  SiteCommStats& volume = it->second;
-  ++volume.calls;
-  volume.sent_bytes[static_cast<std::size_t>(rank)] += sent;
-  for (const auto& part : *result) {
-    volume.recv_bytes[static_cast<std::size_t>(rank)] += part.size();
-  }
-  return result;
+  return it->second;
 }
 
 void SharedState::mark_inactive() {

@@ -50,9 +50,12 @@ namespace jem::mpisim {
 /// Per-collective-site communication volume, resolved per rank. A "site" is
 /// the collective's name as passed to guard_payload ("allgatherv",
 /// "gatherv", "all_to_allv"). sent_bytes[r] is what rank r deposited;
-/// recv_bytes[r] is what rank r read back out of the published snapshot.
-/// This is the S3-imbalance view the paper's Table II needs: with skewed
-/// partitions the allgatherv rows differ per rank.
+/// recv_bytes[r] is what rank r takes out of the round: every part for
+/// allgatherv, every part at the gatherv root and nothing elsewhere, and
+/// the slices addressed to it for all_to_allv. This is the S3-imbalance
+/// view the paper's Table II needs: with skewed partitions the allgatherv
+/// sent rows differ per rank, and the gatherv and all_to_allv received
+/// rows show which ranks take the traffic.
 struct SiteCommStats {
   std::uint64_t calls = 0;                 // deposits: one per rank per op
   std::vector<std::uint64_t> sent_bytes;   // indexed by rank
@@ -90,6 +93,10 @@ class SharedState {
   [[nodiscard]] Snapshot exchange(int rank, std::string_view site,
                                   std::vector<std::byte> bytes);
 
+  /// Charges `bytes` to rank's received volume at `site`, once the
+  /// collective knows what the rank took out of the snapshot.
+  void received(int rank, std::string_view site, std::uint64_t bytes);
+
   /// Removes a rank that left the program from every current and future
   /// collective, publishing the round it was the last straggler of.
   void mark_inactive();
@@ -103,6 +110,10 @@ class SharedState {
   /// Publishes the current round if every active rank has arrived.
   /// Caller holds mutex_.
   void try_publish_locked();
+
+  /// The per-site volume of `site`, created on first use. Caller holds
+  /// mutex_.
+  SiteCommStats& site_locked(std::string_view site);
 
   const int size_;
   const obs::ObsHooks obs_;
@@ -172,6 +183,7 @@ class Comm {
     std::vector<T> out;
     std::size_t total = 0;
     for (const auto& part : *snapshot) total += part.size() / sizeof(T);
+    state_->received(rank_, "allgatherv", total * sizeof(T));
     out.reserve(total);
     for (const auto& part : *snapshot) {
       const auto decoded = detail::from_bytes<T>(part);
@@ -194,10 +206,13 @@ class Comm {
         guard_payload("gatherv", detail::to_bytes<T>(local)));
     std::vector<std::vector<T>> out;
     if (rank_ == root) {
+      std::uint64_t bytes = 0;
       out.reserve(snapshot->size());
       for (const auto& part : *snapshot) {
         out.push_back(detail::from_bytes<T>(part));
+        bytes += part.size();
       }
+      state_->received(rank_, "gatherv", bytes);
     }
     return out;
   }
@@ -230,6 +245,7 @@ class Comm {
     const auto snapshot = state_->exchange(
         rank_, "all_to_allv", guard_payload("all_to_allv", std::move(blob)));
     std::vector<std::vector<T>> received(static_cast<std::size_t>(size()));
+    std::uint64_t received_bytes = 0;
     for (int src = 0; src < size(); ++src) {
       const auto& src_blob = (*snapshot)[static_cast<std::size_t>(src)];
       if (src_blob.empty()) continue;  // dead or dropped source
@@ -251,11 +267,12 @@ class Comm {
         }
         offset += static_cast<std::size_t>(count) * sizeof(T);
       }
+      const std::size_t bytes = static_cast<std::size_t>(my_count) * sizeof(T);
       received[static_cast<std::size_t>(src)] = detail::from_bytes<T>(
-          std::span<const std::byte>(src_blob)
-              .subspan(offset, static_cast<std::size_t>(my_count) *
-                                   sizeof(T)));
+          std::span<const std::byte>(src_blob).subspan(offset, bytes));
+      received_bytes += bytes;
     }
+    state_->received(rank_, "all_to_allv", received_bytes);
     return received;
   }
 

@@ -20,18 +20,10 @@ double NetworkModel::allgatherv_s(int p, std::uint64_t total_bytes) const {
   return latency_s * steps + sec_per_byte * moved;
 }
 
-double NetworkModel::barrier_s(int p) const {
-  return latency_s * static_cast<double>(ceil_log2(p));
-}
-
 double NetworkModel::reduce_s(int p, std::uint64_t bytes) const {
   if (p <= 1) return 0.0;
   const double rounds = static_cast<double>(ceil_log2(p));
   return rounds * (latency_s + sec_per_byte * static_cast<double>(bytes));
-}
-
-double NetworkModel::p2p_s(std::uint64_t bytes) const {
-  return latency_s + sec_per_byte * static_cast<double>(bytes);
 }
 
 }  // namespace jem::mpisim

@@ -25,14 +25,8 @@ struct NetworkModel {
   /// For p=1 the collective is free.
   [[nodiscard]] double allgatherv_s(int p, std::uint64_t total_bytes) const;
 
-  /// Time for a barrier: dissemination algorithm, ⌈log2 p⌉ rounds of latency.
-  [[nodiscard]] double barrier_s(int p) const;
-
   /// Time for a reduction of `bytes` per rank to one root (binomial tree).
   [[nodiscard]] double reduce_s(int p, std::uint64_t bytes) const;
-
-  /// Point-to-point message of `bytes`.
-  [[nodiscard]] double p2p_s(std::uint64_t bytes) const;
 };
 
 }  // namespace jem::mpisim

@@ -111,12 +111,6 @@ void StagedExecutor::comm_allgatherv(std::string_view name,
   steps_.push_back({std::string(name), true, cost, {}, total_bytes});
 }
 
-void StagedExecutor::comm_barrier(std::string_view name) {
-  double cost = model_.barrier_s(num_ranks_);
-  comm_delay_s(name, cost);
-  steps_.push_back({std::string(name), true, cost, {}, 0});
-}
-
 void StagedExecutor::comm_reduce(std::string_view name, std::uint64_t bytes) {
   double cost = model_.reduce_s(num_ranks_, bytes);
   comm_delay_s(name, cost);

@@ -208,13 +208,11 @@ void MappingServer::acceptor_loop() {
       continue;
     }
 
-    // Admission control: try-push (zero wait). A full queue sheds the
+    // Admission control: a non-blocking push. A full queue sheds the
     // connection right here with 503 + Retry-After — the listener never
     // blocks behind slow workers.
     int conn = fd;
-    const util::QueueOpResult admitted =
-        conn_queue_->push_wait_for(conn, std::chrono::milliseconds(0));
-    if (admitted == util::QueueOpResult::kSuccess) {
+    if (conn_queue_->try_push(conn)) {
       queue_depth_->set(static_cast<std::int64_t>(conn_queue_->size()));
       continue;
     }

@@ -6,7 +6,6 @@
 // drains rather than drops.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -15,11 +14,6 @@
 #include <utility>
 
 namespace jem::util {
-
-/// Outcome of a timed queue operation: the wait either produced/consumed an
-/// item, observed terminal closure (closed *and* drained for pops, closed at
-/// all for pushes), or ran out of time with the queue still live.
-enum class QueueOpResult { kSuccess, kClosed, kTimeout };
 
 template <typename T>
 class BoundedQueue {
@@ -70,38 +64,17 @@ class BoundedQueue {
     return value;
   }
 
-  /// Timed push: waits at most `timeout` for a free slot. `value` is moved
-  /// from only on kSuccess, so the caller can retry the same object after a
-  /// kTimeout (the bounded-retry-with-backoff loops in the streaming engine
-  /// depend on this).
-  [[nodiscard]] QueueOpResult push_wait_for(T& value,
-                                            std::chrono::nanoseconds timeout) {
+  /// Non-blocking push: enqueues `value` and returns true if the queue is
+  /// open and has a free slot; otherwise returns false and leaves `value`
+  /// untouched, so the caller still owns it (the server's admission shed
+  /// answers the connection it could not queue).
+  [[nodiscard]] bool try_push(T& value) {
     std::unique_lock lock(mutex_);
-    const bool ready = not_full_.wait_for(lock, timeout, [&] {
-      return items_.size() < capacity_ || closed_;
-    });
-    if (!ready) return QueueOpResult::kTimeout;
-    if (closed_) return QueueOpResult::kClosed;
+    if (closed_ || items_.size() >= capacity_) return false;
     items_.push_back(std::move(value));
     lock.unlock();
     not_empty_.notify_one();
-    return QueueOpResult::kSuccess;
-  }
-
-  /// Timed pop: waits at most `timeout` for an item. kClosed is terminal
-  /// (closed and drained); kTimeout means the queue is still live but empty.
-  [[nodiscard]] QueueOpResult pop_wait_for(T& out,
-                                           std::chrono::nanoseconds timeout) {
-    std::unique_lock lock(mutex_);
-    const bool ready = not_empty_.wait_for(
-        lock, timeout, [&] { return !items_.empty() || closed_; });
-    if (!ready) return QueueOpResult::kTimeout;
-    if (items_.empty()) return QueueOpResult::kClosed;
-    out = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return QueueOpResult::kSuccess;
+    return true;
   }
 
   /// Marks the queue closed and wakes every blocked producer and consumer.

@@ -1,7 +1,7 @@
 // Property tests for the concurrency substrate the streaming pipeline
-// stands on: BoundedQueue's close/timeout semantics are pinned down — close
-// wakes every waiter, accepted items are never lost, and a timed-out push
-// does not steal the caller's value.
+// stands on: BoundedQueue's close semantics are pinned down — close wakes
+// every waiter, accepted items are never lost, and a refused try_push does
+// not steal the caller's value.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -55,46 +55,21 @@ TEST(PropertyContainers, CloseWakesBlockedProducer) {
   EXPECT_EQ(queue.pop(), std::nullopt);
 }
 
-TEST(PropertyContainers, TimedOpsDistinguishTimeoutFromClosed) {
+TEST(PropertyContainers, TryPushRefusesWhenFullOrClosed) {
   BoundedQueue<std::string> queue(1);
   std::string item = "first";
-  ASSERT_EQ(queue.push_wait_for(item, milliseconds(10)),
-            QueueOpResult::kSuccess);
+  ASSERT_TRUE(queue.try_push(item));
 
-  // Full queue: a timed push expires without consuming the caller's value.
+  // Full queue: the push is refused at once, without consuming the value.
   std::string second = "second";
-  ASSERT_EQ(queue.push_wait_for(second, milliseconds(10)),
-            QueueOpResult::kTimeout);
-  EXPECT_EQ(second, "second") << "kTimeout must leave the value intact";
+  EXPECT_FALSE(queue.try_push(second));
+  EXPECT_EQ(second, "second") << "a refused push must leave the value intact";
 
-  std::string out;
-  ASSERT_EQ(queue.pop_wait_for(out, milliseconds(10)),
-            QueueOpResult::kSuccess);
-  EXPECT_EQ(out, "first");
-
-  // Empty but open: timeout. Empty and closed: terminal.
-  ASSERT_EQ(queue.pop_wait_for(out, milliseconds(10)),
-            QueueOpResult::kTimeout);
+  EXPECT_EQ(queue.pop(), std::optional<std::string>("first"));
   queue.close();
-  EXPECT_EQ(queue.pop_wait_for(out, milliseconds(10)), QueueOpResult::kClosed);
-  EXPECT_EQ(queue.push_wait_for(second, milliseconds(10)),
-            QueueOpResult::kClosed);
-  EXPECT_EQ(second, "second") << "kClosed must leave the value intact too";
-}
-
-TEST(PropertyContainers, TimedPushSucceedsOnceSpaceFrees) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.push(1));
-  std::thread consumer([&] {
-    std::this_thread::sleep_for(milliseconds(30));
-    (void)queue.pop();
-  });
-  int value = 2;
-  // Generous timeout: the push must succeed as soon as the pop frees a slot.
-  EXPECT_EQ(queue.push_wait_for(value, milliseconds(2000)),
-            QueueOpResult::kSuccess);
-  consumer.join();
-  EXPECT_EQ(queue.pop(), std::optional<int>(2));
+  EXPECT_FALSE(queue.try_push(second));
+  EXPECT_EQ(second, "second") << "a closed queue must leave the value intact";
+  EXPECT_EQ(queue.pop(), std::nullopt);
 }
 
 TEST(PropertyContainers, CloseWhileManyWaitersReleasesAll) {

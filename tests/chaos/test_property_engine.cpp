@@ -172,6 +172,7 @@ TEST(PropertyEngine, FlatIndexPathMatchesReferenceOracleOnSampledSegments) {
     const MapParams params = small_params();
     const MappingEngine engine(input.contigs, params);
     MapScratch scratch(input.contigs.size());
+    oracle::ReferenceCounters counters(input.contigs.size());
 
     const std::size_t l = params.segment_length;
     int sampled = 0;
@@ -182,7 +183,7 @@ TEST(PropertyEngine, FlatIndexPathMatchesReferenceOracleOnSampledSegments) {
            {bases.substr(0, l), bases.substr(bases.size() - l)}) {
         const MapResult fast = engine.mapper().map_segment(segment, scratch);
         const MapResult reference =
-            oracle::map_segment_reference(engine.mapper(), segment, scratch);
+            oracle::map_segment_reference(engine.mapper(), segment, counters);
         EXPECT_EQ(fast, reference);
         ++sampled;
       }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "core/dna.hpp"
@@ -289,6 +290,7 @@ TEST_F(MapperTest, HotPathMatchesReferencePathExactly) {
   // CSR path on every kind of segment, with one scratch reused throughout.
   const JemMapper mapper(subjects_, params_);
   MapScratch scratch(subjects_.size());
+  oracle::ReferenceCounters counters(subjects_.size());
   util::Xoshiro256ss rng(31337);
   for (int round = 0; round < 60; ++round) {
     std::string segment;
@@ -313,7 +315,7 @@ TEST_F(MapperTest, HotPathMatchesReferencePathExactly) {
     }
     const MapResult fast = mapper.map_segment(segment, scratch);
     const MapResult reference =
-        oracle::map_segment_reference(mapper, segment, scratch);
+        oracle::map_segment_reference(mapper, segment, counters);
     ASSERT_EQ(fast, reference) << "round " << round;
   }
 }
@@ -345,6 +347,7 @@ TEST_F(MapperTest, PaperParametersHotPathMatchesReferenceOnSimReads) {
   ASSERT_EQ(params.trials, 30);
   const JemMapper mapper(contigs.contigs, params);
   MapScratch scratch(contigs.contigs.size());
+  oracle::ReferenceCounters counters(contigs.contigs.size());
   SketchScratch sketch_scratch;
   FlatSketch sketch;
 
@@ -389,10 +392,12 @@ TEST_F(MapperTest, PaperParametersHotPathMatchesReferenceOnSimReads) {
     }
 
     const MapResult fast = mapper.map_segment(segment, scratch);
-    ASSERT_EQ(fast, oracle::map_segment_reference(mapper, segment, scratch))
+    ASSERT_EQ(fast, oracle::map_segment_reference(mapper, segment, counters))
         << "segment " << i;
     const std::vector<MapResult> top = mapper.map_segment_topx(segment, 3,
                                                                scratch);
+    ASSERT_EQ(top, oracle::map_segment_topx_reference(mapper, segment, 3))
+        << "segment " << i;
     if (fast.mapped()) {
       ++mapped;
       ASSERT_FALSE(top.empty()) << "segment " << i;
@@ -405,16 +410,139 @@ TEST_F(MapperTest, PaperParametersHotPathMatchesReferenceOnSimReads) {
   EXPECT_GT(mapped, segments.size() / 2);
 }
 
+/// map_segment and map_segment_topx against both oracles over in-genome
+/// segments (one straddling each contig seam, the rest random), and
+/// unrelated ones, through one scratch.
+void expect_hot_path_matches_reference(const JemMapper& mapper,
+                                       const std::string& genome,
+                                       std::uint64_t seed) {
+  const std::size_t subjects = mapper.subjects().size();
+  MapScratch scratch(subjects);
+  oracle::ReferenceCounters counters(subjects);
+  util::Xoshiro256ss rng(seed);
+  for (int round = 0; round < 40; ++round) {
+    std::string segment;
+    if (round < 9) {
+      segment = genome.substr(static_cast<std::size_t>(round) * 6000 + 5500,
+                              1000);
+    } else if (round % 4 == 0) {
+      segment = random_dna(rng, 1000);
+    } else {
+      segment = genome.substr(rng.bounded(genome.size() - 1000), 1000);
+    }
+    ASSERT_EQ(mapper.map_segment(segment, scratch),
+              oracle::map_segment_reference(mapper, segment, counters))
+        << "round " << round;
+    ASSERT_EQ(mapper.map_segment_topx(segment, 4, scratch),
+              oracle::map_segment_topx_reference(mapper, segment, 4))
+        << "round " << round;
+  }
+}
+
 TEST_F(MapperTest, HotPathMatchesReferenceUnderClassicMinhash) {
   const JemMapper mapper(subjects_, params_, SketchScheme::kClassicMinhash);
-  MapScratch scratch(subjects_.size());
-  util::Xoshiro256ss rng(4242);
-  for (int round = 0; round < 20; ++round) {
-    const std::string segment =
-        genome_.substr(rng.bounded(genome_.size() - 1000), 1000);
-    ASSERT_EQ(mapper.map_segment(segment, scratch),
-              oracle::map_segment_reference(mapper, segment, scratch));
+  expect_hot_path_matches_reference(mapper, genome_, 4242);
+}
+
+TEST_F(MapperTest, HotPathMatchesReferenceWithRaisedMinVotes) {
+  // Seam segments split their votes between two contigs, so a raised
+  // threshold drops some winners and trims some top-x lists.
+  MapParams params = params_;
+  params.min_votes = params.trials / 2;
+  const JemMapper jem(subjects_, params);
+  expect_hot_path_matches_reference(jem, genome_, 5151);
+  const JemMapper minhash(subjects_, params, SketchScheme::kClassicMinhash);
+  expect_hot_path_matches_reference(minhash, genome_, 6262);
+}
+
+TEST_F(MapperTest, SubjectUnderTwoKmersOfOneTrialEarnsOneVote) {
+  // A hand-built table over the sketch of one segment: subject 0 sits under
+  // two k-mers of one trial and one k-mer of another, subject 1 under one
+  // k-mer of the first trial. Hits_r[t] is a set, so subject 0 earns two
+  // votes (not three) and subject 1 one.
+  const std::string segment = genome_.substr(12'000, 1000);
+  const HashFamily hashes(params_.trials, params_.seed);
+  SketchScratch sketch_scratch;
+  FlatSketch sketch;
+  make_sketch(segment, params_, SketchScheme::kJem, hashes, sketch_scratch,
+              sketch);
+  int doubled = -1;
+  for (int t = 0; t < sketch.trials() && doubled < 0; ++t) {
+    if (sketch.trial(t).size() >= 2) doubled = t;
   }
+  ASSERT_GE(doubled, 0) << "no trial with two sketch k-mers";
+  const int other = (doubled + 1) % params_.trials;
+  ASSERT_FALSE(sketch.trial(other).empty());
+
+  const auto trial = [](int t) { return static_cast<std::uint32_t>(t); };
+  const std::vector<SketchEntry> entries{
+      {sketch.trial(doubled)[0], trial(doubled), 0},
+      {sketch.trial(doubled)[1], trial(doubled), 0},
+      {sketch.trial(doubled)[1], trial(doubled), 1},
+      {sketch.trial(other)[0], trial(other), 0},
+  };
+  io::SequenceSet subjects;
+  subjects.add("two_kmers", genome_.substr(0, 1000));
+  subjects.add("one_kmer", genome_.substr(1000, 1000));
+  const JemMapper mapper(subjects, params_, SketchScheme::kJem,
+                         SketchTable::from_entries(params_.trials, entries));
+
+  MapScratch scratch(subjects.size());
+  EXPECT_EQ(mapper.map_segment(segment, scratch), (MapResult{0, 2}));
+  EXPECT_EQ(mapper.map_segment_topx(segment, 5, scratch),
+            (std::vector<MapResult>{{0, 2}, {1, 1}}));
+  oracle::ReferenceCounters counters(subjects.size());
+  EXPECT_EQ(oracle::map_segment_reference(mapper, segment, counters),
+            (MapResult{0, 2}));
+  EXPECT_EQ(oracle::map_segment_topx_reference(mapper, segment, 5),
+            (std::vector<MapResult>{{0, 2}, {1, 1}}));
+}
+
+TEST_F(MapperTest, SampledHotpathCountersMatchPerTrialLookupMany) {
+  // Every segment sampled: each one's counter deltas must equal what
+  // per-trial lookup_many calls over the same sketch report.
+  const JemMapper mapper(subjects_, params_);
+  const FlatSketchIndex& index = mapper.table().flat();
+  MapScratch scratch(subjects_.size());
+  scratch.hotpath().sample_every = 1;
+  SketchScratch sketch_scratch;
+  FlatSketch sketch;
+  util::Xoshiro256ss rng(909);
+  for (int round = 0; round < 24; ++round) {
+    const std::string segment =
+        round % 3 == 2
+            ? random_dna(rng, 1000)
+            : genome_.substr(rng.bounded(genome_.size() - 1000), 1000);
+    make_sketch(segment, params_, SketchScheme::kJem, mapper.hashes(),
+                sketch_scratch, sketch);
+    HotpathCounters expected = scratch.hotpath();
+    std::set<io::SeqId> candidates;
+    for (int t = 0; t < sketch.trials(); ++t) {
+      const std::span<const KmerCode> kmers = sketch.trial(t);
+      std::vector<std::span<const io::SeqId>> postings(kmers.size());
+      expected.probe_slots += index.lookup_many(t, kmers, postings);
+      expected.kmer_lookups += kmers.size();
+      for (const std::span<const io::SeqId> subjects : postings) {
+        subjects.empty() ? ++expected.sketch_misses : ++expected.sketch_hits;
+        candidates.insert(subjects.begin(), subjects.end());
+      }
+    }
+    expected.candidates += candidates.size();
+    ++expected.segments_seen;
+    ++expected.segments_sampled;
+
+    (void)mapper.map_segment(segment, scratch);
+    const HotpathCounters& got = scratch.hotpath();
+    EXPECT_EQ(got.segments_seen, expected.segments_seen);
+    EXPECT_EQ(got.segments_sampled, expected.segments_sampled);
+    EXPECT_EQ(got.kmer_lookups, expected.kmer_lookups) << "round " << round;
+    EXPECT_EQ(got.sketch_hits, expected.sketch_hits) << "round " << round;
+    EXPECT_EQ(got.sketch_misses, expected.sketch_misses) << "round " << round;
+    EXPECT_EQ(got.probe_slots, expected.probe_slots) << "round " << round;
+    EXPECT_EQ(got.candidates, expected.candidates) << "round " << round;
+  }
+  EXPECT_GT(scratch.hotpath().sketch_hits, 0u);
+  EXPECT_GT(scratch.hotpath().sketch_misses, 0u);
 }
 
 TEST_F(MapperTest, TopXReusesScratchAcrossCalls) {

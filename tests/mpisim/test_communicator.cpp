@@ -137,6 +137,45 @@ TEST(CommStats, CountsPerSiteTrafficByRank) {
   EXPECT_EQ(stats.collective_bytes, 12u + 48u);
 }
 
+TEST(CommStats, AllgathervChargesEveryRankWithEveryPart) {
+  const CommStats stats = run_spmd_ft(4, [](Comm& comm) {
+    // Rank r deposits r + 1 elements: 10 elements in all.
+    const std::vector<std::uint32_t> local(
+        static_cast<std::size_t>(comm.rank() + 1), 7);
+    (void)comm.allgatherv(local);
+  }).stats;
+  const SiteCommStats& site = stats.per_site.at("allgatherv");
+  EXPECT_EQ(site.sent_bytes, (std::vector<std::uint64_t>{4, 8, 12, 16}));
+  EXPECT_EQ(site.recv_bytes, (std::vector<std::uint64_t>{40, 40, 40, 40}));
+}
+
+TEST(CommStats, GathervChargesOnlyTheRoot) {
+  const CommStats stats = run_spmd_ft(4, [](Comm& comm) {
+    const std::vector<std::uint32_t> local(
+        static_cast<std::size_t>(comm.rank() + 1), 7);
+    (void)comm.gatherv<std::uint32_t>(local, 2);
+  }).stats;
+  const SiteCommStats& site = stats.per_site.at("gatherv");
+  EXPECT_EQ(site.sent_bytes, (std::vector<std::uint64_t>{4, 8, 12, 16}));
+  EXPECT_EQ(site.recv_bytes, (std::vector<std::uint64_t>{0, 0, 40, 0}));
+}
+
+TEST(CommStats, AllToAllvChargesEachRankItsSlices) {
+  const CommStats stats = run_spmd_ft(4, [](Comm& comm) {
+    // Rank s sends s + d + 1 elements to rank d.
+    std::vector<std::vector<std::uint32_t>> per_dest(4);
+    for (std::size_t d = 0; d < per_dest.size(); ++d) {
+      per_dest[d].assign(static_cast<std::size_t>(comm.rank()) + d + 1, 7);
+    }
+    (void)comm.all_to_allv(per_dest);
+  }).stats;
+  const SiteCommStats& site = stats.per_site.at("all_to_allv");
+  // Each blob is a 4 x u64 count header plus 4 * (4s + 10) payload bytes;
+  // rank d receives 4 * (s + d + 1) bytes from each source s.
+  EXPECT_EQ(site.sent_bytes, (std::vector<std::uint64_t>{72, 88, 104, 120}));
+  EXPECT_EQ(site.recv_bytes, (std::vector<std::uint64_t>{40, 56, 72, 88}));
+}
+
 TEST(StressTest, RandomCollectiveScheduleStaysConsistent) {
   // 40 rounds of randomly chosen collectives with randomly sized payloads;
   // every rank derives the same schedule from the round number, as a

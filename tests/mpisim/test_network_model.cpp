@@ -8,7 +8,6 @@ namespace {
 TEST(NetworkModel, SingleRankCollectivesAreFree) {
   NetworkModel model;
   EXPECT_DOUBLE_EQ(model.allgatherv_s(1, 1 << 20), 0.0);
-  EXPECT_DOUBLE_EQ(model.barrier_s(1), 0.0);
   EXPECT_DOUBLE_EQ(model.reduce_s(1, 1024), 0.0);
 }
 
@@ -36,27 +35,12 @@ TEST(NetworkModel, AllgathervBandwidthTermMatchesRingFormula) {
                    model.sec_per_byte * 1e6 * 3.0 / 4.0);
 }
 
-TEST(NetworkModel, BarrierIsLogarithmic) {
-  NetworkModel model;
-  EXPECT_DOUBLE_EQ(model.barrier_s(2), model.latency_s);
-  EXPECT_DOUBLE_EQ(model.barrier_s(4), 2 * model.latency_s);
-  EXPECT_DOUBLE_EQ(model.barrier_s(64), 6 * model.latency_s);
-  EXPECT_DOUBLE_EQ(model.barrier_s(65), 7 * model.latency_s);
-}
-
 TEST(NetworkModel, ReduceChargesPerRound) {
   NetworkModel model;
   const std::uint64_t bytes = 4096;
   const double expected =
       3 * (model.latency_s + model.sec_per_byte * 4096.0);
   EXPECT_DOUBLE_EQ(model.reduce_s(8, bytes), expected);
-}
-
-TEST(NetworkModel, P2pIsLatencyPlusBandwidth) {
-  NetworkModel model;
-  EXPECT_DOUBLE_EQ(model.p2p_s(0), model.latency_s);
-  EXPECT_DOUBLE_EQ(model.p2p_s(1 << 20),
-                   model.latency_s + model.sec_per_byte * (1 << 20));
 }
 
 TEST(NetworkModel, DefaultsAreTenGigabitClass) {

@@ -49,7 +49,7 @@ TEST(StagedExecutor, TotalIsComputePlusComm) {
   executor.compute_step("work", [](int) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   });
-  executor.comm_barrier("sync");
+  executor.comm_allgatherv("sync", 1 << 10);
   EXPECT_DOUBLE_EQ(executor.total_s(),
                    executor.compute_s() + executor.comm_s());
   EXPECT_GT(executor.compute_s(), 0.0);
@@ -58,11 +58,11 @@ TEST(StagedExecutor, TotalIsComputePlusComm) {
 
 TEST(StagedExecutor, StepLookupByNameSumsDuplicates) {
   StagedExecutor executor(2);
-  executor.comm_barrier("b");
-  executor.comm_barrier("b");
-  executor.comm_barrier("other");
+  executor.comm_allgatherv("b", 1 << 10);
+  executor.comm_allgatherv("b", 1 << 10);
+  executor.comm_allgatherv("other", 1 << 10);
   EXPECT_DOUBLE_EQ(executor.step_s("b"),
-                   2 * executor.model().barrier_s(2));
+                   2 * executor.model().allgatherv_s(2, 1 << 10));
   EXPECT_DOUBLE_EQ(executor.step_s("missing"), 0.0);
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
+#include <set>
 #include <stdexcept>
 
 #include "core/dna.hpp"
@@ -180,27 +182,38 @@ Sketch sketch_by_jem_naive(std::span<const Minimizer> minimizers,
   return sketch;
 }
 
+namespace {
+
+/// The reference path's sketch: the deque kernel over a fresh minimizer
+/// scan for the JEM scheme, the allocating make_sketch otherwise.
+Sketch reference_sketch(const core::JemMapper& mapper,
+                        std::string_view segment) {
+  const core::MapParams& params = mapper.params();
+  return mapper.scheme() == core::SketchScheme::kJem
+             ? sketch_by_jem_reference(
+                   core::minimizer_scan(segment,
+                                        {params.k, params.w, params.ordering}),
+                   params.segment_length, mapper.hashes())
+             : core::make_sketch(segment, params, mapper.scheme(),
+                                 mapper.hashes());
+}
+
+}  // namespace
+
 core::MapResult map_segment_reference(const core::JemMapper& mapper,
                                       std::string_view segment,
-                                      core::MapScratch& scratch) {
+                                      ReferenceCounters& counters) {
   const core::MapParams& params = mapper.params();
-  const Sketch sketch =
-      mapper.scheme() == core::SketchScheme::kJem
-          ? sketch_by_jem_reference(
-                core::minimizer_scan(segment,
-                                     {params.k, params.w, params.ordering}),
-                params.segment_length, mapper.hashes())
-          : core::make_sketch(segment, params, mapper.scheme(),
-                              mapper.hashes());
+  const Sketch sketch = reference_sketch(mapper, segment);
 
   core::MapResult best;
-  scratch.votes().new_round();
+  counters.votes.new_round();
   for (int t = 0; t < params.trials; ++t) {
-    scratch.seen().new_round();
+    counters.seen.new_round();
     for (KmerCode kmer : sketch.per_trial[static_cast<std::size_t>(t)]) {
       for (io::SeqId subject : mapper.table().flat().lookup(t, kmer)) {
-        if (!scratch.seen().first_time(subject)) continue;
-        const std::uint32_t count = scratch.votes().increment(subject);
+        if (!counters.seen.first_time(subject)) continue;
+        const std::uint32_t count = counters.votes.increment(subject);
         if (count > best.votes ||
             (count == best.votes && subject < best.subject)) {
           best.votes = count;
@@ -212,6 +225,34 @@ core::MapResult map_segment_reference(const core::JemMapper& mapper,
 
   if (best.votes < params.min_votes) return {};
   return best;
+}
+
+std::vector<core::MapResult> map_segment_topx_reference(
+    const core::JemMapper& mapper, std::string_view segment, std::size_t x) {
+  const core::MapParams& params = mapper.params();
+  const Sketch sketch = reference_sketch(mapper, segment);
+
+  std::map<io::SeqId, std::uint32_t> votes;
+  for (int t = 0; t < params.trials; ++t) {
+    std::set<io::SeqId> hits;
+    for (KmerCode kmer : sketch.per_trial[static_cast<std::size_t>(t)]) {
+      for (io::SeqId subject : mapper.table().flat().lookup(t, kmer)) {
+        hits.insert(subject);
+      }
+    }
+    for (io::SeqId subject : hits) ++votes[subject];
+  }
+
+  std::vector<core::MapResult> ranked;
+  for (const auto& [subject, count] : votes) {
+    if (count >= params.min_votes) ranked.push_back({subject, count});
+  }
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const core::MapResult& a, const core::MapResult& b) {
+                     return a.votes > b.votes;
+                   });
+  if (ranked.size() > x) ranked.resize(x);
+  return ranked;
 }
 
 }  // namespace jem::oracle

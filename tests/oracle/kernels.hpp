@@ -10,7 +10,9 @@
 //  * sketch_by_jem_reference  — the pre-overhaul std::deque sliding-window
 //                               kernel, kept verbatim;
 //  * map_segment_reference    — the pre-overhaul query path over a
-//                               JemMapper's public accessors.
+//                               JemMapper's public accessors;
+//  * map_segment_topx_reference — its top-x ranking, counted in ordered
+//                               containers.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "core/hash_family.hpp"
+#include "core/hit_counter.hpp"
 #include "core/mapper.hpp"
 #include "core/minimizer.hpp"
 #include "core/sketch.hpp"
@@ -42,12 +45,31 @@ namespace jem::oracle {
     std::span<const core::Minimizer> minimizers,
     std::uint32_t interval_length, const core::HashFamily& hashes);
 
+/// The reference query path's own lazy counters: per-segment votes and
+/// per-trial `first_time` marks. Make one per caller, outside any timed
+/// loop, and reuse it across segments.
+struct ReferenceCounters {
+  explicit ReferenceCounters(std::size_t num_subjects)
+      : votes(num_subjects), seen(num_subjects) {}
+
+  core::LazyHitCounter votes;
+  core::LazyHitCounter seen;
+};
+
 /// The pre-overhaul query path: a fresh Sketch from the deque kernel (JEM
 /// scheme) and one single-key flat().lookup per (trial, k-mer), with no
-/// prefetch and no lookup_many. Returns exactly what
+/// prefetch, voted through two LazyHitCounters. Returns exactly what
 /// `mapper.map_segment(segment, scratch)` returns.
 [[nodiscard]] core::MapResult map_segment_reference(
     const core::JemMapper& mapper, std::string_view segment,
-    core::MapScratch& scratch);
+    ReferenceCounters& counters);
+
+/// Top-x by the same sketch and lookups, counted in ordered containers:
+/// each trial's hit set, then every subject's vote total, ranked by votes
+/// (descending, ties to the smaller id), those below min_votes dropped.
+/// Returns exactly what `mapper.map_segment_topx(segment, x, scratch)`
+/// returns.
+[[nodiscard]] std::vector<core::MapResult> map_segment_topx_reference(
+    const core::JemMapper& mapper, std::string_view segment, std::size_t x);
 
 }  // namespace jem::oracle

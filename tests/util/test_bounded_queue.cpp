@@ -42,16 +42,6 @@ TEST(BoundedQueueTest, CapacityZeroClampsToOne) {
   EXPECT_EQ(queue.pop(), 7);
 }
 
-TEST(BoundedQueueTest, SubMillisecondPopWaitForWaitsTheWholeTimeout) {
-  // A timeout of a few hundred microseconds must not be truncated to whole
-  // milliseconds (and so to a zero wait).
-  BoundedQueue<int> queue(4);
-  int out = 0;
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(queue.pop_wait_for(out, 300us), QueueOpResult::kTimeout);
-  EXPECT_GE(std::chrono::steady_clock::now() - start, 300us);
-}
-
 TEST(BoundedQueueTest, ProducerBlocksWhenFullAndResumesAfterPop) {
   BoundedQueue<int> queue(2);
   std::atomic<int> pushed{0};
