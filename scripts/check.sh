@@ -210,17 +210,26 @@ grep -q 'loaded sketch index' /tmp/jem_check_load.log
 rm -f /tmp/jem_check.jemidx
 echo "index round trip: byte-identical, artifact loaded"
 
-# Kill-and-resume smoke (docs/persistence.md): SIGKILL a checkpointed
-# streaming run mid-flight, resume it, and require the published output to
-# be byte-identical to an uninterrupted run. If the kill happens to land
-# after completion the resume exercises the journal-gone full-re-run
-# fallback instead — either way the diff must be empty.
+# Streamed and kill-and-resume smoke (docs/persistence.md): a plain
+# streamed run writes through the same per-batch output path as a
+# checkpointed one and must match the in-memory golden, leaving no
+# .partial. Then SIGKILL a checkpointed streaming run mid-flight, resume
+# it, and require the published output to be byte-identical to an
+# uninterrupted run. If the kill happens to land after completion the
+# resume exercises the journal-gone full-re-run fallback instead — either
+# way the diff must be empty.
 SMOKE=/tmp/jem_ckpt_smoke
 rm -rf "$SMOKE" && mkdir -p "$SMOKE"
 ./build/examples/make_dataset --preset "E. coli" --prefix "$SMOKE/ds" \
   --cap-bp 300000
 ./build/examples/jem_map --subjects "$SMOKE/ds_contigs.fa" \
   --queries "$SMOKE/ds_reads.fq.gz" --output "$SMOKE/golden.tsv"
+./build/examples/jem_map --subjects "$SMOKE/ds_contigs.fa" \
+  --queries "$SMOKE/ds_reads.fq.gz" --output "$SMOKE/streamed.tsv" \
+  --batch 20 --threads 3
+cmp "$SMOKE/golden.tsv" "$SMOKE/streamed.tsv"
+test ! -e "$SMOKE/streamed.tsv.partial"
+echo "streamed smoke: byte-identical, no .partial left"
 ./build/examples/jem_map --subjects "$SMOKE/ds_contigs.fa" \
   --queries "$SMOKE/ds_reads.fq.gz" --output "$SMOKE/out.tsv" \
   --batch 20 --checkpoint "$SMOKE/run.ckpt" &

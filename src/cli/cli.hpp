@@ -11,7 +11,7 @@
 //   jem loadgen      Zipf-skewed load generator (offered-load/latency curves)
 //
 // Exit codes are uniform across subcommands (docs/serve.md):
-//   0  success
+//   0  success (and `--help` / `-h`, which prints the usage to stdout)
 //   1  runtime failure (bad input file, engine error, server died)
 //   2  usage error (unknown option/subcommand, invalid parameter value —
 //      including unknown --ordering / --scheme names)

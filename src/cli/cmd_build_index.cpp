@@ -32,11 +32,8 @@ int run_build_index(std::span<const char* const> args,
   options.add_string("output", output_path, "index artifact output path");
   sketch.add_to(options);
   options.add_flag("demo", demo, "simulate subjects instead of reading files");
-  try {
-    (void)options.parse(args);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage(program);
-    return kExitUsage;
+  if (const auto exit_code = options.parse_command(args, program)) {
+    return *exit_code;
   }
   if (output_path.empty()) {
     std::cerr << "error: --output is required\n" << options.usage(program);

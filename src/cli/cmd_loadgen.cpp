@@ -209,11 +209,8 @@ int run_loadgen(std::span<const char* const> args, std::string_view program) {
   options.add_uint("seed", seed, "RNG seed for the rank schedule");
   options.add_uint("top-x", top_x, "top_x to request (default 1)");
   options.add_string("out", out_path, "write the JSON curve here (- = stdout)");
-  try {
-    (void)options.parse(args);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage(program);
-    return kExitUsage;
+  if (const auto exit_code = options.parse_command(args, program)) {
+    return *exit_code;
   }
   if (port == 0 || port > 65535) {
     std::cerr << "error: --port must be in [1, 65535]\n";

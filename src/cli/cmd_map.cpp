@@ -24,7 +24,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -93,8 +92,9 @@ int run_map(std::span<const char* const> args, std::string_view program) {
                    "segments (finds contigs inside read interiors)");
   options.add_uint("batch", batch,
                    "map queries in batches of N reads as they are parsed "
-                   "(the inflated query file is still held whole; combine "
-                   "with --threads for the pipelined pool)");
+                   "and write the output batch by batch (the inflated query "
+                   "file is still held whole; combine with --threads for "
+                   "the pipelined pool)");
   options.add_string("save-index", save_index_path,
                      "write the subject sketch index (checksummed artifact) "
                      "to this file");
@@ -116,11 +116,8 @@ int run_map(std::span<const char* const> args, std::string_view program) {
   options.add_flag("progress", progress,
                    "print a live progress line (segments/s, ETA, queue "
                    "depth) to stderr");
-  try {
-    (void)options.parse(args);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage(program);
-    return kExitUsage;
+  if (const auto exit_code = options.parse_command(args, program)) {
+    return *exit_code;
   }
   if (ranks) {
     if (*ranks < 1 || *ranks > kMaxRanks) {
@@ -261,8 +258,19 @@ int run_map(std::span<const char* const> args, std::string_view program) {
   };
 
   util::WallTimer timer;
+  // In-memory and distributed runs collect their lines and write them at
+  // the end; a streamed run writes each batch as it is emitted. Both tally
+  // the records for the summary line.
   std::vector<io::MappingLine> lines;
-  bool published = false;  // checkpointed runs write their output themselves
+  bool streamed = false;
+  std::uint64_t records = 0;
+  std::uint64_t mapped = 0;
+  const auto tally = [&](const std::vector<io::MappingLine>& written) {
+    records += written.size();
+    for (const io::MappingLine& line : written) {
+      if (line.mapped()) ++mapped;
+    }
+  };
   if (ranks) {
     const int rank_count = static_cast<int>(*ranks);
     const core::DistributedResult result =
@@ -321,30 +329,35 @@ int run_map(std::span<const char* const> args, std::string_view program) {
     request.obs = obs;
 
     core::EngineStats stats;
+    std::optional<io::MappingOutput> output;
+    std::optional<io::CheckpointWriter> journal;
     try {
-      if (batch > 0 && !demo && !checkpoint_path.empty()) {
-        // Checkpointed streaming: each in-order batch is appended to
-        // <output>.partial and journaled; a killed run resumes past the
-        // journal and the final output (published atomically) is byte-
-        // identical to an uninterrupted run (docs/persistence.md).
+      if (batch > 0 && !demo) {
+        // Streamed: the engine parses batches on this thread and maps them
+        // on the pool behind a bounded queue; the sink appends each batch,
+        // in input order, to <output>.partial, published atomically at the
+        // end. The whole inflated query file is still held in memory
+        // (read_file_auto), and parse errors surface from run_stream.
+        // --checkpoint makes the sink journal every batch after syncing its
+        // bytes, so a killed run resumes past the journal and publishes the
+        // bytes of an uninterrupted run (docs/persistence.md).
+        streamed = true;
         const std::string query_data = io::read_file_auto(queries_path);
         std::istringstream stream(query_data);
         io::BatchStream batches(stream, batch);
-        const core::JemMapper& mapper = engine->mapper();
 
-        // The fingerprint binds the journal to this exact run: mapping
-        // parameters + scheme, subject set, query bytes, and the request
-        // shape that determines batch boundaries and output layout.
         io::JournalFingerprint fp;
-        fp.words[0] = core::params_digest(params, scheme);
-        fp.words[1] = core::subjects_digest(subjects);
-        fp.words[2] = io::xxh64(query_data);
-        fp.words[3] = io::xxh64(std::string(tiled ? "tiled" : "ends") +
-                                ";batch=" + std::to_string(batch));
-
-        std::optional<io::MappingOutput> output;
-        std::optional<io::CheckpointWriter> journal;
-        if (resume) {
+        if (!checkpoint_path.empty()) {
+          // Binds the journal to this exact run: mapping parameters +
+          // scheme, subject set, query bytes, and the request shape that
+          // determines batch boundaries and output layout.
+          fp.words[0] = core::params_digest(params, scheme);
+          fp.words[1] = core::subjects_digest(subjects);
+          fp.words[2] = io::xxh64(query_data);
+          fp.words[3] = io::xxh64(std::string(tiled ? "tiled" : "ends") +
+                                  ";batch=" + std::to_string(batch));
+        }
+        if (!checkpoint_path.empty() && resume) {
           try {
             const io::ResumePoint point =
                 io::read_journal(checkpoint_path, fp);
@@ -368,57 +381,50 @@ int run_map(std::span<const char* const> args, std::string_view program) {
         }
         if (!output) {
           output.emplace(output_path);
-          journal.emplace(io::CheckpointWriter::create(checkpoint_path, fp));
+          if (!checkpoint_path.empty()) {
+            journal.emplace(
+                io::CheckpointWriter::create(checkpoint_path, fp));
+          }
         }
-        journal->set_output_state([&] { return output->state(); });
-        request.checkpoint = &*journal;
+        if (journal) {
+          journal->set_output_state([&] { return output->state(); });
+        }
 
-        stats = engine->run_stream(
-            batches, request,
-            [&](const core::MappingEngine::BatchResult& result) {
-              std::ostringstream chunk;
-              io::write_mappings(chunk, mapper.to_mapping_lines(
-                                            result.batch.reads,
-                                            result.mappings));
-              output->append(std::move(chunk).str());
-              // Sync before the journal append: a journal record must never
-              // claim bytes the disk does not have.
-              output->sync();
-            });
-        output->publish();
-        journal->close();
-        io::remove_journal(checkpoint_path);
-        published = true;
-        util::log_info() << "streamed " << stats.reads << " reads ("
-                         << stats.batches_skipped << " batches resumed past, "
-                         << stats.journal_appends << " journal records)";
-      } else if (batch > 0 && !demo) {
-        // Streaming mode: batches are parsed as they are mapped, but the
-        // whole inflated query file is held in memory (read_file_auto), so
-        // memory still grows with the query set. The engine reads batches
-        // on this thread and maps them on the pool behind a bounded queue,
-        // emitting results in input order. Parsing happens lazily here, so
-        // parse errors surface from run_stream.
-        std::istringstream stream(io::read_file_auto(queries_path));
-        io::BatchStream batches(stream, batch);
         const core::JemMapper& mapper = engine->mapper();
         stats = engine->run_stream(
             batches, request,
             [&](const core::MappingEngine::BatchResult& result) {
-              auto chunk_lines =
+              const std::vector<io::MappingLine> batch_lines =
                   mapper.to_mapping_lines(result.batch.reads, result.mappings);
-              lines.insert(lines.end(),
-                           std::make_move_iterator(chunk_lines.begin()),
-                           std::make_move_iterator(chunk_lines.end()));
+              std::ostringstream chunk;
+              io::write_mappings(chunk, batch_lines);
+              output->append(std::move(chunk).str());
+              tally(batch_lines);
+              if (journal) {
+                // Sync before the journal append: a journal record must
+                // never claim bytes the disk does not have.
+                output->sync();
+                journal->append_batch(result.batch.index,
+                                      result.batch.first_record +
+                                          result.batch.reads.size());
+              }
             });
+        output->publish();
         util::log_info() << "streamed " << stats.reads
                          << " reads in batches of " << batch;
+        if (journal) {
+          journal->close();
+          io::remove_journal(checkpoint_path);
+        }
       } else {
         core::MapReport report = engine->run(reads, request);
         lines = engine->mapper().to_mapping_lines(reads, report.mappings);
         stats = report.stats;
       }
     } catch (const std::exception& error) {
+      // A failed plain streamed run leaves nothing behind; a checkpointed
+      // one keeps its .partial and journal for --resume.
+      if (output && !journal) output->discard();
       std::cerr << "error: " << error.what() << '\n';
       return kExitRuntime;
     }
@@ -430,32 +436,23 @@ int run_map(std::span<const char* const> args, std::string_view program) {
                      << " s, queue-wait " << stats.queue_wait_s << " s)";
   }
   stop_progress();
-  if (published) {
-    util::log_info() << "checkpointed run finished in " << timer.elapsed_s()
-                     << " s";
-    write_obs_outputs();
-    std::cout << "published " << output_path << '\n';
-    return kExitOk;
-  }
 
-  util::log_info() << "mapped " << lines.size() << " end segments in "
+  if (!streamed) {
+    tally(lines);
+    try {
+      std::ostringstream serialized;
+      io::write_mappings(serialized, lines);
+      io::atomic_write_file(output_path, std::move(serialized).str());
+    } catch (const io::ArtifactError& error) {
+      std::cerr << "error: cannot write " << output_path << ": "
+                << error.what() << '\n';
+      return kExitRuntime;
+    }
+  }
+  util::log_info() << "mapped " << records << " end segments in "
                    << timer.elapsed_s() << " s";
-
-  try {
-    std::ostringstream serialized;
-    io::write_mappings(serialized, lines);
-    io::atomic_write_file(output_path, std::move(serialized).str());
-  } catch (const io::ArtifactError& error) {
-    std::cerr << "error: cannot write " << output_path << ": " << error.what()
-              << '\n';
-    return kExitRuntime;
-  }
   write_obs_outputs();
-  std::uint64_t mapped = 0;
-  for (const auto& line : lines) {
-    if (line.mapped()) ++mapped;
-  }
-  std::cout << "wrote " << lines.size() << " records (" << mapped
+  std::cout << "wrote " << records << " records (" << mapped
             << " mapped) to " << output_path << '\n';
   return kExitOk;
 }

@@ -89,11 +89,8 @@ int run_probe(std::span<const char* const> args, std::string_view program) {
   options.add_uint("watch", watch,
                    "after the load, poll /healthz once a second for N ticks "
                    "and print the windowed SLO line (0 = off)");
-  try {
-    (void)options.parse(args);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage(program);
-    return kExitUsage;
+  if (const auto exit_code = options.parse_command(args, program)) {
+    return *exit_code;
   }
   if (port == 0 || port > 65535) {
     std::cerr << "error: --port must be in [1, 65535]\n";

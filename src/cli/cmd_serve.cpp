@@ -152,11 +152,8 @@ int run_serve(std::span<const char* const> args, std::string_view program) {
                    "windowed-SLO frame width in ms (default 1000)");
   options.add_string("log-format", log_format,
                      "log output format: human | json");
-  try {
-    (void)options.parse(args);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage(program);
-    return kExitUsage;
+  if (const auto exit_code = options.parse_command(args, program)) {
+    return *exit_code;
   }
   if (port > 65535) {
     std::cerr << "error: --port must be in [0, 65535]\n";

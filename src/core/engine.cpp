@@ -8,13 +8,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
 #include <utility>
 
-#include "io/checkpoint.hpp"
 #include "io/fasta.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/thread_pool.hpp"
@@ -37,15 +35,10 @@ void EngineStats::publish(obs::Registry& registry) const {
       .add(ns(queue_wait_s));
   registry.counter("engine.wall_ns", Unit::kNanos).add(ns(wall_s));
   registry.counter("engine.faults_injected").add(faults_injected);
-  registry.counter("engine.batches_dropped").add(batches_dropped);
   registry.counter("engine.batches_skipped").add(batches_skipped);
-  registry.counter("engine.journal_appends").add(journal_appends);
 }
 
 void MapRequest::validate() const {
-  if (queue_depth == 0) {
-    throw std::invalid_argument("MapRequest: queue_depth must be >= 1");
-  }
   if (min_votes && *min_votes < 1) {
     throw std::invalid_argument("MapRequest: min_votes must be >= 1");
   }
@@ -59,14 +52,14 @@ namespace {
 struct EngineMetrics {
   obs::Histogram* batch_reads = nullptr;
   obs::Histogram* batch_map_ns = nullptr;
-  obs::Gauge* queue_depth = nullptr;
+  obs::Gauge* queue_gauge = nullptr;
 
   explicit EngineMetrics(obs::Registry* registry) {
     if (registry == nullptr) return;
     batch_reads = &registry->histogram("engine.batch.reads");
     batch_map_ns =
         &registry->histogram("engine.batch.map_ns", obs::Unit::kNanos);
-    queue_depth = &registry->gauge("engine.queue.depth");
+    queue_gauge = &registry->gauge("engine.queue.depth");
   }
 
   void record_batch(std::size_t reads, std::uint64_t map_ns) const {
@@ -155,63 +148,6 @@ BatchOutput map_range(const JemMapper& mapper, const io::SequenceSet& reads,
   return out;
 }
 
-/// Detaches the pipeline's fault injector from the stream on every exit
-/// path (the stream outlives the run and must not keep a dangling pointer).
-class StreamInjectorGuard {
- public:
-  StreamInjectorGuard(io::BatchStream& stream, util::FaultInjector* injector)
-      : stream_(stream) {
-    stream_.set_fault_injector(
-        injector != nullptr && injector->active() ? injector : nullptr);
-  }
-  ~StreamInjectorGuard() { stream_.set_fault_injector(nullptr); }
-
-  StreamInjectorGuard(const StreamInjectorGuard&) = delete;
-  StreamInjectorGuard& operator=(const StreamInjectorGuard&) = delete;
-
- private:
-  io::BatchStream& stream_;
-};
-
-/// Same contract for the checkpoint writer's "ckpt.write" fault site: the
-/// writer belongs to the driver and outlives the run.
-class CheckpointInjectorGuard {
- public:
-  CheckpointInjectorGuard(io::CheckpointWriter* writer,
-                          util::FaultInjector* injector)
-      : writer_(writer) {
-    if (writer_ != nullptr) {
-      writer_->set_fault_injector(
-          injector != nullptr && injector->active() ? injector : nullptr);
-    }
-  }
-  ~CheckpointInjectorGuard() {
-    if (writer_ != nullptr) writer_->set_fault_injector(nullptr);
-  }
-
-  CheckpointInjectorGuard(const CheckpointInjectorGuard&) = delete;
-  CheckpointInjectorGuard& operator=(const CheckpointInjectorGuard&) = delete;
-
- private:
-  io::CheckpointWriter* writer_;
-};
-
-/// Maps a contained pipeline exception to its structured description.
-/// With no `out` the exception propagates unchanged (run_stream semantics).
-void resolve_failure(const std::exception_ptr& error, EngineFailure* out) {
-  if (error == nullptr) return;
-  if (out == nullptr) std::rethrow_exception(error);
-  try {
-    std::rethrow_exception(error);
-  } catch (const util::FaultAbort& abort) {
-    *out = {abort.site(), abort.what()};
-  } catch (const io::ParseError& parse) {
-    *out = {"stream.next", parse.what()};
-  } catch (const std::exception& other) {
-    *out = {"pipeline", other.what()};
-  }
-}
-
 /// Recycles MapScratch instances across batches so an in-memory run
 /// allocates one scratch per concurrent worker, not one per batch.
 class ScratchPool {
@@ -295,7 +231,7 @@ MapReport MappingEngine::run(const io::SequenceSet& reads, io::SeqId begin,
   const auto run_batch = [&](std::size_t b) {
     std::unique_ptr<MapScratch> scratch = scratches.acquire();
     if (obs.metrics != nullptr) {
-      scratch->hotpath().sample_every = request.hotpath_sample_every;
+      scratch->hotpath().sample_every = kHotpathSampleEvery;
     }
     obs::StageSpan span(obs, "map.batch", &map_ns);
     const auto first = static_cast<io::SeqId>(begin + b * batch);
@@ -348,23 +284,6 @@ MapReport MappingEngine::run(const io::SequenceSet& reads, io::SeqId begin,
 EngineStats MappingEngine::run_stream(io::BatchStream& stream,
                                       const MapRequest& request,
                                       const BatchSink& sink) const {
-  return run_stream_impl(stream, request, sink, nullptr);
-}
-
-MapReport MappingEngine::run_stream_guarded(io::BatchStream& stream,
-                                            const MapRequest& request,
-                                            const BatchSink& sink) const {
-  MapReport report;
-  EngineFailure failure;  // site stays empty unless a failure is resolved
-  report.stats = run_stream_impl(stream, request, sink, &failure);
-  if (!failure.site.empty()) report.failure = std::move(failure);
-  return report;
-}
-
-EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
-                                           const MapRequest& request,
-                                           const BatchSink& sink,
-                                           EngineFailure* failure_out) const {
   request.validate();
   check_min_votes(request, mapper_.params());
 
@@ -376,21 +295,21 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
   const util::WallTimer wall;
   EngineStats stats;
 
-  // Fault wiring. The reader injector rides inside stream.next (site
-  // "stream.next"); the other sites are keyed directly by batch index so
-  // decisions are independent of worker interleaving.
+  // Fault sites "stream.next", "map" and "sink" are keyed by batch index, so
+  // decisions are independent of worker interleaving. Delays stall the
+  // stage; aborts throw FaultAbort naming the site.
   const util::FaultPlan& plan = request.fault_plan;
-  const bool faults = !plan.empty();
-  util::FaultInjector io_injector(&plan, 0);
-  const StreamInjectorGuard injector_guard(stream, &io_injector);
-  const CheckpointInjectorGuard ckpt_guard(request.checkpoint, &io_injector);
   std::atomic<std::uint64_t> faults_fired{0};
-  const auto batch_fault = [&](std::string_view site,
-                               std::uint64_t index) -> util::FaultDecision {
-    if (!faults) return {};
+  const auto batch_fault = [&](const char* site, std::uint64_t index) {
+    if (plan.empty()) return;
     const util::FaultDecision decision = plan.decide(0, site, index);
-    if (decision.action != util::FaultAction::kNone) ++faults_fired;
-    return decision;
+    if (decision.action == util::FaultAction::kDelay) {
+      ++faults_fired;
+      std::this_thread::sleep_for(decision.delay);
+    } else if (decision.action == util::FaultAction::kAbort) {
+      ++faults_fired;
+      throw util::FaultAbort(0, site);
+    }
   };
 
   // Three-stage pipeline for every backend: this thread parses and pushes
@@ -400,7 +319,7 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
   const std::size_t workers = request.backend == MapBackend::kPool
                                   ? util::default_threads(request.threads)
                                   : 1;
-  util::BoundedQueue<io::ReadBatch> queue(request.queue_depth);
+  util::BoundedQueue<io::ReadBatch> queue(kStreamQueueDepth);
 
   std::atomic<std::uint64_t> map_ns{0};
   std::atomic<std::uint64_t> pop_wait_ns{0};
@@ -410,52 +329,21 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
 
   std::mutex emit_mutex;
   std::map<std::uint64_t, BatchResult> pending;  // guarded by emit_mutex
-  std::set<std::uint64_t> dropped_set;           // guarded by emit_mutex
   // First batch index this run will see: a resumed stream has already
   // consumed the journaled prefix, so the in-order emitter starts there.
   std::uint64_t next_emit = stream.batches_read();  // guarded by emit_mutex
-  std::uint64_t dropped_count = 0;               // guarded by emit_mutex
-  std::uint64_t journal_appends = 0;             // guarded by emit_mutex
-  std::exception_ptr sink_error;                 // guarded by emit_mutex
-  std::exception_ptr worker_error;               // guarded by emit_mutex
+  std::exception_ptr sink_error;                    // guarded by emit_mutex
+  std::exception_ptr worker_error;                  // guarded by emit_mutex
 
-  // Flushes the ready in-order prefix, skipping over indices whose batch
-  // was dropped by a fault (the holes must advance next_emit or the
-  // emitter would wait forever for a batch that never comes). Holding the
-  // lock serializes sink calls and keeps them in batch order.
+  // Flushes the ready in-order prefix. Holding the lock serializes sink
+  // calls and keeps them in batch order.
   const auto flush_locked = [&] {
     while (sink_error == nullptr) {
-      if (dropped_set.erase(next_emit) > 0) {
-        ++next_emit;
-        continue;
-      }
       const auto it = pending.find(next_emit);
       if (it == pending.end()) break;
-      const util::FaultDecision fault = batch_fault("sink", next_emit);
-      if (fault.action == util::FaultAction::kAbort) {
-        sink_error = std::make_exception_ptr(util::FaultAbort(0, "sink"));
-        queue.close();
-        break;
-      }
-      if (fault.action == util::FaultAction::kDrop) {
-        ++dropped_count;
-        pending.erase(it);
-        ++next_emit;
-        continue;
-      }
-      if (fault.action == util::FaultAction::kDelay) {
-        std::this_thread::sleep_for(fault.delay);
-      }
       try {
+        batch_fault("sink", next_emit);
         sink(it->second);
-        if (request.checkpoint != nullptr) {
-          // In-order emit point: batches [0, next_emit] are now in the
-          // sink, which is exactly what the journal record asserts.
-          request.checkpoint->append_batch(
-              it->second.batch.index,
-              it->second.batch.first_record + it->second.batch.reads.size());
-          ++journal_appends;
-        }
       } catch (...) {
         sink_error = std::current_exception();
         queue.close();  // aborts the producer and idle workers
@@ -468,7 +356,7 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
   const auto worker = [&] {
     MapScratch scratch(mapper_.subjects().size());
     if (obs.metrics != nullptr) {
-      scratch.hotpath().sample_every = request.hotpath_sample_every;
+      scratch.hotpath().sample_every = kHotpathSampleEvery;
     }
     try {
       while (true) {
@@ -476,21 +364,7 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
         std::optional<io::ReadBatch> raw = queue.pop();
         pop_span.finish();
         if (!raw) break;
-
-        const util::FaultDecision fault = batch_fault("map", raw->index);
-        if (fault.action == util::FaultAction::kAbort) {
-          throw util::FaultAbort(0, "map");
-        }
-        if (fault.action == util::FaultAction::kDrop) {
-          std::lock_guard lock(emit_mutex);
-          dropped_set.insert(raw->index);
-          ++dropped_count;
-          flush_locked();
-          continue;
-        }
-        if (fault.action == util::FaultAction::kDelay) {
-          std::this_thread::sleep_for(fault.delay);
-        }
+        batch_fault("map", raw->index);
 
         obs::StageSpan map_span(obs, "map.batch", &map_ns);
         BatchResult result;
@@ -547,30 +421,16 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
       const bool more = stream.next(batch);
       read_span.finish();
       if (!more) break;
+      batch_fault("stream.next", batch.index);
 
-      const util::FaultDecision fault = batch_fault("queue.push", batch.index);
-      if (fault.action == util::FaultAction::kAbort) {
-        throw util::FaultAbort(0, "queue.push");
-      }
-      if (fault.action == util::FaultAction::kDrop) {
-        std::lock_guard lock(emit_mutex);
-        dropped_set.insert(batch.index);
-        ++dropped_count;
-        flush_locked();
-        continue;
-      }
-      if (fault.action == util::FaultAction::kDelay) {
-        std::this_thread::sleep_for(fault.delay);
-      }
-
-      obs::StageSpan push_span(obs, "queue.push", &push_wait_ns);
+      obs::StageSpan push_span(obs, "queue.push_wait", &push_wait_ns);
       const bool pushed = queue.push(std::move(batch));
       push_span.finish();
       if (pushed && obs.enabled()) {
         // Depth after our own push: 0 means the workers are keeping up,
         // pinned at capacity means the mappers are the bottleneck.
         const auto depth = static_cast<std::int64_t>(queue.size());
-        if (metrics.queue_depth != nullptr) metrics.queue_depth->set(depth);
+        if (metrics.queue_gauge != nullptr) metrics.queue_gauge->set(depth);
         if (obs.tracer != nullptr) {
           obs.tracer->counter_sample("engine.queue.depth",
                                      static_cast<double>(depth));
@@ -579,7 +439,7 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
       if (!pushed) break;  // pipeline aborted by a sink or worker failure
     }
   } catch (...) {
-    read_error = std::current_exception();  // resolved after shutdown
+    read_error = std::current_exception();  // rethrown after shutdown
   }
   queue.close();
   for (std::future<void>& future : futures) future.get();
@@ -592,24 +452,18 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
   stats.emit_s = static_cast<double>(emit_ns.load()) * 1e-9;
   stats.queue_wait_s =
       static_cast<double>(pop_wait_ns.load() + push_wait_ns.load()) * 1e-9;
-  stats.faults_injected =
-      faults_fired.load() + io_injector.faults_injected();
-  stats.batches_dropped = dropped_count + io_injector.drops_injected();
+  stats.faults_injected = faults_fired.load();
   stats.batches_skipped = stream.batches_skipped();
-  stats.journal_appends = journal_appends;
   run_span.finish();
   stats.wall_s = wall.elapsed_s();
   if (obs.metrics != nullptr) stats.publish(*obs.metrics);
-  if (metrics.queue_depth != nullptr) metrics.queue_depth->set(0);
+  if (metrics.queue_gauge != nullptr) metrics.queue_gauge->set(0);
 
   // Failure priority: the reader saw the error first, then the sink, then
-  // any worker. Exactly one is resolved (or rethrown).
-  if (read_error != nullptr) {
-    resolve_failure(read_error, failure_out);
-  } else if (sink_error != nullptr) {
-    resolve_failure(sink_error, failure_out);
-  } else {
-    resolve_failure(worker_error, failure_out);
+  // any worker.
+  for (const std::exception_ptr& error :
+       {read_error, sink_error, worker_error}) {
+    if (error != nullptr) std::rethrow_exception(error);
   }
   return stats;
 }

@@ -16,8 +16,8 @@
 //    pushes them into a BoundedQueue (backpressure: parsing stalls when the
 //    mappers fall behind), pool workers (one for kSerial) map batches with
 //    a reused per-thread MapScratch, and an in-order emitter hands results
-//    to the sink in batch order. Memory is O(queue_depth · batch) in the
-//    query set.
+//    to the sink in batch order. Memory is O(kStreamQueueDepth · batch) in
+//    the query set.
 //
 // Every run fills an EngineStats observability block (batches, segments/s,
 // queue-wait, per-stage times) that examples/jem_map prints and bench/
@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/mapper.hpp"
@@ -36,11 +35,15 @@
 #include "obs/obs.hpp"
 #include "util/fault_plan.hpp"
 
-namespace jem::io {
-class CheckpointWriter;  // io/checkpoint.hpp
-}  // namespace jem::io
-
 namespace jem::core {
+
+/// Streaming only: ReadBatches buffered between reader and mappers. Bounds
+/// memory and provides backpressure.
+inline constexpr std::size_t kStreamQueueDepth = 4;
+
+/// Hot-path sampling period for core.hotpath.* counters: every Nth segment
+/// is measured in full. Only active when MapRequest::obs.metrics is set.
+inline constexpr std::uint32_t kHotpathSampleEvery = 16;
 
 /// What to map per read.
 enum class MapMode {
@@ -77,25 +80,14 @@ struct MapRequest {
   /// hits below the threshold it was queried with).
   std::optional<std::uint32_t> min_votes;
 
-  /// Streaming only: ReadBatches buffered between reader and mappers.
-  /// Bounds memory and provides backpressure.
-  std::size_t queue_depth = 4;
-
   /// Deterministic fault schedule for chaos testing (docs/robustness.md).
   /// Streaming only; decisions are keyed by batch index at sites
-  /// "stream.next", "queue.push", "map" and "sink", so the same plan
-  /// replays the same schedule regardless of thread interleaving. An empty
-  /// plan (the default) costs nothing.
+  /// "stream.next", "map" and "sink", so the same plan replays the same
+  /// schedule regardless of thread interleaving. A delay stalls the stage,
+  /// an abort throws util::FaultAbort naming the site; a drop is ignored
+  /// (an in-process queue cannot lose a batch). An empty plan (the default)
+  /// costs nothing.
   util::FaultPlan fault_plan;
-
-  /// Streaming only: run journal for checkpointed resumable runs (not
-  /// owned; null = no checkpointing). After each batch is handed to the
-  /// sink — at the in-order emit point, so "journaled" always means "its
-  /// output and every predecessor's output are in the sink" — the engine
-  /// appends one durable record. The driver resumes by reading the journal
-  /// (io::read_journal), fast-forwarding the stream (BatchStream::skip) and
-  /// attaching a reopened writer (docs/persistence.md).
-  io::CheckpointWriter* checkpoint = nullptr;
 
   /// Optional observability sinks (not owned; docs/observability.md). With
   /// a metrics registry attached the run publishes engine.* metrics,
@@ -103,10 +95,6 @@ struct MapRequest {
   /// counters; with a tracer attached every pipeline stage records spans.
   /// A default ObsHooks{} disables all of it.
   obs::ObsHooks obs;
-
-  /// Hot-path sampling period for core.hotpath.* counters: every Nth
-  /// segment is measured in full. Only active when obs.metrics is set.
-  std::uint32_t hotpath_sample_every = 16;
 
   void validate() const;
 };
@@ -116,10 +104,9 @@ struct MapRequest {
 /// `MapRequest::obs.metrics`, and the struct is materialized from them at
 /// run end (publish() writes the identical values into a registry under
 /// `engine.*` names, so struct consumers and metrics consumers can never
-/// disagree). The field layout is unchanged — existing tests and callers
-/// compile and behave as before.
+/// disagree).
 ///
-/// Units, precisely (the old comments drifted here):
+/// Units, precisely:
 ///  * read_s is wall-clock seconds spent inside stream parsing, measured on
 ///    the reader thread only.
 ///  * map_s / emit_s / queue_wait_s are CPU-seconds *summed across all
@@ -139,13 +126,8 @@ struct EngineStats {
                                 // CPU-seconds summed over all threads
   double wall_s = 0.0;          // whole-run elapsed wall clock
 
-  // Robustness counters (streaming runs with a fault plan).
-  std::uint64_t faults_injected = 0;  // fault decisions that fired
-  std::uint64_t batches_dropped = 0;  // batches lost to injected drops
-
-  // Persistence counters (checkpointed / resumed streaming runs).
+  std::uint64_t faults_injected = 0;  // fault-plan decisions that fired
   std::uint64_t batches_skipped = 0;  // resume fast-forward past the journal
-  std::uint64_t journal_appends = 0;  // checkpoint records written this run
 
   /// End-to-end throughput in segments per second of *wall* time (not
   /// summed CPU time — on an N-worker run this is N-fold smaller than
@@ -161,28 +143,12 @@ struct EngineStats {
   void publish(obs::Registry& registry) const;
 };
 
-/// Structured description of a failed streaming run: the pipeline site that
-/// failed ("stream.next", "queue.push", "map", "sink", "pipeline") and the
-/// underlying exception text.
-struct EngineFailure {
-  std::string site;
-  std::string message;
-};
-
 /// Result of an in-memory run. Exactly one of `mappings` (kEnds / kTiled)
 /// and `topx` (kTopX) is populated, matching the request's mode.
-/// run_stream_guarded reuses this shape with only `stats` and `failure`
-/// populated (results went to the sink).
 struct MapReport {
   std::vector<SegmentMapping> mappings;
   std::vector<SegmentTopX> topx;
   EngineStats stats;
-
-  /// Set when a guarded streaming run failed (aborted, timed out, or threw)
-  /// instead of completing; empty on success.
-  std::optional<EngineFailure> failure;
-
-  [[nodiscard]] bool ok() const noexcept { return !failure.has_value(); }
 };
 
 class MappingEngine {
@@ -224,27 +190,16 @@ class MappingEngine {
 
   /// Streaming pipelined run: reader (caller's thread) -> bounded queue ->
   /// map workers (one for kSerial) -> in-order emitter. The sink is invoked
-  /// in batch order, one batch at a time, never concurrently.
-  /// request.batch_size is ignored here (the stream's own batch size
-  /// applies). Exceptions from parsing, mapping, or the sink propagate to
-  /// the caller after the pipeline shuts down.
+  /// in batch order, one batch at a time, never concurrently, so a sink
+  /// that journals each batch after writing it (docs/persistence.md) needs
+  /// no locking. request.batch_size is ignored here (the stream's own batch
+  /// size applies). On a failure the pipeline shuts down and the first
+  /// failure is rethrown: the reader's (a ParseError, or a FaultAbort at
+  /// "stream.next"), else the sink's, else a worker's.
   EngineStats run_stream(io::BatchStream& stream, const MapRequest& request,
                          const BatchSink& sink) const;
 
-  /// run_stream with failures contained: injected aborts, parse errors and
-  /// sink exceptions shut the pipeline down cleanly and
-  /// come back as report.failure instead of propagating (programming errors
-  /// — e.g. an invalid request — still throw). Stats reflect the work done
-  /// up to the failure.
-  [[nodiscard]] MapReport run_stream_guarded(io::BatchStream& stream,
-                                             const MapRequest& request,
-                                             const BatchSink& sink) const;
-
  private:
-  EngineStats run_stream_impl(io::BatchStream& stream,
-                              const MapRequest& request, const BatchSink& sink,
-                              EngineFailure* failure_out) const;
-
   JemMapper mapper_;
 };
 

@@ -169,8 +169,8 @@ struct MapServiceHit {
   friend bool operator==(const MapServiceHit&, const MapServiceHit&) = default;
 };
 
-/// Structured per-request failure (the response-level analogue of
-/// EngineFailure): the taxonomy code plus a human-readable message.
+/// Structured per-request failure: the taxonomy code plus a human-readable
+/// message.
 struct ServiceFailure {
   ServiceErrorCode code = ServiceErrorCode::kInternal;
   std::string message;
@@ -255,8 +255,7 @@ class MappingService {
   /// absolute expiry (handle() entry + budget in the serve layer); nullopt
   /// derives it from request.deadline at entry. An expired deadline returns
   /// a response with failure = kDeadlineExceeded instead of mapping — a
-  /// contained, structured failure, as run_stream_guarded gives a failed
-  /// pipeline stage.
+  /// contained, structured failure.
   [[nodiscard]] MapServiceResponse map(
       const MapServiceRequest& request, MapScratch& scratch,
       std::optional<Clock::time_point> deadline = std::nullopt) const;

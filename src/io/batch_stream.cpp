@@ -22,21 +22,14 @@ std::uint64_t BatchStream::skip(std::uint64_t batches) {
 }
 
 bool BatchStream::next(ReadBatch& batch) {
-  for (;;) {
-    const std::uint64_t first = reader_.records_read();
-    SequenceSet reads = reader_.next_batch(batch_size_);
-    if (reads.empty()) return false;
-    if (injector_ != nullptr && !injector_->fire("stream.next")) {
-      ++batches_dropped_;
-      obs::default_registry().counter("io.batch.dropped").add(1);
-      continue;  // batch lost in transit; deliver the next one instead
-    }
-    batch.index = batches_read_++;
-    batch.first_record = first;
-    batch.reads = std::move(reads);
-    obs::default_registry().counter("io.batch.read").add(1);
-    return true;
-  }
+  const std::uint64_t first = reader_.records_read();
+  SequenceSet reads = reader_.next_batch(batch_size_);
+  if (reads.empty()) return false;
+  batch.index = batches_read_++;
+  batch.first_record = first;
+  batch.reads = std::move(reads);
+  obs::default_registry().counter("io.batch.read").add(1);
+  return true;
 }
 
 }  // namespace jem::io

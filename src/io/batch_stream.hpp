@@ -10,7 +10,6 @@
 #include "io/sequence.hpp"
 #include "io/sequence_set.hpp"
 #include "io/stream_reader.hpp"
-#include "util/fault_plan.hpp"
 
 namespace jem::io {
 
@@ -29,8 +28,7 @@ class BatchStream {
   BatchStream(std::istream& in, std::size_t batch_size);
 
   /// Parses the next batch into `batch` (contents overwritten). Returns
-  /// false at end of input. Throws ParseError on malformed records, and
-  /// util::FaultAbort when an attached injector aborts "stream.next".
+  /// false at end of input. Throws ParseError on malformed records.
   [[nodiscard]] bool next(ReadBatch& batch);
 
   /// Fast-forwards past `batches` batches without delivering them — the
@@ -46,22 +44,9 @@ class BatchStream {
     return batches_skipped_;
   }
 
-  /// Attaches a fault injector (not owned; null detaches). Each parsed
-  /// batch is a "stream.next" fault site: delays stall the read, aborts
-  /// throw, and a dropped batch is discarded and replaced with the next
-  /// one — delivered batch indices stay contiguous (no downstream holes)
-  /// while `first_record` keeps the true global record position, so the
-  /// loss is visible as a gap in record numbering, never as a hang.
-  void set_fault_injector(util::FaultInjector* injector) noexcept {
-    injector_ = injector;
-  }
-
   [[nodiscard]] std::size_t batch_size() const noexcept { return batch_size_; }
   [[nodiscard]] std::uint64_t batches_read() const noexcept {
     return batches_read_;
-  }
-  [[nodiscard]] std::uint64_t batches_dropped() const noexcept {
-    return batches_dropped_;
   }
   [[nodiscard]] std::uint64_t records_read() const noexcept {
     return reader_.records_read();
@@ -71,9 +56,7 @@ class BatchStream {
   SequenceStreamReader reader_;
   std::size_t batch_size_;
   std::uint64_t batches_read_ = 0;
-  std::uint64_t batches_dropped_ = 0;
   std::uint64_t batches_skipped_ = 0;
-  util::FaultInjector* injector_ = nullptr;
 };
 
 }  // namespace jem::io

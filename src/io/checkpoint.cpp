@@ -248,8 +248,6 @@ void CheckpointWriter::append(const JournalRecord& record) {
     const util::FaultDecision decision = injector_->next("ckpt.write");
     if (decision.action == util::FaultAction::kDelay) {
       std::this_thread::sleep_for(decision.delay);
-    } else if (decision.action == util::FaultAction::kDrop) {
-      return;  // append lost; journal lags output — resume redoes the batch
     } else if (decision.action == util::FaultAction::kAbort) {
       // Model a crash mid-append: half a record reaches the disk, then the
       // process "dies". Resume must discard this torn tail.

@@ -1,7 +1,7 @@
 // Run journal for checkpointed, resumable streaming runs. The MappingEngine
-// emits batches in input order (the in-order-emit point of its pipeline);
-// with a CheckpointWriter attached, each emitted batch appends one durable
-// record:
+// hands batches to its sink in input order, one at a time; a checkpointing
+// driver's sink writes each batch's output, fsyncs it, then appends one
+// durable record:
 //
 //   { batch_index, records_done, output_bytes, output_hash }
 //
@@ -103,7 +103,7 @@ class CheckpointWriter {
   /// modeling a crash mid-append (resume discards it).
   void append(const JournalRecord& record);
 
-  /// Engine-facing form: fills output_bytes/output_hash from the attached
+  /// Sink-facing form: fills output_bytes/output_hash from the attached
   /// OutputState provider (zeros without one) and appends.
   void append_batch(std::uint64_t batch_index, std::uint64_t records_done);
 
@@ -112,9 +112,8 @@ class CheckpointWriter {
   }
 
   /// Attaches a fault injector (not owned; null detaches); every append is
-  /// a "ckpt.write" site: delay stalls, drop skips the append (the journal
-  /// falls behind — resume redoes the batch), abort tears a partial record
-  /// and throws.
+  /// a "ckpt.write" site: delay stalls, abort tears a partial record and
+  /// throws. A drop decision is ignored.
   void set_fault_injector(util::FaultInjector* injector) noexcept {
     injector_ = injector;
   }

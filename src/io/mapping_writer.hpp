@@ -5,7 +5,7 @@
 //  * write_mappings_atomic — one-shot results published via temp + fsync +
 //    rename, so a crash mid-write never leaves a half-written result file;
 //  * MappingOutput — an append-only `<path>.partial` staging file for
-//    checkpointed streaming runs. It tracks (bytes written, XXH64 prefix
+//    streamed runs. It tracks (bytes written, XXH64 prefix
 //    digest) — exactly the output state the run journal records per batch —
 //    supports reopening at a journal's resume point (truncate + rehash +
 //    verify), and publishes atomically on completion. Readers of `path`
@@ -46,8 +46,8 @@ void write_mappings(std::ostream& out, const std::vector<MappingLine>& lines);
 void write_mappings_atomic(const std::string& path,
                            const std::vector<MappingLine>& lines);
 
-/// Append-only staging output for checkpointed streaming runs; the partial
-/// file lives at `path() + ".partial"` until publish().
+/// Append-only staging output for streamed runs; the partial file lives at
+/// `path() + ".partial"` until publish() (or discard()).
 class MappingOutput {
  public:
   /// Fresh run: creates/truncates the partial file.

@@ -24,9 +24,6 @@ struct NetworkModel {
   ///   τ·(p-1) + μ·total_bytes·(p-1)/p
   /// For p=1 the collective is free.
   [[nodiscard]] double allgatherv_s(int p, std::uint64_t total_bytes) const;
-
-  /// Time for a reduction of `bytes` per rank to one root (binomial tree).
-  [[nodiscard]] double reduce_s(int p, std::uint64_t bytes) const;
 };
 
 }  // namespace jem::mpisim

@@ -111,12 +111,6 @@ void StagedExecutor::comm_allgatherv(std::string_view name,
   steps_.push_back({std::string(name), true, cost, {}, total_bytes});
 }
 
-void StagedExecutor::comm_reduce(std::string_view name, std::uint64_t bytes) {
-  double cost = model_.reduce_s(num_ranks_, bytes);
-  comm_delay_s(name, cost);
-  steps_.push_back({std::string(name), true, cost, {}, bytes});
-}
-
 double StagedExecutor::total_s() const noexcept {
   double sum = 0.0;
   for (const StepRecord& step : steps_) sum += step.cost_s;

@@ -64,9 +64,6 @@ class StagedExecutor {
   /// Charges an allgatherv whose union payload is `total_bytes`.
   void comm_allgatherv(std::string_view name, std::uint64_t total_bytes);
 
-  /// Charges a reduction of `bytes` per rank.
-  void comm_reduce(std::string_view name, std::uint64_t bytes);
-
   struct StepRecord {
     std::string name;
     bool is_comm = false;

@@ -85,7 +85,7 @@ MappingServer::MappingServer(
   reload_success_ = &registry_->counter("serve.reload.success");
   reload_rejected_ = &registry_->counter("serve.reload.rejected");
   restarts_worker_ = &registry_->counter("serve.supervisor.worker_restarts");
-  queue_depth_ = &registry_->gauge("serve.queue.depth");
+  queue_gauge_ = &registry_->gauge("serve.queue.depth");
   cache_size_ = &registry_->gauge("serve.cache.size");
   epoch_gauge_ = &registry_->gauge("serve.index.epoch");
   // Which scan and sketch kernels produced the map timings it reports.
@@ -213,7 +213,7 @@ void MappingServer::acceptor_loop() {
     // blocks behind slow workers.
     int conn = fd;
     if (conn_queue_->try_push(conn)) {
-      queue_depth_->set(static_cast<std::int64_t>(conn_queue_->size()));
+      queue_gauge_->set(static_cast<std::int64_t>(conn_queue_->size()));
       continue;
     }
     shed_total_->add();
@@ -258,7 +258,7 @@ void MappingServer::worker_loop() {
   while (true) {
     std::optional<int> fd = conn_queue_->pop();
     if (!fd) return;  // closed and drained
-    queue_depth_->set(static_cast<std::int64_t>(conn_queue_->size()));
+    queue_gauge_->set(static_cast<std::int64_t>(conn_queue_->size()));
     serve_connection(*fd, scratch);
   }
 }

@@ -352,7 +352,7 @@ class MappingServer {
   obs::Counter* reload_success_ = nullptr;
   obs::Counter* reload_rejected_ = nullptr;
   obs::Counter* restarts_worker_ = nullptr;
-  obs::Gauge* queue_depth_ = nullptr;
+  obs::Gauge* queue_gauge_ = nullptr;
   obs::Gauge* cache_size_ = nullptr;
   obs::Gauge* epoch_gauge_ = nullptr;
   /// `serve.batch.size`: 1 per map call, since every map is a batch of

@@ -13,8 +13,10 @@
 //    change results, only timing — the chaos suite asserts bit-identical
 //    output under delay-only plans.
 //  * kDrop  — the operation's payload is lost (a collective contributes an
-//    empty payload, a p2p message vanishes, a stream batch is discarded).
-//    Drops degrade output and are always counted, never silent.
+//    empty payload, a serve connection is reset). Drops degrade output and
+//    are always counted, never silent. The engine's streaming sites and
+//    the checkpoint journal ignore them: an in-process queue cannot lose a
+//    batch.
 //  * kAbort — the site throws FaultAbort, modeling a crashed rank or a
 //    wedged pipeline stage. Drivers with a recovery path (run_distributed*)
 //    redistribute the lost work; everything else surfaces a structured
@@ -122,7 +124,7 @@ class FaultPlan {
 };
 
 /// Per-participant stateful handle over a FaultPlan: counts invocations per
-/// site so call sites only name themselves ("allgatherv", "queue.push") and
+/// site so call sites only name themselves ("allgatherv", "ckpt.write") and
 /// get sequential invocation numbering for free. One injector per rank (or
 /// per pipeline); the counters are mutex-guarded so a multi-worker stage can
 /// share one. A null/empty plan makes every call a cheap no-op.

@@ -1,6 +1,7 @@
 #include "util/options.hpp"
 
 #include <charconv>
+#include <iostream>
 #include <sstream>
 
 namespace jem::util {
@@ -156,6 +157,23 @@ std::vector<std::string> Options::parse(int argc,
                                         const char* const* argv) const {
   return parse(std::span<const char* const>(argv + 1,
                                             static_cast<std::size_t>(argc - 1)));
+}
+
+std::optional<int> Options::parse_command(std::span<const char* const> args,
+                                          std::string_view program) const {
+  for (const std::string_view arg : args) {
+    if (arg == "--help" || arg == "-h") {
+      std::cout << usage(program);
+      return 0;
+    }
+  }
+  try {
+    (void)parse(args);
+  } catch (const OptionError& error) {
+    std::cerr << error.what() << '\n' << usage(program);
+    return 2;
+  }
+  return std::nullopt;
 }
 
 std::string Options::usage(std::string_view program) const {

@@ -45,6 +45,13 @@ class Options {
   [[nodiscard]] std::vector<std::string> parse(int argc,
                                                const char* const* argv) const;
 
+  /// The command-line front end of a subcommand: returns the exit code to
+  /// stop with, or nullopt to run. `--help` or `-h` anywhere prints
+  /// usage(program) to stdout (exit 0); a malformed line prints the error
+  /// and the usage to stderr (exit 2).
+  [[nodiscard]] std::optional<int> parse_command(
+      std::span<const char* const> args, std::string_view program) const;
+
   /// Human-readable usage text listing every registered option.
   [[nodiscard]] std::string usage(std::string_view program) const;
 

@@ -1,6 +1,7 @@
 // Chaos tests of the crash-safe persistence path (docs/persistence.md):
 // deterministic "ckpt.write" faults kill a checkpointed streaming run at
-// chosen journal appends, and the resume protocol — read_journal, reopen the
+// chosen journal appends (the sink journals each batch, as `jem map`'s
+// does), and the resume protocol — read_journal, reopen the
 // partial output at the journaled prefix, BatchStream::skip, continue into
 // the same output — must reproduce the uninterrupted run byte for byte.
 #include <gtest/gtest.h>
@@ -95,6 +96,20 @@ class ChaosCheckpointTest : public ::testing::Test {
     return out;
   }
 
+  /// The sink of a checkpointing driver: append the batch's bytes, fsync
+  /// them, then journal the batch — a record never claims bytes the disk
+  /// does not have.
+  static MappingEngine::BatchSink journaling_sink(
+      io::MappingOutput& output, io::CheckpointWriter& journal) {
+    return [&output, &journal](const MappingEngine::BatchResult& result) {
+      output.append(render(result));
+      output.sync();
+      journal.append_batch(
+          result.batch.index,
+          result.batch.first_record + result.batch.reads.size());
+    };
+  }
+
   /// Unique scratch paths per test (gtest runs tests in one process).
   std::string out_path(const std::string& label) const {
     return ::testing::TempDir() + "/jem_ckpt_" + label + ".tsv";
@@ -125,17 +140,13 @@ TEST_F(ChaosCheckpointTest, CheckpointedRunMatchesPlainStreaming) {
     MapRequest request;
     request.backend = MapBackend::kPool;
     request.threads = 3;
-    request.checkpoint = &journal;
     std::istringstream in(fasta_);
     io::BatchStream stream(in, batch);
-    const EngineStats stats = engine.run_stream(
-        stream, request, [&](const MappingEngine::BatchResult& result) {
-          output.append(render(result));
-          output.sync();
-        });
+    (void)engine.run_stream(stream, request,
+                            journaling_sink(output, journal));
 
     const std::uint64_t batches = (total_reads_ + batch - 1) / batch;
-    EXPECT_EQ(stats.journal_appends, batches);
+    EXPECT_EQ(journal.records_appended(), batches);
     const io::ResumePoint point = io::read_journal(ckpt, fp_);
     EXPECT_EQ(point.batches_done, batches);
     EXPECT_EQ(point.records_done, total_reads_);
@@ -169,26 +180,28 @@ TEST_F(ChaosCheckpointTest, KillAndResumeIsByteIdenticalAtEveryKillPoint) {
         io::CheckpointWriter journal =
             io::CheckpointWriter::create(ckpt, fp_);
         journal.set_output_state([&] { return output.state(); });
+        util::FaultPlan plan;
+        plan.abort_at(0, "ckpt.write", kill);
+        util::FaultInjector injector(&plan, 0);
+        journal.set_fault_injector(&injector);
 
         MapRequest request;
         request.backend = MapBackend::kPool;
         request.threads = 3;
-        request.checkpoint = &journal;
-        request.fault_plan.abort_at(0, "ckpt.write", kill);
         std::istringstream in(fasta_);
         io::BatchStream stream(in, batch);
-        const MapReport report = engine.run_stream_guarded(
-            stream, request, [&](const MappingEngine::BatchResult& result) {
-              output.append(render(result));
-              output.sync();
-            });
-        ASSERT_FALSE(report.ok()) << label;
-        EXPECT_EQ(report.failure->site, "ckpt.write");
+        try {
+          (void)engine.run_stream(stream, request,
+                                  journaling_sink(output, journal));
+          FAIL() << label << ": expected the injected crash";
+        } catch (const util::FaultAbort& abort) {
+          EXPECT_EQ(abort.site(), "ckpt.write") << label;
+        }
         // output/journal fall out of scope unpublished — the SIGKILL shape:
         // a .partial file and a torn journal are all that survive.
       }
 
-      // Phase 2: resume exactly as examples/jem_map --resume does.
+      // Phase 2: resume exactly as `jem map --resume` does.
       const io::ResumePoint point = io::read_journal(ckpt, fp_);
       EXPECT_EQ(point.batches_done, kill) << label;
       EXPECT_EQ(point.torn_records, 1u) << label;  // the torn half-record
@@ -205,14 +218,9 @@ TEST_F(ChaosCheckpointTest, KillAndResumeIsByteIdenticalAtEveryKillPoint) {
       MapRequest request;
       request.backend = MapBackend::kPool;
       request.threads = 2;
-      request.checkpoint = &journal;
-      const MapReport report = engine.run_stream_guarded(
-          stream, request, [&](const MappingEngine::BatchResult& result) {
-            output.append(render(result));
-            output.sync();
-          });
-      ASSERT_TRUE(report.ok()) << label;
-      EXPECT_EQ(report.stats.batches_skipped, kill);
+      const EngineStats stats = engine.run_stream(
+          stream, request, journaling_sink(output, journal));
+      EXPECT_EQ(stats.batches_skipped, kill);
 
       output.publish();
       journal.close();
@@ -234,18 +242,16 @@ TEST_F(ChaosCheckpointTest, SerialBackendKillAndResumeIsByteIdentical) {
     io::MappingOutput output(out);
     io::CheckpointWriter journal = io::CheckpointWriter::create(ckpt, fp_);
     journal.set_output_state([&] { return output.state(); });
-    MapRequest request;
-    request.checkpoint = &journal;  // kSerial backend
-    request.fault_plan.abort_at(0, "ckpt.write", 2);
+    util::FaultPlan plan;
+    plan.abort_at(0, "ckpt.write", 2);
+    util::FaultInjector injector(&plan, 0);
+    journal.set_fault_injector(&injector);
+    const MapRequest request;  // kSerial backend
     std::istringstream in(fasta_);
     io::BatchStream stream(in, 5);
-    const MapReport report = engine.run_stream_guarded(
-        stream, request, [&](const MappingEngine::BatchResult& result) {
-          output.append(render(result));
-          output.sync();
-        });
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.failure->site, "ckpt.write");
+    EXPECT_THROW((void)engine.run_stream(stream, request,
+                                         journaling_sink(output, journal)),
+                 util::FaultAbort);
   }
 
   const io::ResumePoint point = io::read_journal(ckpt, fp_);
@@ -256,62 +262,12 @@ TEST_F(ChaosCheckpointTest, SerialBackendKillAndResumeIsByteIdentical) {
   std::istringstream in(fasta_);
   io::BatchStream stream(in, 5);
   stream.skip(point.batches_done);
-  MapRequest request;
-  request.checkpoint = &journal;
-  const MapReport report = engine.run_stream_guarded(
-      stream, request, [&](const MappingEngine::BatchResult& result) {
-        output.append(render(result));
-        output.sync();
-      });
-  ASSERT_TRUE(report.ok());
+  const MapRequest request;
+  (void)engine.run_stream(stream, request, journaling_sink(output, journal));
   output.publish();
   journal.close();
   io::remove_journal(ckpt);
   EXPECT_EQ(slurp(out), expected);
-  std::remove(out.c_str());
-}
-
-TEST_F(ChaosCheckpointTest, DroppedJournalAppendFailsClosedOnResume) {
-  const MappingEngine engine(subjects_, params_);
-  const std::string expected = golden(engine);
-  const std::string out = out_path("drop");
-  const std::string ckpt = out + ".ckpt";
-  std::remove(out.c_str());
-
-  io::MappingOutput output(out);
-  io::CheckpointWriter journal = io::CheckpointWriter::create(ckpt, fp_);
-  journal.set_output_state([&] { return output.state(); });
-
-  MapRequest request;
-  request.backend = MapBackend::kPool;
-  request.threads = 3;
-  request.checkpoint = &journal;
-  request.fault_plan.drop_at(0, "ckpt.write", 1);  // one append silently lost
-  std::istringstream in(fasta_);
-  io::BatchStream stream(in, 3);
-  const MapReport report = engine.run_stream_guarded(
-      stream, request, [&](const MappingEngine::BatchResult& result) {
-        output.append(render(result));
-        output.sync();
-      });
-
-  // The run itself completes and its output is untouched by the lost
-  // journal record...
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(journal.records_appended(), 7u);  // 8 batches, one record lost
-  output.publish();
-  journal.close();
-  EXPECT_EQ(slurp(out), expected);
-
-  // ...but the journal now has a hole, and resume must refuse it rather
-  // than splice output around a missing batch.
-  try {
-    (void)io::read_journal(ckpt, fp_);
-    FAIL() << "expected kStaleJournal";
-  } catch (const io::ArtifactError& error) {
-    EXPECT_EQ(error.reason(), io::ArtifactReason::kStaleJournal);
-  }
-  io::remove_journal(ckpt);
   std::remove(out.c_str());
 }
 

@@ -1,14 +1,18 @@
 // Chaos tests for the streaming MappingEngine pipeline: injected reader /
-// map / sink faults must surface as structured MapReport failures (or counted drops), never as hangs — and delay-only
-// plans must leave the mapped output bit-identical.
+// map / sink faults must shut the pipeline down and rethrow the first
+// failure (reader, then sink, then worker) naming its site, never hang —
+// and delay-only plans must leave the mapped output bit-identical.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dna.hpp"
@@ -22,6 +26,37 @@ namespace jem::core {
 namespace {
 
 using std::chrono::milliseconds;
+
+/// Runs `body` and returns the site of the FaultAbort it threw; empty when
+/// it threw none.
+template <typename Body>
+std::string abort_site(const Body& body) {
+  try {
+    body();
+  } catch (const util::FaultAbort& abort) {
+    return abort.site();
+  }
+  return "";
+}
+
+/// A string stream that records when its reader first asks for bytes past
+/// the end, i.e. when the last record is being parsed.
+class EofSignalBuf : public std::stringbuf {
+ public:
+  explicit EofSignalBuf(const std::string& text) : std::stringbuf(text) {}
+
+  [[nodiscard]] bool eof_seen() const { return eof_seen_.load(); }
+
+ protected:
+  std::streamsize xsgetn(char* out, std::streamsize n) override {
+    const std::streamsize got = std::stringbuf::xsgetn(out, n);
+    if (got == 0) eof_seen_.store(true);
+    return got;
+  }
+
+ private:
+  std::atomic<bool> eof_seen_{false};
+};
 
 std::string random_dna(util::Xoshiro256ss& rng, std::size_t length) {
   std::string seq(length, 'A');
@@ -58,13 +93,13 @@ class ChaosEngineTest : public ::testing::Test {
     fasta_ = fasta.str();
   }
 
-  /// Runs the guarded streaming pipeline and collects globalized mappings.
-  MapReport run_guarded(const MappingEngine& engine, MapRequest request,
-                        std::size_t batch_size,
-                        std::vector<SegmentMapping>* out) const {
+  /// Runs the streaming pipeline and collects globalized mappings.
+  EngineStats run(const MappingEngine& engine, const MapRequest& request,
+                  std::size_t batch_size,
+                  std::vector<SegmentMapping>* out) const {
     std::istringstream in(fasta_);
     io::BatchStream stream(in, batch_size);
-    return engine.run_stream_guarded(
+    return engine.run_stream(
         stream, request, [&](const MappingEngine::BatchResult& result) {
           if (out == nullptr) return;
           for (SegmentMapping mapping : result.mappings) {
@@ -90,29 +125,30 @@ TEST_F(ChaosEngineTest, GuardedRunWithoutFaultsMatchesSequential) {
   request.backend = MapBackend::kPool;
   request.threads = 3;
   std::vector<SegmentMapping> streamed;
-  const MapReport report = run_guarded(engine, request, 5, &streamed);
-  EXPECT_TRUE(report.ok());
+  const EngineStats stats = run(engine, request, 5, &streamed);
   EXPECT_EQ(streamed, expected);
-  EXPECT_EQ(report.stats.reads, reads_.size());
-  EXPECT_EQ(report.stats.faults_injected, 0u);
-  EXPECT_EQ(report.stats.batches_dropped, 0u);
+  EXPECT_EQ(stats.reads, reads_.size());
+  EXPECT_EQ(stats.faults_injected, 0u);
 }
 
 TEST_F(ChaosEngineTest, DelayOnlyPlanKeepsStreamOutputBitIdentical) {
   const MappingEngine engine(subjects_, params_);
   const auto expected = oracle::map_reads(engine.mapper(), reads_);
 
-  MapRequest request;
-  request.backend = MapBackend::kPool;
-  request.threads = 4;
-  request.fault_plan.delay_at(util::FaultPlan::kAnyRank, "",
-                              util::FaultPlan::kAnyInvocation, milliseconds(1));
-  std::vector<SegmentMapping> streamed;
-  const MapReport report = run_guarded(engine, request, 3, &streamed);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(streamed, expected);
-  EXPECT_GT(report.stats.faults_injected, 0u);
-  EXPECT_EQ(report.stats.batches_dropped, 0u);
+  for (const MapBackend backend : {MapBackend::kSerial, MapBackend::kPool}) {
+    SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)));
+    MapRequest request;
+    request.backend = backend;
+    request.threads = 4;
+    request.fault_plan.delay_at(util::FaultPlan::kAnyRank, "",
+                                util::FaultPlan::kAnyInvocation,
+                                milliseconds(1));
+    std::vector<SegmentMapping> streamed;
+    const EngineStats stats = run(engine, request, 3, &streamed);
+    EXPECT_EQ(streamed, expected);
+    // Every batch is delayed at each of stream.next, map and sink.
+    EXPECT_EQ(stats.faults_injected, 3 * stats.batches);
+  }
 }
 
 TEST_F(ChaosEngineTest, ReaderAbortSurfacesAsStructuredFailure) {
@@ -123,10 +159,11 @@ TEST_F(ChaosEngineTest, ReaderAbortSurfacesAsStructuredFailure) {
   request.fault_plan.abort_at(0, "stream.next", 1);  // dies on batch #1
 
   std::vector<SegmentMapping> streamed;
-  const MapReport report = run_guarded(engine, request, 4, &streamed);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.failure->site, "stream.next");
-  EXPECT_LE(report.stats.batches, 1u);  // only batch #0 can complete
+  EXPECT_EQ(abort_site([&] { (void)run(engine, request, 4, &streamed); }),
+            "stream.next");
+  for (const SegmentMapping& mapping : streamed) {
+    EXPECT_LT(mapping.read, 4u);  // only batch #0 can reach the sink
+  }
 }
 
 TEST_F(ChaosEngineTest, UnguardedStreamRethrowsInjectedAbort) {
@@ -144,30 +181,6 @@ TEST_F(ChaosEngineTest, UnguardedStreamRethrowsInjectedAbort) {
       util::FaultAbort);
 }
 
-TEST_F(ChaosEngineTest, DroppedReaderBatchIsCountedAndRestStayOrdered) {
-  const MappingEngine engine(subjects_, params_);
-  const std::size_t batch_size = 4;
-  MapRequest request;
-  request.backend = MapBackend::kPool;
-  request.threads = 2;
-  request.fault_plan.drop_at(0, "stream.next", 1);  // second parse vanishes
-
-  std::vector<SegmentMapping> streamed;
-  const MapReport report = run_guarded(engine, request, batch_size, &streamed);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.stats.batches_dropped, 1u);
-  EXPECT_EQ(report.stats.reads, reads_.size() - batch_size);
-
-  // Everything except the dropped reads [4, 8) arrives, in read order.
-  const auto expected = oracle::map_reads(engine.mapper(), reads_);
-  std::vector<SegmentMapping> survivors;
-  for (const SegmentMapping& mapping : expected) {
-    if (mapping.read >= batch_size && mapping.read < 2 * batch_size) continue;
-    survivors.push_back(mapping);
-  }
-  EXPECT_EQ(streamed, survivors);
-}
-
 TEST_F(ChaosEngineTest, MapStageAbortSurfacesAsMapFailure) {
   const MappingEngine engine(subjects_, params_);
   MapRequest request;
@@ -175,32 +188,8 @@ TEST_F(ChaosEngineTest, MapStageAbortSurfacesAsMapFailure) {
   request.threads = 3;
   request.fault_plan.abort_at(0, "map", 2);
 
-  const MapReport report = run_guarded(engine, request, 3, nullptr);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.failure->site, "map");
-  EXPECT_GE(report.stats.faults_injected, 1u);
-}
-
-TEST_F(ChaosEngineTest, DroppedMapBatchLeavesNoEmitterHole) {
-  const MappingEngine engine(subjects_, params_);
-  const std::size_t batch_size = 4;
-  MapRequest request;
-  request.backend = MapBackend::kPool;
-  request.threads = 3;
-  request.fault_plan.drop_at(0, "map", 1);  // batch index 1 never emits
-
-  std::vector<SegmentMapping> streamed;
-  const MapReport report = run_guarded(engine, request, batch_size, &streamed);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.stats.batches_dropped, 1u);
-
-  const auto expected = oracle::map_reads(engine.mapper(), reads_);
-  std::vector<SegmentMapping> survivors;
-  for (const SegmentMapping& mapping : expected) {
-    if (mapping.read >= batch_size && mapping.read < 2 * batch_size) continue;
-    survivors.push_back(mapping);
-  }
-  EXPECT_EQ(streamed, survivors);
+  EXPECT_EQ(abort_site([&] { (void)run(engine, request, 3, nullptr); }),
+            "map");
 }
 
 TEST_F(ChaosEngineTest, SinkAbortSurfacesAsSinkFailure) {
@@ -210,12 +199,11 @@ TEST_F(ChaosEngineTest, SinkAbortSurfacesAsSinkFailure) {
   request.threads = 2;
   request.fault_plan.abort_at(0, "sink", 1);
 
-  const MapReport report = run_guarded(engine, request, 4, nullptr);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.failure->site, "sink");
+  EXPECT_EQ(abort_site([&] { (void)run(engine, request, 4, nullptr); }),
+            "sink");
 }
 
-TEST_F(ChaosEngineTest, SinkExceptionIsContainedNotRethrown) {
+TEST_F(ChaosEngineTest, SinkExceptionIsRethrown) {
   const MappingEngine engine(subjects_, params_);
   MapRequest request;
   request.backend = MapBackend::kPool;
@@ -224,12 +212,81 @@ TEST_F(ChaosEngineTest, SinkExceptionIsContainedNotRethrown) {
   std::istringstream in(fasta_);
   io::BatchStream stream(in, 4);
   int delivered = 0;
-  const MapReport report = engine.run_stream_guarded(
-      stream, request, [&](const MappingEngine::BatchResult&) {
-        if (++delivered == 2) throw std::runtime_error("sink exploded");
-      });
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.failure->message.find("sink exploded"), std::string::npos);
+  try {
+    (void)engine.run_stream(stream, request,
+                            [&](const MappingEngine::BatchResult&) {
+                              if (++delivered == 2) {
+                                throw std::runtime_error("sink exploded");
+                              }
+                            });
+    FAIL() << "expected the sink's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "sink exploded");
+  }
+  EXPECT_EQ(delivered, 2);  // the pipeline stops feeding a failed sink
+}
+
+TEST_F(ChaosEngineTest, ReaderFailureIsRethrownBeforeSinkFailure) {
+  // Both fail in every interleaving: batch #0 is queued before the reader
+  // dies on batch #1, and queued batches stay poppable after shutdown.
+  const MappingEngine engine(subjects_, params_);
+  MapRequest request;
+  request.backend = MapBackend::kPool;
+  request.threads = 2;
+  request.fault_plan.abort_at(0, "stream.next", 1).abort_at(0, "sink", 0);
+
+  EXPECT_EQ(abort_site([&] { (void)run(engine, request, 4, nullptr); }),
+            "stream.next");
+}
+
+TEST_F(ChaosEngineTest, SinkFailureIsRethrownBeforeWorkerFailure) {
+  // One worker. The sink holds batch #0 until the reader has parsed the
+  // last batch (3 batches fit the queue), so batch #1 is queued when the
+  // sink fails; the worker then pops it and dies at "map".
+  const MappingEngine engine(subjects_, params_);
+  MapRequest request;
+  request.fault_plan.abort_at(0, "map", 1);
+
+  EofSignalBuf buffer(fasta_);
+  std::istream in(&buffer);
+  io::BatchStream stream(in, 10);
+  try {
+    (void)engine.run_stream(
+        stream, request, [&](const MappingEngine::BatchResult&) {
+          while (!buffer.eof_seen()) {
+            std::this_thread::sleep_for(milliseconds(1));
+          }
+          throw std::runtime_error("sink failed first");
+        });
+    FAIL() << "expected the sink's exception";
+  } catch (const util::FaultAbort& abort) {
+    FAIL() << "worker failure rethrown at " << abort.site();
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "sink failed first");
+  }
+}
+
+TEST_F(ChaosEngineTest, ParseErrorIsRethrownBeforeSinkFailure) {
+  // Batch #1 ends in a record truncated after its header; batch #0 is
+  // queued before the reader parses it, and its sink call fails.
+  const MappingEngine engine(subjects_, params_);
+  MapRequest request;
+  request.backend = MapBackend::kPool;
+  request.threads = 2;
+  request.fault_plan.abort_at(0, "sink", 0);
+
+  io::SequenceSet head;
+  for (io::SeqId read = 0; read < 5; ++read) {
+    head.add(reads_.name(read), reads_.bases(read));
+  }
+  std::ostringstream fasta;
+  io::write_fasta(fasta, head);
+  std::istringstream in(fasta.str() + ">read_cut\n");
+  io::BatchStream stream(in, 4);
+  EXPECT_THROW((void)engine.run_stream(stream, request,
+                                       [](const MappingEngine::BatchResult&) {
+                                       }),
+               io::ParseError);
 }
 
 }  // namespace

@@ -75,11 +75,11 @@ TEST(FaultPlan, RandomPlanIsDeterministicInTheSeed) {
   bool any_difference_from_c = false;
   for (int rank = 0; rank < 4; ++rank) {
     for (std::uint64_t i = 0; i < 200; ++i) {
-      const FaultDecision da = a.decide(rank, "queue.push", i);
-      const FaultDecision db = b.decide(rank, "queue.push", i);
+      const FaultDecision da = a.decide(rank, "map", i);
+      const FaultDecision db = b.decide(rank, "map", i);
       EXPECT_EQ(da.action, db.action);
       EXPECT_EQ(da.delay, db.delay);
-      if (da.action != c.decide(rank, "queue.push", i).action) {
+      if (da.action != c.decide(rank, "map", i).action) {
         any_difference_from_c = true;
       }
     }

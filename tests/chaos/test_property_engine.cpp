@@ -150,7 +150,7 @@ TEST(PropertyEngine, RandomDelayPlansNeverChangeStreamOutput) {
       std::istringstream in(fasta.str());
       io::BatchStream stream(in, 4);
       std::vector<SegmentMapping> streamed;
-      const MapReport report = engine.run_stream_guarded(
+      const EngineStats stats = engine.run_stream(
           stream, request, [&](const MappingEngine::BatchResult& result) {
             for (SegmentMapping mapping : result.mappings) {
               mapping.read = static_cast<io::SeqId>(mapping.read +
@@ -158,9 +158,8 @@ TEST(PropertyEngine, RandomDelayPlansNeverChangeStreamOutput) {
               streamed.push_back(mapping);
             }
           });
-      EXPECT_TRUE(report.ok());
       EXPECT_EQ(streamed, golden);
-      EXPECT_EQ(report.stats.batches_dropped, 0u);
+      EXPECT_GT(stats.faults_injected, 0u);
     }
   }
 }

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/service.hpp"
+#include "io/fasta.hpp"
 #include "util/log.hpp"
 
 namespace jem::cli {
@@ -95,6 +98,23 @@ TEST(CliExitCodes, UsageErrorsAreUniformlyTwo) {
   EXPECT_EQ(run(run_map, {"--demo", "--partitioned"}, "jem map"), kExitUsage);
 }
 
+TEST(CliHelp, EveryCommandPrintsItsUsageToStdoutAndExitsZero) {
+  for (const Command& command : commands()) {
+    const std::string program = "jem " + std::string(command.name);
+    for (const char* flag : {"--help", "-h"}) {
+      SCOPED_TRACE(program + " " + flag);
+      ::testing::internal::CaptureStdout();
+      const int exit_code = run(command.run, {flag}, program);
+      const std::string out = ::testing::internal::GetCapturedStdout();
+      EXPECT_EQ(exit_code, kExitOk);
+      EXPECT_EQ(out.rfind("usage: " + program + " [options]\n", 0), 0u);
+    }
+    // Unknown options stay usage errors.
+    EXPECT_EQ(run(command.run, {"--no-such-flag"}, program), kExitUsage)
+        << program;
+  }
+}
+
 TEST(CliMap, DemoRunWritesMappingsAndShimMatchesSubcommand) {
   const std::string dir = ::testing::TempDir();
   const std::string via_shim = dir + "/cli_shim.tsv";
@@ -129,6 +149,64 @@ TEST(CliMap, DistributedRunsWriteTheSingleProcessBytes) {
   ASSERT_FALSE(expected.empty());
   EXPECT_EQ(read_file(replicated), expected);
   EXPECT_EQ(read_file(partitioned), expected);
+}
+
+TEST(CliMap, StreamedRunsWriteTheInMemoryBytes) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir();
+  const std::string contigs = dir + "/cli_stream_contigs.fa";
+  const std::string queries = dir + "/cli_stream_reads.fa";
+  io::SequenceSet subjects;
+  io::SequenceSet reads;
+  make_demo_dataset(20230517, subjects, reads);
+  std::string reads_fasta;
+  {
+    std::ofstream out(contigs);
+    io::write_fasta(out, subjects);
+    std::ostringstream text;
+    io::write_fasta(text, reads);
+    reads_fasta = text.str();
+    std::ofstream(queries) << reads_fasta;
+  }
+  const std::vector<std::string> inputs = {"--subjects", contigs,
+                                           "--queries", queries};
+  const auto map_to = [&](const std::string& out,
+                          std::vector<std::string> extra) {
+    std::vector<std::string> args = inputs;
+    args.insert(args.end(), {"--output", out});
+    args.insert(args.end(), extra.begin(), extra.end());
+    return run(run_map, args, "jem map");
+  };
+
+  const std::string in_memory = dir + "/cli_stream_memory.tsv";
+  const std::string streamed = dir + "/cli_stream_batched.tsv";
+  const std::string checkpointed = dir + "/cli_stream_ckpt.tsv";
+  const std::string journal = dir + "/cli_stream.ckpt";
+  ASSERT_EQ(map_to(in_memory, {}), kExitOk);
+  ASSERT_EQ(map_to(streamed, {"--batch", "7", "--threads", "3"}), kExitOk);
+  ASSERT_EQ(map_to(checkpointed, {"--batch", "7", "--threads", "3",
+                                  "--checkpoint", journal}),
+            kExitOk);
+  const std::string expected = read_file(in_memory);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(read_file(streamed), expected);
+  EXPECT_EQ(read_file(checkpointed), expected);
+  EXPECT_FALSE(fs::exists(streamed + ".partial"));
+  EXPECT_FALSE(fs::exists(checkpointed + ".partial"));
+  EXPECT_FALSE(fs::exists(journal));
+
+  // A query file truncated mid-record (a last header with no sequence,
+  // past several written batches) fails the run and leaves nothing behind.
+  const std::size_t cut = reads_fasta.find('>', reads_fasta.size() / 2);
+  ASSERT_NE(cut, std::string::npos);
+  std::ofstream(queries, std::ios::trunc)
+      << reads_fasta.substr(0, reads_fasta.find('\n', cut) + 1);
+  const std::string failed = dir + "/cli_stream_truncated.tsv";
+  std::remove(failed.c_str());
+  EXPECT_EQ(map_to(failed, {"--batch", "7", "--threads", "3"}),
+            kExitRuntime);
+  EXPECT_FALSE(fs::exists(failed));
+  EXPECT_FALSE(fs::exists(failed + ".partial"));
 }
 
 TEST(CliBuildIndex, ArtifactLoadsIntoTheService) {

@@ -176,7 +176,6 @@ TEST_F(EngineGoldenTest, StreamingPipelineMatchesSequential) {
         MapRequest request;
         request.backend = backend;
         request.threads = threads;
-        request.queue_depth = 2;
 
         std::vector<SegmentMapping> collected;
         std::uint64_t expected_index = 0;
@@ -326,9 +325,6 @@ TEST_F(EngineGoldenTest, StreamErrorsPropagateAfterShutdown) {
 
 TEST(EngineRequestTest, ValidateRejectsBadFields) {
   MapRequest request;
-  request.queue_depth = 0;
-  EXPECT_THROW(request.validate(), std::invalid_argument);
-  request = {};
   request.min_votes = 0;
   EXPECT_THROW(request.validate(), std::invalid_argument);
   request = {};

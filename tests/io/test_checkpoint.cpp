@@ -254,24 +254,5 @@ TEST_F(CheckpointTest, AbortFaultTearsAPartialRecord) {
   EXPECT_EQ(resume.torn_records, 1u);
 }
 
-TEST_F(CheckpointTest, DropFaultMakesTheJournalFailClosed) {
-  util::FaultPlan plan;
-  plan.drop_at(0, "ckpt.write", 1);
-  util::FaultInjector injector(&plan, 0);
-
-  CheckpointWriter writer = CheckpointWriter::create(path_, test_fp());
-  writer.set_fault_injector(&injector);
-  writer.append(make_record(0));
-  writer.append(make_record(1));  // silently lost
-  writer.append(make_record(2));
-  EXPECT_EQ(writer.records_appended(), 2u);
-  writer.close();
-
-  // The hole (batch 0, then batch 2) must refuse to resume — splicing over
-  // a missing batch would drop its output.
-  EXPECT_EQ(reason_of([&] { (void)read_journal(path_, test_fp()); }),
-            ArtifactReason::kStaleJournal);
-}
-
 }  // namespace
 }  // namespace jem::io

@@ -8,7 +8,6 @@ namespace {
 TEST(NetworkModel, SingleRankCollectivesAreFree) {
   NetworkModel model;
   EXPECT_DOUBLE_EQ(model.allgatherv_s(1, 1 << 20), 0.0);
-  EXPECT_DOUBLE_EQ(model.reduce_s(1, 1024), 0.0);
 }
 
 TEST(NetworkModel, AllgathervGrowsWithVolume) {
@@ -33,14 +32,6 @@ TEST(NetworkModel, AllgathervBandwidthTermMatchesRingFormula) {
   // Ring: mu * V * (p-1)/p.
   EXPECT_DOUBLE_EQ(model.allgatherv_s(4, bytes),
                    model.sec_per_byte * 1e6 * 3.0 / 4.0);
-}
-
-TEST(NetworkModel, ReduceChargesPerRound) {
-  NetworkModel model;
-  const std::uint64_t bytes = 4096;
-  const double expected =
-      3 * (model.latency_s + model.sec_per_byte * 4096.0);
-  EXPECT_DOUBLE_EQ(model.reduce_s(8, bytes), expected);
 }
 
 TEST(NetworkModel, DefaultsAreTenGigabitClass) {

@@ -69,7 +69,7 @@ TEST(StagedExecutor, StepLookupByNameSumsDuplicates) {
 TEST(StagedExecutor, RecordsCommBytes) {
   StagedExecutor executor(4);
   executor.comm_allgatherv("gather", 12345);
-  executor.comm_reduce("reduce", 678);
+  executor.comm_allgatherv("second", 678);
   ASSERT_EQ(executor.steps().size(), 2u);
   EXPECT_EQ(executor.steps()[0].bytes, 12345u);
   EXPECT_EQ(executor.steps()[1].bytes, 678u);

@@ -274,7 +274,7 @@ TEST_F(MappingServerTest, FullAdmissionQueueShedsWith503RetryAfter) {
     const auto* metric = snapshot.find(name);
     return metric == nullptr ? std::uint64_t{0} : metric->value;
   };
-  const auto queue_depth = [&] {
+  const auto queue_level = [&] {
     const auto snapshot = server_->registry().snapshot();
     const auto* metric = snapshot.find("serve.queue.depth");
     return metric == nullptr ? std::int64_t{0} : metric->level;
@@ -291,7 +291,7 @@ TEST_F(MappingServerTest, FullAdmissionQueueShedsWith503RetryAfter) {
       eventually([&] { return counter("serve.chaos.injected.delay") >= 1; }));
   const int queued = connect_raw(server_->port());
   ASSERT_GE(queued, 0);
-  ASSERT_TRUE(eventually([&] { return queue_depth() == 1; }));
+  ASSERT_TRUE(eventually([&] { return queue_level() == 1; }));
 
   const HttpResponse shed = post_map(queries_[0]);
   EXPECT_EQ(shed.status, 503);
