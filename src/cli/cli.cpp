@@ -19,8 +19,6 @@ constexpr Command kCommands[] = {
     {"serve", "always-on mapping service over local HTTP", run_serve},
     {"probe", "exercise a running `jem serve` (health, metrics, mapping)",
      run_probe},
-    {"loadgen", "drive a running `jem serve` with Zipf-skewed load",
-     run_loadgen},
 };
 
 }  // namespace

@@ -7,8 +7,8 @@
 //   jem map          map reads to contigs (the legacy jem_map workflow)
 //   jem build-index  sketch subjects and write the frozen JEMIDX1 artifact
 //   jem serve        always-on mapping service over local HTTP
-//   jem probe        client for a running `jem serve` (smoke/ops checks)
-//   jem loadgen      Zipf-skewed load generator (offered-load/latency curves)
+//   jem probe        client for a running `jem serve` (smoke/ops checks and
+//                    the only in-tree /map load driver)
 //
 // Exit codes are uniform across subcommands (docs/serve.md):
 //   0  success (and `--help` / `-h`, which prints the usage to stdout)
@@ -41,7 +41,6 @@ int run_build_index(std::span<const char* const> args,
                     std::string_view program);
 int run_serve(std::span<const char* const> args, std::string_view program);
 int run_probe(std::span<const char* const> args, std::string_view program);
-int run_loadgen(std::span<const char* const> args, std::string_view program);
 
 struct Command {
   std::string_view name;

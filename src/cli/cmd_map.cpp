@@ -13,7 +13,8 @@
 // --ranks runs the distributed S1-S4 driver on reads held in memory, one
 // thread per rank; the engine-path flags (--tiled, --threads, --batch,
 // --checkpoint, --resume, --save-index, --load-index) are usage errors
-// beside it, as is --partitioned without it.
+// beside it, as is --partitioned without it. --checkpoint needs --batch,
+// --resume needs --checkpoint, and --batch needs a query file (not --demo).
 //
 // With --demo (no input files) it simulates a small dataset, maps it, and
 // writes the mapping. Parameter assembly goes through the
@@ -140,6 +141,16 @@ int run_map(std::span<const char* const> args, std::string_view program) {
     }
   } else if (partitioned) {
     std::cerr << "error: --partitioned needs --ranks\n";
+    return kExitUsage;
+  } else if (!checkpoint_path.empty() && batch == 0) {
+    std::cerr << "error: --checkpoint needs --batch\n";
+    return kExitUsage;
+  } else if (resume && checkpoint_path.empty()) {
+    std::cerr << "error: --resume needs --checkpoint\n";
+    return kExitUsage;
+  } else if (batch != 0 && demo) {
+    std::cerr << "error: --batch does not apply with --demo (no query file "
+                 "to stream)\n";
     return kExitUsage;
   }
 
@@ -325,27 +336,24 @@ int run_map(std::span<const char* const> args, std::string_view program) {
     request.backend =
         threads > 1 ? core::MapBackend::kPool : core::MapBackend::kSerial;
     request.threads = threads;
-    request.batch_size = batch;
     request.obs = obs;
 
     core::EngineStats stats;
     std::optional<io::MappingOutput> output;
     std::optional<io::CheckpointWriter> journal;
     try {
-      if (batch > 0 && !demo) {
+      if (batch > 0) {
         // Streamed: the engine parses batches on this thread and maps them
         // on the pool behind a bounded queue; the sink appends each batch,
         // in input order, to <output>.partial, published atomically at the
-        // end. The whole inflated query file is still held in memory
-        // (read_file_auto), and parse errors surface from run_stream.
-        // --checkpoint makes the sink journal every batch after syncing its
-        // bytes, so a killed run resumes past the journal and publishes the
-        // bytes of an uninterrupted run (docs/persistence.md).
+        // end. The whole inflated query file is still held in memory, once
+        // (read_file_auto, then moved into the stream), and parse errors
+        // surface from run_stream. --checkpoint makes the sink journal every
+        // batch after syncing its bytes, so a killed run resumes past the
+        // journal and publishes the bytes of an uninterrupted run
+        // (docs/persistence.md).
         streamed = true;
-        const std::string query_data = io::read_file_auto(queries_path);
-        std::istringstream stream(query_data);
-        io::BatchStream batches(stream, batch);
-
+        std::string query_data = io::read_file_auto(queries_path);
         io::JournalFingerprint fp;
         if (!checkpoint_path.empty()) {
           // Binds the journal to this exact run: mapping parameters +
@@ -357,7 +365,9 @@ int run_map(std::span<const char* const> args, std::string_view program) {
           fp.words[3] = io::xxh64(std::string(tiled ? "tiled" : "ends") +
                                   ";batch=" + std::to_string(batch));
         }
-        if (!checkpoint_path.empty() && resume) {
+        std::istringstream stream(std::move(query_data));
+        io::BatchStream batches(stream, batch);
+        if (resume) {
           try {
             const io::ResumePoint point =
                 io::read_journal(checkpoint_path, fp);

@@ -15,12 +15,13 @@
 // and prints one line per tick with the windowed SLO section — a live view
 // of the 10s/1m/5m percentiles decaying after the load.
 //
-// The transport is the resilient serve::Client (exponential backoff + full
-// jitter, Retry-After, circuit breaker), so a server that sheds 503s or is
-// running a chaos fault plan still probes clean — --retries 0 restores
-// one-shot semantics. --admin-reload posts a hot-swap to /admin/reload once
-// half the /map requests are in flight, making the probe double as the
-// zero-downtime reload check.
+// The transport is the retrying serve::Client (exponential backoff + full
+// jitter, Retry-After), so a server that sheds 503s or is running a chaos
+// fault plan still probes clean — --retries 0 restores one-shot semantics.
+// --admin-reload posts a hot-swap to /admin/reload once half the /map
+// requests are in flight, making the probe double as the zero-downtime
+// reload check. It is the only in-tree program besides perfbench's serve
+// probe that drives /map.
 //
 // Exit 0 when every request succeeded (HTTP 200 and, for /map, a JSON
 // body); 1 otherwise — which makes it the assertion step of the check.sh
@@ -119,16 +120,12 @@ int run_probe(std::span<const char* const> args, std::string_view program) {
 
   const std::uint16_t port16 = static_cast<std::uint16_t>(port);
 
-  // One resilient client shared by the whole pool (thread-safe): retries
-  // with backoff + jitter, honors Retry-After on sheds, trips the breaker
-  // if the server goes truly dark.
+  // One retrying client shared by the whole pool (thread-safe): backoff +
+  // jitter, honors Retry-After on sheds.
   serve::RetryPolicy policy;
   policy.max_attempts = static_cast<int>(retries) + 1;
   policy.jitter_seed = seed;
-  serve::CircuitBreaker::Config breaker;
-  breaker.failure_threshold = 8;
-  breaker.cooldown = std::chrono::milliseconds(200);
-  serve::Client client(host, port16, policy, breaker);
+  serve::Client client(host, port16, policy);
 
   std::atomic<std::uint64_t> next{0};
   std::atomic<std::uint64_t> ok{0};

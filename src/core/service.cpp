@@ -137,60 +137,19 @@ ServiceConfig ServiceConfig::Builder::build() const {
 
 // --- MapServiceRequest ------------------------------------------------------
 
-MapServiceRequest::Builder MapServiceRequest::make() { return {}; }
-
-MapServiceRequest::Builder& MapServiceRequest::Builder::sequence(
-    std::string bases) {
-  request_.sequence = std::move(bases);
-  return *this;
-}
-MapServiceRequest::Builder& MapServiceRequest::Builder::top_x(
-    std::size_t value) {
-  request_.top_x = value;
-  return *this;
-}
-MapServiceRequest::Builder& MapServiceRequest::Builder::min_votes(
-    std::uint32_t value) {
-  request_.min_votes = value;
-  return *this;
-}
-MapServiceRequest::Builder& MapServiceRequest::Builder::deadline(
-    std::chrono::milliseconds value) {
-  request_.deadline = value;
-  return *this;
-}
-
-namespace {
-
-/// The request-shape checks build() and validate() share.
-void check_request_shape(const MapServiceRequest& request) {
-  if (request.sequence.empty()) {
+void MapServiceRequest::validate(const MapParams& params) const {
+  if (sequence.empty()) {
     throw ServiceError(ServiceErrorCode::kInvalidArgument, "sequence",
                        "query sequence must not be empty");
   }
-  if (request.top_x < 1) {
+  if (top_x < 1) {
     throw ServiceError(ServiceErrorCode::kInvalidArgument, "top_x",
                        "top_x must be >= 1");
   }
-  if (request.deadline.count() < 0) {
+  if (deadline.count() < 0) {
     throw ServiceError(ServiceErrorCode::kInvalidArgument, "deadline_ms",
                        "deadline must be >= 0");
   }
-}
-
-}  // namespace
-
-MapServiceRequest MapServiceRequest::Builder::build() const {
-  check_request_shape(request_);
-  if (request_.min_votes && *request_.min_votes < 1) {
-    throw ServiceError(ServiceErrorCode::kInvalidArgument, "min_votes",
-                       "min_votes must be >= 1");
-  }
-  return request_;
-}
-
-void MapServiceRequest::validate(const MapParams& params) const {
-  check_request_shape(*this);
   // Same contract as MapRequest::min_votes: the sketch table cannot recover
   // hits below the threshold it was built to report.
   if (min_votes && *min_votes < params.min_votes) {

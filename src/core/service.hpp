@@ -122,42 +122,23 @@ class ServiceConfig::Builder {
   std::string scheme_name_ = "jem";
 };
 
-/// One mapping request: a query segment plus how to report it. Construct
-/// through the builder (validated) or aggregate-initialize and rely on
-/// MappingService validating at map() time.
+/// One mapping request: a query segment plus how to report it.
+/// Aggregate-initialize it; MappingService validates it at map() time.
 struct MapServiceRequest {
   std::string sequence;  // query segment bases (mapped as one segment)
   std::size_t top_x = 1;  // candidates to report (1 = best hit only)
 
   /// Optional tightening of MapParams::min_votes for this request (same
   /// contract as MapRequest::min_votes: must be >= the configured value).
-  std::optional<std::uint32_t> min_votes;
+  std::optional<std::uint32_t> min_votes{};
 
   /// Per-request deadline budget measured from map() entry (the serve
   /// layer measures from handle() entry instead). zero = no deadline.
   std::chrono::milliseconds deadline{0};
 
-  class Builder;
-  [[nodiscard]] static Builder make();
-
   /// Field-by-field validation against the service's parameters. Throws
   /// ServiceError(kInvalidArgument) naming the offending field.
   void validate(const MapParams& params) const;
-};
-
-class MapServiceRequest::Builder {
- public:
-  Builder& sequence(std::string bases);
-  Builder& top_x(std::size_t value);
-  Builder& min_votes(std::uint32_t value);
-  Builder& deadline(std::chrono::milliseconds value);
-
-  /// Validates the request shape (sequence present, top_x >= 1). Service-
-  /// dependent checks (min_votes floor) run again inside map().
-  [[nodiscard]] MapServiceRequest build() const;
-
- private:
-  MapServiceRequest request_;
 };
 
 /// One candidate subject of a response, name resolved.

@@ -97,74 +97,6 @@ HttpResponse http_post(const std::string& host, std::uint16_t port,
   return http_request(host, port, request, timeout);
 }
 
-// --- CircuitBreaker ---------------------------------------------------------
-
-std::string_view CircuitBreaker::state_name(State state) noexcept {
-  switch (state) {
-    case State::kClosed: return "closed";
-    case State::kOpen: return "open";
-    case State::kHalfOpen: return "half-open";
-  }
-  return "unknown";
-}
-
-void CircuitBreaker::open(Clock::time_point now) {
-  state_ = State::kOpen;
-  opened_at_ = now;
-  probe_successes_ = 0;
-  ++opens_;
-}
-
-bool CircuitBreaker::allow(Clock::time_point now) {
-  switch (state_) {
-    case State::kClosed:
-      return true;
-    case State::kOpen:
-      if (now >= opened_at_ + config_.cooldown) {
-        state_ = State::kHalfOpen;
-        probe_successes_ = 0;
-        return true;
-      }
-      return false;
-    case State::kHalfOpen:
-      return true;
-  }
-  return true;
-}
-
-void CircuitBreaker::on_success(Clock::time_point) {
-  switch (state_) {
-    case State::kClosed:
-      failures_ = 0;
-      break;
-    case State::kHalfOpen:
-      if (++probe_successes_ >= config_.half_open_successes) {
-        state_ = State::kClosed;
-        failures_ = 0;
-        probe_successes_ = 0;
-      }
-      break;
-    case State::kOpen:
-      // A success cannot be observed while open (allow() refused); treat a
-      // straggler as the half-open transition already having happened.
-      break;
-  }
-}
-
-void CircuitBreaker::on_failure(Clock::time_point now) {
-  switch (state_) {
-    case State::kClosed:
-      if (++failures_ >= config_.failure_threshold) open(now);
-      break;
-    case State::kHalfOpen:
-      // The probe failed: straight back to open, cooldown restarts.
-      open(now);
-      break;
-    case State::kOpen:
-      break;
-  }
-}
-
 // --- Client -----------------------------------------------------------------
 
 namespace {
@@ -194,18 +126,12 @@ long retry_after_seconds(const HttpResponse& response) {
 }  // namespace
 
 Client::Client(std::string host, std::uint16_t port, RetryPolicy policy,
-               CircuitBreaker::Config breaker, obs::Registry* metrics)
+               obs::Registry* metrics)
     : host_(std::move(host)),
       port_(port),
       policy_(policy),
       metrics_(metrics),
-      breaker_(breaker),
       rng_state_(policy.jitter_seed) {}
-
-CircuitBreaker::State Client::breaker_state() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return breaker_.state();
-}
 
 std::uint64_t Client::attempts() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -239,18 +165,13 @@ std::chrono::milliseconds Client::backoff_delay(
   rng_state_ = util::mix64(rng_state_ + 0x9e3779b97f4a7c15ull);
   std::chrono::milliseconds delay{
       static_cast<std::int64_t>(draw % (cap_ms + 1))};
-  if (retry_after_hint.count() > 0 && policy_.honor_retry_after) {
+  if (retry_after_hint.count() > 0) {
     delay = std::max(delay, std::min(retry_after_hint, policy_.max_backoff));
   }
   return delay;
 }
 
-HttpResponse Client::request(const HttpRequest& request, bool idempotent) {
-  using Clock = CircuitBreaker::Clock;
-  const Clock::time_point start = Clock::now();
-  const bool bounded = policy_.overall_deadline.count() > 0;
-  const Clock::time_point deadline = start + policy_.overall_deadline;
-
+HttpResponse Client::request(const HttpRequest& request) {
   // Trace stamping: honor a caller-supplied traceparent (the caller's trace
   // continues through us), otherwise mint a fresh context and forward it.
   // Retries reuse the same context — they are the same logical request.
@@ -278,119 +199,55 @@ HttpResponse Client::request(const HttpRequest& request, bool idempotent) {
       metrics_ ? &metrics_->counter("serve.client.attempts") : nullptr;
   obs::Counter* retries_counter =
       metrics_ ? &metrics_->counter("serve.client.retries") : nullptr;
-  obs::Counter* opens_counter =
-      metrics_ ? &metrics_->counter("serve.client.breaker.opens") : nullptr;
-  obs::Gauge* state_gauge =
-      metrics_ ? &metrics_->gauge("serve.client.breaker.state") : nullptr;
 
   std::string last_error;
   HttpResponse last_response;
   bool have_response = false;
 
   for (int attempt = 0; attempt < policy_.max_attempts; ++attempt) {
-    Clock::time_point now = Clock::now();
-    if (bounded && now >= deadline) break;
-
-    // Admission through the breaker. When open, wait out the cooldown if
-    // the overall deadline allows a later probe; otherwise fail fast.
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      while (!breaker_.allow(now)) {
-        const Clock::time_point retry_at = breaker_.retry_at();
-        if (bounded && retry_at >= deadline) {
-          throw ClientError(
-              "circuit open: breaker cooldown outlasts the overall deadline");
-        }
-        lock.unlock();
-        std::this_thread::sleep_until(retry_at);
-        now = Clock::now();
-        lock.lock();
-      }
+      std::lock_guard<std::mutex> lock(mutex_);
       ++attempts_;
       if (attempt > 0) ++retries_;
     }
     if (attempts_counter) attempts_counter->add(1);
     if (retries_counter && attempt > 0) retries_counter->add(1);
 
-    // Per-attempt socket timeout, clipped to what remains of the overall
-    // deadline so the last attempt cannot overshoot it.
-    std::chrono::milliseconds timeout = policy_.attempt_timeout;
-    if (bounded) {
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::milliseconds>(deadline - Clock::now());
-      timeout = std::max(std::chrono::milliseconds(1),
-                         std::min(timeout, remaining));
-    }
-
-    bool failed = false;
     std::chrono::milliseconds retry_after_hint{0};
     try {
-      const HttpResponse response =
-          http_request(host_, port_, traced, timeout);
-      last_response = response;
+      last_response = http_request(host_, port_, traced);
       have_response = true;
-      failed = retryable_status(response.status);
-      if (failed && response.status == 503) {
-        const long seconds = retry_after_seconds(response);
+      if (!retryable_status(last_response.status)) {
+        util::log_debug() << "serve client: " << traced.method << " "
+                          << (traced.target.empty() ? traced.path
+                                                    : traced.target)
+                          << " " << last_response.status
+                          << " trace=" << trace.trace_id
+                          << " attempts=" << attempt + 1;
+        return last_response;
+      }
+      if (last_response.status == 503) {
+        const long seconds = retry_after_seconds(last_response);
         if (seconds >= 0) retry_after_hint = std::chrono::seconds(seconds);
       }
     } catch (const ClientError& error) {
       last_error = error.what();
       have_response = false;
-      failed = true;
-      if (!idempotent) {
-        // A dead connection may have executed the request server-side;
-        // only an idempotent request may be replayed.
-        std::lock_guard<std::mutex> lock(mutex_);
-        breaker_.on_failure(Clock::now());
-        if (state_gauge) {
-          state_gauge->set(static_cast<std::int64_t>(breaker_.state()));
-        }
-        throw;
-      }
     }
 
     std::chrono::milliseconds delay{0};
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      const std::uint64_t opens_before = breaker_.opens();
-      if (failed) {
-        breaker_.on_failure(Clock::now());
-      } else {
-        breaker_.on_success(Clock::now());
-      }
-      if (opens_counter && breaker_.opens() > opens_before) {
-        opens_counter->add(breaker_.opens() - opens_before);
-      }
-      if (state_gauge) {
-        state_gauge->set(static_cast<std::int64_t>(breaker_.state()));
-      }
-      if (failed) delay = backoff_delay(attempt, retry_after_hint);
+      delay = backoff_delay(attempt, retry_after_hint);
     }
-    if (!failed) {
-      util::log_debug() << "serve client: " << traced.method << " "
-                        << (traced.target.empty() ? traced.path
-                                                  : traced.target)
-                        << " " << last_response.status
-                        << " trace=" << trace.trace_id
-                        << " attempts=" << attempt + 1;
-      return last_response;
-    }
-
     if (attempt + 1 < policy_.max_attempts && delay.count() > 0) {
-      if (bounded) {
-        const auto remaining = std::chrono::duration_cast<
-            std::chrono::milliseconds>(deadline - Clock::now());
-        delay = std::min(delay, std::max(std::chrono::milliseconds(0),
-                                         remaining));
-      }
       std::this_thread::sleep_for(delay);
     }
   }
 
-  // Out of attempts (or deadline). An HTTP-level failure is still a
-  // response — hand the caller the last status; pure transport failure is
-  // an exception, same contract as http_request.
+  // Out of attempts. An HTTP-level failure is still a response — hand the
+  // caller the last status; pure transport failure is an exception, same
+  // contract as http_request.
   util::log_debug() << "serve client: " << traced.method << " "
                     << (traced.target.empty() ? traced.path : traced.target)
                     << " gave up trace=" << trace.trace_id << " "
@@ -399,24 +256,23 @@ HttpResponse Client::request(const HttpRequest& request, bool idempotent) {
                             : "error=" + last_error);
   if (have_response) return last_response;
   throw ClientError("request failed after " +
-                    std::to_string(policy_.max_attempts) + " attempts: " +
-                    (last_error.empty() ? "deadline exceeded" : last_error));
+                    std::to_string(policy_.max_attempts) +
+                    " attempts: " + last_error);
 }
 
 HttpResponse Client::get(std::string_view target) {
   HttpRequest request;
   request.method = "GET";
   request.target = std::string(target);
-  return this->request(request, /*idempotent=*/true);
+  return this->request(request);
 }
 
-HttpResponse Client::post(std::string_view target, std::string_view body,
-                          bool idempotent) {
+HttpResponse Client::post(std::string_view target, std::string_view body) {
   HttpRequest request;
   request.method = "POST";
   request.target = std::string(target);
   request.body = std::string(body);
-  return this->request(request, idempotent);
+  return this->request(request);
 }
 
 }  // namespace jem::serve

@@ -5,13 +5,13 @@
 //  * http_request / http_get / http_post — the raw blocking transport: one
 //    attempt, throws ClientError on any socket/parse failure. These remain
 //    what byte-level tests use when they WANT to see a failure.
-//  * Client — the resilient front end `jem probe` and the chaos suite use:
-//    retries with exponential backoff + full jitter, honors Retry-After on
-//    503 sheds, enforces per-attempt and overall deadlines, retries
-//    connection resets only for idempotent requests, and trips a
-//    closed/open/half-open circuit breaker whose state is exported through
-//    obs gauges. Against a server running a seeded fault plan (resets,
-//    truncated writes, worker aborts) the Client completes every request
+//  * Client — the retrying front end `jem probe` and the chaos suite use:
+//    retries transport failures and 5xx statuses with exponential backoff +
+//    full jitter, and honors Retry-After on 503 sheds (capped at
+//    max_backoff). Every mapping-service endpoint is a pure function, so a
+//    request whose connection died mid-flight is always safe to re-send.
+//    Against a server running a seeded fault plan (resets, truncated
+//    writes, worker aborts) the Client completes every request
 //    bit-identical to a fault-free run — the acceptance contract of the
 //    serve chaos suite.
 #pragma once
@@ -54,70 +54,15 @@ class ClientError : public std::runtime_error {
     std::string_view body,
     std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));
 
-/// Circuit breaker state machine (closed → open → half-open → closed), the
-/// standard release-valve in front of a struggling dependency. Pure logic
-/// with injected time, so the unit tests script it deterministically: no
-/// clock reads, no sleeps, no locking (Client serializes access).
-class CircuitBreaker {
- public:
-  using Clock = std::chrono::steady_clock;
-
-  enum class State { kClosed, kOpen, kHalfOpen };
-
-  struct Config {
-    /// Consecutive failures that trip closed → open.
-    int failure_threshold = 5;
-    /// How long the breaker stays open before admitting a half-open probe.
-    std::chrono::milliseconds cooldown{1000};
-    /// Consecutive successes that close a half-open breaker.
-    int half_open_successes = 1;
-  };
-
-  explicit CircuitBreaker(Config config) : config_(config) {}
-
-  /// True when a request may proceed at `now`. An open breaker past its
-  /// cooldown transitions to half-open and admits exactly the probes that
-  /// follow (each failure re-opens it).
-  [[nodiscard]] bool allow(Clock::time_point now);
-
-  void on_success(Clock::time_point now);
-  void on_failure(Clock::time_point now);
-
-  [[nodiscard]] State state() const noexcept { return state_; }
-  [[nodiscard]] int consecutive_failures() const noexcept { return failures_; }
-  /// Lifetime closed→open transitions.
-  [[nodiscard]] std::uint64_t opens() const noexcept { return opens_; }
-  /// Earliest instant an open breaker will admit a half-open probe.
-  [[nodiscard]] Clock::time_point retry_at() const noexcept {
-    return opened_at_ + config_.cooldown;
-  }
-
-  /// Stable name for logs/metrics: "closed" | "open" | "half-open".
-  [[nodiscard]] static std::string_view state_name(State state) noexcept;
-
- private:
-  void open(Clock::time_point now);
-
-  Config config_;
-  State state_ = State::kClosed;
-  int failures_ = 0;        // consecutive, in closed state
-  int probe_successes_ = 0;  // consecutive, in half-open state
-  Clock::time_point opened_at_{};
-  std::uint64_t opens_ = 0;
-};
-
 /// Retry schedule: exponential backoff with full jitter (sleep uniform in
 /// [0, min(max_backoff, initial << attempt)]), deterministic given
-/// jitter_seed. A 503 with Retry-After sleeps at least that hint.
+/// jitter_seed. A 503 with Retry-After sleeps at least
+/// min(hint, max_backoff). Each attempt uses http_request's default
+/// socket timeout.
 struct RetryPolicy {
   int max_attempts = 4;
   std::chrono::milliseconds initial_backoff{10};
   std::chrono::milliseconds max_backoff{1000};
-  /// Socket-level timeout per attempt.
-  std::chrono::milliseconds attempt_timeout{10000};
-  /// Overall budget across attempts and backoff sleeps; zero = unbounded.
-  std::chrono::milliseconds overall_deadline{0};
-  bool honor_retry_after = true;
   std::uint64_t jitter_seed = 0x9e3779b97f4a7c15ull;
 };
 
@@ -127,26 +72,18 @@ struct RetryPolicy {
 class Client {
  public:
   Client(std::string host, std::uint16_t port, RetryPolicy policy = {},
-         CircuitBreaker::Config breaker = {},
          obs::Registry* metrics = nullptr);
 
-  /// Sends with retries. `idempotent` gates retry-after-reset: a request
-  /// whose connection died mid-flight is only re-sent when re-executing it
-  /// is safe (every mapping-service endpoint is a pure function, so the
-  /// callers here pass true; false restores one-shot transport semantics
-  /// for the reset case). Returns the last HttpResponse seen — callers
-  /// inspect .status. Throws ClientError when every attempt failed at the
-  /// transport level, the circuit is open past the deadline, or the overall
-  /// deadline expired before a response landed.
-  [[nodiscard]] HttpResponse request(const HttpRequest& request,
-                                     bool idempotent = true);
+  /// Sends with up to max_attempts attempts. Returns the first final
+  /// response, or the last retryable one once attempts run out — callers
+  /// inspect .status. Throws ClientError when the last attempt failed at
+  /// the transport level.
+  [[nodiscard]] HttpResponse request(const HttpRequest& request);
 
   [[nodiscard]] HttpResponse get(std::string_view target);
   [[nodiscard]] HttpResponse post(std::string_view target,
-                                  std::string_view body,
-                                  bool idempotent = true);
+                                  std::string_view body);
 
-  [[nodiscard]] CircuitBreaker::State breaker_state() const;
   [[nodiscard]] std::uint64_t attempts() const;
   [[nodiscard]] std::uint64_t retries() const;
 
@@ -169,8 +106,7 @@ class Client {
   obs::Registry* metrics_;
   obs::Tracer* tracer_ = nullptr;
 
-  mutable std::mutex mutex_;  // guards breaker_, rng_state_, tallies
-  CircuitBreaker breaker_;
+  mutable std::mutex mutex_;  // guards rng_state_, tallies
   std::uint64_t rng_state_;
   std::uint64_t attempts_ = 0;
   std::uint64_t retries_ = 0;

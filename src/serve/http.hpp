@@ -77,7 +77,7 @@ struct RequestParse {
 /// Serializes a response with Content-Length and `Connection: close`.
 [[nodiscard]] std::string serialize_response(const HttpResponse& response);
 
-/// Serializes a request (client side: tests, jem probe, jem loadgen).
+/// Serializes a request (client side: tests, jem probe, perfbench).
 /// Adds Host and Content-Length headers.
 [[nodiscard]] std::string serialize_request(const HttpRequest& request,
                                             std::string_view host);

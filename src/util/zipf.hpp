@@ -3,7 +3,7 @@
 // discrete distributions", ACM TOMACS 6.3, 1996). The standard key-skew
 // model for serving benchmarks: rank-1 keys dominate, the tail is long —
 // exactly the "heavy traffic, repeated hot segments" shape the serve
-// layer's LRU cache and `jem loadgen` (ROADMAP item 4c) are built around.
+// layer's LRU cache sees from perfbench's serve probe.
 //
 // Satisfies the standard RandomNumberDistribution call shape for the pieces
 // we use: construct with (n, s), call with any UniformRandomBitGenerator

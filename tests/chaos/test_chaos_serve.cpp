@@ -125,9 +125,7 @@ class ServeChaosTest : public ::testing::Test {
     policy.initial_backoff = milliseconds(1);
     policy.max_backoff = milliseconds(50);
     policy.jitter_seed = 0xfeedfacecafebeefull;
-    CircuitBreaker::Config breaker;
-    breaker.failure_threshold = 100;  // never trips during the chaos run
-    Client client("127.0.0.1", server.port(), policy, breaker);
+    Client client("127.0.0.1", server.port(), policy);
 
     ChaosRun run;
     for (int i = 0; i < kRequests; ++i) {
@@ -275,7 +273,7 @@ TEST_F(ServeChaosTest, HotSwapUnderLoadLosesNoRequests) {
   // Post-swap responses still match the single-shot service (same index
   // bytes, new epoch).
   const core::MapServiceResponse expected = service_->map(
-      core::MapServiceRequest::make().sequence(query(0)).build());
+      core::MapServiceRequest{.sequence = query(0)});
   const HttpResponse after =
       http_post("127.0.0.1", server.port(), "/map", query(0));
   ASSERT_EQ(after.status, 200);

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/service.hpp"
@@ -96,6 +97,22 @@ TEST(CliExitCodes, UsageErrorsAreUniformlyTwo) {
     EXPECT_EQ(run(run_map, args, "jem map"), kExitUsage) << flag[0];
   }
   EXPECT_EQ(run(run_map, {"--demo", "--partitioned"}, "jem map"), kExitUsage);
+  // Streaming-only flags that a run would otherwise drop are refused, naming
+  // the flag, before any input is read (the input files do not exist).
+  const std::vector<std::pair<std::vector<std::string>, std::string>>
+      dropped = {{{"--checkpoint", "c.ckpt"}, "--checkpoint needs --batch"},
+                 {{"--batch", "10", "--resume"}, "--resume needs --checkpoint"},
+                 {{"--demo", "--batch", "10"}, "--batch does not apply"}};
+  for (const auto& [flags, message] : dropped) {
+    std::vector<std::string> args = {"--subjects", "missing.fa", "--queries",
+                                     "missing.fq"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    ::testing::internal::CaptureStderr();
+    const int exit_code = run(run_map, args, "jem map");
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(exit_code, kExitUsage) << message;
+    EXPECT_NE(err.find(message), std::string::npos) << err;
+  }
 }
 
 TEST(CliHelp, EveryCommandPrintsItsUsageToStdoutAndExitsZero) {

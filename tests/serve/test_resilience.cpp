@@ -5,10 +5,10 @@
 //    segmentation and abandoned connections without leaking a worker;
 //  * parser rejections are answered over the wire (431/413/400) before the
 //    connection closes, and tallied in serve.http.rejected.*;
-//  * CircuitBreaker state machine, scripted with injected time (no sleeps);
 //  * serve::Client retry semantics against a server running an explicit
-//    fault plan: resets retried only when idempotent, 500s retried, a dead
-//    server trips the breaker open.
+//    fault plan (resets and 500s retried, a server that resets every
+//    connection exhausts max_attempts) and against a scripted responder
+//    (a 503's Retry-After is waited out, capped at max_backoff).
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -34,93 +34,6 @@ namespace jem::serve {
 namespace {
 
 using std::chrono::milliseconds;
-
-// ---------------------------------------------------------------------------
-// CircuitBreaker: pure state machine, scripted time.
-
-CircuitBreaker::Clock::time_point at_ms(std::int64_t ms) {
-  return CircuitBreaker::Clock::time_point(milliseconds(ms));
-}
-
-TEST(CircuitBreakerTest, ClosedTripsToOpenAtThreshold) {
-  CircuitBreaker breaker({.failure_threshold = 3,
-                          .cooldown = milliseconds(100),
-                          .half_open_successes = 1});
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.allow(at_ms(0)));
-  breaker.on_failure(at_ms(1));
-  breaker.on_failure(at_ms(2));
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(breaker.consecutive_failures(), 2);
-  breaker.on_failure(at_ms(3));
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.opens(), 1u);
-  // Open: nothing is admitted before the cooldown lapses.
-  EXPECT_FALSE(breaker.allow(at_ms(50)));
-  EXPECT_FALSE(breaker.allow(at_ms(102)));
-  EXPECT_EQ(breaker.retry_at(), at_ms(103));
-}
-
-TEST(CircuitBreakerTest, OpenAdmitsHalfOpenProbeAfterCooldown) {
-  CircuitBreaker breaker({.failure_threshold = 1,
-                          .cooldown = milliseconds(100),
-                          .half_open_successes = 1});
-  breaker.on_failure(at_ms(0));
-  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_TRUE(breaker.allow(at_ms(100)));
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  breaker.on_success(at_ms(101));
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(breaker.consecutive_failures(), 0);
-}
-
-TEST(CircuitBreakerTest, HalfOpenFailureReopensWithFreshCooldown) {
-  CircuitBreaker breaker({.failure_threshold = 1,
-                          .cooldown = milliseconds(100),
-                          .half_open_successes = 1});
-  breaker.on_failure(at_ms(0));
-  ASSERT_TRUE(breaker.allow(at_ms(100)));
-  breaker.on_failure(at_ms(105));
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.opens(), 2u);
-  // The cooldown restarts from the re-open instant, not the original trip.
-  EXPECT_FALSE(breaker.allow(at_ms(150)));
-  EXPECT_EQ(breaker.retry_at(), at_ms(205));
-  EXPECT_TRUE(breaker.allow(at_ms(205)));
-}
-
-TEST(CircuitBreakerTest, HalfOpenNeedsConfiguredSuccessesToClose) {
-  CircuitBreaker breaker({.failure_threshold = 1,
-                          .cooldown = milliseconds(10),
-                          .half_open_successes = 2});
-  breaker.on_failure(at_ms(0));
-  ASSERT_TRUE(breaker.allow(at_ms(10)));
-  breaker.on_success(at_ms(11));
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  breaker.on_success(at_ms(12));
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-}
-
-TEST(CircuitBreakerTest, SuccessResetsClosedFailureCount) {
-  CircuitBreaker breaker({.failure_threshold = 3,
-                          .cooldown = milliseconds(10),
-                          .half_open_successes = 1});
-  breaker.on_failure(at_ms(0));
-  breaker.on_failure(at_ms(1));
-  breaker.on_success(at_ms(2));
-  EXPECT_EQ(breaker.consecutive_failures(), 0);
-  breaker.on_failure(at_ms(3));
-  breaker.on_failure(at_ms(4));
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-}
-
-TEST(CircuitBreakerTest, StateNamesAreStable) {
-  EXPECT_EQ(CircuitBreaker::state_name(CircuitBreaker::State::kClosed),
-            "closed");
-  EXPECT_EQ(CircuitBreaker::state_name(CircuitBreaker::State::kOpen), "open");
-  EXPECT_EQ(CircuitBreaker::state_name(CircuitBreaker::State::kHalfOpen),
-            "half-open");
-}
 
 // ---------------------------------------------------------------------------
 // Live-server tests: raw socket helpers for byte-level control.
@@ -320,25 +233,6 @@ TEST_F(ServeResilienceTest, ClientRetriesConnectionResetWhenIdempotent) {
   server_.reset();  // the plan is a test-body local: join workers first
 }
 
-TEST_F(ServeResilienceTest, ClientDoesNotRetryResetWhenNonIdempotent) {
-  util::FaultPlan plan;
-  plan.drop_at(util::FaultPlan::kAnyRank, "serve.read", 0);
-  ServerConfig config;
-  config.fault_plan = &plan;
-  start_server(config);
-
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff = milliseconds(1);
-  Client client("127.0.0.1", server_->port(), policy);
-  EXPECT_THROW((void)client.post("/map", query_, /*idempotent=*/false),
-               ClientError);
-  EXPECT_EQ(client.retries(), 0u);
-  // The same client still works once the scripted fault is spent.
-  EXPECT_EQ(client.post("/map", query_).status, 200);
-  server_.reset();  // the plan is a test-body local: join workers first
-}
-
 TEST_F(ServeResilienceTest, ClientRetriesInjected500FromWorkerAbort) {
   util::FaultPlan plan;
   plan.abort_at(util::FaultPlan::kAnyRank, "serve.write", 0);
@@ -350,7 +244,7 @@ TEST_F(ServeResilienceTest, ClientRetriesInjected500FromWorkerAbort) {
   policy.max_attempts = 4;
   policy.initial_backoff = milliseconds(1);
   obs::Registry client_metrics;
-  Client client("127.0.0.1", server_->port(), policy, {}, &client_metrics);
+  Client client("127.0.0.1", server_->port(), policy, &client_metrics);
   // First response is replaced by a structured 500 and the worker dies;
   // the retry lands on a healthy (or restarted) worker.
   const HttpResponse response = client.post("/map", query_);
@@ -369,7 +263,7 @@ TEST_F(ServeResilienceTest, ClientRetriesInjected500FromWorkerAbort) {
   server_.reset();  // the plan is a test-body local: join workers first
 }
 
-TEST_F(ServeResilienceTest, BreakerOpensWhenEveryConnectionDies) {
+TEST_F(ServeResilienceTest, ClientThrowsAfterMaxAttemptsWhenEveryConnectionResets) {
   util::FaultPlan plan;
   plan.drop_at(util::FaultPlan::kAnyRank, "serve.read",
                util::FaultPlan::kAnyInvocation);  // every connection RST
@@ -378,23 +272,95 @@ TEST_F(ServeResilienceTest, BreakerOpensWhenEveryConnectionDies) {
   start_server(config);
 
   RetryPolicy policy;
-  policy.max_attempts = 2;
+  policy.max_attempts = 3;
   policy.initial_backoff = milliseconds(1);
   policy.max_backoff = milliseconds(5);
-  policy.overall_deadline = milliseconds(500);
-  CircuitBreaker::Config breaker;
-  breaker.failure_threshold = 2;
-  breaker.cooldown = milliseconds(60'000);  // will not lapse in-test
-  Client client("127.0.0.1", server_->port(), policy, breaker);
+  Client client("127.0.0.1", server_->port(), policy);
 
   EXPECT_THROW((void)client.get("/healthz"), ClientError);
-  EXPECT_EQ(client.breaker_state(), CircuitBreaker::State::kOpen);
-  // An open breaker whose cooldown outlasts the deadline fails fast
-  // instead of hammering the dead dependency.
-  const auto before = std::chrono::steady_clock::now();
-  EXPECT_THROW((void)client.get("/healthz"), ClientError);
-  EXPECT_LT(std::chrono::steady_clock::now() - before, milliseconds(5'000));
+  EXPECT_EQ(client.attempts(), 3u);
+  EXPECT_EQ(client.retries(), 2u);
+  EXPECT_EQ(counter_value("serve.chaos.injected.reset"), 3u);
   server_.reset();  // the plan is a test-body local: join workers first
+}
+
+/// Loopback listener that answers its i-th connection with the raw bytes
+/// `responses[i]` once the request head has arrived, then closes it. The
+/// destructor unblocks a pending accept, so a client that connects fewer
+/// times than scripted cannot hang the test.
+class ScriptedResponder {
+ public:
+  explicit ScriptedResponder(std::vector<std::string> responses) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t length = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), length) != 0 ||
+        ::listen(listen_fd_, 4) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                      &length) != 0) {
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, responses = std::move(responses)] {
+      for (const std::string& response : responses) {
+        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        if (fd < 0) return;
+        std::string head;
+        char chunk[1024];
+        while (head.find("\r\n\r\n") == std::string::npos) {
+          const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+          if (n < 0 && errno == EINTR) continue;
+          if (n <= 0) break;
+          head.append(chunk, static_cast<std::size_t>(n));
+        }
+        (void)send_bytes(fd, response);
+        ::close(fd);
+      }
+    });
+  }
+  ScriptedResponder(const ScriptedResponder&) = delete;
+  ScriptedResponder& operator=(const ScriptedResponder&) = delete;
+  ~ScriptedResponder() {
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    if (thread_.joinable()) thread_.join();
+    ::close(listen_fd_);
+  }
+
+  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+TEST(ClientResilienceTest, WaitsOutRetryAfterCappedAtMaxBackoffThenSucceeds) {
+  // The hint (30 s) is far above max_backoff, so the client must sleep
+  // exactly the cap before its retry; the jitter alone draws at most 1 ms.
+  ScriptedResponder responder(
+      {"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 30\r\n"
+       "Content-Length: 0\r\nConnection: close\r\n\r\n",
+       "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n"
+       "\r\nok"});
+  ASSERT_NE(responder.port(), 0);
+
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  policy.initial_backoff = milliseconds(1);
+  policy.max_backoff = milliseconds(150);
+  Client client("127.0.0.1", responder.port(), policy);
+
+  const auto before = std::chrono::steady_clock::now();
+  const HttpResponse response = client.get("/healthz");
+  const auto waited = std::chrono::steady_clock::now() - before;
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, "ok");
+  EXPECT_EQ(client.attempts(), 2u);
+  EXPECT_GE(waited, milliseconds(150));
+  EXPECT_LT(waited, milliseconds(10'000));  // the 30 s hint was capped
 }
 
 }  // namespace

@@ -121,7 +121,7 @@ TEST_F(MappingServerTest, MapResponseMatchesSingleShotService) {
   start_server();
   for (const std::string& query : queries_) {
     const MapServiceResponse expected =
-        service_->map(MapServiceRequest::make().sequence(query).build());
+        service_->map(MapServiceRequest{.sequence = query});
     const HttpResponse response = post_map(query);
     ASSERT_EQ(response.status, 200);
     if (expected.mapped()) {
@@ -363,7 +363,7 @@ TEST_F(MappingServerTest, ConcurrentClientsAllSucceed) {
   std::vector<std::string> expected;
   for (const std::string& query : queries_) {
     const MapServiceResponse answer =
-        service_->map(MapServiceRequest::make().sequence(query).build());
+        service_->map(MapServiceRequest{.sequence = query});
     expected.push_back(answer.mapped()
                            ? "{\"subject\":\"" + answer.hits[0].subject_name +
                                  "\",\"votes\":" +

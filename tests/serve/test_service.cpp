@@ -75,19 +75,29 @@ TEST(ServiceConfigBuilder, StringKnobsMatchTheCli) {
   EXPECT_EQ(hashed.scheme, SketchScheme::kClassicMinhash);
 }
 
-TEST(MapServiceRequestBuilder, ValidatesShape) {
-  expect_invalid([] { return MapServiceRequest::make().build(); }, "sequence");
+TEST(MapServiceRequest, ValidateNamesEachBadField) {
+  const MapParams params = ServiceConfig::make().build().params;
+  expect_invalid([&] { MapServiceRequest{}.validate(params); }, "sequence");
   expect_invalid(
-      [] {
-        return MapServiceRequest::make().sequence("ACGT").top_x(0).build();
+      [&] {
+        MapServiceRequest{.sequence = "ACGT", .top_x = 0}.validate(params);
       },
       "top_x");
-  const MapServiceRequest request =
-      MapServiceRequest::make().sequence("ACGT").top_x(3).min_votes(2).build();
-  EXPECT_EQ(request.sequence, "ACGT");
-  EXPECT_EQ(request.top_x, 3u);
-  ASSERT_TRUE(request.min_votes.has_value());
-  EXPECT_EQ(*request.min_votes, 2u);
+  expect_invalid(
+      [&] {
+        MapServiceRequest{.sequence = "ACGT", .min_votes = 0}.validate(params);
+      },
+      "min_votes");
+  expect_invalid(
+      [&] {
+        MapServiceRequest{.sequence = "ACGT",
+                          .deadline = std::chrono::milliseconds(-1)}
+            .validate(params);
+      },
+      "deadline_ms");
+  const MapServiceRequest request{.sequence = "ACGT", .top_x = 3,
+                                  .min_votes = 2};
+  EXPECT_NO_THROW(request.validate(params));
 }
 
 /// Small deterministic genome/contigs/queries shared by the service tests.
@@ -131,7 +141,7 @@ TEST_F(MappingServiceTest, MapMatchesMapSegmentBitIdentically) {
   for (const std::string& query : queries_) {
     const MapResult expected = mapper.map_segment(query, scratch);
     const MapServiceResponse response =
-        service_->map(MapServiceRequest::make().sequence(query).build());
+        service_->map(MapServiceRequest{.sequence = query});
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response.trials, 16u);
     if (expected.mapped()) {
@@ -153,7 +163,7 @@ TEST_F(MappingServiceTest, TopXRespectsMinVotesOverride) {
     const std::vector<MapResult> expected =
         mapper.map_segment_topx(query, 4, scratch);
     const MapServiceResponse response = service_->map(
-        MapServiceRequest::make().sequence(query).top_x(4).build());
+        {.sequence = query, .top_x = 4});
     ASSERT_TRUE(response.ok());
     ASSERT_EQ(response.hits.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -165,11 +175,7 @@ TEST_F(MappingServiceTest, TopXRespectsMinVotesOverride) {
     if (!expected.empty()) {
       const std::uint32_t floor = expected.front().votes;
       const MapServiceResponse trimmed =
-          service_->map(MapServiceRequest::make()
-                            .sequence(query)
-                            .top_x(4)
-                            .min_votes(floor)
-                            .build());
+          service_->map({.sequence = query, .top_x = 4, .min_votes = floor});
       ASSERT_TRUE(trimmed.ok());
       for (const MapServiceHit& hit : trimmed.hits) {
         EXPECT_GE(hit.votes, floor);
@@ -188,16 +194,14 @@ TEST_F(MappingServiceTest, MinVotesBelowConfiguredFloorIsRejected) {
                              .min_votes(3)
                              .build();
   const MappingService strict_service(subjects_copy_, strict);
-  MapServiceRequest request =
-      MapServiceRequest::make().sequence(queries_[0]).build();
+  MapServiceRequest request{.sequence = queries_[0]};
   request.min_votes = 2;  // below the configured floor of 3
   expect_invalid([&] { return strict_service.map(request); }, "min_votes");
 }
 
 TEST_F(MappingServiceTest, ExpiredDeadlineIsAContainedFailure) {
   MapScratch scratch = service_->make_scratch();
-  const MapServiceRequest request =
-      MapServiceRequest::make().sequence(queries_[0]).build();
+  const MapServiceRequest request{.sequence = queries_[0]};
   const MapServiceResponse response = service_->map(
       request, scratch,
       MappingService::Clock::now() - std::chrono::milliseconds(1));
@@ -236,8 +240,7 @@ TEST_F(MappingServiceTest, FromIndexLoadsAndFallsBackGracefully) {
 
   // Loaded, rebuilt, and fresh services answer bit-identically.
   for (const std::string& query : queries_) {
-    const MapServiceRequest request =
-        MapServiceRequest::make().sequence(query).build();
+    const MapServiceRequest request{.sequence = query};
     const MapServiceResponse fresh = service_->map(request);
     EXPECT_EQ(loaded.map(request), fresh);
     EXPECT_EQ(rebuilt.map(request), fresh);
