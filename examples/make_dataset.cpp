@@ -29,11 +29,10 @@ int main(int argc, const char** argv) {
   options.add_string("prefix", prefix, "output file prefix");
   options.add_uint("cap-bp", cap_bp, "max simulated genome bases");
   options.add_uint("seed", seed, "experiment seed");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage("make_dataset");
-    return 1;
+  // --help prints the usage (exit 0); a malformed line is exit 2.
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "make_dataset")) {
+    return *exit_code;
   }
 
   sim::Dataset dataset;

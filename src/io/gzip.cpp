@@ -12,6 +12,7 @@
 #include <system_error>
 #include <vector>
 
+#include "io/inflate.hpp"
 #include "obs/metrics.hpp"
 #include "util/huge_pages.hpp"
 #include "util/thread_pool.hpp"
@@ -97,28 +98,6 @@ class Inflater {
   Inflater(const Inflater&) = delete;
   Inflater& operator=(const Inflater&) = delete;
   ~Inflater() { inflateEnd(&stream_); }
-
-  /// Inflates the member at `data[slot.in_begin]` into the slot's `size`
-  /// bytes at `out`, reading no input past `slot.in_end`. True when zlib
-  /// ended the member (so its CRC32 and ISIZE matched), the output filled
-  /// the slot exactly and the member ended exactly at `slot.in_end`.
-  bool place(std::string_view data, const Slot& slot, char* out) {
-    if (inflateReset(&stream_) != Z_OK) return false;
-    stream_.next_out = reinterpret_cast<Bytef*>(out);
-    stream_.avail_out = static_cast<uInt>(slot.size);  // an ISIZE: fits
-    std::size_t in = slot.in_begin;
-    int rc = Z_OK;
-    while (rc == Z_OK && in < slot.in_end) {
-      const std::size_t slice = std::min<std::size_t>(
-          slot.in_end - in, std::numeric_limits<uInt>::max());
-      stream_.next_in =
-          reinterpret_cast<Bytef*>(const_cast<char*>(data.data() + in));
-      stream_.avail_in = static_cast<uInt>(slice);
-      rc = inflate(&stream_, Z_NO_FLUSH);
-      in += slice - stream_.avail_in;
-    }
-    return rc == Z_STREAM_END && stream_.avail_out == 0 && in == slot.in_end;
-  }
 
   /// The stitch's member decoder: inflates the member at `data[in]` and
   /// appends its bytes to `out`, which grows as the member does. Input is
@@ -285,20 +264,19 @@ std::string gzip_decompress(std::string_view data) {
     if (slots.size() > 1) {
       pool.emplace(std::min(slots.size(), util::default_threads(0)));
     }
-    // The operation must not throw. A slot left unplaced (say, zlib or the
-    // pool could not allocate) is decoded again by the stitch, which reports
-    // any failure that persists; the stitch copies only placed slots, so
-    // the bytes of an unplaced one are never read.
+    // The operation must not throw. A slot left unplaced (a member the
+    // decoder declines or cannot decode, or a pool that could not start) is
+    // decoded again with zlib by the stitch, which reports any failure that
+    // persists; the stitch copies only placed slots, so the bytes of an
+    // unplaced one are never read.
     out.resize_and_overwrite(total, [&](char* buffer, std::size_t size) {
       try {
         util::parallel_for_each(
             pool ? &*pool : nullptr, slots.size(), [&](std::size_t j) {
-              try {
-                Inflater inflater;
-                slots[j].placed =
-                    inflater.place(data, slots[j], buffer + slots[j].out_begin);
-              } catch (...) {
-              }
+              Slot& slot = slots[j];
+              slot.placed = inflate_member(
+                  data.substr(slot.in_begin, slot.in_end - slot.in_begin),
+                  buffer + slot.out_begin, slot.size);
             });
       } catch (...) {
       }

@@ -1,8 +1,8 @@
-// Minimal gzip (RFC 1952) support via zlib: real long-read data ships as
-// .fastq.gz, so the readers transparently accept gzip-compressed files.
+// gzip (RFC 1952) support: real long-read data ships as .fastq.gz, so the
+// readers transparently accept gzip-compressed files.
 //
-// Decompression is integrity-checked end to end: zlib verifies each
-// member's trailer (CRC32 of the uncompressed bytes + ISIZE), and every
+// Decompression is integrity-checked end to end: each member's trailer
+// (CRC32 of the uncompressed bytes + ISIZE) is verified, and every
 // defect — a truncated stream, a corrupt deflate block, a trailer whose
 // CRC or length disagrees, bytes after the last member that are not
 // another gzip member — surfaces as a structured GzipError naming what
@@ -14,11 +14,14 @@
 // out from their ISIZE trailers: a header candidate becomes a member
 // boundary only if the four bytes before it claim at most 16 output bytes
 // per compressed byte since the previous boundary, so the buffer never
-// exceeds 16x the input whatever a trailer says. When every member fills
-// its slot exactly and ends at the next boundary, that buffer is the
-// output. Otherwise an in-order pass walks the real member chain, copies
-// each member that landed in its slot and decodes every other one again,
-// serially. Either way output and GzipReason are those of a serial decode.
+// exceeds 16x the input whatever a trailer says. Each slot is inflated by
+// the whole-member decoder (io/inflate.hpp), which decodes only members
+// zlib decodes to the same bytes. When every member fills its slot exactly
+// and ends at the next boundary, that buffer is the output. Otherwise an
+// in-order pass walks the real member chain, copies each member that
+// landed in its slot and decodes every other one again with zlib,
+// serially. Either way output and GzipReason are those of a serial zlib
+// decode.
 #pragma once
 
 #include <stdexcept>
