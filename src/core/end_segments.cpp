@@ -1,5 +1,7 @@
 #include "core/end_segments.hpp"
 
+#include <algorithm>
+
 namespace jem::core {
 
 std::vector<EndSegment> extract_end_segments(io::SeqId read,
@@ -47,6 +49,13 @@ std::vector<EndSegment> extract_tiled_segments(io::SeqId read,
   segments.push_back({read, ReadEnd::kSuffix, last_offset,
                       bases.substr(last_offset, segment_length)});
   return segments;
+}
+
+std::size_t segment_count(std::size_t length, std::uint32_t segment_length,
+                          bool tiled) noexcept {
+  if (length == 0 || segment_length == 0) return 0;
+  const std::size_t tiles = (length - 1) / segment_length + 1;
+  return tiled ? tiles : std::min<std::size_t>(tiles, 2);
 }
 
 }  // namespace jem::core

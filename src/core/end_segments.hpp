@@ -4,6 +4,7 @@
 // the prefix segment is emitted, covering the whole read.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -43,5 +44,12 @@ struct EndSegment {
 /// misses by design.
 [[nodiscard]] std::vector<EndSegment> extract_tiled_segments(
     io::SeqId read, std::string_view bases, std::uint32_t segment_length);
+
+/// How many segments extract_tiled_segments (tiled) or extract_end_segments
+/// (not tiled) yields for a read of `length` bases, without extracting
+/// them: ⌈length / ℓ⌉ tiles, and at most two end segments.
+[[nodiscard]] std::size_t segment_count(std::size_t length,
+                                        std::uint32_t segment_length,
+                                        bool tiled) noexcept;
 
 }  // namespace jem::core

@@ -4,10 +4,9 @@
 #include <atomic>
 #include <exception>
 #include <future>
-#include <iterator>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -75,9 +74,10 @@ std::size_t effective_batch_size(const MapRequest& request, std::size_t n,
   if (request.backend == MapBackend::kSerial) {
     return std::max<std::size_t>(n, 1);
   }
-  // Auto: ~4 batches per worker — load balance without per-read task
-  // overhead.
-  const std::size_t chunks = std::max<std::size_t>(1, threads * 4);
+  // Auto: ~64 batches per worker. Workers claim them from one cursor, so a
+  // worker the host slows down leaves the others at most one small batch
+  // to wait for.
+  const std::size_t chunks = std::max<std::size_t>(1, threads * 64);
   return std::max<std::size_t>(1, (n + chunks - 1) / chunks);
 }
 
@@ -88,39 +88,31 @@ void check_min_votes(const MapRequest& request, const MapParams& params) {
   }
 }
 
-void apply_min_votes(std::uint32_t threshold,
-                     std::vector<SegmentMapping>& mappings) {
-  for (SegmentMapping& mapping : mappings) {
-    if (mapping.result.mapped() && mapping.result.votes < threshold) {
-      mapping.result = MapResult{};
-    }
+/// Segments reads [begin, end) yield in the request's mode: the output
+/// slots a run sizes before it maps them.
+std::size_t count_segments(const io::SequenceSet& reads, io::SeqId begin,
+                           io::SeqId end, MapMode mode,
+                           std::uint32_t segment_length) {
+  std::size_t count = 0;
+  for (io::SeqId read = begin; read < end; ++read) {
+    count += segment_count(reads.length(read), segment_length,
+                           mode == MapMode::kTiled);
   }
+  return count;
 }
 
-void apply_min_votes(std::uint32_t threshold,
-                     std::vector<SegmentTopX>& topx) {
-  // Hits are sorted by votes descending: the filtered tail is a suffix.
-  for (SegmentTopX& mapping : topx) {
-    while (!mapping.hits.empty() && mapping.hits.back().votes < threshold) {
-      mapping.hits.pop_back();
-    }
-  }
-}
-
-struct BatchOutput {
-  std::vector<SegmentMapping> mappings;
-  std::vector<SegmentTopX> topx;
-};
-
-/// The per-batch kernel every backend shares, and the only loop in the
+/// The per-read mapping loop every run shares, and the only loop in the
 /// library that maps a range of reads: reads [begin, end) segment by
 /// segment on the caller's scratch, in the requested mode, min_votes
-/// override applied.
-BatchOutput map_range(const JemMapper& mapper, const io::SequenceSet& reads,
-                      io::SeqId begin, io::SeqId end,
-                      const MapRequest& request, MapScratch& scratch) {
-  BatchOutput out;
+/// override applied, written to the slots of `mappings` (or `topx` in
+/// kTopX mode) from `at` on. The slots must exist: count_segments sizes
+/// them.
+void map_range(const JemMapper& mapper, const io::SequenceSet& reads,
+               io::SeqId begin, io::SeqId end, const MapRequest& request,
+               MapScratch& scratch, std::vector<SegmentMapping>& mappings,
+               std::vector<SegmentTopX>& topx, std::size_t at) {
   const std::uint32_t length = mapper.params().segment_length;
+  const std::uint32_t threshold = request.min_votes.value_or(0);
   for (io::SeqId read = begin; read < end; ++read) {
     const std::string_view bases = reads.bases(read);
     const std::vector<EndSegment> segments =
@@ -131,60 +123,37 @@ BatchOutput map_range(const JemMapper& mapper, const io::SequenceSet& reads,
       const auto segment_length =
           static_cast<std::uint32_t>(segment.bases.size());
       if (request.mode == MapMode::kTopX) {
-        out.topx.push_back(
-            {read, segment.end, segment_length,
-             mapper.map_segment_topx(segment.bases, request.top_x, scratch)});
+        SegmentTopX& slot = topx[at++];
+        slot = {read, segment.end, segment_length,
+                mapper.map_segment_topx(segment.bases, request.top_x,
+                                        scratch)};
+        // Hits are sorted by votes descending: the filtered tail is a
+        // suffix.
+        while (!slot.hits.empty() && slot.hits.back().votes < threshold) {
+          slot.hits.pop_back();
+        }
       } else {
-        out.mappings.push_back({read, segment.end, segment.offset,
-                                segment_length,
-                                mapper.map_segment(segment.bases, scratch)});
+        SegmentMapping& slot = mappings[at++];
+        slot = {read, segment.end, segment.offset, segment_length,
+                mapper.map_segment(segment.bases, scratch)};
+        if (slot.result.mapped() && slot.result.votes < threshold) {
+          slot.result = MapResult{};
+        }
       }
     }
   }
-  if (request.min_votes) {
-    apply_min_votes(*request.min_votes, out.mappings);
-    apply_min_votes(*request.min_votes, out.topx);
-  }
-  return out;
 }
 
-/// Recycles MapScratch instances across batches so an in-memory run
-/// allocates one scratch per concurrent worker, not one per batch.
-class ScratchPool {
- public:
-  explicit ScratchPool(std::size_t num_subjects)
-      : num_subjects_(num_subjects) {}
-
-  [[nodiscard]] std::unique_ptr<MapScratch> acquire() {
-    {
-      std::lock_guard lock(mutex_);
-      if (!free_.empty()) {
-        std::unique_ptr<MapScratch> scratch = std::move(free_.back());
-        free_.pop_back();
-        return scratch;
-      }
-    }
-    return std::make_unique<MapScratch>(num_subjects_);
+/// Sizes the output of a run in `mode` to `count` segments.
+void size_output(MapMode mode, std::size_t count,
+                 std::vector<SegmentMapping>& mappings,
+                 std::vector<SegmentTopX>& topx) {
+  if (mode == MapMode::kTopX) {
+    topx.resize(count);
+  } else {
+    mappings.resize(count);
   }
-
-  void release(std::unique_ptr<MapScratch> scratch) {
-    std::lock_guard lock(mutex_);
-    free_.push_back(std::move(scratch));
-  }
-
-  /// Visits every pooled scratch (all are back in the free list once every
-  /// batch has completed) — the hotpath-counter publish point.
-  template <typename F>
-  void for_each(F&& visit) {
-    std::lock_guard lock(mutex_);
-    for (auto& scratch : free_) visit(*scratch);
-  }
-
- private:
-  std::size_t num_subjects_;
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<MapScratch>> free_;
-};
+}
 
 }  // namespace
 
@@ -223,52 +192,48 @@ MapReport MappingEngine::run(const io::SequenceSet& reads, io::SeqId begin,
   const std::size_t threads = util::default_threads(request.threads);
   const std::size_t batch = effective_batch_size(request, n, threads);
   const std::size_t num_batches = n == 0 ? 0 : (n + batch - 1) / batch;
-
-  std::vector<BatchOutput> outputs(num_batches);
-  std::atomic<std::uint64_t> map_ns{0};
-  ScratchPool scratches(mapper_.subjects().size());
-
-  const auto run_batch = [&](std::size_t b) {
-    std::unique_ptr<MapScratch> scratch = scratches.acquire();
-    if (obs.metrics != nullptr) {
-      scratch->hotpath().sample_every = kHotpathSampleEvery;
-    }
-    obs::StageSpan span(obs, "map.batch", &map_ns);
-    const auto first = static_cast<io::SeqId>(begin + b * batch);
-    const auto last =
-        static_cast<io::SeqId>(begin + std::min(n, (b + 1) * batch));
-    outputs[b] = map_range(mapper_, reads, first, last, request, *scratch);
-    metrics.record_batch(last - first, span.finish());
-    scratches.release(std::move(scratch));
+  const std::uint32_t length = mapper_.params().segment_length;
+  const auto batch_reads = [&](std::size_t b) {
+    return std::pair<io::SeqId, io::SeqId>(
+        static_cast<io::SeqId>(begin + b * batch),
+        static_cast<io::SeqId>(begin + std::min(n, (b + 1) * batch)));
   };
 
-  // The one batch loop: kSerial runs it on the caller's thread, kPool
-  // hands each batch to a pool worker.
-  if (request.backend == MapBackend::kPool) {
-    util::ThreadPool pool(threads);
-    std::vector<std::future<void>> futures;
-    futures.reserve(num_batches);
-    for (std::size_t b = 0; b < num_batches; ++b) {
-      futures.push_back(pool.submit([&, b] { run_batch(b); }));
-    }
-    for (std::future<void>& future : futures) future.get();
-  } else {
-    for (std::size_t b = 0; b < num_batches; ++b) run_batch(b);
+  // Every batch's first output slot, so each worker writes its batches'
+  // segments in place and the report is in read order without a merge.
+  std::vector<std::size_t> first_slot(num_batches + 1, 0);
+  for (std::size_t b = 0; b < num_batches; ++b) {
+    const auto [first, last] = batch_reads(b);
+    first_slot[b + 1] =
+        first_slot[b] + count_segments(reads, first, last, request.mode,
+                                       length);
   }
-  if (obs.metrics != nullptr) {
-    scratches.for_each(
-        [&](MapScratch& scratch) { scratch.hotpath().publish(*obs.metrics); });
-  }
+  size_output(request.mode, first_slot.back(), report.mappings, report.topx);
 
-  // In-order concatenation restores the sequential output exactly.
-  for (BatchOutput& out : outputs) {
-    report.mappings.insert(report.mappings.end(),
-                           std::make_move_iterator(out.mappings.begin()),
-                           std::make_move_iterator(out.mappings.end()));
-    report.topx.insert(report.topx.end(),
-                       std::make_move_iterator(out.topx.begin()),
-                       std::make_move_iterator(out.topx.end()));
-  }
+  // kSerial maps on the caller's thread; kPool runs one worker per thread
+  // (never more than batches). Each worker owns one scratch and claims
+  // batch indices from one cursor until none is left.
+  const std::size_t workers = std::min(
+      request.backend == MapBackend::kPool ? threads : 1, num_batches);
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<std::uint64_t> map_ns{0};
+  const auto work = [&](std::size_t) {
+    MapScratch scratch(mapper_.subjects().size());
+    if (obs.metrics != nullptr) {
+      scratch.hotpath().sample_every = kHotpathSampleEvery;
+    }
+    for (std::size_t b = cursor++; b < num_batches; b = cursor++) {
+      obs::StageSpan span(obs, "map.batch", &map_ns);
+      const auto [first, last] = batch_reads(b);
+      map_range(mapper_, reads, first, last, request, scratch,
+                report.mappings, report.topx, first_slot[b]);
+      metrics.record_batch(last - first, span.finish());
+    }
+    if (obs.metrics != nullptr) scratch.hotpath().publish(*obs.metrics);
+  };
+  std::optional<util::ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  util::parallel_for_each(pool ? &*pool : nullptr, workers, work);
 
   EngineStats& stats = report.stats;
   stats.batches = num_batches;
@@ -369,12 +334,14 @@ EngineStats MappingEngine::run_stream(io::BatchStream& stream,
         obs::StageSpan map_span(obs, "map.batch", &map_ns);
         BatchResult result;
         result.batch = std::move(*raw);
-        const std::size_t batch_reads = result.batch.reads.size();
-        BatchOutput out =
-            map_range(mapper_, result.batch.reads, 0,
-                      static_cast<io::SeqId>(batch_reads), request, scratch);
-        result.mappings = std::move(out.mappings);
-        result.topx = std::move(out.topx);
+        const io::SequenceSet& reads = result.batch.reads;
+        const auto batch_reads = static_cast<io::SeqId>(reads.size());
+        size_output(request.mode,
+                    count_segments(reads, 0, batch_reads, request.mode,
+                                   mapper_.params().segment_length),
+                    result.mappings, result.topx);
+        map_range(mapper_, reads, 0, batch_reads, request, scratch,
+                  result.mappings, result.topx, 0);
         metrics.record_batch(batch_reads, map_span.finish());
         reads_mapped += batch_reads;
         segments += result.mappings.size() + result.topx.size();

@@ -6,11 +6,14 @@
 // Each execution shape has exactly one executor, shared by both backends
 // and built on the same per-batch kernel:
 //  * run()        — in-memory: the query set (or a [begin, end) range of
-//    it) is already loaded; batches are index ranges over it, mapped on the
-//    caller's thread (kSerial) or by pool workers (kPool) and concatenated
-//    in order. Output is bit-identical to mapping the reads' segments one
-//    by one with JemMapper::map_segment, for every (mode, backend, batch
-//    size) combination (golden-tested against a sequential test oracle).
+//    it) is already loaded; batches are index ranges over it. The output
+//    is sized up front from each read's segment count (segment_count), and
+//    the caller's thread (kSerial) or each pool worker (kPool) claims batch
+//    indices from one atomic cursor and writes each read's segments into
+//    that read's slots. Output is bit-identical to mapping the reads'
+//    segments one by one with JemMapper::map_segment, for every (mode,
+//    backend, batch size) combination (golden-tested against a sequential
+//    test oracle).
 //  * run_stream() — streaming: a three-stage pipeline in the shape minimap2
 //    uses for heavy traffic. The caller's thread parses ReadBatches and
 //    pushes them into a BoundedQueue (backpressure: parsing stalls when the
@@ -64,7 +67,7 @@ struct MapRequest {
   MapMode mode = MapMode::kEnds;
   MapBackend backend = MapBackend::kSerial;
 
-  /// Reads per batch. 0 = auto: one batch for kSerial, ~4 batches per
+  /// Reads per batch. 0 = auto: one batch for kSerial, ~64 batches per
   /// worker otherwise (in-memory), and the BatchStream's size (streaming).
   std::size_t batch_size = 0;
 

@@ -114,8 +114,8 @@ void publish_kernel_lanes(obs::Registry& registry);
 /// lazy counters of the paper's S4 implementation notes, one record per
 /// subject) plus every buffer the sketch kernels and the vote pass need,
 /// so a segment mapped with a warm scratch performs no heap allocation at
-/// all. One scratch per worker thread; the engine's ScratchPool recycles
-/// them across batches.
+/// all. One scratch per worker thread: each engine worker owns one for all
+/// the batches it claims.
 class MapScratch {
  public:
   explicit MapScratch(std::size_t num_subjects) : counter_(num_subjects) {}
@@ -153,8 +153,9 @@ class MapScratch {
                                  SketchScheme scheme,
                                  const HashFamily& hashes);
 
-/// Scratch-reusing form: fills `out` without steady-state allocation. Trial
-/// lists are bit-identical to the allocating overload's per_trial vectors.
+/// Scratch-reusing form: fills `out` without steady-state allocation. Each
+/// trial list holds the allocating overload's per_trial set, in the
+/// kernels' emission order (FlatSketch).
 void make_sketch(std::string_view seq, const MapParams& params,
                  SketchScheme scheme, const HashFamily& hashes,
                  SketchScratch& scratch, FlatSketch& out);

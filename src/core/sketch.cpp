@@ -172,10 +172,15 @@ void detail::sketch_by_jem_with(int lanes,
       }
     }
 
-    std::sort(column, column + emitted);
     if (last > 0) {
+      std::sort(column, column + emitted);
       emitted = static_cast<std::size_t>(
           std::unique(column, column + emitted) - column);
+    } else {
+      // One block: the suffix minima are already distinct. Emitted in walk
+      // order (last minimizer first); the lane kernels' order is the
+      // reverse, lowest row first.
+      std::reverse(column, column + emitted);
     }
     written += emitted;
     out.offsets[t + 1] = static_cast<std::uint32_t>(written);
@@ -193,8 +198,9 @@ Sketch sketch_by_jem(std::span<const Minimizer> minimizers,
   sketch.per_trial.resize(static_cast<std::size_t>(hashes.trials()));
   for (int t = 0; t < hashes.trials(); ++t) {
     const auto kmers = flat.trial(t);
-    sketch.per_trial[static_cast<std::size_t>(t)].assign(kmers.begin(),
-                                                         kmers.end());
+    auto& sorted = sketch.per_trial[static_cast<std::size_t>(t)];
+    sorted.assign(kmers.begin(), kmers.end());
+    std::sort(sorted.begin(), sorted.end());
   }
   return sketch;
 }

@@ -36,7 +36,9 @@
 namespace jem::core {
 
 /// Per-trial sketch sets: per_trial[t] is the sorted, deduplicated list of
-/// minhash k-mer codes for trial t.
+/// minhash k-mer codes for trial t. The allocating overloads sort what the
+/// flat kernels emit, so oracles and tests can compare these lists as they
+/// stand.
 struct Sketch {
   std::vector<std::vector<KmerCode>> per_trial;
 
@@ -53,10 +55,14 @@ struct Sketch {
 };
 
 /// The query-side sketch layout: all trials' k-mer lists concatenated in one
-/// flat array with a trials+1 offset table. trial(t) is sorted and
-/// deduplicated, element-for-element equal to Sketch::per_trial[t] — but the
-/// storage is two reusable vectors instead of T+1 heap blocks, which is what
-/// makes the map_segment steady state allocation-free.
+/// flat array with a trials+1 offset table. trial(t) holds the trial's
+/// distinct interval minima in the kernels' emission order: the set of
+/// Sketch::per_trial[t], not its order. A one-block list (every query
+/// segment) comes lowest (h_t, k-mer) first, as the suffix-minimum walk
+/// emits it; a list of several blocks is sorted by k-mer. Every kernel
+/// (lanes or scalar) emits the same order. The storage is two reusable
+/// vectors instead of T+1 heap blocks, which is what makes the map_segment
+/// steady state allocation-free.
 struct FlatSketch {
   std::vector<KmerCode> kmers;           // trial-major concatenation
   std::vector<std::uint32_t> offsets;    // trials() + 1 entries
@@ -116,8 +122,8 @@ struct SketchParams {
                                    const HashFamily& hashes);
 
 /// Allocation-free (at steady state) form of the fast path: fills `out`
-/// reusing `scratch`. trial lists are bit-identical to the allocating
-/// overload's per_trial vectors.
+/// reusing `scratch`. Each trial list is the allocating overload's
+/// per_trial set, in emission order (FlatSketch).
 ///
 /// r(i) is one past the last minimizer with p_j <= p_i + ℓ. Blocks start at
 /// b_0 = 0 and b_{k+1} = r(b_k), so an interval starting in block k ends
@@ -126,8 +132,10 @@ struct SketchParams {
 /// are walked last to first; each gets one backward pass that hashes,
 /// stores the hashes and keeps the suffix minimum, merged with the next
 /// block's prefix minima from one forward pass. A list that spans at most
-/// ℓ (every end segment) is one block: a plain suffix-minimum scan. The
-/// lane kernels run this walk once per group of 8 or 4 trials.
+/// ℓ (every end segment) is one block: a plain suffix-minimum scan whose
+/// emits are already distinct, so only lists of several blocks are sorted
+/// and deduplicated. The lane kernels run this walk once per group of 8 or
+/// 4 trials.
 void sketch_by_jem(std::span<const Minimizer> minimizers,
                    std::uint32_t interval_length, const HashFamily& hashes,
                    SketchScratch& scratch, FlatSketch& out);

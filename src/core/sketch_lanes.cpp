@@ -9,8 +9,11 @@
 // of the walk are the scalar loop's (core/sketch.hpp); the interval minimum
 // of every step is stored as a row of L k-mers, and bit i of a lane's emit
 // mask says that row i differs from the row walked before it. Afterwards
-// each lane's set bits are copied to its trial's column of out.kmers, which
-// is sorted (and deduplicated, when there are several blocks) as before.
+// each lane's set bits are copied, lowest row first, to its trial's column
+// of out.kmers. A one-block column is then final: its rows are suffix
+// minima, which only change to a strictly lower (hash, k-mer), so they are
+// distinct. A column of several blocks can repeat a minimum out of turn and
+// is sorted and deduplicated, as in the scalar loop.
 //
 // Hashes and k-mers are below 2^62 and 2^32, so the lanes compare them as
 // signed 64-bit words (AVX2 has only the signed compare) and INT64_MAX
@@ -99,21 +102,6 @@ template <class Key>
   const Key tie = k < best_k ? k : best_k;
   best_k = h < best_h ? k : (h == best_h ? tie : best_k);
   best_h = h < best_h ? h : best_h;
-}
-
-/// Sorts a trial's column. A query tile's columns hold ~4 k-mers each: an
-/// inline insertion sort spares the std::sort call on every one of them.
-inline void sort_column(KmerCode* column, std::size_t n) {
-  if (n > 16) {
-    std::sort(column, column + n);
-    return;
-  }
-  for (std::size_t j = 1; j < n; ++j) {
-    const KmerCode kmer = column[j];
-    std::size_t m = j;
-    for (; m > 0 && column[m - 1] > kmer; --m) column[m] = column[m - 1];
-    column[m] = kmer;
-  }
 }
 
 template <int L>
@@ -228,8 +216,8 @@ template <int L>
           column[emitted++] = minima[i * L + lane];
         }
       }
-      sort_column(column, emitted);
       if (last > 0) {
+        std::sort(column, column + emitted);
         emitted = static_cast<std::size_t>(
             std::unique(column, column + emitted) - column);
       }

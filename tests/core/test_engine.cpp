@@ -110,6 +110,78 @@ TEST_F(EngineGoldenTest, BitIdenticalToSequentialAcrossAllCombinations) {
   }
 }
 
+TEST_F(EngineGoldenTest, ClaimedBatchesWriteInPlaceAtEveryThreadCount) {
+  // Reads of every length around ℓ (no segment, one, two, three) between
+  // the fixture's long reads: a worker that mis-sizes or mis-places one
+  // read's slots shifts every later segment. Batch sizes 1 and auto, 1-4
+  // pool workers, all three modes; every run must be the sequential
+  // oracle's, with ceil(n / batch) batches and every segment counted once
+  // by core.hotpath.segments_seen.
+  const std::size_t l = params_.segment_length;
+  const std::size_t corners[] = {0, 1, l - 1, l, l + 1, 2 * l - 1, 2 * l,
+                                 2 * l + 1};
+  io::SequenceSet reads;
+  util::Xoshiro256ss rng(4242);
+  for (std::size_t i = 0; i < 150; ++i) {
+    const std::size_t length =
+        i % 3 == 0 ? reads_.length(static_cast<io::SeqId>(i % 30))
+                   : corners[i % 8];
+    reads.add("read_" + std::to_string(i),
+              genome_.substr(rng.bounded(genome_.size() - length), length));
+  }
+  const std::size_t n = reads.size();
+  const auto all = static_cast<io::SeqId>(n);
+
+  const MappingEngine engine(subjects_, params_);
+  const JemMapper& mapper = engine.mapper();
+  const auto ends = oracle::map_reads(mapper, reads);
+  const auto tiled = oracle::map_reads_tiled(mapper, reads, 0, all);
+  const auto topx = oracle::map_reads_topx(mapper, reads, 3, 0, all);
+
+  for (const MapBackend backend :
+       {MapBackend::kSerial, MapBackend::kPool}) {
+    const std::size_t max_threads = backend == MapBackend::kPool ? 4 : 1;
+    for (std::size_t threads = 1; threads <= max_threads; ++threads) {
+      for (const std::size_t batch_size : {std::size_t{1}, std::size_t{0}}) {
+        // Auto: one batch for kSerial, ~64 per worker for kPool.
+        const std::size_t batch =
+            batch_size != 0                  ? batch_size
+            : backend == MapBackend::kSerial ? n
+                                             : (n + 64 * threads - 1) /
+                                                   (64 * threads);
+        for (const MapMode mode :
+             {MapMode::kEnds, MapMode::kTiled, MapMode::kTopX}) {
+          SCOPED_TRACE(std::string("backend=") + backend_name(backend) +
+                       " threads=" + std::to_string(threads) +
+                       " batch=" + std::to_string(batch_size) +
+                       " mode=" + std::to_string(static_cast<int>(mode)));
+          obs::Registry registry;
+          MapRequest request;
+          request.backend = backend;
+          request.threads = threads;
+          request.batch_size = batch_size;
+          request.mode = mode;
+          request.obs.metrics = &registry;
+          const MapReport report = engine.run(reads, request);
+          if (mode == MapMode::kTopX) {
+            EXPECT_EQ(report.topx, topx);
+            EXPECT_TRUE(report.mappings.empty());
+          } else {
+            EXPECT_EQ(report.mappings, mode == MapMode::kEnds ? ends : tiled);
+            EXPECT_TRUE(report.topx.empty());
+          }
+          EXPECT_EQ(report.stats.batches, (n + batch - 1) / batch);
+          EXPECT_EQ(report.stats.reads, n);
+          EXPECT_EQ(report.stats.segments,
+                    report.mappings.size() + report.topx.size());
+          EXPECT_EQ(registry.counter("core.hotpath.segments_seen").value(),
+                    report.stats.segments);
+        }
+      }
+    }
+  }
+}
+
 TEST_F(EngineGoldenTest, RangeRunMatchesSequentialWithGlobalReadIds) {
   const MappingEngine engine(subjects_, params_);
   const JemMapper& mapper = engine.mapper();
@@ -321,6 +393,27 @@ TEST_F(EngineGoldenTest, StreamErrorsPropagateAfterShutdown) {
                      }),
                  std::runtime_error);
   }
+}
+
+TEST(EngineSegmentCount, MatchesBothExtractors) {
+  // The count a run sizes its output from, against the segments the
+  // extractors really cut, at every length around one and two ℓ.
+  for (const std::uint32_t l : {1u, 2u, 7u, 1000u}) {
+    for (const std::size_t length :
+         {std::size_t{0}, std::size_t{1}, std::size_t{l} - 1, std::size_t{l},
+          std::size_t{l} + 1, 2 * std::size_t{l} - 1, 2 * std::size_t{l},
+          2 * std::size_t{l} + 1}) {
+      const std::string read(length, 'A');
+      EXPECT_EQ(segment_count(length, l, false),
+                extract_end_segments(0, read, l).size())
+          << "l=" << l << " length=" << length;
+      EXPECT_EQ(segment_count(length, l, true),
+                extract_tiled_segments(0, read, l).size())
+          << "l=" << l << " length=" << length;
+    }
+  }
+  EXPECT_EQ(segment_count(5000, 0, false), 0u);
+  EXPECT_EQ(segment_count(5000, 0, true), 0u);
 }
 
 TEST(EngineRequestTest, ValidateRejectsBadFields) {
