@@ -5,9 +5,12 @@
 // and the alignment kernels.
 #include <benchmark/benchmark.h>
 
+#include <zlib.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,7 +22,9 @@
 #include "core/minimizer_lanes.hpp"
 #include "core/sketch_lanes.hpp"
 #include "io/artifact.hpp"
+#include "io/crc32.hpp"
 #include "io/gzip.hpp"
+#include "io/stream_reader.hpp"
 #include "mpisim/communicator.hpp"
 #include "oracle/kernels.hpp"
 #include "sim/genome.hpp"
@@ -695,6 +700,53 @@ BENCHMARK(BM_ReadFileAuto)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// BM_Crc32: zlib's table loop (0) against io::crc32 (1) over 64 KiB, a
+// deflate block's worth that stays in cache, and over the ~40 MB text.
+void BM_Crc32(benchmark::State& state) {
+  const std::string_view bytes =
+      std::string_view(gzip_fixture().text)
+          .substr(0, static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) {
+    std::uint32_t crc = 0;
+    if (state.range(0) == 0) {
+      crc = static_cast<std::uint32_t>(
+          crc32_z(0, reinterpret_cast<const Bytef*>(bytes.data()),
+                  bytes.size()));
+    } else {
+      crc = io::crc32(0, bytes);
+    }
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)
+    ->Args({0, 1 << 16})
+    ->Args({1, 1 << 16})
+    ->Args({0, 40'000'000})
+    ->Args({1, 40'000'000});
+
+// BM_StreamReaderFastq: the parser alone (line split, clean check, FASTQ
+// checks) over the ~40 MB text, in batches of 256 reads as the streamed
+// engine reads them. Copying the text into the stream is not timed.
+void BM_StreamReaderFastq(benchmark::State& state) {
+  const GzipFixture& fx = gzip_fixture();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::istringstream in(fx.text);
+    state.ResumeTiming();
+    io::SequenceStreamReader reader(in);
+    for (;;) {
+      io::SequenceSet batch;
+      if (reader.append_batch(batch, 256) == 0) break;
+      benchmark::DoNotOptimize(batch);
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fx.text.size()));
+}
+BENCHMARK(BM_StreamReaderFastq)->Unit(benchmark::kMillisecond);
 
 void BM_Allgatherv(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));

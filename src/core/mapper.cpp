@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "io/crc32.hpp"
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -31,6 +32,7 @@ void HotpathCounters::publish(obs::Registry& registry) const {
 void publish_kernel_lanes(obs::Registry& registry) {
   registry.gauge("core.minimizer.lanes").set(minimizer_scan_lanes());
   registry.gauge("core.sketch.lanes").set(sketch_lanes());
+  registry.gauge("io.crc32.lanes").set(io::crc32_lanes());
 }
 
 Sketch make_sketch(std::string_view seq, const MapParams& params,

@@ -105,9 +105,10 @@ struct HotpathCounters {
   void publish(obs::Registry& registry) const;
 };
 
-/// Sets the gauges `core.minimizer.lanes` and `core.sketch.lanes` of
-/// `registry` to the lanes of the scan and sketch kernels this process
-/// runs, so map timings can be read against their kernels.
+/// Sets the gauges `core.minimizer.lanes`, `core.sketch.lanes` and
+/// `io.crc32.lanes` of `registry` to the lanes of the scan, sketch and
+/// gzip CRC kernels this process runs, so map and read timings can be read
+/// against their kernels.
 void publish_kernel_lanes(obs::Registry& registry);
 
 /// Per-thread mutable state for the query phase: the vote counter (the

@@ -1,12 +1,12 @@
 #include "io/inflate.hpp"
 
-#include <zlib.h>
-
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+
+#include "io/crc32.hpp"
 
 namespace jem::io {
 namespace {
@@ -579,7 +579,9 @@ bool inflate_member(std::string_view member, char* out_chars,
   BitReader bits{p, p + header, p + trailer};
   std::array<std::uint32_t, kLitlenEnough> litlen;
   std::array<std::uint32_t, kDistEnough> dist;
+  std::uint32_t crc = 0;
   for (bool final = false; !final;) {
+    std::uint8_t* const block_out = out;
     bits.refill();
     if (bits.overread > 8) return false;
     final = bits.take(1) != 0;
@@ -617,9 +619,13 @@ bool inflate_member(std::string_view member, char* out_chars,
       default:
         return false;  // reserved block type
     }
+    // Fold the block's output into the CRC while it is still in cache.
+    crc = crc32(crc, std::string_view(
+                         reinterpret_cast<const char*>(block_out),
+                         static_cast<std::size_t>(out - block_out)));
   }
   if (bits.align() != trailer || out != out_end) return false;
-  return crc32_z(0, out_begin, size) == load_le32(p + trailer);
+  return crc == load_le32(p + trailer);
 }
 
 }  // namespace jem::io

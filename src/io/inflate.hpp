@@ -7,7 +7,8 @@
 // carry each length's and distance's base and extra-bit count, and a fast
 // loop that copies matches 8 bytes at a time while the output has room for
 // the longest match plus a word. The last few hundred bytes of output go
-// through a bounds-checked loop.
+// through a bounds-checked loop. Each block's output is folded into the
+// trailer's CRC32 (io::crc32) right after the block, while it is in cache.
 //
 // The decoder is a fast path in front of zlib, not a second gzip
 // implementation with its own error taxonomy: it answers only "decoded" or

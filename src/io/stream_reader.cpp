@@ -28,14 +28,17 @@ constexpr std::array<std::int16_t, 256> kBaseMap = [] {
 }();
 
 /// True when no byte of `line` is lowercase or whitespace, i.e. kBaseMap
-/// leaves the line as it is.
+/// leaves the line as it is. Every value stays a byte, so the compiler
+/// vectorises the loop a full vector of bytes per step, not a quarter of
+/// one widened to 32-bit lanes.
 bool is_clean(std::string_view line) noexcept {
-  unsigned dirty = 0;
+  std::uint8_t dirty = 0;
   for (const char ch : line) {
-    const auto c = static_cast<unsigned char>(ch);
-    dirty |= static_cast<unsigned>(static_cast<unsigned>(c - 'a') < 26u) |
-             static_cast<unsigned>(static_cast<unsigned>(c - '\t') < 5u) |
-             static_cast<unsigned>(c == ' ');
+    const auto c = static_cast<std::uint8_t>(ch);
+    dirty |= static_cast<std::uint8_t>(
+        (static_cast<std::uint8_t>(c - 'a') < std::uint8_t{26}) |
+        (static_cast<std::uint8_t>(c - '\t') < std::uint8_t{5}) |
+        (c == ' '));
   }
   return dirty == 0;
 }

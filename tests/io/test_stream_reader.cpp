@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <fstream>
+#include <istream>
+#include <map>
+#include <streambuf>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/batch_stream.hpp"
@@ -124,6 +128,7 @@ TEST(StreamReader, HandlesCrlf) {
 // that are multiples of kChunkBytes are where a line may be split.
 
 constexpr std::size_t kChunk = SequenceStreamReader::kChunkBytes;
+constexpr std::size_t kNoQualityLength = static_cast<std::size_t>(-1);
 
 /// `text` padded with newlines (blank lines, which both formats skip) up to
 /// byte offset `at`.
@@ -248,6 +253,197 @@ TEST(StreamReaderChunks, QualityMismatchAcrossTheBoundaryThrows) {
   std::istringstream in(data);
   SequenceStreamReader reader(in);
   EXPECT_THROW((void)reader.next_batch(10), ParseError);
+}
+
+// --- Every byte at every position ------------------------------------------
+//
+// The clean check decides per line whether bases are copied as they are or
+// mapped byte by byte, and it runs vectorised: each byte value goes at each
+// position 0-130 of a line, across the 16-, 32- and 64-byte vector widths,
+// and the bases must equal a per-byte reference.
+
+constexpr std::size_t kProbePositions = 131;
+constexpr std::size_t kProbeLength = 140;  // a scalar tail past the probes
+
+bool probe_is_space(unsigned char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// What the reader stores for a sequence line, byte by byte: lowercase
+/// made uppercase, whitespace dropped.
+std::string reference_bases(std::string_view line) {
+  std::string out;
+  for (const char ch : line) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (probe_is_space(c)) continue;
+    out.push_back(c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A')
+                                       : ch);
+  }
+  return out;
+}
+
+/// Sequence lines of ACGT that together hold each byte value at each
+/// position 0-130, except where the byte would end the record instead
+/// ('\n' in a FASTQ bases line, '>' opening a FASTA line). A lowercase or
+/// whitespace byte is always alone in its line: the check must not pass
+/// it as clean. With `packed`, the other values share lines, one value per
+/// position, so fewer lines cover them.
+std::vector<std::string> probe_lines(bool fastq, bool packed) {
+  std::string background(kProbeLength, 'A');
+  for (std::size_t i = 0; i < kProbeLength; ++i) {
+    background[i] = "ACGT"[(i * 7 + i / 5) % 4];
+  }
+  const auto skipped = [&](unsigned c, std::size_t p) {
+    return fastq ? c == '\n' : p == 0 && c == '>';
+  };
+  std::vector<unsigned> clean_values;
+  std::vector<std::string> lines;
+  for (unsigned c = 0; c < 256; ++c) {
+    const bool dirty = probe_is_space(static_cast<unsigned char>(c)) ||
+                       (c >= 'a' && c <= 'z');
+    if (packed && !dirty) {
+      clean_values.push_back(c);
+      continue;
+    }
+    for (std::size_t p = 0; p < kProbePositions; ++p) {
+      if (skipped(c, p)) continue;
+      lines.push_back(background);
+      lines.back()[p] = static_cast<char>(c);
+    }
+  }
+  for (std::size_t j = 0; j < clean_values.size(); ++j) {
+    std::string line = background;
+    for (std::size_t p = 0; p < kProbePositions; ++p) {
+      const unsigned c = clean_values[(j + p) % clean_values.size()];
+      if (!skipped(c, p)) line[p] = static_cast<char>(c);
+    }
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+/// One record whose sequence is `line`; a FASTQ quality of the normalised
+/// length unless `quality_length` is given.
+std::string probe_record(bool fastq, std::size_t index,
+                         const std::string& line,
+                         std::size_t quality_length = kNoQualityLength) {
+  const std::string name = "p" + std::to_string(index);
+  if (!fastq) return ">" + name + "\n" + line + "\n";
+  if (quality_length == kNoQualityLength) {
+    quality_length = reference_bases(line).size();
+  }
+  return "@" + name + "\n" + line + "\n+\n" +
+         std::string(quality_length, 'I') + "\n";
+}
+
+/// Serves `pieces` one after another as one stream without joining them,
+/// so a stream many chunks long costs no memory of its own.
+class PiecesBuf : public std::streambuf {
+ public:
+  explicit PiecesBuf(std::vector<std::string_view> pieces)
+      : pieces_(std::move(pieces)) {}
+
+ protected:
+  int_type underflow() override {
+    while (gptr() == egptr() && next_ < pieces_.size()) {
+      char* begin = const_cast<char*>(pieces_[next_].data());
+      setg(begin, begin, begin + pieces_[next_].size());
+      ++next_;
+    }
+    return gptr() == egptr() ? traits_type::eof()
+                             : traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::vector<std::string_view> pieces_;
+  std::size_t next_ = 0;
+};
+
+void expect_every_byte_parses(bool fastq) {
+  const std::string what = fastq ? "FASTQ" : "FASTA";
+  // Within a chunk: every record of one stream, each padded onto the next
+  // chunk rather than across a chunk boundary.
+  {
+    const std::vector<std::string> lines = probe_lines(fastq, false);
+    std::string data;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const std::string record = probe_record(fastq, i, lines[i]);
+      const std::size_t chunk_end = (data.size() / kChunk + 1) * kChunk;
+      if (data.size() + record.size() > chunk_end) data.resize(chunk_end, '\n');
+      data += record;
+    }
+    std::istringstream in(data);
+    SequenceStreamReader reader(in);
+    SequenceRecord rec;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      ASSERT_TRUE(reader.next(rec)) << what << " line " << i;
+      ASSERT_EQ(rec.bases, reference_bases(lines[i])) << what << " line " << i;
+    }
+    EXPECT_FALSE(reader.next(rec));
+  }
+  // Straddling a boundary: each probe line starts 64 bytes before a chunk
+  // boundary, so positions 0-63 arrive in one chunk and 64-130 in the
+  // next. Between probes, a record with a long header comment fills the
+  // rest of the chunk: the reader searches and copies a header, it does
+  // not check it byte by byte, which keeps the thousands of chunks one
+  // reader reads cheap under the sanitizers.
+  constexpr std::size_t kSplit = 64;
+  const std::string filler_tail = fastq ? "\nA\n+\nI\n" : "\nA\n";
+  std::map<std::size_t, std::string> fillers;  // by size
+  const auto filler = [&](std::size_t size) -> std::string_view {
+    std::string& text = fillers[size];
+    if (text.empty()) {
+      text = (fastq ? "@f " : ">f ") +
+             std::string(size - 3 - filler_tail.size(), 'x') + filler_tail;
+    }
+    return text;
+  };
+  const std::vector<std::string> lines = probe_lines(fastq, true);
+  std::vector<std::string> records;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    records.push_back(probe_record(fastq, i, lines[i]));
+  }
+  std::vector<std::string_view> pieces;
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::size_t line_at = (i + 1) * kChunk - kSplit;
+    const std::size_t record_at = line_at - records[i].find('\n') - 1;
+    pieces.push_back(filler(record_at - offset));
+    pieces.push_back(records[i]);
+    offset = record_at + records[i].size();
+  }
+  PiecesBuf buf(std::move(pieces));
+  std::istream in(&buf);
+  SequenceStreamReader reader(in);
+  SequenceRecord rec;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    ASSERT_TRUE(reader.next(rec) && rec.name == "f") << what << " line " << i;
+    ASSERT_TRUE(reader.next(rec)) << what << " line " << i;
+    ASSERT_EQ(rec.bases, reference_bases(lines[i]))
+        << what << " across, line " << i;
+  }
+  EXPECT_FALSE(reader.next(rec));
+}
+
+TEST(StreamReaderChunks, EveryByteAtEveryPositionOfAFastaLine) {
+  expect_every_byte_parses(false);
+}
+
+TEST(StreamReaderChunks, EveryByteAtEveryPositionOfAFastqLine) {
+  expect_every_byte_parses(true);
+  // The quality must match the normalised length: one more quality byte
+  // than bases left after a whitespace byte is dropped is an error.
+  const std::vector<std::string> lines = probe_lines(true, false);
+  for (unsigned c = '\t'; c <= ' '; ++c) {
+    if (!probe_is_space(static_cast<unsigned char>(c)) || c == '\n') continue;
+    for (const std::string& line : lines) {
+      if (line.find(static_cast<char>(c)) == std::string::npos) continue;
+      std::istringstream in(probe_record(true, 0, line, line.size()));
+      SequenceStreamReader reader(in);
+      SequenceRecord rec;
+      EXPECT_THROW((void)reader.next(rec), ParseError) << "byte " << c;
+    }
+  }
 }
 
 /// Simulated HiFi reads and their FASTQ text, several chunks long.
