@@ -17,8 +17,8 @@ ctest --test-dir build --output-on-failure
 # suites ride along: gzip_decompress inflates members on parallel threads,
 # and the readers above it parse what those threads wrote. So do the index
 # build suites: sketch_subjects sketches subject ranges on a pool, and
-# SketchTable::from_entries / FlatSketchIndex::build fill per-trial arrays
-# from pool tasks — in every JemMapper and in each distributed rank.
+# SketchTable::from_entries / FlatSketchIndex::build sort and fill hash
+# shards from pool tasks — in every JemMapper and in each distributed rank.
 cmake -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \

@@ -1,37 +1,48 @@
 // FlatSketchIndex — the frozen sketch table S: one open-addressing
-// (linear-probe, power-of-two) hash table per trial mapping a minhash k-mer
-// to its postings span, over one shared postings pool. It is the table's
-// only frozen form: the paper's "T lists" of S_global (Fig 2) are the T
-// slot regions, each trial's postings a contiguous slice of the pool.
+// (linear-probe) hash table keyed by minhash k-mer alone, shared by all T
+// trials. Each key points at one run of postings sorted by (trial,
+// subject), stored as two parallel arrays (trial ids and subject ids), so
+// the subjects of a k-mer in trial t — the paper's S[t][kmer], one of its
+// "T lists" of S_global (Fig 2) — are one contiguous slice of the subject
+// array.
 //
-// lookup(t, kmer) is a mixed-hash probe into a half-loaded slot array:
-// ~1.1 slots touched on average, each slot carrying the postings offset and
-// count inline, so a hit costs one cache line for the slot plus the
-// postings themselves. This is the minimap2 indexing strategy (Li 2018)
-// adapted to the per-trial key spaces of the JEM sketch.
+// One table for all trials is minimap2's layout (Li 2018): one hash table
+// keyed by minimizer, all of a minimizer's hits in one postings run. Every
+// entry of a segment's sketch is a minimizer of the segment, so its ~110
+// (trial, k-mer) entries hold only ~20 distinct k-mers. The mapper hashes,
+// prefetches and probes each distinct k-mer once (home(), probe()), then
+// votes trial by trial from the runs (core/mapper.cpp). lookup(t, kmer)
+// and the batched lookup_many() probe the k-mer and cut trial t's slice
+// out of its run.
 //
-// The mapper resolves a whole segment sketch in one pass: homes() hashes
-// every (trial, k-mer) of the sketch once, stores its home slot and
-// prefetches it, so all ~T·4 slot misses overlap; the vote loop then walks
-// each k-mer's probe from its stored home (probe()). lookup() and the
-// batched lookup_many() are thin loops over the same probe.
+// Layout. A key's home slot is the top log2(capacity) bits of mix64(kmer),
+// with the capacity the smallest power of two >= 2 * keys (load <= 0.5,
+// ~1.3 slots touched per probe). Keys sit in ascending hash order, each in
+// the first free slot at or after its home, and probes never wrap: the slot
+// array runs past the capacity far enough to hold the last keys and one
+// empty slot after them, so every probe ends on an empty slot. Each slot
+// carries its run's offset and length inline, so a hit costs one cache line
+// for the slot plus the run itself. The runs are laid out in slot order.
 //
-// The index is built once, from each trial's sorted (kmer, subject) pairs,
-// and is immutable afterwards. Every trial's slot region and postings slice
-// sit at offsets known before the fill (prefix sums of region capacities
-// and posting counts), so the trials fill in parallel. Each trial inserts
-// its keys in ascending k-mer order, so the bytes do not depend on the
-// thread count.
+// Build. The entries are split into hash shards by the top bits of the same
+// hash, so the shards own consecutive ranges of homes. One pool task per
+// shard sorts its entries, drops duplicates and orders its keys by hash; a
+// serial pass over the keys places the shard boundaries in the slot array;
+// then one task per shard writes its slots and its postings, the first to
+// touch its part of each array (nothing zero-fills them first). The layout
+// is a function of the key set alone, so the bytes depend on neither the
+// entry order, the shard count nor the thread count.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "core/kmer.hpp"
 #include "io/sequence.hpp"
 #include "util/prng.hpp"
+#include "util/uninit_vector.hpp"
 
 namespace jem::util {
 class ThreadPool;  // util/thread_pool.hpp
@@ -39,58 +50,105 @@ class ThreadPool;  // util/thread_pool.hpp
 
 namespace jem::core {
 
-struct FlatSketch;  // core/sketch.hpp
+/// One (trial, kmer, subject) entry of S: the build input, and the wire
+/// format of the union step (SketchTable). Trivially copyable for the
+/// allgatherv wire format.
+struct SketchEntry {
+  KmerCode kmer = 0;
+  std::uint32_t trial = 0;
+  io::SeqId subject = 0;
+
+  friend bool operator==(const SketchEntry&, const SketchEntry&) = default;
+};
+static_assert(sizeof(SketchEntry) == 16);
 
 class FlatSketchIndex {
  public:
-  using Posting = std::pair<KmerCode, io::SeqId>;
-
-  /// One trial's build input: its postings sorted by (kmer, subject) with
-  /// no duplicates, and the number of distinct k-mers among them.
-  struct SortedTrial {
-    std::span<const Posting> postings;
-    std::size_t keys = 0;
-  };
+  /// The index's arrays: vectors whose resize leaves elements unwritten,
+  /// so each build task first-touches its own slice.
+  template <typename T>
+  using Array = util::UninitVector<T>;
 
   /// One probe slot; count == 0 marks an empty slot (every stored key has
   /// >= 1 posting). Public for the index artifact (core/index_serde), which
   /// persists the slot array verbatim so load skips the build entirely.
   struct Slot {
-    KmerCode kmer = 0;
-    std::uint32_t offset = 0;
-    std::uint32_t count = 0;
+    KmerCode kmer;
+    std::uint32_t offset;  // first posting of the key's run
+    std::uint32_t count;   // postings in the run
 
     friend bool operator==(const Slot&, const Slot&) = default;
   };
   static_assert(sizeof(Slot) == 16);
+  static_assert(std::is_trivially_default_constructible_v<Slot>);
+
+  /// A run of postings, [begin, end) into trial_ids() and subjects().
+  struct Run {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
 
   /// An empty index (no trials); lookups are invalid until assigned from
   /// build().
   FlatSketchIndex() = default;
 
-  /// Builds the index from per-trial sorted postings, one pool task per
-  /// trial (inline without a pool). Throws std::length_error if the
-  /// postings exceed the uint32 offset range.
+  /// Builds the index of `trials` trials from entries in any order;
+  /// duplicate entries collapse. One pool task per hash shard (inline
+  /// without a pool). Throws std::invalid_argument on a trial id >= trials
+  /// and std::length_error if the postings exceed the uint32 offset range.
   [[nodiscard]] static FlatSketchIndex build(
-      std::span<const SortedTrial> trials, util::ThreadPool* pool = nullptr);
+      int trials, std::span<const SketchEntry> entries,
+      util::ThreadPool* pool = nullptr);
 
-  [[nodiscard]] int trials() const noexcept {
-    return static_cast<int>(base_.size());
-  }
+  [[nodiscard]] int trials() const noexcept { return trials_; }
 
-  /// Distinct (trial, kmer) keys stored.
+  /// Distinct (trial, kmer) keys stored: the runs of one trial in one key.
   [[nodiscard]] std::size_t key_count() const noexcept { return keys_; }
 
-  /// Total slots across all trials (>= 2x key_count: max load factor 0.5).
+  /// Distinct k-mers stored: the table's keys, one occupied slot each.
+  [[nodiscard]] std::size_t kmer_count() const noexcept { return kmers_; }
+
+  /// Slots that homes fall in: a power of two >= 2 * kmer_count(). The slot
+  /// array holds this many plus the overflow of the last keys.
   [[nodiscard]] std::size_t capacity() const noexcept {
-    return slots_.size();
+    return std::size_t{1} << (64 - shift_);
+  }
+
+  [[nodiscard]] static std::uint64_t hash(KmerCode kmer) noexcept {
+    return util::mix64(kmer);
+  }
+
+  /// Home slot of a k-mer whose hash() is `hash`.
+  [[nodiscard]] std::size_t home(std::uint64_t hash) const noexcept {
+    return static_cast<std::size_t>(hash >> shift_);
+  }
+
+  /// Starts loading the slot at `home`, so the misses of many probes
+  /// overlap.
+  void prefetch(std::size_t home) const noexcept {
+    __builtin_prefetch(slots_.data() + home, 0 /* read */, 1);
+  }
+
+  /// The probe loop: walks the slots from `home` until it finds `kmer` (its
+  /// postings run) or an empty slot (an empty run). Adds the slots touched
+  /// to `probed`, which the mapper's sampled hot-path counters turn into a
+  /// probe-length distribution.
+  [[nodiscard]] Run probe(std::size_t home, KmerCode kmer,
+                          std::uint64_t& probed) const noexcept {
+    for (const Slot* slot = slots_.data() + home;; ++slot) {
+      ++probed;
+      if (slot->count == 0) return {};
+      if (slot->kmer == kmer) {
+        return {slot->offset, slot->offset + slot->count};
+      }
+    }
   }
 
   /// Postings of `kmer` in trial `t` (empty span if absent).
   [[nodiscard]] std::span<const io::SeqId> lookup(int trial,
                                                   KmerCode kmer) const {
     std::uint64_t probed = 0;
-    return probe(trial, home(trial, kmer), kmer, probed);
+    return trial_subjects(probe(home(hash(kmer)), kmer, probed), trial);
   }
 
   /// Batched lookup of kmers[j] in trial `t` into out[j], prefetching home
@@ -99,71 +157,43 @@ class FlatSketchIndex {
   std::uint64_t lookup_many(int trial, std::span<const KmerCode> kmers,
                             std::span<std::span<const io::SeqId>> out) const;
 
-  /// Fills out[j] with the home slot of sketch.kmers[j] (one trial per
-  /// index trial, trial-major as the sketch stores them) and prefetches
-  /// each, so the slot misses of the whole sketch overlap.
-  void homes(const FlatSketch& sketch, std::vector<std::size_t>& out) const;
-
-  /// The probe loop: walks trial `t`'s region from `home` until it finds
-  /// `kmer` (its postings) or an empty slot (an empty span). Adds the
-  /// slots touched to `probed`, which the mapper's sampled hot-path
-  /// counters turn into a probe-length distribution.
-  [[nodiscard]] std::span<const io::SeqId> probe(
-      int trial, std::size_t home, KmerCode kmer,
-      std::uint64_t& probed) const noexcept {
-    const std::size_t t = static_cast<std::size_t>(trial);
-    const Slot* const region = slots_.data() + base_[t];
-    const std::size_t mask = mask_[t];
-    for (std::size_t i = home;; i = (i + 1) & mask) {
-      const Slot& slot = region[i];
-      ++probed;
-      if (slot.count == 0) return {};
-      if (slot.kmer == kmer) {
-        return {subjects_.data() + slot.offset, slot.count};
-      }
-    }
-  }
-
-  /// Raw-part access for the index artifact: the slot array, per-trial
-  /// region geometry and postings pool exactly as built.
+  /// Raw-part access for the index artifact: the slot array and the two
+  /// postings arrays exactly as built.
   [[nodiscard]] std::span<const Slot> slots() const noexcept {
     return slots_;
   }
-  [[nodiscard]] std::span<const std::size_t> bases() const noexcept {
-    return base_;
-  }
-  [[nodiscard]] std::span<const std::size_t> masks() const noexcept {
-    return mask_;
+  [[nodiscard]] std::span<const std::uint32_t> trial_ids() const noexcept {
+    return trial_ids_;
   }
   [[nodiscard]] std::span<const io::SeqId> subjects() const noexcept {
     return subjects_;
   }
 
   /// Reconstructs an index from persisted raw parts (the inverse of the
-  /// accessors above). Validates the geometry — region sizes power-of-two
-  /// and contiguous, every slot's postings span inside the pool, occupied
-  /// slot count equal to `keys` — and throws std::invalid_argument on any
-  /// violation, so a corrupted artifact can never produce an index whose
-  /// probe loop reads out of bounds or spins forever.
+  /// accessors above). Validates them — a power-of-two capacity >= 2 within
+  /// the slot array, an empty last slot, occupied slots equal to `kmers`,
+  /// every run inside the postings arrays and strictly ascending by
+  /// (trial, subject), every trial id < `trials` and every subject id <
+  /// `num_subjects` — and throws std::invalid_argument on any violation,
+  /// so a corrupted artifact can never produce an index whose probe loop
+  /// or vote pass reads out of bounds or spins forever.
   [[nodiscard]] static FlatSketchIndex from_parts(
-      std::vector<Slot> slots, std::vector<std::size_t> base,
-      std::vector<std::size_t> mask, std::vector<io::SeqId> subjects,
-      std::size_t keys);
+      int trials, std::size_t capacity, Array<Slot> slots,
+      Array<std::uint32_t> trial_ids, Array<io::SeqId> subjects,
+      std::size_t kmers, std::size_t num_subjects);
 
  private:
-  [[nodiscard]] static std::uint64_t hash(KmerCode kmer) noexcept {
-    return util::mix64(kmer);
-  }
+  /// The subjects of `run` in trial `trial`, sorted by id (empty if the
+  /// run has none there).
+  [[nodiscard]] std::span<const io::SeqId> trial_subjects(
+      Run run, int trial) const noexcept;
 
-  /// Home slot of `kmer` in trial `t`, relative to the trial's region.
-  [[nodiscard]] std::size_t home(int trial, KmerCode kmer) const noexcept {
-    return hash(kmer) & mask_[static_cast<std::size_t>(trial)];
-  }
-
-  std::vector<Slot> slots_;         // concatenated per-trial pow2 regions
-  std::vector<std::size_t> base_;   // trial -> first slot
-  std::vector<std::size_t> mask_;   // trial -> region capacity - 1
-  std::vector<io::SeqId> subjects_;  // shared postings pool
+  Array<Slot> slots_;
+  Array<std::uint32_t> trial_ids_;  // postings: trial of each
+  Array<io::SeqId> subjects_;       // postings: subject of each
+  int trials_ = 0;
+  unsigned shift_ = 63;  // 64 - log2(capacity)
+  std::size_t kmers_ = 0;
   std::size_t keys_ = 0;
 };
 

@@ -68,7 +68,8 @@ void append_u64(std::string& out, std::uint64_t v) {
 /// Decodes a section payload into a vector of trivially-copyable records,
 /// requiring an exact element-size multiple.
 template <typename T>
-std::vector<T> decode_array(std::string_view payload, const char* what) {
+FlatSketchIndex::Array<T> decode_array(std::string_view payload,
+                                       const char* what) {
   if (payload.size() % sizeof(T) != 0) {
     throw ArtifactError(ArtifactReason::kBadSection,
                         std::string(what) + " payload size " +
@@ -76,7 +77,7 @@ std::vector<T> decode_array(std::string_view payload, const char* what) {
                             " is not a multiple of " +
                             std::to_string(sizeof(T)));
   }
-  std::vector<T> values(payload.size() / sizeof(T));
+  FlatSketchIndex::Array<T> values(payload.size() / sizeof(T));
   std::memcpy(values.data(), payload.data(), payload.size());
   return values;
 }
@@ -156,24 +157,20 @@ std::string serialize_index(const SketchTable& table, const MapParams& params,
   subj.digest = subjects_digest(subjects);
   writer.add_section("SUBJSET", as_bytes(subj));
 
-  // SHAPE: the entry and key totals the flat sections must agree with.
+  // SHAPE: the entry and k-mer totals the flat sections must agree with.
   std::string shape;
   append_u64(shape, table.size());
-  append_u64(shape, table.key_count());
+  append_u64(shape, table.flat().kmer_count());
   writer.add_section("SHAPE", shape);
 
-  // The frozen flat index, raw: region geometry interleaved (base, mask)
-  // per trial, then the slot array and its postings pool.
+  // The frozen flat index, raw: its capacity, then the slot array and the
+  // two postings arrays it points into.
   const FlatSketchIndex& flat = table.flat();
   std::string geometry;
-  for (int t = 0; t < flat.trials(); ++t) {
-    append_u64(geometry,
-               static_cast<std::uint64_t>(flat.bases()[static_cast<std::size_t>(t)]));
-    append_u64(geometry,
-               static_cast<std::uint64_t>(flat.masks()[static_cast<std::size_t>(t)]));
-  }
+  append_u64(geometry, flat.capacity());
   writer.add_section("FLATGEO", geometry);
   writer.add_section("FLATSLOT", span_bytes(flat.slots()));
+  writer.add_section("FLATTRI", span_bytes(flat.trial_ids()));
   writer.add_section("FLATSUB", span_bytes(flat.subjects()));
 
   return writer.serialize();
@@ -212,22 +209,15 @@ SketchTable table_from(const io::ArtifactReader& reader,
   const std::string_view shape =
       reader.section("SHAPE", 2 * sizeof(std::uint64_t));
   const std::uint64_t total_entries = read_u64_at(shape, 0);
-  const std::uint64_t total_keys = read_u64_at(shape, 1);
+  const std::uint64_t total_kmers = read_u64_at(shape, 1);
 
-  const std::size_t trials = static_cast<std::size_t>(params.trials);
-  std::vector<std::uint64_t> geometry = decode_array<std::uint64_t>(
-      reader.section("FLATGEO", 2 * trials * sizeof(std::uint64_t)),
-      "FLATGEO");
-  std::vector<std::size_t> bases(trials);
-  std::vector<std::size_t> masks(trials);
-  for (std::size_t t = 0; t < trials; ++t) {
-    bases[t] = static_cast<std::size_t>(geometry[2 * t]);
-    masks[t] = static_cast<std::size_t>(geometry[2 * t + 1]);
-  }
-  std::vector<FlatSketchIndex::Slot> slots =
-      decode_array<FlatSketchIndex::Slot>(reader.section("FLATSLOT"),
-                                          "FLATSLOT");
-  std::vector<io::SeqId> flat_subjects =
+  const std::uint64_t capacity =
+      read_u64_at(reader.section("FLATGEO", sizeof(std::uint64_t)), 0);
+  auto slots = decode_array<FlatSketchIndex::Slot>(reader.section("FLATSLOT"),
+                                                   "FLATSLOT");
+  auto trial_ids =
+      decode_array<std::uint32_t>(reader.section("FLATTRI"), "FLATTRI");
+  auto flat_subjects =
       decode_array<io::SeqId>(reader.section("FLATSUB"), "FLATSUB");
   if (flat_subjects.size() != total_entries) {
     throw ArtifactError(ArtifactReason::kBadSection,
@@ -236,12 +226,14 @@ SketchTable table_from(const io::ArtifactReader& reader,
 
   try {
     return SketchTable(FlatSketchIndex::from_parts(
-        std::move(slots), std::move(bases), std::move(masks),
-        std::move(flat_subjects), static_cast<std::size_t>(total_keys)));
+        params.trials, static_cast<std::size_t>(capacity), std::move(slots),
+        std::move(trial_ids), std::move(flat_subjects),
+        static_cast<std::size_t>(total_kmers), subjects.size()));
   } catch (const std::invalid_argument& error) {
-    // A geometry violation (or a key total that disagrees with the occupied
-    // slots) means the artifact's checksummed sections are mutually
-    // inconsistent — a malformed artifact, not a programming error.
+    // A geometry violation, a posting out of range or out of order, or a
+    // k-mer total that disagrees with the occupied slots means the
+    // artifact's checksummed sections are mutually inconsistent — a
+    // malformed artifact, not a programming error.
     throw ArtifactError(ArtifactReason::kBadSection, error.what());
   }
 }

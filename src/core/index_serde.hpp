@@ -4,11 +4,11 @@
 // run — the .mmi lesson from minimap2 applied to the JEM sketch.
 //
 // The artifact persists the table's one frozen form, the FlatSketchIndex
-// raw parts (region geometry, slot array, postings pool), so load_index
-// skips sketching, sorting AND the flat-index build: the loaded table is
+// raw parts (capacity, slot array, postings arrays), so load_index skips
+// sketching, sorting AND the flat-index build: the loaded table is
 // query-ready as-is.
 //
-// Sections ("JEMIDX1\0" container, format version 2, io/artifact.hpp
+// Sections ("JEMIDX1\0" container, format version 3, io/artifact.hpp
 // framing):
 //   PARAMS   packed mapping-parameter fingerprint (k/w/ordering/T/ℓ/seed/
 //            min_votes/scheme) — compared field-by-field on load; any
@@ -20,17 +20,22 @@
 //            and base — postings reference subjects by dense id, so an
 //            index is only valid with the exact contig set it was built
 //            from.
-//   SHAPE    entry and key totals: load requires entries == the FLATSUB
-//            length and keys == the occupied FLATSLOT slots.
-//   FLATGEO  per-trial (first slot, region capacity - 1) pairs.
-//   FLATSLOT the slot array, 16 bytes per slot.
-//   FLATSUB  the postings pool the slots point into.
+//   SHAPE    entry and k-mer totals: load requires entries == the FLATSUB
+//            length and k-mers == the occupied FLATSLOT slots.
+//   FLATGEO  the table's capacity (the power of two homes fall below).
+//   FLATSLOT the slot array of the one k-mer-keyed table, 16 bytes per
+//            slot.
+//   FLATTRI  the postings' trial ids, 4 bytes each.
+//   FLATSUB  the postings' subject ids, parallel to FLATTRI: each slot's
+//            run, sorted by (trial, subject).
 //
 // Every load failure — truncation, bit rot, foreign file, an older format
-// version, parameter or subject-set mismatch, sections that disagree —
-// surfaces as a structured ArtifactError; callers fall back to
-// rebuild-from-FASTA (jem_map logs the reason and rebuilds). A version-1
-// artifact, which also carried per-trial CSR arrays, is kBadVersion.
+// version, parameter or subject-set mismatch, sections that disagree or a
+// posting whose trial or subject id is out of range — surfaces as a
+// structured ArtifactError; callers fall back to rebuild-from-FASTA
+// (jem_map logs the reason and rebuilds). Older formats are kBadVersion:
+// version 1 also carried per-trial CSR arrays, and version 2 stored one
+// slot region per trial.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +52,7 @@ enum class SketchScheme;  // defined in core/mapper.hpp
 
 inline constexpr std::uint64_t kIndexArtifactMagic =
     0x00315844494d454aULL;  // "JEMIDX1\0"
-inline constexpr std::uint32_t kIndexArtifactVersion = 2;
+inline constexpr std::uint32_t kIndexArtifactVersion = 3;
 
 /// XXH64 digest of the packed parameter fingerprint — the params word of
 /// the run-journal fingerprint (io/checkpoint.hpp).

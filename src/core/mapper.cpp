@@ -1,6 +1,7 @@
 #include "core/mapper.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <stdexcept>
 
@@ -17,6 +18,7 @@ void HotpathCounters::publish(obs::Registry& registry) const {
   registry.counter("core.hotpath.kmer_lookups").add(kmer_lookups);
   registry.counter("core.hotpath.sketch_hits").add(sketch_hits);
   registry.counter("core.hotpath.sketch_misses").add(sketch_misses);
+  registry.counter("core.hotpath.kmer_probes").add(kmer_probes);
   registry.counter("core.hotpath.probe_slots").add(probe_slots);
   registry.counter("core.hotpath.candidates").add(candidates);
   publish_kernel_lanes(registry);
@@ -187,16 +189,130 @@ JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
 
 namespace {
 
+/// Gives each entry of `sketch` the id of its k-mer among the sketch's
+/// distinct k-mers (keys.ids), and lists each distinct k-mer with its home
+/// slot in `index`, prefetched, so the slot misses of all of them overlap.
+/// Returns the number of distinct k-mers.
+std::size_t distinct_kmers(const FlatSketch& sketch,
+                           const FlatSketchIndex& index, SketchKeys& keys) {
+  const std::size_t n = sketch.kmers.size();
+  const std::size_t capacity =
+      std::bit_ceil(std::max<std::size_t>(16, 2 * n));
+  if (keys.seen.size() < capacity) {
+    keys.seen.assign(capacity, {});
+    keys.stamp = 0;
+  }
+  if (++keys.stamp == 0) {  // wrapped: old stamps could read as current
+    std::fill(keys.seen.begin(), keys.seen.end(), SketchKeys::Seen{});
+    keys.stamp = 1;
+  }
+  keys.ids.resize(n);
+  keys.kmers.resize(n);
+  keys.homes.resize(n);
+  keys.runs.resize(n);
+
+  // A multiplicative hash picks the set slot; the index hash is taken only
+  // for the k-mers that are new.
+  const unsigned shift =
+      64 - static_cast<unsigned>(std::countr_zero(capacity));
+  const std::size_t mask = capacity - 1;
+  const std::uint32_t stamp = keys.stamp;
+  SketchKeys::Seen* const seen = keys.seen.data();
+  std::uint32_t distinct = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const KmerCode kmer = sketch.kmers[j];
+    for (std::size_t i = (kmer * 0x9e3779b97f4a7c15ULL) >> shift;;
+         i = (i + 1) & mask) {
+      if (seen[i].stamp != stamp) {
+        seen[i] = {kmer, stamp, distinct};
+        keys.kmers[distinct] = kmer;
+        keys.homes[distinct] = index.home(FlatSketchIndex::hash(kmer));
+        index.prefetch(keys.homes[distinct]);
+        keys.ids[j] = distinct++;
+        break;
+      }
+      if (seen[i].kmer == kmer) {
+        keys.ids[j] = seen[i].id;
+        break;
+      }
+    }
+  }
+  return distinct;
+}
+
+/// Resolves a sketch to the postings it votes with. Probes each distinct
+/// k-mer once (the slots were prefetched by distinct_kmers) and prefetches
+/// its postings run; keeps the postings whose trial holds the k-mer in the
+/// sketch, tested against a bit set of T bits per k-mer; and sorts those by
+/// trial (a counting sort) into keys.voted. Adds the slots touched to
+/// `probed`, and returns the (trial, k-mer) entries of the sketch that have
+/// postings in their trial.
+std::uint64_t gather_postings(const FlatSketch& sketch,
+                              const FlatSketchIndex& index,
+                              std::size_t distinct, SketchKeys& keys,
+                              std::uint64_t& probed) {
+  const std::uint32_t* const trial_ids = index.trial_ids().data();
+  const io::SeqId* const subjects = index.subjects().data();
+  std::size_t postings = 0;
+  for (std::size_t d = 0; d < distinct; ++d) {
+    const FlatSketchIndex::Run run =
+        index.probe(keys.homes[d], keys.kmers[d], probed);
+    __builtin_prefetch(trial_ids + run.begin, 0 /* read */, 1);
+    __builtin_prefetch(subjects + run.begin, 0 /* read */, 1);
+    keys.runs[d] = run;
+    postings += run.end - run.begin;
+  }
+
+  const auto trials = static_cast<std::size_t>(sketch.trials());
+  const std::size_t words = (trials + 63) / 64;
+  keys.trials.assign(distinct * words, 0);
+  for (std::size_t t = 0; t < trials; ++t) {
+    std::uint64_t* const word = keys.trials.data() + t / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (t % 64);
+    for (std::size_t j = sketch.offsets[t]; j < sketch.offsets[t + 1]; ++j) {
+      word[keys.ids[j] * words] |= bit;
+    }
+  }
+
+  // Branch-free filter: every posting is written at the next free place,
+  // and only the kept ones advance it.
+  keys.matched.resize(postings);
+  keys.starts.assign(trials + 1, 0);
+  SketchKeys::Posting* const matched = keys.matched.data();
+  std::uint32_t* const starts = keys.starts.data();
+  std::size_t kept = 0;
+  std::uint64_t hits = 0;
+  for (std::size_t d = 0; d < distinct; ++d) {
+    const std::uint64_t* const bits = keys.trials.data() + d * words;
+    const FlatSketchIndex::Run run = keys.runs[d];
+    for (std::uint32_t at = run.begin; at < run.end; ++at) {
+      const std::uint32_t trial = trial_ids[at];
+      const std::uint32_t keep = (bits[trial / 64] >> (trial % 64)) & 1;
+      matched[kept] = {trial, subjects[at]};
+      kept += keep;
+      starts[trial + 1] += keep;
+      // The first posting of a trial within the run is one entry's hit.
+      hits += keep & (at == run.begin || trial_ids[at - 1] != trial ? 1 : 0);
+    }
+  }
+  for (std::size_t t = 0; t < trials; ++t) starts[t + 1] += starts[t];
+  keys.voted.resize(kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    keys.voted[starts[matched[i].trial]++] = matched[i];
+  }
+  return hits;
+}
+
 /// Steps 4-7 of Algorithm 2, shared by map_segment and map_segment_topx:
-/// sketches `segment` into the scratch's buffers, takes the home slot of
-/// every (trial, k-mer) at once (FlatSketchIndex::homes hashes and
-/// prefetches them), then in one pass over the sketch probes each k-mer
+/// sketches `segment` into the scratch's buffers, resolves the sketch to
+/// its voting postings in trial order (distinct_kmers, gather_postings),
 /// and calls on_vote(subject, count) once per subject per trial that hits
 /// it, with `count` the subject's running vote total. Hits_r[t] is a *set*
 /// of subjects: a subject colliding via several sketch k-mers within one
 /// trial still earns a single vote, which the VoteCounter's last-trial
-/// field enforces. Sampled segments also fill the scratch's hot-path
-/// counters; a subject's first vote counts it as a candidate.
+/// field enforces, since the trials come in ascending order. Sampled
+/// segments also fill the scratch's hot-path counters; a subject's first
+/// vote counts it as a candidate.
 template <typename OnVote>
 void vote_segment(std::string_view segment, const MapParams& params,
                   SketchScheme scheme, const HashFamily& hashes,
@@ -205,28 +321,20 @@ void vote_segment(std::string_view segment, const MapParams& params,
   FlatSketch& sketch = scratch.sketch();
   make_sketch(segment, params, scheme, hashes, scratch.sketch_scratch(),
               sketch);
-  std::vector<std::size_t>& homes = scratch.homes();
-  index.homes(sketch, homes);
+  SketchKeys& keys = scratch.keys();
+  const std::size_t distinct = distinct_kmers(sketch, index, keys);
+  std::uint64_t probed = 0;
+  const std::uint64_t hits =
+      gather_postings(sketch, index, distinct, keys, probed);
+
   VoteCounter& counter = scratch.counter();
   counter.new_segment();
-
-  std::uint64_t probed = 0;
-  std::uint64_t hits = 0;
   std::uint64_t candidates = 0;
-  for (int t = 0; t < params.trials; ++t) {
-    const auto trial = static_cast<std::uint32_t>(t);
-    for (std::size_t j = sketch.offsets[trial]; j < sketch.offsets[trial + 1];
-         ++j) {
-      const std::span<const io::SeqId> subjects =
-          index.probe(t, homes[j], sketch.kmers[j], probed);
-      hits += subjects.empty() ? 0 : 1;
-      for (const io::SeqId subject : subjects) {
-        const std::uint32_t count = counter.vote(subject, trial);
-        if (count == 0) continue;
-        candidates += count == 1 ? 1 : 0;
-        on_vote(subject, count);
-      }
-    }
+  for (const SketchKeys::Posting posting : keys.voted) {
+    const std::uint32_t count = counter.vote(posting.subject, posting.trial);
+    if (count == 0) continue;
+    candidates += count == 1 ? 1 : 0;
+    on_vote(posting.subject, count);
   }
 
   HotpathCounters& hotpath = scratch.hotpath();
@@ -234,6 +342,7 @@ void vote_segment(std::string_view segment, const MapParams& params,
     hotpath.kmer_lookups += sketch.kmers.size();
     hotpath.sketch_hits += hits;
     hotpath.sketch_misses += sketch.kmers.size() - hits;
+    hotpath.kmer_probes += distinct;
     hotpath.probe_slots += probed;
     hotpath.candidates += candidates;
   }

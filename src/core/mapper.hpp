@@ -75,8 +75,9 @@ struct SegmentTopX {
 /// keeps the instrumented map_segment inside the <= 3% overhead budget.
 /// Disabled (sample_every == 0) they cost one predictable branch per
 /// segment. Every sample_every-th segment is measured in full: k-mer
-/// lookups, postings hits/misses, flat-index slots probed, and distinct
-/// candidate subjects voted. The engine publishes the totals into its
+/// lookups, postings hits/misses, distinct k-mers probed and the
+/// flat-index slots those probes touched, and distinct candidate subjects
+/// voted. The engine publishes the totals into its
 /// metrics registry after the run (core.hotpath.* counters).
 struct HotpathCounters {
   std::uint32_t sample_every = 0;  // 0 = sampling off
@@ -84,10 +85,11 @@ struct HotpathCounters {
 
   std::uint64_t segments_seen = 0;     // all segments (kept even unsampled)
   std::uint64_t segments_sampled = 0;  // segments measured in full
-  std::uint64_t kmer_lookups = 0;      // sketch k-mers resolved (sampled)
-  std::uint64_t sketch_hits = 0;       // lookups with non-empty postings
-  std::uint64_t sketch_misses = 0;     // lookups with no postings
-  std::uint64_t probe_slots = 0;       // flat-index slots touched (sampled)
+  std::uint64_t kmer_lookups = 0;      // (trial, k-mer) entries resolved
+  std::uint64_t sketch_hits = 0;       // entries with non-empty postings
+  std::uint64_t sketch_misses = 0;     // entries with no postings
+  std::uint64_t kmer_probes = 0;       // distinct k-mers probed (sampled)
+  std::uint64_t probe_slots = 0;       // slots those probes touched
   std::uint64_t candidates = 0;        // distinct subjects voted (sampled)
 
   /// Advances the per-segment clock; true when this segment is sampled.
@@ -111,6 +113,32 @@ struct HotpathCounters {
 /// against their kernels.
 void publish_kernel_lanes(obs::Registry& registry);
 
+/// The vote pass's per-segment buffers (core/mapper.cpp): each sketch
+/// entry's distinct-k-mer id, assigned by a stamped open-addressing set (a
+/// stamp bump empties it); per distinct k-mer its home slot, postings run
+/// and query trials; and the postings that vote, sorted by trial.
+struct SketchKeys {
+  struct Seen {
+    KmerCode kmer = 0;
+    std::uint32_t stamp = 0;
+    std::uint32_t id = 0;
+  };
+  struct Posting {
+    std::uint32_t trial = 0;
+    io::SeqId subject = 0;
+  };
+  std::vector<Seen> seen;                  // power-of-two capacity
+  std::uint32_t stamp = 0;                 // current segment's stamp
+  std::vector<std::uint32_t> ids;          // sketch entry -> distinct id
+  std::vector<KmerCode> kmers;             // distinct id -> k-mer
+  std::vector<std::size_t> homes;          // distinct id -> home slot
+  std::vector<FlatSketchIndex::Run> runs;  // distinct id -> postings run
+  std::vector<std::uint64_t> trials;       // distinct id -> T-bit trial set
+  std::vector<Posting> matched;            // postings in a query trial
+  std::vector<std::uint32_t> starts;       // counting sort: trial offsets
+  std::vector<Posting> voted;              // `matched` sorted by trial
+};
+
 /// Per-thread mutable state for the query phase: the vote counter (the
 /// lazy counters of the paper's S4 implementation notes, one record per
 /// subject) plus every buffer the sketch kernels and the vote pass need,
@@ -130,8 +158,9 @@ class MapScratch {
   /// The segment's sketch, rebuilt in place per map_segment call.
   FlatSketch& sketch() noexcept { return sketch_; }
 
-  /// Home slot of each sketch k-mer, from FlatSketchIndex::homes.
-  std::vector<std::size_t>& homes() noexcept { return homes_; }
+  /// The vote pass's distinct k-mers, their postings runs and the postings
+  /// that vote.
+  SketchKeys& keys() noexcept { return keys_; }
 
   /// Subjects touched by the current top-x round (reused across calls).
   std::vector<io::SeqId>& touched() noexcept { return touched_; }
@@ -144,7 +173,7 @@ class MapScratch {
   VoteCounter counter_;
   SketchScratch sketch_scratch_;
   FlatSketch sketch_;
-  std::vector<std::size_t> homes_;
+  SketchKeys keys_;
   std::vector<io::SeqId> touched_;
   HotpathCounters hotpath_;
 };
@@ -201,9 +230,9 @@ class JemMapper {
   }
 
   /// Maps one segment (steps 4-8 of Algorithm 2). Hot path: sketches into
-  /// the scratch's reusable buffers, prefetches every sketch k-mer's home
-  /// slot in the table's FlatSketchIndex, then probes and votes in one
-  /// pass.
+  /// the scratch's reusable buffers, probes each distinct sketch k-mer once
+  /// in the table's FlatSketchIndex (home slots prefetched first), then
+  /// votes trial by trial from the k-mers' postings runs.
   [[nodiscard]] MapResult map_segment(std::string_view segment,
                                       MapScratch& scratch) const;
 

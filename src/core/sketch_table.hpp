@@ -1,7 +1,7 @@
-// The sketch data structure S of Algorithm 2: T hash tables, one per trial,
-// mapping a minhash k-mer to the subjects that produced it, and the flat
-// entry list that S2 produces and the MPI_Allgatherv union step (S3)
-// exchanges.
+// The sketch data structure S of Algorithm 2: per trial, a map from a
+// minhash k-mer to the subjects that produced it, and the flat entry list
+// (SketchEntry, core/flat_index.hpp) that S2 produces and the
+// MPI_Allgatherv union step (S3) exchanges.
 #pragma once
 
 #include <cstdint>
@@ -15,26 +15,16 @@
 
 namespace jem::core {
 
-/// One serialized table entry; trivially copyable for the allgatherv wire
-/// format.
-struct SketchEntry {
-  KmerCode kmer = 0;
-  std::uint32_t trial = 0;
-  io::SeqId subject = 0;
-
-  friend bool operator==(const SketchEntry&, const SketchEntry&) = default;
-};
-static_assert(sizeof(SketchEntry) == 16);
-
 // The table is built once, from a list of wire entries, and is immutable
 // afterwards. The build is the paper's S2 + S3 in one process:
 // sketch_subjects (core/mapper.hpp) sketches base-balanced subject ranges in
 // parallel into one entry list, and from_entries turns it — or the
 // allgathered union of every rank's list — into the frozen table with a
-// sort per trial, no hash-map inserts (minimap2's index build, Li 2018).
-// The frozen table has one form, a FlatSketchIndex: per trial, an
-// open-addressing slot region over that trial's slice of one postings pool
-// — the paper's S_global as "T lists" (Fig 2), probed in O(1) per lookup
+// sort per hash shard, no hash-map inserts (minimap2's index build, Li
+// 2018). The frozen table has one form, a FlatSketchIndex: one
+// open-addressing table keyed by k-mer for all T trials, each key's
+// postings one run sorted by (trial, subject), so the paper's S_global as
+// "T lists" (Fig 2) is each run cut by trial, probed in O(1) per lookup
 // with batched prefetching. flat() exposes it. Its bytes do not depend on
 // the entry order or the thread count. Building throws std::length_error
 // if the postings exceed the std::uint32_t offset range of a slot
@@ -71,8 +61,8 @@ class SketchTable {
 
   /// Builds a table from entry lists — one process's sketch_subjects output
   /// or the concatenated per-rank lists of the union step, in any order.
-  /// Duplicate triples collapse. `threads` workers sort and index the
-  /// trials in parallel; the result is the same at every thread count.
+  /// Duplicate triples collapse. `threads` workers sort and index the hash
+  /// shards in parallel; the result is the same at every thread count.
   /// Throws std::invalid_argument on a trial id >= trials.
   [[nodiscard]] static SketchTable from_entries(
       int trials, std::span<const SketchEntry> entries,

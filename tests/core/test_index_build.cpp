@@ -109,7 +109,7 @@ std::string random_dna(util::Xoshiro256ss& rng, std::size_t length) {
 }
 
 TEST(IndexBuild, GoldenArtifactAtEveryThreadCount) {
-  // Digests of the artifact bytes (format version 2) the serial build
+  // Digests of the artifact bytes (format version 3) the serial build
   // writes for this subject set under the default (paper) parameters.
   const io::SequenceSet subjects = golden_subjects();
   ASSERT_EQ(subjects.size(), 90u);
@@ -117,7 +117,7 @@ TEST(IndexBuild, GoldenArtifactAtEveryThreadCount) {
   for (const std::size_t threads : kThreadCounts) {
     EXPECT_EQ(io::xxh64(artifact(subjects, params, SketchScheme::kJem,
                                  threads)),
-              0x0bec474b26ce1b2bull)
+              0xb9258da624b42310ull)
         << "threads " << threads;
   }
 }
@@ -128,38 +128,39 @@ TEST(IndexBuild, GoldenArtifactAtEveryThreadCountClassicMinhash) {
   for (const std::size_t threads : kThreadCounts) {
     EXPECT_EQ(io::xxh64(artifact(subjects, params,
                                  SketchScheme::kClassicMinhash, threads)),
-              0x7c9879f8d3a2292aull)
+              0xa85f070bd7e75c57ull)
         << "threads " << threads;
   }
 }
 
-/// xxh64 of the FLATGEO, FLATSLOT and FLATSUB payloads of an artifact.
-std::array<std::uint64_t, 3> flat_digests(std::string bytes) {
+/// xxh64 of the FLATGEO, FLATSLOT, FLATTRI and FLATSUB payloads of an
+/// artifact.
+std::array<std::uint64_t, 4> flat_digests(std::string bytes) {
   const io::ArtifactReader reader(std::move(bytes), kIndexArtifactMagic,
                                   kIndexArtifactVersion);
   return {io::xxh64(reader.section("FLATGEO")),
           io::xxh64(reader.section("FLATSLOT")),
+          io::xxh64(reader.section("FLATTRI")),
           io::xxh64(reader.section("FLATSUB"))};
 }
 
 TEST(IndexBuild, GoldenFlatSectionsAtEveryThreadCount) {
-  // The flat index's own bytes, apart from the container around them:
-  // these are the digests the version-1 format (which also stored per-trial
-  // CSR arrays) wrote for the same three sections, so building the index
-  // straight from the sorted trials changed none of its bytes.
+  // The flat index's own bytes, apart from the container around them: the
+  // capacity, the slot array of the one k-mer-keyed table and its two
+  // postings arrays, the same at every thread count.
   const io::SequenceSet subjects = golden_subjects();
   const MapParams params;
   struct Golden {
     SketchScheme scheme;
-    std::array<std::uint64_t, 3> digests;
+    std::array<std::uint64_t, 4> digests;
   };
   for (const Golden& golden :
        {Golden{SketchScheme::kJem,
-               {0x8cdefb5e232887dcull, 0xf08ee28d115d4112ull,
-                0x87f326c3d19c2fc2ull}},
+               {0x92c09d4dde0cbb4aull, 0xc863004f1813c8d2ull,
+                0x5c7bd00c25ce9bc6ull, 0x67a85c51866531faull}},
         Golden{SketchScheme::kClassicMinhash,
-               {0xeed929497a869beaull, 0x61b940baa3ed661bull,
-                0xfd2b4407649ec880ull}}}) {
+               {0x92c09d4dde0cbb4aull, 0x8f9b2cb3fa838fc5ull,
+                0x2e7198ad618cee07ull, 0xd2bd65e8546c3ae7ull}}}) {
     for (const std::size_t threads : kThreadCounts) {
       EXPECT_EQ(flat_digests(artifact(subjects, params, golden.scheme,
                                       threads)),

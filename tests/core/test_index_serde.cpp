@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -226,7 +227,7 @@ TEST_F(IndexSerdeTest, BitRotInEverySectionIsAChecksumMismatch) {
       serialize_index(mapper.table(), params_, SketchScheme::kJem, subjects_);
 
   const std::vector<SectionLoc> sections = locate_sections(bytes);
-  EXPECT_EQ(sections.size(), 6u);  // PARAMS..FLATSUB, the documented layout
+  EXPECT_EQ(sections.size(), 7u);  // PARAMS..FLATSUB, the documented layout
   for (const SectionLoc& loc : sections) {
     if (loc.size == 0) continue;
     std::string corrupt = bytes;
@@ -314,6 +315,101 @@ TEST_F(IndexSerdeTest, ChecksummedButInconsistentSectionsAreBadSections) {
     fix_checksum(tampered, slots);
     expect_bad_section(tampered, "slot postings overrun FLATSUB");
   }
+
+  // Rewrites every u32 of a postings section with `rewrite(index, value)`.
+  const auto rewrite_u32s = [&](std::string tampered, std::string_view tag,
+                                const auto& rewrite) {
+    const SectionLoc& loc = find(tag);
+    for (std::size_t i = 0; i < loc.size / sizeof(std::uint32_t); ++i) {
+      std::uint32_t value = 0;
+      char* const at = tampered.data() + loc.payload + i * sizeof(value);
+      std::memcpy(&value, at, sizeof(value));
+      value = rewrite(i, value);
+      std::memcpy(at, &value, sizeof(value));
+    }
+    fix_checksum(tampered, loc);
+    return tampered;
+  };
+  // A subject id past the subject set would index the vote counter out of
+  // bounds; a trial id past T would too.
+  expect_bad_section(
+      rewrite_u32s(bytes, "FLATSUB",
+                   [](std::size_t, std::uint32_t) { return 50'000'000u; }),
+      "FLATSUB subject id >= subject count");
+  expect_bad_section(
+      rewrite_u32s(bytes, "FLATSUB",
+                   [&](std::size_t i, std::uint32_t value) {
+                     return i == 0 ? static_cast<std::uint32_t>(
+                                         subjects_.size())
+                                   : value;
+                   }),
+      "FLATSUB subject id == subject count");
+  expect_bad_section(
+      rewrite_u32s(bytes, "FLATTRI",
+                   [&](std::size_t i, std::uint32_t value) {
+                     return i == 0 ? static_cast<std::uint32_t>(
+                                         params_.trials)
+                                   : value;
+                   }),
+      "FLATTRI trial id == T");
+  {
+    // A run of two or more postings whose second posting repeats its first
+    // (trial, subject): not strictly ascending.
+    std::size_t second = 0;
+    const FlatSketchIndex& flat = mapper.table().flat();
+    for (const FlatSketchIndex::Slot& slot : flat.slots()) {
+      if (slot.count >= 2) {
+        second = slot.offset + 1;
+        break;
+      }
+    }
+    ASSERT_GT(second, 0u) << "no run of two postings";
+    std::string tampered = bytes;
+    for (const std::string_view tag : {"FLATTRI", "FLATSUB"}) {
+      const SectionLoc& loc = find(tag);
+      std::memcpy(tampered.data() + loc.payload + second * 4,
+                  tampered.data() + loc.payload + (second - 1) * 4, 4);
+      fix_checksum(tampered, loc);
+    }
+    expect_bad_section(tampered, "run repeats a (trial, subject) posting");
+
+    // The same two postings swapped: descending.
+    tampered = bytes;
+    for (const std::string_view tag : {"FLATTRI", "FLATSUB"}) {
+      const SectionLoc& loc = find(tag);
+      char* const at = tampered.data() + loc.payload + (second - 1) * 4;
+      std::swap_ranges(at, at + 4, at + 4);
+      fix_checksum(tampered, loc);
+    }
+    expect_bad_section(tampered, "run descends by (trial, subject)");
+  }
+  {
+    // A capacity that is not a power of two, and one past the slot array.
+    const SectionLoc& geo = find("FLATGEO");
+    for (const std::uint64_t capacity :
+         {std::uint64_t{3}, std::uint64_t{1} << 40}) {
+      std::string tampered = bytes;
+      std::memcpy(tampered.data() + geo.payload, &capacity,
+                  sizeof(capacity));
+      fix_checksum(tampered, geo);
+      expect_bad_section(tampered, "FLATGEO capacity");
+    }
+  }
+}
+
+TEST_F(IndexSerdeTest, VersionTwoArtifactIsBadVersion) {
+  // A version-2 artifact (one slot region per trial) is refused by its
+  // version; jem map --load-index logs it and rebuilds from FASTA.
+  const JemMapper mapper(subjects_, params_, SketchScheme::kJem);
+  std::string bytes =
+      serialize_index(mapper.table(), params_, SketchScheme::kJem, subjects_);
+  const std::uint32_t version = 2;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  EXPECT_EQ(reason_of([&] {
+              (void)deserialize_index(bytes, params_, SketchScheme::kJem,
+                                      subjects_);
+            }),
+            io::ArtifactReason::kBadVersion);
 }
 
 TEST_F(IndexSerdeTest, VersionOneArtifactIsBadVersion) {

@@ -462,6 +462,75 @@ TEST_F(MapperTest, HotPathMatchesReferenceWithRaisedMinVotes) {
   expect_hot_path_matches_reference(minhash, genome_, 6262);
 }
 
+TEST_F(MapperTest, HotPathMatchesReferenceAtAnyTrialCount) {
+  // The vote pass keeps each k-mer's query trials in a bit set of T bits
+  // and sorts the kept postings by trial: T = 1, 64 and 65 sit on the word
+  // edges, 150 is the classic-MinHash trial count of Fig 6. Over simulated
+  // read tiles, unrelated segments that hit nothing, and segments that
+  // repeat one k-mer at several positions, map_segment and
+  // map_segment_topx must equal the oracles, which read the table only
+  // through per-trial lookup().
+  sim::GenomeParams genome_params;
+  genome_params.length = 40'000;
+  genome_params.repeat_fraction = 0.2;
+  genome_params.seed = 31;
+  const std::string genome = sim::simulate_genome(genome_params);
+  sim::ContigSimParams contig_params;
+  contig_params.seed = 32;
+  const sim::SimulatedContigs contigs =
+      sim::simulate_contigs(genome, contig_params);
+  sim::HiFiParams read_params;
+  read_params.coverage = 1.0;
+  read_params.seed = 33;
+  const io::SequenceSet reads =
+      sim::simulate_hifi_reads(genome, read_params).reads;
+
+  util::Xoshiro256ss rng(34);
+  std::vector<std::string> segments;
+  for (io::SeqId read = 0; read < reads.size(); ++read) {
+    for (const EndSegment& segment :
+         extract_tiled_segments(read, reads.bases(read), 1000)) {
+      segments.emplace_back(segment.bases);
+    }
+  }
+  ASSERT_GT(segments.size(), 20u);
+  for (int i = 0; i < 4; ++i) segments.push_back(random_dna(rng, 1000));
+  // One genome k-mer (and its neighbourhood) repeated between random
+  // spacers, and a tandem repeat of one short genome stretch.
+  const std::string kmer = genome.substr(7000, 24);
+  std::string repeated;
+  for (int i = 0; i < 8; ++i) repeated += kmer + random_dna(rng, 90);
+  segments.push_back(repeated);
+  std::string tandem;
+  while (tandem.size() < 1000) tandem += genome.substr(15'000, 40);
+  segments.push_back(tandem);
+
+  for (const int trials : {1, 30, 64, 65, 150}) {
+    for (const SketchScheme scheme :
+         {SketchScheme::kJem, SketchScheme::kClassicMinhash}) {
+      const MapParams params =
+          MapParams::make().trials(trials).seed(35).build();
+      const JemMapper mapper(contigs.contigs, params, scheme);
+      MapScratch scratch(contigs.contigs.size());
+      oracle::ReferenceCounters counters(contigs.contigs.size());
+      std::size_t mapped = 0;
+      for (std::size_t i = 0; i < segments.size(); ++i) {
+        const MapResult fast = mapper.map_segment(segments[i], scratch);
+        ASSERT_EQ(fast,
+                  oracle::map_segment_reference(mapper, segments[i], counters))
+            << "T " << trials << " scheme " << static_cast<int>(scheme)
+            << " segment " << i;
+        ASSERT_EQ(mapper.map_segment_topx(segments[i], 5, scratch),
+                  oracle::map_segment_topx_reference(mapper, segments[i], 5))
+            << "T " << trials << " scheme " << static_cast<int>(scheme)
+            << " segment " << i;
+        mapped += fast.mapped() ? 1 : 0;
+      }
+      EXPECT_GT(mapped, 0u) << "T " << trials;
+    }
+  }
+}
+
 TEST_F(MapperTest, SubjectUnderTwoKmersOfOneTrialEarnsOneVote) {
   // A hand-built table over the sketch of one segment: subject 0 sits under
   // two k-mers of one trial and one k-mer of another, subject 1 under one
@@ -524,10 +593,18 @@ TEST_F(MapperTest, SampledHotpathCountersMatchPerTrialLookupMany) {
                 sketch_scratch, sketch);
     HotpathCounters expected = scratch.hotpath();
     std::set<io::SeqId> candidates;
+    // One probe per distinct k-mer of the sketch, in any trial: the table
+    // is keyed by k-mer alone.
+    const std::set<KmerCode> distinct(sketch.kmers.begin(),
+                                      sketch.kmers.end());
+    const std::vector<KmerCode> probes(distinct.begin(), distinct.end());
+    std::vector<std::span<const io::SeqId>> unused(probes.size());
+    expected.probe_slots += index.lookup_many(0, probes, unused);
+    expected.kmer_probes += probes.size();
     for (int t = 0; t < sketch.trials(); ++t) {
       const std::span<const KmerCode> kmers = sketch.trial(t);
       std::vector<std::span<const io::SeqId>> postings(kmers.size());
-      expected.probe_slots += index.lookup_many(t, kmers, postings);
+      (void)index.lookup_many(t, kmers, postings);
       expected.kmer_lookups += kmers.size();
       for (const std::span<const io::SeqId> subjects : postings) {
         subjects.empty() ? ++expected.sketch_misses : ++expected.sketch_hits;
@@ -545,6 +622,7 @@ TEST_F(MapperTest, SampledHotpathCountersMatchPerTrialLookupMany) {
     EXPECT_EQ(got.kmer_lookups, expected.kmer_lookups) << "round " << round;
     EXPECT_EQ(got.sketch_hits, expected.sketch_hits) << "round " << round;
     EXPECT_EQ(got.sketch_misses, expected.sketch_misses) << "round " << round;
+    EXPECT_EQ(got.kmer_probes, expected.kmer_probes) << "round " << round;
     EXPECT_EQ(got.probe_slots, expected.probe_slots) << "round " << round;
     EXPECT_EQ(got.candidates, expected.candidates) << "round " << round;
   }

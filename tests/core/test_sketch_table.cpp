@@ -59,8 +59,9 @@ void expect_matches_oracle(const SketchTable& table, const Oracle& oracle) {
 /// The frozen index of `a` and `b` is equal part for part.
 void expect_same_index(const SketchTable& a, const SketchTable& b) {
   EXPECT_TRUE(std::ranges::equal(a.flat().slots(), b.flat().slots()));
-  EXPECT_TRUE(std::ranges::equal(a.flat().bases(), b.flat().bases()));
-  EXPECT_TRUE(std::ranges::equal(a.flat().masks(), b.flat().masks()));
+  EXPECT_EQ(a.flat().capacity(), b.flat().capacity());
+  EXPECT_TRUE(
+      std::ranges::equal(a.flat().trial_ids(), b.flat().trial_ids()));
   EXPECT_TRUE(std::ranges::equal(a.flat().subjects(), b.flat().subjects()));
 }
 
