@@ -4,7 +4,7 @@
 // scheme makes per-query cost proportional to the hits alone.
 #include <benchmark/benchmark.h>
 
-#include "core/hit_counter.hpp"
+#include "oracle/hit_counters.hpp"
 #include "util/prng.hpp"
 
 namespace {
@@ -31,7 +31,7 @@ void run_queries(Counter& counter, std::size_t n, int hits,
 void BM_LazyCounter(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const int hits = static_cast<int>(state.range(1));
-  core::LazyHitCounter counter(n);
+  oracle::LazyHitCounter counter(n);
   run_queries(counter, n, hits, state);
 }
 BENCHMARK(BM_LazyCounter)
@@ -42,7 +42,7 @@ BENCHMARK(BM_LazyCounter)
 void BM_ResettingCounter(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const int hits = static_cast<int>(state.range(1));
-  core::ResettingHitCounter counter(n);
+  oracle::ResettingHitCounter counter(n);
   run_queries(counter, n, hits, state);
 }
 BENCHMARK(BM_ResettingCounter)

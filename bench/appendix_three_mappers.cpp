@@ -18,12 +18,9 @@ int main(int argc, const char** argv) {
   util::Options options;
   options.add_uint("cap-bp", cap_bp, "max simulated genome bases per input");
   options.add_uint("seed", seed, "experiment seed");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n'
-              << options.usage("appendix_three_mappers");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "appendix_three_mappers")) {
+    return *exit_code;
   }
 
   std::cout << "=== Appendix: JEM vs Mashmap-like vs Minimap2-like ===\n\n";

@@ -184,7 +184,8 @@ const EngineBenchData& engine_bench_data() {
 
 void BM_EngineMapReads(benchmark::State& state) {
   const EngineBenchData& data = engine_bench_data();
-  const core::MapParams params = core::MapParams::make().seed(23).build();
+  const core::MapParams params{.seed = 23};
+  params.validate();
   const core::MappingEngine engine(data.subjects, params);
   core::MapRequest request;
   request.backend = core::MapBackend::kPool;
@@ -219,7 +220,8 @@ struct HotpathData {
 const HotpathData& hotpath_data() {
   static const HotpathData data = [] {
     HotpathData d;
-    d.params = core::MapParams::make().seed(41).build();  // paper defaults
+    d.params = core::MapParams{.seed = 41};  // paper defaults
+    d.params.validate();
     const std::string genome = random_dna(40, 600'000);
     for (int i = 0; i < 60; ++i) {
       d.subjects.add(
@@ -778,13 +780,9 @@ struct IndexLoadFixture {
                    genome.substr(static_cast<std::size_t>(i) * 50'000,
                                  50'000));
     }
-    params = core::MapParams::make()
-                 .k(16)
-                 .window(20)
-                 .trials(8)
-                 .segment_length(800)
-                 .seed(7)
-                 .build();
+    params = core::MapParams{
+        .k = 16, .w = 20, .trials = 8, .segment_length = 800, .seed = 7};
+    params.validate();
     const core::JemMapper mapper(subjects, params);
     bytes = core::serialize_index(mapper.table(), params,
                                   core::SketchScheme::kJem, subjects);

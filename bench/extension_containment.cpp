@@ -21,12 +21,9 @@ int main(int argc, const char** argv) {
   util::Options options;
   options.add_uint("genome-bp", genome_bp, "simulated genome length");
   options.add_uint("seed", seed, "experiment seed");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n'
-              << options.usage("extension_containment");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "extension_containment")) {
+    return *exit_code;
   }
 
   std::cout << "=== Extension (paper SIII-B1): containment mapping via "

@@ -15,11 +15,9 @@ int main(int argc, const char** argv) {
   util::Options options;
   options.add_uint("cap-bp", cap_bp, "max simulated genome bases");
   options.add_uint("seed", seed, "experiment seed");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage("fig6_trials");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "fig6_trials")) {
+    return *exit_code;
   }
 
   std::cout << "=== Fig 6: quality vs number of trials T "

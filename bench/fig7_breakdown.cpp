@@ -17,11 +17,9 @@ int main(int argc, const char** argv) {
   util::Options options;
   options.add_uint("cap-bp", cap_bp, "max simulated genome bases per input");
   options.add_uint("seed", seed, "experiment seed");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage("fig7_breakdown");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "fig7_breakdown")) {
+    return *exit_code;
   }
 
   const std::vector<std::string> inputs{"C. elegans", "Human chr 7",

@@ -16,11 +16,9 @@ int main(int argc, const char** argv) {
   util::Options options;
   options.add_uint("cap-bp", cap_bp, "max simulated genome bases per input");
   options.add_uint("seed", seed, "experiment seed");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage("fig8_comm");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "fig8_comm")) {
+    return *exit_code;
   }
 
   std::cout << "=== Fig 8: computation vs communication time fractions ===\n\n";

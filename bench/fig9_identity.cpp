@@ -23,11 +23,9 @@ int main(int argc, const char** argv) {
   options.add_uint("seed", seed, "experiment seed");
   options.add_uint("max-segments", max_segments,
                    "alignment sample size (0 = all)");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage("fig9_identity");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "fig9_identity")) {
+    return *exit_code;
   }
 
   std::cout << "=== Fig 9: percent identity of mapped long-read ends "

@@ -16,11 +16,9 @@ int main(int argc, const char** argv) {
   util::Options options;
   options.add_uint("genome-bp", genome_bp, "simulated genome length");
   options.add_uint("seed", seed, "experiment seed");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage("robustness_error");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "robustness_error")) {
+    return *exit_code;
   }
 
   std::cout << "=== Robustness: read error rate (HiFi vs first-generation "

@@ -26,11 +26,9 @@ int main(int argc, const char** argv) {
   options.add_uint("seed", seed, "experiment seed");
   options.add_uint("verify-sample", verify_sample,
                    "mappings to verify by alignment per configuration");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage("robustness_sv");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "robustness_sv")) {
+    return *exit_code;
   }
 
   std::cout << "=== Robustness: donor genomes with structural variants ===\n\n";

@@ -38,11 +38,9 @@ int main(int argc, const char** argv) {
   options.add_uint("ranks", ranks, "simulated MPI ranks for the mapping");
   options.add_uint("min-links", min_links, "reads required per contig link");
   options.add_uint("seed", seed, "experiment seed");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage("hybrid_pipeline");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "hybrid_pipeline")) {
+    return *exit_code;
   }
 
   // --- 1. Inputs ----------------------------------------------------------

@@ -33,11 +33,9 @@ int main(int argc, const char** argv) {
   options.add_uint("min-links", min_links,
                    "minimum supporting reads per contig link");
   options.add_uint("seed", seed, "experiment seed");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage("hybrid_scaffold");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "hybrid_scaffold")) {
+    return *exit_code;
   }
 
   // Simulate a fragmented assembly: shortish contigs with real gaps, which

@@ -31,11 +31,9 @@ int main(int argc, const char** argv) {
   options.add_uint("genome-bp", genome_bp, "simulated genome length");
   options.add_double("coverage", coverage, "HiFi read coverage");
   options.add_uint("seed", seed, "experiment seed");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage("quickstart");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "quickstart")) {
+    return *exit_code;
   }
 
   // --- 1. Simulate the inputs -------------------------------------------
@@ -62,7 +60,8 @@ int main(int argc, const char** argv) {
             << util::human_bp(reads.reads.total_bases()) << ")\n\n";
 
   // --- 2. Build the engine (paper defaults: k=16, w=100, T=30, l=1000) --
-  const core::MapParams params = core::MapParams::make().seed(seed).build();
+  const core::MapParams params{.seed = seed};
+  params.validate();
   const core::MappingEngine engine(contigs.contigs, params);
   std::cout << "sketch table: " << engine.mapper().table().size()
             << " entries across "

@@ -34,11 +34,9 @@ int main(int argc, const char** argv) {
   options.add_uint("max", max_records, "verify at most N mappings (0 = all)");
   options.add_uint("k", k, "k-mer size for the alignment anchor");
   options.add_uint("w", w, "minimizer window for the alignment anchor");
-  try {
-    (void)options.parse(argc, argv);
-  } catch (const util::OptionError& error) {
-    std::cerr << error.what() << '\n' << options.usage("verify_mappings");
-    return 1;
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "verify_mappings")) {
+    return *exit_code;
   }
   if (subjects_path.empty() || queries_path.empty() ||
       mappings_path.empty()) {

@@ -44,7 +44,9 @@ ctest --test-dir build-tsan --output-on-failure \
 # rows by mask bit, and the mapper's fused vote pass stores raw home-slot
 # indices, probes the slot regions from them and indexes its vote records
 # by posting. The index build fills the slot array and postings pool
-# through raw per-trial region pointers.
+# through raw per-trial region pointers. The partitioned distributed
+# driver decodes its probe stream by a fixed word stride and walks each
+# owner's replies with a per-source cursor.
 cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
@@ -52,7 +54,7 @@ cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan --parallel "$(nproc)" --target test_engine \
   test_chaos test_io test_core test_obs test_serve test_mpisim jem obs_check
 ctest --test-dir build-asan --output-on-failure \
-  -R 'RunSpmd|Allgatherv|Gatherv|AllToAllv|CommStats|StressTest|StagedExecutor|Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Inflate|Crc32|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|SketchLanes|LaneModulo|ClassicMinhash|MapperTest|VoteCounter|FlatSketchIndex|SketchTable|IndexBuild'
+  -R 'RunSpmd|Allgatherv|Gatherv|AllToAllv|CommStats|StressTest|StagedExecutor|Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Inflate|Crc32|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|SketchLanes|LaneModulo|ClassicMinhash|MapperTest|VoteCounter|FlatSketchIndex|SketchTable|IndexBuild|Distributed'
 
 # Hot-path bench smoke (the default build type is Release): a short run of
 # the BM_Hotpath* family catches wiring regressions in the flat-index /

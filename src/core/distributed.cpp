@@ -290,16 +290,10 @@ int kmer_owner(KmerCode kmer, int ranks) {
                           static_cast<std::uint64_t>(ranks));
 }
 
-/// Wire records for the query-routing all-to-alls.
-struct QueryProbe {
-  std::uint32_t segment = 0;  // local segment index at the origin rank
-  std::uint32_t trial = 0;
-  KmerCode kmer = 0;
-};
-static_assert(sizeof(QueryProbe) == 16);
-
+/// Wire record of the reply exchange: one posting of a probed k-mer in a
+/// trial of the probe's trial set.
 struct HitReply {
-  std::uint32_t segment = 0;
+  std::uint32_t segment = 0;  // local segment index at the origin rank
   std::uint32_t trial = 0;
   io::SeqId subject = 0;
 };
@@ -347,17 +341,24 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
         SketchTable::from_entries(params.trials, shard_entries);
     const double build_s = seconds(build_span.finish());
 
-    // S4a: sketch local query segments and bucket the probes by owner.
+    // S4a: sketch each local query segment into one reused scratch and
+    // send one probe per distinct k-mer to the k-mer's owner: a fixed
+    // stride of words holding the segment, the k-mer and its trial set.
     comm.fault_point("P:map");
     obs::StageSpan map_span(obs, "P:map");
+    const std::size_t words =
+        SketchKeys::words(static_cast<std::size_t>(params.trials));
+    const std::size_t stride = 2 + words;
+    MapScratch scratch(subjects.size());
+    SketchKeys& keys = scratch.keys();
     std::vector<SegmentMapping> local_segments;
-    std::vector<std::vector<QueryProbe>> probes(static_cast<std::size_t>(p));
+    std::vector<std::vector<std::uint64_t>> probes(
+        static_cast<std::size_t>(p));
     for (io::SeqId read = slot.queries.first; read < slot.queries.second;
          ++read) {
       for (const EndSegment& segment : extract_end_segments(
                read, reads.bases(read), params.segment_length)) {
-        const auto segment_id =
-            static_cast<std::uint32_t>(local_segments.size());
+        const std::uint64_t segment_id = local_segments.size();
         SegmentMapping mapping;
         mapping.read = read;
         mapping.end = segment.end;
@@ -366,74 +367,63 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
             static_cast<std::uint32_t>(segment.bases.size());
         local_segments.push_back(mapping);
 
-        const Sketch sketch =
-            make_sketch(segment.bases, params, scheme, hashes);
-        for (int t = 0; t < params.trials; ++t) {
-          for (KmerCode kmer :
-               sketch.per_trial[static_cast<std::size_t>(t)]) {
-            probes[static_cast<std::size_t>(kmer_owner(kmer, p))].push_back(
-                {segment_id, static_cast<std::uint32_t>(t), kmer});
+        make_sketch(segment.bases, params, scheme, hashes,
+                    scratch.sketch_scratch(), scratch.sketch());
+        const std::size_t distinct = sketch_keys(scratch.sketch(), keys);
+        for (std::size_t d = 0; d < distinct; ++d) {
+          std::vector<std::uint64_t>& out =
+              probes[static_cast<std::size_t>(kmer_owner(keys.kmers[d], p))];
+          out.push_back(segment_id);
+          out.push_back(keys.kmers[d]);
+          const std::uint64_t* const set = keys.trials.data() + d * words;
+          out.insert(out.end(), set, set + words);
+        }
+      }
+    }
+
+    // S4b: exchange probes; each owner answers a probe with the postings
+    // of its k-mer whose trial is in the probe's set, in probe order.
+    const auto incoming_probes = comm.all_to_allv<std::uint64_t>(probes);
+    const FlatSketchIndex& index = shard.flat();
+    std::vector<std::vector<HitReply>> replies(static_cast<std::size_t>(p));
+    std::uint64_t probed = 0;
+    for (int src = 0; src < p; ++src) {
+      const std::vector<std::uint64_t>& stream =
+          incoming_probes[static_cast<std::size_t>(src)];
+      for (std::size_t at = 0; at + stride <= stream.size(); at += stride) {
+        const auto segment = static_cast<std::uint32_t>(stream[at]);
+        const KmerCode kmer = stream[at + 1];
+        const std::uint64_t* const set = stream.data() + at + 2;
+        const FlatSketchIndex::Run run =
+            index.probe(index.home(FlatSketchIndex::hash(kmer)), kmer, probed);
+        for (std::uint32_t i = run.begin; i < run.end; ++i) {
+          const std::uint32_t trial = index.trial_ids()[i];
+          if (((set[trial / 64] >> (trial % 64)) & 1) != 0) {
+            replies[static_cast<std::size_t>(src)].push_back(
+                {segment, trial, index.subjects()[i]});
           }
         }
       }
     }
-
-    // S4b: exchange probes; owners answer with every matching posting.
-    const auto incoming_probes = comm.all_to_allv<QueryProbe>(probes);
-    std::vector<std::vector<HitReply>> replies(static_cast<std::size_t>(p));
-    for (int src = 0; src < p; ++src) {
-      for (const QueryProbe& probe :
-           incoming_probes[static_cast<std::size_t>(src)]) {
-        for (io::SeqId subject :
-             shard.flat().lookup(static_cast<int>(probe.trial),
-                                 probe.kmer)) {
-          replies[static_cast<std::size_t>(src)].push_back(
-              {probe.segment, probe.trial, subject});
-        }
-      }
-    }
-    auto incoming_replies = comm.all_to_allv<HitReply>(replies);
+    const auto incoming_replies = comm.all_to_allv<HitReply>(replies);
     slot.shared = true;  // this rank's shard answered all probes
 
-    // S4c: aggregate votes locally. Sorting by (segment, trial, subject)
-    // and deduplicating realizes the per-trial hit *sets* of Algorithm 2.
-    std::vector<HitReply> hits;
-    for (auto& part : incoming_replies) {
-      hits.insert(hits.end(), part.begin(), part.end());
-    }
-    std::sort(hits.begin(), hits.end(),
-              [](const HitReply& a, const HitReply& b) {
-                if (a.segment != b.segment) return a.segment < b.segment;
-                if (a.trial != b.trial) return a.trial < b.trial;
-                return a.subject < b.subject;
-              });
-    hits.erase(std::unique(hits.begin(), hits.end(),
-                           [](const HitReply& a, const HitReply& b) {
-                             return a.segment == b.segment &&
-                                    a.trial == b.trial &&
-                                    a.subject == b.subject;
-                           }),
-               hits.end());
-
-    LazyHitCounter votes(subjects.size());
-    std::size_t cursor = 0;
-    while (cursor < hits.size()) {
-      const std::uint32_t segment = hits[cursor].segment;
-      votes.new_round();
-      MapResult best;
-      while (cursor < hits.size() && hits[cursor].segment == segment) {
-        const io::SeqId subject = hits[cursor].subject;
-        const std::uint32_t count = votes.increment(subject);
-        if (count > best.votes ||
-            (count == best.votes && subject < best.subject)) {
-          best.votes = count;
-          best.subject = subject;
+    // S4c: every owner answered in segment order, so one cursor per source
+    // collects a segment's postings; they vote by map_segment's rule.
+    std::vector<std::size_t> cursors(static_cast<std::size_t>(p), 0);
+    for (std::size_t segment = 0; segment < local_segments.size(); ++segment) {
+      keys.matched.clear();
+      keys.starts.assign(static_cast<std::size_t>(params.trials) + 1, 0);
+      for (std::size_t src = 0; src < cursors.size(); ++src) {
+        const std::vector<HitReply>& part = incoming_replies[src];
+        for (std::size_t& at = cursors[src];
+             at < part.size() && part[at].segment == segment; ++at) {
+          keys.matched.push_back({part[at].trial, part[at].subject});
+          ++keys.starts[part[at].trial + 1];
         }
-        ++cursor;
       }
-      if (best.votes >= params.min_votes) {
-        local_segments[segment].result = best;
-      }
+      local_segments[segment].result =
+          vote_matched(scratch, params.trials, params.min_votes);
     }
 
     slot.mappings = std::move(local_segments);

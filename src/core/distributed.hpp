@@ -155,10 +155,12 @@ struct DistributedResult {
 /// Partitioned-table strategy: instead of replicating S_global at every
 /// rank (the paper's S3, space O(n·m_s·T) *per process* — its §III-C1
 /// space note), the table is sharded by k-mer hash across ranks and queries
-/// are routed with two all-to-all exchanges (probes out, hits back).
-/// Memory per rank drops to ~1/p of the table at the price of all-to-all
-/// communication in the query phase. Mappings are bit-identical to the
-/// replicated strategy.
+/// are routed with two all-to-all exchanges: one probe per distinct
+/// (segment, k-mer) pair out, carrying the k-mer's trial set, and the
+/// postings in those trials back. The requester votes them through
+/// map_segment's vote pass (vote_matched). Memory per rank drops to ~1/p of
+/// the table at the price of all-to-all communication in the query phase.
+/// Mappings are bit-identical to the replicated strategy.
 [[nodiscard]] DistributedResult run_distributed_partitioned(
     const io::SequenceSet& subjects, const io::SequenceSet& reads,
     const MapParams& params, int ranks,

@@ -11,9 +11,11 @@
 // entry of a segment's sketch is a minimizer of the segment, so its ~110
 // (trial, k-mer) entries hold only ~20 distinct k-mers. The mapper hashes,
 // prefetches and probes each distinct k-mer once (home(), probe()), then
-// votes trial by trial from the runs (core/mapper.cpp). lookup(t, kmer)
-// and the batched lookup_many() probe the k-mer and cut trial t's slice
-// out of its run.
+// votes trial by trial from the runs (core/mapper.cpp); the partitioned
+// distributed driver probes its shard the same way. lookup(t, kmer) and
+// the batched lookup_many() probe the k-mer and cut trial t's slice out
+// of its run: this per-trial view serves only tests, the oracles and
+// perfbench.
 //
 // Layout. A key's home slot is the top log2(capacity) bits of mix64(kmer),
 // with the capacity the smallest power of two >= 2 * keys (load <= 0.5,

@@ -1,13 +1,8 @@
-// The lazy-update hit counter of the paper's S4 implementation notes: an
-// array A[1..n] of <count, stamp> tuples that never needs a bulk reset.
-// Whenever a new query (or query-trial) begins, the caller bumps the epoch;
-// stale slots are detected by comparing their stamp against the current
-// epoch and are reinitialized on first touch. This replaces an O(n) clear
-// per query with O(1) amortized work per hit — one of the design choices the
-// ablation benchmark quantifies.
+// The mapper's vote counter: the paper's S4 lazy-update counter, fused
+// with the per-trial hit-set test. The unfused counters live with the test
+// oracles (tests/oracle/hit_counters.hpp).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -15,66 +10,13 @@
 
 namespace jem::core {
 
-class LazyHitCounter {
- public:
-  explicit LazyHitCounter(std::size_t num_subjects)
-      : slots_(num_subjects) {}
-
-  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
-
-  /// Starts a new counting round (the paper: "set A[i].v to j and reset the
-  /// counter" — here a single epoch bump invalidates every slot at once).
-  void new_round() noexcept { ++epoch_; }
-
-  /// Increments the subject's count for the current round and returns the
-  /// new count.
-  std::uint32_t increment(io::SeqId subject) noexcept {
-    Slot& slot = slots_[subject];
-    if (slot.epoch != epoch_) {
-      slot.epoch = epoch_;
-      slot.count = 0;
-    }
-    return ++slot.count;
-  }
-
-  /// Marks the subject as seen this round; returns true only on the first
-  /// call of the round (used for per-trial hit-set deduplication).
-  bool first_time(io::SeqId subject) noexcept {
-    Slot& slot = slots_[subject];
-    if (slot.epoch != epoch_) {
-      slot.epoch = epoch_;
-      slot.count = 1;
-      return true;
-    }
-    if (slot.count == 0) {
-      slot.count = 1;
-      return true;
-    }
-    return false;
-  }
-
-  /// Current-round count (0 if untouched this round).
-  [[nodiscard]] std::uint32_t count(io::SeqId subject) const noexcept {
-    const Slot& slot = slots_[subject];
-    return slot.epoch == epoch_ ? slot.count : 0;
-  }
-
- private:
-  struct Slot {
-    std::uint64_t epoch = 0;
-    std::uint32_t count = 0;
-  };
-  std::vector<Slot> slots_;
-  std::uint64_t epoch_ = 1;  // starts above the all-zero initial stamps
-};
-
 /// The mapper's vote counter: one record {segment stamp, last trial,
 /// count} per subject, so each posting of the fused vote pass costs one
-/// access. It counts what a per-segment LazyHitCounter of votes and a
-/// per-trial LazyHitCounter of `first_time` marks count together: a
-/// subject earns at most one vote per trial. Within a segment, trials
-/// must be visited in ascending order (or at least never revisited), so
-/// "last trial == t" is exactly "already seen in trial t".
+/// access. It counts what a per-segment lazy counter of votes and a
+/// per-trial lazy counter of first-time marks (the oracles' pair) count
+/// together: a subject earns at most one vote per trial. Within a
+/// segment, trials must be visited in ascending order (or at least never
+/// revisited), so "last trial == t" is exactly "already seen in trial t".
 class VoteCounter {
  public:
   explicit VoteCounter(std::size_t num_subjects) : records_(num_subjects) {}
@@ -110,31 +52,6 @@ class VoteCounter {
   static_assert(sizeof(Record) == 16);
   std::vector<Record> records_;
   std::uint64_t stamp_ = 1;  // starts above the all-zero initial stamps
-};
-
-/// The naive alternative used by the counter ablation: a plain count array
-/// cleared with an O(n) pass per round.
-class ResettingHitCounter {
- public:
-  explicit ResettingHitCounter(std::size_t num_subjects)
-      : counts_(num_subjects, 0) {}
-
-  [[nodiscard]] std::size_t size() const noexcept { return counts_.size(); }
-
-  void new_round() noexcept {
-    std::fill(counts_.begin(), counts_.end(), 0u);
-  }
-
-  std::uint32_t increment(io::SeqId subject) noexcept {
-    return ++counts_[subject];
-  }
-
-  [[nodiscard]] std::uint32_t count(io::SeqId subject) const noexcept {
-    return counts_[subject];
-  }
-
- private:
-  std::vector<std::uint32_t> counts_;
 };
 
 }  // namespace jem::core

@@ -3,7 +3,7 @@
 //
 // Quick tour:
 //   io::SequenceSet      — load contigs/reads (io/fasta.hpp)
-//   core::MapParams      — k, w, T, ℓ, seed (MapParams::make() builder)
+//   core::MapParams      — k, w, T, ℓ, seed (MapParams{.k = 16}.validate())
 //   core::JemMapper      — Algorithm 2 on one segment (map_segment)
 //   core::MappingEngine  — maps read sets: run / run_stream (MapRequest)
 //   core::run_distributed / run_staged — the parallel drivers (S1-S4)

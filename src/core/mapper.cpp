@@ -190,11 +190,13 @@ JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
 namespace {
 
 /// Gives each entry of `sketch` the id of its k-mer among the sketch's
-/// distinct k-mers (keys.ids), and lists each distinct k-mer with its home
-/// slot in `index`, prefetched, so the slot misses of all of them overlap.
+/// distinct k-mers (keys.ids) and lists the distinct k-mers (keys.kmers).
+/// Calls on_new(id, kmer) as each k-mer is first seen, so a caller can
+/// start loading its home slot while the rest of the sketch is deduplicated.
 /// Returns the number of distinct k-mers.
-std::size_t distinct_kmers(const FlatSketch& sketch,
-                           const FlatSketchIndex& index, SketchKeys& keys) {
+template <typename OnNew>
+std::size_t distinct_kmers(const FlatSketch& sketch, SketchKeys& keys,
+                           OnNew&& on_new) {
   const std::size_t n = sketch.kmers.size();
   const std::size_t capacity =
       std::bit_ceil(std::max<std::size_t>(16, 2 * n));
@@ -208,11 +210,9 @@ std::size_t distinct_kmers(const FlatSketch& sketch,
   }
   keys.ids.resize(n);
   keys.kmers.resize(n);
-  keys.homes.resize(n);
-  keys.runs.resize(n);
 
-  // A multiplicative hash picks the set slot; the index hash is taken only
-  // for the k-mers that are new.
+  // A multiplicative hash picks the set slot; on_new runs only for the
+  // k-mers that are new.
   const unsigned shift =
       64 - static_cast<unsigned>(std::countr_zero(capacity));
   const std::size_t mask = capacity - 1;
@@ -226,8 +226,7 @@ std::size_t distinct_kmers(const FlatSketch& sketch,
       if (seen[i].stamp != stamp) {
         seen[i] = {kmer, stamp, distinct};
         keys.kmers[distinct] = kmer;
-        keys.homes[distinct] = index.home(FlatSketchIndex::hash(kmer));
-        index.prefetch(keys.homes[distinct]);
+        on_new(distinct, kmer);
         keys.ids[j] = distinct++;
         break;
       }
@@ -240,11 +239,27 @@ std::size_t distinct_kmers(const FlatSketch& sketch,
   return distinct;
 }
 
+/// Builds each distinct k-mer's T-bit trial set (keys.trials): bit t is
+/// set when trial t of `sketch` holds the k-mer.
+void trial_sets(const FlatSketch& sketch, std::size_t distinct,
+                SketchKeys& keys) {
+  const auto trials = static_cast<std::size_t>(sketch.trials());
+  const std::size_t words = SketchKeys::words(trials);
+  keys.trials.assign(distinct * words, 0);
+  for (std::size_t t = 0; t < trials; ++t) {
+    std::uint64_t* const word = keys.trials.data() + t / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (t % 64);
+    for (std::size_t j = sketch.offsets[t]; j < sketch.offsets[t + 1]; ++j) {
+      word[keys.ids[j] * words] |= bit;
+    }
+  }
+}
+
 /// Resolves a sketch to the postings it votes with. Probes each distinct
 /// k-mer once (the slots were prefetched by distinct_kmers) and prefetches
 /// its postings run; keeps the postings whose trial holds the k-mer in the
-/// sketch, tested against a bit set of T bits per k-mer; and sorts those by
-/// trial (a counting sort) into keys.voted. Adds the slots touched to
+/// sketch, tested against its trial set, at the front of keys.matched, and
+/// counts them per trial in keys.starts. Adds the slots touched to
 /// `probed`, and returns the (trial, k-mer) entries of the sketch that have
 /// postings in their trial.
 std::uint64_t gather_postings(const FlatSketch& sketch,
@@ -262,20 +277,12 @@ std::uint64_t gather_postings(const FlatSketch& sketch,
     keys.runs[d] = run;
     postings += run.end - run.begin;
   }
-
-  const auto trials = static_cast<std::size_t>(sketch.trials());
-  const std::size_t words = (trials + 63) / 64;
-  keys.trials.assign(distinct * words, 0);
-  for (std::size_t t = 0; t < trials; ++t) {
-    std::uint64_t* const word = keys.trials.data() + t / 64;
-    const std::uint64_t bit = std::uint64_t{1} << (t % 64);
-    for (std::size_t j = sketch.offsets[t]; j < sketch.offsets[t + 1]; ++j) {
-      word[keys.ids[j] * words] |= bit;
-    }
-  }
+  trial_sets(sketch, distinct, keys);
 
   // Branch-free filter: every posting is written at the next free place,
   // and only the kept ones advance it.
+  const auto trials = static_cast<std::size_t>(sketch.trials());
+  const std::size_t words = SketchKeys::words(trials);
   keys.matched.resize(postings);
   keys.starts.assign(trials + 1, 0);
   SketchKeys::Posting* const matched = keys.matched.data();
@@ -295,47 +302,81 @@ std::uint64_t gather_postings(const FlatSketch& sketch,
       hits += keep & (at == run.begin || trial_ids[at - 1] != trial ? 1 : 0);
     }
   }
-  for (std::size_t t = 0; t < trials; ++t) starts[t + 1] += starts[t];
-  keys.voted.resize(kept);
-  for (std::size_t i = 0; i < kept; ++i) {
-    keys.voted[starts[matched[i].trial]++] = matched[i];
-  }
   return hits;
 }
 
-/// Steps 4-7 of Algorithm 2, shared by map_segment and map_segment_topx:
-/// sketches `segment` into the scratch's buffers, resolves the sketch to
-/// its voting postings in trial order (distinct_kmers, gather_postings),
-/// and calls on_vote(subject, count) once per subject per trial that hits
-/// it, with `count` the subject's running vote total. Hits_r[t] is a *set*
-/// of subjects: a subject colliding via several sketch k-mers within one
-/// trial still earns a single vote, which the VoteCounter's last-trial
-/// field enforces, since the trials come in ascending order. Sampled
-/// segments also fill the scratch's hot-path counters; a subject's first
-/// vote counts it as a candidate.
+/// The vote rule. Counting-sorts the postings at the front of the
+/// scratch's keys.matched by trial into keys.voted (keys.starts[t + 1]
+/// holds trial t's count) and feeds them to its VoteCounter in ascending
+/// trial order. Hits_r[t] is a *set* of subjects: a subject colliding via
+/// several sketch k-mers within one trial still earns a single vote, which
+/// the counter's last-trial field enforces. Calls on_vote(subject, count)
+/// on each vote, with `count` the subject's running total, and adds the
+/// distinct subjects voted to `candidates`. Returns the subject with the
+/// most votes, ties to the smallest id (the online update realizes that
+/// order without a final scan over all subjects), or an unmapped result
+/// below `min_votes`.
 template <typename OnVote>
-void vote_segment(std::string_view segment, const MapParams& params,
-                  SketchScheme scheme, const HashFamily& hashes,
-                  const FlatSketchIndex& index, MapScratch& scratch,
-                  OnVote&& on_vote) {
-  FlatSketch& sketch = scratch.sketch();
-  make_sketch(segment, params, scheme, hashes, scratch.sketch_scratch(),
-              sketch);
+MapResult vote_by_trial(MapScratch& scratch, std::size_t trials,
+                        std::uint32_t min_votes, std::uint64_t& candidates,
+                        OnVote&& on_vote) {
   SketchKeys& keys = scratch.keys();
-  const std::size_t distinct = distinct_kmers(sketch, index, keys);
-  std::uint64_t probed = 0;
-  const std::uint64_t hits =
-      gather_postings(sketch, index, distinct, keys, probed);
+  std::uint32_t* const starts = keys.starts.data();
+  for (std::size_t t = 0; t < trials; ++t) starts[t + 1] += starts[t];
+  const std::size_t matched = starts[trials];
+  keys.voted.resize(matched);
+  const SketchKeys::Posting* const in = keys.matched.data();
+  SketchKeys::Posting* const out = keys.voted.data();
+  for (std::size_t i = 0; i < matched; ++i) {
+    out[starts[in[i].trial]++] = in[i];
+  }
 
   VoteCounter& counter = scratch.counter();
   counter.new_segment();
-  std::uint64_t candidates = 0;
+  MapResult best;
   for (const SketchKeys::Posting posting : keys.voted) {
     const std::uint32_t count = counter.vote(posting.subject, posting.trial);
     if (count == 0) continue;
     candidates += count == 1 ? 1 : 0;
+    if (count > best.votes ||
+        (count == best.votes && posting.subject < best.subject)) {
+      best = {posting.subject, count};
+    }
     on_vote(posting.subject, count);
   }
+  return best.votes < min_votes ? MapResult{} : best;
+}
+
+/// Steps 4-8 of Algorithm 2, shared by map_segment and map_segment_topx:
+/// sketches `segment` into the scratch's buffers, resolves the sketch to
+/// its voting postings (distinct_kmers, gather_postings) and votes them
+/// (vote_by_trial, which calls on_vote and returns the best hit). Sampled
+/// segments also fill the scratch's hot-path counters.
+template <typename OnVote>
+MapResult vote_segment(std::string_view segment, const MapParams& params,
+                       SketchScheme scheme, const HashFamily& hashes,
+                       const FlatSketchIndex& index, MapScratch& scratch,
+                       OnVote&& on_vote) {
+  FlatSketch& sketch = scratch.sketch();
+  make_sketch(segment, params, scheme, hashes, scratch.sketch_scratch(),
+              sketch);
+  SketchKeys& keys = scratch.keys();
+  keys.homes.resize(sketch.kmers.size());
+  keys.runs.resize(sketch.kmers.size());
+  // The index hash is taken only for the new k-mers, and their home slots
+  // are prefetched so the misses of all of them overlap.
+  const std::size_t distinct =
+      distinct_kmers(sketch, keys, [&](std::uint32_t id, KmerCode kmer) {
+        keys.homes[id] = index.home(FlatSketchIndex::hash(kmer));
+        index.prefetch(keys.homes[id]);
+      });
+  std::uint64_t probed = 0;
+  const std::uint64_t hits =
+      gather_postings(sketch, index, distinct, keys, probed);
+  std::uint64_t candidates = 0;
+  const MapResult best =
+      vote_by_trial(scratch, static_cast<std::size_t>(sketch.trials()),
+                    params.min_votes, candidates, on_vote);
 
   HotpathCounters& hotpath = scratch.hotpath();
   if (hotpath.tick_sample()) {
@@ -346,26 +387,29 @@ void vote_segment(std::string_view segment, const MapParams& params,
     hotpath.probe_slots += probed;
     hotpath.candidates += candidates;
   }
+  return best;
 }
 
 }  // namespace
 
+std::size_t sketch_keys(const FlatSketch& sketch, SketchKeys& keys) {
+  const std::size_t distinct =
+      distinct_kmers(sketch, keys, [](std::uint32_t, KmerCode) {});
+  trial_sets(sketch, distinct, keys);
+  return distinct;
+}
+
+MapResult vote_matched(MapScratch& scratch, int trials,
+                       std::uint32_t min_votes) {
+  std::uint64_t candidates = 0;
+  return vote_by_trial(scratch, static_cast<std::size_t>(trials), min_votes,
+                       candidates, [](io::SeqId, std::uint32_t) {});
+}
+
 MapResult JemMapper::map_segment(std::string_view segment,
                                  MapScratch& scratch) const {
-  MapResult best;
-  vote_segment(segment, params_, scheme_, hashes_, table_.flat(), scratch,
-               [&](io::SeqId subject, std::uint32_t count) {
-                 // Final winner = max votes, ties to the smallest subject
-                 // id; the online update realizes exactly that order
-                 // without a final scan over all subjects.
-                 if (count > best.votes ||
-                     (count == best.votes && subject < best.subject)) {
-                   best.votes = count;
-                   best.subject = subject;
-                 }
-               });
-  if (best.votes < params_.min_votes) return {};
-  return best;
+  return vote_segment(segment, params_, scheme_, hashes_, table_.flat(),
+                      scratch, [](io::SeqId, std::uint32_t) {});
 }
 
 MapResult JemMapper::map_segment(std::string_view segment) const {
@@ -381,10 +425,10 @@ std::vector<MapResult> JemMapper::map_segment_topx(std::string_view segment,
   // touched list lives in the scratch so repeat calls reuse its capacity.
   std::vector<io::SeqId>& touched = scratch.touched();
   touched.clear();
-  vote_segment(segment, params_, scheme_, hashes_, table_.flat(), scratch,
-               [&](io::SeqId subject, std::uint32_t count) {
-                 if (count == 1) touched.push_back(subject);
-               });
+  (void)vote_segment(segment, params_, scheme_, hashes_, table_.flat(),
+                     scratch, [&](io::SeqId subject, std::uint32_t count) {
+                       if (count == 1) touched.push_back(subject);
+                     });
 
   std::sort(touched.begin(), touched.end(),
             [&](io::SeqId a, io::SeqId b) {

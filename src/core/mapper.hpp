@@ -118,6 +118,11 @@ void publish_kernel_lanes(obs::Registry& registry);
 /// stamp bump empties it); per distinct k-mer its home slot, postings run
 /// and query trials; and the postings that vote, sorted by trial.
 struct SketchKeys {
+  /// Words of one k-mer's T-bit trial set: bit t of word t / 64 is trial t.
+  [[nodiscard]] static constexpr std::size_t words(std::size_t trials) {
+    return (trials + 63) / 64;
+  }
+
   struct Seen {
     KmerCode kmer = 0;
     std::uint32_t stamp = 0;
@@ -135,7 +140,7 @@ struct SketchKeys {
   std::vector<FlatSketchIndex::Run> runs;  // distinct id -> postings run
   std::vector<std::uint64_t> trials;       // distinct id -> T-bit trial set
   std::vector<Posting> matched;            // postings in a query trial
-  std::vector<std::uint32_t> starts;       // counting sort: trial offsets
+  std::vector<std::uint32_t> starts;       // [t + 1]: matched in trial t
   std::vector<Posting> voted;              // `matched` sorted by trial
 };
 
@@ -189,6 +194,18 @@ class MapScratch {
 void make_sketch(std::string_view seq, const MapParams& params,
                  SketchScheme scheme, const HashFamily& hashes,
                  SketchScratch& scratch, FlatSketch& out);
+
+/// The distinct k-mers of `sketch` (keys.kmers) and their T-bit trial sets
+/// (keys.trials, SketchKeys::words(T) words each), as map_segment finds
+/// them. Returns the number of distinct k-mers.
+std::size_t sketch_keys(const FlatSketch& sketch, SketchKeys& keys);
+
+/// map_segment's vote over the postings in keys().matched, whose count in
+/// trial t is keys().starts[t + 1] (starts[0] is 0): one vote per
+/// subject per trial, the most votes win, ties to the smaller id, and a
+/// winner below `min_votes` is unmapped.
+[[nodiscard]] MapResult vote_matched(MapScratch& scratch, int trials,
+                                     std::uint32_t min_votes);
 
 /// Contiguous [begin, end) sequence ranges balancing total bases across
 /// `parts` parts (the S1 partitioning rule). The second form splits only

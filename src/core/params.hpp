@@ -30,57 +30,6 @@ struct MapParams {
       throw std::invalid_argument("MapParams: min_votes must be >= 1");
     }
   }
-
-  class Builder;
-  [[nodiscard]] static Builder make();
 };
-
-/// Fluent construction with validation at the end, so an invalid
-/// configuration fails where it is written rather than mid-run:
-///   const MapParams params =
-///       MapParams::make().k(16).window(100).trials(30).build();
-class MapParams::Builder {
- public:
-  Builder& k(int value) {
-    params_.k = value;
-    return *this;
-  }
-  Builder& window(int value) {
-    params_.w = value;
-    return *this;
-  }
-  Builder& ordering(MinimizerOrdering value) {
-    params_.ordering = value;
-    return *this;
-  }
-  Builder& trials(int value) {
-    params_.trials = value;
-    return *this;
-  }
-  Builder& segment_length(std::uint32_t value) {
-    params_.segment_length = value;
-    return *this;
-  }
-  Builder& seed(std::uint64_t value) {
-    params_.seed = value;
-    return *this;
-  }
-  Builder& min_votes(std::uint32_t value) {
-    params_.min_votes = value;
-    return *this;
-  }
-
-  /// Terminal call: validates and returns the finished parameter block.
-  /// Throws std::invalid_argument on any out-of-range field.
-  [[nodiscard]] MapParams build() const {
-    params_.validate();
-    return params_;
-  }
-
- private:
-  MapParams params_;
-};
-
-inline MapParams::Builder MapParams::make() { return {}; }
 
 }  // namespace jem::core

@@ -42,8 +42,10 @@ class SketchTable {
 
   [[nodiscard]] int trials() const noexcept { return flat_.trials(); }
 
-  /// The frozen index every lookup probes: flat().lookup(t, kmer) gives the
-  /// subjects that produced `kmer` in trial `t`, sorted by id.
+  /// The frozen index every mapper probes (FlatSketchIndex::probe). Its
+  /// per-trial view, FlatSketchIndex::lookup(t, kmer), gives the subjects
+  /// that produced `kmer` in trial `t`, sorted by id; it serves only
+  /// tests, the oracles and perfbench.
   [[nodiscard]] const FlatSketchIndex& flat() const noexcept { return flat_; }
 
   /// Number of stored (trial, kmer, subject) entries.

@@ -153,12 +153,6 @@ std::vector<std::string> Options::parse(
   return positional;
 }
 
-std::vector<std::string> Options::parse(int argc,
-                                        const char* const* argv) const {
-  return parse(std::span<const char* const>(argv + 1,
-                                            static_cast<std::size_t>(argc - 1)));
-}
-
 std::optional<int> Options::parse_command(std::span<const char* const> args,
                                           std::string_view program) const {
   for (const std::string_view arg : args) {

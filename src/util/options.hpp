@@ -16,7 +16,7 @@
 namespace jem::util {
 
 /// Thrown on malformed command lines (unknown option, missing value, bad
-/// number). The driver catches it, prints usage, and exits non-zero.
+/// number). parse_command turns it into a usage error (exit 2).
 class OptionError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -40,10 +40,6 @@ class Options {
   /// Returns the positional arguments in order.
   [[nodiscard]] std::vector<std::string> parse(
       std::span<const char* const> args) const;
-
-  /// Convenience overload for main(argc, argv).
-  [[nodiscard]] std::vector<std::string> parse(int argc,
-                                               const char* const* argv) const;
 
   /// The command-line front end of a subcommand: returns the exit code to
   /// stop with, or nullopt to run. `--help` or `-h` anywhere prints

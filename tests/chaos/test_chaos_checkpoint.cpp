@@ -46,13 +46,9 @@ class ChaosCheckpointTest : public ::testing::Test {
       subjects_.add("contig_" + std::to_string(i),
                     genome_.substr(static_cast<std::size_t>(i) * 5000, 5000));
     }
-    params_ = MapParams::make()
-                  .k(16)
-                  .window(20)
-                  .trials(8)
-                  .segment_length(800)
-                  .seed(7)
-                  .build();
+    params_ = MapParams{
+        .k = 16, .w = 20, .trials = 8, .segment_length = 800, .seed = 7};
+    params_.validate();
     util::Xoshiro256ss read_rng(11);
     io::SequenceSet reads;
     for (int i = 0; i < 24; ++i) {

@@ -58,13 +58,10 @@ SimCase make_case(std::uint64_t seed) {
 }
 
 MapParams small_params() {
-  return MapParams::make()
-      .k(16)
-      .window(20)
-      .trials(8)
-      .segment_length(800)
-      .seed(5)
-      .build();
+  const MapParams params{
+      .k = 16, .w = 20, .trials = 8, .segment_length = 800, .seed = 5};
+  params.validate();
+  return params;
 }
 
 constexpr std::uint64_t kSeeds[] = {101, 202};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "core/dna.hpp"
@@ -210,6 +211,76 @@ TEST_F(DistributedTest, PartitionedTableMatchesSequential) {
     const DistributedResult partitioned =
         run_distributed_partitioned(subjects_, reads_, params_, ranks);
     expect_same_mappings(sequential, partitioned.mappings);
+  }
+}
+
+TEST_F(DistributedTest, PartitionedMatchesSequentialAtAnyTrialCount) {
+  // T = 65 and T = 150 carry more than one trial-set word per probe.
+  for (const SketchScheme scheme :
+       {SketchScheme::kJem, SketchScheme::kClassicMinhash}) {
+    for (const int trials : {1, 64, 65, 150}) {
+      MapParams params = params_;
+      params.trials = trials;
+      const JemMapper mapper(subjects_, params, scheme);
+      const auto sequential = oracle::map_reads(mapper, reads_);
+      for (const int ranks : {1, 3, 8}) {
+        SCOPED_TRACE("scheme " + std::to_string(static_cast<int>(scheme)) +
+                     " T " + std::to_string(trials) + " ranks " +
+                     std::to_string(ranks));
+        const DistributedResult partitioned = run_distributed_partitioned(
+            subjects_, reads_, params, ranks, scheme);
+        expect_same_mappings(sequential, partitioned.mappings);
+      }
+    }
+  }
+}
+
+TEST_F(DistributedTest, PartitionedProbesEachDistinctKmerOnce) {
+  // The all-to-all volume is entry routing, one probe of 2 + ceil(T / 64)
+  // words per distinct (segment, k-mer) pair, one 12-byte reply per
+  // posting in a probed trial, and each call's per-destination counts.
+  // The pairs and replies are counted here from the allocating sketch and
+  // the per-trial lookup, not from the driver's own code.
+  for (const int trials : {12, 65}) {
+    MapParams params = params_;
+    params.trials = trials;
+    const JemMapper mapper(subjects_, params);
+    std::uint64_t pairs = 0;
+    std::uint64_t replies = 0;
+    for (io::SeqId read = 0; read < reads_.size(); ++read) {
+      for (const EndSegment& segment : extract_end_segments(
+               read, reads_.bases(read), params.segment_length)) {
+        const Sketch sketch = make_sketch(segment.bases, params,
+                                          SketchScheme::kJem,
+                                          mapper.hashes());
+        std::set<KmerCode> distinct;
+        for (int t = 0; t < trials; ++t) {
+          for (const KmerCode kmer :
+               sketch.per_trial[static_cast<std::size_t>(t)]) {
+            distinct.insert(kmer);
+            replies += mapper.table().flat().lookup(t, kmer).size();
+          }
+        }
+        pairs += distinct.size();
+      }
+    }
+    const std::uint64_t stride_bytes =
+        8 * (2 + (static_cast<std::uint64_t>(trials) + 63) / 64);
+    for (const int ranks : {1, 3}) {
+      SCOPED_TRACE("T " + std::to_string(trials) + " ranks " +
+                   std::to_string(ranks));
+      const DistributedResult partitioned =
+          run_distributed_partitioned(subjects_, reads_, params, ranks);
+      std::uint64_t sent = 0;
+      for (const std::uint64_t bytes :
+           partitioned.report.comm.per_site.at("all_to_allv").sent_bytes) {
+        sent += bytes;
+      }
+      const auto p = static_cast<std::uint64_t>(ranks);
+      const std::uint64_t headers = 3 * p * p * sizeof(std::uint64_t);
+      EXPECT_EQ(sent, mapper.table().size() * sizeof(SketchEntry) +
+                          pairs * stride_bytes + replies * 12 + headers);
+    }
   }
 }
 

@@ -44,13 +44,9 @@ class EngineGoldenTest : public ::testing::Test {
       subjects_.add("contig_" + std::to_string(i),
                     genome_.substr(static_cast<std::size_t>(i) * 6000, 6000));
     }
-    params_ = MapParams::make()
-                  .k(16)
-                  .window(20)
-                  .trials(16)
-                  .segment_length(1000)
-                  .seed(99)
-                  .build();
+    params_ = MapParams{
+        .k = 16, .w = 20, .trials = 16, .segment_length = 1000, .seed = 99};
+    params_.validate();
     util::Xoshiro256ss read_rng(555);
     for (int i = 0; i < 30; ++i) {
       const std::size_t pos = read_rng.bounded(50'000);
@@ -425,15 +421,14 @@ TEST(EngineRequestTest, ValidateRejectsBadFields) {
 }
 
 TEST(EngineParamsBuilderTest, BuildsAndValidates) {
-  const MapParams params = MapParams::make()
-                               .k(18)
-                               .window(50)
-                               .trials(12)
-                               .segment_length(800)
-                               .seed(7)
-                               .min_votes(2)
-                               .ordering(MinimizerOrdering::kRandomHash)
-                               .build();
+  const MapParams params{.k = 18,
+                         .w = 50,
+                         .ordering = MinimizerOrdering::kRandomHash,
+                         .trials = 12,
+                         .segment_length = 800,
+                         .seed = 7,
+                         .min_votes = 2};
+  EXPECT_NO_THROW(params.validate());
   EXPECT_EQ(params.k, 18);
   EXPECT_EQ(params.w, 50);
   EXPECT_EQ(params.trials, 12);
@@ -442,11 +437,10 @@ TEST(EngineParamsBuilderTest, BuildsAndValidates) {
   EXPECT_EQ(params.min_votes, 2u);
   EXPECT_EQ(params.ordering, MinimizerOrdering::kRandomHash);
 
-  // Invalid configs fail at construction, not mid-run.
-  EXPECT_THROW((void)MapParams::make().k(0).build(), std::invalid_argument);
-  EXPECT_THROW((void)MapParams::make().trials(0).build(),
-               std::invalid_argument);
-  EXPECT_THROW((void)MapParams::make().segment_length(0).build(),
+  // Invalid configs fail validation, before any run starts.
+  EXPECT_THROW(MapParams{.k = 0}.validate(), std::invalid_argument);
+  EXPECT_THROW(MapParams{.trials = 0}.validate(), std::invalid_argument);
+  EXPECT_THROW(MapParams{.segment_length = 0}.validate(),
                std::invalid_argument);
 }
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/hit_counters.hpp"
+
 namespace jem::core {
 namespace {
+
+using oracle::LazyHitCounter;
+using oracle::ResettingHitCounter;
 
 TEST(LazyHitCounter, CountsFromZeroEachRound) {
   LazyHitCounter counter(4);

@@ -98,8 +98,10 @@ void expect_identical_at_every_thread_count(const io::SequenceSet& subjects,
 }
 
 MapParams small_params() {
-  return MapParams::make().k(15).window(10).trials(6).segment_length(400)
-      .build();
+  const MapParams params{
+      .k = 15, .w = 10, .trials = 6, .segment_length = 400};
+  params.validate();
+  return params;
 }
 
 std::string random_dna(util::Xoshiro256ss& rng, std::size_t length) {

@@ -85,13 +85,9 @@ class IndexSerdeTest : public ::testing::Test {
       reads_.add("read_" + std::to_string(i),
                  genome_.substr(pos, 900 + read_rng.bounded(1000)));
     }
-    params_ = MapParams::make()
-                  .k(16)
-                  .window(20)
-                  .trials(4)
-                  .segment_length(500)
-                  .seed(7)
-                  .build();
+    params_ = MapParams{
+        .k = 16, .w = 20, .trials = 4, .segment_length = 500, .seed = 7};
+    params_.validate();
   }
 
   std::string genome_;
@@ -156,13 +152,9 @@ TEST_F(IndexSerdeTest, ParameterMismatchNamesTheOffendingField) {
   const std::string bytes =
       serialize_index(mapper.table(), params_, SketchScheme::kJem, subjects_);
 
-  const MapParams other_k = MapParams::make()
-                                .k(15)
-                                .window(20)
-                                .trials(4)
-                                .segment_length(500)
-                                .seed(7)
-                                .build();
+  const MapParams other_k{
+      .k = 15, .w = 20, .trials = 4, .segment_length = 500, .seed = 7};
+  other_k.validate();
   try {
     (void)deserialize_index(bytes, other_k, SketchScheme::kJem, subjects_);
     FAIL() << "expected kParamsMismatch";

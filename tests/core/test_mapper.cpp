@@ -343,7 +343,8 @@ TEST_F(MapperTest, PaperParametersHotPathMatchesReferenceOnSimReads) {
   const io::SequenceSet reads =
       sim::simulate_hifi_reads(genome, read_params).reads;
 
-  const MapParams params = MapParams::make().seed(24).build();
+  const MapParams params{.seed = 24};
+  params.validate();
   ASSERT_EQ(params.w, 100);
   ASSERT_EQ(params.trials, 30);
   const JemMapper mapper(contigs.contigs, params);
@@ -508,8 +509,8 @@ TEST_F(MapperTest, HotPathMatchesReferenceAtAnyTrialCount) {
   for (const int trials : {1, 30, 64, 65, 150}) {
     for (const SketchScheme scheme :
          {SketchScheme::kJem, SketchScheme::kClassicMinhash}) {
-      const MapParams params =
-          MapParams::make().trials(trials).seed(35).build();
+      const MapParams params{.trials = trials, .seed = 35};
+      params.validate();
       const JemMapper mapper(contigs.contigs, params, scheme);
       MapScratch scratch(contigs.contigs.size());
       oracle::ReferenceCounters counters(contigs.contigs.size());

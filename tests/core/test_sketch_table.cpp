@@ -139,8 +139,8 @@ TEST(SketchTable, InsertSketchInsertsAllTrials) {
   for (char& c : bases) c = "ACGT"[rng.bounded(4)];
   io::SequenceSet subjects;
   subjects.add("s", bases);
-  const MapParams params =
-      MapParams::make().k(15).window(10).trials(4).segment_length(500).build();
+  const MapParams params{.k = 15, .w = 10, .trials = 4, .segment_length = 500};
+  params.validate();
   const HashFamily hashes(params.trials, params.seed);
   const Sketch sketch =
       make_sketch(bases, params, SketchScheme::kJem, hashes);
@@ -162,7 +162,8 @@ TEST(SketchTable, InsertSketchInsertsAllTrials) {
 TEST(SketchTable, InsertSketchRejectsTrialMismatch) {
   io::SequenceSet subjects;
   subjects.add("s", "ACGTACGTACGTACGTACGTACGT");
-  const MapParams params = MapParams::make().trials(2).build();
+  const MapParams params{.trials = 2};
+  params.validate();
   const HashFamily hashes(1, params.seed);
   EXPECT_THROW((void)sketch_subjects(subjects, 0, 1, params,
                                      SketchScheme::kJem, hashes),

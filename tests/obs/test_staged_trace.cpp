@@ -48,13 +48,9 @@ TEST(StagedChaosTrace, FourRankChaosRunExportsWellFormedChromeTrace) {
     reads.add("read_" + std::to_string(i),
               genome.substr(pos, 1200 + read_rng.bounded(2000)));
   }
-  const MapParams params = MapParams::make()
-                               .k(16)
-                               .window(20)
-                               .trials(8)
-                               .segment_length(800)
-                               .seed(7)
-                               .build();
+  const MapParams params{
+      .k = 16, .w = 20, .trials = 8, .segment_length = 800, .seed = 7};
+  params.validate();
 
   RobustnessOptions robust;
   robust.fault_plan

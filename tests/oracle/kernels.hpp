@@ -21,10 +21,10 @@
 #include <vector>
 
 #include "core/hash_family.hpp"
-#include "core/hit_counter.hpp"
 #include "core/mapper.hpp"
 #include "core/minimizer.hpp"
 #include "core/sketch.hpp"
+#include "oracle/hit_counters.hpp"
 
 namespace jem::oracle {
 
@@ -52,8 +52,8 @@ struct ReferenceCounters {
   explicit ReferenceCounters(std::size_t num_subjects)
       : votes(num_subjects), seen(num_subjects) {}
 
-  core::LazyHitCounter votes;
-  core::LazyHitCounter seen;
+  LazyHitCounter votes;
+  LazyHitCounter seen;
 };
 
 /// The pre-overhaul query path: a fresh Sketch from the deque kernel (JEM
