@@ -10,8 +10,9 @@
 // name/kind/unit and the kind's value fields; trace files are one
 // {"traceEvents":[...]} object whose B/E pairs are matched per track (the
 // invariant Perfetto needs). Exit 0 on success, 1 with a diagnostic on
-// the first violation — scripts/check.sh runs this as the metrics-smoke
-// step.
+// the first violation, 2 on a malformed command line or no file to check
+// (`--help` prints the usage and exits 0) — scripts/check.sh runs this as
+// the metrics-smoke step.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -321,39 +323,37 @@ int check_flight(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, const char** argv) {
+  std::string metrics_path;
+  std::string trace_path;
+  std::string openmetrics_path;
+  std::string flight_path;
+  jem::util::Options options;
+  options.add_string("metrics", metrics_path, "metrics snapshot export");
+  options.add_string("trace", trace_path, "Chrome trace_event export");
+  options.add_string("openmetrics", openmetrics_path,
+                     "OpenMetrics text exposition");
+  options.add_string("flight", flight_path, "/debug/requests dump");
+  if (const auto exit_code = options.parse_command(
+          {argv + 1, static_cast<std::size_t>(argc - 1)}, "obs_check")) {
+    return *exit_code;
+  }
+  if (metrics_path.empty() && trace_path.empty() &&
+      openmetrics_path.empty() && flight_path.empty()) {
+    std::cerr << "error: give at least one file to check\n"
+              << options.usage("obs_check");
+    return 2;
+  }
+
   int rc = 0;
-  bool checked = false;
   try {
-    for (int i = 1; i + 1 < argc; i += 2) {
-      const std::string flag = argv[i];
-      const std::string path = argv[i + 1];
-      if (flag == "--metrics") {
-        rc |= check_metrics(path);
-        checked = true;
-      } else if (flag == "--trace") {
-        rc |= check_trace(path);
-        checked = true;
-      } else if (flag == "--openmetrics") {
-        rc |= check_openmetrics(path);
-        checked = true;
-      } else if (flag == "--flight") {
-        rc |= check_flight(path);
-        checked = true;
-      } else {
-        std::cerr << "obs_check: unknown flag '" << flag << "'\n";
-        return 2;
-      }
-    }
+    if (!metrics_path.empty()) rc |= check_metrics(metrics_path);
+    if (!trace_path.empty()) rc |= check_trace(trace_path);
+    if (!openmetrics_path.empty()) rc |= check_openmetrics(openmetrics_path);
+    if (!flight_path.empty()) rc |= check_flight(flight_path);
   } catch (const std::exception& error) {
     std::cerr << "obs_check: " << error.what() << '\n';
     return 1;
-  }
-  if (!checked) {
-    std::cerr << "usage: obs_check [--metrics out.json] "
-                 "[--trace out.trace.json] [--openmetrics out.prom] "
-                 "[--flight flight.json]\n";
-    return 2;
   }
   return rc;
 }

@@ -42,7 +42,7 @@ int main(int argc, const char** argv) {
       mappings_path.empty()) {
     std::cerr << "error: --subjects, --queries and --mappings are required\n"
               << options.usage("verify_mappings");
-    return 1;
+    return 2;
   }
 
   io::SequenceSet subjects;

@@ -41,12 +41,14 @@ ctest --test-dir build-tsan --output-on-failure \
 # The query kernels ride along too: the minimizer scan indexes raw window
 # blocks, the sketch kernels (scalar and lanes) write through a raw column
 # pointer and index their prefix minima by interval end and their emitted
-# rows by mask bit, and the mapper's fused vote pass stores raw home-slot
-# indices, probes the slot regions from them and indexes its vote records
-# by posting. The index build fills the slot array and postings pool
-# through raw per-trial region pointers. The partitioned distributed
-# driver decodes its probe stream by a fixed word stride and walks each
-# owner's replies with a per-source cursor.
+# rows by mask bit, the query sketch's trial-set words are indexed by
+# minimizer and by lane mask (SketchKeys), and the output goldens drive
+# every mapping mode end to end (OutputGolden). The mapper's fused vote
+# pass stores raw home-slot indices, probes the slot regions from them and
+# indexes its vote records by posting. The index build fills the slot
+# array and postings pool through raw per-trial region pointers. The
+# partitioned distributed driver decodes its probe stream by a fixed word
+# stride and walks each owner's replies with a per-source cursor.
 cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
@@ -54,7 +56,7 @@ cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan --parallel "$(nproc)" --target test_engine \
   test_chaos test_io test_core test_obs test_serve test_mpisim jem obs_check
 ctest --test-dir build-asan --output-on-failure \
-  -R 'RunSpmd|Allgatherv|Gatherv|AllToAllv|CommStats|StressTest|StagedExecutor|Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Inflate|Crc32|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|SketchLanes|LaneModulo|ClassicMinhash|MapperTest|VoteCounter|FlatSketchIndex|SketchTable|IndexBuild|Distributed'
+  -R 'RunSpmd|Allgatherv|Gatherv|AllToAllv|CommStats|StressTest|StagedExecutor|Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Inflate|Crc32|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|SketchLanes|LaneModulo|ClassicMinhash|MapperTest|SketchKeys|VoteCounter|FlatSketchIndex|SketchTable|IndexBuild|Distributed|OutputGolden'
 
 # Hot-path bench smoke (the default build type is Release): a short run of
 # the BM_Hotpath* family catches wiring regressions in the flat-index /

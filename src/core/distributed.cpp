@@ -347,7 +347,7 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
     comm.fault_point("P:map");
     obs::StageSpan map_span(obs, "P:map");
     const std::size_t words =
-        SketchKeys::words(static_cast<std::size_t>(params.trials));
+        trial_set_words(static_cast<std::size_t>(params.trials));
     const std::size_t stride = 2 + words;
     MapScratch scratch(subjects.size());
     SketchKeys& keys = scratch.keys();
@@ -367,9 +367,9 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
             static_cast<std::uint32_t>(segment.bases.size());
         local_segments.push_back(mapping);
 
-        make_sketch(segment.bases, params, scheme, hashes,
-                    scratch.sketch_scratch(), scratch.sketch());
-        const std::size_t distinct = sketch_keys(scratch.sketch(), keys);
+        const std::size_t distinct =
+            sketch_keys(segment.bases, params, scheme, hashes,
+                        scratch.sketch_scratch(), keys);
         for (std::size_t d = 0; d < distinct; ++d) {
           std::vector<std::uint64_t>& out =
               probes[static_cast<std::size_t>(kmer_owner(keys.kmers[d], p))];

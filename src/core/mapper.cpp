@@ -189,14 +189,10 @@ JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
 
 namespace {
 
-/// Gives each entry of `sketch` the id of its k-mer among the sketch's
-/// distinct k-mers (keys.ids) and lists the distinct k-mers (keys.kmers).
-/// Calls on_new(id, kmer) as each k-mer is first seen, so a caller can
-/// start loading its home slot while the rest of the sketch is deduplicated.
-/// Returns the number of distinct k-mers.
-template <typename OnNew>
-std::size_t distinct_kmers(const FlatSketch& sketch, SketchKeys& keys,
-                           OnNew&& on_new) {
+/// Gives each column entry of `sketch` the id of its k-mer among the
+/// sketch's distinct k-mers (keys.ids) and lists the distinct k-mers
+/// (keys.kmers). Returns the number of distinct k-mers.
+std::size_t distinct_kmers(const FlatSketch& sketch, SketchKeys& keys) {
   const std::size_t n = sketch.kmers.size();
   const std::size_t capacity =
       std::bit_ceil(std::max<std::size_t>(16, 2 * n));
@@ -211,8 +207,7 @@ std::size_t distinct_kmers(const FlatSketch& sketch, SketchKeys& keys,
   keys.ids.resize(n);
   keys.kmers.resize(n);
 
-  // A multiplicative hash picks the set slot; on_new runs only for the
-  // k-mers that are new.
+  // A multiplicative hash picks the set slot.
   const unsigned shift =
       64 - static_cast<unsigned>(std::countr_zero(capacity));
   const std::size_t mask = capacity - 1;
@@ -226,7 +221,6 @@ std::size_t distinct_kmers(const FlatSketch& sketch, SketchKeys& keys,
       if (seen[i].stamp != stamp) {
         seen[i] = {kmer, stamp, distinct};
         keys.kmers[distinct] = kmer;
-        on_new(distinct, kmer);
         keys.ids[j] = distinct++;
         break;
       }
@@ -236,6 +230,7 @@ std::size_t distinct_kmers(const FlatSketch& sketch, SketchKeys& keys,
       }
     }
   }
+  keys.kmers.resize(distinct);
   return distinct;
 }
 
@@ -244,7 +239,7 @@ std::size_t distinct_kmers(const FlatSketch& sketch, SketchKeys& keys,
 void trial_sets(const FlatSketch& sketch, std::size_t distinct,
                 SketchKeys& keys) {
   const auto trials = static_cast<std::size_t>(sketch.trials());
-  const std::size_t words = SketchKeys::words(trials);
+  const std::size_t words = trial_set_words(trials);
   keys.trials.assign(distinct * words, 0);
   for (std::size_t t = 0; t < trials; ++t) {
     std::uint64_t* const word = keys.trials.data() + t / 64;
@@ -255,19 +250,19 @@ void trial_sets(const FlatSketch& sketch, std::size_t distinct,
   }
 }
 
-/// Resolves a sketch to the postings it votes with. Probes each distinct
-/// k-mer once (the slots were prefetched by distinct_kmers) and prefetches
+/// Resolves the keys of a sketch to the postings they vote with. Probes
+/// each distinct k-mer once (its home slot was prefetched) and prefetches
 /// its postings run; keeps the postings whose trial holds the k-mer in the
 /// sketch, tested against its trial set, at the front of keys.matched, and
 /// counts them per trial in keys.starts. Adds the slots touched to
 /// `probed`, and returns the (trial, k-mer) entries of the sketch that have
 /// postings in their trial.
-std::uint64_t gather_postings(const FlatSketch& sketch,
-                              const FlatSketchIndex& index,
-                              std::size_t distinct, SketchKeys& keys,
+std::uint64_t gather_postings(const FlatSketchIndex& index,
+                              std::size_t trials, SketchKeys& keys,
                               std::uint64_t& probed) {
   const std::uint32_t* const trial_ids = index.trial_ids().data();
   const io::SeqId* const subjects = index.subjects().data();
+  const std::size_t distinct = keys.kmers.size();
   std::size_t postings = 0;
   for (std::size_t d = 0; d < distinct; ++d) {
     const FlatSketchIndex::Run run =
@@ -277,12 +272,10 @@ std::uint64_t gather_postings(const FlatSketch& sketch,
     keys.runs[d] = run;
     postings += run.end - run.begin;
   }
-  trial_sets(sketch, distinct, keys);
 
   // Branch-free filter: every posting is written at the next free place,
   // and only the kept ones advance it.
-  const auto trials = static_cast<std::size_t>(sketch.trials());
-  const std::size_t words = SketchKeys::words(trials);
+  const std::size_t words = trial_set_words(trials);
   keys.matched.resize(postings);
   keys.starts.assign(trials + 1, 0);
   SketchKeys::Posting* const matched = keys.matched.data();
@@ -348,41 +341,42 @@ MapResult vote_by_trial(MapScratch& scratch, std::size_t trials,
 }
 
 /// Steps 4-8 of Algorithm 2, shared by map_segment and map_segment_topx:
-/// sketches `segment` into the scratch's buffers, resolves the sketch to
-/// its voting postings (distinct_kmers, gather_postings) and votes them
-/// (vote_by_trial, which calls on_vote and returns the best hit). Sampled
-/// segments also fill the scratch's hot-path counters.
+/// sketches `segment` into its distinct k-mers and trial sets
+/// (sketch_keys), resolves them to their voting postings (gather_postings)
+/// and votes them (vote_by_trial, which calls on_vote and returns the best
+/// hit). Sampled segments also fill the scratch's hot-path counters.
 template <typename OnVote>
 MapResult vote_segment(std::string_view segment, const MapParams& params,
                        SketchScheme scheme, const HashFamily& hashes,
                        const FlatSketchIndex& index, MapScratch& scratch,
                        OnVote&& on_vote) {
-  FlatSketch& sketch = scratch.sketch();
-  make_sketch(segment, params, scheme, hashes, scratch.sketch_scratch(),
-              sketch);
   SketchKeys& keys = scratch.keys();
-  keys.homes.resize(sketch.kmers.size());
-  keys.runs.resize(sketch.kmers.size());
-  // The index hash is taken only for the new k-mers, and their home slots
-  // are prefetched so the misses of all of them overlap.
-  const std::size_t distinct =
-      distinct_kmers(sketch, keys, [&](std::uint32_t id, KmerCode kmer) {
-        keys.homes[id] = index.home(FlatSketchIndex::hash(kmer));
-        index.prefetch(keys.homes[id]);
-      });
+  const std::size_t distinct = sketch_keys(segment, params, scheme, hashes,
+                                           scratch.sketch_scratch(), keys);
+  // The home slots of all distinct k-mers are prefetched first, so their
+  // misses overlap.
+  keys.homes.resize(distinct);
+  keys.runs.resize(distinct);
+  for (std::size_t d = 0; d < distinct; ++d) {
+    keys.homes[d] = index.home(FlatSketchIndex::hash(keys.kmers[d]));
+    index.prefetch(keys.homes[d]);
+  }
+  const auto trials = static_cast<std::size_t>(params.trials);
   std::uint64_t probed = 0;
-  const std::uint64_t hits =
-      gather_postings(sketch, index, distinct, keys, probed);
+  const std::uint64_t hits = gather_postings(index, trials, keys, probed);
   std::uint64_t candidates = 0;
   const MapResult best =
-      vote_by_trial(scratch, static_cast<std::size_t>(sketch.trials()),
-                    params.min_votes, candidates, on_vote);
+      vote_by_trial(scratch, trials, params.min_votes, candidates, on_vote);
 
   HotpathCounters& hotpath = scratch.hotpath();
   if (hotpath.tick_sample()) {
-    hotpath.kmer_lookups += sketch.kmers.size();
+    std::uint64_t entries = 0;  // (trial, k-mer) entries of the sketch
+    for (const std::uint64_t word : keys.trials) {
+      entries += static_cast<std::uint64_t>(std::popcount(word));
+    }
+    hotpath.kmer_lookups += entries;
     hotpath.sketch_hits += hits;
-    hotpath.sketch_misses += sketch.kmers.size() - hits;
+    hotpath.sketch_misses += entries - hits;
     hotpath.kmer_probes += distinct;
     hotpath.probe_slots += probed;
     hotpath.candidates += candidates;
@@ -392,10 +386,28 @@ MapResult vote_segment(std::string_view segment, const MapParams& params,
 
 }  // namespace
 
-std::size_t sketch_keys(const FlatSketch& sketch, SketchKeys& keys) {
-  const std::size_t distinct =
-      distinct_kmers(sketch, keys, [](std::uint32_t, KmerCode) {});
-  trial_sets(sketch, distinct, keys);
+std::size_t sketch_keys(std::string_view seq, const MapParams& params,
+                        SketchScheme scheme, const HashFamily& hashes,
+                        SketchScratch& scratch, SketchKeys& keys) {
+  FlatSketch& columns = keys.columns;
+  switch (scheme) {
+    case SketchScheme::kJem: {
+      const MinimizerParams mp{params.k, params.w, params.ordering};
+      minimizer_scan(seq, mp, scratch.scan, scratch.minimizers);
+      if (sketch_by_jem_sets(scratch.minimizers, params.segment_length,
+                             hashes, scratch, keys.kmers, keys.trials)) {
+        return keys.kmers.size();
+      }
+      sketch_by_jem(scratch.minimizers, params.segment_length, hashes,
+                    scratch, columns);
+      break;
+    }
+    case SketchScheme::kClassicMinhash:
+      classic_minhash(seq, params.k, hashes, scratch, columns);
+      break;
+  }
+  const std::size_t distinct = distinct_kmers(columns, keys);
+  trial_sets(columns, distinct, keys);
   return distinct;
 }
 

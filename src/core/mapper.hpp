@@ -113,16 +113,13 @@ struct HotpathCounters {
 /// against their kernels.
 void publish_kernel_lanes(obs::Registry& registry);
 
-/// The vote pass's per-segment buffers (core/mapper.cpp): each sketch
-/// entry's distinct-k-mer id, assigned by a stamped open-addressing set (a
-/// stamp bump empties it); per distinct k-mer its home slot, postings run
-/// and query trials; and the postings that vote, sorted by trial.
+/// The vote pass's per-segment buffers (core/mapper.cpp): the segment's
+/// distinct sketch k-mers with their T-bit trial sets (sketch_keys), per
+/// distinct k-mer its home slot and postings run, and the postings that
+/// vote, sorted by trial. A multi-block or MinHash sketch is first written
+/// as columns and given distinct-k-mer ids by a stamped open-addressing set
+/// (a stamp bump empties it).
 struct SketchKeys {
-  /// Words of one k-mer's T-bit trial set: bit t of word t / 64 is trial t.
-  [[nodiscard]] static constexpr std::size_t words(std::size_t trials) {
-    return (trials + 63) / 64;
-  }
-
   struct Seen {
     KmerCode kmer = 0;
     std::uint32_t stamp = 0;
@@ -132,16 +129,18 @@ struct SketchKeys {
     std::uint32_t trial = 0;
     io::SeqId subject = 0;
   };
-  std::vector<Seen> seen;                  // power-of-two capacity
-  std::uint32_t stamp = 0;                 // current segment's stamp
-  std::vector<std::uint32_t> ids;          // sketch entry -> distinct id
   std::vector<KmerCode> kmers;             // distinct id -> k-mer
+  std::vector<std::uint64_t> trials;       // distinct id -> trial set
   std::vector<std::size_t> homes;          // distinct id -> home slot
   std::vector<FlatSketchIndex::Run> runs;  // distinct id -> postings run
-  std::vector<std::uint64_t> trials;       // distinct id -> T-bit trial set
   std::vector<Posting> matched;            // postings in a query trial
   std::vector<std::uint32_t> starts;       // [t + 1]: matched in trial t
   std::vector<Posting> voted;              // `matched` sorted by trial
+  // Multi-block and MinHash sketches only:
+  FlatSketch columns;                      // the sketch, trial by trial
+  std::vector<Seen> seen;                  // power-of-two capacity
+  std::uint32_t stamp = 0;                 // current segment's stamp
+  std::vector<std::uint32_t> ids;          // column entry -> distinct id
 };
 
 /// Per-thread mutable state for the query phase: the vote counter (the
@@ -160,11 +159,8 @@ class MapScratch {
   /// Sketch-kernel buffers (minimizer list, window rings, emission arrays).
   SketchScratch& sketch_scratch() noexcept { return sketch_scratch_; }
 
-  /// The segment's sketch, rebuilt in place per map_segment call.
-  FlatSketch& sketch() noexcept { return sketch_; }
-
-  /// The vote pass's distinct k-mers, their postings runs and the postings
-  /// that vote.
+  /// The segment's distinct sketch k-mers and trial sets, their postings
+  /// runs and the postings that vote.
   SketchKeys& keys() noexcept { return keys_; }
 
   /// Subjects touched by the current top-x round (reused across calls).
@@ -177,7 +173,6 @@ class MapScratch {
  private:
   VoteCounter counter_;
   SketchScratch sketch_scratch_;
-  FlatSketch sketch_;
   SketchKeys keys_;
   std::vector<io::SeqId> touched_;
   HotpathCounters hotpath_;
@@ -195,10 +190,18 @@ void make_sketch(std::string_view seq, const MapParams& params,
                  SketchScheme scheme, const HashFamily& hashes,
                  SketchScratch& scratch, FlatSketch& out);
 
-/// The distinct k-mers of `sketch` (keys.kmers) and their T-bit trial sets
-/// (keys.trials, SketchKeys::words(T) words each), as map_segment finds
-/// them. Returns the number of distinct k-mers.
-std::size_t sketch_keys(const FlatSketch& sketch, SketchKeys& keys);
+/// Sketches `seq` under the scheme straight into its distinct k-mers
+/// (keys.kmers) and their T-bit trial sets (keys.trials,
+/// trial_set_words(T) words each): bit t is set when trial t of
+/// make_sketch's sketch holds the k-mer. A JEM list that spans at most ℓ
+/// (every tile and end segment) takes one hash walk that marks the trials
+/// on the minimizers (sketch_by_jem_sets); a longer list and the MinHash
+/// sketch are written as columns (keys.columns) and deduplicated. Returns
+/// the number of distinct k-mers. map_segment and the partitioned driver
+/// vote from these keys.
+std::size_t sketch_keys(std::string_view seq, const MapParams& params,
+                        SketchScheme scheme, const HashFamily& hashes,
+                        SketchScratch& scratch, SketchKeys& keys);
 
 /// map_segment's vote over the postings in keys().matched, whose count in
 /// trial t is keys().starts[t + 1] (starts[0] is 0): one vote per

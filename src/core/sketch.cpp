@@ -20,6 +20,25 @@ struct HashedKmer {
   }
 };
 
+/// The one-block walk of one trial: the suffix minimum of `hash` by (hash,
+/// k-mer) over kmers[begin, end), last to first. Calls step(i, h, record)
+/// at each minimizer i with its hash, `record` true where the minimum
+/// strictly improves (the walk's records hold distinct k-mers).
+template <class Step>
+void suffix_minima(const LcgHash& hash, const KmerCode* kmers,
+                   std::size_t begin, std::size_t end, Step&& step) {
+  std::uint64_t best_hash = ~std::uint64_t{0};
+  KmerCode best_kmer = ~KmerCode{0};
+  for (std::size_t i = end; i-- > begin;) {
+    const KmerCode kmer = kmers[i];
+    const std::uint64_t h = hash(kmer);
+    const bool better = h < best_hash || (h == best_hash && kmer < best_kmer);
+    best_hash = better ? h : best_hash;
+    best_kmer = better ? kmer : best_kmer;
+    step(i, h, better);
+  }
+}
+
 /// The kernel of this process: the widest one the CPU runs.
 int detect_lanes() noexcept {
   for (const int lanes : {8, 4}) {
@@ -114,21 +133,13 @@ void detail::sketch_by_jem_with(int lanes,
     // interval minimum is the suffix minimum. Walking backward it only
     // ever improves strictly, so its emits are already distinct. A query
     // list (span <= ℓ) is exactly this one block.
-    std::uint64_t best_hash = hash(kmers[count - 1]);
-    KmerCode best_kmer = kmers[count - 1];
-    hashed[count - 1] = best_hash;
-    column[0] = best_kmer;
-    std::size_t emitted = 1;
-    for (std::size_t i = count - 1; i-- > blocks[last];) {
-      const KmerCode kmer = kmers[i];
-      const std::uint64_t h = hash(kmer);
-      hashed[i] = h;
-      const bool better = h < best_hash || (h == best_hash && kmer < best_kmer);
-      best_hash = better ? h : best_hash;
-      best_kmer = better ? kmer : best_kmer;
-      column[emitted] = kmer;
-      emitted += better;
-    }
+    std::size_t emitted = 0;
+    suffix_minima(hash, kmers.data(), blocks[last], count,
+                  [&](std::size_t i, std::uint64_t h, bool record) {
+                    hashed[i] = h;
+                    column[emitted] = kmers[i];
+                    emitted += record;
+                  });
 
     // Earlier blocks, last to first: prefix minima of block k+1 over its
     // stored hashes, then one backward pass over block k that hashes,
@@ -151,8 +162,8 @@ void detail::sketch_by_jem_with(int lanes,
       }
 
       KmerCode prev = column[emitted - 1];
-      best_hash = prefix_hash[0];
-      best_kmer = prefix_kmer[0];
+      std::uint64_t best_hash = prefix_hash[0];
+      KmerCode best_kmer = prefix_kmer[0];
       for (std::size_t i = mid; i-- > begin;) {
         const KmerCode kmer = kmers[i];
         const std::uint64_t h = hash(kmer);
@@ -186,6 +197,67 @@ void detail::sketch_by_jem_with(int lanes,
     out.offsets[t + 1] = static_cast<std::uint32_t>(written);
   }
   out.kmers.resize(written);
+}
+
+bool sketch_by_jem_sets(std::span<const Minimizer> minimizers,
+                        std::uint32_t interval_length,
+                        const HashFamily& hashes, SketchScratch& scratch,
+                        std::vector<KmerCode>& kmers,
+                        std::vector<std::uint64_t>& sets) {
+  return detail::sketch_by_jem_sets_with(sketch_lanes(), minimizers,
+                                         interval_length, hashes, scratch,
+                                         kmers, sets);
+}
+
+bool detail::sketch_by_jem_sets_with(int lanes,
+                                     std::span<const Minimizer> minimizers,
+                                     std::uint32_t interval_length,
+                                     const HashFamily& hashes,
+                                     SketchScratch& scratch,
+                                     std::vector<KmerCode>& kmers,
+                                     std::vector<std::uint64_t>& sets) {
+  const std::size_t count = minimizers.size();
+  // One block: r(0) = |M|, every interval runs to the end of the list.
+  if (count > 0 &&
+      minimizers.back().position >
+          static_cast<std::uint64_t>(minimizers.front().position) +
+              interval_length) {
+    return false;
+  }
+  const auto trials = static_cast<std::size_t>(hashes.trials());
+  const std::size_t words = trial_set_words(trials);
+  std::vector<KmerCode>& list = scratch.kmers;
+  list.resize(count);
+  KmerCode bits = 0;  // every k-mer or-ed: its width decides the kernel
+  for (std::size_t i = 0; i < count; ++i) {
+    list[i] = minimizers[i].kmer;
+    bits |= list[i];
+  }
+
+  // Each minimizer's trial set, then only the marked minimizers kept.
+  sets.assign(count * words, 0);
+  if (lanes > 1 && bits >> kLaneKmerBits == 0) {
+    jem_set_lanes(lanes, count, list.data(), hashes, sets.data());
+  } else {
+    for (std::size_t t = 0; t < trials; ++t) {
+      std::uint64_t* const word = sets.data() + t / 64;
+      suffix_minima(hashes[static_cast<int>(t)], list.data(), 0, count,
+                    [&](std::size_t i, std::uint64_t, bool record) {
+                      word[i * words] |= std::uint64_t{record} << (t % 64);
+                    });
+    }
+  }
+  kmers.clear();
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t* const set = sets.data() + i * words;
+    if (std::all_of(set, set + words, [](std::uint64_t w) { return w == 0; })) {
+      continue;
+    }
+    std::copy(set, set + words, sets.data() + kmers.size() * words);
+    kmers.push_back(list[i]);
+  }
+  sets.resize(kmers.size() * words);
+  return true;
 }
 
 Sketch sketch_by_jem(std::span<const Minimizer> minimizers,

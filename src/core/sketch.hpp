@@ -140,6 +140,28 @@ void sketch_by_jem(std::span<const Minimizer> minimizers,
                    std::uint32_t interval_length, const HashFamily& hashes,
                    SketchScratch& scratch, FlatSketch& out);
 
+/// Words of one k-mer's T-bit trial set: bit t of word t / 64 is trial t.
+[[nodiscard]] constexpr std::size_t trial_set_words(std::size_t trials) {
+  return (trials + 63) / 64;
+}
+
+/// Algorithm 1 for a minimizer list that spans at most ℓ (one block: every
+/// query tile and end segment), emitted as trial sets instead of columns.
+/// Trial t's sketch is then the set of suffix-minimum records of h_t over
+/// the list walked right to left, each record one minimizer. Only the
+/// rightmost occurrence of a k-mer can be a record, so the walk marks bit t
+/// on the minimizer where each record happens, and the marked minimizers
+/// hold distinct k-mers. Writes them to `kmers`, in list order, and their
+/// trial sets to `sets` (trial_set_words(T) words each). The same walk as
+/// the column kernel, on the same lanes (sketch_lanes()). Returns false,
+/// writing nothing, for a list that spans more than ℓ.
+[[nodiscard]] bool sketch_by_jem_sets(std::span<const Minimizer> minimizers,
+                                      std::uint32_t interval_length,
+                                      const HashFamily& hashes,
+                                      SketchScratch& scratch,
+                                      std::vector<KmerCode>& kmers,
+                                      std::vector<std::uint64_t>& sets);
+
 /// Algorithm 1 from the raw sequence (runs the minimizer scan first).
 [[nodiscard]] Sketch sketch_by_jem(std::string_view seq,
                                    const SketchParams& params,

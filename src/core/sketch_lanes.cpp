@@ -15,6 +15,11 @@
 // distinct. A column of several blocks can repeat a minimum out of turn and
 // is sorted and deduplicated, as in the scalar loop.
 //
+// A one-block query list takes the same suffix-minimum walk with a second
+// sink (jem_set_trials): where a lane's minimum changes, the lane's trial
+// bit is or-ed into the trial-set word of that minimizer, and nothing is
+// stored by row or copied out by column.
+//
 // Hashes and k-mers are below 2^62 and 2^32, so the lanes compare them as
 // signed 64-bit words (AVX2 has only the signed compare) and INT64_MAX
 // stands for "no minimum yet". The kernels are written once in GCC vector
@@ -104,6 +109,29 @@ template <class Key>
   best_h = h < best_h ? h : best_h;
 }
 
+/// The one-block walk of a group: every lane's suffix minimum by (hash,
+/// k-mer) over kmers[begin, end), last to first. Calls record(i, h, best_k)
+/// at each minimizer i with its hashes and the lanes' minima so far. A
+/// lane's minimum changes exactly where it strictly improves: a k-mer that
+/// ties the minimum is the minimum's own k-mer.
+template <int L, class Record>
+[[gnu::always_inline]] inline void suffix_minima(const TrialGroup<L>& group,
+                                                 const KmerCode* kmers,
+                                                 std::size_t begin,
+                                                 std::size_t end,
+                                                 Record&& record) {
+  using Key = typename Lanes<L>::Key;
+  Key h{};
+  Key best_h = Key{} + kNone;
+  Key best_k = Key{} + kNone;
+  for (std::size_t i = end; i-- > begin;) {
+    const Key k = Key{} + static_cast<std::int64_t>(kmers[i]);
+    group.hash(kmers[i], h);
+    take_min(h, k, best_h, best_k);
+    record(i, h, best_k);
+  }
+}
+
 template <int L>
 [[gnu::always_inline]] inline void jem_trials(std::size_t count,
                                               const HashFamily& hashes,
@@ -139,9 +167,6 @@ template <int L>
   std::size_t written = 0;
   for (std::size_t first = 0; first < trials; first += L) {
     const TrialGroup<L> group(hashes.lanes(), first);
-    Key h{};
-    Key best_h = none;
-    Key best_k = none;
     Key prev = none;  // the minimum of the interval walked before
     Word bits{};
     // Records the minimum of the interval starting at i.
@@ -157,13 +182,11 @@ template <int L>
 
     // Last block: every interval runs to the end of the list, so the
     // interval minimum is the suffix minimum.
-    for (std::size_t i = count; i-- > blocks[last];) {
-      const Key k = Key{} + static_cast<std::int64_t>(kmers[i]);
-      group.hash(kmers[i], h);
-      store(hashed + i * L, h);
-      take_min(h, k, best_h, best_k);
-      emit(i, best_k);
-    }
+    suffix_minima(group, kmers, blocks[last], count,
+                  [&](std::size_t i, const Key& hi, const Key& minimum) {
+                    store(hashed + i * L, hi);
+                    emit(i, minimum);
+                  });
 
     // Earlier blocks, last to first: the next block's prefix minima from
     // its stored hashes, then a backward pass that hashes, keeps the
@@ -172,6 +195,7 @@ template <int L>
       const std::size_t begin = blocks[b];
       const std::size_t mid = blocks[b + 1];
       const std::size_t stop = blocks[b + 2];
+      Key h{};
       Key ph = none;
       Key pk = none;
       for (std::size_t j = mid; j < stop; ++j) {
@@ -182,8 +206,8 @@ template <int L>
         store(prefix_kmer + (j - mid + 1) * L, pk);
       }
 
-      best_h = none;
-      best_k = none;
+      Key best_h = none;
+      Key best_k = none;
       for (std::size_t i = mid; i-- > begin;) {
         const Key k = Key{} + static_cast<std::int64_t>(kmers[i]);
         group.hash(kmers[i], h);
@@ -226,6 +250,39 @@ template <int L>
     }
   }
   out.kmers.resize(written);
+}
+
+template <int L>
+[[gnu::always_inline]] inline void jem_set_trials(std::size_t count,
+                                                  const KmerCode* kmers,
+                                                  const HashFamily& hashes,
+                                                  std::uint64_t* sets) {
+  using Key = typename Lanes<L>::Key;
+  using Word = typename Lanes<L>::Word;
+  const auto trials = static_cast<std::size_t>(hashes.trials());
+  const std::size_t words = trial_set_words(trials);
+  for (std::size_t first = 0; first < trials; first += L) {
+    const TrialGroup<L> group(hashes.lanes(), first);
+    // Each lane's bit in its trial-set word; 0 in the padding lanes past
+    // the last trial. L divides 64, so a group never straddles two words.
+    std::uint64_t bit_of[L];
+    for (std::size_t lane = 0; lane < L; ++lane) {
+      const std::size_t t = first + lane;
+      bit_of[lane] = t < trials ? std::uint64_t{1} << (t % 64) : 0;
+    }
+    Word lane_bits{};
+    load(bit_of, lane_bits);
+    std::uint64_t* const word = sets + first / 64;
+    Key prev = Key{} + kNone;
+    suffix_minima(group, kmers, 0, count,
+                  [&](std::size_t i, const Key&, const Key& minimum) {
+                    const Word marked = minimum != prev ? lane_bits : Word{};
+                    prev = minimum;
+                    std::uint64_t bits = 0;
+                    for (int lane = 0; lane < L; ++lane) bits |= marked[lane];
+                    word[i * words] |= bits;
+                  });
+  }
 }
 
 template <int L>
@@ -278,6 +335,19 @@ __attribute__((target("avx2"))) void jem_trials4(std::size_t count,
   jem_trials<4>(count, hashes, scratch, out);
 }
 
+__attribute__((target("avx512f,avx512dq"))) void jem_set_trials8(
+    std::size_t count, const KmerCode* kmers, const HashFamily& hashes,
+    std::uint64_t* sets) {
+  jem_set_trials<8>(count, kmers, hashes, sets);
+}
+
+__attribute__((target("avx2"))) void jem_set_trials4(std::size_t count,
+                                                     const KmerCode* kmers,
+                                                     const HashFamily& hashes,
+                                                     std::uint64_t* sets) {
+  jem_set_trials<4>(count, kmers, hashes, sets);
+}
+
 __attribute__((target("avx512f,avx512dq"))) void minhash_trials8(
     std::span<const KmerCode> kmers, const HashFamily& hashes,
     FlatSketch& out) {
@@ -327,6 +397,15 @@ void jem_lanes(int lanes, std::size_t count, const HashFamily& hashes,
   }
 }
 
+void jem_set_lanes(int lanes, std::size_t count, const KmerCode* kmers,
+                   const HashFamily& hashes, std::uint64_t* sets) {
+  if (lanes == 8) {
+    jem_set_trials8(count, kmers, hashes, sets);
+  } else {
+    jem_set_trials4(count, kmers, hashes, sets);
+  }
+}
+
 void minhash_lanes(int lanes, std::span<const KmerCode> kmers,
                    const HashFamily& hashes, FlatSketch& out) {
   if (lanes == 8) {
@@ -352,6 +431,11 @@ bool sketch_lanes_supported(int lanes) noexcept { return lanes == 1; }
 void jem_lanes(int, std::size_t, const HashFamily&, SketchScratch&,
                FlatSketch&) {
   throw std::logic_error("jem_lanes: no lane kernel on this target");
+}
+
+void jem_set_lanes(int, std::size_t, const KmerCode*, const HashFamily&,
+                   std::uint64_t*) {
+  throw std::logic_error("jem_set_lanes: no lane kernel on this target");
 }
 
 void minhash_lanes(int, std::span<const KmerCode>, const HashFamily&,

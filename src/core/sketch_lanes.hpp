@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "core/sketch.hpp"
 
@@ -26,6 +27,15 @@ void sketch_by_jem_with(int lanes, std::span<const Minimizer> minimizers,
                         const HashFamily& hashes, SketchScratch& scratch,
                         FlatSketch& out);
 
+/// sketch_by_jem_sets on the kernel of `lanes` (supported), with the same
+/// choice between the lane kernel and the scalar loop as
+/// sketch_by_jem_with.
+[[nodiscard]] bool sketch_by_jem_sets_with(
+    int lanes, std::span<const Minimizer> minimizers,
+    std::uint32_t interval_length, const HashFamily& hashes,
+    SketchScratch& scratch, std::vector<KmerCode>& kmers,
+    std::vector<std::uint64_t>& sets);
+
 /// classic_minhash on the kernel of `lanes` (supported): the lane kernel
 /// for k <= kMaxLaneK, the per-trial scalar loop otherwise.
 void classic_minhash_with(int lanes, std::string_view seq, int k,
@@ -38,6 +48,13 @@ void classic_minhash_with(int lanes, std::string_view seq, int k,
 /// Fills out.kmers and out.offsets[1..T]; out.offsets has T + 1 entries.
 void jem_lanes(int lanes, std::size_t count, const HashFamily& hashes,
                SketchScratch& scratch, FlatSketch& out);
+
+/// The one-block trial sets of every trial on the lane kernel of `lanes`
+/// (4 or 8, supported) over kmers[0, count) (all < 2^32): ors bit t into
+/// word t / 64 of sets[i * trial_set_words(T), ...) at each minimizer i
+/// where trial t's suffix minimum strictly improves. `sets` starts zeroed.
+void jem_set_lanes(int lanes, std::size_t count, const KmerCode* kmers,
+                   const HashFamily& hashes, std::uint64_t* sets);
 
 /// Every trial's argmin by (hash, k-mer) over `kmers` (all < 2^32) on the
 /// lane kernel of `lanes` (4 or 8, supported), appended to `out`: one k-mer

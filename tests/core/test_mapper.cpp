@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 
 #include "core/dna.hpp"
+#include "core/sketch_lanes.hpp"
 #include "oracle/kernels.hpp"
 #include "oracle/sequential_mapper.hpp"
 #include "sim/contigs.hpp"
@@ -671,6 +673,186 @@ TEST_F(MapperTest, AdoptedTableIsFrozenForTheHotPath) {
   const std::string segment = genome_.substr(20'500, 1000);
   EXPECT_EQ(adopted.map_segment(segment), fresh.map_segment(segment));
 }
+
+// sketch_keys writes a segment's distinct sketch k-mers and their T-bit
+// trial sets straight from the sketch walk. Its keys must equal make_sketch's
+// sketch regrouped by k-mer, for every scheme, trial count and list shape,
+// on every lane kernel the host runs (others skip).
+
+/// A sketch as a (k-mer -> trial set) map.
+using KeyMap = std::map<KmerCode, std::vector<std::uint64_t>>;
+
+KeyMap regrouped(const Sketch& sketch) {
+  const std::size_t words =
+      trial_set_words(static_cast<std::size_t>(sketch.trials()));
+  KeyMap map;
+  for (int t = 0; t < sketch.trials(); ++t) {
+    for (const KmerCode kmer : sketch.per_trial[static_cast<std::size_t>(t)]) {
+      auto& set = map.try_emplace(kmer, words, 0).first->second;
+      set[static_cast<std::size_t>(t) / 64] |= std::uint64_t{1} << (t % 64);
+    }
+  }
+  return map;
+}
+
+/// The keys as a map; a k-mer listed twice is a failure.
+KeyMap as_key_map(const std::vector<KmerCode>& kmers,
+                  const std::vector<std::uint64_t>& sets, std::size_t words) {
+  EXPECT_EQ(sets.size(), kmers.size() * words);
+  KeyMap map;
+  for (std::size_t d = 0; d < kmers.size() && sets.size() >= (d + 1) * words;
+       ++d) {
+    const auto first = sets.begin() + static_cast<std::ptrdiff_t>(d * words);
+    EXPECT_TRUE(map.try_emplace(kmers[d], first, first + words).second)
+        << "k-mer " << kmers[d] << " listed twice";
+  }
+  return map;
+}
+
+class SketchKeysTest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (!detail::sketch_lanes_supported(GetParam())) {
+      GTEST_SKIP() << GetParam() << "-lane kernel not supported here";
+    }
+  }
+
+  /// sketch_keys against make_sketch regrouped, and for a JEM list the
+  /// trial-set kernel of the lanes under test too: it must write the same
+  /// keys for a one-block list and refuse a longer one untouched.
+  void expect_keys(const std::string& seq, const MapParams& params,
+                   SketchScheme scheme, const HashFamily& hashes,
+                   const std::string& what) {
+    const std::size_t words =
+        trial_set_words(static_cast<std::size_t>(hashes.trials()));
+    const KeyMap expected = regrouped(make_sketch(seq, params, scheme, hashes));
+    const std::size_t distinct =
+        sketch_keys(seq, params, scheme, hashes, scratch_, keys_);
+    EXPECT_EQ(distinct, keys_.kmers.size()) << what;
+    EXPECT_EQ(as_key_map(keys_.kmers, keys_.trials, words), expected) << what;
+    if (scheme != SketchScheme::kJem) return;
+
+    const std::vector<Minimizer> minimizers =
+        minimizer_scan(seq, {params.k, params.w, params.ordering});
+    const bool one_block =
+        minimizers.empty() ||
+        minimizers.back().position <=
+            std::uint64_t{minimizers.front().position} +
+                params.segment_length;
+    kmers_.assign(1, 7);
+    sets_.assign(words, 9);
+    ASSERT_EQ(detail::sketch_by_jem_sets_with(GetParam(), minimizers,
+                                              params.segment_length, hashes,
+                                              lane_scratch_, kmers_, sets_),
+              one_block)
+        << what;
+    if (one_block) {
+      EXPECT_EQ(as_key_map(kmers_, sets_, words), expected) << what;
+    } else {
+      EXPECT_EQ(kmers_, std::vector<KmerCode>(1, 7)) << what;
+      EXPECT_EQ(sets_, std::vector<std::uint64_t>(words, 9)) << what;
+    }
+  }
+
+  // One of each is reused by every call of a test, so a one-block segment
+  // after a many-block or MinHash one reads no stale state.
+  SketchScratch scratch_;
+  SketchKeys keys_;
+  SketchScratch lane_scratch_;
+  std::vector<KmerCode> kmers_;
+  std::vector<std::uint64_t> sets_;
+};
+
+TEST_P(SketchKeysTest, EveryTrialCountSchemeAndSegmentLength) {
+  // T around the lane widths and the 64-bit word edges (partial groups
+  // leave padding lanes that must never mark a trial), both schemes, and
+  // segments of ℓ - 1 and ℓ (one block), 2ℓ and 5ℓ (several blocks).
+  util::Xoshiro256ss rng(4242);
+  const std::uint32_t interval = 1000;
+  for (const int trials : {1, 7, 8, 30, 64, 65, 150}) {
+    const HashFamily hashes(trials, rng());
+    for (const SketchScheme scheme :
+         {SketchScheme::kJem, SketchScheme::kClassicMinhash}) {
+      for (const std::uint32_t length :
+           {interval - 1, interval, 2 * interval, 5 * interval}) {
+        const MapParams params{.k = 16,
+                               .w = 20,
+                               .trials = trials,
+                               .segment_length = interval};
+        expect_keys(random_dna(rng, length), params, scheme, hashes,
+                    "T=" + std::to_string(trials) + " scheme " +
+                        std::to_string(static_cast<int>(scheme)) +
+                        " length " + std::to_string(length));
+      }
+    }
+  }
+}
+
+TEST_P(SketchKeysTest, NRunsTandemRepeatsAndSegmentsWithoutKmers) {
+  // Repeats put one k-mer at several minimizer positions, where only the
+  // rightmost occurrence may carry its trials; N runs break the k-mers up,
+  // and an all-N or too-short segment has no k-mer at all.
+  util::Xoshiro256ss rng(4343);
+  const std::string unit = random_dna(rng, 37);
+  std::string tandem;
+  while (tandem.size() < 990) tandem += unit;
+  std::string short_tandem;
+  while (short_tandem.size() < 990) short_tandem += "ACGTTGA";
+  std::string spaced;
+  const std::string kmer = random_dna(rng, 20);
+  for (int i = 0; i < 9; ++i) spaced += kmer + random_dna(rng, 80);
+  std::string n_runs = random_dna(rng, 999);
+  for (std::size_t at = 50; at + 40 < n_runs.size(); at += 170) {
+    n_runs.replace(at, 10 + at % 30, 10 + at % 30, 'N');
+  }
+  const std::vector<std::string> segments = {
+      tandem,        short_tandem, spaced,
+      n_runs,        std::string(1000, 'N'),
+      std::string(1000, 'A'),     "ACGTAC",
+      "",            tandem + tandem + tandem,
+      n_runs + spaced + tandem};
+  for (const int trials : {1, 8, 30, 65, 150}) {
+    const HashFamily hashes(trials, rng());
+    const MapParams params{.k = 16, .w = 10, .trials = trials};
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      for (const SketchScheme scheme :
+           {SketchScheme::kJem, SketchScheme::kClassicMinhash}) {
+        expect_keys(segments[i], params, scheme, hashes,
+                    "T=" + std::to_string(trials) + " segment " +
+                        std::to_string(i) + " scheme " +
+                        std::to_string(static_cast<int>(scheme)));
+      }
+    }
+  }
+}
+
+TEST_P(SketchKeysTest, HashTiesAndWideKmers) {
+  // Tiny moduli make distinct k-mers tie on the hash in nearly every trial,
+  // so the k-mer tie-break decides every record; k = 21 k-mers are wider
+  // than the lane modulo's range and take the scalar loop.
+  util::Xoshiro256ss rng(4444);
+  std::vector<LcgHash> members;
+  for (const std::uint64_t p : {2, 3, 5, 7, 11, 13, 2, 3, 5, 7, 11}) {
+    members.push_back({rng.bounded(p), rng.bounded(p), p});
+  }
+  const HashFamily tiny(members);
+  const MapParams tiny_params{.k = 16, .w = 10, .trials = tiny.trials()};
+  const HashFamily wide_hashes(30, 77);
+  const MapParams wide_params{.k = 21, .w = 20, .trials = 30};
+  for (int round = 0; round < 12; ++round) {
+    const std::string seq =
+        random_dna(rng, round % 3 == 2 ? 3000 : 1 + rng.bounded(1000));
+    expect_keys(seq, tiny_params, SketchScheme::kJem, tiny,
+                "tiny moduli round " + std::to_string(round));
+    expect_keys(seq, wide_params, SketchScheme::kJem, wide_hashes,
+                "k = 21 round " + std::to_string(round));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, SketchKeysTest, ::testing::Values(1, 4, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param) + "Lanes";
+                         });
 
 TEST(MapperValidation, RejectsBadParams) {
   io::SequenceSet subjects;
