@@ -449,19 +449,21 @@ const std::vector<std::vector<core::Minimizer>>& tile_lists() {
   return lists;
 }
 
-/// Sketches the lists in turn on the sketch kernel of `lanes`.
+/// Sketches the lists in turn into rows on the sketch kernel of `lanes`.
 void sketch_lists_on(benchmark::State& state,
                      const std::vector<std::vector<core::Minimizer>>& lists,
                      int lanes) {
   const core::MapParams params = hotpath_data().params;
   const core::HashFamily hashes(params.trials, params.seed);
   core::SketchScratch scratch;
-  core::FlatSketch sketch;
+  std::vector<core::KmerCode> kmers;
+  std::vector<std::uint64_t> sets;
   std::size_t i = 0;
   for (auto _ : state) {
-    core::detail::sketch_by_jem_with(lanes, lists[i], params.segment_length,
-                                     hashes, scratch, sketch);
-    benchmark::DoNotOptimize(sketch.kmers.data());
+    core::detail::sketch_by_jem_sets_with(lanes, lists[i],
+                                          params.segment_length, hashes,
+                                          scratch, kmers, sets);
+    benchmark::DoNotOptimize(sets.data());
     benchmark::ClobberMemory();
     i = (i + 1) % lists.size();
   }
@@ -470,7 +472,7 @@ void sketch_lists_on(benchmark::State& state,
                  std::to_string(lanes) + " lanes");
 }
 
-// The kernel sketch_by_jem dispatches to on this host, on query tiles.
+// The kernel sketch_by_jem_sets dispatches to on this host, on query tiles.
 void BM_HotpathSuffixSketch(benchmark::State& state) {
   sketch_lists_on(state, tile_lists(), core::sketch_lanes());
 }

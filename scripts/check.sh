@@ -39,10 +39,10 @@ ctest --test-dir build-tsan --output-on-failure \
 # CRC-32 fold kernel that checks its trailers (loads at every length and
 # offset) and the buffered FASTA/FASTQ reader.
 # The query kernels ride along too: the minimizer scan indexes raw window
-# blocks, the sketch kernels (scalar and lanes) write through a raw column
-# pointer and index their prefix minima by interval end and their emitted
-# rows by mask bit, the query sketch's trial-set words are indexed by
-# minimizer and by lane mask (SketchKeys), and the output goldens drive
+# blocks, the sketch kernels (scalar and lanes) index their prefix minima
+# by interval end and mark trial-set words through the row offsets their
+# minima carry, the merge's radix sort scatters row ids by byte (SketchKeys,
+# SketchLanes, ClassicMinhash), and the output goldens drive
 # every mapping mode end to end (OutputGolden). The mapper's fused vote
 # pass stores raw home-slot indices, probes the slot regions from them and
 # indexes its vote records by posting. The index build fills the slot

@@ -51,21 +51,42 @@ Sketch make_sketch(std::string_view seq, const MapParams& params,
   return {};
 }
 
-void make_sketch(std::string_view seq, const MapParams& params,
+namespace {
+
+/// sketch_keys' rows into any pair of row vectors.
+void sketch_rows(std::string_view seq, const MapParams& params,
                  SketchScheme scheme, const HashFamily& hashes,
-                 SketchScratch& scratch, FlatSketch& out) {
+                 SketchScratch& scratch, std::vector<KmerCode>& kmers,
+                 std::vector<std::uint64_t>& sets) {
   switch (scheme) {
     case SketchScheme::kJem: {
       const MinimizerParams mp{params.k, params.w, params.ordering};
       minimizer_scan(seq, mp, scratch.scan, scratch.minimizers);
-      sketch_by_jem(scratch.minimizers, params.segment_length, hashes,
-                    scratch, out);
+      sketch_by_jem_sets(scratch.minimizers, params.segment_length, hashes,
+                         scratch, kmers, sets);
       break;
     }
     case SketchScheme::kClassicMinhash:
-      classic_minhash(seq, params.k, hashes, scratch, out);
+      classic_minhash_sets(seq, params.k, hashes, scratch, kmers, sets);
       break;
   }
+}
+
+}  // namespace
+
+void make_sketch(std::string_view seq, const MapParams& params,
+                 SketchScheme scheme, const HashFamily& hashes,
+                 SketchScratch& scratch, FlatSketch& out) {
+  sketch_rows(seq, params, scheme, hashes, scratch, scratch.view_kmers,
+              scratch.view_sets);
+  rows_by_trial(scratch.view_kmers, scratch.view_sets, hashes.trials(), out);
+}
+
+std::size_t sketch_keys(std::string_view seq, const MapParams& params,
+                        SketchScheme scheme, const HashFamily& hashes,
+                        SketchScratch& scratch, SketchKeys& keys) {
+  sketch_rows(seq, params, scheme, hashes, scratch, keys.kmers, keys.trials);
+  return keys.kmers.size();
 }
 
 std::vector<std::pair<io::SeqId, io::SeqId>> partition_by_bases(
@@ -113,7 +134,7 @@ std::vector<SketchEntry> sketch_subjects(const io::SequenceSet& subjects,
     throw std::invalid_argument("sketch_subjects: trial count mismatch");
   }
   // One part per worker, never more parts than subjects; each part reuses
-  // one scratch and one flat sketch for all of its subjects.
+  // one scratch and one set of rows for all of its subjects.
   const std::size_t parts = std::max<std::size_t>(
       1, std::min<std::size_t>(threads, end > begin ? end - begin : 0));
   const auto ranges =
@@ -123,16 +144,18 @@ std::vector<SketchEntry> sketch_subjects(const io::SequenceSet& subjects,
   if (parts > 1) pool.emplace(parts);
   util::parallel_for_each(pool ? &*pool : nullptr, parts, [&](std::size_t r) {
     SketchScratch scratch;
-    FlatSketch sketch;
+    SketchKeys rows;
+    const std::size_t words =
+        trial_set_words(static_cast<std::size_t>(params.trials));
     std::vector<SketchEntry>& list = lists[r];
     for (io::SeqId id = ranges[r].first; id < ranges[r].second; ++id) {
-      make_sketch(subjects.bases(id), params, scheme, hashes, scratch,
-                  sketch);
-      for (int t = 0; t < sketch.trials(); ++t) {
-        for (const KmerCode kmer : sketch.trial(t)) {
-          list.push_back({kmer, static_cast<std::uint32_t>(t), id});
-        }
-      }
+      (void)sketch_keys(subjects.bases(id), params, scheme, hashes, scratch,
+                        rows);
+      for_each_entry(rows.kmers, rows.trials, words,
+                     [&](std::size_t t, KmerCode kmer) {
+                       list.push_back(
+                           {kmer, static_cast<std::uint32_t>(t), id});
+                     });
     }
   });
   if (parts == 1) return std::move(lists.front());
@@ -188,67 +211,6 @@ JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
 }
 
 namespace {
-
-/// Gives each column entry of `sketch` the id of its k-mer among the
-/// sketch's distinct k-mers (keys.ids) and lists the distinct k-mers
-/// (keys.kmers). Returns the number of distinct k-mers.
-std::size_t distinct_kmers(const FlatSketch& sketch, SketchKeys& keys) {
-  const std::size_t n = sketch.kmers.size();
-  const std::size_t capacity =
-      std::bit_ceil(std::max<std::size_t>(16, 2 * n));
-  if (keys.seen.size() < capacity) {
-    keys.seen.assign(capacity, {});
-    keys.stamp = 0;
-  }
-  if (++keys.stamp == 0) {  // wrapped: old stamps could read as current
-    std::fill(keys.seen.begin(), keys.seen.end(), SketchKeys::Seen{});
-    keys.stamp = 1;
-  }
-  keys.ids.resize(n);
-  keys.kmers.resize(n);
-
-  // A multiplicative hash picks the set slot.
-  const unsigned shift =
-      64 - static_cast<unsigned>(std::countr_zero(capacity));
-  const std::size_t mask = capacity - 1;
-  const std::uint32_t stamp = keys.stamp;
-  SketchKeys::Seen* const seen = keys.seen.data();
-  std::uint32_t distinct = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const KmerCode kmer = sketch.kmers[j];
-    for (std::size_t i = (kmer * 0x9e3779b97f4a7c15ULL) >> shift;;
-         i = (i + 1) & mask) {
-      if (seen[i].stamp != stamp) {
-        seen[i] = {kmer, stamp, distinct};
-        keys.kmers[distinct] = kmer;
-        keys.ids[j] = distinct++;
-        break;
-      }
-      if (seen[i].kmer == kmer) {
-        keys.ids[j] = seen[i].id;
-        break;
-      }
-    }
-  }
-  keys.kmers.resize(distinct);
-  return distinct;
-}
-
-/// Builds each distinct k-mer's T-bit trial set (keys.trials): bit t is
-/// set when trial t of `sketch` holds the k-mer.
-void trial_sets(const FlatSketch& sketch, std::size_t distinct,
-                SketchKeys& keys) {
-  const auto trials = static_cast<std::size_t>(sketch.trials());
-  const std::size_t words = trial_set_words(trials);
-  keys.trials.assign(distinct * words, 0);
-  for (std::size_t t = 0; t < trials; ++t) {
-    std::uint64_t* const word = keys.trials.data() + t / 64;
-    const std::uint64_t bit = std::uint64_t{1} << (t % 64);
-    for (std::size_t j = sketch.offsets[t]; j < sketch.offsets[t + 1]; ++j) {
-      word[keys.ids[j] * words] |= bit;
-    }
-  }
-}
 
 /// Resolves the keys of a sketch to the postings they vote with. Probes
 /// each distinct k-mer once (its home slot was prefetched) and prefetches
@@ -385,31 +347,6 @@ MapResult vote_segment(std::string_view segment, const MapParams& params,
 }
 
 }  // namespace
-
-std::size_t sketch_keys(std::string_view seq, const MapParams& params,
-                        SketchScheme scheme, const HashFamily& hashes,
-                        SketchScratch& scratch, SketchKeys& keys) {
-  FlatSketch& columns = keys.columns;
-  switch (scheme) {
-    case SketchScheme::kJem: {
-      const MinimizerParams mp{params.k, params.w, params.ordering};
-      minimizer_scan(seq, mp, scratch.scan, scratch.minimizers);
-      if (sketch_by_jem_sets(scratch.minimizers, params.segment_length,
-                             hashes, scratch, keys.kmers, keys.trials)) {
-        return keys.kmers.size();
-      }
-      sketch_by_jem(scratch.minimizers, params.segment_length, hashes,
-                    scratch, columns);
-      break;
-    }
-    case SketchScheme::kClassicMinhash:
-      classic_minhash(seq, params.k, hashes, scratch, columns);
-      break;
-  }
-  const std::size_t distinct = distinct_kmers(columns, keys);
-  trial_sets(columns, distinct, keys);
-  return distinct;
-}
 
 MapResult vote_matched(MapScratch& scratch, int trials,
                        std::uint32_t min_votes) {

@@ -114,17 +114,10 @@ struct HotpathCounters {
 void publish_kernel_lanes(obs::Registry& registry);
 
 /// The vote pass's per-segment buffers (core/mapper.cpp): the segment's
-/// distinct sketch k-mers with their T-bit trial sets (sketch_keys), per
-/// distinct k-mer its home slot and postings run, and the postings that
-/// vote, sorted by trial. A multi-block or MinHash sketch is first written
-/// as columns and given distinct-k-mer ids by a stamped open-addressing set
-/// (a stamp bump empties it).
+/// sketch rows, each distinct k-mer with its T-bit trial set (sketch_keys),
+/// per distinct k-mer its home slot and postings run, and the postings that
+/// vote, sorted by trial.
 struct SketchKeys {
-  struct Seen {
-    KmerCode kmer = 0;
-    std::uint32_t stamp = 0;
-    std::uint32_t id = 0;
-  };
   struct Posting {
     std::uint32_t trial = 0;
     io::SeqId subject = 0;
@@ -136,11 +129,6 @@ struct SketchKeys {
   std::vector<Posting> matched;            // postings in a query trial
   std::vector<std::uint32_t> starts;       // [t + 1]: matched in trial t
   std::vector<Posting> voted;              // `matched` sorted by trial
-  // Multi-block and MinHash sketches only:
-  FlatSketch columns;                      // the sketch, trial by trial
-  std::vector<Seen> seen;                  // power-of-two capacity
-  std::uint32_t stamp = 0;                 // current segment's stamp
-  std::vector<std::uint32_t> ids;          // column entry -> distinct id
 };
 
 /// Per-thread mutable state for the query phase: the vote counter (the
@@ -156,7 +144,7 @@ class MapScratch {
   /// Per-subject votes of the current segment.
   VoteCounter& counter() noexcept { return counter_; }
 
-  /// Sketch-kernel buffers (minimizer list, window rings, emission arrays).
+  /// Sketch-kernel buffers (minimizer list, window rings, interval rows).
   SketchScratch& sketch_scratch() noexcept { return sketch_scratch_; }
 
   /// The segment's distinct sketch k-mers and trial sets, their postings
@@ -178,27 +166,27 @@ class MapScratch {
   HotpathCounters hotpath_;
 };
 
-/// Computes the sketch of one sequence under the given scheme.
+/// Computes the sketch of one sequence under the given scheme, as the
+/// sorted view of its rows (tests, examples).
 [[nodiscard]] Sketch make_sketch(std::string_view seq, const MapParams& params,
                                  SketchScheme scheme,
                                  const HashFamily& hashes);
 
-/// Scratch-reusing form: fills `out` without steady-state allocation. Each
-/// trial list holds the allocating overload's per_trial set, in the
-/// kernels' emission order (FlatSketch).
+/// Scratch-reusing form: fills `out` with sketch_keys' rows regrouped trial
+/// by trial (rows_by_trial), without steady-state allocation. Each trial
+/// list holds the allocating overload's per_trial set, in no promised
+/// order.
 void make_sketch(std::string_view seq, const MapParams& params,
                  SketchScheme scheme, const HashFamily& hashes,
                  SketchScratch& scratch, FlatSketch& out);
 
-/// Sketches `seq` under the scheme straight into its distinct k-mers
+/// Sketches `seq` under the scheme into its rows: the distinct k-mers
 /// (keys.kmers) and their T-bit trial sets (keys.trials,
-/// trial_set_words(T) words each): bit t is set when trial t of
-/// make_sketch's sketch holds the k-mer. A JEM list that spans at most ℓ
-/// (every tile and end segment) takes one hash walk that marks the trials
-/// on the minimizers (sketch_by_jem_sets); a longer list and the MinHash
-/// sketch are written as columns (keys.columns) and deduplicated. Returns
-/// the number of distinct k-mers. map_segment and the partitioned driver
-/// vote from these keys.
+/// trial_set_words(T) words each), bit t set when trial t's sketch holds
+/// the k-mer. JEM runs sketch_by_jem_sets over the minimizer scan, MinHash
+/// classic_minhash_sets. Returns the number of distinct k-mers.
+/// map_segment, the partitioned driver and the index build (sketch_subjects)
+/// all take their sketches from here.
 std::size_t sketch_keys(std::string_view seq, const MapParams& params,
                         SketchScheme scheme, const HashFamily& hashes,
                         SketchScratch& scratch, SketchKeys& keys);
@@ -220,9 +208,10 @@ std::size_t sketch_keys(std::string_view seq, const MapParams& params,
 
 /// S2: sketches subjects [begin, end) of `subjects` into the wire entry list
 /// SketchTable::from_entries builds the table from — every (trial, kmer) of
-/// each subject's sketch, subjects in id order, trials in order within a
-/// subject. `threads` workers sketch base-balanced subject ranges in
-/// parallel; the list is the same at every thread count. Throws
+/// each subject's sketch rows (sketch_keys), subjects in id order, each
+/// subject's rows in order and each row's trials in order. `threads`
+/// workers sketch base-balanced subject ranges in parallel; the list is
+/// the same at every thread count. Throws
 /// std::invalid_argument if `hashes` does not have params.trials trials.
 [[nodiscard]] std::vector<SketchEntry> sketch_subjects(
     const io::SequenceSet& subjects, io::SeqId begin, io::SeqId end,

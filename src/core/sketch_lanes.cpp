@@ -6,19 +6,14 @@
 // hashes the minimizer under the L trials at once with the divide-free
 // modulo (core/hash_family.hpp) and updates every lane's running minimum by
 // (hash, k-mer) with vector compares. The block decomposition and the order
-// of the walk are the scalar loop's (core/sketch.hpp); the interval minimum
-// of every step is stored as a row of L k-mers, and bit i of a lane's emit
-// mask says that row i differs from the row walked before it. Afterwards
-// each lane's set bits are copied, lowest row first, to its trial's column
-// of out.kmers. A one-block column is then final: its rows are suffix
-// minima, which only change to a strictly lower (hash, k-mer), so they are
-// distinct. A column of several blocks can repeat a minimum out of turn and
-// is sorted and deduplicated, as in the scalar loop.
-//
-// A one-block query list takes the same suffix-minimum walk with a second
-// sink (jem_set_trials): where a lane's minimum changes, the lane's trial
-// bit is or-ed into the trial-set word of that minimizer, and nothing is
-// stored by row or copied out by column.
+// of the walk are the scalar loop's (core/sketch.hpp), and so is the sink:
+// the walk ors each lane's trial bit into the trial-set word of the
+// minimizer its interval minimum came from. In the last block that is the
+// minimizer walked, where a lane's suffix minimum changes, so the lanes'
+// bits are or-ed into one word. In an earlier block every lane carries the
+// set offset of its minimum's minimizer beside (hash, k-mer), through the
+// suffix minimum and the next block's prefix rows, and marks it. Padding
+// lanes past the last trial carry no bit. Nothing is stored per interval.
 //
 // Hashes and k-mers are below 2^62 and 2^32, so the lanes compare them as
 // signed 64-bit words (AVX2 has only the signed compare) and INT64_MAX
@@ -28,7 +23,6 @@
 #include "core/sketch_lanes.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -109,7 +103,21 @@ template <class Key>
   best_h = h < best_h ? h : best_h;
 }
 
-/// The one-block walk of a group: every lane's suffix minimum by (hash,
+/// take_min that also moves best_s to s, the set offset of the minimizer
+/// (h, k) came from, in the lanes it lowers. A lane is lowered exactly
+/// where its k-mer changes (a k-mer that ties the minimum is the minimum's
+/// own), and that compare is a select of its own: one that reused the
+/// (hash, k-mer) masks would be kept as a value and lowered lane by lane.
+template <class Key>
+[[gnu::always_inline]] inline void take_min(const Key& h, const Key& k,
+                                            const Key& s, Key& best_h,
+                                            Key& best_k, Key& best_s) {
+  const Key before = best_k;
+  take_min(h, k, best_h, best_k);
+  best_s = best_k != before ? s : best_s;
+}
+
+/// The last block's walk of a group: every lane's suffix minimum by (hash,
 /// k-mer) over kmers[begin, end), last to first. Calls record(i, h, best_k)
 /// at each minimizer i with its hashes and the lanes' minima so far. A
 /// lane's minimum changes exactly where it strictly improves: a k-mer that
@@ -132,163 +140,161 @@ template <int L, class Record>
   }
 }
 
+/// Each lane's bit in its trial-set word: 1 << (t % 64) for trial t =
+/// first + lane, 0 in the padding lanes past the last trial. L divides 64,
+/// so a group never straddles two words.
 template <int L>
-[[gnu::always_inline]] inline void jem_trials(std::size_t count,
-                                              const HashFamily& hashes,
-                                              SketchScratch& scratch,
-                                              FlatSketch& out) {
+[[gnu::always_inline]] inline void trial_bits(std::size_t first,
+                                              std::size_t trials,
+                                              std::uint64_t (&bit_of)[L]) {
+  for (std::size_t lane = 0; lane < L; ++lane) {
+    const std::size_t t = first + lane;
+    bit_of[lane] = t < trials ? std::uint64_t{1} << (t % 64) : 0;
+  }
+}
+
+/// The earlier blocks of a list of several blocks for the group of trials
+/// first.. (whose last block left its hashes in scratch.hashed), last to
+/// first: the next block's prefix minima from its stored hashes, with the
+/// set offsets of their minimizers, then a backward pass that hashes,
+/// keeps the suffix minimum and merges. Each lane marks the minimizer its
+/// interval minimum came from.
+template <int L>
+[[gnu::always_inline]] inline void earlier_blocks(const TrialGroup<L>& group,
+                                                  std::size_t first,
+                                                  std::size_t trials,
+                                                  SketchScratch& scratch,
+                                                  std::uint64_t* sets) {
   using Key = typename Lanes<L>::Key;
-  using Word = typename Lanes<L>::Word;
   const KmerCode* const kmers = scratch.kmers.data();
   const std::uint32_t* const ends = scratch.ends.data();
-  const std::vector<std::uint32_t>& blocks = scratch.blocks;
-  const std::size_t last = blocks.size() - 2;  // the last block's index
-  const auto trials = static_cast<std::size_t>(hashes.trials());
-  const std::size_t chunks = (count + 63) / 64;
-
-  // Rows of L lanes: the group's hashes and interval minima per minimizer,
-  // the next block's prefix minima (row 0 is the empty prefix), and one
-  // emit mask word per lane per 64 minimizers.
-  scratch.hashed.resize(count * L);
-  scratch.minima.resize(count * L);
-  scratch.prefix_hash.resize((count + 1) * L);
-  scratch.prefix_kmer.resize((count + 1) * L);
-  scratch.emits.resize(chunks * L);
+  const std::uint32_t* const blocks = scratch.blocks.data();
   std::uint64_t* const hashed = scratch.hashed.data();
-  KmerCode* const minima = scratch.minima.data();
   std::uint64_t* const prefix_hash = scratch.prefix_hash.data();
   KmerCode* const prefix_kmer = scratch.prefix_kmer.data();
-  std::uint64_t* const emits = scratch.emits.data();
+  std::uint64_t* const prefix_set = scratch.prefix_set.data();
+  const auto words = static_cast<std::int64_t>(trial_set_words(trials));
+  std::uint64_t bit_of[L];
+  trial_bits<L>(first, trials, bit_of);
+  std::uint64_t* const word = sets + first / 64;
   const Key none = Key{} + kNone;
-  store(prefix_hash, none);
-  store(prefix_kmer, none);
 
-  out.kmers.resize(trials * count);
-  std::size_t written = 0;
-  for (std::size_t first = 0; first < trials; first += L) {
-    const TrialGroup<L> group(hashes.lanes(), first);
-    Key prev = none;  // the minimum of the interval walked before
-    Word bits{};
-    // Records the minimum of the interval starting at i.
-    const auto emit = [&](std::size_t i, const Key& minimum) {
-      store(minima + i * L, minimum);
-      bits = minimum != prev ? bits | (std::uint64_t{1} << (i % 64)) : bits;
-      prev = minimum;
-      if (i % 64 == 0) {
-        store(emits + (i / 64) * L, bits);
-        bits = Word{};
-      }
-    };
-
-    // Last block: every interval runs to the end of the list, so the
-    // interval minimum is the suffix minimum.
-    suffix_minima(group, kmers, blocks[last], count,
-                  [&](std::size_t i, const Key& hi, const Key& minimum) {
-                    store(hashed + i * L, hi);
-                    emit(i, minimum);
-                  });
-
-    // Earlier blocks, last to first: the next block's prefix minima from
-    // its stored hashes, then a backward pass that hashes, keeps the
-    // suffix minimum and merges.
-    for (std::size_t b = last; b-- > 0;) {
-      const std::size_t begin = blocks[b];
-      const std::size_t mid = blocks[b + 1];
-      const std::size_t stop = blocks[b + 2];
-      Key h{};
-      Key ph = none;
-      Key pk = none;
-      for (std::size_t j = mid; j < stop; ++j) {
-        const Key k = Key{} + static_cast<std::int64_t>(kmers[j]);
-        load(hashed + j * L, h);
-        take_min(h, k, ph, pk);
-        store(prefix_hash + (j - mid + 1) * L, ph);
-        store(prefix_kmer + (j - mid + 1) * L, pk);
-      }
-
-      Key best_h = none;
-      Key best_k = none;
-      for (std::size_t i = mid; i-- > begin;) {
-        const Key k = Key{} + static_cast<std::int64_t>(kmers[i]);
-        group.hash(kmers[i], h);
-        store(hashed + i * L, h);
-        take_min(h, k, best_h, best_k);
-        // The interval minimum: the suffix minimum or the prefix minimum
-        // of the next block up to r(i) - 1, whichever is lower.
-        const std::size_t e = ends[i] - mid;
-        Key eh{};
-        Key ek{};
-        load(prefix_hash + e * L, eh);
-        load(prefix_kmer + e * L, ek);
-        Key min_h = best_h;
-        Key min_k = best_k;
-        take_min(eh, ek, min_h, min_k);
-        emit(i, min_k);
-      }
+  for (std::size_t b = scratch.blocks.size() - 2; b-- > 0;) {
+    const std::size_t begin = blocks[b];
+    const std::size_t mid = blocks[b + 1];
+    const std::size_t stop = blocks[b + 2];
+    Key h{};
+    Key ph = none;
+    Key pk = none;
+    Key ps{};
+    for (std::size_t j = mid; j < stop; ++j) {
+      const Key k = Key{} + static_cast<std::int64_t>(kmers[j]);
+      load(hashed + j * L, h);
+      take_min(h, k, Key{} + static_cast<std::int64_t>(j) * words, ph, pk,
+               ps);
+      store(prefix_hash + (j - mid + 1) * L, ph);
+      store(prefix_kmer + (j - mid + 1) * L, pk);
+      store(prefix_set + (j - mid + 1) * L, ps);
     }
 
-    // Each real trial's emitted rows into its column; padding lanes are
-    // never read.
-    const std::size_t lanes = std::min<std::size_t>(L, trials - first);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      KmerCode* const column = out.kmers.data() + written;
-      std::size_t emitted = 0;
-      for (std::size_t c = 0; c < chunks; ++c) {
-        for (std::uint64_t word = emits[c * L + lane]; word != 0;
-             word &= word - 1) {
-          const std::size_t i = c * 64 + std::countr_zero(word);
-          column[emitted++] = minima[i * L + lane];
-        }
+    Key best_h = none;
+    Key best_k = none;
+    Key best_s{};
+    for (std::size_t i = mid; i-- > begin;) {
+      const Key k = Key{} + static_cast<std::int64_t>(kmers[i]);
+      group.hash(kmers[i], h);
+      store(hashed + i * L, h);
+      take_min(h, k, Key{} + static_cast<std::int64_t>(i) * words, best_h,
+               best_k, best_s);
+      // The interval minimum: the suffix minimum or the prefix minimum of
+      // the next block up to r(i) - 1, whichever is lower.
+      const std::size_t e = ends[i] - mid;
+      Key eh{};
+      Key ek{};
+      Key es{};
+      load(prefix_hash + e * L, eh);
+      load(prefix_kmer + e * L, ek);
+      load(prefix_set + e * L, es);
+      Key min_h = best_h;
+      Key min_k = best_k;
+      Key min_s = best_s;
+      take_min(eh, ek, es, min_h, min_k, min_s);
+      // Marking an unchanged minimum again sets a bit already set, so
+      // every step marks and none tests for a change.
+      for (int lane = 0; lane < L; ++lane) {
+        word[min_s[lane]] |= bit_of[lane];
       }
-      if (last > 0) {
-        std::sort(column, column + emitted);
-        emitted = static_cast<std::size_t>(
-            std::unique(column, column + emitted) - column);
-      }
-      written += emitted;
-      out.offsets[first + lane + 1] = static_cast<std::uint32_t>(written);
     }
   }
-  out.kmers.resize(written);
 }
 
 template <int L>
 [[gnu::always_inline]] inline void jem_set_trials(std::size_t count,
-                                                  const KmerCode* kmers,
                                                   const HashFamily& hashes,
+                                                  SketchScratch& scratch,
                                                   std::uint64_t* sets) {
   using Key = typename Lanes<L>::Key;
   using Word = typename Lanes<L>::Word;
+  const KmerCode* const kmers = scratch.kmers.data();
+  const std::size_t last = scratch.blocks.size() - 2;  // the last block
   const auto trials = static_cast<std::size_t>(hashes.trials());
   const std::size_t words = trial_set_words(trials);
-  for (std::size_t first = 0; first < trials; first += L) {
-    const TrialGroup<L> group(hashes.lanes(), first);
-    // Each lane's bit in its trial-set word; 0 in the padding lanes past
-    // the last trial. L divides 64, so a group never straddles two words.
+  const Key none = Key{} + kNone;
+
+  // Rows of L lanes, for a list of several blocks: the group's hashes per
+  // minimizer, and the next block's prefix minima with the set offsets of
+  // their minimizers (row 0 is the empty prefix, which never wins).
+  if (last > 0) {
+    scratch.hashed.resize(count * L);
+    scratch.prefix_hash.resize((count + 1) * L);
+    scratch.prefix_kmer.resize((count + 1) * L);
+    scratch.prefix_set.resize((count + 1) * L);
+    store(scratch.prefix_hash.data(), none);
+    store(scratch.prefix_kmer.data(), none);
+    store(scratch.prefix_set.data(), Key{});
+  }
+  std::uint64_t* const hashed = scratch.hashed.data();
+
+  // Last block: every interval runs to the end of the list, so the
+  // interval minimum is the suffix minimum, and it comes from the
+  // minimizer walked wherever it changes.
+  const auto last_block = [&](const TrialGroup<L>& group, std::size_t first,
+                              bool keep_hashes) {
     std::uint64_t bit_of[L];
-    for (std::size_t lane = 0; lane < L; ++lane) {
-      const std::size_t t = first + lane;
-      bit_of[lane] = t < trials ? std::uint64_t{1} << (t % 64) : 0;
-    }
+    trial_bits<L>(first, trials, bit_of);
     Word lane_bits{};
     load(bit_of, lane_bits);
     std::uint64_t* const word = sets + first / 64;
-    Key prev = Key{} + kNone;
-    suffix_minima(group, kmers, 0, count,
-                  [&](std::size_t i, const Key&, const Key& minimum) {
+    Key prev = none;
+    suffix_minima(group, kmers, scratch.blocks[last], count,
+                  [&](std::size_t i, const Key& hi, const Key& minimum) {
+                    if (keep_hashes) store(hashed + i * L, hi);
                     const Word marked = minimum != prev ? lane_bits : Word{};
                     prev = minimum;
                     std::uint64_t bits = 0;
                     for (int lane = 0; lane < L; ++lane) bits |= marked[lane];
                     word[i * words] |= bits;
                   });
+  };
+  // A one-block list (every query) loops over the groups on its own: in one
+  // loop with the earlier blocks its walk runs a third slower.
+  if (last == 0) {
+    for (std::size_t first = 0; first < trials; first += L) {
+      last_block(TrialGroup<L>(hashes.lanes(), first), first, false);
+    }
+    return;
+  }
+  for (std::size_t first = 0; first < trials; first += L) {
+    const TrialGroup<L> group(hashes.lanes(), first);
+    last_block(group, first, true);
+    earlier_blocks<L>(group, first, trials, scratch, sets);
   }
 }
 
 template <int L>
 [[gnu::always_inline]] inline void minhash_trials(
     std::span<const KmerCode> kmers, const HashFamily& hashes,
-    FlatSketch& out) {
+    KmerCode* argmins) {
   using Key = typename Lanes<L>::Key;
   const auto trials = static_cast<std::size_t>(hashes.trials());
   for (std::size_t first = 0; first < trials; first += L) {
@@ -302,10 +308,7 @@ template <int L>
     }
     const std::size_t lanes = std::min<std::size_t>(L, trials - first);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (!kmers.empty()) {
-        out.kmers.push_back(static_cast<KmerCode>(best_k[lane]));
-      }
-      out.offsets.push_back(static_cast<std::uint32_t>(out.kmers.size()));
+      argmins[first + lane] = static_cast<KmerCode>(best_k[lane]);
     }
   }
 }
@@ -322,42 +325,29 @@ template <int L>
   }
 }
 
-__attribute__((target("avx512f,avx512dq"))) void jem_trials8(
-    std::size_t count, const HashFamily& hashes, SketchScratch& scratch,
-    FlatSketch& out) {
-  jem_trials<8>(count, hashes, scratch, out);
-}
-
-__attribute__((target("avx2"))) void jem_trials4(std::size_t count,
-                                                 const HashFamily& hashes,
-                                                 SketchScratch& scratch,
-                                                 FlatSketch& out) {
-  jem_trials<4>(count, hashes, scratch, out);
-}
-
 __attribute__((target("avx512f,avx512dq"))) void jem_set_trials8(
-    std::size_t count, const KmerCode* kmers, const HashFamily& hashes,
+    std::size_t count, const HashFamily& hashes, SketchScratch& scratch,
     std::uint64_t* sets) {
-  jem_set_trials<8>(count, kmers, hashes, sets);
+  jem_set_trials<8>(count, hashes, scratch, sets);
 }
 
 __attribute__((target("avx2"))) void jem_set_trials4(std::size_t count,
-                                                     const KmerCode* kmers,
                                                      const HashFamily& hashes,
+                                                     SketchScratch& scratch,
                                                      std::uint64_t* sets) {
-  jem_set_trials<4>(count, kmers, hashes, sets);
+  jem_set_trials<4>(count, hashes, scratch, sets);
 }
 
 __attribute__((target("avx512f,avx512dq"))) void minhash_trials8(
     std::span<const KmerCode> kmers, const HashFamily& hashes,
-    FlatSketch& out) {
-  minhash_trials<8>(kmers, hashes, out);
+    KmerCode* argmins) {
+  minhash_trials<8>(kmers, hashes, argmins);
 }
 
 __attribute__((target("avx2"))) void minhash_trials4(
     std::span<const KmerCode> kmers, const HashFamily& hashes,
-    FlatSketch& out) {
-  minhash_trials<4>(kmers, hashes, out);
+    KmerCode* argmins) {
+  minhash_trials<4>(kmers, hashes, argmins);
 }
 
 __attribute__((target("avx512f,avx512dq"))) void hash_group8(
@@ -388,30 +378,21 @@ bool sketch_lanes_supported(int lanes) noexcept {
   }
 }
 
-void jem_lanes(int lanes, std::size_t count, const HashFamily& hashes,
-               SketchScratch& scratch, FlatSketch& out) {
+void jem_set_lanes(int lanes, std::size_t count, const HashFamily& hashes,
+                   SketchScratch& scratch, std::uint64_t* sets) {
   if (lanes == 8) {
-    jem_trials8(count, hashes, scratch, out);
+    jem_set_trials8(count, hashes, scratch, sets);
   } else {
-    jem_trials4(count, hashes, scratch, out);
-  }
-}
-
-void jem_set_lanes(int lanes, std::size_t count, const KmerCode* kmers,
-                   const HashFamily& hashes, std::uint64_t* sets) {
-  if (lanes == 8) {
-    jem_set_trials8(count, kmers, hashes, sets);
-  } else {
-    jem_set_trials4(count, kmers, hashes, sets);
+    jem_set_trials4(count, hashes, scratch, sets);
   }
 }
 
 void minhash_lanes(int lanes, std::span<const KmerCode> kmers,
-                   const HashFamily& hashes, FlatSketch& out) {
+                   const HashFamily& hashes, KmerCode* argmins) {
   if (lanes == 8) {
-    minhash_trials8(kmers, hashes, out);
+    minhash_trials8(kmers, hashes, argmins);
   } else {
-    minhash_trials4(kmers, hashes, out);
+    minhash_trials4(kmers, hashes, argmins);
   }
 }
 
@@ -428,18 +409,13 @@ void hash_trials(int lanes, const HashFamily& hashes, KmerCode x,
 
 bool sketch_lanes_supported(int lanes) noexcept { return lanes == 1; }
 
-void jem_lanes(int, std::size_t, const HashFamily&, SketchScratch&,
-               FlatSketch&) {
-  throw std::logic_error("jem_lanes: no lane kernel on this target");
-}
-
-void jem_set_lanes(int, std::size_t, const KmerCode*, const HashFamily&,
+void jem_set_lanes(int, std::size_t, const HashFamily&, SketchScratch&,
                    std::uint64_t*) {
   throw std::logic_error("jem_set_lanes: no lane kernel on this target");
 }
 
 void minhash_lanes(int, std::span<const KmerCode>, const HashFamily&,
-                   FlatSketch&) {
+                   KmerCode*) {
   throw std::logic_error("minhash_lanes: no lane kernel on this target");
 }
 

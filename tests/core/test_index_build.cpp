@@ -1,7 +1,8 @@
 // The parallel index build (sketch_subjects + SketchTable::from_entries)
 // must produce the same JEMIDX1 bytes at every thread count: pinned to a
 // golden digest of the serial build, checked on edge-case subject sets, and
-// checked against an oracle table built from the allocating make_sketch.
+// checked against an oracle table built from the oracle sketches
+// (sketch_by_jem_naive, classic_minhash_naive).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,6 +15,7 @@
 #include "core/index_serde.hpp"
 #include "core/mapper.hpp"
 #include "io/artifact.hpp"
+#include "oracle/kernels.hpp"
 #include "sim/contigs.hpp"
 #include "sim/genome.hpp"
 #include "util/prng.hpp"
@@ -52,8 +54,8 @@ std::string artifact(const io::SequenceSet& subjects, const MapParams& params,
                          scheme, subjects);
 }
 
-/// The reference S: every subject's allocating make_sketch, inserted into
-/// an ordered map from (trial, kmer) to the subject set.
+/// The reference S: every subject's oracle sketch, inserted into an ordered
+/// map from (trial, kmer) to the subject set.
 using Oracle = std::map<std::pair<int, KmerCode>, std::set<io::SeqId>>;
 
 Oracle oracle_table(const io::SequenceSet& subjects, const MapParams& params,
@@ -61,8 +63,13 @@ Oracle oracle_table(const io::SequenceSet& subjects, const MapParams& params,
   const HashFamily hashes(params.trials, params.seed);
   Oracle oracle;
   for (io::SeqId id = 0; id < subjects.size(); ++id) {
+    const std::string_view bases = subjects.bases(id);
     const Sketch sketch =
-        make_sketch(subjects.bases(id), params, scheme, hashes);
+        scheme == SketchScheme::kJem
+            ? oracle::sketch_by_jem_naive(
+                  minimizer_scan(bases, {params.k, params.w, params.ordering}),
+                  params.segment_length, hashes)
+            : oracle::classic_minhash_naive(bases, params.k, hashes);
     for (int t = 0; t < sketch.trials(); ++t) {
       for (const KmerCode kmer : sketch.per_trial[static_cast<std::size_t>(t)]) {
         oracle[{t, kmer}].insert(id);

@@ -389,7 +389,7 @@ TEST_F(MapperTest, PaperParametersHotPathMatchesReferenceOnSimReads) {
                 sketch_scratch, sketch);
     ASSERT_EQ(sketch.trials(), params.trials);
     for (int t = 0; t < params.trials; ++t) {
-      // The flat list is the reference's set in emission order: compare a
+      // The flat list is the reference's set in no promised order: compare a
       // sorted copy, and check that no k-mer repeats.
       const std::span<const KmerCode> trial = sketch.trial(t);
       std::vector<KmerCode> sorted(trial.begin(), trial.end());
@@ -675,9 +675,10 @@ TEST_F(MapperTest, AdoptedTableIsFrozenForTheHotPath) {
 }
 
 // sketch_keys writes a segment's distinct sketch k-mers and their T-bit
-// trial sets straight from the sketch walk. Its keys must equal make_sketch's
-// sketch regrouped by k-mer, for every scheme, trial count and list shape,
-// on every lane kernel the host runs (others skip).
+// trial sets straight from the sketch walk. Its keys must equal the oracle
+// sketch (sketch_by_jem_naive, classic_minhash_naive) regrouped by k-mer,
+// for every scheme, trial count and list shape, on every lane kernel the
+// host runs (others skip).
 
 /// A sketch as a (k-mer -> trial set) map.
 using KeyMap = std::map<KmerCode, std::vector<std::uint64_t>>;
@@ -717,41 +718,34 @@ class SketchKeysTest : public ::testing::TestWithParam<int> {
     }
   }
 
-  /// sketch_keys against make_sketch regrouped, and for a JEM list the
-  /// trial-set kernel of the lanes under test too: it must write the same
-  /// keys for a one-block list and refuse a longer one untouched.
+  /// sketch_keys and the row kernel of the lanes under test against the
+  /// oracle sketch regrouped, for lists of one block or many.
   void expect_keys(const std::string& seq, const MapParams& params,
                    SketchScheme scheme, const HashFamily& hashes,
                    const std::string& what) {
     const std::size_t words =
         trial_set_words(static_cast<std::size_t>(hashes.trials()));
-    const KeyMap expected = regrouped(make_sketch(seq, params, scheme, hashes));
+    const std::vector<Minimizer> minimizers =
+        minimizer_scan(seq, {params.k, params.w, params.ordering});
+    const KeyMap expected = regrouped(
+        scheme == SketchScheme::kJem
+            ? oracle::sketch_by_jem_naive(minimizers, params.segment_length,
+                                          hashes)
+            : oracle::classic_minhash_naive(seq, params.k, hashes));
     const std::size_t distinct =
         sketch_keys(seq, params, scheme, hashes, scratch_, keys_);
     EXPECT_EQ(distinct, keys_.kmers.size()) << what;
     EXPECT_EQ(as_key_map(keys_.kmers, keys_.trials, words), expected) << what;
-    if (scheme != SketchScheme::kJem) return;
 
-    const std::vector<Minimizer> minimizers =
-        minimizer_scan(seq, {params.k, params.w, params.ordering});
-    const bool one_block =
-        minimizers.empty() ||
-        minimizers.back().position <=
-            std::uint64_t{minimizers.front().position} +
-                params.segment_length;
-    kmers_.assign(1, 7);
-    sets_.assign(words, 9);
-    ASSERT_EQ(detail::sketch_by_jem_sets_with(GetParam(), minimizers,
-                                              params.segment_length, hashes,
-                                              lane_scratch_, kmers_, sets_),
-              one_block)
-        << what;
-    if (one_block) {
-      EXPECT_EQ(as_key_map(kmers_, sets_, words), expected) << what;
+    if (scheme == SketchScheme::kJem) {
+      detail::sketch_by_jem_sets_with(GetParam(), minimizers,
+                                      params.segment_length, hashes,
+                                      lane_scratch_, kmers_, sets_);
     } else {
-      EXPECT_EQ(kmers_, std::vector<KmerCode>(1, 7)) << what;
-      EXPECT_EQ(sets_, std::vector<std::uint64_t>(words, 9)) << what;
+      detail::classic_minhash_sets_with(GetParam(), seq, params.k, hashes,
+                                        lane_scratch_, kmers_, sets_);
     }
+    EXPECT_EQ(as_key_map(kmers_, sets_, words), expected) << what;
   }
 
   // One of each is reused by every call of a test, so a one-block segment

@@ -22,15 +22,46 @@ std::string random_dna(util::Xoshiro256ss& rng, std::size_t length) {
   return seq;
 }
 
-/// A flat trial list as the set it stands for: a sorted copy, after
-/// checking that it holds no k-mer twice. The flat kernels promise the set
-/// of the allocating overloads and oracles, not their order.
-std::vector<KmerCode> as_set(std::span<const KmerCode> kmers) {
-  std::vector<KmerCode> sorted(kmers.begin(), kmers.end());
+/// Sketch rows as the per-trial sorted sets they stand for, regrouped here
+/// rather than by the library's view, after checking the row contract: the
+/// sets are trial_set_words(T) words a row, no k-mer has two rows, and
+/// every set is non-empty with no bit at or past T.
+Sketch from_rows(const std::vector<KmerCode>& kmers,
+                 const std::vector<std::uint64_t>& sets, int trials,
+                 const std::string& what = "") {
+  const auto t_count = static_cast<std::size_t>(trials);
+  const std::size_t words = trial_set_words(t_count);
+  Sketch sketch;
+  sketch.per_trial.resize(t_count);
+  EXPECT_EQ(sets.size(), kmers.size() * words) << what;
+  if (sets.size() != kmers.size() * words) return sketch;
+  std::vector<KmerCode> sorted = kmers;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
-      << "a k-mer repeats in a trial list";
-  return sorted;
+      << what << ": a k-mer has two rows";
+  for (std::size_t d = 0; d < kmers.size(); ++d) {
+    bool marked = false;
+    for (std::size_t t = 0; t < words * 64; ++t) {
+      if ((sets[d * words + t / 64] >> (t % 64) & 1) == 0) continue;
+      marked = true;
+      EXPECT_LT(t, t_count) << what << ": row " << d << " marks a padding bit";
+      if (t < t_count) sketch.per_trial[t].push_back(kmers[d]);
+    }
+    EXPECT_TRUE(marked) << what << ": row " << d << " has no trial";
+  }
+  for (auto& trial : sketch.per_trial) std::sort(trial.begin(), trial.end());
+  return sketch;
+}
+
+/// Expects two sketches to hold the same per-trial sets.
+void expect_same(const Sketch& got, const Sketch& expected,
+                 const std::string& what) {
+  ASSERT_EQ(got.trials(), expected.trials()) << what;
+  for (int t = 0; t < expected.trials(); ++t) {
+    EXPECT_EQ(got.per_trial[static_cast<std::size_t>(t)],
+              expected.per_trial[static_cast<std::size_t>(t)])
+        << what << " trial " << t;
+  }
 }
 
 TEST(SketchByJem, EmptyMinimizerListYieldsEmptySketch) {
@@ -78,8 +109,8 @@ TEST(SketchByJem, FastMatchesNaiveOnRandomInputs) {
 }
 
 TEST(SketchByJem, FlatKernelMatchesNaiveWithReusedScratch) {
-  // The block kernel writing into a reused FlatSketch must stay
-  // bit-identical to the literal Algorithm 1 loop across random minimizer
+  // The row kernel writing into reused rows must hold the sets of the
+  // literal Algorithm 1 loop across random minimizer
   // lists and interval-length corners, with one scratch shared by all.
   // Every third round draws k-mers from a 2-4 value alphabet so equal
   // k-mers recur inside intervals (the (hash, kmer) tie-break and the
@@ -87,7 +118,8 @@ TEST(SketchByJem, FlatKernelMatchesNaiveWithReusedScratch) {
   // minimizers and nearly every minimizer is its own block.
   util::Xoshiro256ss rng(77);
   SketchScratch scratch;
-  FlatSketch flat;
+  std::vector<KmerCode> kmers;
+  std::vector<std::uint64_t> sets;
   for (int round = 0; round < 60; ++round) {
     const std::uint64_t alphabet = round % 3 == 0 ? 2 + rng.bounded(3) : 0;
     std::vector<Minimizer> minimizers;
@@ -102,22 +134,20 @@ TEST(SketchByJem, FlatKernelMatchesNaiveWithReusedScratch) {
     const HashFamily hashes(1 + static_cast<int>(rng.bounded(10)), rng());
     const auto interval = static_cast<std::uint32_t>(
         round % 4 == 1 ? rng.bounded(2) : 1 + rng.bounded(3000));
-    sketch_by_jem(minimizers, interval, hashes, scratch, flat);
-    const Sketch naive =
-        oracle::sketch_by_jem_naive(minimizers, interval, hashes);
-    ASSERT_EQ(flat.trials(), naive.trials());
-    for (int t = 0; t < naive.trials(); ++t) {
-      const auto& expected = naive.per_trial[static_cast<std::size_t>(t)];
-      ASSERT_EQ(as_set(flat.trial(t)), expected)
-          << "round " << round << " trial " << t;
-    }
+    sketch_by_jem_sets(minimizers, interval, hashes, scratch, kmers, sets);
+    const std::string what = "round " + std::to_string(round);
+    expect_same(from_rows(kmers, sets, hashes.trials(), what),
+                oracle::sketch_by_jem_naive(minimizers, interval, hashes),
+                what);
   }
 }
 
 TEST(SketchByJem, FlatKernelMatchesAllocatingOverloadOnNRichSequences) {
+  // The rows and the allocating view both against the naive loop.
   util::Xoshiro256ss rng(78);
   SketchScratch scratch;
-  FlatSketch flat;
+  std::vector<KmerCode> kmers;
+  std::vector<std::uint64_t> sets;
   const HashFamily hashes(7, 21);
   for (int round = 0; round < 10; ++round) {
     std::string seq = random_dna(rng, 2000);
@@ -125,35 +155,33 @@ TEST(SketchByJem, FlatKernelMatchesAllocatingOverloadOnNRichSequences) {
       if (rng.bounded(20) == 0) seq[i] = 'N';
     }
     const SketchParams params{{9, 7}, 400};
-    const Sketch alloc = sketch_by_jem(seq, params, hashes);
-
     MinimizerScratch scan;
     std::vector<Minimizer> minimizers;
     minimizer_scan(seq, params.minimizer, scan, minimizers);
-    sketch_by_jem(minimizers, params.interval_length, hashes, scratch, flat);
-    for (int t = 0; t < 7; ++t) {
-      ASSERT_EQ(as_set(flat.trial(t)),
-                alloc.per_trial[static_cast<std::size_t>(t)]);
-    }
+    const Sketch naive = oracle::sketch_by_jem_naive(
+        minimizers, params.interval_length, hashes);
+    sketch_by_jem_sets(minimizers, params.interval_length, hashes, scratch,
+                       kmers, sets);
+    const std::string what = "round " + std::to_string(round);
+    expect_same(from_rows(kmers, sets, 7, what), naive, what);
+    expect_same(sketch_by_jem(seq, params, hashes), naive, what);
   }
 }
 
 TEST(ClassicMinhash, FlatOverloadMatchesAllocating) {
+  // The rows and the allocating view both against the brute-force argmin.
   util::Xoshiro256ss rng(79);
   SketchScratch scratch;
-  FlatSketch flat;
+  std::vector<KmerCode> kmers;
+  std::vector<std::uint64_t> sets;
   const HashFamily hashes(9, 31);
   for (const std::string& seq :
        {random_dna(rng, 500), std::string("ACGT"), std::string("NNNN"),
         std::string()}) {
-    const Sketch alloc = classic_minhash(seq, 8, hashes);
-    classic_minhash(seq, 8, hashes, scratch, flat);
-    ASSERT_EQ(flat.trials(), alloc.trials());
-    for (int t = 0; t < alloc.trials(); ++t) {
-      const auto kmers = flat.trial(t);
-      ASSERT_EQ(std::vector<KmerCode>(kmers.begin(), kmers.end()),
-                alloc.per_trial[static_cast<std::size_t>(t)]);
-    }
+    const Sketch naive = oracle::classic_minhash_naive(seq, 8, hashes);
+    classic_minhash_sets(seq, 8, hashes, scratch, kmers, sets);
+    expect_same(from_rows(kmers, sets, 9, seq), naive, seq);
+    expect_same(classic_minhash(seq, 8, hashes), naive, seq);
   }
 }
 
@@ -338,7 +366,8 @@ TEST(SketchByJem, FlatKernelMatchesFrozenReferenceKernel) {
   // Every third round draws k-mers from a 2-4 value alphabet.
   util::Xoshiro256ss rng(78);
   SketchScratch scratch;
-  FlatSketch flat;
+  std::vector<KmerCode> kmers;
+  std::vector<std::uint64_t> sets;
   for (int round = 0; round < 80; ++round) {
     const bool one_block = round % 2 == 0;
     const std::uint64_t alphabet = round % 3 == 0 ? 2 + rng.bounded(3) : 0;
@@ -365,21 +394,17 @@ TEST(SketchByJem, FlatKernelMatchesFrozenReferenceKernel) {
       interval = static_cast<std::uint32_t>(
           round % 4 == 1 ? rng.bounded(2) : 1 + rng.bounded(1500));
     }
-    sketch_by_jem(minimizers, interval, hashes, scratch, flat);
+    sketch_by_jem_sets(minimizers, interval, hashes, scratch, kmers, sets);
     if (count > 0 && one_block) {
       EXPECT_EQ(scratch.blocks.size(), 2u) << "round " << round;
     }
     if (count > 0 && interval == 0) {
       EXPECT_EQ(scratch.blocks.size(), count + 1) << "round " << round;
     }
-    const Sketch reference =
-        oracle::sketch_by_jem_reference(minimizers, interval, hashes);
-    ASSERT_EQ(flat.trials(), reference.trials());
-    for (int t = 0; t < reference.trials(); ++t) {
-      ASSERT_EQ(as_set(flat.trial(t)),
-                reference.per_trial[static_cast<std::size_t>(t)])
-          << "round " << round << " trial " << t;
-    }
+    const std::string what = "round " + std::to_string(round);
+    expect_same(from_rows(kmers, sets, hashes.trials(), what),
+                oracle::sketch_by_jem_reference(minimizers, interval, hashes),
+                what);
   }
 }
 
@@ -403,45 +428,40 @@ class SketchLanes : public ::testing::TestWithParam<int> {
     }
   }
 
-  /// Sketches `minimizers` on the kernel under test and checks it against
-  /// the scalar loop element for element, and as sets against the naive
-  /// loop and the deque reference kernel. A one-block list must come lowest
-  /// (h_t, k-mer) first, as its suffix minima are walked; a list of several
-  /// blocks sorted by k-mer.
+  /// Sketches `minimizers` on the kernel under test and checks its rows
+  /// against the scalar loop's row for row, and as sets against the naive
+  /// loop and the deque reference kernel.
   void expect_matches(const std::vector<Minimizer>& minimizers,
                       std::uint32_t interval, const HashFamily& hashes,
                       const std::string& what) {
-    detail::sketch_by_jem_with(GetParam(), minimizers, interval, hashes,
-                               scratch_, flat_);
-    detail::sketch_by_jem_with(1, minimizers, interval, hashes,
-                               scalar_scratch_, scalar_);
-    const Sketch naive =
-        oracle::sketch_by_jem_naive(minimizers, interval, hashes);
-    const Sketch reference =
-        oracle::sketch_by_jem_reference(minimizers, interval, hashes);
-    ASSERT_EQ(flat_.offsets.size(),
-              static_cast<std::size_t>(hashes.trials()) + 1)
-        << what;
-    ASSERT_EQ(flat_.kmers.size(), flat_.offsets.back()) << what;
-    EXPECT_EQ(flat_.kmers, scalar_.kmers) << what;
-    EXPECT_EQ(flat_.offsets, scalar_.offsets) << what;
-    const bool one_block = scratch_.blocks.size() == 2;
-    for (int t = 0; t < hashes.trials(); ++t) {
-      const auto kmers = flat_.trial(t);
-      const std::vector<KmerCode> got = as_set(kmers);
-      ASSERT_EQ(got, naive.per_trial[static_cast<std::size_t>(t)])
-          << what << " trial " << t;
-      ASSERT_EQ(got, reference.per_trial[static_cast<std::size_t>(t)])
-          << what << " trial " << t;
-      for (std::size_t j = 1; j < kmers.size(); ++j) {
-        const std::uint64_t h = hashes.hash(t, kmers[j]);
-        const std::uint64_t before = hashes.hash(t, kmers[j - 1]);
-        EXPECT_TRUE(one_block ? before < h ||
-                                    (before == h && kmers[j - 1] < kmers[j])
-                              : kmers[j - 1] < kmers[j])
-            << what << " trial " << t << " entry " << j;
-      }
-    }
+    detail::sketch_by_jem_sets_with(GetParam(), minimizers, interval, hashes,
+                                    scratch_, kmers_, sets_);
+    detail::sketch_by_jem_sets_with(1, minimizers, interval, hashes,
+                                    scalar_scratch_, scalar_kmers_,
+                                    scalar_sets_);
+    EXPECT_EQ(kmers_, scalar_kmers_) << what;
+    EXPECT_EQ(sets_, scalar_sets_) << what;
+    const Sketch got = from_rows(kmers_, sets_, hashes.trials(), what);
+    expect_same(got, oracle::sketch_by_jem_naive(minimizers, interval, hashes),
+                what + " (naive)");
+    expect_same(got,
+                oracle::sketch_by_jem_reference(minimizers, interval, hashes),
+                what + " (reference)");
+  }
+
+  /// classic_minhash_sets on the kernel under test against the scalar loop
+  /// row for row and the brute-force argmin.
+  void expect_minhash_matches(const std::string& seq, int k,
+                              const HashFamily& hashes,
+                              const std::string& what) {
+    detail::classic_minhash_sets_with(GetParam(), seq, k, hashes, scratch_,
+                                      kmers_, sets_);
+    detail::classic_minhash_sets_with(1, seq, k, hashes, scalar_scratch_,
+                                      scalar_kmers_, scalar_sets_);
+    EXPECT_EQ(kmers_, scalar_kmers_) << what;
+    EXPECT_EQ(sets_, scalar_sets_) << what;
+    expect_same(from_rows(kmers_, sets_, hashes.trials(), what),
+                oracle::classic_minhash_naive(seq, k, hashes), what);
   }
 
   /// A position-sorted minimizer list of `count` entries with gaps in
@@ -466,8 +486,10 @@ class SketchLanes : public ::testing::TestWithParam<int> {
 
   SketchScratch scratch_;  // reused by every call of a test
   SketchScratch scalar_scratch_;
-  FlatSketch flat_;
-  FlatSketch scalar_;
+  std::vector<KmerCode> kmers_;
+  std::vector<std::uint64_t> sets_;
+  std::vector<KmerCode> scalar_kmers_;
+  std::vector<std::uint64_t> scalar_sets_;
 };
 
 TEST_P(SketchLanes, EveryTrialCountAndIntervalLength) {
@@ -475,7 +497,7 @@ TEST_P(SketchLanes, EveryTrialCountAndIntervalLength) {
   // never emit) and ℓ from 0 (every minimizer its own block) to wider than
   // the list (one block). One scratch serves every call.
   util::Xoshiro256ss rng(91);
-  for (const int trials : {1, 7, 8, 9, 30, 33, 64}) {
+  for (const int trials : {1, 7, 8, 9, 30, 33, 64, 65}) {
     const HashFamily hashes(trials, rng());
     for (const std::uint32_t interval : {0u, 1u, 500u, 1000u, 5000u}) {
       for (const std::size_t count : {std::size_t{0}, std::size_t{1},
@@ -532,12 +554,8 @@ TEST_P(SketchLanes, TinyModuliForceHashTies) {
     const auto interval = static_cast<std::uint32_t>(1 + rng.bounded(900));
     expect_matches(minimizers, interval, hashes,
                    "round " + std::to_string(round));
-    const std::string seq = random_dna(rng, 300);
-    SketchScratch scalar_scratch;
-    FlatSketch scalar;
-    detail::classic_minhash_with(GetParam(), seq, 8, hashes, scratch_, flat_);
-    detail::classic_minhash_with(1, seq, 8, hashes, scalar_scratch, scalar);
-    EXPECT_EQ(flat_.kmers, scalar.kmers) << "round " << round;
+    expect_minhash_matches(random_dna(rng, 300), 8, hashes,
+                           "minhash round " + std::to_string(round));
   }
 }
 
@@ -570,9 +588,7 @@ TEST_P(SketchLanes, ClassicMinhashMatchesTheScalarLoop) {
   // Every trial's global argmin, for k inside the lane range and beyond
   // it, on sequences with ambiguous bases, too short or empty.
   util::Xoshiro256ss rng(95);
-  SketchScratch scalar_scratch;
-  FlatSketch scalar;
-  for (const int trials : {1, 7, 9, 30, 33}) {
+  for (const int trials : {1, 7, 9, 30, 33, 65}) {
     const HashFamily hashes(trials, rng());
     for (const int k : {1, 5, 16, 17, 31}) {
       for (const std::size_t length : {0, 3, 40, 700}) {
@@ -580,23 +596,10 @@ TEST_P(SketchLanes, ClassicMinhashMatchesTheScalarLoop) {
         for (char& c : seq) {
           if (rng.bounded(25) == 0) c = 'N';
         }
-        detail::classic_minhash_with(GetParam(), seq, k, hashes, scratch_,
-                                     flat_);
-        detail::classic_minhash_with(1, seq, k, hashes, scalar_scratch,
-                                     scalar);
-        const std::string what = "T=" + std::to_string(trials) +
-                                 " k=" + std::to_string(k) +
-                                 " len=" + std::to_string(length);
-        EXPECT_EQ(flat_.kmers, scalar.kmers) << what;
-        EXPECT_EQ(flat_.offsets, scalar.offsets) << what;
-        const Sketch alloc = classic_minhash(seq, k, hashes);
-        ASSERT_EQ(flat_.trials(), alloc.trials()) << what;
-        for (int t = 0; t < trials; ++t) {
-          const auto kmers = flat_.trial(t);
-          EXPECT_EQ(std::vector<KmerCode>(kmers.begin(), kmers.end()),
-                    alloc.per_trial[static_cast<std::size_t>(t)])
-              << what;
-        }
+        expect_minhash_matches(seq, k, hashes,
+                               "T=" + std::to_string(trials) +
+                                   " k=" + std::to_string(k) +
+                                   " len=" + std::to_string(length));
       }
     }
   }

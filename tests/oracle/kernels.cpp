@@ -182,10 +182,36 @@ Sketch sketch_by_jem_naive(std::span<const Minimizer> minimizers,
   return sketch;
 }
 
+Sketch classic_minhash_naive(std::string_view seq, int k,
+                             const HashFamily& hashes) {
+  const core::KmerCodec codec(k);
+  std::vector<KmerCode> kmers;
+  for (const Run& run : acgt_runs(seq)) {
+    for (std::size_t i = run.begin;
+         i + static_cast<std::size_t>(k) <= run.end; ++i) {
+      const auto code =
+          codec.encode(seq.substr(i, static_cast<std::size_t>(k)));
+      kmers.push_back(codec.canonical(*code));
+    }
+  }
+  Sketch sketch;
+  sketch.per_trial.resize(static_cast<std::size_t>(hashes.trials()));
+  if (kmers.empty()) return sketch;
+  for (int t = 0; t < hashes.trials(); ++t) {
+    HashedKmer best{hashes.hash(t, kmers[0]), kmers[0]};
+    for (const KmerCode kmer : kmers) {
+      const HashedKmer hk{hashes.hash(t, kmer), kmer};
+      if (hk.less_than(best)) best = hk;
+    }
+    sketch.per_trial[static_cast<std::size_t>(t)].push_back(best.kmer);
+  }
+  return sketch;
+}
+
 namespace {
 
 /// The reference path's sketch: the deque kernel over a fresh minimizer
-/// scan for the JEM scheme, the allocating make_sketch otherwise.
+/// scan for the JEM scheme, classic_minhash_naive otherwise.
 Sketch reference_sketch(const core::JemMapper& mapper,
                         std::string_view segment) {
   const core::MapParams& params = mapper.params();
@@ -194,8 +220,7 @@ Sketch reference_sketch(const core::JemMapper& mapper,
                    core::minimizer_scan(segment,
                                         {params.k, params.w, params.ordering}),
                    params.segment_length, mapper.hashes())
-             : core::make_sketch(segment, params, mapper.scheme(),
-                                 mapper.hashes());
+             : classic_minhash_naive(segment, params.k, mapper.hashes());
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 //                               ablation baseline;
 //  * sketch_by_jem_reference  — the pre-overhaul std::deque sliding-window
 //                               kernel, kept verbatim;
+//  * classic_minhash_naive    — every trial's argmin over every canonical
+//                               k-mer, each k-mer encoded from scratch;
 //  * map_segment_reference    — the pre-overhaul query path over a
 //                               JemMapper's public accessors;
 //  * map_segment_topx_reference — its top-x ranking, counted in ordered
@@ -45,6 +47,12 @@ namespace jem::oracle {
     std::span<const core::Minimizer> minimizers,
     std::uint32_t interval_length, const core::HashFamily& hashes);
 
+/// Classical MinHash by brute force: per trial, the argmin by (h_t, k-mer)
+/// over every canonical k-mer of every ACGT run of `seq`; per_trial[t] holds
+/// it, or nothing when `seq` has no k-mer.
+[[nodiscard]] core::Sketch classic_minhash_naive(
+    std::string_view seq, int k, const core::HashFamily& hashes);
+
 /// The reference query path's own lazy counters: per-segment votes and
 /// per-trial `first_time` marks. Make one per caller, outside any timed
 /// loop, and reuse it across segments.
@@ -57,8 +65,9 @@ struct ReferenceCounters {
 };
 
 /// The pre-overhaul query path: a fresh Sketch from the deque kernel (JEM
-/// scheme) and one single-key flat().lookup per (trial, k-mer), with no
-/// prefetch, voted through two LazyHitCounters. Returns exactly what
+/// scheme; classic_minhash_naive for MinHash) and one single-key
+/// flat().lookup per (trial, k-mer), with no prefetch, voted through two
+/// LazyHitCounters. Returns exactly what
 /// `mapper.map_segment(segment, scratch)` returns.
 [[nodiscard]] core::MapResult map_segment_reference(
     const core::JemMapper& mapper, std::string_view segment,
