@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -358,8 +359,15 @@ BENCHMARK(BM_HotpathSketchScratch);
 // that cycles a few segments lets the branch predictor learn them and
 // under-reports the cost of a data-dependent kernel.
 
-const std::vector<std::string>& scan_tiles() {
-  static const std::vector<std::string> tiles = [] {
+/// The tiles, and the genome they were read from cut into 10 kbp contigs
+/// (the subjects BM_HotpathMapSegments maps them against).
+struct ScanData {
+  std::vector<std::string> tiles;
+  io::SequenceSet contigs;
+};
+
+const ScanData& scan_data() {
+  static const ScanData data = [] {
     sim::GenomeParams genome;
     genome.length = 600'000;
     genome.repeat_fraction = 0.28;
@@ -367,19 +375,25 @@ const std::vector<std::string>& scan_tiles() {
     sim::HiFiParams hifi;
     hifi.coverage = 4.0;
     hifi.seed = 45;
-    const io::SequenceSet reads =
-        sim::simulate_hifi_reads(sim::simulate_genome(genome), hifi).reads;
-    std::vector<std::string> out;
+    const std::string bases = sim::simulate_genome(genome);
+    const io::SequenceSet reads = sim::simulate_hifi_reads(bases, hifi).reads;
+    ScanData d;
     for (io::SeqId id = 0; id < reads.size(); ++id) {
       for (const core::EndSegment& tile :
            core::extract_tiled_segments(id, reads.bases(id), 1000)) {
-        out.emplace_back(tile.bases);
+        d.tiles.emplace_back(tile.bases);
       }
     }
-    return out;
+    for (std::size_t start = 0; start < bases.size(); start += 10'000) {
+      d.contigs.add("c" + std::to_string(start / 10'000),
+                    std::string_view(bases).substr(start, 10'000));
+    }
+    return d;
   }();
-  return tiles;
+  return data;
 }
+
+const std::vector<std::string>& scan_tiles() { return scan_data().tiles; }
 
 /// Scans the tiles in turn on the kernel of `lanes`.
 void scan_tiles_on(benchmark::State& state, int lanes) {
@@ -413,6 +427,40 @@ void BM_HotpathMinimizerScanScalar(benchmark::State& state) {
   scan_tiles_on(state, 1);
 }
 BENCHMARK(BM_HotpathMinimizerScanScalar);
+
+// The same tiles, L at a time through minimizer_scan_many (L = the lanes
+// of the dispatched kernel): one tile per lane, no per-lane warm-up.
+// Each iteration scans one group; per tile = time / L.
+void BM_HotpathMinimizerScanMany(benchmark::State& state) {
+  const std::vector<std::string>& tiles = scan_tiles();
+  const std::vector<std::string_view> views(tiles.begin(), tiles.end());
+  const core::MapParams params = hotpath_data().params;
+  const core::MinimizerParams mp{params.k, params.w, params.ordering};
+  const auto group = static_cast<std::size_t>(core::minimizer_scan_lanes());
+  core::MinimizerScratch scratch;
+  std::vector<std::vector<core::Minimizer>> lists(group);
+  std::size_t first = 0;
+  std::int64_t bases = 0;
+  std::int64_t scanned = 0;
+  for (auto _ : state) {
+    const std::span<const std::string_view> batch(views.data() + first,
+                                                  group);
+    (void)core::minimizer_scan_many(batch, mp, scratch, lists);
+    benchmark::DoNotOptimize(lists.data());
+    benchmark::ClobberMemory();
+    for (const std::string_view tile : batch) {
+      bases += static_cast<std::int64_t>(tile.size());
+    }
+    scanned += static_cast<std::int64_t>(group);
+    first += group;
+    if (first + group > views.size()) first = 0;
+  }
+  state.SetBytesProcessed(bases);
+  state.SetItemsProcessed(scanned);
+  state.SetLabel(std::to_string(tiles.size()) + " distinct tiles, " +
+                 std::to_string(group) + " per group");
+}
+BENCHMARK(BM_HotpathMinimizerScanMany);
 
 // The linear-time guard: every window of a tandem repeat holds tied minima,
 // the input on which a rescan-on-evict window degrades to O(|s|·w).
@@ -562,6 +610,32 @@ void BM_HotpathMapSegment(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HotpathMapSegment);
+
+// The scan tiles mapped start to finish against contigs of their own
+// genome, Arg tiles per call: 1 is map_segment's path (the scan splits each
+// tile across the lanes), 64 the batched entry as the engine calls it (one
+// tile per lane). Per tile = time / Arg.
+void BM_HotpathMapSegments(benchmark::State& state) {
+  static const core::JemMapper mapper(scan_data().contigs,
+                                      hotpath_data().params);
+  const std::vector<std::string>& tiles = scan_tiles();
+  const std::vector<std::string_view> views(tiles.begin(), tiles.end());
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  core::MapScratch scratch(scan_data().contigs.size());
+  std::vector<core::MapResult> results(batch);
+  std::size_t first = 0;
+  for (auto _ : state) {
+    mapper.map_segments(std::span(views).subspan(first, batch), scratch,
+                        results);
+    benchmark::DoNotOptimize(results.data());
+    first += batch;
+    if (first + batch > views.size()) first = 0;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));
+  state.SetLabel(std::to_string(tiles.size()) + " distinct tiles");
+}
+BENCHMARK(BM_HotpathMapSegments)->Arg(1)->Arg(64);
 
 void BM_HotpathEngineSegmentsPerSec(benchmark::State& state) {
   const HotpathData& data = hotpath_data();

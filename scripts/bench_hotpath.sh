@@ -9,9 +9,10 @@
 # Exits non-zero if the end-to-end map_segment speedup drops below 1.5x, or
 # if the minimizer scan costs over 1.5x more per base on tandem repeats
 # than on distinct tiles (the linear-worst-case guard). The subject-sketch
-# speedup over the deque kernel, and the minimizer scan's and both sketch
+# speedup over the deque kernel, the minimizer scan's and both sketch
 # shapes' speedups over their scalar loops (the lane kernels this host
-# dispatches to) are recorded without a gate.
+# dispatches to), and the one-segment-per-lane scan's and batched map's
+# speedups over one segment at a time are recorded without a gate.
 #
 # Usage: scripts/bench_hotpath.sh [output.json]
 #   JEM_BENCH_REPS     repetitions per benchmark (default 5)
@@ -65,6 +66,9 @@ for bench in raw["benchmarks"]:
 def speedup(baseline, fast):
     return medians[baseline]["cpu_time_ns"] / medians[fast]["cpu_time_ns"]
 
+def rate_speedup(baseline, fast, rate):
+    return medians[fast][rate] / medians[baseline][rate]
+
 speedups = {
     # Segment sketching: pre-overhaul deque kernel vs reusable scratch.
     "sketch_scratch_vs_reference":
@@ -85,6 +89,17 @@ speedups = {
     # gated.
     "minimizer_scan_lanes_vs_scalar":
         speedup("BM_HotpathMinimizerScanScalar", "BM_HotpathMinimizerScan"),
+    # The same tiles scanned one per lane, L at a time
+    # (minimizer_scan_many), vs one tile split across the lanes; per base.
+    # Recorded, not gated.
+    "minimizer_scan_many_vs_single":
+        rate_speedup("BM_HotpathMinimizerScan", "BM_HotpathMinimizerScanMany",
+                     "bytes_per_second"),
+    # Tiles mapped through the batched entry 64 at a time vs one at a time
+    # (map_segment's path); per tile. Recorded, not gated.
+    "map_segments_batched_vs_single":
+        rate_speedup("BM_HotpathMapSegments/1", "BM_HotpathMapSegments/64",
+                     "items_per_second"),
     # The JEM sketch of query tiles (one block) and of subject contigs
     # (many blocks): the per-trial scalar loop vs the trial-parallel kernel
     # this host dispatches to (metrics' core.sketch.lanes). Recorded, not

@@ -39,7 +39,9 @@ ctest --test-dir build-tsan --output-on-failure \
 # CRC-32 fold kernel that checks its trailers (loads at every length and
 # offset) and the buffered FASTA/FASTQ reader.
 # The query kernels ride along too: the minimizer scan indexes raw window
-# blocks, the sketch kernels (scalar and lanes) index their prefix minima
+# blocks and, one segment per lane, loads 8 bytes at a time up to each
+# lane's own segment end (MinimizerScan; the engine's segment buffer is
+# EndSegments'), the sketch kernels (scalar and lanes) index their prefix minima
 # by interval end and mark trial-set words through the row offsets their
 # minima carry, the merge's radix sort scatters row ids by byte (SketchKeys,
 # SketchLanes, ClassicMinhash), and the output goldens drive
@@ -56,7 +58,7 @@ cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan --parallel "$(nproc)" --target test_engine \
   test_chaos test_io test_core test_obs test_serve test_mpisim jem obs_check
 ctest --test-dir build-asan --output-on-failure \
-  -R 'RunSpmd|Allgatherv|Gatherv|AllToAllv|CommStats|StressTest|StagedExecutor|Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Inflate|Crc32|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|SketchByJem|SketchLanes|LaneModulo|ClassicMinhash|MapperTest|SketchKeys|VoteCounter|FlatSketchIndex|SketchTable|IndexBuild|Distributed|OutputGolden'
+  -R 'RunSpmd|Allgatherv|Gatherv|AllToAllv|CommStats|StressTest|StagedExecutor|Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Inflate|Crc32|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|StreamReader|BatchStream|ReadFast|ReadSequences|ParserRobustness|MinimizerScan|EndSegments|SketchByJem|SketchLanes|LaneModulo|ClassicMinhash|MapperTest|SketchKeys|VoteCounter|FlatSketchIndex|SketchTable|IndexBuild|Distributed|OutputGolden'
 
 # Hot-path bench smoke (the default build type is Release): a short run of
 # the BM_Hotpath* family catches wiring regressions in the flat-index /
@@ -93,6 +95,7 @@ done
 grep -q 'distributed.rank3.map_ns' /tmp/jem_check_m4.json
 grep -q 'core.hotpath.segments_seen' /tmp/jem_check_m4.json
 grep -q 'core.minimizer.lanes' /tmp/jem_check_m.json
+grep -q 'core.hotpath.segments_grouped' /tmp/jem_check_m.json
 grep -q 'core.sketch.lanes' /tmp/jem_check_m.json
 grep -q 'mpisim.allgatherv.rank0.sent_bytes' /tmp/jem_check_m4.json
 echo "metrics smoke: ok"

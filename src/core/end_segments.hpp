@@ -36,6 +36,12 @@ struct EndSegment {
 [[nodiscard]] std::vector<EndSegment> extract_end_segments(
     io::SeqId read, std::string_view bases, std::uint32_t segment_length);
 
+/// Appending form: adds the read's end segments to `out` (the engine's
+/// reused buffer), so extracting allocates nothing at steady state.
+void append_end_segments(io::SeqId read, std::string_view bases,
+                         std::uint32_t segment_length,
+                         std::vector<EndSegment>& out);
+
 /// The containment extension the paper notes in §III-B1: tiles the *whole*
 /// read with consecutive ℓ-length segments (the last one right-aligned so
 /// the read end is always covered), tagging the first as kPrefix, the last
@@ -44,6 +50,11 @@ struct EndSegment {
 /// misses by design.
 [[nodiscard]] std::vector<EndSegment> extract_tiled_segments(
     io::SeqId read, std::string_view bases, std::uint32_t segment_length);
+
+/// Appending form of extract_tiled_segments.
+void append_tiled_segments(io::SeqId read, std::string_view bases,
+                           std::uint32_t segment_length,
+                           std::vector<EndSegment>& out);
 
 /// How many segments extract_tiled_segments (tiled) or extract_end_segments
 /// (not tiled) yields for a read of `length` bases, without extracting

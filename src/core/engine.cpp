@@ -101,11 +101,18 @@ std::size_t count_segments(const io::SequenceSet& reads, io::SeqId begin,
   return count;
 }
 
+/// Segments map_range hands the mapper at a time: whole reads' segments
+/// are collected until the chunk holds at least this many. It bounds the
+/// worker's segment buffers however large a batch is (a kSerial run is one
+/// batch), and leaves the lane groups of a chunk full but its last.
+constexpr std::size_t kSegmentChunk = 256;
+
 /// The per-read mapping loop every run shares, and the only loop in the
-/// library that maps a range of reads: reads [begin, end) segment by
-/// segment on the caller's scratch, in the requested mode, min_votes
-/// override applied, written to the slots of `mappings` (or `topx` in
-/// kTopX mode) from `at` on. The slots must exist: count_segments sizes
+/// library that maps a range of reads: reads [begin, end) in the requested
+/// mode on the caller's scratch. Each chunk of their segments goes through
+/// the mapper's batched entry (map_segments / map_segments_topx), min_votes
+/// override applied, and is written to the slots of `mappings` (or `topx`
+/// in kTopX mode) from `at` on. The slots must exist: count_segments sizes
 /// them.
 void map_range(const JemMapper& mapper, const io::SequenceSet& reads,
                io::SeqId begin, io::SeqId end, const MapRequest& request,
@@ -113,20 +120,29 @@ void map_range(const JemMapper& mapper, const io::SequenceSet& reads,
                std::vector<SegmentTopX>& topx, std::size_t at) {
   const std::uint32_t length = mapper.params().segment_length;
   const std::uint32_t threshold = request.min_votes.value_or(0);
-  for (io::SeqId read = begin; read < end; ++read) {
-    const std::string_view bases = reads.bases(read);
-    const std::vector<EndSegment> segments =
-        request.mode == MapMode::kTiled
-            ? extract_tiled_segments(read, bases, length)
-            : extract_end_segments(read, bases, length);
-    for (const EndSegment& segment : segments) {
+  SegmentBatch& batch = scratch.batch();
+  const auto map_chunk = [&] {
+    const std::size_t count = batch.segments.size();
+    batch.views.clear();
+    for (const EndSegment& segment : batch.segments) {
+      batch.views.push_back(segment.bases);
+    }
+    if (request.mode == MapMode::kTopX) {
+      batch.hits.resize(count);
+      mapper.map_segments_topx(batch.views, request.top_x, scratch,
+                               batch.hits);
+    } else {
+      batch.results.resize(count);
+      mapper.map_segments(batch.views, scratch, batch.results);
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const EndSegment& segment = batch.segments[i];
       const auto segment_length =
           static_cast<std::uint32_t>(segment.bases.size());
       if (request.mode == MapMode::kTopX) {
         SegmentTopX& slot = topx[at++];
-        slot = {read, segment.end, segment_length,
-                mapper.map_segment_topx(segment.bases, request.top_x,
-                                        scratch)};
+        slot = {segment.read, segment.end, segment_length,
+                std::move(batch.hits[i])};
         // Hits are sorted by votes descending: the filtered tail is a
         // suffix.
         while (!slot.hits.empty() && slot.hits.back().votes < threshold) {
@@ -134,14 +150,24 @@ void map_range(const JemMapper& mapper, const io::SequenceSet& reads,
         }
       } else {
         SegmentMapping& slot = mappings[at++];
-        slot = {read, segment.end, segment.offset, segment_length,
-                mapper.map_segment(segment.bases, scratch)};
+        slot = {segment.read, segment.end, segment.offset, segment_length,
+                batch.results[i]};
         if (slot.result.mapped() && slot.result.votes < threshold) {
           slot.result = MapResult{};
         }
       }
     }
+    batch.segments.clear();
+  };
+  for (io::SeqId read = begin; read < end; ++read) {
+    if (request.mode == MapMode::kTiled) {
+      append_tiled_segments(read, reads.bases(read), length, batch.segments);
+    } else {
+      append_end_segments(read, reads.bases(read), length, batch.segments);
+    }
+    if (batch.segments.size() >= kSegmentChunk) map_chunk();
   }
+  map_chunk();
 }
 
 /// Sizes the output of a run in `mode` to `count` segments.

@@ -21,6 +21,8 @@ void HotpathCounters::publish(obs::Registry& registry) const {
   registry.counter("core.hotpath.kmer_probes").add(kmer_probes);
   registry.counter("core.hotpath.probe_slots").add(probe_slots);
   registry.counter("core.hotpath.candidates").add(candidates);
+  registry.counter("core.hotpath.segments_grouped").add(segments_grouped);
+  registry.counter("core.hotpath.segments_single").add(segments_single);
   publish_kernel_lanes(registry);
   if (segments_sampled > 0) {
     // Per-sampled-segment distributions (log2 buckets).
@@ -139,7 +141,26 @@ std::vector<SketchEntry> sketch_subjects(const io::SequenceSet& subjects,
       1, std::min<std::size_t>(threads, end > begin ? end - begin : 0));
   const auto ranges =
       partition_by_bases(subjects, static_cast<int>(parts), begin, end);
+  // Each part's list is reserved here, on the calling thread, for a quarter
+  // more entries than its subjects are expected to give: per trial about
+  // 2 len / ℓ + 2 interval minima under JEM (seed-7 perfbench contigs:
+  // 10,813 per trial against 10,884 expected), one under MinHash. Grown by
+  // its worker instead, a list left its outgrown buffers free in that
+  // thread's arena, which kept ~13 MB more resident across the index
+  // builds of a perfbench map-tiled run.
   std::vector<std::vector<SketchEntry>> lists(parts);
+  const auto trials = static_cast<std::size_t>(params.trials);
+  for (std::size_t r = 0; r < parts; ++r) {
+    std::size_t expected = 0;
+    for (io::SeqId id = ranges[r].first; id < ranges[r].second; ++id) {
+      expected += scheme == SketchScheme::kJem
+                      ? trials * (2 * subjects.length(id) /
+                                      params.segment_length +
+                                  2)
+                      : trials;
+    }
+    lists[r].reserve(expected + expected / 4);
+  }
   std::optional<util::ThreadPool> pool;
   if (parts > 1) pool.emplace(parts);
   util::parallel_for_each(pool ? &*pool : nullptr, parts, [&](std::size_t r) {
@@ -302,19 +323,16 @@ MapResult vote_by_trial(MapScratch& scratch, std::size_t trials,
   return best.votes < min_votes ? MapResult{} : best;
 }
 
-/// Steps 4-8 of Algorithm 2, shared by map_segment and map_segment_topx:
-/// sketches `segment` into its distinct k-mers and trial sets
-/// (sketch_keys), resolves them to their voting postings (gather_postings)
-/// and votes them (vote_by_trial, which calls on_vote and returns the best
-/// hit). Sampled segments also fill the scratch's hot-path counters.
+/// Steps 5-8 of Algorithm 2 for the segment whose rows are in the
+/// scratch's keys: resolves its distinct k-mers to their voting postings
+/// (gather_postings) and votes them (vote_by_trial, which calls on_vote and
+/// returns the best hit). Sampled segments also fill the scratch's
+/// hot-path counters.
 template <typename OnVote>
-MapResult vote_segment(std::string_view segment, const MapParams& params,
-                       SketchScheme scheme, const HashFamily& hashes,
-                       const FlatSketchIndex& index, MapScratch& scratch,
-                       OnVote&& on_vote) {
+MapResult vote_keys(const MapParams& params, const FlatSketchIndex& index,
+                    MapScratch& scratch, OnVote&& on_vote) {
   SketchKeys& keys = scratch.keys();
-  const std::size_t distinct = sketch_keys(segment, params, scheme, hashes,
-                                           scratch.sketch_scratch(), keys);
+  const std::size_t distinct = keys.kmers.size();
   // The home slots of all distinct k-mers are prefetched first, so their
   // misses overlap.
   keys.homes.resize(distinct);
@@ -346,6 +364,45 @@ MapResult vote_segment(std::string_view segment, const MapParams& params,
   return best;
 }
 
+/// Step 4 of Algorithm 2 over a batch, shared by map_segments and
+/// map_segments_topx: leaves each segment's sketch rows in the scratch's
+/// keys and calls vote(i), segment by segment in batch order. JEM scans
+/// the minimizers of up to minimizer_scan_lanes() segments at a time
+/// (minimizer_scan_many, which groups them one per lane where it can) and
+/// sketches each list; MinHash sketches each segment from its bases.
+template <typename Vote>
+void sketch_each(std::span<const std::string_view> segments,
+                 const MapParams& params, SketchScheme scheme,
+                 const HashFamily& hashes, MapScratch& scratch, Vote&& vote) {
+  SketchScratch& sketch = scratch.sketch_scratch();
+  SketchKeys& keys = scratch.keys();
+  if (scheme == SketchScheme::kClassicMinhash) {
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      classic_minhash_sets(segments[i], params.k, hashes, sketch, keys.kmers,
+                           keys.trials);
+      vote(i);
+    }
+    return;
+  }
+  const MinimizerParams mp{params.k, params.w, params.ordering};
+  auto& lists = scratch.group_lists();
+  const auto group = static_cast<std::size_t>(minimizer_scan_lanes());
+  HotpathCounters& hotpath = scratch.hotpath();
+  for (std::size_t first = 0; first < segments.size(); first += group) {
+    const std::size_t count = std::min(group, segments.size() - first);
+    const std::size_t grouped =
+        minimizer_scan_many(segments.subspan(first, count), mp, sketch.scan,
+                            std::span(lists).first(count));
+    hotpath.segments_grouped += grouped;
+    hotpath.segments_single += count - grouped;
+    for (std::size_t j = 0; j < count; ++j) {
+      sketch_by_jem_sets(lists[j], params.segment_length, hashes, sketch,
+                         keys.kmers, keys.trials);
+      vote(first + j);
+    }
+  }
+}
+
 }  // namespace
 
 MapResult vote_matched(MapScratch& scratch, int trials,
@@ -355,10 +412,61 @@ MapResult vote_matched(MapScratch& scratch, int trials,
                        candidates, [](io::SeqId, std::uint32_t) {});
 }
 
+void JemMapper::map_segments(std::span<const std::string_view> segments,
+                             MapScratch& scratch,
+                             std::span<MapResult> results) const {
+  if (results.size() < segments.size()) {
+    throw std::invalid_argument("map_segments: fewer results than segments");
+  }
+  sketch_each(segments, params_, scheme_, hashes_, scratch,
+              [&](std::size_t i) {
+                results[i] = vote_keys(params_, table_.flat(), scratch,
+                                       [](io::SeqId, std::uint32_t) {});
+              });
+}
+
+void JemMapper::map_segments_topx(std::span<const std::string_view> segments,
+                                  std::size_t x, MapScratch& scratch,
+                                  std::span<std::vector<MapResult>> hits) const {
+  if (hits.size() < segments.size()) {
+    throw std::invalid_argument("map_segments_topx: fewer lists than segments");
+  }
+  // Same vote counting as map_segments, but remember every subject touched
+  // this round so the full ranking can be materialized afterwards. The
+  // touched list lives in the scratch so repeat calls reuse its capacity.
+  std::vector<io::SeqId>& touched = scratch.touched();
+  const VoteCounter& counter = scratch.counter();
+  sketch_each(
+      segments, params_, scheme_, hashes_, scratch, [&](std::size_t i) {
+        touched.clear();
+        (void)vote_keys(params_, table_.flat(), scratch,
+                        [&](io::SeqId subject, std::uint32_t count) {
+                          if (count == 1) touched.push_back(subject);
+                        });
+        std::sort(touched.begin(), touched.end(),
+                  [&](io::SeqId a, io::SeqId b) {
+                    const std::uint32_t va = counter.count(a);
+                    const std::uint32_t vb = counter.count(b);
+                    if (va != vb) return va > vb;
+                    return a < b;
+                  });
+        std::vector<MapResult>& list = hits[i];
+        list.clear();
+        list.reserve(std::min(x, touched.size()));
+        for (const io::SeqId subject : touched) {
+          if (list.size() >= x) break;
+          const std::uint32_t votes = counter.count(subject);
+          if (votes < params_.min_votes) break;  // sorted: all later weaker
+          list.push_back({subject, votes});
+        }
+      });
+}
+
 MapResult JemMapper::map_segment(std::string_view segment,
                                  MapScratch& scratch) const {
-  return vote_segment(segment, params_, scheme_, hashes_, table_.flat(),
-                      scratch, [](io::SeqId, std::uint32_t) {});
+  MapResult result;
+  map_segments({&segment, 1}, scratch, {&result, 1});
+  return result;
 }
 
 MapResult JemMapper::map_segment(std::string_view segment) const {
@@ -369,32 +477,8 @@ MapResult JemMapper::map_segment(std::string_view segment) const {
 std::vector<MapResult> JemMapper::map_segment_topx(std::string_view segment,
                                                    std::size_t x,
                                                    MapScratch& scratch) const {
-  // Same vote counting as map_segment, but remember every subject touched
-  // this round so the full ranking can be materialized afterwards. The
-  // touched list lives in the scratch so repeat calls reuse its capacity.
-  std::vector<io::SeqId>& touched = scratch.touched();
-  touched.clear();
-  (void)vote_segment(segment, params_, scheme_, hashes_, table_.flat(),
-                     scratch, [&](io::SeqId subject, std::uint32_t count) {
-                       if (count == 1) touched.push_back(subject);
-                     });
-
-  std::sort(touched.begin(), touched.end(),
-            [&](io::SeqId a, io::SeqId b) {
-              const std::uint32_t va = scratch.counter().count(a);
-              const std::uint32_t vb = scratch.counter().count(b);
-              if (va != vb) return va > vb;
-              return a < b;
-            });
-
   std::vector<MapResult> hits;
-  hits.reserve(std::min(x, touched.size()));
-  for (io::SeqId subject : touched) {
-    if (hits.size() >= x) break;
-    const std::uint32_t votes = scratch.counter().count(subject);
-    if (votes < params_.min_votes) break;  // sorted: all later are weaker
-    hits.push_back({subject, votes});
-  }
+  map_segments_topx({&segment, 1}, x, scratch, {&hits, 1});
   return hits;
 }
 

@@ -1,15 +1,18 @@
 // JemMapper — Algorithm 2 (L2C mapping): build the sketch table over the
 // subjects, then map every long-read end segment to its best-hit contig.
 //
-// The class maps one segment at a time. It is immutable after
-// construction; map_segment is const and thread-safe given a per-thread
-// MapScratch. Mapping a set of reads — in memory, streamed, threaded or
-// one rank's partition — is MappingEngine's job (core/engine.hpp), whose
-// batch body calls map_segment / map_segment_topx per segment.
+// The class maps a batch of segments (map_segments), or one segment as a
+// batch of one (map_segment). It is immutable after construction; both are
+// const and thread-safe given a per-thread MapScratch. Mapping a set of
+// reads — in memory, streamed, threaded or one rank's partition — is
+// MappingEngine's job (core/engine.hpp), whose batch body hands each
+// batch's segments to map_segments / map_segments_topx.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -91,6 +94,11 @@ struct HotpathCounters {
   std::uint64_t kmer_probes = 0;       // distinct k-mers probed (sampled)
   std::uint64_t probe_slots = 0;       // slots those probes touched
   std::uint64_t candidates = 0;        // distinct subjects voted (sampled)
+  // Exact, every segment (JEM only: MinHash runs no minimizer scan): the
+  // segments whose minimizers were scanned one per lane in a group
+  // (minimizer_scan_many), and those scanned alone.
+  std::uint64_t segments_grouped = 0;
+  std::uint64_t segments_single = 0;
 
   /// Advances the per-segment clock; true when this segment is sampled.
   [[nodiscard]] bool tick_sample() noexcept {
@@ -131,6 +139,16 @@ struct SketchKeys {
   std::vector<Posting> voted;              // `matched` sorted by trial
 };
 
+/// The engine's buffers for one chunk of a batch (core/engine.cpp
+/// map_range): its segments, their views handed to map_segments, and the
+/// results it writes. Views into the batch's reads; no bases are copied.
+struct SegmentBatch {
+  std::vector<EndSegment> segments;
+  std::vector<std::string_view> views;
+  std::vector<MapResult> results;
+  std::vector<std::vector<MapResult>> hits;  // top-x mode
+};
+
 /// Per-thread mutable state for the query phase: the vote counter (the
 /// lazy counters of the paper's S4 implementation notes, one record per
 /// subject) plus every buffer the sketch kernels and the vote pass need,
@@ -151,8 +169,16 @@ class MapScratch {
   /// runs and the postings that vote.
   SketchKeys& keys() noexcept { return keys_; }
 
+  /// map_segments' minimizer lists, one per segment of a lane group.
+  std::array<std::vector<Minimizer>, 8>& group_lists() noexcept {
+    return group_lists_;
+  }
+
   /// Subjects touched by the current top-x round (reused across calls).
   std::vector<io::SeqId>& touched() noexcept { return touched_; }
+
+  /// The engine's per-chunk segment buffers.
+  SegmentBatch& batch() noexcept { return batch_; }
 
   /// Sampled instrumentation (off by default; the engine enables it when a
   /// metrics registry is attached to the run).
@@ -162,7 +188,9 @@ class MapScratch {
   VoteCounter counter_;
   SketchScratch sketch_scratch_;
   SketchKeys keys_;
+  std::array<std::vector<Minimizer>, 8> group_lists_;
   std::vector<io::SeqId> touched_;
+  SegmentBatch batch_;
   HotpathCounters hotpath_;
 };
 
@@ -238,10 +266,26 @@ class JemMapper {
     return subjects_;
   }
 
-  /// Maps one segment (steps 4-8 of Algorithm 2). Hot path: sketches into
-  /// the scratch's reusable buffers, probes each distinct sketch k-mer once
-  /// in the table's FlatSketchIndex (home slots prefetched first), then
-  /// votes trial by trial from the k-mers' postings runs.
+  /// Maps a batch of segments (steps 4-8 of Algorithm 2), results[i] for
+  /// segments[i]. Hot path: under JEM the minimizers of up to
+  /// minimizer_scan_lanes() segments at a time are scanned together, one
+  /// segment per lane where their lengths match (minimizer_scan_many);
+  /// then, segment by segment in batch order, each is sketched into the
+  /// scratch's reusable buffers, each distinct sketch k-mer probed once in
+  /// the table's FlatSketchIndex (home slots prefetched first), and the
+  /// postings voted trial by trial. MinHash sketches segment by segment.
+  /// Throws std::invalid_argument if `results` is shorter than `segments`.
+  void map_segments(std::span<const std::string_view> segments,
+                    MapScratch& scratch, std::span<MapResult> results) const;
+
+  /// Top-x form of map_segments: hits[i] gets map_segment_topx's list of
+  /// segments[i].
+  void map_segments_topx(std::span<const std::string_view> segments,
+                         std::size_t x, MapScratch& scratch,
+                         std::span<std::vector<MapResult>> hits) const;
+
+  /// Maps one segment: map_segments on a batch of one, whose scan splits
+  /// the segment across the lanes (minimizer_scan).
   [[nodiscard]] MapResult map_segment(std::string_view segment,
                                       MapScratch& scratch) const;
 

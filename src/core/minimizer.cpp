@@ -239,6 +239,26 @@ void minimizer_scan_with(int lanes, std::string_view seq,
   }
 }
 
+std::size_t minimizer_scan_many_with(int lanes,
+                                     std::span<const std::string_view> seqs,
+                                     const MinimizerParams& p,
+                                     MinimizerScratch& scratch,
+                                     std::span<std::vector<Minimizer>> outs) {
+  validate(p);
+  if (outs.size() < seqs.size()) {
+    throw std::invalid_argument("minimizer_scan_many: fewer lists than seqs");
+  }
+  if (lanes > 1 && p.ordering == MinimizerOrdering::kLexicographic &&
+      p.k <= kMaxLaneK) {
+    return lane_scan_many(lanes, seqs, p, scratch, outs);
+  }
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    outs[i].clear();
+    minimizer_scan_scalar(seqs[i], 0, p, scratch, outs[i]);
+  }
+  return 0;
+}
+
 }  // namespace detail
 
 int minimizer_scan_lanes() noexcept {
@@ -249,6 +269,14 @@ int minimizer_scan_lanes() noexcept {
 void minimizer_scan(std::string_view seq, const MinimizerParams& p,
                     MinimizerScratch& scratch, std::vector<Minimizer>& out) {
   detail::minimizer_scan_with(minimizer_scan_lanes(), seq, p, scratch, out);
+}
+
+std::size_t minimizer_scan_many(std::span<const std::string_view> seqs,
+                                const MinimizerParams& p,
+                                MinimizerScratch& scratch,
+                                std::span<std::vector<Minimizer>> outs) {
+  return detail::minimizer_scan_many_with(minimizer_scan_lanes(), seqs, p,
+                                          scratch, outs);
 }
 
 std::vector<Minimizer> minimizer_scan(std::string_view seq,

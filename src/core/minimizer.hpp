@@ -19,19 +19,27 @@
 // into independent runs (no window spans an ambiguous base).
 //
 // On x86-64 the lexicographic scan with k <= 16 runs that window on 8 lanes
-// (AVX-512BW) or 4 (AVX2) at once: a run's windows are split into one
-// contiguous range per lane, each k-mer is keyed `canon << 32 | position`
-// so one vector minimum picks the smallest code and the leftmost on ties,
-// and the lanes' lists are concatenated with the repeat at each seam
-// dropped (src/core/minimizer_lanes.cpp). The kernel is chosen once per
-// process from the CPU (minimizer_scan_lanes). The scalar loop runs
-// everywhere else: k > 16, kRandomHash (its 64-bit hash keys cannot be
-// packed with a position), runs too short to fill the lanes, and non-x86
-// hosts. Every kernel returns the same list, bit for bit.
+// (AVX-512BW) or 4 (AVX2) at once, each k-mer keyed `canon << 32 |
+// position` so one vector minimum picks the smallest code and the leftmost
+// on ties (src/core/minimizer_lanes.cpp). One kernel has two ways to fill
+// its lanes:
+// - minimizer_scan splits one sequence's ACGT run into one contiguous
+//   range of windows per lane, and concatenates the lanes' lists with the
+//   repeat at each seam dropped. Each lane pays w + k - 2 warm-up steps.
+// - minimizer_scan_many puts one whole sequence in each lane: groups of
+//   all-ACGT sequences of one length (the engine's query segments), each
+//   lane's list its own sequence's, with no warm-up beyond the scalar
+//   loop's own.
+// The kernel is chosen once per process from the CPU
+// (minimizer_scan_lanes). The scalar loop runs everywhere else: k > 16,
+// kRandomHash (its 64-bit hash keys cannot be packed with a position), runs
+// too short to fill the lanes, and non-x86 hosts. Every kernel and both
+// ways of filling the lanes return the same list, bit for bit.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -76,6 +84,9 @@ struct MinimizerScratch {
   // Lane kernels: each lane's distinct window minima as packed keys,
   // merged in lane order at the end of a run.
   std::array<std::vector<std::uint64_t>, 8> lane_minima;
+  // minimizer_scan_many: the sequences that can share a group, as
+  // length << 32 | index.
+  std::vector<std::uint64_t> group_order;
 };
 
 /// Computes M_o(s, w): the position-sorted list of distinct minimizer
@@ -91,6 +102,18 @@ struct MinimizerScratch {
 /// allocating overload.
 void minimizer_scan(std::string_view seq, const MinimizerParams& p,
                     MinimizerScratch& scratch, std::vector<Minimizer>& out);
+
+/// Scans many sequences: replaces outs[i] with exactly minimizer_scan's
+/// list of seqs[i] (positions relative to seqs[i]). On the lane kernels,
+/// all-ACGT sequences of one length, at least k + w - 1 bases each, are
+/// scanned one per lane in groups of up to minimizer_scan_lanes(); a
+/// group too small to pay for itself, and every other sequence, is scanned
+/// alone. Returns how many sequences were scanned in groups. Throws
+/// std::invalid_argument if `outs` is shorter than `seqs`.
+std::size_t minimizer_scan_many(std::span<const std::string_view> seqs,
+                                const MinimizerParams& p,
+                                MinimizerScratch& scratch,
+                                std::span<std::vector<Minimizer>> outs);
 
 /// Windows per step of the scan kernel this process runs: 8 (AVX-512BW),
 /// 4 (AVX2) or 1 (the scalar loop). Chosen from the CPU on the first call;

@@ -1,16 +1,23 @@
 // Lane-parallel minimizer scan (kLexicographic, k <= 16), after the
 // SimdMinimizers scheme of Groot Koerkamp & Martayan (SEA 2025).
 //
-// The windows of an ACGT run are cut into L contiguous lane ranges of equal
-// length; consecutive lanes overlap by w + k - 2 bases, so every window lies
-// whole inside one lane. All L lanes then run the scalar kernel's two-block
+// One kernel, scan_run, runs L lanes of the scalar kernel's two-block
 // window in lockstep, one k-mer each per step. A k-mer's key packs its
 // canonical code above its position, `canon << 32 | position`, so the
 // smaller key is the smaller code with ties to the leftmost occurrence —
 // the scalar loop's rule — and each compare-and-select becomes one vector
 // minimum. Each lane keeps the window minima that differ from its previous
-// one; the lanes are merged in order, dropping what the previous lane
-// already emitted at each seam.
+// one. A lane's job is a base pointer, a position offset and a step count
+// equal across lanes; there are two ways to fill the lanes:
+//
+// - scan_split cuts the windows of one ACGT run into L contiguous ranges
+//   of equal length; consecutive lanes overlap by w + k - 2 bases, so every
+//   window lies whole inside one lane. The lanes are merged in order,
+//   dropping what the previous lane already emitted at each seam. Each lane
+//   pays the w + k - 2 warm-up steps that emit no window.
+// - scan_group puts L whole sequences of one length in the L lanes (the
+//   engine's query segments), each lane's list its own sequence's. A lane
+//   pays the warm-up once per sequence, as the scalar loop does.
 //
 // The kernel is written once in GCC vector arithmetic and inlined into one
 // function per instruction set, whose target attribute decides the code:
@@ -75,7 +82,8 @@ template <int L>
 }
 
 /// The first index in [i, n) that holds no ACGT base, or n: blocks of 8
-/// vectors, then single vectors, then the bases one by one.
+/// vectors, then single vectors, then the bases one by one. A tail shorter
+/// than a vector is first checked as the last vector of the sequence.
 template <int L>
 [[gnu::always_inline]] inline std::size_t acgt_run_end(const char* bases,
                                                        std::size_t i,
@@ -83,6 +91,10 @@ template <int L>
   constexpr std::size_t kVector = sizeof(typename Lanes<L>::Word);
   while (i + 8 * kVector <= n && all_acgt<L>(bases + i, 8)) i += 8 * kVector;
   while (i + kVector <= n && all_acgt<L>(bases + i, 1)) i += kVector;
+  if (i + kVector > n && n >= kVector &&
+      all_acgt<L>(bases + n - kVector, 1)) {
+    return n;
+  }
   while (i < n && base_code(bases[i]) != kInvalidBase) ++i;
   return i;
 }
@@ -187,30 +199,32 @@ __attribute__((target("avx2"))) void compact_dense<4>(
   }
 }
 
-/// Scans the ACGT run [begin, end) of `bases` (n bytes in all), which holds
-/// at least one window, and appends its minimizers to `out`. `back` and
-/// `front` hold w rows of L keys each.
+/// One lane of a scan_run: its first base, the bytes that may be loaded
+/// from there, and the position of its first k-mer.
+struct LaneJob {
+  const char* bases = nullptr;
+  std::size_t readable = 0;
+  std::size_t position = 0;
+};
+
+/// Runs the L lanes' jobs in lockstep, `total` ACGT bases each (at least
+/// one window), and leaves lane j's distinct window minima, as packed keys
+/// in scan order, in minima[j][0, found[j]). `back` and `front` hold w
+/// rows of L keys each.
 template <int L>
 [[gnu::always_inline]] inline void scan_run(
-    const char* bases, std::size_t n, std::size_t begin, std::size_t end,
-    int k, std::size_t w, std::uint64_t* back, std::uint64_t* front,
-    std::array<std::vector<std::uint64_t>, 8>& minima,
-    std::vector<Minimizer>& out) {
+    const LaneJob* jobs, std::size_t total, int k, std::size_t w,
+    std::uint64_t* back, std::uint64_t* front,
+    std::array<std::vector<std::uint64_t>, 8>& minima, std::size_t* found) {
   using Key = typename Lanes<L>::Key;
   using Word = typename Lanes<L>::Word;
   constexpr std::size_t kRow = sizeof(Key);
 
-  const std::size_t kmers = end - begin - static_cast<std::size_t>(k) + 1;
-  const std::size_t windows = kmers - w + 1;
-  const std::size_t per_lane = (windows + L - 1) / L;
-  const std::size_t steps = per_lane + w - 1;  // k-mers per lane
-  // The last lanes start early enough to end at the run's last window; a
-  // window scanned twice is dropped at the merge.
-  std::size_t first[L] = {};
   Key pos{};  // sign bit | position of each lane's current k-mer
+  std::size_t readable = jobs[0].readable;  // bytes every lane may load
   for (int j = 0; j < L; ++j) {
-    first[j] = begin + std::min(j * per_lane, windows - per_lane);
-    pos[j] = static_cast<std::int64_t>(kSignBit | first[j]);
+    pos[j] = static_cast<std::int64_t>(kSignBit | jobs[j].position);
+    readable = std::min(readable, jobs[j].readable);
   }
 
   const Key mask = Key{} + ((std::int64_t{1} << (2 * k)) - 1);
@@ -228,7 +242,7 @@ template <int L>
   std::uint64_t window[64 * L] = {};
   Key changed{};
   std::size_t buffered = 0;
-  std::size_t found[L] = {};  // minima[j][0, found[j]) are lane j's so far
+  for (int j = 0; j < L; ++j) found[j] = 0;
   const auto flush = [&] {
     std::uint64_t words[L] = {};
     std::memcpy(words, &changed, sizeof words);
@@ -256,20 +270,19 @@ template <int L>
     buffered = 0;
   };
 
-  const std::size_t total = steps + fill;  // bases per lane
   const std::size_t first_window = fill + w - 1;
   for (std::size_t group = 0; group < total; group += 8) {
-    // The next 8 bases of every lane. Lane L-1 starts last, so if its load
-    // stays inside the sequence every lane's does.
+    // The next 8 bases of every lane; near the end of the shortest lane's
+    // readable bytes each lane loads only what it may.
     Word raw{};
-    const bool inside = first[L - 1] + group + 8 <= n;
+    const bool inside = group + 8 <= readable;
     for (int j = 0; j < L; ++j) {
-      const std::size_t at = first[j] + group;
       std::uint64_t eight = 0;
       if (inside) {
-        std::memcpy(&eight, bases + at, 8);
+        std::memcpy(&eight, jobs[j].bases + group, 8);
       } else {
-        std::memcpy(&eight, bases + at, std::min<std::size_t>(8, n - at));
+        std::memcpy(&eight, jobs[j].bases + group,
+                    std::min<std::size_t>(8, jobs[j].readable - group));
       }
       raw[j] = eight;
     }
@@ -314,47 +327,118 @@ template <int L>
     }
   }
   flush();
+}
 
-  // Merge: each lane's minima ascend; the ones at or before the last
-  // position emitted came from windows the previous lane already scanned.
-  // Keys unpack L at a time into L (k-mer, position) records, the position
-  // written as a whole 64-bit word over the record's padding: `low` and
-  // `high` interleave the k-mers and positions of the first and the second
-  // L/2 keys.
+/// Appends the packed keys [from, to) to `out` as (k-mer, position)
+/// records. Keys unpack L at a time, the position written as a whole
+/// 64-bit word over the record's padding: `low` and `high` interleave the
+/// k-mers and positions of the first and the second L/2 keys.
+template <int L>
+[[gnu::always_inline]] inline void append_keys(const std::uint64_t* from,
+                                               const std::uint64_t* to,
+                                               std::vector<Minimizer>& out) {
+  using Word = typename Lanes<L>::Word;
   Word low{};
   Word high{};
   for (int i = 0; i < L; ++i) {
     low[i] = static_cast<std::uint64_t>((i % 2) * L + i / 2);
     high[i] = low[i] + L / 2;
   }
+  const std::size_t count = out.size();
+  out.resize(count + static_cast<std::size_t>(to - from));
+  Minimizer* dst = out.data() + count;
+  for (; to - from >= L; from += L, dst += L) {
+    Word keys{};
+    std::memcpy(&keys, from, sizeof keys);
+    const Word kmers = (keys >> 32) ^ (kSignBit >> 32);
+    const Word positions = keys & 0xffffffffu;
+    const Word first = __builtin_shuffle(kmers, positions, low);
+    const Word second = __builtin_shuffle(kmers, positions, high);
+    std::memcpy(static_cast<void*>(dst), &first, sizeof first);
+    std::memcpy(static_cast<void*>(dst + L / 2), &second, sizeof second);
+  }
+  for (; from != to; ++from, ++dst) {
+    *dst = {(*from >> 32) ^ (kSignBit >> 32),
+            static_cast<std::uint32_t>(*from)};
+  }
+}
+
+/// Makes sure the window blocks hold w rows of L keys.
+template <int L>
+void ensure_lane_blocks(MinimizerScratch& scratch, std::size_t w) {
+  if (scratch.keys.size() < w * L) scratch.keys.resize(w * L);
+  if (scratch.suffix_keys.size() < w * L) scratch.suffix_keys.resize(w * L);
+}
+
+/// The first way to fill the lanes: the windows of the ACGT run
+/// [begin, end) of `bases` (n bytes in all), one contiguous range per lane,
+/// each lane starting w + k - 2 bases before its first window. The lanes'
+/// lists are appended to `out` in order, dropping at each seam what the
+/// previous lane already emitted.
+template <int L>
+[[gnu::always_inline]] inline void scan_split(const char* bases,
+                                              std::size_t n,
+                                              std::size_t begin,
+                                              std::size_t end, int k,
+                                              std::size_t w,
+                                              MinimizerScratch& scratch,
+                                              std::vector<Minimizer>& out) {
+  const std::size_t kmers = end - begin - static_cast<std::size_t>(k) + 1;
+  const std::size_t windows = kmers - w + 1;
+  const std::size_t per_lane = (windows + L - 1) / L;
+  // The last lanes start early enough to end at the run's last window; a
+  // window scanned twice is dropped at the merge.
+  LaneJob jobs[L];
   for (int j = 0; j < L; ++j) {
-    const std::uint64_t* from = minima[j].data();
+    const std::size_t first = begin + std::min(j * per_lane, windows - per_lane);
+    jobs[j] = {bases + first, n - first, first};
+  }
+  ensure_lane_blocks<L>(scratch, w);
+  std::size_t found[L];
+  scan_run<L>(jobs, per_lane + w - 1 + static_cast<std::size_t>(k) - 1, k, w,
+              scratch.keys.data(), scratch.suffix_keys.data(),
+              scratch.lane_minima, found);
+
+  // Each lane's minima ascend; the ones at or before the last position
+  // emitted came from windows the previous lane already scanned.
+  for (int j = 0; j < L; ++j) {
+    const std::uint64_t* from = scratch.lane_minima[j].data();
     const std::uint64_t* const to = from + found[j];
     if (j > 0) {
       const std::uint32_t last = out.back().position;
       while (from != to && static_cast<std::uint32_t>(*from) <= last) ++from;
     }
-    const std::size_t count = out.size();
-    out.resize(count + static_cast<std::size_t>(to - from));
-    Minimizer* dst = out.data() + count;
-    for (; to - from >= L; from += L, dst += L) {
-      Word keys{};
-      std::memcpy(&keys, from, sizeof keys);
-      const Word kmers = (keys >> 32) ^ (kSignBit >> 32);
-      const Word positions = keys & 0xffffffffu;
-      const Word first = __builtin_shuffle(kmers, positions, low);
-      const Word second = __builtin_shuffle(kmers, positions, high);
-      std::memcpy(static_cast<void*>(dst), &first, sizeof first);
-      std::memcpy(static_cast<void*>(dst + L / 2), &second, sizeof second);
-    }
-    for (; from != to; ++from, ++dst) {
-      *dst = {(*from >> 32) ^ (kSignBit >> 32),
-              static_cast<std::uint32_t>(*from)};
-    }
+    append_keys<L>(from, to, out);
   }
 }
 
-/// The lane kernel over a whole sequence: long ACGT runs go to scan_run,
+/// The second way to fill the lanes: `count` (1 to L) all-ACGT sequences of
+/// one length, at least k + w - 1 bases, one per lane; lanes past `count`
+/// repeat the first and are not kept. Lane j's list, positions counted from
+/// its own first base, replaces *outs[j].
+template <int L>
+[[gnu::always_inline]] inline void scan_group(const std::string_view* seqs,
+                                              std::vector<Minimizer>* const* outs,
+                                              std::size_t count, int k,
+                                              std::size_t w,
+                                              MinimizerScratch& scratch) {
+  LaneJob jobs[L];
+  for (std::size_t j = 0; j < L; ++j) {
+    const std::string_view seq = seqs[j < count ? j : 0];
+    jobs[j] = {seq.data(), seq.size(), 0};
+  }
+  ensure_lane_blocks<L>(scratch, w);
+  std::size_t found[L];
+  scan_run<L>(jobs, seqs[0].size(), k, w, scratch.keys.data(),
+              scratch.suffix_keys.data(), scratch.lane_minima, found);
+  for (std::size_t j = 0; j < count; ++j) {
+    const std::uint64_t* from = scratch.lane_minima[j].data();
+    outs[j]->clear();
+    append_keys<L>(from, from + found[j], *outs[j]);
+  }
+}
+
+/// The lane kernel over a whole sequence: long ACGT runs go to scan_split,
 /// everything else to the scalar loop.
 template <int L>
 [[gnu::always_inline]] inline void scan_lanes(std::string_view seq,
@@ -374,17 +458,89 @@ template <int L>
     const std::size_t end = acgt_run_end<L>(bases, i, n);
     const std::size_t len = end - i;
     if (len + 2 >= k + w + L * kMinLaneWindows) {
-      if (scratch.keys.size() < w * L) scratch.keys.resize(w * L);
-      if (scratch.suffix_keys.size() < w * L) {
-        scratch.suffix_keys.resize(w * L);
-      }
-      scan_run<L>(bases, n, i, end, p.k, w, scratch.keys.data(),
-                  scratch.suffix_keys.data(), scratch.lane_minima, out);
+      scan_split<L>(bases, n, i, end, p.k, w, scratch, out);
     } else {
       minimizer_scan_scalar(seq.substr(i, len), i, p, scratch, out);
     }
     i = end;
   }
+}
+
+/// One sequence on its own, into a cleared `out`: scan_lanes, or the
+/// scalar loop where a position would not fit the packed key.
+template <int L>
+[[gnu::always_inline]] inline void scan_alone(std::string_view seq,
+                                              const MinimizerParams& p,
+                                              MinimizerScratch& scratch,
+                                              std::vector<Minimizer>& out) {
+  out.clear();
+  if (seq.size() <= std::numeric_limits<std::uint32_t>::max()) {
+    scan_lanes<L>(seq, p, scratch, out);
+  } else {
+    minimizer_scan_scalar(seq, 0, p, scratch, out);
+  }
+}
+
+/// Many sequences: the ones that can share a group (all ACGT, at least
+/// k + w - 1 bases) are ordered by length, and each run of one length is
+/// cut into groups of L for scan_group; a group smaller than
+/// min_group_segments(L), and every other sequence, is scanned alone.
+/// Returns the sequences scanned in groups.
+template <int L>
+[[gnu::always_inline]] inline std::size_t scan_many(
+    std::span<const std::string_view> seqs, const MinimizerParams& p,
+    MinimizerScratch& scratch, std::span<std::vector<Minimizer>> outs) {
+  constexpr std::size_t kMinGroup = min_group_segments(L);
+  const auto w = static_cast<std::size_t>(p.w);
+  const auto k = static_cast<std::size_t>(p.k);
+  if (seqs.size() < kMinGroup) {
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      scan_alone<L>(seqs[i], p, scratch, outs[i]);
+    }
+    return 0;
+  }
+  // Each candidate as (length << 32 | index): sorted, equal lengths are
+  // adjacent and each run keeps the sequences' order.
+  std::vector<std::uint64_t>& order = scratch.group_order;
+  order.clear();
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    const std::string_view seq = seqs[i];
+    if (seq.size() + 1 >= k + w &&
+        seq.size() <= std::numeric_limits<std::uint32_t>::max() &&
+        i <= std::numeric_limits<std::uint32_t>::max() &&
+        acgt_run_end<L>(seq.data(), 0, seq.size()) == seq.size()) {
+      order.push_back(std::uint64_t{seq.size()} << 32 | i);
+    } else {
+      scan_alone<L>(seq, p, scratch, outs[i]);
+    }
+  }
+  if (!std::is_sorted(order.begin(), order.end())) {
+    std::sort(order.begin(), order.end());
+  }
+  std::size_t grouped = 0;
+  std::string_view members[L];
+  std::vector<Minimizer>* lists[L];
+  for (std::size_t g = 0; g < order.size();) {
+    const std::uint64_t length = order[g] >> 32;
+    std::size_t count = 0;
+    for (; count < L && g + count < order.size() &&
+           order[g + count] >> 32 == length;
+         ++count) {
+      const auto i = static_cast<std::uint32_t>(order[g + count]);
+      members[count] = seqs[i];
+      lists[count] = &outs[i];
+    }
+    if (count >= kMinGroup) {
+      scan_group<L>(members, lists, count, p.k, w, scratch);
+      grouped += count;
+    } else {
+      for (std::size_t j = 0; j < count; ++j) {
+        scan_alone<L>(members[j], p, scratch, *lists[j]);
+      }
+    }
+    g += count;
+  }
+  return grouped;
 }
 
 __attribute__((target("avx512f,avx512bw"))) void scan_lanes8(
@@ -397,6 +553,18 @@ __attribute__((target("avx2"))) void scan_lanes4(
     std::string_view seq, const MinimizerParams& p,
     MinimizerScratch& scratch, std::vector<Minimizer>& out) {
   scan_lanes<4>(seq, p, scratch, out);
+}
+
+__attribute__((target("avx512f,avx512bw"))) std::size_t scan_many8(
+    std::span<const std::string_view> seqs, const MinimizerParams& p,
+    MinimizerScratch& scratch, std::span<std::vector<Minimizer>> outs) {
+  return scan_many<8>(seqs, p, scratch, outs);
+}
+
+__attribute__((target("avx2"))) std::size_t scan_many4(
+    std::span<const std::string_view> seqs, const MinimizerParams& p,
+    MinimizerScratch& scratch, std::span<std::vector<Minimizer>> outs) {
+  return scan_many<4>(seqs, p, scratch, outs);
 }
 
 }  // namespace
@@ -425,6 +593,13 @@ void lane_scan(int lanes, std::string_view seq, const MinimizerParams& p,
   }
 }
 
+std::size_t lane_scan_many(int lanes, std::span<const std::string_view> seqs,
+                           const MinimizerParams& p, MinimizerScratch& scratch,
+                           std::span<std::vector<Minimizer>> outs) {
+  return lanes == 8 ? scan_many8(seqs, p, scratch, outs)
+                    : scan_many4(seqs, p, scratch, outs);
+}
+
 #else  // no lane kernels off x86-64: the scalar loop runs everywhere
 
 bool minimizer_lanes_supported(int lanes) noexcept { return lanes == 1; }
@@ -432,6 +607,17 @@ bool minimizer_lanes_supported(int lanes) noexcept { return lanes == 1; }
 void lane_scan(int /*lanes*/, std::string_view seq, const MinimizerParams& p,
                MinimizerScratch& scratch, std::vector<Minimizer>& out) {
   minimizer_scan_scalar(seq, 0, p, scratch, out);
+}
+
+std::size_t lane_scan_many(int /*lanes*/,
+                           std::span<const std::string_view> seqs,
+                           const MinimizerParams& p, MinimizerScratch& scratch,
+                           std::span<std::vector<Minimizer>> outs) {
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    outs[i].clear();
+    minimizer_scan_scalar(seqs[i], 0, p, scratch, outs[i]);
+  }
+  return 0;
 }
 
 #endif

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace jem::core {
 namespace {
@@ -60,6 +61,35 @@ TEST(EndSegments, EmptyReadYieldsNothing) {
 
 TEST(EndSegments, ZeroSegmentLengthYieldsNothing) {
   EXPECT_TRUE(extract_end_segments(0, "ACGT", 0).empty());
+}
+
+TEST(EndSegments, AppendingFormsAddToTheBufferAfterWhatItHolds) {
+  // The engine appends read after read to one reused buffer: each read's
+  // segments follow the earlier ones, field for field the extractors'.
+  const std::string reads[] = {"", std::string(800, 'T'),
+                               std::string(1000, 'C'), std::string(1001, 'G'),
+                               std::string(3500, 'A')};
+  for (const bool tiled : {false, true}) {
+    std::vector<EndSegment> buffer;
+    std::vector<EndSegment> expected;
+    for (io::SeqId id = 0; id < 5; ++id) {
+      const std::vector<EndSegment> segments =
+          tiled ? extract_tiled_segments(id, reads[id], 1000)
+                : extract_end_segments(id, reads[id], 1000);
+      EXPECT_EQ(segments.size(), segment_count(reads[id].size(), 1000, tiled));
+      expected.insert(expected.end(), segments.begin(), segments.end());
+      tiled ? append_tiled_segments(id, reads[id], 1000, buffer)
+            : append_end_segments(id, reads[id], 1000, buffer);
+    }
+    ASSERT_EQ(buffer.size(), expected.size()) << "tiled " << tiled;
+    for (std::size_t i = 0; i < buffer.size(); ++i) {
+      EXPECT_EQ(buffer[i].read, expected[i].read);
+      EXPECT_EQ(buffer[i].end, expected[i].end);
+      EXPECT_EQ(buffer[i].offset, expected[i].offset);
+      EXPECT_EQ(buffer[i].bases.data(), expected[i].bases.data());
+      EXPECT_EQ(buffer[i].bases.size(), expected[i].bases.size());
+    }
+  }
 }
 
 TEST(ReadEndTag, TagsAreStable) {

@@ -172,6 +172,19 @@ TEST_F(EngineGoldenTest, ClaimedBatchesWriteInPlaceAtEveryThreadCount) {
                     report.mappings.size() + report.topx.size());
           EXPECT_EQ(registry.counter("core.hotpath.segments_seen").value(),
                     report.stats.segments);
+          // Every segment's minimizers are scanned once, in a lane group or
+          // alone; a one-read batch's two end segments never fill a group.
+          const std::uint64_t grouped =
+              registry.counter("core.hotpath.segments_grouped").value();
+          EXPECT_EQ(grouped +
+                        registry.counter("core.hotpath.segments_single").value(),
+                    report.stats.segments);
+          if (minimizer_scan_lanes() == 1 ||
+              (batch == 1 && mode != MapMode::kTiled)) {
+            EXPECT_EQ(grouped, 0u);
+          } else if (mode == MapMode::kTiled || batch > 8) {
+            EXPECT_GT(grouped, 0u);
+          }
         }
       }
     }

@@ -656,6 +656,140 @@ TEST_F(MapperTest, TopXReusesScratchAcrossCalls) {
   }
 }
 
+TEST_F(MapperTest, MapSegmentsMatchMapSegment) {
+  // The batched entry scans up to minimizer_scan_lanes() segments at a time,
+  // one per lane where their lengths match. Over every tile and end segment
+  // of simulated reads, plus segments it must scan alone (an N run, shorter
+  // than a window, empty), in batches of many sizes: each result and top-x
+  // list equals map_segment's, the sampled counters are the same, and
+  // every JEM segment is counted once as grouped or single.
+  sim::GenomeParams genome_params;
+  genome_params.length = 100'000;
+  genome_params.repeat_fraction = 0.2;
+  genome_params.seed = 41;
+  const std::string genome = sim::simulate_genome(genome_params);
+  sim::ContigSimParams contig_params;
+  contig_params.seed = 42;
+  const sim::SimulatedContigs contigs =
+      sim::simulate_contigs(genome, contig_params);
+  sim::HiFiParams read_params;
+  read_params.coverage = 2.0;
+  read_params.seed = 43;
+  const io::SequenceSet reads =
+      sim::simulate_hifi_reads(genome, read_params).reads;
+
+  std::vector<std::string> segments;
+  for (io::SeqId read = 0; read < reads.size(); ++read) {
+    for (const EndSegment& segment :
+         extract_tiled_segments(read, reads.bases(read), 1000)) {
+      segments.emplace_back(segment.bases);
+    }
+    for (const EndSegment& segment :
+         extract_end_segments(read, reads.bases(read), 1000)) {
+      segments.emplace_back(segment.bases);
+    }
+    if (read % 7 == 3) {
+      std::string with_n = segments.back();
+      with_n.replace(300, 40, std::string(40, 'N'));
+      segments.push_back(with_n);
+      segments.push_back(segments.back().substr(0, 90));
+      segments.emplace_back();
+    }
+  }
+  ASSERT_GT(segments.size(), 100u);
+  const std::vector<std::string_view> views(segments.begin(), segments.end());
+
+  for (const int trials : {1, 30, 65}) {
+    for (const SketchScheme scheme :
+         {SketchScheme::kJem, SketchScheme::kClassicMinhash}) {
+      SCOPED_TRACE("T " + std::to_string(trials) + " scheme " +
+                   std::to_string(static_cast<int>(scheme)));
+      const MapParams params{.trials = trials, .seed = 44};
+      const JemMapper mapper(contigs.contigs, params, scheme);
+      // One scratch for map_segment and one for map_segment_topx, on each
+      // side: the sampling clock ticks per segment in batch order.
+      MapScratch single[2] = {MapScratch(contigs.contigs.size()),
+                              MapScratch(contigs.contigs.size())};
+      for (MapScratch& scratch : single) scratch.hotpath().sample_every = 3;
+      std::vector<MapResult> expected;
+      std::vector<std::vector<MapResult>> expected_topx;
+      for (const std::string_view segment : views) {
+        expected.push_back(mapper.map_segment(segment, single[0]));
+        expected_topx.push_back(
+            mapper.map_segment_topx(segment, 4, single[1]));
+      }
+      std::size_t mapped = 0;
+      for (const MapResult& result : expected) mapped += result.mapped();
+      EXPECT_GT(mapped, views.size() / 10);
+
+      for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{7}, std::size_t{9}}) {
+        SCOPED_TRACE("chunk " + std::to_string(chunk));
+        MapScratch batched[2] = {MapScratch(contigs.contigs.size()),
+                                 MapScratch(contigs.contigs.size())};
+        for (MapScratch& scratch : batched) scratch.hotpath().sample_every = 3;
+        std::vector<MapResult> results(views.size(), MapResult{7, 7});
+        std::vector<std::vector<MapResult>> topx(views.size());
+        // Chunk 0 is the whole set in one call and chunk 1 one segment a
+        // call; 7 and 9 grow by up to 10 from call to call, so the calls
+        // cut the lane groups at every offset.
+        const std::span<const std::string_view> all(views);
+        for (std::size_t first = 0, step = 0; first < views.size(); ++step) {
+          const std::size_t size =
+              chunk == 0 ? views.size()
+              : chunk == 1
+                  ? 1
+                  : std::min(views.size() - first, chunk + step % 11);
+          mapper.map_segments(all.subspan(first, size), batched[0],
+                              std::span(results).subspan(first, size));
+          mapper.map_segments_topx(all.subspan(first, size), 4, batched[1],
+                                   std::span(topx).subspan(first, size));
+          first += size;
+        }
+        EXPECT_EQ(results, expected);
+        EXPECT_EQ(topx, expected_topx);
+        for (int side = 0; side < 2; ++side) {
+          const HotpathCounters& got = batched[side].hotpath();
+          const HotpathCounters& want = single[side].hotpath();
+          EXPECT_EQ(got.segments_seen, want.segments_seen);
+          EXPECT_EQ(got.segments_sampled, want.segments_sampled);
+          EXPECT_EQ(got.kmer_lookups, want.kmer_lookups);
+          EXPECT_EQ(got.sketch_hits, want.sketch_hits);
+          EXPECT_EQ(got.kmer_probes, want.kmer_probes);
+          EXPECT_EQ(got.probe_slots, want.probe_slots);
+          EXPECT_EQ(got.candidates, want.candidates);
+          if (scheme == SketchScheme::kClassicMinhash) {
+            EXPECT_EQ(got.segments_grouped + got.segments_single, 0u);
+            continue;
+          }
+          EXPECT_EQ(got.segments_grouped + got.segments_single, views.size());
+          EXPECT_EQ(want.segments_grouped, 0u);
+          EXPECT_EQ(want.segments_single, views.size());
+          if (minimizer_scan_lanes() > 1 && chunk != 1) {
+            EXPECT_GT(got.segments_grouped, views.size() / 2);
+          }
+          if (chunk == 1) {
+            EXPECT_EQ(got.segments_grouped, 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(MapperTest, MapSegmentsRejectsTooFewResults) {
+  const JemMapper mapper(subjects_, params_);
+  MapScratch scratch(subjects_.size());
+  const std::string segment = genome_.substr(1000, 1000);
+  const std::vector<std::string_view> segments{segment, segment};
+  std::vector<MapResult> results(1);
+  std::vector<std::vector<MapResult>> hits(1);
+  EXPECT_THROW(mapper.map_segments(segments, scratch, results),
+               std::invalid_argument);
+  EXPECT_THROW(mapper.map_segments_topx(segments, 3, scratch, hits),
+               std::invalid_argument);
+}
+
 TEST_F(MapperTest, AdoptedTableIsFrozenForTheHotPath) {
   // A table built on several threads is adopted as is: its flat index is
   // already there, and results agree with the self-sketching constructor.

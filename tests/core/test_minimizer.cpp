@@ -470,8 +470,47 @@ class MinimizerScanLanes : public ::testing::TestWithParam<int> {
         << "k=" << p.k << " w=" << p.w << " len=" << seq.size();
   }
 
+  /// Scans `seqs` as one batch on the kernel under test, checks every
+  /// list against the scalar loop (and the naive oracle unless w > 101, to
+  /// bound the oracle's cost), and returns how many were scanned in groups.
+  std::size_t scan_many(const std::vector<std::string>& seqs,
+                        const MinimizerParams& p) {
+    const std::vector<std::string_view> views(seqs.begin(), seqs.end());
+    // Stale lists from an earlier, longer batch must be replaced.
+    lists_.resize(std::max(lists_.size(), seqs.size()),
+                  {Minimizer{1, 2}, Minimizer{3, 4}});
+    const std::size_t grouped = detail::minimizer_scan_many_with(
+        GetParam(), views, p, scratch_, std::span(lists_).first(seqs.size()));
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      std::vector<Minimizer> scalar;
+      detail::minimizer_scan_with(1, seqs[i], p, scalar_scratch_, scalar);
+      EXPECT_EQ(lists_[i], scalar) << "k=" << p.k << " w=" << p.w << " seq "
+                                   << i << " of " << seqs.size()
+                                   << " len=" << seqs[i].size();
+      if (p.w <= 101) {
+        EXPECT_EQ(lists_[i], oracle::minimizer_scan_naive(seqs[i], p))
+            << "k=" << p.k << " w=" << p.w << " seq " << i;
+      }
+    }
+    if (GetParam() == 1) {
+      EXPECT_EQ(grouped, 0u);
+    }
+    return grouped;
+  }
+
+  /// Sequences scanned in groups from a batch of `n` eligible sequences of
+  /// one length: full groups of L, and a last group if it is big enough.
+  [[nodiscard]] std::size_t expected_grouped(std::size_t n) const {
+    const auto lanes = static_cast<std::size_t>(GetParam());
+    if (lanes == 1) return 0;
+    const std::size_t last = n % lanes;
+    return n - last +
+           (last >= detail::min_group_segments(GetParam()) ? last : 0);
+  }
+
   MinimizerScratch scratch_;
   MinimizerScratch scalar_scratch_;
+  std::vector<std::vector<Minimizer>> lists_;
 };
 
 TEST_P(MinimizerScanLanes, PaperParameterDigestIsPinned) {
@@ -601,6 +640,207 @@ TEST_P(MinimizerScanLanes, LongSubjectMatchesScalar) {
     (void)scan(random_dna(rng, 1500), {16, w});
     (void)scan(random_dna(rng, 200'000), {16, w});
   }
+}
+
+// ---- One sequence per lane: minimizer_scan_many ---------------------------
+
+/// XXH64 over the minimizer lists of every 1 kbp tile of the fixed reads
+/// (extract_tiled_segments' cut), each list as in minimizer_digest.
+/// `batch` tiles are scanned at a time by minimizer_scan_many on the
+/// kernel of `lanes`; a batch of 0 scans each tile with minimizer_scan.
+std::uint64_t tile_digest(const MinimizerParams& params, int lanes,
+                          std::size_t batch) {
+  const io::SequenceSet& reads = fixed_reads();
+  std::vector<std::string_view> tiles;
+  for (io::SeqId id = 0; id < reads.size(); ++id) {
+    const std::string_view bases = reads.bases(id);
+    for (std::size_t at = 0; at < bases.size(); at += 1000) {
+      tiles.push_back(bases.substr(std::min(at, bases.size() - 1000), 1000));
+    }
+  }
+  std::string bytes;
+  const auto put = [&](std::uint64_t value, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
+    }
+  };
+  MinimizerScratch scratch;
+  std::vector<std::vector<Minimizer>> lists(std::max<std::size_t>(batch, 1));
+  for (std::size_t first = 0; first < tiles.size();) {
+    const std::size_t count =
+        std::min(std::max<std::size_t>(batch, 1), tiles.size() - first);
+    const std::span<const std::string_view> views(tiles.data() + first,
+                                                  count);
+    if (batch == 0) {
+      detail::minimizer_scan_with(lanes, views[0], params, scratch, lists[0]);
+    } else {
+      (void)detail::minimizer_scan_many_with(lanes, views, params, scratch,
+                                             lists);
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      put(lists[i].size(), 4);
+      for (const Minimizer& m : lists[i]) {
+        put(m.kmer, 8);
+        put(m.position, 4);
+      }
+    }
+    first += count;
+  }
+  return io::xxh64(bytes);
+}
+
+// Recorded from the naive oracle, one tile at a time; the scalar loop
+// gives the same.
+constexpr std::uint64_t kPaperTileLexDigest = 0x518dc9f82e719ae6ULL;
+constexpr std::uint64_t kPaperTileHashDigest = 0x1eafd1707d9da391ULL;
+
+TEST_P(MinimizerScanLanes, ManyPaperParameterDigestsArePinned) {
+  // Whole reads of unequal length (mostly scanned alone), and the reads'
+  // 1 kbp tiles in batches of every size around the lane counts.
+  const io::SequenceSet& reads = fixed_reads();
+  std::vector<std::string> whole;
+  for (io::SeqId id = 0; id < reads.size(); ++id) {
+    whole.emplace_back(reads.bases(id));
+  }
+  (void)scan_many(whole, {16, 100});
+  for (const MinimizerOrdering ordering : kOrderings) {
+    const std::uint64_t pinned = ordering == MinimizerOrdering::kLexicographic
+                                     ? kPaperTileLexDigest
+                                     : kPaperTileHashDigest;
+    EXPECT_EQ(tile_digest({16, 100, ordering}, 1, 0), pinned);
+    for (const std::size_t batch : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 64u}) {
+      EXPECT_EQ(tile_digest({16, 100, ordering}, GetParam(), batch), pinned)
+          << "batch " << batch;
+    }
+  }
+}
+
+TEST_P(MinimizerScanLanes, ManyAtEveryBatchSizeAroundTheLanes) {
+  // Batches of 0, 1, L - 1, L, L + 1 and 3L + 2 tiles of one length: full
+  // groups, a last group above or below the smallest group, and batches
+  // too small to group.
+  const auto lanes = static_cast<std::size_t>(std::max(GetParam(), 4));
+  util::Xoshiro256ss rng(75);
+  for (const auto& [k, w] : {std::pair{16, 100}, std::pair{5, 7}}) {
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, lanes - 1, lanes, lanes + 1,
+          3 * lanes + 2}) {
+      std::vector<std::string> tiles;
+      for (std::size_t i = 0; i < n; ++i) {
+        tiles.push_back(random_dna(rng, 1000));
+      }
+      EXPECT_EQ(scan_many(tiles, {k, w}), expected_grouped(n))
+          << "k=" << k << " w=" << w << " n=" << n;
+    }
+  }
+}
+
+TEST_P(MinimizerScanLanes, ManyMixedLengthsAndIneligibleSequences) {
+  // Lengths k + w - 2 (one truncated window, never grouped), k + w - 1
+  // (one window, the shortest grouped), 1000 and 999 interleaved, plus an
+  // empty sequence, one with an N run, lowercase and IUPAC bases.
+  util::Xoshiro256ss rng(76);
+  for (const auto& [k, w] : {std::pair{16, 100}, std::pair{5, 7},
+                             std::pair{1, 1}}) {
+    const auto kw = static_cast<std::size_t>(k + w);
+    std::vector<std::string> seqs;
+    for (int round = 0; round < 6; ++round) {
+      for (const std::size_t length :
+           {std::size_t{1000}, kw - 1, std::size_t{999}, kw - 2,
+            std::size_t{1000}}) {
+        if (length > 0) seqs.push_back(random_dna(rng, length));
+      }
+    }
+    seqs.emplace_back();
+    std::string with_n = random_dna(rng, 1000);
+    with_n.replace(400, 9, std::string(9, 'N'));
+    seqs.push_back(with_n);
+    std::string lower = random_dna(rng, 1000);
+    for (std::size_t i = 0; i < lower.size(); i += 3) lower[i] += 'a' - 'A';
+    seqs.push_back(lower);
+    std::string iupac = random_dna(rng, 1000);
+    iupac[500] = 'R';
+    seqs.push_back(iupac);
+    const std::size_t grouped = scan_many(seqs, {k, w});
+    if (GetParam() > 1) {
+      // The 13 tiles of 1000 bases (one lowercase), and the six of 999
+      // and of k + w - 1 bases, group; the rest never do.
+      EXPECT_EQ(grouped, expected_grouped(13) + 2 * expected_grouped(6))
+          << "k=" << k << " w=" << w;
+    }
+  }
+}
+
+TEST_P(MinimizerScanLanes, ManyAmbiguousBaseAtEveryOffsetOfOneLane) {
+  // A full group but one lane's sequence carries an N: it is scanned
+  // alone and the other L - 1 still form a group, with the lane's slot
+  // filled by a repeat of the first. The N walks every offset.
+  const auto lanes = static_cast<std::size_t>(std::max(GetParam(), 4));
+  util::Xoshiro256ss rng(77);
+  for (const auto& [k, w] : {std::pair{5, 7}, std::pair{16, 100}}) {
+    std::vector<std::string> seqs;
+    for (std::size_t i = 0; i < lanes; ++i) {
+      seqs.push_back(random_dna(rng, k == 5 ? 240 : 1000));
+    }
+    const std::string clean = seqs[2];
+    for (std::size_t at = 0; at < clean.size(); at += k == 5 ? 1 : 7) {
+      seqs[2] = clean;
+      seqs[2][at] = 'N';
+      EXPECT_EQ(scan_many(seqs, {k, w}), expected_grouped(lanes - 1))
+          << "N at " << at;
+    }
+  }
+}
+
+TEST_P(MinimizerScanLanes, ManyTandemRepeatLaneBesideRandomLanes) {
+  // One lane changes its minimum every window or two and forces the dense
+  // flush of all lanes; the random lanes beside it must come out intact.
+  const auto lanes = static_cast<std::size_t>(std::max(GetParam(), 4));
+  util::Xoshiro256ss rng(78);
+  for (const std::string& unit : {std::string("A"), std::string("AC"),
+                                  std::string("AAC")}) {
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      std::vector<std::string> seqs;
+      for (std::size_t i = 0; i < lanes; ++i) {
+        seqs.push_back(i == lane ? repeat(unit, 2000).substr(0, 1000)
+                                 : random_dna(rng, 1000));
+      }
+      for (const auto& [k, w] : {std::pair{16, 100}, std::pair{8, 2},
+                                 std::pair{15, 1}}) {
+        EXPECT_EQ(scan_many(seqs, {k, w}), expected_grouped(lanes));
+      }
+    }
+  }
+}
+
+TEST_P(MinimizerScanLanes, ManyAcrossKAndWCorners) {
+  // Every k the lane kernels take, w from 1 to 300: batches of 3L + 2
+  // sequences of lengths k + w - 2, k + w - 1, k + w, 2(k + w) and 700.
+  // k > 16 and kRandomHash scan every sequence alone.
+  util::Xoshiro256ss rng(79);
+  for (int k = 1; k <= 17; ++k) {
+    for (int w : {1, 2, 3, 5, 8, 13, 31, 64, 99, 100, 101, 150, 255, 300}) {
+      const auto kw = static_cast<std::size_t>(k + w);
+      const std::size_t lengths[] = {kw - 2, kw - 1, kw, 2 * kw, 700};
+      std::vector<std::string> seqs;
+      for (std::size_t i = 0; i < 26; ++i) {
+        seqs.push_back(random_dna(rng, lengths[i % 5]));
+      }
+      (void)scan_many(seqs, {k, w});
+      if (k == 16 && (w == 1 || w == 100)) {
+        EXPECT_EQ(scan_many(seqs, {k, w, MinimizerOrdering::kRandomHash}),
+                  0u);
+      }
+    }
+  }
+}
+
+TEST(MinimizerScanMany, RejectsTooFewLists) {
+  const std::vector<std::string_view> seqs{"ACGTACGT", "ACGT"};
+  std::vector<std::vector<Minimizer>> lists(1);
+  MinimizerScratch scratch;
+  EXPECT_THROW((void)minimizer_scan_many(seqs, {3, 2}, scratch, lists),
+               std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, MinimizerScanLanes,
